@@ -542,10 +542,7 @@ func (tr *LiveTrialsResult) ConvergedTrials() int {
 func (tr *LiveTrialsResult) TotalStats() livenet.Stats {
 	var total livenet.Stats
 	for _, t := range tr.Trials {
-		total.Sent += t.Stats.Sent
-		total.Dropped += t.Stats.Dropped
-		total.Delivered += t.Stats.Delivered
-		total.Overflow += t.Stats.Overflow
+		total.Add(t.Stats)
 	}
 	return total
 }

@@ -1,0 +1,872 @@
+// Package host is the one host runtime under the goroutine engines: the
+// lifecycle the paper's protocol needs from "a machine" — a mailbox, a
+// periodic tick, send-a-message-to-an-address — written once. livenet and
+// transport differ only in how a message travels, so each supplies a Link
+// and nothing else.
+//
+// The Runtime owns everything up to "this message passed the fault model
+// and must reach address to": the host table and per-host RNG seeding, the
+// stop/closing/started handshake, the runtime-mutable drop probability and
+// partition cut, and the four conserved traffic counters. A Host owns one
+// goroutine per incarnation, a bounded inbox, its protocol bindings with
+// per-binding tick coalescing, the Pause/Resume handshake, Kill/Respawn,
+// and the exactly-once retirement of proto.Recyclable messages. The Link
+// does the rest — an in-memory timing wheel, or encode → peer loop →
+// socket → decode — and hands arrivals back through Runtime.Deliver.
+//
+// The link's half of the seam is Link itself plus Deliver, Drop and
+// Overflow; everything else exported here is the lifecycle API the engines
+// re-export.
+package host
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/peer"
+	"repro/internal/proto"
+)
+
+// Link is how a message travels between hosts: the only thing an engine
+// supplies. Every message handed to Send must end in exactly one of
+// Runtime.Deliver, Runtime.Drop or Runtime.Overflow, so the conservation
+// law documented on Stats holds for any link.
+type Link interface {
+	// Start brings the link up (bind sockets, launch its goroutines). It
+	// is called once, by Runtime.Start, before any host goroutine runs; an
+	// error aborts Start and leaves the runtime unstarted.
+	Start() error
+	// Send carries msg towards to. The message has already been counted
+	// Sent and passed the fault model, and to is a known address. Send
+	// runs on the sending host's callback goroutine and must not block;
+	// rng is that host's private send-RNG, for link-level draws (latency)
+	// that need no lock.
+	Send(rng *rand.Rand, from, to peer.Addr, pid proto.ProtoID, msg proto.Message)
+	// Close stops the link's goroutines, waits for them, and settles what
+	// is stranded in flight as dropped. Runtime.Close calls it once, after
+	// every host goroutine has exited — no Send is running and none will
+	// follow — whether or not Start was ever called.
+	Close()
+}
+
+// Stats is a snapshot of the network traffic counters. At quiescence
+// (after Close) the counters are conserved:
+//
+//	Sent == Delivered + Dropped + Overflow
+//
+// Every sent message is eventually dispatched to a protocol (Delivered),
+// rejected by the fault model, addressed to a dead or unknown host, lost
+// on the link or stranded in flight at shutdown (Dropped), or bounced off
+// a full inbox or link queue (Overflow). Under the socket engine sends and
+// outcomes are counted on different processes, so there the law holds for
+// the sum over all processes.
+type Stats struct {
+	Sent      int64
+	Dropped   int64
+	Delivered int64
+	Overflow  int64
+}
+
+// Add accumulates another snapshot's counters: across the processes of a
+// socket campaign, or across the trials of a live one.
+func (s *Stats) Add(o Stats) {
+	s.Sent += o.Sent
+	s.Dropped += o.Dropped
+	s.Delivered += o.Delivered
+	s.Overflow += o.Overflow
+}
+
+// HostStats is a per-host traffic snapshot.
+type HostStats struct {
+	// Delivered counts messages dispatched to this host's protocols.
+	Delivered int64
+	// Overflow counts messages bounced off this host's full inbox.
+	Overflow int64
+	// Ticks counts protocol tick callbacks run on this host.
+	Ticks int64
+	// Incarnations counts how many times the host has been (re)started.
+	Incarnations int64
+}
+
+// ErrClosed is returned by Start and Respawn after Close.
+var ErrClosed = errors.New("host: network closed")
+
+// partitionFunc is a cut predicate; see SetPartition.
+type partitionFunc func(from, to peer.Addr) bool
+
+// Runtime is a network of hosts over one Link.
+//
+// The send path is deliberately lock-free: the fault model lives in
+// atomics (drop probability as float bits, the partition predicate behind
+// an atomic pointer) and the per-send randomness comes from the sending
+// host's private RNG, so concurrent senders never serialise on Runtime.mu.
+// The mutex only guards cold control-plane state: host registration and
+// the closing handshake.
+type Runtime struct {
+	link      Link
+	inboxSize int
+
+	mu      sync.Mutex
+	rng     *rand.Rand // guarded by mu: host seeding (AddHost/AddRemote, pre-Start)
+	hosts   []*Host    // index = address, nil for remote; append-only before Start, read lock-free afterwards
+	local   []*Host    // the non-nil subset, in address order
+	wg      sync.WaitGroup
+	stop    chan struct{}
+	closed  atomic.Bool
+	closing bool // guarded by mu: no wg.Add once set
+	started atomic.Bool
+	start   time.Time
+	noTicks atomic.Bool // StopTicks: quiesce the tick sources
+
+	// Mutable fault model, read lock-free on every send.
+	dropBits  atomic.Uint64 // math.Float64bits of the drop probability
+	partition atomic.Pointer[partitionFunc]
+
+	sent, dropped, delivered, overflow atomic.Int64
+}
+
+// New returns a runtime over link, ready for AddHost/Attach; call Start to
+// run it. seed drives the per-host RNGs and the sender-side loss model,
+// drop is the initial per-message loss probability, and inboxSize bounds
+// each host's message queue.
+func New(seed int64, drop float64, inboxSize int, link Link) *Runtime {
+	r := &Runtime{
+		link:      link,
+		inboxSize: inboxSize,
+		rng:       rand.New(rand.NewSource(seed)),
+		stop:      make(chan struct{}),
+	}
+	r.dropBits.Store(math.Float64bits(drop))
+	return r
+}
+
+// AddHost allocates a host at the next address. All hosts must be added,
+// and their protocols attached, before Start.
+//
+// Host RNG seeds are two draws per address, in address order, from the
+// shared seed.
+func (r *Runtime) AddHost() *Host {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := &Host{
+		rt:      r,
+		addr:    peer.Addr(len(r.hosts)),
+		inbox:   make(chan command, r.inboxSize),
+		rng:     rand.New(rand.NewSource(r.rng.Int63())),
+		sendRNG: rand.New(rand.NewSource(r.rng.Int63())),
+		ctrl:    make(chan ctrlMsg),
+		inc:     newIncarnation(),
+	}
+	r.hosts = append(r.hosts, h)
+	r.local = append(r.local, h)
+	return h
+}
+
+// AddRemote reserves the next address for a host owned by another process:
+// sends to it reach the Link, but no host is allocated here. Its two seed
+// draws are still consumed, which keeps the stream aligned so a host's
+// seeds do not depend on how many processes the campaign is sharded over.
+func (r *Runtime) AddRemote() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rng.Int63()
+	r.rng.Int63()
+	r.hosts = append(r.hosts, nil)
+}
+
+// LocalHosts returns the hosts this runtime owns, in address order.
+func (r *Runtime) LocalHosts() []*Host { return r.local }
+
+// Local reports whether addr is a host this runtime owns.
+func (r *Runtime) Local(addr peer.Addr) bool {
+	return int(addr) >= 0 && int(addr) < len(r.hosts) && r.hosts[addr] != nil
+}
+
+// SetDrop changes the per-message loss probability at runtime.
+func (r *Runtime) SetDrop(p float64) { r.dropBits.Store(math.Float64bits(p)) }
+
+// SetPartition installs a cut predicate: messages for which fn(from, to)
+// reports true are dropped on the sender, before they reach the link.
+// Passing nil heals the partition. fn must be pure, fast, and safe for
+// concurrent use; it is called lock-free on the sender's goroutine. Every
+// process of a socket campaign must install the same predicate for a
+// coherent global partition.
+func (r *Runtime) SetPartition(fn func(from, to peer.Addr) bool) {
+	if fn == nil {
+		r.partition.Store(nil)
+		return
+	}
+	pf := partitionFunc(fn)
+	r.partition.Store(&pf)
+}
+
+// StopTicks stops every tick source without touching the hosts: queued
+// and in-flight traffic keeps flowing and replies are still generated,
+// but no new gossip rounds start. It is the first step of the socket
+// engine's quiesce protocol and is irreversible for the runtime's
+// lifetime.
+func (r *Runtime) StopTicks() { r.noTicks.Store(true) }
+
+// command is one unit of work for a host goroutine.
+type command struct {
+	// tick is non-nil for tick commands.
+	tick *binding
+	// from/pid/msg describe a delivery.
+	from peer.Addr
+	pid  proto.ProtoID
+	msg  proto.Message
+}
+
+// binding is one (protocol, schedule) pair, stored by value in the host's
+// pid-sorted bindings slice — the slice is the only protocol registry (no
+// shadow map), and at the two-or-three bindings a bootstrap host carries a
+// linear scan of a contiguous value slice beats a map lookup while costing
+// a single allocation for the whole registry. The slice is sealed at Start
+// (Attach refuses a started runtime), so interior pointers taken by the
+// host goroutine (tick commands, the init channel) remain stable for the
+// life of the network.
+type binding struct {
+	pid    proto.ProtoID
+	p      proto.Protocol
+	period time.Duration
+	offset time.Duration
+	// tickQueued coalesces tick commands: at most one tick per binding
+	// sits in the inbox at a time. Without this a host that falls behind
+	// (or is paused for a measurement) accumulates a backlog of stale
+	// ticks and then fires a catch-up gossip storm — hundreds of extra
+	// messages per host — instead of just resuming at its period.
+	//
+	// A bare uint32 driven through sync/atomic rather than atomic.Bool:
+	// the wrapper embeds a noCopy guard, which would (correctly) trip
+	// vet's copylocks on the by-value appends Attach performs before the
+	// slice is sealed. The atomics only start once Start launches the
+	// goroutines, after the last copy.
+	tickQueued uint32
+}
+
+// incarnation is one life of a host: the channels that end it. Kill closes
+// down and waits for exited; Respawn installs a fresh incarnation.
+type incarnation struct {
+	down     chan struct{}
+	downOnce sync.Once
+	exited   chan struct{}
+	running  bool // goroutine launched (guarded by Host.mu)
+}
+
+func newIncarnation() *incarnation {
+	return &incarnation{down: make(chan struct{}), exited: make(chan struct{})}
+}
+
+func (inc *incarnation) kill() { inc.downOnce.Do(func() { close(inc.down) }) }
+
+func (inc *incarnation) dead() bool {
+	select {
+	case <-inc.down:
+		return true
+	default:
+		return false
+	}
+}
+
+// ctrlMsg is a pause/resume handshake. ack is closed by the host goroutine
+// once the command takes effect.
+type ctrlMsg struct {
+	pause bool
+	ack   chan struct{}
+}
+
+// Host is one node: a mailbox plus the protocols attached to it. All
+// protocol callbacks run on the host's single goroutine.
+type Host struct {
+	rt    *Runtime
+	addr  peer.Addr
+	inbox chan command
+	rng   *rand.Rand
+	// sendRNG drives this host's outbound drop/latency decisions. It is
+	// distinct from the protocol-visible rng and is only touched from the
+	// host's own callback goroutine, so the send path needs no lock.
+	sendRNG *rand.Rand
+	// bindings is sorted by pid and sealed at Runtime.Start; it doubles as
+	// the dispatch table (find) and the tick schedule.
+	bindings []binding
+	ctrl     chan ctrlMsg
+
+	mu  sync.Mutex // lifecycle state
+	inc *incarnation
+
+	delivered, overflow, ticks, incarnations atomic.Int64
+}
+
+// hostContext implements proto.Context for host callbacks; one per
+// binding so Send routes to the caller's own protocol on the peer.
+type hostContext struct {
+	h   *Host
+	pid proto.ProtoID
+}
+
+var _ proto.Context = hostContext{}
+
+func (c hostContext) Self() peer.Addr  { return c.h.addr }
+func (c hostContext) Now() int64       { return time.Since(c.h.rt.start).Milliseconds() }
+func (c hostContext) Rand() *rand.Rand { return c.h.rng }
+func (c hostContext) Send(to peer.Addr, msg proto.Message) {
+	c.h.rt.send(c.h, to, c.pid, msg)
+}
+
+// Addr returns the host's address.
+func (h *Host) Addr() peer.Addr { return h.addr }
+
+// Stats returns the host's per-host counters.
+func (h *Host) Stats() HostStats {
+	return HostStats{
+		Delivered:    h.delivered.Load(),
+		Overflow:     h.overflow.Load(),
+		Ticks:        h.ticks.Load(),
+		Incarnations: h.incarnations.Load(),
+	}
+}
+
+// Attach binds a protocol to the host. period zero installs a purely
+// reactive protocol. It returns an error once the runtime has started:
+// the host goroutine holds interior pointers into the sealed bindings
+// slice, which an append would move.
+func (h *Host) Attach(pid proto.ProtoID, p proto.Protocol, period, offset time.Duration) error {
+	// Under the runtime mutex, which Start holds while it launches the
+	// hosts: an Attach either completes before any goroutine reads the
+	// slice or observes started.
+	h.rt.mu.Lock()
+	defer h.rt.mu.Unlock()
+	if h.rt.started.Load() {
+		return fmt.Errorf("host attach: protocol %d at host %d: network already started", pid, h.addr)
+	}
+	if h.find(pid) != nil {
+		return fmt.Errorf("host attach: protocol %d already bound at host %d", pid, h.addr)
+	}
+	h.bindings = append(h.bindings, binding{pid: pid, p: p, period: period, offset: offset})
+	for i := len(h.bindings) - 1; i > 0 && h.bindings[i].pid < h.bindings[i-1].pid; i-- {
+		h.bindings[i], h.bindings[i-1] = h.bindings[i-1], h.bindings[i]
+	}
+	return nil
+}
+
+// find returns the binding for pid, or nil. The returned pointer is stable
+// once the network has started (the slice is sealed at Start).
+func (h *Host) find(pid proto.ProtoID) *binding {
+	for i := range h.bindings {
+		if h.bindings[i].pid == pid {
+			return &h.bindings[i]
+		}
+	}
+	return nil
+}
+
+// Kill crashes the host: its goroutine exits, its tickers stop, and
+// messages addressed to it are dropped. It waits for the host goroutine
+// to finish its current callback, so the host's protocol state may be
+// inspected safely afterwards, and drains messages already queued in the
+// inbox, counting them as dropped. Safe to call multiple times and safe
+// to call concurrently with Respawn and with senders.
+func (h *Host) Kill() {
+	for {
+		h.mu.Lock()
+		inc := h.inc
+		h.mu.Unlock()
+		inc.kill()
+		h.mu.Lock()
+		running := inc.running
+		h.mu.Unlock()
+		if running {
+			<-inc.exited
+		}
+		h.drainInbox()
+		h.mu.Lock()
+		same := h.inc == inc
+		h.mu.Unlock()
+		if same {
+			return
+		}
+		// A concurrent Respawn swapped in a fresh incarnation between
+		// our read and now; kill that one too, or we would return with
+		// the host still running.
+	}
+}
+
+// drainInbox discards queued deliveries, counting them as dropped. Tick
+// commands are engine-internal and do not touch the traffic counters.
+func (h *Host) drainInbox() {
+	for {
+		select {
+		case cmd := <-h.inbox:
+			if cmd.tick != nil {
+				atomic.StoreUint32(&cmd.tick.tickQueued, 0)
+			} else {
+				h.rt.dropped.Add(1)
+				recycle(cmd.msg)
+			}
+		default:
+			return
+		}
+	}
+}
+
+// recycle retires a message (see proto.Recyclable): called exactly once
+// per message, after its Handle returns or on any drop/overflow/drain
+// path. sync.Pool's Put/Get establish the cross-goroutine ordering.
+func recycle(m proto.Message) {
+	if r, ok := m.(proto.Recyclable); ok {
+		r.Recycle()
+	}
+}
+
+// Stopped reports whether the host's current incarnation has been killed.
+func (h *Host) Stopped() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.inc.dead()
+}
+
+// Respawn restarts a killed host with its protocol state intact — the
+// crash-recovery model: the node comes back with whatever (possibly
+// stale) structures it had, re-runs Init after its configured offsets,
+// and resumes ticking. It is a no-op if the host is already running and
+// returns ErrClosed after Runtime.Close. Respawn before Runtime.Start
+// just revives the host; Start will launch it.
+func (h *Host) Respawn() error {
+	r := h.rt
+	for {
+		if r.closed.Load() {
+			return ErrClosed
+		}
+		h.mu.Lock()
+		inc := h.inc
+		running := inc.running
+		h.mu.Unlock()
+		if !inc.dead() {
+			return nil
+		}
+		if running {
+			// Wait for the previous incarnation outside the locks.
+			<-inc.exited
+		}
+		// Discard messages that arrived while the host was down, as a
+		// rebooting UDP host would. Best-effort: a message still in
+		// flight on the link from the down window can land after the
+		// drain and reach the new incarnation — indistinguishable, to
+		// the protocol, from one sent during the reboot itself.
+		h.drainInbox()
+		r.mu.Lock()
+		if r.closing {
+			r.mu.Unlock()
+			return ErrClosed
+		}
+		h.mu.Lock()
+		if h.inc != inc {
+			// A concurrent Respawn won; re-evaluate from scratch.
+			h.mu.Unlock()
+			r.mu.Unlock()
+			continue
+		}
+		fresh := newIncarnation()
+		h.inc = fresh
+		launch := r.started.Load()
+		if launch {
+			fresh.running = true
+			r.wg.Add(1)
+		}
+		h.mu.Unlock()
+		r.mu.Unlock()
+		if launch {
+			go h.run(fresh)
+		}
+		return nil
+	}
+}
+
+// Pause freezes the host between callbacks: the host goroutine stops
+// draining its inbox and ticks until Resume. It returns once the host is
+// actually parked, so the caller may read the host's protocol state until
+// the matching Resume (the handshake establishes the happens-before
+// edges). Returns false if the host is dead or the network stopped.
+func (h *Host) Pause() bool { return h.control(true) }
+
+// Resume unfreezes a paused host. Returns false if the host is dead or
+// the network stopped. Resuming a host that is not paused is a no-op
+// handshake.
+func (h *Host) Resume() bool { return h.control(false) }
+
+func (h *Host) control(pause bool) bool {
+	c := ctrlMsg{pause: pause, ack: make(chan struct{})}
+	for {
+		h.mu.Lock()
+		inc := h.inc
+		running := inc.running
+		h.mu.Unlock()
+		if !running || inc.dead() {
+			return false
+		}
+		select {
+		case h.ctrl <- c:
+			// Some incarnation received the command (h.ctrl is shared
+			// across incarnations) and closes ack immediately on
+			// receipt, so this wait is short and unconditional —
+			// selecting on a possibly stale inc.exited here could
+			// report a successfully parked host as dead.
+			<-c.ack
+			return true
+		case <-inc.exited:
+			// This incarnation ended; re-evaluate — a concurrent
+			// Respawn may have installed a live one.
+		case <-h.rt.stop:
+			return false
+		}
+	}
+}
+
+// Start brings the link up, then launches every live host goroutine and
+// begins ticking.
+func (r *Runtime) Start() error {
+	if r.closed.Load() {
+		return ErrClosed
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closing {
+		return ErrClosed
+	}
+	if r.started.Load() {
+		return errors.New("host: network already started")
+	}
+	if err := r.link.Start(); err != nil {
+		return err
+	}
+	r.start = time.Now()
+	// Publish started only now, under mu and after r.start is written:
+	// Respawn checks it (under mu) to decide whether to launch, and a
+	// launched goroutine reads r.start in Context.Now.
+	r.started.Store(true)
+	// Launch hosts while still holding r.mu: every wg.Add must be
+	// ordered before a concurrent Close sets closing and calls wg.Wait
+	// (same discipline Respawn follows), or goroutines could start after
+	// Close has already drained and snapshotted.
+	for _, h := range r.local {
+		h.mu.Lock()
+		inc := h.inc
+		if inc.dead() || inc.running {
+			h.mu.Unlock()
+			continue
+		}
+		inc.running = true
+		r.wg.Add(1)
+		h.mu.Unlock()
+		go h.run(inc)
+	}
+	return nil
+}
+
+// run is the host main loop for one incarnation: Init all protocols
+// (after their offsets), then serve ticks, deliveries and pause/resume
+// handshakes until shutdown.
+func (h *Host) run(inc *incarnation) {
+	defer h.rt.wg.Done()
+	defer close(inc.exited)
+	h.incarnations.Add(1)
+	// Stagger protocol starts without blocking the mailbox: offsets are
+	// armed as timers that enqueue an init-then-tick sequence.
+	inits := make(chan *binding, len(h.bindings))
+	var timers []*time.Timer
+	var tickers []*time.Ticker
+	for i := range h.bindings {
+		b := &h.bindings[i]
+		timers = append(timers, time.AfterFunc(b.offset, func() {
+			select {
+			case inits <- b:
+			case <-h.rt.stop:
+			case <-inc.down:
+			}
+		}))
+	}
+	defer func() {
+		for _, t := range timers {
+			t.Stop()
+		}
+		for _, t := range tickers {
+			t.Stop()
+		}
+	}()
+	for {
+		select {
+		case <-h.rt.stop:
+			return
+		case <-inc.down:
+			return
+		case c := <-h.ctrl:
+			close(c.ack)
+			if c.pause {
+				if !h.parked(inc) {
+					return
+				}
+			}
+		case b := <-inits:
+			// Init may send; a host respawned while quiescing must not.
+			if !h.rt.noTicks.Load() {
+				b.p.Init(hostContext{h: h, pid: b.pid})
+			}
+			if b.period > 0 {
+				ticker := time.NewTicker(b.period)
+				tickers = append(tickers, ticker)
+				go h.forwardTicks(ticker, b, inc)
+			}
+		case cmd := <-h.inbox:
+			h.dispatch(cmd)
+		}
+	}
+}
+
+// parked blocks until Resume, Kill, or network stop. It reports whether
+// the incarnation should keep running.
+func (h *Host) parked(inc *incarnation) bool {
+	for {
+		select {
+		case c := <-h.ctrl:
+			close(c.ack)
+			if !c.pause {
+				return true
+			}
+		case <-inc.down:
+			return false
+		case <-h.rt.stop:
+			return false
+		}
+	}
+}
+
+func (h *Host) forwardTicks(t *time.Ticker, b *binding, inc *incarnation) {
+	for {
+		select {
+		case <-h.rt.stop:
+			return
+		case <-inc.down:
+			return
+		case <-t.C:
+			if h.rt.noTicks.Load() {
+				continue // quiescing: stop feeding new gossip rounds
+			}
+			if !atomic.CompareAndSwapUint32(&b.tickQueued, 0, 1) {
+				continue // a tick is already queued; coalesce
+			}
+			select {
+			case h.inbox <- command{tick: b}:
+			case <-h.rt.stop:
+				atomic.StoreUint32(&b.tickQueued, 0)
+				return
+			case <-inc.down:
+				atomic.StoreUint32(&b.tickQueued, 0)
+				return
+			default:
+				// Inbox full: skip the tick rather than stall.
+				atomic.StoreUint32(&b.tickQueued, 0)
+			}
+		}
+	}
+}
+
+func (h *Host) dispatch(cmd command) {
+	if cmd.tick != nil {
+		atomic.StoreUint32(&cmd.tick.tickQueued, 0)
+		if h.rt.noTicks.Load() {
+			return // queued before StopTicks
+		}
+		h.ticks.Add(1)
+		cmd.tick.p.Tick(hostContext{h: h, pid: cmd.tick.pid})
+		return
+	}
+	b := h.find(cmd.pid)
+	if b == nil {
+		h.rt.dropped.Add(1)
+		recycle(cmd.msg)
+		return
+	}
+	h.rt.delivered.Add(1)
+	h.delivered.Add(1)
+	b.p.Handle(hostContext{h: h, pid: cmd.pid}, cmd.from, cmd.msg)
+	recycle(cmd.msg)
+}
+
+// send counts the message, applies the fault model, and hands what
+// survives to the link. It runs entirely lock-free — fault model from
+// atomics, randomness from the sender's private RNG, host table immutable
+// after Start — so concurrent senders never contend. It must only be
+// called from the sending host's callback goroutine (the only place
+// protocols can send from).
+func (r *Runtime) send(from *Host, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
+	r.sent.Add(1)
+	rng := from.sendRNG
+	dropP := math.Float64frombits(r.dropBits.Load())
+	drop := dropP > 0 && rng.Float64() < dropP
+	if !drop {
+		if cut := r.partition.Load(); cut != nil && (*cut)(from.addr, to) {
+			drop = true
+		}
+	}
+	if drop || int(to) < 0 || int(to) >= len(r.hosts) {
+		r.dropped.Add(1)
+		recycle(msg)
+		return
+	}
+	r.link.Send(rng, from.addr, to, pid, msg)
+}
+
+// Deliver is the link's single way back in: it places an arrived message
+// in the destination inbox. Messages for dead hosts still enter the inbox
+// while it has room (they are drained as dropped by Kill/Close — checking
+// liveness before every enqueue would race with Kill's drain, and the
+// accounting comes out the same); only when the inbox is full does
+// liveness pick the category, so a dead host's steady-state losses read
+// as Dropped, not inbox pressure. An arrival for an address this runtime
+// does not own is dropped (its sender counted it Sent).
+func (r *Runtime) Deliver(from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
+	if !r.Local(to) {
+		r.dropped.Add(1)
+		recycle(msg)
+		return
+	}
+	dst := r.hosts[to]
+	select {
+	case dst.inbox <- command{from: from, pid: pid, msg: msg}:
+	case <-r.stop:
+		r.dropped.Add(1)
+		recycle(msg)
+	default:
+		if dst.Stopped() {
+			r.dropped.Add(1)
+			recycle(msg)
+			return
+		}
+		r.overflow.Add(1)
+		dst.overflow.Add(1)
+		recycle(msg)
+	}
+}
+
+// Drop counts one message the link lost — stranded in flight at shutdown,
+// failed on a socket, undecodable on arrival — as Dropped and retires it.
+// msg is nil when only an encoded frame was lost: the sending side retired
+// the message itself when it built the frame.
+func (r *Runtime) Drop(msg proto.Message) {
+	r.dropped.Add(1)
+	recycle(msg)
+}
+
+// Overflow counts one message bounced off a full link queue as Overflow
+// and retires it; msg is nil for a bare frame, as for Drop.
+func (r *Runtime) Overflow(msg proto.Message) {
+	r.overflow.Add(1)
+	recycle(msg)
+}
+
+// Close stops all hosts, waits for them to exit, closes the link, and
+// settles the traffic accounting: in-flight and queued-but-undispatched
+// messages are counted as dropped, so the conservation law documented on
+// Stats holds. It is idempotent.
+func (r *Runtime) Close() {
+	if r.closed.Swap(true) {
+		return
+	}
+	r.mu.Lock()
+	r.closing = true
+	hosts := r.local
+	r.mu.Unlock()
+	close(r.stop)
+	r.wg.Wait()
+	// Hosts first, link second: with every sender gone, what the link
+	// finds stranded is final. Arrivals it still delivers meanwhile land
+	// in an inbox (or count dropped on stop) and are drained below.
+	r.link.Close()
+	for _, h := range hosts {
+		h.drainInbox()
+	}
+}
+
+// PauseAll pauses every live host, in parallel, and returns once all of
+// them are parked. Combined with ResumeAll it brackets a consistent
+// whole-network measurement without stopping the clock; under the socket
+// engine the campaign is at a consistent cut once every process has
+// paused.
+func (r *Runtime) PauseAll() { r.controlAll(true) }
+
+// ResumeAll resumes every live host.
+func (r *Runtime) ResumeAll() { r.controlAll(false) }
+
+func (r *Runtime) controlAll(pause bool) {
+	r.mu.Lock()
+	hosts := r.local
+	r.mu.Unlock()
+	// The handshakes are wait-bound (each blocks until the target host
+	// goroutine gets scheduled), not CPU-bound, so fan out far wider
+	// than GOMAXPROCS: with serial handshakes a loaded scheduler pays
+	// one full scheduling round-trip per host, which at thousands of
+	// hosts turns a measurement barrier into seconds.
+	workers := 256
+	if workers > len(hosts) {
+		workers = len(hosts)
+	}
+	if workers < 1 {
+		return
+	}
+	var wg sync.WaitGroup
+	next := make(chan *Host, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for h := range next {
+				h.control(pause)
+			}
+		}()
+	}
+	for _, h := range hosts {
+		next <- h
+	}
+	close(next)
+	wg.Wait()
+}
+
+// Snapshot returns a consistent snapshot of the traffic counters: the
+// four counters are re-read until two consecutive passes agree, so a
+// mid-run snapshot is a plausible cut of the counter stream rather than
+// four unrelated instants. At quiescence (after Close) it is exact and
+// satisfies Sent == Delivered + Dropped + Overflow.
+func (r *Runtime) Snapshot() Stats {
+	prev := r.readStats()
+	for i := 0; i < 8; i++ {
+		cur := r.readStats()
+		if cur == prev {
+			return cur
+		}
+		prev = cur
+	}
+	return prev
+}
+
+func (r *Runtime) readStats() Stats {
+	// Sent is read last: every message is counted sent before it can be
+	// counted delivered/dropped/overflowed, so with monotonic counters
+	// this ordering guarantees Delivered+Dropped+Overflow <= Sent even
+	// for a torn read — a snapshot can undercount outcomes, never show
+	// more outcomes than sends.
+	st := Stats{
+		Dropped:   r.dropped.Load(),
+		Delivered: r.delivered.Load(),
+		Overflow:  r.overflow.Load(),
+	}
+	st.Sent = r.sent.Load()
+	return st
+}
+
+// Stats returns a snapshot of the traffic counters; see Snapshot.
+func (r *Runtime) Stats() Stats { return r.Snapshot() }

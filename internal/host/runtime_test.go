@@ -1,0 +1,182 @@
+package host_test
+
+import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/host"
+	"repro/internal/peer"
+	"repro/internal/proto"
+)
+
+// fakeLink is an in-memory host.Link that takes every exit the seam
+// offers, in rotation: deliver at once, hold until Close and then strand,
+// bounce as overflow, lose on the link. Arrivals for addresses the runtime
+// does not own are lost, as a socket to a dead process would lose them.
+type fakeLink struct {
+	rt             *host.Runtime
+	starts, closes atomic.Int32
+	turn           atomic.Int64
+	mu             sync.Mutex
+	held           []heldMsg
+}
+
+type heldMsg struct {
+	from, to peer.Addr
+	pid      proto.ProtoID
+	msg      proto.Message
+}
+
+func (l *fakeLink) Start() error { l.starts.Add(1); return nil }
+
+func (l *fakeLink) Send(_ *rand.Rand, from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
+	switch turn := l.turn.Add(1) % 8; {
+	case !l.rt.Local(to), turn == 0:
+		l.rt.Drop(msg)
+	case turn == 1:
+		l.rt.Overflow(msg)
+	case turn == 2:
+		l.mu.Lock()
+		l.held = append(l.held, heldMsg{from, to, pid, msg})
+		l.mu.Unlock()
+	default:
+		l.rt.Deliver(from, to, pid, msg)
+	}
+}
+
+// Close delivers half of what it held — after the hosts are gone, so the
+// arrivals can only strand in an inbox or bounce off the stop — and drops
+// the rest.
+func (l *fakeLink) Close() {
+	l.closes.Add(1)
+	for i, h := range l.held {
+		if i%2 == 0 {
+			l.rt.Deliver(h.from, h.to, h.pid, h.msg)
+		} else {
+			l.rt.Drop(h.msg)
+		}
+	}
+}
+
+// ledger issues counting messages and audits their retirement.
+type ledger struct {
+	issued, retired, doubles atomic.Int64
+}
+
+type countMsg struct {
+	led      *ledger
+	recycles atomic.Int32
+}
+
+func (m *countMsg) Recycle() {
+	if m.recycles.Add(1) > 1 {
+		m.led.doubles.Add(1)
+		return
+	}
+	m.led.retired.Add(1)
+}
+
+// sprayer sends a burst of counting messages per tick, walking the
+// address space: owned hosts, the remote address, and one past the end.
+type sprayer struct {
+	led   *ledger
+	addrs int
+	next  int
+}
+
+func (s *sprayer) Init(proto.Context) {}
+func (s *sprayer) Tick(ctx proto.Context) {
+	for i := 0; i < 8; i++ {
+		s.led.issued.Add(1)
+		ctx.Send(peer.Addr(s.next%(s.addrs+1)), &countMsg{led: s.led})
+		s.next++
+	}
+}
+func (s *sprayer) Handle(proto.Context, peer.Addr, proto.Message) {}
+
+// TestRuntimeConservationAndExactlyOnceRecycle drives the runtime over a
+// fake link through every way a message can end — loss model, partition,
+// unknown address, remote address, unbound protocol, live and dead full
+// inboxes, Kill's and Close's inbox drains, link drop, link overflow,
+// stranded on the link, arrival after stop — and checks the two laws the
+// runtime owns: the counters conserve at Close, and every message is
+// retired exactly once.
+func TestRuntimeConservationAndExactlyOnceRecycle(t *testing.T) {
+	const n = 6
+	link := &fakeLink{}
+	rt := host.New(11, 0.1, 2, link)
+	link.rt = rt
+	led := &ledger{}
+	for i := 0; i < n; i++ {
+		h := rt.AddHost()
+		pid := proto.ProtoID(9)
+		if i == n-1 {
+			pid = 8 // traffic for 9 arrives at a host that never bound it
+		}
+		if err := h.Attach(pid, &sprayer{led: led, addrs: n + 1}, time.Millisecond, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt.AddRemote() // address n: known, not ours
+	rt.SetPartition(func(from, to peer.Addr) bool { return from == 0 && to == 1 })
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	hosts := rt.LocalHosts()
+	time.Sleep(20 * time.Millisecond)
+	if !hosts[1].Pause() { // inbox fills under a live host: Overflow
+		t.Fatal("Pause failed")
+	}
+	hosts[2].Kill() // inbox fills under a dead host: Dropped, then drained
+	time.Sleep(20 * time.Millisecond)
+	hosts[2].Kill()
+	if err := hosts[2].Respawn(); err != nil {
+		t.Fatal(err)
+	}
+	hosts[1].Resume()
+	time.Sleep(20 * time.Millisecond)
+	rt.Close()
+	rt.Close()
+
+	if s, c := link.starts.Load(), link.closes.Load(); s != 1 || c != 1 {
+		t.Errorf("link started %d times and closed %d times, want 1 and 1", s, c)
+	}
+	st := rt.Snapshot()
+	if st.Sent != led.issued.Load() {
+		t.Errorf("Sent = %d, protocols issued %d", st.Sent, led.issued.Load())
+	}
+	if st.Delivered == 0 || st.Dropped == 0 || st.Overflow == 0 {
+		t.Errorf("not every outcome exercised: %+v", st)
+	}
+	if st.Sent != st.Delivered+st.Dropped+st.Overflow {
+		t.Errorf("conservation violated at Close: %+v", st)
+	}
+	if hosts[1].Stats().Overflow == 0 {
+		t.Error("paused host's full inbox recorded no overflow")
+	}
+	if d := led.doubles.Load(); d != 0 {
+		t.Errorf("%d double recycles (contract: exactly once)", d)
+	}
+	if issued, retired := led.issued.Load(), led.retired.Load(); retired != issued {
+		t.Errorf("%d of %d messages never retired", issued-retired, issued)
+	}
+}
+
+// TestRuntimeCloseWithoutStart pins the other half of Link.Close's
+// contract: the link is closed exactly once even if it was never started.
+func TestRuntimeCloseWithoutStart(t *testing.T) {
+	link := &fakeLink{}
+	rt := host.New(12, 0, 4, link)
+	link.rt = rt
+	rt.AddHost()
+	rt.Close()
+	if s, c := link.starts.Load(), link.closes.Load(); s != 0 || c != 1 {
+		t.Errorf("link started %d times and closed %d times, want 0 and 1", s, c)
+	}
+	if err := rt.Start(); err != host.ErrClosed {
+		t.Errorf("Start after Close = %v, want ErrClosed", err)
+	}
+}

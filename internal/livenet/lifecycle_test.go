@@ -1,8 +1,6 @@
 package livenet
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -84,130 +82,6 @@ func TestLiveStatsConservation(t *testing.T) {
 	}
 }
 
-// TestLiveKillRespawnSnapshotRace hammers the lifecycle API from several
-// goroutines at once — random Kill/Respawn, Pause/Resume sweeps, and
-// stats snapshots — while traffic flows. Run with -race; correctness here
-// is "no race, no deadlock, counters conserved at quiescence".
-func TestLiveKillRespawnSnapshotRace(t *testing.T) {
-	const n = 24
-	net, hosts := buildEchoNet(t, n, Config{Seed: 31, InboxSize: 16}, time.Millisecond)
-	if err := net.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	stopCh := make(chan struct{})
-	// Churn goroutines: concurrent Kill/Respawn of overlapping host sets,
-	// including double-kill and respawn-while-respawning paths.
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stopCh:
-					return
-				default:
-				}
-				h := hosts[rng.Intn(n)]
-				if rng.Intn(2) == 0 {
-					h.Kill()
-				} else if err := h.Respawn(); err != nil {
-					return // network closing
-				}
-			}
-		}(int64(g))
-	}
-	// Snapshot goroutine: consistent cuts plus per-host stats.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stopCh:
-				return
-			default:
-			}
-			st := net.Snapshot()
-			if st.Sent < 0 || st.Delivered > st.Sent {
-				t.Errorf("implausible snapshot: %+v", st)
-				return
-			}
-			for _, h := range hosts {
-				_ = h.Stats()
-			}
-		}
-	}()
-	// Pause/Resume sweeps against the churn.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			select {
-			case <-stopCh:
-				return
-			default:
-			}
-			net.PauseAll()
-			net.ResumeAll()
-		}
-	}()
-
-	time.Sleep(150 * time.Millisecond)
-	close(stopCh)
-	wg.Wait()
-	net.Close()
-	checkConservation(t, net.Snapshot())
-}
-
-// TestLiveSendToDeadHost checks that messages addressed to a killed host
-// are accounted for and that the host handles traffic again after
-// Respawn with its state intact.
-func TestLiveSendToDeadHost(t *testing.T) {
-	net := New(Config{Seed: 41})
-	a, b := net.AddHost(), net.AddHost()
-	pa := &echoProto{targets: []peer.Addr{b.Addr()}}
-	pb := &echoProto{}
-	if err := a.Attach(9, pa, time.Millisecond, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Attach(9, pb, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Start(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(30 * time.Millisecond)
-	b.Kill()
-	if !b.Stopped() {
-		t.Fatal("killed host not Stopped")
-	}
-	b.Kill() // idempotent
-	time.Sleep(30 * time.Millisecond)
-
-	// Reading pb is safe: Kill waited for the host goroutine.
-	handledWhileDead := pb.handled
-	if handledWhileDead == 0 {
-		t.Error("no traffic handled before the kill")
-	}
-	if err := b.Respawn(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Stopped() {
-		t.Error("respawned host still Stopped")
-	}
-	time.Sleep(30 * time.Millisecond)
-	net.Close()
-	if pb.handled <= handledWhileDead {
-		t.Error("respawned host handled no new messages")
-	}
-	if got := b.Stats().Incarnations; got != 2 {
-		t.Errorf("incarnations = %d, want 2", got)
-	}
-	checkConservation(t, net.Snapshot())
-}
-
 // TestLivePauseResume checks the pause handshake: a paused host runs no
 // callbacks (its counters freeze) and resumes where it left off.
 func TestLivePauseResume(t *testing.T) {
@@ -237,46 +111,6 @@ func TestLivePauseResume(t *testing.T) {
 	if p.ticked <= ticked {
 		t.Error("resumed host never ticked again")
 	}
-}
-
-// TestLiveDoubleCloseAndLifecycleAfterClose pins the shutdown paths:
-// Close is idempotent, Kill after Close must not hang, Respawn after
-// Close reports ErrClosed, Pause after Close reports failure.
-func TestLiveDoubleCloseAndLifecycleAfterClose(t *testing.T) {
-	net, hosts := buildEchoNet(t, 4, Config{Seed: 61}, time.Millisecond)
-	if err := net.Start(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	net.Close()
-	net.Close() // idempotent
-	hosts[0].Kill()
-	if err := hosts[1].Respawn(); err != ErrClosed {
-		t.Errorf("Respawn after Close = %v, want ErrClosed", err)
-	}
-	if hosts[2].Pause() {
-		t.Error("Pause succeeded after Close")
-	}
-	if err := net.Start(); err == nil {
-		t.Error("Start after Close should fail")
-	}
-	checkConservation(t, net.Snapshot())
-}
-
-// TestLiveKillBeforeStart kills a host before Start: the network must
-// come up without it and Close cleanly.
-func TestLiveKillBeforeStart(t *testing.T) {
-	net, hosts := buildEchoNet(t, 4, Config{Seed: 71}, time.Millisecond)
-	hosts[3].Kill()
-	if err := net.Start(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	net.Close()
-	if got := hosts[3].Stats().Incarnations; got != 0 {
-		t.Errorf("pre-start-killed host ran %d incarnations", got)
-	}
-	checkConservation(t, net.Snapshot())
 }
 
 // TestLiveRuntimeFaultModel flips the fault model while the network runs:

@@ -5,16 +5,17 @@
 // that the protocol implementations are engine-agnostic and exercises them
 // under real concurrency; run the tests with -race.
 //
-// Beyond plain message passing the runtime exposes a host lifecycle API —
-// Pause/Resume (freeze a host between callbacks, e.g. for a consistent
-// whole-network measurement), Kill/Respawn (crash-recovery churn) — and a
-// runtime-mutable fault model (SetDrop, SetLatency, SetPartition) that the
-// scenario layer (scenario.go) drives during campaign runs.
+// The host lifecycle — Pause/Resume (freeze a host between callbacks, e.g.
+// for a consistent whole-network measurement), Kill/Respawn (crash-recovery
+// churn) — the loss and partition model (SetDrop, SetPartition) and the
+// traffic accounting are internal/host's, shared with the socket engine.
+// This package owns only its link: pointer handoff between goroutines,
+// delayed by a runtime-mutable latency window (SetLatency) on sharded
+// timing wheels. The scenario layer (scenario.go) drives both during
+// campaign runs.
 package livenet
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -22,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/host"
 	"repro/internal/peer"
 	"repro/internal/proto"
 	"repro/internal/sched"
@@ -42,33 +44,18 @@ type Config struct {
 	InboxSize int
 }
 
-// Stats is a snapshot of the network traffic counters. At quiescence
-// (after Close) the counters are conserved:
-//
-//	Sent == Delivered + Dropped + Overflow
-//
-// Every sent message is eventually dispatched to a protocol (Delivered),
-// rejected by the fault model, addressed to a dead or unknown host, or
-// stranded in flight at shutdown (Dropped), or bounced off a full inbox
-// (Overflow).
-type Stats struct {
-	Sent      int64
-	Dropped   int64
-	Delivered int64
-	Overflow  int64
-}
+// The host lifecycle types are internal/host's.
+type (
+	// Host is one node: a mailbox plus the protocols attached to it.
+	Host = host.Host
+	// Stats is a snapshot of the network traffic counters.
+	Stats = host.Stats
+	// HostStats is a per-host traffic snapshot.
+	HostStats = host.HostStats
+)
 
-// HostStats is a per-host traffic snapshot.
-type HostStats struct {
-	// Delivered counts messages dispatched to this host's protocols.
-	Delivered int64
-	// Overflow counts messages bounced off this host's full inbox.
-	Overflow int64
-	// Ticks counts protocol tick callbacks run on this host.
-	Ticks int64
-	// Incarnations counts how many times the host has been (re)started.
-	Incarnations int64
-}
+// ErrClosed is returned by Start and Respawn after Close.
+var ErrClosed = host.ErrClosed
 
 // latencyWindow is an immutable [min, max] delivery latency pair; SetLatency
 // swaps the whole window atomically so senders never observe a torn pair.
@@ -76,61 +63,25 @@ type latencyWindow struct {
 	min, max time.Duration
 }
 
-// partitionFunc is a cut predicate; see SetPartition.
-type partitionFunc func(from, to peer.Addr) bool
-
-// Network is a concurrent in-memory network of hosts.
-//
-// The send path is deliberately lock-free: the fault model lives in
-// atomics (drop probability as float bits, the latency window and the
-// partition predicate behind atomic pointers) and the per-send randomness
-// comes from the sending host's private RNG, so concurrent senders never
-// serialise on Network.mu. The mutex only guards cold control-plane state:
-// host registration and the closing handshake.
+// Network is a concurrent in-memory network of hosts: the shared host
+// runtime over the in-memory wire.
 type Network struct {
-	cfg     Config
-	mu      sync.Mutex
-	rng     *rand.Rand // guarded by mu: host seeding (AddHost, pre-Start)
-	hosts   []*Host    // append-only before Start; read lock-free afterwards
-	wg      sync.WaitGroup
-	stop    chan struct{}
-	closed  atomic.Bool
-	closing bool // guarded by mu: no wg.Add once set
-	started atomic.Bool
-	start   time.Time
-
-	// Mutable fault model, read lock-free on every send.
-	dropBits  atomic.Uint64 // math.Float64bits of the drop probability
-	lat       atomic.Pointer[latencyWindow]
-	partition atomic.Pointer[partitionFunc]
-
+	*host.Runtime
 	wire *wire
-
-	sent, dropped, delivered, overflow atomic.Int64
 }
 
 // New returns a network ready for AddHost/Attach; call Start to run it.
-func New(cfg Config) *Network {
+func New(cfg Config) *Network { return newNetwork(cfg, wireShardCount()) }
+
+func newNetwork(cfg Config, wireShards int) *Network {
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = 256
 	}
-	if cfg.MaxLatency < cfg.MinLatency {
-		cfg.MaxLatency = cfg.MinLatency
-	}
-	n := &Network{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		stop: make(chan struct{}),
-	}
-	n.dropBits.Store(math.Float64bits(cfg.Drop))
-	n.lat.Store(&latencyWindow{min: cfg.MinLatency, max: cfg.MaxLatency})
-	n.wire = newWire(n)
+	n := &Network{wire: newWire(wireShards)}
+	n.Runtime = host.New(cfg.Seed, cfg.Drop, cfg.InboxSize, n.wire)
+	n.wire.rt = n.Runtime
+	n.SetLatency(cfg.MinLatency, cfg.MaxLatency)
 	return n
-}
-
-// SetDrop changes the per-message loss probability at runtime.
-func (n *Network) SetDrop(p float64) {
-	n.dropBits.Store(math.Float64bits(p))
 }
 
 // SetLatency changes the delivery latency window at runtime.
@@ -138,596 +89,32 @@ func (n *Network) SetLatency(min, max time.Duration) {
 	if max < min {
 		max = min
 	}
-	n.lat.Store(&latencyWindow{min: min, max: max})
+	n.wire.lat.Store(&latencyWindow{min: min, max: max})
 }
 
-// SetPartition installs a cut predicate: messages for which fn(from, to)
-// reports true are dropped. Passing nil heals the partition. fn must be
-// pure, fast, and safe for concurrent use; it is called lock-free on the
-// sender's goroutine.
-func (n *Network) SetPartition(fn func(from, to peer.Addr) bool) {
-	if fn == nil {
-		n.partition.Store(nil)
-		return
-	}
-	pf := partitionFunc(fn)
-	n.partition.Store(&pf)
-}
-
-// command is one unit of work for a host goroutine.
-type command struct {
-	// tick is non-nil for tick commands.
-	tick *binding
-	// from/pid/msg describe a delivery.
-	from peer.Addr
-	pid  proto.ProtoID
-	msg  proto.Message
-}
-
-// binding is one (protocol, schedule) pair, stored by value in the host's
-// pid-sorted bindings slice — the slice is the only protocol registry (no
-// shadow map), and at the two-or-three bindings a bootstrap host carries a
-// linear scan of a contiguous value slice beats a map lookup while costing
-// a single allocation for the whole registry. The slice is sealed at Start
-// (Attach must precede it), so interior pointers taken by the host
-// goroutine (tick commands, the init channel) remain stable for the life
-// of the network.
-type binding struct {
-	pid    proto.ProtoID
-	p      proto.Protocol
-	period time.Duration
-	offset time.Duration
-	// tickQueued coalesces tick commands: at most one tick per binding
-	// sits in the inbox at a time. Without this a host that falls behind
-	// (or is paused for a measurement) accumulates a backlog of stale
-	// ticks and then fires a catch-up gossip storm — hundreds of extra
-	// messages per host — instead of just resuming at its period.
-	//
-	// A bare uint32 driven through sync/atomic rather than atomic.Bool:
-	// the wrapper embeds a noCopy guard, which would (correctly) trip
-	// vet's copylocks on the by-value appends Attach performs before the
-	// slice is sealed. The atomics only start once Start launches the
-	// goroutines, after the last copy.
-	tickQueued uint32
-}
-
-// incarnation is one life of a host: the channels that end it. Kill closes
-// down and waits for exited; Respawn installs a fresh incarnation.
-type incarnation struct {
-	down     chan struct{}
-	downOnce sync.Once
-	exited   chan struct{}
-	running  bool // goroutine launched (guarded by Host.mu)
-}
-
-func newIncarnation() *incarnation {
-	return &incarnation{down: make(chan struct{}), exited: make(chan struct{})}
-}
-
-func (inc *incarnation) kill() { inc.downOnce.Do(func() { close(inc.down) }) }
-
-func (inc *incarnation) dead() bool {
-	select {
-	case <-inc.down:
-		return true
-	default:
-		return false
-	}
-}
-
-// ctrlMsg is a pause/resume handshake. ack is closed by the host goroutine
-// once the command takes effect.
-type ctrlMsg struct {
-	pause bool
-	ack   chan struct{}
-}
-
-// Host is one node: a mailbox plus the protocols attached to it. All
-// protocol callbacks run on the host's single goroutine.
-type Host struct {
-	net   *Network
-	addr  peer.Addr
-	inbox chan command
-	rng   *rand.Rand
-	// sendRNG drives this host's outbound drop/latency decisions. It is
-	// distinct from the protocol-visible rng and is only touched from the
-	// host's own callback goroutine, so the send path needs no lock.
-	sendRNG *rand.Rand
-	// bindings is sorted by pid and sealed at Network.Start; it doubles as
-	// the dispatch table (find) and the tick schedule.
-	bindings []binding
-	ctrl     chan ctrlMsg
-
-	mu  sync.Mutex // lifecycle state
-	inc *incarnation
-
-	delivered, overflow, ticks, incarnations atomic.Int64
-}
-
-// hostContext implements proto.Context for livenet callbacks; one per
-// binding so Send routes to the caller's own protocol on the peer.
-type hostContext struct {
-	h   *Host
-	pid proto.ProtoID
-}
-
-var _ proto.Context = hostContext{}
-
-func (c hostContext) Self() peer.Addr  { return c.h.addr }
-func (c hostContext) Now() int64       { return time.Since(c.h.net.start).Milliseconds() }
-func (c hostContext) Rand() *rand.Rand { return c.h.rng }
-func (c hostContext) Send(to peer.Addr, msg proto.Message) {
-	c.h.net.send(c.h.addr, to, c.pid, msg)
-}
-
-// AddHost allocates a host. All hosts must be added, and their protocols
-// attached, before Start.
-func (n *Network) AddHost() *Host {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h := &Host{
-		net:     n,
-		addr:    peer.Addr(len(n.hosts)),
-		inbox:   make(chan command, n.cfg.InboxSize),
-		rng:     rand.New(rand.NewSource(n.rng.Int63())),
-		sendRNG: rand.New(rand.NewSource(n.rng.Int63())),
-		ctrl:    make(chan ctrlMsg),
-		inc:     newIncarnation(),
-	}
-	n.hosts = append(n.hosts, h)
-	return h
-}
-
-// Addr returns the host's address.
-func (h *Host) Addr() peer.Addr { return h.addr }
-
-// Stats returns the host's per-host counters.
-func (h *Host) Stats() HostStats {
-	return HostStats{
-		Delivered:    h.delivered.Load(),
-		Overflow:     h.overflow.Load(),
-		Ticks:        h.ticks.Load(),
-		Incarnations: h.incarnations.Load(),
-	}
-}
-
-// Kill crashes the host: its goroutine exits, its tickers stop, and
-// messages addressed to it are dropped. It waits for the host goroutine
-// to finish its current callback, so the host's protocol state may be
-// inspected safely afterwards, and drains messages already queued in the
-// inbox, counting them as dropped. Safe to call multiple times and safe
-// to call concurrently with Respawn and with senders.
-func (h *Host) Kill() {
-	for {
-		h.mu.Lock()
-		inc := h.inc
-		h.mu.Unlock()
-		inc.kill()
-		h.mu.Lock()
-		running := inc.running
-		h.mu.Unlock()
-		if running {
-			<-inc.exited
-		}
-		h.drainInbox()
-		h.mu.Lock()
-		same := h.inc == inc
-		h.mu.Unlock()
-		if same {
-			return
-		}
-		// A concurrent Respawn swapped in a fresh incarnation between
-		// our read and now; kill that one too, or we would return with
-		// the host still running.
-	}
-}
-
-// Stop is an alias for Kill, kept for API compatibility.
-func (h *Host) Stop() { h.Kill() }
-
-// drainInbox discards queued deliveries, counting them as dropped. Tick
-// commands are engine-internal and do not touch the traffic counters.
-func (h *Host) drainInbox() {
-	for {
-		select {
-		case cmd := <-h.inbox:
-			if cmd.tick != nil {
-				atomic.StoreUint32(&cmd.tick.tickQueued, 0)
-			} else {
-				h.net.dropped.Add(1)
-				recycle(cmd.msg)
-			}
-		default:
-			return
-		}
-	}
-}
-
-// recycle retires a message (see proto.Recyclable): called exactly once
-// per message, after its Handle returns or on any drop/overflow/drain
-// path. sync.Pool's Put/Get establish the cross-goroutine ordering.
-func recycle(m proto.Message) {
-	if r, ok := m.(proto.Recyclable); ok {
-		r.Recycle()
-	}
-}
-
-// Stopped reports whether the host's current incarnation has been killed.
-func (h *Host) Stopped() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.inc.dead()
-}
-
-// Respawn restarts a killed host with its protocol state intact — the
-// crash-recovery model: the node comes back with whatever (possibly
-// stale) structures it had, re-runs Init after its configured offsets,
-// and resumes ticking. It is a no-op if the host is already running and
-// returns ErrClosed after Network.Close. Respawn before Network.Start
-// just revives the host; Start will launch it.
-func (h *Host) Respawn() error {
-	n := h.net
-	for {
-		if n.closed.Load() {
-			return ErrClosed
-		}
-		h.mu.Lock()
-		inc := h.inc
-		running := inc.running
-		h.mu.Unlock()
-		if !inc.dead() {
-			return nil
-		}
-		if running {
-			// Wait for the previous incarnation outside the locks.
-			<-inc.exited
-		}
-		// Discard messages that arrived while the host was down, as a
-		// rebooting UDP host would. Best-effort: a message still in
-		// flight on the wire from the down window can land after the
-		// drain and reach the new incarnation — indistinguishable, to
-		// the protocol, from one sent during the reboot itself.
-		h.drainInbox()
-		n.mu.Lock()
-		if n.closing {
-			n.mu.Unlock()
-			return ErrClosed
-		}
-		h.mu.Lock()
-		if h.inc != inc {
-			// A concurrent Respawn won; re-evaluate from scratch.
-			h.mu.Unlock()
-			n.mu.Unlock()
-			continue
-		}
-		fresh := newIncarnation()
-		h.inc = fresh
-		launch := n.started.Load()
-		if launch {
-			fresh.running = true
-			n.wg.Add(1)
-		}
-		h.mu.Unlock()
-		n.mu.Unlock()
-		if launch {
-			go h.run(fresh)
-		}
-		return nil
-	}
-}
-
-// Pause freezes the host between callbacks: the host goroutine stops
-// draining its inbox and ticks until Resume. It returns once the host is
-// actually parked, so the caller may read the host's protocol state until
-// the matching Resume (the handshake establishes the happens-before
-// edges). Returns false if the host is dead or the network stopped.
-func (h *Host) Pause() bool { return h.control(true) }
-
-// Resume unfreezes a paused host. Returns false if the host is dead or
-// the network stopped. Resuming a host that is not paused is a no-op
-// handshake.
-func (h *Host) Resume() bool { return h.control(false) }
-
-func (h *Host) control(pause bool) bool {
-	c := ctrlMsg{pause: pause, ack: make(chan struct{})}
-	for {
-		h.mu.Lock()
-		inc := h.inc
-		running := inc.running
-		h.mu.Unlock()
-		if !running || inc.dead() {
-			return false
-		}
-		select {
-		case h.ctrl <- c:
-			// Some incarnation received the command (h.ctrl is shared
-			// across incarnations) and closes ack immediately on
-			// receipt, so this wait is short and unconditional —
-			// selecting on a possibly stale inc.exited here could
-			// report a successfully parked host as dead.
-			<-c.ack
-			return true
-		case <-inc.exited:
-			// This incarnation ended; re-evaluate — a concurrent
-			// Respawn may have installed a live one.
-		case <-h.net.stop:
-			return false
-		}
-	}
-}
-
-// Attach binds a protocol to the host. period zero installs a purely
-// reactive protocol. Must be called before Network.Start.
-func (h *Host) Attach(pid proto.ProtoID, p proto.Protocol, period, offset time.Duration) error {
-	if h.find(pid) != nil {
-		return fmt.Errorf("livenet attach: protocol %d already bound at host %d", pid, h.addr)
-	}
-	h.bindings = append(h.bindings, binding{pid: pid, p: p, period: period, offset: offset})
-	for i := len(h.bindings) - 1; i > 0 && h.bindings[i].pid < h.bindings[i-1].pid; i-- {
-		h.bindings[i], h.bindings[i-1] = h.bindings[i-1], h.bindings[i]
-	}
-	return nil
-}
-
-// find returns the binding for pid, or nil. The returned pointer is stable
-// once the network has started (the slice is sealed at Start).
-func (h *Host) find(pid proto.ProtoID) *binding {
-	for i := range h.bindings {
-		if h.bindings[i].pid == pid {
-			return &h.bindings[i]
-		}
-	}
-	return nil
-}
-
-// ErrClosed is returned by Start and Respawn after Close.
-var ErrClosed = errors.New("livenet: network closed")
-
-// Start launches every live host goroutine and begins ticking.
-func (n *Network) Start() error {
-	if n.closed.Load() {
-		return ErrClosed
-	}
-	n.mu.Lock()
-	if n.closing {
-		n.mu.Unlock()
-		return ErrClosed
-	}
-	if n.started.Load() {
-		n.mu.Unlock()
-		return errors.New("livenet: network already started")
-	}
-	n.start = time.Now()
-	// Publish started only now, under mu and after n.start is written:
-	// Respawn checks it (under mu) to decide whether to launch, and a
-	// launched goroutine reads n.start in Context.Now.
-	n.started.Store(true)
-	n.wg.Add(1)
-	go n.wire.loop()
-	// Launch hosts while still holding n.mu: every wg.Add must be
-	// ordered before a concurrent Close sets closing and calls wg.Wait
-	// (same discipline Respawn follows), or goroutines could start after
-	// Close has already drained and snapshotted.
-	for _, h := range n.hosts {
-		h.mu.Lock()
-		inc := h.inc
-		if inc.dead() || inc.running {
-			h.mu.Unlock()
-			continue
-		}
-		inc.running = true
-		n.wg.Add(1)
-		h.mu.Unlock()
-		go h.run(inc)
-	}
-	n.mu.Unlock()
-	return nil
-}
-
-// run is the host main loop for one incarnation: Init all protocols
-// (after their offsets), then serve ticks, deliveries and pause/resume
-// handshakes until shutdown.
-func (h *Host) run(inc *incarnation) {
-	defer h.net.wg.Done()
-	defer close(inc.exited)
-	h.incarnations.Add(1)
-	// Stagger protocol starts without blocking the mailbox: offsets are
-	// armed as timers that enqueue an init-then-tick sequence.
-	inits := make(chan *binding, len(h.bindings))
-	var timers []*time.Timer
-	var tickers []*time.Ticker
-	for i := range h.bindings {
-		b := &h.bindings[i]
-		timers = append(timers, time.AfterFunc(b.offset, func() {
-			select {
-			case inits <- b:
-			case <-h.net.stop:
-			case <-inc.down:
-			}
-		}))
-	}
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
-		}
-		for _, t := range tickers {
-			t.Stop()
-		}
-	}()
-	for {
-		select {
-		case <-h.net.stop:
-			return
-		case <-inc.down:
-			return
-		case c := <-h.ctrl:
-			close(c.ack)
-			if c.pause {
-				if !h.parked(inc) {
-					return
-				}
-			}
-		case b := <-inits:
-			b.p.Init(hostContext{h: h, pid: b.pid})
-			if b.period > 0 {
-				ticker := time.NewTicker(b.period)
-				tickers = append(tickers, ticker)
-				go h.forwardTicks(ticker, b, inc)
-			}
-		case cmd := <-h.inbox:
-			h.dispatch(cmd)
-		}
-	}
-}
-
-// parked blocks until Resume, Kill, or network stop. It reports whether
-// the incarnation should keep running.
-func (h *Host) parked(inc *incarnation) bool {
-	for {
-		select {
-		case c := <-h.ctrl:
-			close(c.ack)
-			if !c.pause {
-				return true
-			}
-		case <-inc.down:
-			return false
-		case <-h.net.stop:
-			return false
-		}
-	}
-}
-
-func (h *Host) forwardTicks(t *time.Ticker, b *binding, inc *incarnation) {
-	for {
-		select {
-		case <-h.net.stop:
-			return
-		case <-inc.down:
-			return
-		case <-t.C:
-			if !atomic.CompareAndSwapUint32(&b.tickQueued, 0, 1) {
-				continue // a tick is already queued; coalesce
-			}
-			select {
-			case h.inbox <- command{tick: b}:
-			case <-h.net.stop:
-				atomic.StoreUint32(&b.tickQueued, 0)
-				return
-			case <-inc.down:
-				atomic.StoreUint32(&b.tickQueued, 0)
-				return
-			default:
-				// Inbox full: skip the tick rather than stall.
-				atomic.StoreUint32(&b.tickQueued, 0)
-			}
-		}
-	}
-}
-
-func (h *Host) dispatch(cmd command) {
-	if cmd.tick != nil {
-		atomic.StoreUint32(&cmd.tick.tickQueued, 0)
-		h.ticks.Add(1)
-		cmd.tick.p.Tick(hostContext{h: h, pid: cmd.tick.pid})
-		return
-	}
-	b := h.find(cmd.pid)
-	if b == nil {
-		h.net.dropped.Add(1)
-		recycle(cmd.msg)
-		return
-	}
-	h.net.delivered.Add(1)
-	h.delivered.Add(1)
-	b.p.Handle(hostContext{h: h, pid: cmd.pid}, cmd.from, cmd.msg)
-	recycle(cmd.msg)
-}
-
-// send applies the fault model and enqueues the delivery, either directly
-// or through the wire for latency. It runs entirely lock-free — fault
-// model from atomics, randomness from the sender's private RNG, host table
-// immutable after Start — so concurrent senders never contend. It must
-// only be called from the sending host's callback goroutine (the only
-// place protocols can send from).
-func (n *Network) send(from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
-	n.sent.Add(1)
-	rng := n.hosts[from].sendRNG
-	dropP := math.Float64frombits(n.dropBits.Load())
-	drop := dropP > 0 && rng.Float64() < dropP
-	if !drop {
-		if cut := n.partition.Load(); cut != nil && (*cut)(from, to) {
-			drop = true
-		}
-	}
-	var lat time.Duration
-	if w := n.lat.Load(); !drop && w.max > 0 {
-		span := int64(w.max - w.min)
-		lat = w.min
-		if span > 0 {
-			lat += time.Duration(rng.Int63n(span + 1))
-		}
-	}
-	var dst *Host
-	if int(to) >= 0 && int(to) < len(n.hosts) {
-		dst = n.hosts[to]
-	}
-
-	if drop || dst == nil {
-		n.dropped.Add(1)
-		recycle(msg)
-		return
-	}
-	cmd := command{from: from, pid: pid, msg: msg}
-	if lat <= 0 {
-		n.deliver(dst, cmd)
-		return
-	}
-	n.wire.enqueue(from, lat, dst, cmd)
-}
-
-// deliver places the command in the destination inbox. Messages for dead
-// hosts still enter the inbox while it has room (they are drained as
-// dropped by Kill/Close — checking liveness before every enqueue would
-// race with Kill's drain, and the accounting comes out the same); only
-// when the inbox is full does liveness pick the category, so a dead
-// host's steady-state losses read as Dropped, not inbox pressure.
-func (n *Network) deliver(dst *Host, cmd command) {
-	select {
-	case dst.inbox <- cmd:
-	case <-n.stop:
-		n.dropped.Add(1)
-		recycle(cmd.msg)
-	default:
-		if dst.Stopped() {
-			n.dropped.Add(1)
-			recycle(cmd.msg)
-			return
-		}
-		n.overflow.Add(1)
-		dst.overflow.Add(1)
-		recycle(cmd.msg)
-	}
-}
-
-// wire models propagation delay with sharded timing wheels: each shard is a
-// calendar queue (internal/sched) of in-flight messages keyed on
-// nanoseconds since the wire's epoch, guarded by its own mutex, and a
-// single sweeper goroutine harvests expired entries from every shard.
-// Senders hash to a shard by their own address, so concurrent
-// latency-delayed sends from different hosts never contend on one lock —
-// the old single `wire.mu` + container/heap was the last global mutex on
-// the live data plane (and its interface{} boxing the last reflection on
-// the send path). Replacing per-message time.AfterFunc with the wheels also
-// keeps shutdown deterministic — Close drains the shards and counts
-// stranded messages as dropped — and scales to 10k+ hosts without a timer
-// goroutine per message.
+// wire is livenet's host.Link: a message with no latency to serve is handed
+// straight back to the runtime, the rest wait out their propagation delay
+// on sharded timing wheels. Each shard is a calendar queue (internal/sched)
+// of in-flight messages keyed on nanoseconds since the wire's epoch,
+// guarded by its own mutex, and a single sweeper goroutine harvests expired
+// entries from every shard. Senders hash to a shard by their own address,
+// so concurrent latency-delayed sends from different hosts never contend on
+// one lock — the old single `wire.mu` + container/heap was the last global
+// mutex on the live data plane (and its interface{} boxing the last
+// reflection on the send path). Replacing per-message time.AfterFunc with
+// the wheels also keeps shutdown deterministic — Close drains the shards
+// and counts stranded messages as dropped — and scales to 10k+ hosts
+// without a timer goroutine per message.
 type wire struct {
-	net    *Network
+	rt *host.Runtime
+	// lat is read lock-free on every send.
+	lat    atomic.Pointer[latencyWindow]
 	epoch  time.Time // monotonic zero for wheel deadlines
 	shards []wireShard
 	mask   uint32
 	wake   chan struct{}
+	stop   chan struct{}
+	wg     sync.WaitGroup // the sweeper
 	// scratch collects due flights under each shard lock so delivery (and
 	// message recycling) runs with no lock held. Sweeper-goroutine-only.
 	scratch []flight
@@ -750,9 +137,12 @@ type wireShard struct {
 	next int64
 }
 
+// flight is one message in flight: the arguments of the Deliver it is
+// waiting for.
 type flight struct {
-	dst *Host
-	cmd command
+	from, to peer.Addr
+	pid      proto.ProtoID
+	msg      proto.Message
 }
 
 // Wheel geometry: 2^17 ns (~131 µs) buckets, 512 of them — a ~67 ms window
@@ -774,15 +164,13 @@ func wireShardCount() int {
 	return n
 }
 
-func newWire(n *Network) *wire { return newWireShards(n, wireShardCount()) }
-
-func newWireShards(n *Network, shardCount int) *wire {
+func newWire(shardCount int) *wire {
 	w := &wire{
-		net:    n,
 		epoch:  time.Now(),
 		shards: make([]wireShard, shardCount),
 		mask:   uint32(shardCount - 1),
 		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
 	}
 	for i := range w.shards {
 		w.shards[i].q = *sched.New[flight](wireShift, wireBuckets)
@@ -791,15 +179,41 @@ func newWireShards(n *Network, shardCount int) *wire {
 	return w
 }
 
+// Start launches the sweeper.
+func (w *wire) Start() error {
+	w.wg.Add(1)
+	go w.loop()
+	return nil
+}
+
+// Send draws the message's latency from the sender's send-RNG (after the
+// runtime's drop draw, so one private stream serves both) and delivers it,
+// directly or through the wheels.
+func (w *wire) Send(rng *rand.Rand, from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
+	var lat time.Duration
+	if win := w.lat.Load(); win.max > 0 {
+		span := int64(win.max - win.min)
+		lat = win.min
+		if span > 0 {
+			lat += time.Duration(rng.Int63n(span + 1))
+		}
+	}
+	if lat <= 0 {
+		w.rt.Deliver(from, to, pid, msg)
+		return
+	}
+	w.enqueue(lat, flight{from: from, to: to, pid: pid, msg: msg})
+}
+
 // enqueue schedules delivery after delay on the sender's shard. Lock-free
 // with respect to every other sender outside the shard stripe: the only
 // mutex taken is the shard's own, and the sweeper is woken only when this
 // deadline is strictly earlier than the one it is sleeping toward.
-func (w *wire) enqueue(from peer.Addr, delay time.Duration, dst *Host, cmd command) {
+func (w *wire) enqueue(delay time.Duration, f flight) {
 	at := int64(time.Since(w.epoch) + delay)
-	s := &w.shards[uint32(from)&w.mask]
+	s := &w.shards[uint32(f.from)&w.mask]
 	s.mu.Lock()
-	s.q.Push(at, flight{dst: dst, cmd: cmd})
+	s.q.Push(at, f)
 	earlier := at < s.next
 	if earlier {
 		s.next = at
@@ -816,9 +230,9 @@ func (w *wire) enqueue(from peer.Addr, delay time.Duration, dst *Host, cmd comma
 // loop is the sweeper: it harvests every shard's expired buckets into a
 // scratch buffer, delivers outside the locks, then sleeps until the
 // earliest pending deadline (or a wake from an earlier enqueue). It exits
-// on network stop; Close then drains what remains.
+// on stop; Close then drains what remains.
 func (w *wire) loop() {
-	defer w.net.wg.Done()
+	defer w.wg.Done()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
@@ -839,8 +253,8 @@ func (w *wire) loop() {
 			}
 			s.mu.Unlock()
 		}
-		for i := range w.scratch {
-			w.net.deliver(w.scratch[i].dst, w.scratch[i].cmd)
+		for i, f := range w.scratch {
+			w.rt.Deliver(f.from, f.to, f.pid, f.msg)
 			w.scratch[i] = flight{}
 		}
 		sleep := time.Hour
@@ -858,7 +272,7 @@ func (w *wire) loop() {
 		}
 		timer.Reset(sleep)
 		select {
-		case <-w.net.stop:
+		case <-w.stop:
 			return
 		case <-w.wake:
 		case <-timer.C:
@@ -866,123 +280,19 @@ func (w *wire) loop() {
 	}
 }
 
-// drain counts every message still in flight as dropped. Only called after
-// the loop goroutine has exited, but it takes the shard locks anyway so a
-// straggling sender (a host goroutine finishing its last callback) cannot
-// race the teardown accounting.
-func (w *wire) drain() {
-	var stranded int64
+// Close stops the sweeper and counts every message still in flight as
+// dropped. The hosts have exited and the sweeper is gone by the time the
+// wheels are drained, but the drain takes the shard locks anyway so a
+// straggling enqueue (only a test driving the wire directly can make one)
+// cannot race the teardown accounting.
+func (w *wire) Close() {
+	close(w.stop)
+	w.wg.Wait()
 	for i := range w.shards {
 		s := &w.shards[i]
 		s.mu.Lock()
-		s.q.Drain(func(f flight) {
-			stranded++
-			recycle(f.cmd.msg)
-		})
+		s.q.Drain(func(f flight) { w.rt.Drop(f.msg) })
 		s.next = math.MaxInt64
 		s.mu.Unlock()
 	}
-	w.net.dropped.Add(stranded)
 }
-
-// Close stops all hosts, waits for them to exit, and settles the traffic
-// accounting: in-flight and queued-but-undispatched messages are counted
-// as dropped, so the conservation law documented on Stats holds. It is
-// idempotent.
-func (n *Network) Close() {
-	if n.closed.Swap(true) {
-		return
-	}
-	n.mu.Lock()
-	n.closing = true
-	n.mu.Unlock()
-	close(n.stop)
-	n.wg.Wait()
-	if n.started.Load() {
-		n.wire.drain()
-	}
-	n.mu.Lock()
-	hosts := n.hosts
-	n.mu.Unlock()
-	for _, h := range hosts {
-		h.drainInbox()
-	}
-}
-
-// PauseAll pauses every live host, in parallel, and returns once all of
-// them are parked. Combined with ResumeAll it brackets a consistent
-// whole-network measurement without stopping the clock.
-func (n *Network) PauseAll() { n.controlAll(true) }
-
-// ResumeAll resumes every live host.
-func (n *Network) ResumeAll() { n.controlAll(false) }
-
-func (n *Network) controlAll(pause bool) {
-	n.mu.Lock()
-	hosts := make([]*Host, len(n.hosts))
-	copy(hosts, n.hosts)
-	n.mu.Unlock()
-	// The handshakes are wait-bound (each blocks until the target host
-	// goroutine gets scheduled), not CPU-bound, so fan out far wider
-	// than GOMAXPROCS: with serial handshakes a loaded scheduler pays
-	// one full scheduling round-trip per host, which at thousands of
-	// hosts turns a measurement barrier into seconds.
-	workers := 256
-	if workers > len(hosts) {
-		workers = len(hosts)
-	}
-	if workers < 1 {
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan *Host, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for h := range next {
-				h.control(pause)
-			}
-		}()
-	}
-	for _, h := range hosts {
-		next <- h
-	}
-	close(next)
-	wg.Wait()
-}
-
-// Snapshot returns a consistent snapshot of the traffic counters: the
-// four counters are re-read until two consecutive passes agree, so a
-// mid-run snapshot is a plausible cut of the counter stream rather than
-// four unrelated instants. At quiescence (after Close) it is exact and
-// satisfies Sent == Delivered + Dropped + Overflow.
-func (n *Network) Snapshot() Stats {
-	prev := n.readStats()
-	for i := 0; i < 8; i++ {
-		cur := n.readStats()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
-}
-
-func (n *Network) readStats() Stats {
-	// Sent is read last: every message is counted sent before it can be
-	// counted delivered/dropped/overflowed, so with monotonic counters
-	// this ordering guarantees Delivered+Dropped+Overflow <= Sent even
-	// for a torn read — a snapshot can undercount outcomes, never show
-	// more outcomes than sends.
-	st := Stats{
-		Dropped:   n.dropped.Load(),
-		Delivered: n.delivered.Load(),
-		Overflow:  n.overflow.Load(),
-	}
-	st.Sent = n.sent.Load()
-	return st
-}
-
-// Stats returns a snapshot of the traffic counters; see Snapshot.
-func (n *Network) Stats() Stats { return n.Snapshot() }

@@ -216,8 +216,8 @@ func TestHostStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	b.Stop()
-	b.Stop() // idempotent
+	b.Kill()
+	b.Kill() // idempotent
 	if !b.Stopped() {
 		t.Error("host should report stopped")
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/peer"
+	"repro/internal/proto"
 )
 
 // TestLiveSendPathConcurrentFaultMutation hammers the runtime-mutable
@@ -68,6 +69,46 @@ func TestLiveSendPathConcurrentFaultMutation(t *testing.T) {
 // wireTestMsg is a minimal payload for wire-level hammers.
 type wireTestMsg struct{}
 
+// flooder sends from its Init callback until stop closes. A protocol can
+// only send from its host's callback goroutine, so n flooders are n
+// concurrent senders, each on its own host — the send path's concurrency
+// contract.
+type flooder struct {
+	stop <-chan struct{}
+	to   func(self peer.Addr, j int) peer.Addr // target of the j-th send
+	got  chan<- struct{}                       // signalled, without blocking, on every Handle
+}
+
+func (f *flooder) Init(ctx proto.Context) {
+	for j := 0; f.to != nil; j++ {
+		select {
+		case <-f.stop:
+			return
+		default:
+			ctx.Send(f.to(ctx.Self(), j), wireTestMsg{})
+		}
+	}
+}
+func (f *flooder) Tick(proto.Context) {}
+func (f *flooder) Handle(proto.Context, peer.Addr, proto.Message) {
+	select {
+	case f.got <- struct{}{}: // a nil got never receives
+	default:
+	}
+}
+
+// buildFloodNet wires n flooding hosts.
+func buildFloodNet(t *testing.T, n int, cfg Config, stop <-chan struct{}, to func(self peer.Addr, j int) peer.Addr) *Network {
+	t.Helper()
+	net := New(cfg)
+	for i := 0; i < n; i++ {
+		if err := net.AddHost().Attach(1, &flooder{stop: stop, to: to}, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return net
+}
+
 // TestLiveWireShardedEnqueueRace hammers the sharded wire: 64 hosts
 // concurrently push latency-delayed sends (one goroutine per host — the
 // send path's concurrency contract) while the sweeper harvests expired
@@ -79,37 +120,17 @@ type wireTestMsg struct{}
 // wheels, the sweeper's scratch buffer, and Close's drain.
 func TestLiveWireShardedEnqueueRace(t *testing.T) {
 	const n = 64
-	net := New(Config{Seed: 77, MinLatency: 20 * time.Microsecond, MaxLatency: 400 * time.Microsecond})
-	hosts := make([]*Host, n)
-	for i := range hosts {
-		hosts[i] = net.AddHost()
-	}
+	stop := make(chan struct{})
+	net := buildFloodNet(t, n, Config{Seed: 77, MinLatency: 20 * time.Microsecond, MaxLatency: 400 * time.Microsecond},
+		stop, func(self peer.Addr, j int) peer.Addr { return peer.Addr((int(self) + 1 + 7*j) % n) })
 	if err := net.Start(); err != nil {
 		t.Fatal(err)
 	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range hosts {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			to := peer.Addr((i + 1) % n)
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					return
-				default:
-					net.send(hosts[i].Addr(), to, 1, wireTestMsg{})
-					to = peer.Addr((int(to) + 7) % n)
-				}
-			}
-		}()
-	}
 	// Churn the latency window so deadlines swing between the wheels'
 	// level-0 window and the overflow level, and earlier-deadline
 	// enqueues keep re-arming the sweeper mid-sleep.
+	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -137,37 +158,16 @@ func TestLiveWireShardedEnqueueRace(t *testing.T) {
 }
 
 // TestLiveWireCloseRacesDrain closes the network while senders are still
-// mid-enqueue: Close's drain takes each shard lock, so racing enqueues
-// either land before the drain (counted dropped) or after (stranded in a
-// drained shard — indistinguishable from a packet lost at teardown). The
-// assertions are the safety half (no race, outcomes never exceed sends);
-// exact conservation at quiescence is TestLiveWireShardedEnqueueRace's job.
+// mid-enqueue: Close must wait the senders out before the wire drains, so
+// every racing enqueue lands before the drain and is counted dropped, and
+// Close neither deadlocks nor loses a flight.
 func TestLiveWireCloseRacesDrain(t *testing.T) {
 	const n = 32
-	net := New(Config{Seed: 78, MinLatency: 10 * time.Microsecond, MaxLatency: 200 * time.Microsecond})
-	hosts := make([]*Host, n)
-	for i := range hosts {
-		hosts[i] = net.AddHost()
-	}
+	stop := make(chan struct{})
+	net := buildFloodNet(t, n, Config{Seed: 78, MinLatency: 10 * time.Microsecond, MaxLatency: 200 * time.Microsecond},
+		stop, func(_ peer.Addr, j int) peer.Addr { return peer.Addr(j % n) })
 	if err := net.Start(); err != nil {
 		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range hosts {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					return
-				default:
-					net.send(hosts[i].Addr(), peer.Addr(j%n), 1, wireTestMsg{})
-				}
-			}
-		}()
 	}
 	time.Sleep(50 * time.Millisecond)
 	done := make(chan struct{})
@@ -177,15 +177,12 @@ func TestLiveWireCloseRacesDrain(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
-	wg.Wait()
 	<-done
 	st := net.Stats()
 	if st.Sent == 0 {
 		t.Fatal("no traffic generated")
 	}
-	if got := st.Delivered + st.Dropped + st.Overflow; got > st.Sent {
-		t.Fatalf("more outcomes than sends: %d > %d (%+v)", got, st.Sent, st)
-	}
+	checkConservation(t, st)
 }
 
 // TestWireWakeOnEarlierDeadline pins the wake condition the wheel API
@@ -198,24 +195,27 @@ func TestLiveWireCloseRacesDrain(t *testing.T) {
 func TestWireWakeOnEarlierDeadline(t *testing.T) {
 	net := New(Config{Seed: 79})
 	a, b := net.AddHost(), net.AddHost()
+	got := make(chan struct{}, 1)
+	if err := a.Attach(1, &flooder{got: got}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
 	w := net.wire
-	net.started.Store(true) // the sweeper alone; no host goroutines
-	net.wg.Add(1)
-	go w.loop()
 
-	w.enqueue(a.Addr(), 5*time.Second, b, command{from: a.Addr(), pid: 1})
+	w.enqueue(5*time.Second, flight{from: a.Addr(), to: b.Addr(), pid: 1})
 	time.Sleep(20 * time.Millisecond) // let the sweeper arm the 5s timer
 	start := time.Now()
-	w.enqueue(b.Addr(), 30*time.Millisecond, a, command{from: b.Addr(), pid: 1})
+	w.enqueue(30*time.Millisecond, flight{from: b.Addr(), to: a.Addr(), pid: 1})
 
-	deadline := time.After(3 * time.Second)
 	select {
-	case <-a.inbox:
+	case <-got:
 		if waited := time.Since(start); waited > 2*time.Second {
 			t.Fatalf("near flight took %v; the sweeper slept toward the far deadline", waited)
 		}
-	case <-deadline:
+	case <-time.After(3 * time.Second):
 		t.Fatal("near flight never delivered: earlier-deadline enqueue did not wake the sweeper")
 	}
-	net.Close()
 }

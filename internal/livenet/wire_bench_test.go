@@ -21,11 +21,10 @@ func BenchmarkWireEnqueueParallel(b *testing.B) {
 	for _, shards := range []int{1, wireShardCount()} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			const hosts = 256
-			net := New(Config{Seed: 91})
+			net := newNetwork(Config{Seed: 91}, shards)
 			for i := 0; i < hosts; i++ {
 				net.AddHost()
 			}
-			net.wire = newWireShards(net, shards)
 			if err := net.Start(); err != nil {
 				b.Fatal(err)
 			}
@@ -36,11 +35,10 @@ func BenchmarkWireEnqueueParallel(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				from := peer.Addr(int(nextHost.Add(1)-1) % hosts)
-				dst := net.hosts[(int(from)+1)%hosts]
-				cmd := command{from: from, pid: 1, msg: wireTestMsg{}}
+				f := flight{from: from, to: (from + 1) % hosts, pid: 1, msg: wireTestMsg{}}
 				delay := 200 * time.Microsecond
 				for pb.Next() {
-					w.enqueue(from, delay, dst, cmd)
+					w.enqueue(delay, f)
 				}
 			})
 		})

@@ -15,15 +15,19 @@
 // versioned handshake, bounded send queues, and reconnect under capped
 // exponential backoff.
 //
-// The host model mirrors livenet exactly — one goroutine per host, a
-// bounded inbox, Attach/Kill/Respawn/Pause/Resume, per-binding tick
-// coalescing — so the experiment harness drives all three engines through
-// the same motions. Determinism is necessarily weaker here: the kernel
-// schedules packets, so only statistical convergence trends are
-// reproducible (asserted by the cross-engine equivalence tests), not
-// message interleavings.
+// The host model is not this package's: the one-goroutine-per-host runtime
+// with its bounded inboxes, Attach/Kill/Respawn/Pause/Resume, per-binding
+// tick coalescing, sender-side loss and partition model and traffic
+// counters is internal/host, shared with livenet, so the experiment harness
+// drives the goroutine engines through the same motions by construction.
+// What lives here is the link under it: Config and its validation, framing
+// and handshake, the peer loops, the accept and read loops, and Quiesce.
+// Determinism is necessarily weaker than in memory: the kernel schedules
+// packets, so only statistical convergence trends are reproducible
+// (asserted by the cross-engine equivalence tests), not message
+// interleavings.
 //
-// Accounting mirrors livenet's conservation law. Every send is counted
+// Accounting follows the runtime's conservation law. Every send is counted
 // Sent and lands in exactly one outcome bucket: Delivered (dispatched to
 // a protocol on the destination process), Overflow (bounced off a full
 // send queue or a full destination inbox), or Dropped (sender-side fault
@@ -44,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -52,6 +55,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/peer"
 	"repro/internal/proto"
 	"repro/internal/wire"
@@ -130,72 +134,52 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Stats is a snapshot of this process's traffic counters; see the package
-// comment for the cross-process conservation law.
-type Stats struct {
-	Sent      int64
-	Dropped   int64
-	Delivered int64
-	Overflow  int64
-}
+// The host lifecycle types are internal/host's.
+type (
+	// Host is one node of the campaign owned by this process.
+	Host = host.Host
+	// Stats is a snapshot of this process's traffic counters; see the
+	// package comment for the cross-process conservation law.
+	Stats = host.Stats
+	// HostStats is a per-host traffic snapshot.
+	HostStats = host.HostStats
+)
 
-// Add accumulates another process's counters (used by campaign drivers).
-func (s *Stats) Add(o Stats) {
-	s.Sent += o.Sent
-	s.Dropped += o.Dropped
-	s.Delivered += o.Delivered
-	s.Overflow += o.Overflow
-}
-
-// HostStats is a per-host traffic snapshot, mirroring livenet.HostStats.
-type HostStats struct {
-	Delivered    int64
-	Overflow     int64
-	Ticks        int64
-	Incarnations int64
-}
-
-// partitionFunc is a cut predicate; see SetPartition.
-type partitionFunc func(from, to peer.Addr) bool
+// ErrClosed is returned by Start and Respawn after Close.
+var ErrClosed = host.ErrClosed
 
 // handshake framing: magic, wire version, and the dialing process index.
 var handshakeMagic = [4]byte{'R', 'P', 'W', wire.Version}
 
 const handshakeLen = 4 + 4 // magic + uint32 proc
 
-// ErrClosed is returned by Start and Respawn after Close.
-var ErrClosed = errors.New("transport: network closed")
-
-// Network is one process's shard: the local hosts, the listener they
-// receive through, and one peer loop per destination process.
+// Network is one process's shard: the shared host runtime, holding the
+// local hosts, over the sockets that carry their messages.
 type Network struct {
+	*host.Runtime
+	sock *sockets
+}
+
+// sockets is transport's host.Link: the listener this process receives
+// through and one peer loop per destination process.
+type sockets struct {
 	cfg   Config
-	mu    sync.Mutex
-	rng   *rand.Rand // guarded by mu: host seeding
-	hosts []*Host    // index = global addr; nil for non-local shards
-	local []*Host    // the non-nil subset, in addr order
+	rt    *host.Runtime
 	peers []*peerLoop
-	wg    sync.WaitGroup
+	wg    sync.WaitGroup // peer, accept and read loops
 	stop  chan struct{}
 
 	listener net.Listener
 	udp      *net.UDPConn
-	conns    map[net.Conn]struct{} // guarded by mu: inbound conns for teardown
 
-	closed    atomic.Bool
-	closing   bool // guarded by mu: no wg.Add once set
-	started   atomic.Bool
-	start     time.Time
-	noTicks   atomic.Bool // StopTicks: quiesce the tick sources
-	dropBits  atomic.Uint64
-	partition atomic.Pointer[partitionFunc]
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{} // guarded by mu: inbound conns for teardown
+	closing bool                  // guarded by mu: no wg.Add once set
 
 	// inflight counts frames accepted into a send queue but not yet
 	// handed to the kernel (or dropped); Quiesce requires it to reach
 	// zero before trusting counter stability.
 	inflight atomic.Int64
-
-	sent, dropped, delivered, overflow atomic.Int64
 }
 
 // New builds the shard: every local host (addr % Procs == Proc) is
@@ -205,76 +189,29 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	n := &Network{
+	s := &sockets{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		hosts: make([]*Host, cfg.N),
 		peers: make([]*peerLoop, cfg.Procs),
 		stop:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 	}
-	n.dropBits.Store(math.Float64bits(cfg.Drop))
+	s.rt = host.New(cfg.Seed, cfg.Drop, cfg.InboxSize, s)
 	for addr := 0; addr < cfg.N; addr++ {
-		// Host RNG seeds are drawn in global addr order from the shared
-		// seed so a host's seed does not depend on the process count —
-		// skipping the draws of non-local hosts keeps the stream aligned.
-		seed1, seed2 := n.rng.Int63(), n.rng.Int63()
-		if addr%cfg.Procs != cfg.Proc {
-			continue
+		if addr%cfg.Procs == cfg.Proc {
+			s.rt.AddHost()
+		} else {
+			s.rt.AddRemote()
 		}
-		h := &Host{
-			net:     n,
-			addr:    peer.Addr(addr),
-			inbox:   make(chan command, cfg.InboxSize),
-			rng:     rand.New(rand.NewSource(seed1)),
-			sendRNG: rand.New(rand.NewSource(seed2)),
-			ctrl:    make(chan ctrlMsg),
-			inc:     newIncarnation(),
-		}
-		n.hosts[addr] = h
-		n.local = append(n.local, h)
 	}
 	for p := 0; p < cfg.Procs; p++ {
-		n.peers[p] = &peerLoop{
-			net:   n,
-			proc:  p,
+		s.peers[p] = &peerLoop{
+			s:     s,
 			addr:  fmt.Sprintf("127.0.0.1:%d", cfg.BasePort+p),
 			queue: make(chan *[]byte, cfg.QueueSize),
 		}
 	}
-	return n, nil
+	return &Network{Runtime: s.rt, sock: s}, nil
 }
-
-// LocalHosts returns this process's hosts in global-address order. Attach
-// protocols to them before Start.
-func (n *Network) LocalHosts() []*Host { return n.local }
-
-// Local reports whether addr is owned by this process.
-func (n *Network) Local(addr peer.Addr) bool {
-	return int(addr) >= 0 && int(addr) < n.cfg.N && int(addr)%n.cfg.Procs == n.cfg.Proc
-}
-
-// SetDrop changes the sender-side loss probability at runtime.
-func (n *Network) SetDrop(p float64) { n.dropBits.Store(math.Float64bits(p)) }
-
-// SetPartition installs a cut predicate applied on the sender: messages
-// for which fn(from, to) reports true are dropped before reaching the
-// socket. Every process of a campaign must install the same predicate for
-// a coherent global partition. Passing nil heals the cut.
-func (n *Network) SetPartition(fn func(from, to peer.Addr) bool) {
-	if fn == nil {
-		n.partition.Store(nil)
-		return
-	}
-	pf := partitionFunc(fn)
-	n.partition.Store(&pf)
-}
-
-// StopTicks stops every tick source without touching the hosts: queued
-// and in-flight traffic keeps flowing and replies are still generated,
-// but no new gossip rounds start. It is the first step of the quiesce
-// protocol (see Quiesce) and is irreversible for the network's lifetime.
-func (n *Network) StopTicks() { n.noTicks.Store(true) }
 
 // Quiesce waits for this process's traffic to settle: no frames pending
 // in send queues and the counters unchanged across several consecutive
@@ -286,11 +223,11 @@ func (n *Network) Quiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	const needStable = 5
 	stable := 0
-	prev := n.readStats()
+	prev := n.Snapshot()
 	for time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
-		cur := n.readStats()
-		if n.inflight.Load() == 0 && cur == prev {
+		cur := n.Snapshot()
+		if n.sock.inflight.Load() == 0 && cur == prev {
 			if stable++; stable >= needStable {
 				return true
 			}
@@ -302,530 +239,93 @@ func (n *Network) Quiesce(timeout time.Duration) bool {
 	return false
 }
 
-// command is one unit of work for a host goroutine.
-type command struct {
-	tick *binding
-	from peer.Addr
-	pid  proto.ProtoID
-	msg  proto.Message
-}
-
-// binding mirrors livenet.binding: one (protocol, schedule) pair in the
-// host's pid-sorted value slice, sealed at Start. tickQueued coalesces
-// ticks exactly as livenet does (see that package for why it is a bare
-// uint32 rather than atomic.Bool).
-type binding struct {
-	pid        proto.ProtoID
-	p          proto.Protocol
-	period     time.Duration
-	offset     time.Duration
-	tickQueued uint32
-}
-
-type incarnation struct {
-	down     chan struct{}
-	downOnce sync.Once
-	exited   chan struct{}
-	running  bool // guarded by Host.mu
-}
-
-func newIncarnation() *incarnation {
-	return &incarnation{down: make(chan struct{}), exited: make(chan struct{})}
-}
-
-func (inc *incarnation) kill() { inc.downOnce.Do(func() { close(inc.down) }) }
-
-func (inc *incarnation) dead() bool {
-	select {
-	case <-inc.down:
-		return true
-	default:
-		return false
-	}
-}
-
-type ctrlMsg struct {
-	pause bool
-	ack   chan struct{}
-}
-
-// Host is one node of the campaign owned by this process. All protocol
-// callbacks run on the host's single goroutine.
-type Host struct {
-	net     *Network
-	addr    peer.Addr
-	inbox   chan command
-	rng     *rand.Rand
-	sendRNG *rand.Rand
-	// bindings is pid-sorted and sealed at Network.Start.
-	bindings []binding
-	ctrl     chan ctrlMsg
-
-	mu  sync.Mutex
-	inc *incarnation
-
-	delivered, overflow, ticks, incarnations atomic.Int64
-}
-
-// Addr returns the host's global address.
-func (h *Host) Addr() peer.Addr { return h.addr }
-
-// Stats returns the host's per-host counters.
-func (h *Host) Stats() HostStats {
-	return HostStats{
-		Delivered:    h.delivered.Load(),
-		Overflow:     h.overflow.Load(),
-		Ticks:        h.ticks.Load(),
-		Incarnations: h.incarnations.Load(),
-	}
-}
-
-// hostContext implements proto.Context for transport callbacks.
-type hostContext struct {
-	h   *Host
-	pid proto.ProtoID
-}
-
-var _ proto.Context = hostContext{}
-
-func (c hostContext) Self() peer.Addr  { return c.h.addr }
-func (c hostContext) Now() int64       { return time.Since(c.h.net.start).Milliseconds() }
-func (c hostContext) Rand() *rand.Rand { return c.h.rng }
-func (c hostContext) Send(to peer.Addr, msg proto.Message) {
-	c.h.net.send(c.h, to, c.pid, msg)
-}
-
-// Attach binds a protocol to the host; must precede Network.Start.
-func (h *Host) Attach(pid proto.ProtoID, p proto.Protocol, period, offset time.Duration) error {
-	if h.find(pid) != nil {
-		return fmt.Errorf("transport attach: protocol %d already bound at host %d", pid, h.addr)
-	}
-	h.bindings = append(h.bindings, binding{pid: pid, p: p, period: period, offset: offset})
-	for i := len(h.bindings) - 1; i > 0 && h.bindings[i].pid < h.bindings[i-1].pid; i-- {
-		h.bindings[i], h.bindings[i-1] = h.bindings[i-1], h.bindings[i]
-	}
-	return nil
-}
-
-func (h *Host) find(pid proto.ProtoID) *binding {
-	for i := range h.bindings {
-		if h.bindings[i].pid == pid {
-			return &h.bindings[i]
-		}
-	}
-	return nil
-}
-
-// Kill crashes the host (see livenet.Host.Kill — identical semantics:
-// waits for the goroutine, drains the inbox as dropped, survives racing
-// Respawns).
-func (h *Host) Kill() {
-	for {
-		h.mu.Lock()
-		inc := h.inc
-		h.mu.Unlock()
-		inc.kill()
-		h.mu.Lock()
-		running := inc.running
-		h.mu.Unlock()
-		if running {
-			<-inc.exited
-		}
-		h.drainInbox()
-		h.mu.Lock()
-		same := h.inc == inc
-		h.mu.Unlock()
-		if same {
-			return
-		}
-	}
-}
-
-// Stopped reports whether the host's current incarnation has been killed.
-func (h *Host) Stopped() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.inc.dead()
-}
-
-func (h *Host) drainInbox() {
-	for {
-		select {
-		case cmd := <-h.inbox:
-			if cmd.tick != nil {
-				atomic.StoreUint32(&cmd.tick.tickQueued, 0)
-			} else {
-				h.net.dropped.Add(1)
-				recycle(cmd.msg)
-			}
-		default:
-			return
-		}
-	}
-}
-
-// recycle retires a message exactly once (see proto.Recyclable).
-func recycle(m proto.Message) {
-	if r, ok := m.(proto.Recyclable); ok {
-		r.Recycle()
-	}
-}
-
-// Respawn restarts a killed host with its protocol state intact (the
-// crash-recovery model; see livenet.Host.Respawn).
-func (h *Host) Respawn() error {
-	n := h.net
-	for {
-		if n.closed.Load() {
-			return ErrClosed
-		}
-		h.mu.Lock()
-		inc := h.inc
-		running := inc.running
-		h.mu.Unlock()
-		if !inc.dead() {
-			return nil
-		}
-		if running {
-			<-inc.exited
-		}
-		h.drainInbox()
-		n.mu.Lock()
-		if n.closing {
-			n.mu.Unlock()
-			return ErrClosed
-		}
-		h.mu.Lock()
-		if h.inc != inc {
-			h.mu.Unlock()
-			n.mu.Unlock()
-			continue
-		}
-		fresh := newIncarnation()
-		h.inc = fresh
-		launch := n.started.Load()
-		if launch {
-			fresh.running = true
-			n.wg.Add(1)
-		}
-		h.mu.Unlock()
-		n.mu.Unlock()
-		if launch {
-			go h.run(fresh)
-		}
-		return nil
-	}
-}
-
-// Pause freezes the host between callbacks until Resume; see
-// livenet.Host.Pause for the handshake contract.
-func (h *Host) Pause() bool { return h.control(true) }
-
-// Resume unfreezes a paused host.
-func (h *Host) Resume() bool { return h.control(false) }
-
-func (h *Host) control(pause bool) bool {
-	c := ctrlMsg{pause: pause, ack: make(chan struct{})}
-	for {
-		h.mu.Lock()
-		inc := h.inc
-		running := inc.running
-		h.mu.Unlock()
-		if !running || inc.dead() {
-			return false
-		}
-		select {
-		case h.ctrl <- c:
-			<-c.ack
-			return true
-		case <-inc.exited:
-		case <-h.net.stop:
-			return false
-		}
-	}
-}
-
-// Start binds the listener, launches the accept loop, the peer writers,
-// and every live host goroutine.
-func (n *Network) Start() error {
-	if n.closed.Load() {
-		return ErrClosed
-	}
-	n.mu.Lock()
-	if n.closing {
-		n.mu.Unlock()
-		return ErrClosed
-	}
-	if n.started.Load() {
-		n.mu.Unlock()
-		return errors.New("transport: network already started")
-	}
-	bind := fmt.Sprintf("127.0.0.1:%d", n.cfg.BasePort+n.cfg.Proc)
-	if n.cfg.UDP {
+// Start binds the listener and launches the accept (or datagram read)
+// loop and the peer writers.
+func (s *sockets) Start() error {
+	bind := fmt.Sprintf("127.0.0.1:%d", s.cfg.BasePort+s.cfg.Proc)
+	if s.cfg.UDP {
 		uaddr, err := net.ResolveUDPAddr("udp", bind)
 		if err != nil {
-			n.mu.Unlock()
 			return err
 		}
 		conn, err := net.ListenUDP("udp", uaddr)
 		if err != nil {
-			n.mu.Unlock()
 			return fmt.Errorf("transport: bind %s: %w", bind, err)
 		}
-		n.udp = conn
-		n.wg.Add(1)
-		go n.readUDP(conn)
+		s.udp = conn
+		s.wg.Add(1)
+		go s.readUDP(conn)
 	} else {
 		l, err := net.Listen("tcp", bind)
 		if err != nil {
-			n.mu.Unlock()
 			return fmt.Errorf("transport: bind %s: %w", bind, err)
 		}
-		n.listener = l
-		n.wg.Add(1)
-		go n.acceptLoop(l)
+		s.listener = l
+		s.wg.Add(1)
+		go s.acceptLoop(l)
 	}
-	n.start = time.Now()
-	n.started.Store(true)
-	for _, p := range n.peers {
-		n.wg.Add(1)
+	for _, p := range s.peers {
+		s.wg.Add(1)
 		go p.run()
 	}
-	// Launch hosts under mu: every wg.Add must be ordered before a
-	// concurrent Close sets closing and waits.
-	for _, h := range n.local {
-		h.mu.Lock()
-		inc := h.inc
-		if inc.dead() || inc.running {
-			h.mu.Unlock()
-			continue
-		}
-		inc.running = true
-		n.wg.Add(1)
-		h.mu.Unlock()
-		go h.run(inc)
-	}
-	n.mu.Unlock()
 	return nil
-}
-
-// run is the host main loop for one incarnation; structurally identical
-// to livenet.Host.run.
-func (h *Host) run(inc *incarnation) {
-	defer h.net.wg.Done()
-	defer close(inc.exited)
-	h.incarnations.Add(1)
-	inits := make(chan *binding, len(h.bindings))
-	var timers []*time.Timer
-	var tickers []*time.Ticker
-	for i := range h.bindings {
-		b := &h.bindings[i]
-		timers = append(timers, time.AfterFunc(b.offset, func() {
-			select {
-			case inits <- b:
-			case <-h.net.stop:
-			case <-inc.down:
-			}
-		}))
-	}
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
-		}
-		for _, t := range tickers {
-			t.Stop()
-		}
-	}()
-	for {
-		select {
-		case <-h.net.stop:
-			return
-		case <-inc.down:
-			return
-		case c := <-h.ctrl:
-			close(c.ack)
-			if c.pause {
-				if !h.parked(inc) {
-					return
-				}
-			}
-		case b := <-inits:
-			if !h.net.noTicks.Load() {
-				b.p.Init(hostContext{h: h, pid: b.pid})
-			}
-			if b.period > 0 {
-				ticker := time.NewTicker(b.period)
-				tickers = append(tickers, ticker)
-				go h.forwardTicks(ticker, b, inc)
-			}
-		case cmd := <-h.inbox:
-			h.dispatch(cmd)
-		}
-	}
-}
-
-func (h *Host) parked(inc *incarnation) bool {
-	for {
-		select {
-		case c := <-h.ctrl:
-			close(c.ack)
-			if !c.pause {
-				return true
-			}
-		case <-inc.down:
-			return false
-		case <-h.net.stop:
-			return false
-		}
-	}
-}
-
-func (h *Host) forwardTicks(t *time.Ticker, b *binding, inc *incarnation) {
-	for {
-		select {
-		case <-h.net.stop:
-			return
-		case <-inc.down:
-			return
-		case <-t.C:
-			if h.net.noTicks.Load() {
-				continue // quiescing: stop feeding new gossip rounds
-			}
-			if !atomic.CompareAndSwapUint32(&b.tickQueued, 0, 1) {
-				continue
-			}
-			select {
-			case h.inbox <- command{tick: b}:
-			case <-h.net.stop:
-				atomic.StoreUint32(&b.tickQueued, 0)
-				return
-			case <-inc.down:
-				atomic.StoreUint32(&b.tickQueued, 0)
-				return
-			default:
-				atomic.StoreUint32(&b.tickQueued, 0)
-			}
-		}
-	}
-}
-
-func (h *Host) dispatch(cmd command) {
-	if cmd.tick != nil {
-		atomic.StoreUint32(&cmd.tick.tickQueued, 0)
-		if h.net.noTicks.Load() {
-			return
-		}
-		h.ticks.Add(1)
-		cmd.tick.p.Tick(hostContext{h: h, pid: cmd.tick.pid})
-		return
-	}
-	b := h.find(cmd.pid)
-	if b == nil {
-		h.net.dropped.Add(1)
-		recycle(cmd.msg)
-		return
-	}
-	h.net.delivered.Add(1)
-	h.delivered.Add(1)
-	b.p.Handle(hostContext{h: h, pid: cmd.pid}, cmd.from, cmd.msg)
-	recycle(cmd.msg)
 }
 
 // frameBufPool recycles encode buffers; pointers-to-slices so Put/Get do
 // not allocate a header per frame.
 var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// send applies the fault model, serialises the message, and enqueues the
-// frame on the destination process's peer loop. Serialisation is the
-// sending side's retirement point: once the bytes are built the message
-// is recycled — the receiving process decodes into its own pooled
-// message, so the two sides never share storage (they may not even share
-// an address space).
+// Send serialises the message and enqueues the frame on the destination
+// process's peer loop. Serialisation is the sending side's retirement
+// point: once the bytes are built the message is recycled — the receiving
+// process decodes into its own pooled message, so the two sides never
+// share storage (they may not even share an address space).
 //
 // Payload types the wire codec does not understand take the loopback
 // shortcut when the destination is process-local (direct inbox delivery,
 // pointer handoff as under livenet) and panic when it is not: shipping an
 // unserialisable payload across processes is an engine-contract violation,
 // not a runtime condition.
-func (n *Network) send(from *Host, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
-	n.sent.Add(1)
-	rng := from.sendRNG
-	dropP := math.Float64frombits(n.dropBits.Load())
-	drop := dropP > 0 && rng.Float64() < dropP
-	if !drop {
-		if cut := n.partition.Load(); cut != nil && (*cut)(from.addr, to) {
-			drop = true
-		}
-	}
-	if drop || int(to) < 0 || int(to) >= n.cfg.N {
-		n.dropped.Add(1)
-		recycle(msg)
-		return
-	}
+func (s *sockets) Send(_ *rand.Rand, from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
 	m, ok := msg.(*core.Message)
 	if !ok {
-		if !n.Local(to) {
+		if !s.rt.Local(to) {
 			panic(fmt.Sprintf("transport: payload %T has no wire encoding and host %d is remote", msg, to))
 		}
-		n.deliver(n.hosts[to], command{from: from.addr, pid: pid, msg: msg})
+		s.rt.Deliver(from, to, pid, msg)
 		return
 	}
 	bufp := frameBufPool.Get().(*[]byte)
-	*bufp = wire.AppendFrame((*bufp)[:0], wire.Envelope{From: from.addr, To: to, Pid: pid}, m)
-	recycle(m)
-	p := n.peers[int(to)%n.cfg.Procs]
-	n.inflight.Add(1)
+	*bufp = wire.AppendFrame((*bufp)[:0], wire.Envelope{From: from, To: to, Pid: pid}, m)
+	m.Recycle()
+	p := s.peers[int(to)%s.cfg.Procs]
+	s.inflight.Add(1)
 	select {
 	case p.queue <- bufp:
 	default:
 		// Send queue full: the destination process is reading slower
 		// than we produce — kernel backpressure surfaced as Overflow.
-		n.inflight.Add(-1)
-		n.overflow.Add(1)
+		s.inflight.Add(-1)
+		s.rt.Overflow(nil)
 		releaseFrame(bufp)
 	}
 }
 
 func releaseFrame(bufp *[]byte) { frameBufPool.Put(bufp) }
 
-// deliver places a decoded command in the destination inbox with
-// livenet's exact outcome taxonomy: room → delivered later by dispatch;
-// full+dead → Dropped; full+live → Overflow.
-func (n *Network) deliver(dst *Host, cmd command) {
-	select {
-	case dst.inbox <- cmd:
-	case <-n.stop:
-		n.dropped.Add(1)
-		recycle(cmd.msg)
-	default:
-		if dst.Stopped() {
-			n.dropped.Add(1)
-			recycle(cmd.msg)
-			return
-		}
-		n.overflow.Add(1)
-		dst.overflow.Add(1)
-		recycle(cmd.msg)
-	}
-}
-
-// route dispatches one decoded frame to its local host; non-local or
-// unknown destinations are dropped (they were counted Sent by the peer).
-func (n *Network) route(env wire.Envelope, m *core.Message) {
-	if !n.Local(env.To) {
-		n.dropped.Add(1)
-		m.Recycle()
-		return
-	}
-	n.deliver(n.hosts[env.To], command{from: env.From, pid: env.Pid, msg: m})
+// strand retires a queued frame that will never reach the kernel, as
+// dropped.
+func (s *sockets) strand(bufp *[]byte) {
+	s.rt.Drop(nil)
+	s.inflight.Add(-1)
+	releaseFrame(bufp)
 }
 
 // peerLoop is the sending side of one process-to-process link: a bounded
 // frame queue drained by a writer goroutine that dials on demand and
 // reconnects under capped exponential backoff.
 type peerLoop struct {
-	net   *Network
-	proc  int
+	s     *sockets
 	addr  string
 	queue chan *[]byte
 }
@@ -837,8 +337,8 @@ const initialBackoff = 20 * time.Millisecond
 // write error closes the connection, counts the frame as dropped, and
 // re-dials with backoff. Frames stranded at shutdown drain as dropped.
 func (p *peerLoop) run() {
-	n := p.net
-	defer n.wg.Done()
+	s := p.s
+	defer s.wg.Done()
 	var conn net.Conn
 	defer func() {
 		if conn != nil {
@@ -849,7 +349,7 @@ func (p *peerLoop) run() {
 	for {
 		var bufp *[]byte
 		select {
-		case <-n.stop:
+		case <-s.stop:
 			return
 		case bufp = <-p.queue:
 		}
@@ -857,18 +357,16 @@ func (p *peerLoop) run() {
 			if conn == nil {
 				conn = p.dial()
 				if conn == nil { // network stopping
-					n.dropped.Add(1)
-					n.inflight.Add(-1)
-					releaseFrame(bufp)
+					s.strand(bufp)
 					return
 				}
 			}
-			if n.cfg.UDP {
+			if s.cfg.UDP {
 				_, err := conn.Write(*bufp)
 				if err != nil {
 					// A UDP send error is local (no route, full socket
 					// buffer); the datagram is gone either way.
-					n.dropped.Add(1)
+					s.rt.Drop(nil)
 				}
 				break
 			}
@@ -876,10 +374,8 @@ func (p *peerLoop) run() {
 				conn.Close()
 				conn = nil
 				select {
-				case <-n.stop:
-					n.dropped.Add(1)
-					n.inflight.Add(-1)
-					releaseFrame(bufp)
+				case <-s.stop:
+					s.strand(bufp)
 					return
 				default:
 				}
@@ -892,7 +388,7 @@ func (p *peerLoop) run() {
 			}
 			break
 		}
-		n.inflight.Add(-1)
+		s.inflight.Add(-1)
 		releaseFrame(bufp)
 	}
 }
@@ -901,23 +397,23 @@ func (p *peerLoop) run() {
 // backoff until it succeeds or the network stops (then nil). TCP mode
 // sends the handshake before the connection is considered up.
 func (p *peerLoop) dial() net.Conn {
-	n := p.net
+	s := p.s
 	backoff := initialBackoff
 	for {
 		select {
-		case <-n.stop:
+		case <-s.stop:
 			return nil
 		default:
 		}
 		network := "tcp"
-		if n.cfg.UDP {
+		if s.cfg.UDP {
 			network = "udp"
 		}
-		conn, err := net.DialTimeout(network, p.addr, n.cfg.DialTimeout)
-		if err == nil && !n.cfg.UDP {
+		conn, err := net.DialTimeout(network, p.addr, s.cfg.DialTimeout)
+		if err == nil && !s.cfg.UDP {
 			var hs [handshakeLen]byte
 			copy(hs[:], handshakeMagic[:])
-			binary.LittleEndian.PutUint32(hs[4:], uint32(n.cfg.Proc))
+			binary.LittleEndian.PutUint32(hs[4:], uint32(s.cfg.Proc))
 			if _, werr := conn.Write(hs[:]); werr != nil {
 				conn.Close()
 				err = werr
@@ -928,13 +424,13 @@ func (p *peerLoop) dial() net.Conn {
 		}
 		t := time.NewTimer(backoff)
 		select {
-		case <-n.stop:
+		case <-s.stop:
 			t.Stop()
 			return nil
 		case <-t.C:
 		}
-		if backoff *= 2; backoff > n.cfg.MaxBackoff {
-			backoff = n.cfg.MaxBackoff
+		if backoff *= 2; backoff > s.cfg.MaxBackoff {
+			backoff = s.cfg.MaxBackoff
 		}
 	}
 }
@@ -945,9 +441,7 @@ func (p *peerLoop) drain() {
 	for {
 		select {
 		case bufp := <-p.queue:
-			p.net.dropped.Add(1)
-			p.net.inflight.Add(-1)
-			releaseFrame(bufp)
+			p.s.strand(bufp)
 		default:
 			return
 		}
@@ -955,13 +449,13 @@ func (p *peerLoop) drain() {
 }
 
 // acceptLoop serves inbound TCP connections: one reader goroutine each.
-func (n *Network) acceptLoop(l net.Listener) {
-	defer n.wg.Done()
+func (s *sockets) acceptLoop(l net.Listener) {
+	defer s.wg.Done()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			select {
-			case <-n.stop:
+			case <-s.stop:
 				return
 			default:
 			}
@@ -970,29 +464,29 @@ func (n *Network) acceptLoop(l net.Listener) {
 			}
 			continue
 		}
-		n.mu.Lock()
-		if n.closing {
-			n.mu.Unlock()
+		s.mu.Lock()
+		if s.closing {
+			s.mu.Unlock()
 			conn.Close()
 			return
 		}
-		n.conns[conn] = struct{}{}
-		n.wg.Add(1)
-		n.mu.Unlock()
-		go n.readConn(conn)
+		s.conns[conn] = struct{}{}
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go s.readConn(conn)
 	}
 }
 
 // readConn validates the handshake then decodes frames until the stream
 // ends. A decode error poisons the stream (framing can no longer be
 // trusted), so the connection is closed; the dialer reconnects.
-func (n *Network) readConn(conn net.Conn) {
-	defer n.wg.Done()
+func (s *sockets) readConn(conn net.Conn) {
+	defer s.wg.Done()
 	defer func() {
 		conn.Close()
-		n.mu.Lock()
-		delete(n.conns, conn)
-		n.mu.Unlock()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
 	}()
 	var hs [handshakeLen]byte
 	if _, err := io.ReadFull(conn, hs[:]); err != nil {
@@ -1001,7 +495,7 @@ func (n *Network) readConn(conn net.Conn) {
 	if [4]byte(hs[:4]) != handshakeMagic {
 		return
 	}
-	if proc := binary.LittleEndian.Uint32(hs[4:]); proc >= uint32(n.cfg.Procs) {
+	if proc := binary.LittleEndian.Uint32(hs[4:]); proc >= uint32(s.cfg.Procs) {
 		return
 	}
 	var buf []byte
@@ -1016,23 +510,23 @@ func (n *Network) readConn(conn net.Conn) {
 			// The peer counted this frame Sent; its bytes arrived but
 			// cannot be understood — account it before poisoning the
 			// stream.
-			n.dropped.Add(1)
+			s.rt.Drop(nil)
 			return
 		}
-		n.route(env, m)
+		s.rt.Deliver(env.From, env.To, env.Pid, m)
 	}
 }
 
 // readUDP decodes one frame per datagram. Datagrams still carry the
 // 4-byte length prefix so the two modes share the exact wire format.
-func (n *Network) readUDP(conn *net.UDPConn) {
-	defer n.wg.Done()
+func (s *sockets) readUDP(conn *net.UDPConn) {
+	defer s.wg.Done()
 	buf := make([]byte, 64*1024)
 	for {
 		sz, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			select {
-			case <-n.stop:
+			case <-s.stop:
 				return
 			default:
 			}
@@ -1042,118 +536,46 @@ func (n *Network) readUDP(conn *net.UDPConn) {
 			continue
 		}
 		if sz < 4 {
-			n.dropped.Add(1)
+			s.rt.Drop(nil)
 			continue
 		}
 		want := binary.LittleEndian.Uint32(buf[:4])
 		if int(want) != sz-4 {
-			n.dropped.Add(1)
+			s.rt.Drop(nil)
 			continue
 		}
 		env, m, err := wire.Decode(buf[4:sz])
 		if err != nil {
-			n.dropped.Add(1)
+			s.rt.Drop(nil)
 			continue
 		}
-		n.route(env, m)
+		s.rt.Deliver(env.From, env.To, env.Pid, m)
 	}
 }
 
-// Close stops all hosts and socket loops, waits for them, and settles the
-// accounting: frames stranded in send queues and commands stranded in
-// inboxes drain as dropped. For an exact conservation check run StopTicks
-// + Quiesce first (on every process); Close alone can strand bytes in
-// kernel buffers, which only the cross-process sum at quiescence sees.
-func (n *Network) Close() {
-	if n.closed.Swap(true) {
-		return
-	}
-	n.mu.Lock()
-	n.closing = true
-	l, u := n.listener, n.udp
-	conns := make([]net.Conn, 0, len(n.conns))
-	for c := range n.conns {
+// Close tears the sockets down and waits for every loop; each peer loop
+// drains its send queue on the way out, counting stranded frames as
+// dropped, and with the hosts gone nothing refills it. For an exact
+// conservation check run StopTicks + Quiesce first (on every process);
+// Close alone can strand bytes in kernel buffers, which only the
+// cross-process sum at quiescence sees.
+func (s *sockets) Close() {
+	s.mu.Lock()
+	s.closing = true
+	conns := make([]net.Conn, 0, len(s.conns))
+	for c := range s.conns {
 		conns = append(conns, c)
 	}
-	n.mu.Unlock()
-	close(n.stop)
-	if l != nil {
-		l.Close()
+	s.mu.Unlock()
+	close(s.stop)
+	if s.listener != nil {
+		s.listener.Close()
 	}
-	if u != nil {
-		u.Close()
+	if s.udp != nil {
+		s.udp.Close()
 	}
 	for _, c := range conns {
 		c.Close()
 	}
-	n.wg.Wait()
-	for _, p := range n.peers {
-		p.drain()
-	}
-	for _, h := range n.local {
-		h.drainInbox()
-	}
-}
-
-// Snapshot returns a consistent counter snapshot (stable across two
-// consecutive reads where possible); exact at quiescence.
-func (n *Network) Snapshot() Stats {
-	prev := n.readStats()
-	for i := 0; i < 8; i++ {
-		cur := n.readStats()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
-}
-
-func (n *Network) readStats() Stats {
-	// Sent last: outcomes never exceed sends even in a torn read.
-	st := Stats{
-		Dropped:   n.dropped.Load(),
-		Delivered: n.delivered.Load(),
-		Overflow:  n.overflow.Load(),
-	}
-	st.Sent = n.sent.Load()
-	return st
-}
-
-// Stats returns a snapshot of the traffic counters; see Snapshot.
-func (n *Network) Stats() Stats { return n.Snapshot() }
-
-// PauseAll pauses every live local host in parallel and returns once all
-// are parked; with every process paused the campaign is at a consistent
-// cut for measurement.
-func (n *Network) PauseAll() { n.controlAll(true) }
-
-// ResumeAll resumes every live local host.
-func (n *Network) ResumeAll() { n.controlAll(false) }
-
-func (n *Network) controlAll(pause bool) {
-	hosts := n.local
-	workers := 256
-	if workers > len(hosts) {
-		workers = len(hosts)
-	}
-	if workers < 1 {
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan *Host, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for h := range next {
-				h.control(pause)
-			}
-		}()
-	}
-	for _, h := range hosts {
-		next <- h
-	}
-	close(next)
-	wg.Wait()
+	s.wg.Wait()
 }

@@ -112,7 +112,7 @@ func (c *cluster) settle(t *testing.T) Stats {
 		cur := c.sum()
 		pending := int64(0)
 		for _, n := range c.nets {
-			pending += n.inflight.Load()
+			pending += n.sock.inflight.Load()
 		}
 		if cur == prev && pending == 0 {
 			stable++
