@@ -54,6 +54,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/host"
 	"repro/internal/livenet"
 )
 
@@ -64,66 +65,42 @@ func main() {
 	}
 }
 
+// options is the parsed command line: the flags fill in the campaign's
+// LiveParams directly, plus what only the CLI needs.
 type options struct {
-	n              int
-	trials         int
-	workers        int
-	measureWorkers int
-	measureSample  int
-	sampler        experiment.SamplerKind
-	warmup         int
-	scenario       livenet.Scenario
-	drop           float64
-	latency        time.Duration
-	period         time.Duration
-	cycles         int
-	seed           int64
-	inbox          int
-	memstats       bool
+	p       experiment.LiveParams
+	trials  int
+	workers int
+	latency time.Duration
+	seed    int64
 }
 
 func parseArgs(args []string) (*options, error) {
+	o := &options{p: experiment.LiveParams{Config: core.DefaultConfig()}}
 	fs := flag.NewFlagSet("livesim", flag.ContinueOnError)
-	var (
-		n        = fs.Int("n", 1024, "network size (hosts)")
-		trials   = fs.Int("trials", 4, "independent trials")
-		workers  = fs.Int("workers", 0, "concurrent trials (0 = GOMAXPROCS)")
-		measureW = fs.Int("measure-workers", 0, "goroutines sharding the paused-world measurement (0 = GOMAXPROCS)")
-		measureS = fs.Int("measure-sample", 0, "per-cycle measurement sample size with 95% confidence intervals (0 = exact full measurement)")
-		sampler  = fs.String("sampler", "oracle", "oracle|newscast sampling layer under the bootstrap nodes")
-		warmup   = fs.Int("warmup", 10, "newscast warmup cycles before the bootstrap layer starts (ignored for oracle)")
-		scenario = fs.String("scenario", "churn", "none|churn|partition|drop|latency")
-		drop     = fs.Float64("drop", 0, "initial per-message loss probability")
-		latency  = fs.Duration("latency", 0, "max delivery latency (min is latency/4)")
-		period   = fs.Duration("period", 0, "gossip period (0 scales with -n)")
-		cycles   = fs.Int("cycles", 30, "campaign length in periods")
-		seed     = fs.Int64("seed", 42, "base seed")
-		inbox    = fs.Int("inbox", 0, "per-host inbox bound (0 = engine default)")
-		memst    = fs.Bool("memstats", false, "print a # memstats header per trial (live heap bytes per node, peak RSS)")
-	)
+	fs.IntVar(&o.p.N, "n", 1024, "network size (hosts)")
+	fs.IntVar(&o.trials, "trials", 4, "independent trials")
+	fs.IntVar(&o.workers, "workers", 0, "concurrent trials (0 = GOMAXPROCS)")
+	fs.IntVar(&o.p.MeasureWorkers, "measure-workers", 0, "goroutines sharding the paused-world measurement (0 = GOMAXPROCS)")
+	fs.IntVar(&o.p.MeasureSample, "measure-sample", 0, "per-cycle measurement sample size with 95% confidence intervals (0 = exact full measurement)")
+	sampler := fs.String("sampler", "oracle", "oracle|newscast sampling layer under the bootstrap nodes")
+	fs.IntVar(&o.p.WarmupCycles, "warmup", 10, "newscast warmup cycles before the bootstrap layer starts (ignored for oracle)")
+	scenario := fs.String("scenario", "churn", "none|churn|partition|drop|latency")
+	fs.Float64Var(&o.p.Drop, "drop", 0, "initial per-message loss probability")
+	fs.DurationVar(&o.latency, "latency", 0, "max delivery latency (min is latency/4)")
+	fs.DurationVar(&o.p.Period, "period", 0, "gossip period (0 scales with -n)")
+	fs.IntVar(&o.p.Cycles, "cycles", 30, "campaign length in periods")
+	fs.Int64Var(&o.seed, "seed", 42, "base seed")
+	fs.IntVar(&o.p.InboxSize, "inbox", 0, "per-host inbox bound (0 = engine default)")
+	fs.BoolVar(&o.p.MemStats, "memstats", false, "print a # memstats header per trial (live heap bytes per node, peak RSS)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	o := &options{
-		n:              *n,
-		trials:         *trials,
-		workers:        *workers,
-		measureWorkers: *measureW,
-		measureSample:  *measureS,
-		warmup:         *warmup,
-		drop:           *drop,
-		latency:        *latency,
-		period:         *period,
-		cycles:         *cycles,
-		seed:           *seed,
-		inbox:          *inbox,
-		memstats:       *memst,
-	}
 	var err error
-	if o.sampler, err = experiment.ParseSampler(*sampler); err != nil {
+	if o.p.Sampler, err = experiment.ParseSampler(*sampler); err != nil {
 		return nil, err
 	}
-	if o.scenario, err = livenet.ParseScenario(*scenario); err != nil {
+	if o.p.Scenario, err = livenet.ParseScenario(*scenario); err != nil {
 		return nil, err
 	}
 	if o.trials < 1 {
@@ -132,15 +109,10 @@ func parseArgs(args []string) (*options, error) {
 	if o.workers < 0 {
 		return nil, fmt.Errorf("-workers must not be negative, got %d", o.workers)
 	}
-	if o.measureWorkers < 0 {
-		return nil, fmt.Errorf("-measure-workers must not be negative, got %d", o.measureWorkers)
-	}
-	if o.measureSample < 0 {
-		return nil, fmt.Errorf("-measure-sample must not be negative, got %d", o.measureSample)
-	}
-	if o.warmup < 0 {
-		return nil, fmt.Errorf("-warmup must not be negative, got %d", o.warmup)
-	}
+	o.p.MinLatency, o.p.MaxLatency = o.latency/4, o.latency
+	// Scenarios disturb the network mid-run; keep measuring the recovery
+	// tail instead of exiting on first perfection.
+	o.p.KeepRunningAfterPerfect = o.p.Scenario.Schedule != nil
 	return o, nil
 }
 
@@ -149,25 +121,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p := experiment.LiveParams{
-		N:              o.n,
-		Config:         core.DefaultConfig(),
-		Period:         o.period,
-		Cycles:         o.cycles,
-		Drop:           o.drop,
-		MinLatency:     o.latency / 4,
-		MaxLatency:     o.latency,
-		InboxSize:      o.inbox,
-		Scenario:       o.scenario,
-		MeasureWorkers: o.measureWorkers,
-		MeasureSample:  o.measureSample,
-		Sampler:        o.sampler,
-		WarmupCycles:   o.warmup,
-		MemStats:       o.memstats,
-		// Scenarios disturb the network mid-run; keep measuring the
-		// recovery tail instead of exiting on first perfection.
-		KeepRunningAfterPerfect: o.scenario.Schedule != nil,
-	}
+	p := o.p
 	seeds := experiment.Seeds(o.seed, o.trials)
 	start := time.Now()
 	res, err := experiment.RunLiveTrials(p, seeds, o.workers)
@@ -177,7 +131,7 @@ func run(args []string, out io.Writer) error {
 	elapsed := time.Since(start).Round(time.Millisecond)
 
 	fmt.Fprintf(out, "# livesim n=%d trials=%d workers=%d scenario=%s sampler=%s measure_sample=%d drop=%.2f latency=%s period=%s cycles=%d elapsed=%s\n",
-		o.n, o.trials, o.workers, o.scenario.Name, o.sampler, o.measureSample, o.drop, o.latency, res.Params.Period, o.cycles, elapsed)
+		p.N, o.trials, o.workers, p.Scenario.Name, p.Sampler, p.MeasureSample, p.Drop, o.latency, res.Params.Period, p.Cycles, elapsed)
 	if sched := res.Trials[0].Schedule; len(sched) > 0 {
 		fmt.Fprintf(out, "# fault plan (trial 0, seed %d):\n", seeds[0])
 		for _, e := range sched {
@@ -191,16 +145,19 @@ func run(args []string, out io.Writer) error {
 			f.LeafMissing, f.PrefixMissing,
 			t.Stats.Sent, t.Stats.Delivered, t.Stats.Dropped, t.Stats.Overflow)
 	}
-	if o.memstats {
+	if p.MemStats {
 		// Campaign-level accounting: one tracker samples the heap at the
 		// end of every trial (hosts still running) and keeps the peak, so
 		// the figure reflects the res.Workers trials live at once rather
 		// than whichever stragglers a single end-of-campaign snapshot
 		// would catch.
 		fmt.Fprintf(out, "# memstats n=%d trials=%d workers=%d %s\n",
-			o.n, o.trials, res.Workers, res.Mem.Line(o.n, res.Workers))
+			p.N, o.trials, res.Workers, res.Mem.Line(p.N, res.Workers))
 	}
-	total := res.TotalStats()
+	var total host.Stats
+	for _, t := range res.Trials {
+		total.Add(t.Stats)
+	}
 	fmt.Fprintf(out, "# converged_trials=%d/%d total_sent=%d total_delivered=%d total_dropped=%d total_overflow=%d\n",
 		res.ConvergedTrials(), o.trials, total.Sent, total.Delivered, total.Dropped, total.Overflow)
 	return res.WriteCSV(out)

@@ -28,11 +28,17 @@
 //	-full           keep running after convergence
 //	-o path         write the CSV to path instead of stdout
 //
-// The latency scenario is rejected: the socket engine measures the
-// kernel's real delivery latency instead of injecting one.
+// The latency scenario is rejected when a worker expands its fault plan:
+// the socket engine measures the kernel's real delivery latency instead of
+// injecting one.
 //
 // Workers are respawns of the same binary (-worker -proc p) driven over a
-// line protocol on stdin/stdout; their logs go to stderr. At the end of a
+// line protocol on stdin/stdout; their logs go to stderr. Each worker steps
+// its shard of the one trial driver (experiment.LiveShard); the driver sums
+// the workers' exact partial measurements and feeds them to the trial
+// driver's recorder (experiment.ShardRecorder), which owns the stopping
+// rule. Every wait on a worker is bounded: one that stops answering gets
+// the whole campaign killed and a non-zero exit naming it. At the end of a
 // campaign the driver drains every worker to quiescence and checks the
 // cross-process conservation law ΣSent == ΣDelivered + ΣDropped +
 // ΣOverflow — a non-conserved campaign exits non-zero.
@@ -51,110 +57,67 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/host"
 	"repro/internal/livenet"
-	"repro/internal/transport"
-	"repro/internal/truth"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// options is the parsed command line: the flags fill in the campaign's
+// LiveParams directly (Sockets.Proc is this worker's shard, 0 in the
+// driver), plus what only the CLI needs.
 type options struct {
-	n              int
-	procs          int
-	cycles         int
-	period         time.Duration
-	scenario       livenet.Scenario
-	drop           float64
-	seed           int64
-	basePort       int
-	inbox, queue   int
-	udp            bool
-	measureWorkers int
-	full           bool
-	out            string
-
+	p      experiment.LiveParams
+	seed   int64
+	out    string
 	worker bool
-	proc   int
 }
 
 func parseArgs(args []string) (*options, error) {
+	sock := &experiment.Sockets{}
+	o := &options{p: experiment.LiveParams{Config: core.DefaultConfig(), Sockets: sock}}
 	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
-	var (
-		n        = fs.Int("n", 1024, "network size (hosts)")
-		procs    = fs.Int("procs", 4, "worker processes")
-		cycles   = fs.Int("cycles", 30, "campaign length in periods")
-		period   = fs.Duration("period", 0, "gossip period; 0 scales with -n")
-		scenario = fs.String("scenario", "churn", "none|churn|partition|drop")
-		drop     = fs.Float64("drop", 0, "initial loss probability")
-		seed     = fs.Int64("seed", 42, "campaign seed")
-		basePort = fs.Int("base-port", 18500, "worker p listens on base-port+p")
-		inbox    = fs.Int("inbox", 0, "per-host inbox bound (0 = default)")
-		queue    = fs.Int("queue", 0, "per-peer send-queue bound (0 = default)")
-		udp      = fs.Bool("udp", false, "datagram sockets instead of TCP")
-		measure  = fs.Int("measure-workers", 0, "measurement goroutines per worker (0 = GOMAXPROCS)")
-		full     = fs.Bool("full", false, "keep running after convergence")
-		out      = fs.String("o", "", "output path (default stdout)")
-		worker   = fs.Bool("worker", false, "run as a worker process (internal)")
-		proc     = fs.Int("proc", 0, "worker shard index (internal)")
-	)
+	fs.IntVar(&o.p.N, "n", 1024, "network size (hosts)")
+	fs.IntVar(&sock.Procs, "procs", 4, "worker processes")
+	fs.IntVar(&o.p.Cycles, "cycles", 30, "campaign length in periods")
+	fs.DurationVar(&o.p.Period, "period", 0, "gossip period; 0 scales with -n")
+	scenario := fs.String("scenario", "churn", "none|churn|partition|drop")
+	fs.Float64Var(&o.p.Drop, "drop", 0, "initial loss probability")
+	fs.Int64Var(&o.seed, "seed", 42, "campaign seed")
+	fs.IntVar(&sock.BasePort, "base-port", 18500, "worker p listens on base-port+p")
+	fs.IntVar(&o.p.InboxSize, "inbox", 0, "per-host inbox bound (0 = default)")
+	fs.IntVar(&sock.QueueSize, "queue", 0, "per-peer send-queue bound (0 = default)")
+	fs.BoolVar(&sock.UDP, "udp", false, "datagram sockets instead of TCP")
+	fs.IntVar(&o.p.MeasureWorkers, "measure-workers", 0, "measurement goroutines per worker (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.p.KeepRunningAfterPerfect, "full", false, "keep running after convergence")
+	fs.StringVar(&o.out, "o", "", "output path (default stdout)")
+	fs.BoolVar(&o.worker, "worker", false, "run as a worker process (internal)")
+	fs.IntVar(&sock.Proc, "proc", 0, "worker shard index (internal)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	opts := &options{
-		n: *n, procs: *procs, cycles: *cycles, period: *period,
-		drop: *drop, seed: *seed, basePort: *basePort,
-		inbox: *inbox, queue: *queue, udp: *udp,
-		measureWorkers: *measure, full: *full, out: *out,
-		worker: *worker, proc: *proc,
+	var err error
+	if o.p.Scenario, err = livenet.ParseScenario(*scenario); err != nil {
+		return nil, err
 	}
-	switch *scenario {
-	case "none":
-		opts.scenario = livenet.ScenarioNone
-	case "churn":
-		opts.scenario = livenet.ScenarioChurn
-	case "partition":
-		opts.scenario = livenet.ScenarioPartition
-	case "drop":
-		opts.scenario = livenet.ScenarioDrop
-	default:
-		return nil, fmt.Errorf("unknown scenario %q (latency is unsupported: the kernel provides the latency)", *scenario)
-	}
-	if opts.procs < 1 {
+	if sock.Procs < 1 {
 		return nil, fmt.Errorf("-procs must be at least 1")
 	}
-	if opts.period == 0 {
+	if o.p.Period == 0 {
 		// Resolve the default here so one value reaches every worker
 		// explicitly rather than each process re-deriving it.
-		opts.period = experiment.DefaultLivePeriod(opts.n, 1)
+		o.p.Period = experiment.DefaultLivePeriod(o.p.N, 1)
 	}
-	return opts, nil
-}
-
-func (o *options) socketParams(proc int) experiment.SocketParams {
-	return experiment.SocketParams{
-		N:                       o.n,
-		Config:                  core.DefaultConfig(),
-		Period:                  o.period,
-		Cycles:                  o.cycles,
-		Drop:                    o.drop,
-		InboxSize:               o.inbox,
-		QueueSize:               o.queue,
-		Procs:                   o.procs,
-		Proc:                    proc,
-		BasePort:                o.basePort,
-		UDP:                     o.udp,
-		Scenario:                o.scenario,
-		MeasureWorkers:          o.measureWorkers,
-		KeepRunningAfterPerfect: o.full,
-	}
+	return o, nil
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -164,53 +127,50 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if opts.worker {
-		if err := runWorker(opts, os.Stdin, stdout, stderr); err != nil {
-			fmt.Fprintf(stderr, "netsim worker %d: %v\n", opts.proc, err)
+		if err := runWorker(opts, os.Stdin, stdout); err != nil {
+			fmt.Fprintf(stderr, "netsim worker %d: %v\n", opts.p.Sockets.Proc, err)
 			return 1
 		}
 		return 0
 	}
-	if err := runDriver(opts, stdout, stderr); err != nil {
+	// A worker answers a CYCLE within a period plus its measurement, and a
+	// DRAIN within the drain budget; anything slower is wedged.
+	if err := runDriver(opts, args, 8*opts.p.Period+experiment.DrainBudget, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "netsim:", err)
 		return 1
 	}
 	return 0
 }
 
-// pointMsg is one worker's per-cycle report: its partial measurement
-// (integer sums over its local members), the alive counts, and its
-// current traffic counters.
-type pointMsg struct {
-	Agg         truth.Aggregate
-	LocalAlive  int
-	GlobalAlive int
-	Stats       transport.Stats
-}
-
 // runWorker executes one shard under the driver's line protocol:
 //
-//	worker → READY <lastEventCycle>
-//	driver → CYCLE <c>     worker → POINT <json pointMsg>
+//	worker → READY
+//	driver → CYCLE <c>     worker → POINT <json experiment.Partial>
 //	driver → DRAIN         worker → DRAINED <ok> <json Stats>
 //	driver → STATS         worker → STATS <json Stats>
 //	driver → EXIT          worker closes and exits
-func runWorker(opts *options, stdin io.Reader, stdout, stderr io.Writer) error {
-	trial, err := experiment.NewSocketTrial(opts.socketParams(opts.proc), opts.seed)
+func runWorker(opts *options, stdin io.Reader, stdout io.Writer) error {
+	trial, err := experiment.OpenLiveShard(opts.p, opts.seed)
 	if err != nil {
 		return err
 	}
 	defer trial.Close()
-	if err := trial.Start(); err != nil {
-		return err
-	}
 	out := bufio.NewWriter(stdout)
-	say := func(format string, a ...any) error {
-		if _, err := fmt.Fprintf(out, format+"\n", a...); err != nil {
+	// say emits one protocol line: the words, then v as JSON when non-nil.
+	say := func(words string, v any) error {
+		if v != nil {
+			msg, err := json.Marshal(v)
+			if err != nil {
+				return err
+			}
+			words += " " + string(msg)
+		}
+		if _, err := fmt.Fprintln(out, words); err != nil {
 			return err
 		}
 		return out.Flush()
 	}
-	if err := say("READY %d", trial.LastEventCycle); err != nil {
+	if err := say("READY", nil); err != nil {
 		return err
 	}
 	sc := bufio.NewScanner(stdin)
@@ -222,50 +182,37 @@ func runWorker(opts *options, stdin io.Reader, stdout, stderr io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("bad CYCLE %q", rest)
 			}
-			agg, la, ga, err := trial.StepCycle(cycle)
+			part, err := trial.Step(cycle)
 			if err != nil {
 				return err
 			}
-			msg, err := json.Marshal(pointMsg{Agg: agg, LocalAlive: la, GlobalAlive: ga, Stats: trial.Stats()})
-			if err != nil {
-				return err
-			}
-			if err := say("POINT %s", msg); err != nil {
-				return err
-			}
+			err = say("POINT", part)
 		case "DRAIN":
-			ok := trial.Drain(15 * time.Second)
-			msg, err := json.Marshal(trial.Stats())
-			if err != nil {
-				return err
-			}
-			if err := say("DRAINED %t %s", ok, msg); err != nil {
-				return err
-			}
+			err = say(fmt.Sprintf("DRAINED %t", trial.Drain()), trial.Stats())
 		case "STATS":
-			msg, err := json.Marshal(trial.Stats())
-			if err != nil {
-				return err
-			}
-			if err := say("STATS %s", msg); err != nil {
-				return err
-			}
+			err = say("STATS", trial.Stats())
 		case "EXIT":
 			return nil
 		default:
-			return fmt.Errorf("unknown command %q", cmd)
+			err = fmt.Errorf("unknown command %q", cmd)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	// Driver went away (EOF): tear down quietly.
 	return sc.Err()
 }
 
-// workerProc is the driver's handle on one spawned worker.
+// workerProc is the driver's handle on one spawned worker. A reader
+// goroutine turns the worker's stdout into lines so every wait can carry a
+// deadline; it ends, closing lines, when the worker's stdout does.
 type workerProc struct {
-	proc int
-	cmd  *exec.Cmd
-	in   *bufio.Writer
-	out  *bufio.Scanner
+	proc  int
+	cmd   *exec.Cmd
+	in    *bufio.Writer
+	lines chan string
+	wait  time.Duration
 }
 
 func (w *workerProc) send(line string) error {
@@ -275,15 +222,28 @@ func (w *workerProc) send(line string) error {
 	return w.in.Flush()
 }
 
+// next waits, bounded, for the worker's next line; open is false once its
+// stdout has closed. owed names what the worker was asked for.
+func (w *workerProc) next(owed string) (line string, open bool, err error) {
+	timer := time.NewTimer(w.wait)
+	defer timer.Stop()
+	select {
+	case line, open = <-w.lines:
+		return strings.TrimSpace(line), open, nil
+	case <-timer.C:
+		return "", false, fmt.Errorf("worker %d: no %s within %s; killing the campaign", w.proc, owed, w.wait)
+	}
+}
+
 // expect reads the next protocol line and strips the required prefix.
 func (w *workerProc) expect(prefix string) (string, error) {
-	if !w.out.Scan() {
-		if err := w.out.Err(); err != nil {
-			return "", fmt.Errorf("worker %d: %w", w.proc, err)
-		}
+	line, open, err := w.next(prefix + " line")
+	if err != nil {
+		return "", err
+	}
+	if !open {
 		return "", fmt.Errorf("worker %d: exited early (wanted %s)", w.proc, prefix)
 	}
-	line := strings.TrimSpace(w.out.Text())
 	rest, found := strings.CutPrefix(line, prefix+" ")
 	if !found && line != prefix {
 		return "", fmt.Errorf("worker %d: got %q, wanted %s", w.proc, line, prefix)
@@ -291,46 +251,56 @@ func (w *workerProc) expect(prefix string) (string, error) {
 	return rest, nil
 }
 
+// stop kills the worker if it is still running and reaps it. The reader
+// goroutine must see the pipe close before Wait may be called.
+func (w *workerProc) stop() {
+	w.cmd.Process.Kill()
+	for range w.lines {
+	}
+	w.cmd.Wait()
+}
+
+// ask sends cmd to every worker, then hands each worker's reply (its
+// prefix stripped) to got — one lock-step barrier of the campaign.
+func ask(workers []*workerProc, cmd, reply string, got func(w *workerProc, rest string) error) error {
+	for _, w := range workers {
+		if err := w.send(cmd); err != nil {
+			return err
+		}
+	}
+	for _, w := range workers {
+		rest, err := w.expect(reply)
+		if err == nil {
+			err = got(w, rest)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runDriver spawns the workers, steps the campaign cycle by cycle,
 // aggregates the partial measurements, drains everyone to quiescence, and
-// verifies the cross-process conservation law.
-func runDriver(opts *options, stdout, stderr io.Writer) error {
+// verifies the cross-process conservation law. args is the driver's own
+// command line: the workers re-parse it, plus their role, the resolved
+// period and their shard.
+func runDriver(opts *options, args []string, wait time.Duration, stdout, stderr io.Writer) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return err
 	}
-	workerArgs := []string{
-		"-worker",
-		"-n", strconv.Itoa(opts.n),
-		"-procs", strconv.Itoa(opts.procs),
-		"-cycles", strconv.Itoa(opts.cycles),
-		"-period", opts.period.String(),
-		"-scenario", opts.scenario.Name,
-		"-drop", strconv.FormatFloat(opts.drop, 'g', -1, 64),
-		"-seed", strconv.FormatInt(opts.seed, 10),
-		"-base-port", strconv.Itoa(opts.basePort),
-		"-inbox", strconv.Itoa(opts.inbox),
-		"-queue", strconv.Itoa(opts.queue),
-		"-measure-workers", strconv.Itoa(opts.measureWorkers),
-	}
-	if opts.udp {
-		workerArgs = append(workerArgs, "-udp")
-	}
-	if opts.full {
-		workerArgs = append(workerArgs, "-full")
-	}
+	p := opts.p
+	workerArgs := append(slices.Clone(args), "-worker", "-period", p.Period.String(), "-proc")
 
-	workers := make([]*workerProc, opts.procs)
+	var workers []*workerProc
 	defer func() {
 		for _, w := range workers {
-			if w != nil {
-				w.cmd.Process.Kill()
-				w.cmd.Wait()
-			}
+			w.stop()
 		}
 	}()
-	for p := 0; p < opts.procs; p++ {
-		cmd := exec.Command(exe, append(append([]string{}, workerArgs...), "-proc", strconv.Itoa(p))...)
+	for proc := 0; proc < p.Sockets.Procs; proc++ {
+		cmd := exec.Command(exe, append(slices.Clone(workerArgs), strconv.Itoa(proc))...)
 		// The env marker lets a test binary reroute itself into worker
 		// mode; the real binary keys off -worker alone.
 		cmd.Env = append(os.Environ(), "NETSIM_WORKER=1")
@@ -344,66 +314,39 @@ func runDriver(opts *options, stdout, stderr io.Writer) error {
 			return err
 		}
 		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("spawn worker %d: %w", p, err)
+			return fmt.Errorf("spawn worker %d: %w", proc, err)
 		}
-		sc := bufio.NewScanner(out)
-		sc.Buffer(make([]byte, 64*1024), 1<<20)
-		workers[p] = &workerProc{proc: p, cmd: cmd, in: bufio.NewWriter(stdin), out: sc}
+		w := &workerProc{proc: proc, cmd: cmd, in: bufio.NewWriter(stdin), lines: make(chan string), wait: wait}
+		workers = append(workers, w)
+		go func() {
+			defer close(w.lines)
+			sc := bufio.NewScanner(out)
+			sc.Buffer(make([]byte, 64*1024), 1<<20)
+			for sc.Scan() {
+				w.lines <- sc.Text()
+			}
+		}()
 	}
 
-	lastEvent := -1
 	for _, w := range workers {
-		rest, err := w.expect("READY")
-		if err != nil {
+		if _, err := w.expect("READY"); err != nil {
 			return err
-		}
-		if v, err := strconv.Atoi(rest); err == nil && v > lastEvent {
-			lastEvent = v
 		}
 	}
 	fmt.Fprintf(stderr, "netsim: %d workers up (n=%d procs=%d period=%s scenario=%s)\n",
-		opts.procs, opts.n, opts.procs, opts.period, opts.scenario.Name)
+		len(workers), p.N, len(workers), p.Period, p.Scenario.Name)
 
-	var points []experiment.Point
-	convergedAt := -1
-	for cycle := 0; cycle < opts.cycles; cycle++ {
-		for _, w := range workers {
-			if err := w.send("CYCLE " + strconv.Itoa(cycle)); err != nil {
-				return err
-			}
+	rec := experiment.NewShardRecorder(p, opts.seed)
+	for cycle, stop := 0, false; cycle < p.Cycles && !stop; cycle++ {
+		parts := make([]experiment.Partial, len(workers))
+		err := ask(workers, "CYCLE "+strconv.Itoa(cycle), "POINT", func(w *workerProc, rest string) error {
+			return json.Unmarshal([]byte(rest), &parts[w.proc])
+		})
+		if err == nil {
+			stop, err = rec.Record(cycle, parts)
 		}
-		var sum truth.Aggregate
-		var st transport.Stats
-		globalAlive, localSum := -1, 0
-		for _, w := range workers {
-			rest, err := w.expect("POINT")
-			if err != nil {
-				return err
-			}
-			var msg pointMsg
-			if err := json.Unmarshal([]byte(rest), &msg); err != nil {
-				return fmt.Errorf("worker %d point: %w", w.proc, err)
-			}
-			sum.Add(msg.Agg)
-			st.Add(msg.Stats)
-			localSum += msg.LocalAlive
-			if globalAlive >= 0 && msg.GlobalAlive != globalAlive {
-				return fmt.Errorf("cycle %d: workers disagree on membership (%d vs %d) — fault plans diverged", cycle, globalAlive, msg.GlobalAlive)
-			}
-			globalAlive = msg.GlobalAlive
-		}
-		if localSum != globalAlive {
-			return fmt.Errorf("cycle %d: local alive counts sum to %d, plan says %d", cycle, localSum, globalAlive)
-		}
-		pt := experiment.PointFromAggregate(cycle, sum, globalAlive, st.Sent, st.Dropped, 0)
-		points = append(points, pt)
-		if pt.LeafMissing == 0 && pt.PrefixMissing == 0 && cycle >= lastEvent {
-			if convergedAt < 0 {
-				convergedAt = cycle
-			}
-			if !opts.full {
-				break
-			}
+		if err != nil {
+			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
 	}
 
@@ -411,41 +354,30 @@ func runDriver(opts *options, stdout, stderr io.Writer) error {
 	// drain, then poll the global sum until stable — frames can still be
 	// crossing process boundaries when an individual worker reports
 	// settled.
-	for _, w := range workers {
-		if err := w.send("DRAIN"); err != nil {
-			return err
-		}
-	}
-	for _, w := range workers {
-		rest, err := w.expect("DRAINED")
-		if err != nil {
-			return err
-		}
+	err = ask(workers, "DRAIN", "DRAINED", func(w *workerProc, rest string) error {
 		if ok, _, _ := strings.Cut(rest, " "); ok != "true" {
 			fmt.Fprintf(stderr, "netsim: worker %d did not settle locally\n", w.proc)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	var final transport.Stats
+	var final host.Stats
 	for round := 0; round < 50; round++ {
-		var cur transport.Stats
-		for _, w := range workers {
-			if err := w.send("STATS"); err != nil {
-				return err
-			}
-		}
-		for _, w := range workers {
-			rest, err := w.expect("STATS")
-			if err != nil {
-				return err
-			}
-			var st transport.Stats
+		var cur host.Stats
+		err := ask(workers, "STATS", "STATS", func(_ *workerProc, rest string) error {
+			var st host.Stats
 			if err := json.Unmarshal([]byte(rest), &st); err != nil {
 				return err
 			}
 			cur.Add(st)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		if round > 0 && cur == final {
-			final = cur
 			break
 		}
 		final = cur
@@ -457,6 +389,11 @@ func runDriver(opts *options, stdout, stderr io.Writer) error {
 		}
 	}
 	for _, w := range workers {
+		if line, open, err := w.next("exit"); err != nil {
+			return err
+		} else if open {
+			return fmt.Errorf("worker %d: got %q after EXIT", w.proc, line)
+		}
 		if err := w.cmd.Wait(); err != nil {
 			return fmt.Errorf("worker %d: %w", w.proc, err)
 		}
@@ -473,10 +410,11 @@ func runDriver(opts *options, stdout, stderr io.Writer) error {
 		out = f
 	}
 	fmt.Fprintf(out, "# netsim n=%d procs=%d period=%s cycles=%d scenario=%s seed=%d drop=%g udp=%t\n",
-		opts.n, opts.procs, opts.period, opts.cycles, opts.scenario.Name, opts.seed, opts.drop, opts.udp)
-	fmt.Fprintf(out, "# converged_at=%d\n", convergedAt)
-	agg := experiment.AggregateSeries([][]experiment.Point{points}, []int{convergedAt})
-	if err := experiment.WriteAggCSV(out, agg, false); err != nil {
+		p.N, p.Sockets.Procs, p.Period, p.Cycles, p.Scenario.Name, opts.seed, p.Drop, p.Sockets.UDP)
+	res := rec.Result()
+	res.Stats = final
+	fmt.Fprintf(out, "# converged_at=%d\n", res.ConvergedAt)
+	if err := res.WriteCSV(out); err != nil {
 		return err
 	}
 	conservedOK := final.Sent == final.Delivered+final.Dropped+final.Overflow
@@ -486,8 +424,8 @@ func runDriver(opts *options, stdout, stderr io.Writer) error {
 		return fmt.Errorf("traffic counters not conserved at quiescence: %+v (diff %d)",
 			final, final.Sent-final.Delivered-final.Dropped-final.Overflow)
 	}
-	if convergedAt < 0 {
-		fmt.Fprintf(stderr, "netsim: campaign did not converge in %d cycles\n", opts.cycles)
+	if res.ConvergedAt < 0 {
+		fmt.Fprintf(stderr, "netsim: campaign did not converge in %d cycles\n", p.Cycles)
 	}
 	return nil
 }

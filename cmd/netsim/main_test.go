@@ -2,10 +2,20 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/livenet"
 )
+
+// wedgeSeed is the -seed value that makes a rerouted worker play dead:
+// it answers READY and then nothing, not even EOF.
+const wedgeSeed = "-424242"
 
 // TestMain reroutes the test binary into worker mode when the driver
 // (running inside a test) re-execs it: os.Executable() is the test binary
@@ -13,6 +23,10 @@ import (
 // normal `go test` invocation.
 func TestMain(m *testing.M) {
 	if os.Getenv("NETSIM_WORKER") == "1" {
+		if slices.Contains(os.Args, wedgeSeed) {
+			fmt.Println("READY")
+			select {}
+		}
 		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 	}
 	os.Exit(m.Run())
@@ -23,14 +37,21 @@ func TestParseArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.n != 64 || opts.procs != 3 || opts.scenario.Name != "partition" {
-		t.Fatalf("parsed %+v", opts)
+	if opts.p.N != 64 || opts.p.Sockets.Procs != 3 || opts.p.Scenario.Name != "partition" {
+		t.Fatalf("parsed %+v", opts.p)
 	}
-	if opts.period == 0 {
+	if opts.p.Period == 0 {
 		t.Fatal("default period not resolved")
 	}
-	if _, err := parseArgs([]string{"-scenario", "latency"}); err == nil {
-		t.Fatal("latency scenario accepted")
+	// One parser for every campaign CLI: each built-in resolves by name.
+	// (Latency parses too; the worker's plan expansion is what rejects it.)
+	for _, sc := range livenet.Builtins() {
+		if got, err := parseArgs([]string{"-scenario", sc.Name}); err != nil || got.p.Scenario.Name != sc.Name {
+			t.Fatalf("scenario %q: parsed %+v, err %v", sc.Name, got, err)
+		}
+	}
+	if _, err := parseArgs([]string{"-scenario", "meteor"}); err == nil {
+		t.Fatal("unknown scenario accepted")
 	}
 	if _, err := parseArgs([]string{"-procs", "0"}); err == nil {
 		t.Fatal("zero procs accepted")
@@ -72,5 +93,30 @@ func TestNetsimSmoke(t *testing.T) {
 	}
 	if rows == 0 {
 		t.Errorf("no data rows emitted:\n%s", got)
+	}
+}
+
+// TestDriverKillsWedgedWorker: a worker that stops answering must not hang
+// the driver. Both workers answer READY and then nothing; the driver has to
+// give up after its deadline, name the worker and the line it owed, and
+// kill the children (the deferred reaping would block forever otherwise).
+func TestDriverKillsWedgedWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	args := []string{"-n", "8", "-procs", "2", "-cycles", "3", "-period", "10ms", "-seed", wedgeSeed}
+	opts, err := parseArgs(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- runDriver(opts, args, 200*time.Millisecond, io.Discard, io.Discard) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "cycle 0: worker 0: no POINT line within 200ms") {
+			t.Fatalf("driver error = %v, want the wedged worker and the line it owed", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("driver still waiting on a wedged worker")
 	}
 }

@@ -1,28 +1,25 @@
 // Package experiment is the measurement harness reproducing the paper's
-// evaluation (Section 5). It wires N simulated nodes — sampling layer plus
-// bootstrap layer — into a deterministic simnet, runs the bootstrap
-// protocol, and samples per-cycle convergence: the proportion of missing
-// leaf-set entries and missing prefix-table entries across the whole
-// network, the exact metrics of Figures 3 and 4.
+// evaluation (Section 5): start N nodes — sampling layer plus bootstrap
+// layer — and after each Δ measure the proportion of missing leaf-set and
+// prefix-table entries across the whole network against ground truth, the
+// exact metrics of Figures 3 and 4, until both are zero.
+//
+// That procedure is written once, in the trial driver (trial.go): the cycle
+// loop, the exact or sampled measurement, the stopping rule. A substrate
+// plugs in as an engine: simEngine runs the trial on the deterministic
+// simnet (Run, RunTrials), hostEngine on the goroutine host runtime over
+// livenet's in-memory link or transport's sockets (RunLive, RunLiveTrials,
+// and LiveShard + ShardRecorder for campaigns sharded across processes).
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
-	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/flat"
 	"repro/internal/id"
 	"repro/internal/memstats"
-	"repro/internal/newscast"
-	"repro/internal/peer"
-	"repro/internal/sampling"
 	"repro/internal/simnet"
-	"repro/internal/truth"
 )
 
 // SamplerKind selects the peer sampling implementation under the bootstrap
@@ -117,13 +114,11 @@ type Params struct {
 	// costs seconds per cycle. Zero (the default) measures every node.
 	// Sampling touches only the measurement plane — the protocol trace
 	// is bit-identical either way. A cycle whose sample shows zero
-	// missing entries does not count as converged on the sample's word
-	// alone: the runner re-checks with one exact MeasureAll over the full
-	// population and only declares convergence when that confirms, so an
-	// optimistic sample costs one full measurement instead of ending the
-	// run early. When the confirmation refutes the sample, the exact
-	// measurement replaces it as that cycle's reported Point (recognisable
-	// by SampleSize == 0); confirmed cycles keep the sampled estimate.
+	// missing entries only counts as converged once one exact MeasureAll
+	// over the full population confirms it (see trial.measure). When the
+	// confirmation refutes the sample, the exact measurement replaces it
+	// as that cycle's reported Point (recognisable by SampleSize == 0);
+	// confirmed cycles keep the sampled estimate.
 	MeasureSample int
 	// MeasureConfidence is the two-sided confidence level of the sampled
 	// estimator's intervals; 0 selects 0.95. Ignored for full
@@ -163,14 +158,8 @@ type Join struct {
 
 // Validate checks the parameters.
 func (p Params) Validate() error {
-	if p.N < 2 {
-		return errors.New("experiment: N must be at least 2")
-	}
-	if p.MaxCycles < 1 {
-		return errors.New("experiment: MaxCycles must be positive")
-	}
-	if p.Drop < 0 || p.Drop >= 1 {
-		return fmt.Errorf("experiment: Drop = %v out of [0, 1)", p.Drop)
+	if err := validateShared("", p.N, p.MaxCycles, p.Drop, p.WarmupCycles, p.measureSpec()); err != nil {
+		return err
 	}
 	if p.Churn.Rate < 0 || p.Churn.Rate > 1 {
 		return fmt.Errorf("experiment: churn rate = %v out of [0, 1]", p.Churn.Rate)
@@ -181,19 +170,36 @@ func (p Params) Validate() error {
 	if len(p.IDs) != 0 && len(p.IDs) != p.N {
 		return fmt.Errorf("experiment: %d explicit IDs for N = %d", len(p.IDs), p.N)
 	}
-	if p.MeasureWorkers < 0 {
-		return fmt.Errorf("experiment: MeasureWorkers = %d must not be negative", p.MeasureWorkers)
-	}
-	if p.MeasureSample < 0 {
-		return fmt.Errorf("experiment: MeasureSample = %d must not be negative", p.MeasureSample)
-	}
-	if p.MeasureConfidence < 0 || p.MeasureConfidence >= 1 {
-		return fmt.Errorf("experiment: MeasureConfidence = %v out of [0, 1)", p.MeasureConfidence)
-	}
 	if p.Shards < 0 {
 		return fmt.Errorf("experiment: Shards = %d must not be negative", p.Shards)
 	}
 	return p.Config.Validate()
+}
+
+func (p Params) measureSpec() measureSpec {
+	return measureSpec{p.MeasureSample, p.MeasureConfidence, p.MeasureWorkers}
+}
+
+// validateShared checks what Params and LiveParams have in common; kind
+// ("" or "live ") names the struct in the message.
+func validateShared(kind string, n, cycles int, drop float64, warmup int, m measureSpec) error {
+	switch {
+	case n < 2:
+		return fmt.Errorf("experiment: %sN must be at least 2", kind)
+	case cycles < 1:
+		return fmt.Errorf("experiment: %scycle budget must be positive", kind)
+	case drop < 0 || drop >= 1:
+		return fmt.Errorf("experiment: %sDrop = %v out of [0, 1)", kind, drop)
+	case warmup < 0:
+		return fmt.Errorf("experiment: %sWarmupCycles = %d must not be negative", kind, warmup)
+	case m.workers < 0:
+		return fmt.Errorf("experiment: %sMeasureWorkers = %d must not be negative", kind, m.workers)
+	case m.sample < 0:
+		return fmt.Errorf("experiment: %sMeasureSample = %d must not be negative", kind, m.sample)
+	case m.confidence < 0 || m.confidence >= 1:
+		return fmt.Errorf("experiment: %sMeasureConfidence = %v out of [0, 1)", kind, m.confidence)
+	}
+	return nil
 }
 
 // Point is one per-cycle measurement across the whole network.
@@ -244,25 +250,8 @@ type Result struct {
 	HeapBytes uint64
 }
 
-// member is one node of the experiment network.
-type member struct {
-	desc  peer.Descriptor
-	boot  *core.Node
-	nc    *newscast.Protocol
-	alive bool
-	// joinCycle is the cycle the node was spawned in (0 for the initial
-	// population). Sampled measurement stratifies on it: nodes younger
-	// than freshAgeCycles are the "fresh" stratum (truth.Member.Fresh).
-	joinCycle int
-}
-
-// freshAgeCycles is the stratification boundary for sampled measurement: a
-// node that joined fewer than this many cycles before the measurement is
-// "fresh" — its structures are still mostly empty, so it sits in the other
-// mode of the bimodal missing-count mixture churn creates.
-const freshAgeCycles = 2
-
-// Run executes the experiment and returns the per-cycle series.
+// Run executes the experiment on the deterministic simulator and returns
+// the per-cycle series.
 func Run(p Params) (*Result, error) {
 	if p.Sampler == 0 {
 		p.Sampler = SamplerOracle
@@ -270,332 +259,20 @@ func Run(p Params) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	r := &runner{p: p}
-	return r.run()
-}
-
-type runner struct {
-	p       Params
-	net     *simnet.Network
-	rng     *rand.Rand // harness-level randomness (offsets, churn picks)
-	measRNG *rand.Rand // sampled-measurement draws; separate stream so
-	// enabling sampling never perturbs the protocol trace
-	idGen      *id.Generator
-	oracle     *sampling.Oracle
-	samplerSeq int64 // newscast sampler seed counter (spawn order)
-	members    []*member
-	byID       flat.Table[*member]
-	// arena backs every node's leaf-set and prefix-table blocks for the
-	// lifetime of the trial; churn victims return their blocks on kill.
-	arena *peer.DescriptorArena
-	// tr is the trial's ground-truth oracle. It is built once and then
-	// mutated incrementally by churn/join deltas — never rebuilt per
-	// cycle (the measurement plane's dominant cost at paper scale).
-	tr *truth.Truth
-	// aliveBuf and measBuf are reused across measure calls.
-	aliveBuf []*member
-	measBuf  []truth.Member
-	// cycle is the loop's current cycle index; spawn stamps it on new
-	// members so measurement can stratify by node age.
-	cycle int
-}
-
-func (r *runner) run() (*Result, error) {
-	p := r.p
-	r.net = simnet.New(simnet.Config{Seed: p.Seed, Drop: p.Drop, Shards: p.Shards})
-	r.rng = rand.New(rand.NewSource(p.Seed + 0x9e3779b9))
-	r.measRNG = rand.New(rand.NewSource(p.Seed + 0x5ca1ab1e))
-	r.idGen = id.NewGenerator(p.Seed + 0x7f4a7c15)
-	// Explicit initial IDs bypass the generator, so reserve them: later
-	// churn/join draws are then collision-free by construction (the
-	// generator never repeats a reserved or produced ID).
-	r.idGen.Reserve(p.IDs...)
-	r.byID.Reserve(p.N)
-	// One descriptor arena per trial: the harness owns it, every node's
-	// structures borrow blocks from it (core.Config.Arena), and applyChurn
-	// returns a victim's blocks the moment it is permanently retired.
-	r.arena = peer.NewDescriptorArena()
-	r.p.Config.Arena = r.arena
-
-	descs := make([]peer.Descriptor, p.N)
-	for i := 0; i < p.N; i++ {
-		nodeID := r.idGen.Next()
-		if len(p.IDs) == p.N {
-			nodeID = p.IDs[i]
-		}
-		descs[i] = peer.Descriptor{ID: nodeID, Addr: r.net.AddNode()}
-	}
-	r.oracle = sampling.NewOracle(descs, p.Seed+0x1234)
-
-	delta := p.Config.Delta
-	warmup := int64(0)
-	if p.Sampler == SamplerNewscast {
-		warmup = int64(p.WarmupCycles) * delta
-	}
-	for i := 0; i < p.N; i++ {
-		m, err := r.spawn(descs[i], warmup)
-		if err != nil {
-			return nil, err
-		}
-		r.members = append(r.members, m)
-	}
-	if p.Sampler == SamplerNewscast && warmup > 0 {
-		r.net.Run(warmup)
-	}
-	ids := make([]id.ID, len(r.members))
-	for i, m := range r.members {
-		ids[i] = m.desc.ID
-	}
-	tr, err := truth.New(ids, p.Config.B, p.Config.K, p.Config.C)
+	t, eng, err := newSimTrial(p)
 	if err != nil {
 		return nil, err
 	}
-	r.tr = tr
-
-	res := &Result{Params: p, ConvergedAt: -1}
-	start := r.net.Now()
-	for cycle := 0; cycle < p.MaxCycles; cycle++ {
-		r.cycle = cycle
-		if p.Churn.Active(cycle) {
-			if err := r.applyChurn(); err != nil {
-				return nil, err
-			}
-		}
-		if p.Join.Count > 0 && cycle == p.Join.Cycle {
-			if err := r.applyJoin(p.Join.Count); err != nil {
-				return nil, err
-			}
-		}
-		r.net.Run(start + int64(cycle+1)*delta)
-		pt := r.measure(cycle)
-		joinPending := p.Join.Count > 0 && cycle < p.Join.Cycle
-		perfect := pt.LeafMissing == 0 && pt.PrefixMissing == 0 && !joinPending
-		if perfect && pt.SampleSize > 0 {
-			// An all-perfect sample is only evidence, not proof: a small
-			// sample can miss every imperfect node. Confirm with one exact
-			// measurement before the run is allowed to stop (or stamp
-			// ConvergedAt). When the exact measurement disagrees it
-			// supersedes the sample as the reported point (SampleSize == 0
-			// marks it exact): the full measurement is already paid for,
-			// and an optimistic estimate the run itself refuted would
-			// misreport the convergence tail.
-			var agg truth.Aggregate
-			agg, perfect = r.confirmPerfect()
-			if !perfect {
-				pt = pointFromAggregate(cycle, agg, pt.Alive, pt.Sent, pt.Dropped, pt.WireUnits)
-			}
-		}
-		res.Points = append(res.Points, pt)
-		if perfect {
-			if res.ConvergedAt < 0 {
-				res.ConvergedAt = cycle
-			}
-			if !p.KeepRunningAfterPerfect {
-				break
-			}
-		}
-	}
-	res.Stats = r.net.Stats()
-	if p.MemStats {
-		if p.memCampaign != nil {
-			res.HeapBytes = p.memCampaign.Sample()
-		} else {
-			res.HeapBytes = memstats.HeapAlloc()
-		}
-	}
-	return res, nil
-}
-
-// confirmPerfect re-checks an all-perfect sampled measurement against the
-// full live population (measBuf still holds this cycle's members). Exact
-// integer counts, so "confirmed" means genuinely zero missing entries; the
-// aggregate is returned so a refuted sample's cycle can report the exact
-// measurement instead.
-func (r *runner) confirmPerfect() (truth.Aggregate, bool) {
-	agg := r.tr.MeasureAll(r.measBuf, r.p.MeasureWorkers)
-	return agg, agg.LeafMissing == 0 && agg.PrefixMissing == 0
-}
-
-// spawn creates a node: its sampling instance (live NEWSCAST or shared
-// oracle) and its bootstrap instance, attached with a random start offset
-// within one Δ, as the paper prescribes.
-func (r *runner) spawn(d peer.Descriptor, bootstrapStart int64) (*member, error) {
-	p := r.p
-	m := &member{desc: d, alive: true, joinCycle: r.cycle}
-	var svc sampling.Service
-	switch p.Sampler {
-	case SamplerNewscast:
-		// Seed the view with a few random contacts (the "bootstrap
-		// server" a joining node would contact in practice).
-		m.nc = newscast.New(d, r.oracle.Sample(5), newscast.DefaultViewSize)
-		if err := r.net.Attach(d.Addr, newscast.ProtoID, m.nc, p.Config.Delta, r.rng.Int63n(p.Config.Delta)); err != nil {
-			return nil, fmt.Errorf("attach newscast: %w", err)
-		}
-		// The adapter draws from the co-located view through its own
-		// seeded stream instead of the node's engine RNG, and gives
-		// the bootstrap layer the AppendSampler fast path.
-		r.samplerSeq++
-		svc = newscast.NewSampler(m.nc, p.Seed+0x51*r.samplerSeq)
-	default:
-		if p.Shards > 1 {
-			// Parallel dispatch would interleave draws on the shared
-			// oracle stream in worker order, making the trace depend on
-			// scheduling. Give every node its own deterministic Stream
-			// keyed by spawn order instead (livenet does the same); the
-			// node's draw sequence is then a pure function of the seed
-			// and invariant across shard counts.
-			r.samplerSeq++
-			svc = r.oracle.Stream(r.samplerSeq)
-		} else {
-			svc = r.oracle
-		}
-	}
-	boot, err := core.NewNode(d, p.Config, svc)
-	if err != nil {
+	if err := t.run(p.MaxCycles); err != nil {
 		return nil, err
 	}
-	m.boot = boot
-	offset := bootstrapStart + r.rng.Int63n(p.Config.Delta)
-	if err := r.net.Attach(d.Addr, core.ProtoID, boot, p.Config.Delta, offset); err != nil {
-		return nil, fmt.Errorf("attach bootstrap: %w", err)
-	}
-	r.byID.Put(d.ID, m)
-	return m, nil
-}
-
-// applyChurn replaces Rate*N random live nodes with fresh ones and applies
-// the delta to the trial's ground-truth oracle.
-func (r *runner) applyChurn() error {
-	n := int(r.p.Churn.Rate * float64(r.p.N))
-	if n == 0 && r.p.Churn.Rate > 0 {
-		n = 1
-	}
-	alive := r.aliveMembers()
-	if n > len(alive) {
-		n = len(alive)
-	}
-	perm := r.rng.Perm(len(alive))
-	removed := make([]id.ID, n)
-	for i := 0; i < n; i++ {
-		victim := alive[perm[i]]
-		victim.alive = false
-		r.net.Kill(victim.desc.Addr)
-		// A churned node never comes back (unlike a livenet Kill/Respawn):
-		// hand its structure blocks to the arena for the replacement wave.
-		victim.boot.Release()
-		r.oracle.Remove(victim.desc.ID)
-		r.byID.Delete(victim.desc.ID)
-		removed[i] = victim.desc.ID
-	}
-	added := make([]id.ID, n)
-	for i := 0; i < n; i++ {
-		d := peer.Descriptor{ID: r.idGen.Next(), Addr: r.net.AddNode()}
-		r.oracle.Add(d)
-		m, err := r.spawn(d, 0)
-		if err != nil {
-			return err
-		}
-		r.members = append(r.members, m)
-		added[i] = d.ID
-	}
-	return r.tr.Update(added, removed)
-}
-
-// applyJoin starts count fresh nodes within the coming cycle — a massive
-// simultaneous join. New nodes appear in the sampling layer immediately
-// (the paper's NEWSCAST handles that in a handful of cycles even after
-// doubling; with the oracle it is instant).
-func (r *runner) applyJoin(count int) error {
-	added := make([]id.ID, count)
-	for i := 0; i < count; i++ {
-		d := peer.Descriptor{ID: r.idGen.Next(), Addr: r.net.AddNode()}
-		r.oracle.Add(d)
-		m, err := r.spawn(d, 0)
-		if err != nil {
-			return err
-		}
-		r.members = append(r.members, m)
-		added[i] = d.ID
-	}
-	return r.tr.Update(added, nil)
-}
-
-func (r *runner) aliveMembers() []*member {
-	out := r.aliveBuf[:0]
-	for _, m := range r.members {
-		if m.alive {
-			out = append(out, m)
-		}
-	}
-	r.aliveBuf = out
-	return out
-}
-
-// measure computes the network-wide missing proportions against ground
-// truth for the current membership, sharding the per-node measurement
-// across MeasureWorkers goroutines. The simulator is quiescent between
-// Run calls, so the parallel readers see stable protocol state.
-func (r *runner) measure(cycle int) Point {
-	alive := r.aliveMembers()
-	ms := r.measBuf[:0]
-	for _, m := range alive {
-		ms = append(ms, truth.Member{
-			Self: m.desc.ID, Leaf: m.boot.Leaf(), Table: m.boot.Table(),
-			Fresh: cycle-m.joinCycle < freshAgeCycles,
-		})
-	}
-	r.measBuf = ms
-	st := r.net.Stats()
-	if r.p.MeasureSample > 0 {
-		sa := r.tr.MeasureSampleConf(ms, r.p.MeasureSample, r.p.MeasureConfidence, r.measRNG, r.p.MeasureWorkers)
-		return pointFromSampleAggregate(cycle, sa, len(alive), st.Sent, st.Dropped, st.WireUnits)
-	}
-	agg := r.tr.MeasureAll(ms, r.p.MeasureWorkers)
-	return pointFromAggregate(cycle, agg, len(alive), st.Sent, st.Dropped, st.WireUnits)
-}
-
-// pointFromAggregate converts MeasureAll's integer sums into the per-cycle
-// Point both engines report (wireUnits is 0 under livenet, which does no
-// descriptor-unit accounting).
-func pointFromAggregate(cycle int, agg truth.Aggregate, alive int, sent, dropped, wireUnits int64) Point {
-	pt := Point{
-		Cycle:         cycle,
-		LeafPerfect:   agg.LeafPerfect,
-		PrefixPerfect: agg.PrefixPerfect,
-		LeafDead:      agg.LeafDead,
-		PrefixDead:    agg.PrefixDead,
-		Alive:         alive,
-		Sent:          sent,
-		Dropped:       dropped,
-		WireUnits:     wireUnits,
-	}
-	if agg.LeafTotal > 0 {
-		pt.LeafMissing = float64(agg.LeafMissing) / float64(agg.LeafTotal)
-	}
-	if agg.PrefixTotal > 0 {
-		pt.PrefixMissing = float64(agg.PrefixMissing) / float64(agg.PrefixTotal)
-	}
-	return pt
-}
-
-// pointFromSampleAggregate converts a sampled measurement into a Point:
-// estimated missing proportions with their interval half-widths, and the
-// per-node count metrics scaled from the sample to the live population.
-func pointFromSampleAggregate(cycle int, sa truth.SampleAggregate, alive int, sent, dropped, wireUnits int64) Point {
-	pt := pointFromAggregate(cycle, sa.Sums, alive, sent, dropped, wireUnits)
-	pt.LeafMissing = sa.LeafMissing.Mean
-	pt.PrefixMissing = sa.PrefixMissing.Mean
-	if sa.Exact {
-		return pt
-	}
-	pt.LeafCI, pt.PrefixCI = sa.LeafMissing.CI, sa.PrefixMissing.CI
-	pt.SampleSize = sa.SampleSize
-	scale := float64(sa.Population) / float64(sa.SampleSize)
-	pt.LeafPerfect = int(math.Round(float64(pt.LeafPerfect) * scale))
-	pt.PrefixPerfect = int(math.Round(float64(pt.PrefixPerfect) * scale))
-	pt.LeafDead = int(math.Round(float64(pt.LeafDead) * scale))
-	pt.PrefixDead = int(math.Round(float64(pt.PrefixDead) * scale))
-	return pt
+	return &Result{
+		Params:      p,
+		Points:      t.rec.points,
+		ConvergedAt: t.rec.convergedAt,
+		Stats:       eng.net.Stats(),
+		HeapBytes:   captureHeap(p.MemStats, p.memCampaign),
+	}, nil
 }
 
 // WriteCSV emits the per-cycle series with a header, one row per cycle.
@@ -612,21 +289,10 @@ func (res *Result) WriteCSV(w io.Writer) error {
 		return err
 	}
 	for _, pt := range res.Points {
-		row := strconv.Itoa(pt.Cycle) + "," +
-			strconv.FormatFloat(pt.LeafMissing, 'e', 6, 64) + "," +
-			strconv.FormatFloat(pt.PrefixMissing, 'e', 6, 64) + "," +
-			strconv.Itoa(pt.LeafPerfect) + "," +
-			strconv.Itoa(pt.PrefixPerfect) + "," +
-			strconv.Itoa(pt.LeafDead) + "," +
-			strconv.Itoa(pt.PrefixDead) + "," +
-			strconv.Itoa(pt.Alive) + "," +
-			strconv.FormatInt(pt.Sent, 10) + "," +
-			strconv.FormatInt(pt.Dropped, 10) + "," +
-			strconv.FormatInt(pt.WireUnits, 10)
+		row := fmt.Sprintf("%d,%.6e,%.6e,%d,%d,%d,%d,%d,%d,%d,%d", pt.Cycle, pt.LeafMissing, pt.PrefixMissing,
+			pt.LeafPerfect, pt.PrefixPerfect, pt.LeafDead, pt.PrefixDead, pt.Alive, pt.Sent, pt.Dropped, pt.WireUnits)
 		if sampled {
-			row += "," + strconv.FormatFloat(pt.LeafCI, 'e', 6, 64) +
-				"," + strconv.FormatFloat(pt.PrefixCI, 'e', 6, 64) +
-				"," + strconv.Itoa(pt.SampleSize)
+			row += fmt.Sprintf(",%.6e,%.6e,%d", pt.LeafCI, pt.PrefixCI, pt.SampleSize)
 		}
 		if _, err := fmt.Fprintln(w, row); err != nil {
 			return err
@@ -635,11 +301,12 @@ func (res *Result) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// Final returns the last measured point. It returns a zero Point for an
-// empty series.
-func (res *Result) Final() Point {
-	if len(res.Points) == 0 {
+// Final returns the last measured point (zero Point for an empty series).
+func (res *Result) Final() Point { return lastPoint(res.Points) }
+
+func lastPoint(pts []Point) Point {
+	if len(pts) == 0 {
 		return Point{}
 	}
-	return res.Points[len(res.Points)-1]
+	return pts[len(pts)-1]
 }

@@ -4,29 +4,26 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/id"
+	"repro/internal/host"
 	"repro/internal/livenet"
 	"repro/internal/memstats"
-	"repro/internal/newscast"
-	"repro/internal/peer"
-	"repro/internal/sampling"
 	"repro/internal/truth"
 )
 
 // LiveParams configures one live campaign trial: the bootstrap protocol
-// running on the concurrent goroutine runtime (package livenet) under a
-// churn/failure scenario, with wall-clock cycles instead of virtual time.
-// The sampling layer is the oracle — the paper's operating assumption —
-// so campaigns isolate the bootstrap layer's behaviour under real
-// concurrency and injected faults.
+// running on the concurrent goroutine host runtime (internal/host) under a
+// churn/failure scenario, with wall-clock cycles instead of virtual time —
+// over livenet's in-memory link, or over real loopback sockets (Sockets).
+// By default the sampling layer is the oracle — the paper's operating
+// assumption — so campaigns isolate the bootstrap layer's behaviour under
+// real concurrency and injected faults.
 type LiveParams struct {
-	// N is the network size (one goroutine-backed host per node).
+	// N is the network size (one goroutine-backed host per node), summed
+	// over all processes of a sharded socket campaign.
 	N int
 	// Config holds the bootstrap protocol parameters. Delta is ignored;
 	// Period is the wall-clock gossip period.
@@ -39,13 +36,20 @@ type LiveParams struct {
 	// Drop is the initial per-message loss probability (scenarios may
 	// change it mid-run).
 	Drop float64
-	// MinLatency and MaxLatency bound the initial delivery latency.
+	// MinLatency and MaxLatency bound the initial delivery latency the
+	// in-memory link injects. They must be zero on sockets, where the
+	// kernel provides the latency.
 	MinLatency, MaxLatency time.Duration
-	// InboxSize bounds each host's inbox (zero selects the livenet
+	// InboxSize bounds each host's inbox (zero selects the engine
 	// default).
 	InboxSize int
+	// Sockets, when non-nil, runs the trial over real loopback sockets
+	// (package transport) instead of the in-memory link; it says where
+	// this process sits in the campaign. The link carries only bootstrap
+	// messages, so the sampler must be the oracle.
+	Sockets *Sockets
 	// Scenario is the churn/failure schedule; the zero value runs
-	// failure-free.
+	// failure-free. Latency events need the in-memory link.
 	Scenario livenet.Scenario
 	// KeepRunningAfterPerfect continues to Cycles even after perfection.
 	KeepRunningAfterPerfect bool
@@ -55,8 +59,9 @@ type LiveParams struct {
 	MeasureWorkers int
 	// MeasureSample, when positive and smaller than the live population,
 	// measures a uniform node sample per cycle instead of the whole
-	// network (see Params.MeasureSample) — under livenet it additionally
-	// shrinks the pause-the-world window from O(N) to O(sample).
+	// network (see Params.MeasureSample) — here it additionally shrinks
+	// the pause-the-world window from O(N) to O(sample). Single-process
+	// only: a sharded campaign sums exact per-process counts.
 	MeasureSample int
 	// MeasureConfidence is the two-sided confidence level of the sampled
 	// estimator's intervals; 0 selects 0.95.
@@ -84,6 +89,30 @@ type LiveParams struct {
 	memCampaign *memstats.Campaign
 }
 
+// Sockets places a trial on transport's port-indexed localhost topology —
+// deployment settings, not protocol parameters.
+type Sockets struct {
+	// Procs shards the campaign over OS processes (zero selects 1); Proc
+	// is this process's shard in [0, Procs). Process p owns the hosts with
+	// addr % Procs == p.
+	Procs, Proc int
+	// BasePort indexes the topology: process p listens on BasePort+p.
+	BasePort int
+	// QueueSize bounds each per-peer send queue (zero selects the
+	// transport default).
+	QueueSize int
+	// UDP selects datagram sockets (see transport.Config.UDP).
+	UDP bool
+}
+
+// procs is the campaign's process count; 1 for the in-memory link.
+func (s *Sockets) procs() int {
+	if s == nil || s.Procs <= 0 {
+		return 1
+	}
+	return s.Procs
+}
+
 // liveTicksPerCoreSecond is the sustained protocol-callback throughput
 // one core absorbs with headroom to spare for the measurement barrier:
 // each tick triggers a request and a reply, together ~100µs of leaf-set/
@@ -99,18 +128,13 @@ const liveTicksPerCoreSecond = 5000
 // scheduler queues — measured convergence then reflects the overload, not
 // the protocol. Clamped to [10ms, 10s].
 func DefaultLivePeriod(n, concurrent int) time.Duration {
-	if concurrent < 1 {
-		concurrent = 1
-	}
 	cores := runtime.GOMAXPROCS(0)
-	p := time.Duration(int64(n) * int64(concurrent) * int64(time.Second) / int64(cores*liveTicksPerCoreSecond))
-	if p < 10*time.Millisecond {
-		p = 10 * time.Millisecond
-	}
-	if p > 10*time.Second {
-		p = 10 * time.Second
-	}
-	return p
+	p := time.Duration(int64(n) * int64(max(concurrent, 1)) * int64(time.Second) / int64(cores*liveTicksPerCoreSecond))
+	return min(max(p, 10*time.Millisecond), 10*time.Second)
+}
+
+func (p LiveParams) measureSpec() measureSpec {
+	return measureSpec{p.MeasureSample, p.MeasureConfidence, p.MeasureWorkers}
 }
 
 func (p LiveParams) withDefaults(concurrent int) LiveParams {
@@ -124,14 +148,8 @@ func (p LiveParams) withDefaults(concurrent int) LiveParams {
 
 // Validate checks the parameters.
 func (p LiveParams) Validate() error {
-	if p.N < 2 {
-		return errors.New("experiment: live N must be at least 2")
-	}
-	if p.Cycles < 1 {
-		return errors.New("experiment: live Cycles must be positive")
-	}
-	if p.Drop < 0 || p.Drop >= 1 {
-		return fmt.Errorf("experiment: live Drop = %v out of [0, 1)", p.Drop)
+	if err := validateShared("live ", p.N, p.Cycles, p.Drop, p.WarmupCycles, p.measureSpec()); err != nil {
+		return err
 	}
 	if p.Period < 0 {
 		return errors.New("experiment: live Period must not be negative")
@@ -139,22 +157,24 @@ func (p LiveParams) Validate() error {
 	if p.MinLatency < 0 || p.MaxLatency < 0 {
 		return errors.New("experiment: live latency bounds must not be negative")
 	}
-	if p.MeasureWorkers < 0 {
-		return fmt.Errorf("experiment: live MeasureWorkers = %d must not be negative", p.MeasureWorkers)
-	}
-	if p.MeasureSample < 0 {
-		return fmt.Errorf("experiment: live MeasureSample = %d must not be negative", p.MeasureSample)
-	}
-	if p.MeasureConfidence < 0 || p.MeasureConfidence >= 1 {
-		return fmt.Errorf("experiment: live MeasureConfidence = %v out of [0, 1)", p.MeasureConfidence)
-	}
-	if p.WarmupCycles < 0 {
-		return fmt.Errorf("experiment: live WarmupCycles = %d must not be negative", p.WarmupCycles)
+	if s := p.Sockets; s != nil {
+		if s.Proc < 0 || s.Proc >= s.procs() {
+			return fmt.Errorf("experiment: live Sockets.Proc = %d out of [0, %d)", s.Proc, s.procs())
+		}
+		if p.Sampler == SamplerNewscast {
+			return errors.New("experiment: the socket link carries only bootstrap messages; NEWSCAST needs the in-memory link")
+		}
+		if p.MinLatency != 0 || p.MaxLatency != 0 {
+			return errors.New("experiment: latency bounds need the in-memory link (the kernel provides the latency on sockets)")
+		}
+		if p.MeasureSample > 0 && s.procs() > 1 {
+			return errors.New("experiment: sampled measurement is single-process (partial sums need exact counts)")
+		}
 	}
 	return p.Config.Validate()
 }
 
-// LiveResult is the outcome of one live trial.
+// LiveResult is the outcome of one live trial, on either link.
 type LiveResult struct {
 	Params LiveParams
 	Seed   int64
@@ -162,14 +182,15 @@ type LiveResult struct {
 	// given (seed, scenario), unlike the message interleaving.
 	Schedule []livenet.Event
 	// Points holds one entry per completed cycle. WireUnits is always 0:
-	// the livenet engine does not do descriptor-unit accounting.
+	// the host runtime does not do descriptor-unit accounting.
 	Points []Point
 	// ConvergedAt is the first cycle at which both structures were
 	// perfect at every live node, or -1.
 	ConvergedAt int
-	// Stats is the final network traffic snapshot (conserved: Sent ==
-	// Delivered + Dropped + Overflow after shutdown).
-	Stats livenet.Stats
+	// Stats is the final network traffic snapshot, conserved: Sent ==
+	// Delivered + Dropped + Overflow — exactly after the in-memory link's
+	// shutdown, at quiescence on sockets (a lower bound under UDP).
+	Stats host.Stats
 	// Killed and Respawned count lifecycle events applied by the
 	// scenario.
 	Killed, Respawned int
@@ -179,296 +200,153 @@ type LiveResult struct {
 }
 
 // Final returns the last measured point (zero Point for an empty series).
-func (res *LiveResult) Final() Point {
-	if len(res.Points) == 0 {
-		return Point{}
-	}
-	return res.Points[len(res.Points)-1]
+func (res *LiveResult) Final() Point { return lastPoint(res.Points) }
+
+// WriteCSV emits the trial as a one-trial campaign in the shared aggregate
+// CSV format (see LiveTrialsResult.WriteCSV).
+func (res *LiveResult) WriteCSV(w io.Writer) error {
+	agg := aggregateSeries([][]Point{res.Points}, []int{res.ConvergedAt})
+	return writeAggCSV(w, agg, res.Params.MeasureSample > 0)
 }
 
-// liveMember is one node of the campaign network.
-type liveMember struct {
-	desc  peer.Descriptor
-	host  *livenet.Host
-	node  *core.Node
-	nc    *newscast.Protocol // non-nil under SamplerNewscast
-	alive bool
+// newLiveTrial validates p, then opens, wires and starts this process's
+// share of the trial. The engine's p has the defaults resolved.
+func newLiveTrial(p LiveParams, seed int64) (*trial, *hostEngine, error) {
+	p = p.withDefaults(1)
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	eng, err := openHostEngine(p, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := newTrial(eng, eng.ids(), p.Config, seed, p.measureSpec(), p.KeepRunningAfterPerfect)
+	if err == nil {
+		err = eng.rt.Start()
+	}
+	if err != nil {
+		eng.rt.Close()
+		return nil, nil, err
+	}
+	time.Sleep(eng.warmup) // the NEWSCAST layer gossips alone before cycle 0
+	return t, eng, nil
 }
 
 // RunLive executes one live trial: N hosts on the concurrent runtime,
 // scenario events applied at cycle boundaries, and a pause-the-world
 // measurement (PauseAll/ResumeAll) of the convergence metrics each cycle.
+// It runs the whole network in this process; the shards of a multi-process
+// socket campaign are stepped through OpenLiveShard instead.
 func RunLive(p LiveParams, seed int64) (*LiveResult, error) {
-	p = p.withDefaults(1)
-	if err := p.Validate(); err != nil {
-		return nil, err
+	if p.Sockets.procs() != 1 {
+		return nil, errors.New("experiment: RunLive is single-process; step the shards of a multi-process campaign with OpenLiveShard (cmd/netsim)")
 	}
-
-	net := livenet.New(livenet.Config{
-		Seed:       seed,
-		Drop:       p.Drop,
-		MinLatency: p.MinLatency,
-		MaxLatency: p.MaxLatency,
-		InboxSize:  p.InboxSize,
-	})
-	defer net.Close()
-
-	ids := id.Unique(p.N, seed+0x11)
-	descs := make([]peer.Descriptor, p.N)
-	members := make([]*liveMember, p.N)
-	for i := 0; i < p.N; i++ {
-		h := net.AddHost()
-		descs[i] = peer.Descriptor{ID: ids[i], Addr: h.Addr()}
-		members[i] = &liveMember{desc: descs[i], host: h, alive: true}
-	}
-	oracle := sampling.NewOracle(descs, seed+0x1234)
-	rng := rand.New(rand.NewSource(seed + 0x9e3779b9))
-	measRNG := rand.New(rand.NewSource(seed + 0x5ca1ab1e))
-	// One arena per trial, shared by every host's node. Blocks are never
-	// released during the run: a killed host keeps its protocol state for
-	// Respawn (the crash-recovery model), so its blocks stay owned by the
-	// node for the whole trial. The arena's win here is batching: ~3 block
-	// allocations per node become one chunk allocation per 256 blocks.
-	cfg := p.Config
-	cfg.Arena = peer.NewDescriptorArena()
-	warmup := time.Duration(0)
-	if p.Sampler == SamplerNewscast {
-		warmup = time.Duration(p.WarmupCycles) * p.Period
-	}
-	for i, m := range members {
-		// Each node samples through its own handle — an oracle Stream
-		// or a newscast Sampler — so the per-tick sample path never
-		// takes a shared lock: concurrent hosts do not contend.
-		var svc sampling.Service
-		if p.Sampler == SamplerNewscast {
-			m.nc = newscast.New(m.desc, oracle.Sample(5), newscast.DefaultViewSize)
-			ncOffset := time.Duration(rng.Int63n(int64(p.Period)))
-			if err := m.host.Attach(newscast.ProtoID, m.nc, p.Period, ncOffset); err != nil {
-				return nil, fmt.Errorf("attach newscast: %w", err)
-			}
-			svc = newscast.NewSampler(m.nc, seed+0x51*int64(i+1))
-		} else {
-			svc = oracle.Stream(int64(i))
-		}
-		node, err := core.NewNode(m.desc, cfg, svc)
-		if err != nil {
-			return nil, err
-		}
-		m.node = node
-		offset := warmup + time.Duration(rng.Int63n(int64(p.Period)))
-		if err := m.host.Attach(core.ProtoID, node, p.Period, offset); err != nil {
-			return nil, fmt.Errorf("attach bootstrap: %w", err)
-		}
-	}
-
-	schedule := p.Scenario.Events(seed, p.N, p.Cycles)
-	byCycle := make(map[int][]livenet.Event, len(schedule))
-	lastEvent := -1
-	for _, e := range schedule {
-		byCycle[e.Cycle] = append(byCycle[e.Cycle], e)
-		if e.Cycle > lastEvent {
-			lastEvent = e.Cycle
-		}
-	}
-
-	if err := net.Start(); err != nil {
-		return nil, err
-	}
-	// Let the NEWSCAST layer gossip alone through the warmup window; the
-	// bootstrap bindings' offsets already delay their first tick past it.
-	if warmup > 0 {
-		time.Sleep(warmup)
-	}
-
-	// The trial's ground-truth oracle: built once, then patched with the
-	// kill/respawn deltas of each cycle's scenario events. Membership
-	// only changes via applyLiveEvent (same goroutine), so the patch
-	// happens before pausing the world — the stop-the-world window then
-	// covers only the actual state inspection, not the truth derivation.
-	tr, err := truth.New(ids, p.Config.B, p.Config.K, p.Config.C)
+	t, eng, err := newLiveTrial(p, seed)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &LiveResult{Params: p, Seed: seed, Schedule: schedule, ConvergedAt: -1}
-	var measBuf []truth.Member
-	for cycle := 0; cycle < p.Cycles; cycle++ {
-		for _, e := range byCycle[cycle] {
-			added, removed, err := applyLiveEvent(net, members, oracle, rng, e, res)
-			if err != nil {
-				return nil, err
-			}
-			if len(added) > 0 || len(removed) > 0 {
-				if err := tr.Update(added, removed); err != nil {
-					return nil, err
-				}
-			}
-		}
-		time.Sleep(p.Period)
-
-		net.PauseAll()
-		ms := measBuf[:0]
-		alive := 0
-		for _, m := range members {
-			if !m.alive {
-				continue
-			}
-			alive++
-			ms = append(ms, truth.Member{Self: m.desc.ID, Leaf: m.node.Leaf(), Table: m.node.Table()})
-		}
-		measBuf = ms
-		var pt Point
-		confirmed := true
-		st := net.Snapshot()
-		if p.MeasureSample > 0 {
-			sa := tr.MeasureSampleConf(ms, p.MeasureSample, p.MeasureConfidence, measRNG, p.MeasureWorkers)
-			pt = pointFromSampleAggregate(cycle, sa, alive, st.Sent, st.Dropped, 0)
-			if pt.LeafMissing == 0 && pt.PrefixMissing == 0 && pt.SampleSize > 0 {
-				// An all-perfect sample can simply have missed every
-				// imperfect node; confirm with one exact measurement while
-				// the world is still paused before the convergence check
-				// below may trust it. When the exact measurement disagrees
-				// it supersedes the sample as the reported point (SampleSize
-				// == 0 marks it exact): the full measurement is already paid
-				// for, and an optimistic estimate the run itself refuted
-				// would misreport the convergence tail.
-				agg := tr.MeasureAll(ms, p.MeasureWorkers)
-				confirmed = agg.LeafMissing == 0 && agg.PrefixMissing == 0
-				if !confirmed {
-					pt = pointFromAggregate(cycle, agg, alive, st.Sent, st.Dropped, 0)
-				}
-			}
-		} else {
-			agg := tr.MeasureAll(ms, p.MeasureWorkers)
-			pt = pointFromAggregate(cycle, agg, alive, st.Sent, st.Dropped, 0)
-		}
-		net.ResumeAll()
-
-		res.Points = append(res.Points, pt)
-		// Events apply at the start of their cycle and measurement runs
-		// at its end, so a perfect measurement at the last event's own
-		// cycle already reflects the fully applied fault plan.
-		if pt.LeafMissing == 0 && pt.PrefixMissing == 0 && confirmed && cycle >= lastEvent {
-			if res.ConvergedAt < 0 {
-				res.ConvergedAt = cycle
-			}
-			if !p.KeepRunningAfterPerfect {
-				break
-			}
-		}
+	defer eng.rt.Close()
+	if err := t.run(eng.p.Cycles); err != nil {
+		return nil, err
 	}
-	if p.MemStats {
-		if p.memCampaign != nil {
-			res.HeapBytes = p.memCampaign.Sample()
-		} else {
-			res.HeapBytes = memstats.HeapAlloc()
-		}
+	res := &LiveResult{
+		Params: eng.p, Seed: seed, Schedule: eng.schedule,
+		Points: t.rec.points, ConvergedAt: t.rec.convergedAt,
+		Killed: eng.killed, Respawned: eng.respawned,
+		HeapBytes: captureHeap(p.MemStats, p.memCampaign),
 	}
-	net.Close()
-	res.Stats = net.Snapshot()
-	return res, nil
+	res.Stats, err = eng.finish()
+	return res, err
 }
 
-// applyLiveEvent executes one scenario event; it returns the membership
-// delta (IDs that joined and left) for the trial's ground-truth oracle.
-func applyLiveEvent(net *livenet.Network, members []*liveMember, oracle *sampling.Oracle, rng *rand.Rand, e livenet.Event, res *LiveResult) (added, removed []id.ID, err error) {
-	switch e.Op {
-	case livenet.OpKill:
-		var alive []*liveMember
-		for _, m := range members {
-			if m.alive {
-				alive = append(alive, m)
-			}
-		}
-		k := int(e.Frac * float64(len(alive)))
-		if k == 0 && e.Frac > 0 {
-			k = 1
-		}
-		// Never kill the whole network: keep at least two hosts so the
-		// survivors still have someone to gossip with.
-		if max := len(alive) - 2; k > max {
-			k = max
-		}
-		if k <= 0 {
-			return nil, nil, nil
-		}
-		perm := rng.Perm(len(alive))
-		// Kill the wave in parallel: each Kill blocks until the victim's
-		// goroutine exits, and paying those scheduler round-trips serially
-		// makes a 1000-host wave take minutes on a loaded machine.
-		var wg sync.WaitGroup
-		for i := 0; i < k; i++ {
-			victim := alive[perm[i]]
-			victim.alive = false
-			oracle.Remove(victim.desc.ID)
-			res.Killed++
-			removed = append(removed, victim.desc.ID)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				victim.host.Kill()
-			}()
-		}
-		wg.Wait()
-		return nil, removed, nil
-	case livenet.OpRespawn:
-		for _, m := range members {
-			if m.alive {
-				continue
-			}
-			if err := m.host.Respawn(); err != nil {
-				return added, nil, err
-			}
-			m.alive = true
-			oracle.Add(m.desc)
-			res.Respawned++
-			added = append(added, m.desc.ID)
-		}
-		return added, nil, nil
-	case livenet.OpPartition:
-		split := peer.Addr(e.Split)
-		net.SetPartition(func(from, to peer.Addr) bool {
-			return (from < split) != (to < split)
-		})
-		return nil, nil, nil
-	case livenet.OpHeal:
-		net.SetPartition(nil)
-		return nil, nil, nil
-	case livenet.OpSetDrop:
-		v := e.Value
-		if v < 0 {
-			v = res.Params.Drop // restore the configured baseline
-		}
-		net.SetDrop(v)
-		return nil, nil, nil
-	case livenet.OpSetLatency:
-		min, max := e.Min, e.Max
-		if min < 0 || max < 0 {
-			min, max = res.Params.MinLatency, res.Params.MaxLatency
-		}
-		net.SetLatency(min, max)
-		return nil, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("experiment: unknown scenario op %v", e.Op)
-	}
+// LiveShard is one process's share of a sharded socket campaign, stepped
+// one cycle at a time so a driver (cmd/netsim) can put its own barriers
+// between cycles. It is the same trial RunLive runs; only the stopping rule
+// moves to the driver's ShardRecorder, which sees the whole network.
+type LiveShard struct {
+	t   *trial
+	eng *hostEngine
 }
 
-// LiveTrialsResult is the outcome of a multi-trial live campaign.
-type LiveTrialsResult struct {
-	// Params is the shared configuration.
-	Params LiveParams
-	// Seeds are the per-trial seeds, in input order.
-	Seeds []int64
-	// Trials holds one full LiveResult per seed, index-aligned with
-	// Seeds.
-	Trials []*LiveResult
-	// Agg is the per-cycle aggregate series (see TrialsResult.Agg).
-	Agg []AggPoint
-	// Workers is the resolved worker-pool size the trials actually ran on.
-	Workers int
-	// Mem is the campaign heap tracker (see TrialsResult.Mem). Nil unless
-	// Params.MemStats was set.
-	Mem *memstats.Campaign
+// OpenLiveShard builds and starts the shard p.Sockets names.
+func OpenLiveShard(p LiveParams, seed int64) (*LiveShard, error) {
+	if p.Sockets == nil {
+		return nil, errors.New("experiment: a live shard needs LiveParams.Sockets")
+	}
+	t, eng, err := newLiveTrial(p, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &LiveShard{t: t, eng: eng}, nil
+}
+
+// Partial is one shard's report of one cycle: the exact measurement over
+// the members the shard owns, how many live nodes that covered, the
+// network-wide live count its fault plan implies, and its cumulative Sent
+// and Dropped counters.
+type Partial struct {
+	Agg               truth.Aggregate
+	LocalAlive, Alive int
+	Sent, Dropped     int64
+}
+
+// Step runs one campaign cycle on this shard: apply the cycle's faults, let
+// the network gossip for one period, pause the local hosts, measure the
+// local members against the global truth, resume.
+func (s *LiveShard) Step(cycle int) (Partial, error) { return s.t.partial(cycle) }
+
+// Drain quiesces this shard's traffic within DrainBudget: tick sources off,
+// then wait for the counters to settle. Campaign drivers call it on every
+// shard before summing final stats.
+func (s *LiveShard) Drain() bool { return s.eng.drain() }
+
+// Stats returns the shard-local traffic counters.
+func (s *LiveShard) Stats() host.Stats { return s.eng.rt.Snapshot() }
+
+// Close tears the shard down.
+func (s *LiveShard) Close() { s.eng.rt.Close() }
+
+// ShardRecorder is the driver's side of a sharded campaign: it turns the
+// shards' Partials into the per-cycle series and applies the trial driver's
+// stopping rule to them.
+type ShardRecorder struct {
+	res *LiveResult
+	rec recorder
+}
+
+// NewShardRecorder prepares the record of the campaign (p, seed).
+func NewShardRecorder(p LiveParams, seed int64) *ShardRecorder {
+	res := &LiveResult{Params: p, Seed: seed, Schedule: p.Scenario.Events(seed, p.N, p.Cycles)}
+	return &ShardRecorder{res: res, rec: newRecorder(lastFaultCycle(res.Schedule), p.KeepRunningAfterPerfect)}
+}
+
+// Record takes every shard's Partial of cycle, sums them — integer sums, so
+// the result is exactly the whole-network measurement — and reports whether
+// the campaign stops. Every shard expands the same fault plan: they must
+// agree on the live count, and together have measured that many nodes.
+func (r *ShardRecorder) Record(cycle int, parts []Partial) (stop bool, err error) {
+	var sum Partial
+	for _, p := range parts {
+		if p.Alive != parts[0].Alive {
+			return false, fmt.Errorf("experiment: cycle %d: shards disagree on membership (%d vs %d live) — fault plans diverged", cycle, parts[0].Alive, p.Alive)
+		}
+		sum.Agg.Add(p.Agg)
+		sum.LocalAlive += p.LocalAlive
+		sum.Sent += p.Sent
+		sum.Dropped += p.Dropped
+	}
+	if len(parts) == 0 || sum.LocalAlive != parts[0].Alive {
+		return false, fmt.Errorf("experiment: cycle %d: %d shards measured %d live nodes, not the whole network", cycle, len(parts), sum.LocalAlive)
+	}
+	pt := pointFromAggregate(cycle, sum.Agg, sum.LocalAlive, traffic{sent: sum.Sent, dropped: sum.Dropped})
+	return r.rec.record(pt, r.rec.settled(cycle) && exactlyPerfect(sum.Agg)), nil
+}
+
+// Result returns the campaign so far as a LiveResult; the caller fills in
+// Stats once the shards have drained.
+func (r *ShardRecorder) Result() *LiveResult {
+	r.res.Points, r.res.ConvergedAt = r.rec.points, r.rec.convergedAt
+	return r.res
 }
 
 // RunLiveTrials runs one independent live trial per seed, fanning the
@@ -478,76 +356,21 @@ type LiveTrialsResult struct {
 // the fault schedules are deterministic per seed, the interleavings are
 // not, which is exactly the point of the campaign.
 func RunLiveTrials(p LiveParams, seeds []int64, workers int) (*LiveTrialsResult, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("experiment: RunLiveTrials needs at least one seed")
-	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(seeds) {
-		workers = len(seeds)
+	tr, err := newCampaign[LiveParams, *LiveResult](seeds, workers, 1, p.MemStats)
+	if err != nil {
+		return nil, err
 	}
 	// Resolve the default period against the number of trials that will
 	// actually run at once, and share it across all trials so their
 	// per-cycle series aggregate like with like.
-	p = p.withDefaults(workers)
+	p = p.withDefaults(tr.Workers)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// Shared campaign tracker (see RunTrials): every trial samples the
-	// heap before its shutdown and the tracker keeps the high-water mark.
-	if p.MemStats {
-		p.memCampaign = memstats.StartCampaign()
+	p.memCampaign = tr.Mem
+	tr.Params, tr.sampled = p, p.MeasureSample > 0
+	if err := tr.run(func(seed int64) (*LiveResult, error) { return RunLive(p, seed) }); err != nil {
+		return nil, err
 	}
-
-	results := make([]*LiveResult, len(seeds))
-	errs := make([]error, len(seeds))
-	runPool(len(seeds), workers, func(i int) {
-		results[i], errs[i] = RunLive(p, seeds[i])
-	})
-
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("live trial %d (seed %d): %w", i, seeds[i], err)
-		}
-	}
-	series := make([][]Point, len(results))
-	conv := make([]int, len(results))
-	for i, r := range results {
-		series[i] = r.Points
-		conv[i] = r.ConvergedAt
-	}
-	return &LiveTrialsResult{
-		Params:  p,
-		Seeds:   seeds,
-		Trials:  results,
-		Agg:     aggregateSeries(series, conv),
-		Workers: workers,
-		Mem:     p.memCampaign,
-	}, nil
-}
-
-// ConvergedTrials counts trials that reached perfection.
-func (tr *LiveTrialsResult) ConvergedTrials() int {
-	n := 0
-	for _, t := range tr.Trials {
-		if t.ConvergedAt >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// TotalStats sums the traffic counters across trials.
-func (tr *LiveTrialsResult) TotalStats() livenet.Stats {
-	var total livenet.Stats
-	for _, t := range tr.Trials {
-		total.Add(t.Stats)
-	}
-	return total
-}
-
-// WriteCSV emits the aggregate per-cycle series with a header.
-func (tr *LiveTrialsResult) WriteCSV(w io.Writer) error {
-	return writeAggCSV(w, tr.Agg, tr.Params.MeasureSample > 0)
+	return tr, nil
 }

@@ -33,7 +33,14 @@ func TestLiveParamsValidate(t *testing.T) {
 		{"negative drop", func(p *LiveParams) { p.Drop = -0.1 }},
 		{"negative period", func(p *LiveParams) { p.Period = -time.Second }},
 		{"negative latency", func(p *LiveParams) { p.MaxLatency = -time.Millisecond }},
+		{"negative measure workers", func(p *LiveParams) { p.MeasureWorkers = -1 }},
+		{"negative warmup", func(p *LiveParams) { p.WarmupCycles = -1 }},
 		{"bad config", func(p *LiveParams) { p.Config.C = 3 }},
+		{"shard out of range", func(p *LiveParams) { p.Sockets = &Sockets{Procs: 2, Proc: 2, BasePort: 19000} }},
+		{"negative shard", func(p *LiveParams) { p.Sockets = &Sockets{Proc: -1, BasePort: 19000} }},
+		{"newscast over sockets", func(p *LiveParams) { p.Sockets = &Sockets{BasePort: 19000}; p.Sampler = SamplerNewscast }},
+		{"injected latency over sockets", func(p *LiveParams) { p.Sockets = &Sockets{BasePort: 19000}; p.MaxLatency = time.Millisecond }},
+		{"sampled sharded measurement", func(p *LiveParams) { p.Sockets = &Sockets{Procs: 2, BasePort: 19000}; p.MeasureSample = 4 }},
 	}
 	for _, tc := range cases {
 		p := good
@@ -41,6 +48,14 @@ func TestLiveParamsValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	sock := good
+	sock.Sockets = &Sockets{Procs: 2, Proc: 1, BasePort: 19000}
+	if err := sock.Validate(); err != nil {
+		t.Errorf("valid socket placement rejected: %v", err)
+	}
+	if _, err := RunLive(sock, 1); err == nil {
+		t.Error("RunLive accepted one shard of a two-process campaign")
 	}
 }
 
@@ -166,27 +181,65 @@ func TestLiveSchedulesDifferAcrossTrials(t *testing.T) {
 	}
 }
 
-func TestLivePartitionHealRecovers(t *testing.T) {
-	p := quickLiveParams(32, 24)
-	p.Scenario = livenet.ScenarioPartition
-	p.KeepRunningAfterPerfect = true
-	res, err := RunLive(p, 9)
-	if err != nil {
-		t.Fatal(err)
+// TestLiveScenariosOnBothLinks runs the same seeded campaigns through
+// RunLive over the in-memory link and over loopback sockets: one trial
+// driver, one scenario executor, two links.
+func TestLiveScenariosOnBothLinks(t *testing.T) {
+	links := []struct {
+		name    string
+		sockets *Sockets
+	}{
+		{"livenet", nil},
+		{"sockets", &Sockets{BasePort: 19440}},
 	}
-	// During the cut the global structures cannot be perfect (the oracle
-	// still samples both sides but messages across the boundary drop);
-	// after healing they must recover. Assert recovery rather than the
-	// exact degradation, which depends on scheduling.
-	final := res.Final()
-	if final.LeafMissing > 0.05 || final.PrefixMissing > 0.05 {
-		t.Errorf("no recovery after heal: final leaf=%e prefix=%e", final.LeafMissing, final.PrefixMissing)
-	}
-	if st := res.Stats; st.Sent != st.Delivered+st.Dropped+st.Overflow {
-		t.Errorf("counters not conserved: %+v", st)
-	}
-	if st := res.Stats; st.Dropped == 0 {
-		t.Error("partition scenario dropped no messages")
+	for _, link := range links {
+		t.Run(link.name+"/partition", func(t *testing.T) {
+			p := quickLiveParams(32, 24)
+			p.Sockets = link.sockets
+			p.Scenario = livenet.ScenarioPartition
+			p.KeepRunningAfterPerfect = true
+			res, err := RunLive(p, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// During the cut the global structures cannot be perfect (the
+			// oracle still samples both sides but messages across the
+			// boundary drop); after healing they must recover. Assert
+			// recovery rather than the exact degradation, which depends on
+			// scheduling.
+			final := res.Final()
+			if final.LeafMissing > 0.05 || final.PrefixMissing > 0.05 {
+				t.Errorf("no recovery after heal: final leaf=%e prefix=%e", final.LeafMissing, final.PrefixMissing)
+			}
+			if st := res.Stats; st.Sent != st.Delivered+st.Dropped+st.Overflow {
+				t.Errorf("counters not conserved: %+v", st)
+			}
+			if st := res.Stats; st.Dropped == 0 {
+				t.Error("partition scenario dropped no messages")
+			}
+		})
+		t.Run(link.name+"/churn", func(t *testing.T) {
+			p := quickLiveParams(48, 16)
+			p.Sockets = link.sockets
+			p.Scenario = livenet.ScenarioChurn
+			p.KeepRunningAfterPerfect = true
+			res, err := RunLive(p, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Killed == 0 || res.Killed != res.Respawned {
+				t.Errorf("killed=%d respawned=%d; the schedule pairs every wave with a respawn", res.Killed, res.Respawned)
+			}
+			if len(res.Points) != p.Cycles {
+				t.Errorf("%d points, want %d (KeepRunningAfterPerfect)", len(res.Points), p.Cycles)
+			}
+			if got := res.Final().Alive; got != p.N {
+				t.Errorf("final alive = %d, want %d after last respawn", got, p.N)
+			}
+			if st := res.Stats; st.Sent != st.Delivered+st.Dropped+st.Overflow {
+				t.Errorf("counters not conserved: %+v", st)
+			}
+		})
 	}
 }
 

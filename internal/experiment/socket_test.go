@@ -2,56 +2,135 @@ package experiment
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/livenet"
-	"repro/internal/transport"
-	"repro/internal/truth"
 )
 
 // TestSocketScheduleExpansion pins the properties the multi-process
 // driver depends on: the expansion is deterministic (two processes
-// expanding independently agree on every victim), kills and respawns
-// track a consistent alive set, and latency events are rejected.
+// expanding independently from identically seeded streams agree on every
+// victim), kills and respawns track a consistent alive set, and latency
+// events are rejected exactly when the link cannot inject latency.
 func TestSocketScheduleExpansion(t *testing.T) {
 	const n, cycles = 50, 30
 	schedule := livenet.ScenarioChurn.Events(7, n, cycles)
-	a, err := expandSocketSchedule(schedule, 7, n)
+	a, err := expandSchedule(schedule, n, rand.New(rand.NewSource(7)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := expandSocketSchedule(schedule, 7, n)
+	b, err := expandSchedule(schedule, n, rand.New(rand.NewSource(7)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("plan sizes differ or empty: %d vs %d", len(a), len(b))
+	if !reflect.DeepEqual(a, b) || len(a) == 0 {
+		t.Fatalf("two expansions differ or are empty:\n%v\n%v", a, b)
 	}
+	down := map[int]bool{}
 	kills := 0
-	for c, pa := range a {
-		pb := b[c]
-		if pb == nil {
-			t.Fatalf("cycle %d present in one expansion only", c)
-		}
-		if len(pa.kills) != len(pb.kills) {
-			t.Fatalf("cycle %d: kill counts differ", c)
-		}
-		for i := range pa.kills {
-			if pa.kills[i] != pb.kills[i] {
-				t.Fatalf("cycle %d: victim %d differs: %d vs %d", c, i, pa.kills[i], pb.kills[i])
+	for c := 0; c < cycles; c++ {
+		for _, f := range a[c] {
+			for _, addr := range f.addrs {
+				switch f.Op {
+				case livenet.OpKill:
+					if down[addr] {
+						t.Fatalf("cycle %d: host %d killed while already down", c, addr)
+					}
+					down[addr] = true
+					kills++
+				case livenet.OpRespawn:
+					if !down[addr] {
+						t.Fatalf("cycle %d: host %d respawned while up", c, addr)
+					}
+					delete(down, addr)
+				}
 			}
 		}
-		kills += len(pa.kills)
 	}
 	if kills == 0 {
 		t.Fatal("churn scenario expanded to zero kills")
 	}
+	if len(down) != 0 {
+		t.Fatalf("%d hosts still down after the last respawn", len(down))
+	}
 
 	lat := []livenet.Event{{Cycle: 1, Op: livenet.OpSetLatency, Min: time.Millisecond, Max: time.Millisecond}}
-	if _, err := expandSocketSchedule(lat, 1, n); err == nil {
-		t.Fatal("latency event accepted by socket expansion")
+	if _, err := expandSchedule(lat, n, rand.New(rand.NewSource(1)), false); err == nil || !strings.Contains(err.Error(), "does not support latency events") {
+		t.Fatalf("latency event on a link without latency injection: err = %v", err)
+	}
+	if plans, err := expandSchedule(lat, n, rand.New(rand.NewSource(1)), true); err != nil || len(plans[1]) != 1 {
+		t.Fatalf("latency event on the in-memory link: plans = %v, err = %v", plans, err)
+	}
+	// The same rejection reaches a caller through the shard constructor.
+	p := socketParams(n, cycles, 19420)
+	p.Scenario = livenet.ScenarioLatency
+	if _, err := OpenLiveShard(p, 1); err == nil || !strings.Contains(err.Error(), "does not support latency events") {
+		t.Fatalf("latency scenario over sockets: err = %v", err)
+	}
+}
+
+// TestSocketShardsDeriveSamePlan pins the sharding-invariance of the
+// wall-clock engine's derivations: shard 0 and shard 1 of a two-process
+// campaign and the single-process engine, built from the same seed, hold
+// the identical fault plan — victims per cycle included — and that plan is
+// the one the documented stream yields: seed+0x9e3779b9 drawing one attach
+// offset per member, in member order, over all N members, and then the
+// victim permutations in event order (bench/w_live.go mirrors the same
+// stream). A shard that skipped the draws of the members it does not own
+// would shift every victim.
+func TestSocketShardsDeriveSamePlan(t *testing.T) {
+	const n, cycles, seed = 40, 24, 11
+	p := socketParams(n, cycles, 19430)
+	p.Scenario = livenet.ScenarioChurn
+	var plans []map[int][]fault
+	for _, sockets := range []*Sockets{nil, {Procs: 2, Proc: 0, BasePort: 19430}, {Procs: 2, Proc: 1, BasePort: 19430}} {
+		pc := p
+		pc.Sockets = sockets
+		e, err := openHostEngine(pc, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.rt.Close()
+		plans = append(plans, e.plans)
+	}
+
+	rng := rand.New(rand.NewSource(seed + 0x9e3779b9))
+	for i := 0; i < n; i++ {
+		rng.Int63n(int64(p.Period))
+	}
+	want, err := expandSchedule(p.Scenario.Events(seed, n, cycles), n, rng, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victims := 0
+	for _, fs := range want {
+		for _, f := range fs {
+			victims += len(f.addrs)
+		}
+	}
+	if victims == 0 {
+		t.Fatal("churn plan names no host; the comparison is vacuous")
+	}
+	for i, got := range plans {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("engine %d derived a different plan:\n got %v\nwant %v", i, got, want)
+		}
+	}
+}
+
+func socketParams(n, cycles, basePort int) LiveParams {
+	return LiveParams{
+		N:       n,
+		Config:  core.DefaultConfig(),
+		Period:  15 * time.Millisecond,
+		Cycles:  cycles,
+		Sockets: &Sockets{BasePort: basePort},
 	}
 }
 
@@ -63,69 +142,55 @@ func TestSocketScheduleExpansion(t *testing.T) {
 // traffic counters are conserved at quiescence.
 func TestSocketShardedPartialSums(t *testing.T) {
 	const n, cycles = 24, 6
-	p := SocketParams{
-		N:        n,
-		Config:   core.DefaultConfig(),
-		Period:   15 * time.Millisecond,
-		Cycles:   cycles,
-		Procs:    2,
-		BasePort: 19400,
-		Scenario: livenet.ScenarioChurn,
-	}
-	var trials []*SocketTrial
+	p := socketParams(n, cycles, 19400)
+	p.Scenario = livenet.ScenarioChurn
+	var trials []*LiveShard
 	for proc := 0; proc < 2; proc++ {
 		pc := p
-		pc.Proc = proc
-		tr, err := NewSocketTrial(pc, 3)
+		pc.Sockets = &Sockets{Procs: 2, Proc: proc, BasePort: 19400}
+		tr, err := OpenLiveShard(pc, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer tr.Close()
 		trials = append(trials, tr)
 	}
-	for _, tr := range trials {
-		if err := tr.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rec := NewShardRecorder(p, 3)
 	for cycle := 0; cycle < cycles; cycle++ {
-		var sum truth.Aggregate
-		local := 0
-		global := -1
+		var parts []Partial
 		for _, tr := range trials {
-			agg, la, ga, err := tr.StepCycle(cycle)
+			part, err := tr.Step(cycle)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum.Add(agg)
-			local += la
-			if global >= 0 && ga != global {
-				t.Fatalf("cycle %d: shards disagree on global alive: %d vs %d", cycle, global, ga)
+			if part.Agg.LeafTotal == 0 {
+				t.Fatalf("cycle %d: a shard's measurement is empty", cycle)
 			}
-			global = ga
+			parts = append(parts, part)
 		}
-		if local != global {
-			t.Fatalf("cycle %d: local alive counts sum to %d, global says %d", cycle, local, global)
+		// Record fails when the shards disagree on the global alive count
+		// or their local alive counts do not sum to it.
+		if _, err := rec.Record(cycle, parts); err != nil {
+			t.Fatal(err)
 		}
-		if sum.LeafTotal == 0 {
-			t.Fatalf("cycle %d: summed measurement is empty", cycle)
+		if pt := rec.Result().Final(); pt.Cycle != cycle || pt.Alive != parts[0].Alive || pt.LeafMissing < 0 || pt.LeafMissing > 1 {
+			t.Fatalf("cycle %d: implausible point %+v", cycle, pt)
 		}
-		pt := PointFromAggregate(cycle, sum, global, 0, 0, 0)
-		if pt.LeafMissing < 0 || pt.LeafMissing > 1 {
-			t.Fatalf("cycle %d: implausible missing fraction %v", cycle, pt.LeafMissing)
+		if _, err := NewShardRecorder(p, 3).Record(cycle, parts[:1]); err == nil {
+			t.Fatalf("cycle %d: one shard of two accepted as the whole network", cycle)
 		}
 	}
 	for _, tr := range trials {
-		tr.Net().StopTicks()
+		tr.eng.rt.StopTicks()
 	}
 	// Global quiescence: poll the summed counters, mirroring the netsim
 	// driver's DRAIN barrier.
 	deadline := time.Now().Add(10 * time.Second)
-	var prev transport.Stats
+	var prev host.Stats
 	stable := 0
 	for time.Now().Before(deadline) && stable < 5 {
 		time.Sleep(20 * time.Millisecond)
-		var cur transport.Stats
+		var cur host.Stats
 		for _, tr := range trials {
 			cur.Add(tr.Stats())
 		}
@@ -170,12 +235,12 @@ func TestLiveCrossEngineSocketEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock, err := RunSocket(SocketParams{
+	sock, err := RunLive(LiveParams{
 		N:              n,
 		Config:         cfg,
 		Period:         20 * time.Millisecond,
 		Cycles:         cycles,
-		BasePort:       19410,
+		Sockets:        &Sockets{BasePort: 19410},
 		MeasureWorkers: 4,
 	}, 1)
 	if err != nil {

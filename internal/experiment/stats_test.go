@@ -8,6 +8,26 @@ import (
 	"repro/internal/truth"
 )
 
+// runSimTrial runs p to the end on the trial driver and returns the trial
+// with its live members, for tests that measure the final state directly.
+func runSimTrial(t *testing.T, p Params) (*trial, []*member) {
+	t.Helper()
+	tr, eng, err := newSimTrial(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.run(p.MaxCycles); err != nil {
+		t.Fatal(err)
+	}
+	var alive []*member
+	for _, m := range eng.members {
+		if m.alive {
+			alive = append(alive, m)
+		}
+	}
+	return tr, alive
+}
+
 // TestStatSampleCoverage is the statistical regression for the sampled
 // measurement plane: on realistic protocol state — n=4096 mid-bootstrap
 // under 1% per-cycle churn — MeasureSample(512)'s 95% confidence intervals
@@ -28,13 +48,9 @@ func TestStatSampleCoverage(t *testing.T) {
 		KeepRunningAfterPerfect: true,
 		MeasureWorkers:          2,
 	}
-	r := &runner{p: p}
-	if _, err := r.run(); err != nil {
-		t.Fatal(err)
-	}
-	// The runner's members and incremental truth oracle survive the run;
+	r, alive := runSimTrial(t, p)
+	// The trial's members and incremental truth oracle survive the run;
 	// measure the final (post-churn) state directly.
-	alive := r.aliveMembers()
 	ms := make([]truth.Member, 0, len(alive))
 	for _, m := range alive {
 		ms = append(ms, truth.Member{Self: m.desc.ID, Leaf: m.boot.Leaf(), Table: m.boot.Table()})
@@ -78,7 +94,7 @@ func TestStatSampleCoverage(t *testing.T) {
 // simple random sample contains a binomially-varying — often zero —
 // number of those nodes, its residual distribution is bimodal, and the
 // classical t-interval undercovers badly. Stratifying by age (Member.Fresh,
-// as runner.measure marks it) fixes each stratum's count and restores
+// as the trial driver marks it) fixes each stratum's count and restores
 // nominal coverage. Both halves are seeded and deterministic: the covered
 // counts are fixed numbers, so the unstratified half is a pinned
 // demonstration of the failure, not a flake risk.
@@ -93,12 +109,8 @@ func TestStatSampleCoverageHighChurn(t *testing.T) {
 		KeepRunningAfterPerfect: true,
 		MeasureWorkers:          2,
 	}
-	r := &runner{p: p}
-	if _, err := r.run(); err != nil {
-		t.Fatal(err)
-	}
+	r, alive := runSimTrial(t, p)
 	lastCycle := p.MaxCycles - 1
-	alive := r.aliveMembers()
 	stratified := make([]truth.Member, 0, len(alive))
 	flat := make([]truth.Member, 0, len(alive))
 	nFresh := 0

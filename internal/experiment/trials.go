@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"repro/internal/memstats"
@@ -29,15 +28,16 @@ type AggPoint struct {
 	LeafCIMean, PrefixCIMean float64
 }
 
-// TrialsResult is the outcome of a multi-trial campaign.
-type TrialsResult struct {
-	// Params is the shared configuration (its Seed field is ignored; each
-	// trial runs with its own seed).
-	Params Params
+// Campaign is the outcome of a multi-trial campaign on either engine: P is
+// the shared configuration, R one trial's result.
+type Campaign[P any, R outcome] struct {
+	// Params is the shared configuration (a Seed field in it is ignored;
+	// each trial runs with its own seed).
+	Params P
 	// Seeds are the per-trial seeds, in input order.
 	Seeds []int64
-	// Trials holds one full Result per seed, index-aligned with Seeds.
-	Trials []*Result
+	// Trials holds one full result per seed, index-aligned with Seeds.
+	Trials []R
 	// Agg is the per-cycle aggregate series. Trials that converged (and
 	// stopped) before the longest trial ended are padded with their final
 	// point, so a finished run keeps contributing its converged state.
@@ -47,9 +47,19 @@ type TrialsResult struct {
 	Workers int
 	// Mem is the campaign heap tracker — baseline before the first trial,
 	// peak across every trial's end-of-run sample taken while that trial's
-	// network was still live. Nil unless Params.MemStats was set.
+	// network was still live. Nil unless MemStats was set.
 	Mem *memstats.Campaign
+	// sampled: the campaign measured node samples, so its CSV grows the
+	// estimator interval columns.
+	sampled bool
 }
+
+type (
+	// TrialsResult is a simnet campaign (RunTrials).
+	TrialsResult = Campaign[Params, *Result]
+	// LiveTrialsResult is a wall-clock campaign (RunLiveTrials).
+	LiveTrialsResult = Campaign[LiveParams, *LiveResult]
+)
 
 // Seeds returns n deterministic trial seeds derived from base, suitable for
 // RunTrials: base, base+7919, base+2*7919, … — the same stride cmd/bootsim
@@ -70,114 +80,117 @@ func Seeds(base int64, n int) []int64 {
 // result — including Trials order and every aggregate — is independent of
 // workers and of goroutine scheduling.
 func RunTrials(p Params, seeds []int64, workers int) (*TrialsResult, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("experiment: RunTrials needs at least one seed")
-	}
 	if p.Sampler == 0 {
 		p.Sampler = SamplerOracle
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	tr, err := newCampaign[Params, *Result](seeds, workers, p.Shards, p.MemStats)
+	if err != nil {
+		return nil, err
+	}
+	p.memCampaign = tr.Mem
+	tr.Params, tr.sampled = p, p.MeasureSample > 0
+	err = tr.run(func(seed int64) (*Result, error) {
+		tp := p
+		tp.Seed = seed
+		return Run(tp)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// newCampaign resolves the worker pool of a campaign over seeds (workers < 1
+// means GOMAXPROCS) and starts its heap tracker.
+func newCampaign[P any, R outcome](seeds []int64, workers, shards int, memStats bool) (*Campaign[P, R], error) {
+	if len(seeds) == 0 {
+		return nil, errors.New("experiment: a campaign needs at least one seed")
+	}
 	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
 		// A sharded trial already runs Params.Shards engine workers, so
 		// the default splits the cores between the two levels instead of
 		// oversubscribing trials*shards goroutines onto GOMAXPROCS.
 		// An explicit workers count is always honored as given.
-		if p.Shards > 1 {
-			workers /= p.Shards
-			if workers < 1 {
-				workers = 1
-			}
-		}
+		workers = max(1, runtime.GOMAXPROCS(0)/max(1, shards))
 	}
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
+	tr := &Campaign[P, R]{Seeds: seeds, Workers: min(workers, len(seeds))}
 	// One campaign tracker across the pool: each worker samples the heap
 	// at the end of each of its trials (network still reachable), and the
 	// tracker keeps the high-water mark — a per-trial end-of-run snapshot
 	// is meaningless when concurrent trials share the heap.
-	if p.MemStats {
-		p.memCampaign = memstats.StartCampaign()
+	if memStats {
+		tr.Mem = memstats.StartCampaign()
 	}
-
-	results := make([]*Result, len(seeds))
-	errs := make([]error, len(seeds))
-	runPool(len(seeds), workers, func(i int) {
-		tp := p
-		tp.Seed = seeds[i]
-		results[i], errs[i] = Run(tp)
-	})
-
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("trial %d (seed %d): %w", i, seeds[i], err)
-		}
-	}
-	return &TrialsResult{
-		Params:  p,
-		Seeds:   seeds,
-		Trials:  results,
-		Agg:     aggregate(results),
-		Workers: workers,
-		Mem:     p.memCampaign,
-	}, nil
+	return tr, nil
 }
 
-// runPool runs fn(i) for every i in [0, n) across a pool of workers
-// goroutines and waits for all of them — the shared trial fan-out of
-// RunTrials and RunLiveTrials.
-func runPool(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// outcome is what campaign aggregation reads from one finished trial, on
+// either engine: its per-cycle series and ConvergedAt.
+type outcome interface{ series() ([]Point, int) }
+
+func (res *Result) series() ([]Point, int)     { return res.Points, res.ConvergedAt }
+func (res *LiveResult) series() ([]Point, int) { return res.Points, res.ConvergedAt }
+
+// run is the shared trial fan-out of RunTrials and RunLiveTrials: one trial
+// per seed across a pool of Workers goroutines, then the aggregation.
+func (tr *Campaign[P, R]) run(trial func(seed int64) (R, error)) error {
+	tr.Trials = make([]R, len(tr.Seeds))
+	errs := make([]error, len(tr.Seeds))
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < tr.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				fn(i)
+				tr.Trials[i], errs[i] = trial(tr.Seeds[i])
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := range tr.Seeds {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-}
 
-// aggregate folds the per-trial series into a per-cycle aggregate. Trials
-// shorter than the longest one (early convergence) contribute their final
-// point for the remaining cycles.
-func aggregate(trials []*Result) []AggPoint {
-	series := make([][]Point, len(trials))
-	conv := make([]int, len(trials))
-	for i, t := range trials {
-		series[i] = t.Points
-		conv[i] = t.ConvergedAt
+	series := make([][]Point, len(tr.Seeds))
+	conv := make([]int, len(tr.Seeds))
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("trial %d (seed %d): %w", i, tr.Seeds[i], err)
+		}
+		series[i], conv[i] = tr.Trials[i].series()
 	}
-	return aggregateSeries(series, conv)
+	tr.Agg = aggregateSeries(series, conv)
+	return nil
 }
 
-// aggregateSeries is the engine-agnostic aggregation core shared by the
-// simnet (RunTrials) and livenet (RunLiveTrials) campaign runners: one
-// per-cycle Point series and ConvergedAt per trial in, mean/min/max
-// aggregates out. Series shorter than the longest one contribute their
+// ConvergedTrials counts trials that reached perfection.
+func (tr *Campaign[P, R]) ConvergedTrials() int {
+	n := 0
+	for _, t := range tr.Trials {
+		if _, at := t.series(); at >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// WriteCSV emits the aggregate per-cycle series with a header. Campaigns
+// run with sampled measurement grow ±ci columns.
+func (tr *Campaign[P, R]) WriteCSV(w io.Writer) error { return writeAggCSV(w, tr.Agg, tr.sampled) }
+
+// aggregateSeries is the engine-agnostic aggregation core: one per-cycle
+// Point series and ConvergedAt per trial in, mean/min/max aggregates out.
+// Series shorter than the longest one (early convergence) contribute their
 // final point for the remaining cycles.
 func aggregateSeries(series [][]Point, convergedAt []int) []AggPoint {
 	cycles := 0
 	for _, pts := range series {
-		if len(pts) > cycles {
-			cycles = len(pts)
-		}
+		cycles = max(cycles, len(pts))
 	}
 	agg := make([]AggPoint, 0, cycles)
 	for c := 0; c < cycles; c++ {
@@ -192,18 +205,11 @@ func aggregateSeries(series [][]Point, convergedAt []int) []AggPoint {
 			a.PrefixMean += pt.PrefixMissing
 			a.LeafCIMean += pt.LeafCI
 			a.PrefixCIMean += pt.PrefixCI
-			if i == 0 || pt.LeafMissing < a.LeafMin {
-				a.LeafMin = pt.LeafMissing
+			if i == 0 {
+				a.LeafMin, a.PrefixMin = pt.LeafMissing, pt.PrefixMissing
 			}
-			if pt.LeafMissing > a.LeafMax {
-				a.LeafMax = pt.LeafMissing
-			}
-			if i == 0 || pt.PrefixMissing < a.PrefixMin {
-				a.PrefixMin = pt.PrefixMissing
-			}
-			if pt.PrefixMissing > a.PrefixMax {
-				a.PrefixMax = pt.PrefixMissing
-			}
+			a.LeafMin, a.LeafMax = min(a.LeafMin, pt.LeafMissing), max(a.LeafMax, pt.LeafMissing)
+			a.PrefixMin, a.PrefixMax = min(a.PrefixMin, pt.PrefixMissing), max(a.PrefixMax, pt.PrefixMissing)
 			if convergedAt[i] >= 0 && c >= convergedAt[i] {
 				converged++
 			}
@@ -218,23 +224,6 @@ func aggregateSeries(series [][]Point, convergedAt []int) []AggPoint {
 	return agg
 }
 
-// ConvergedTrials counts trials that reached perfection.
-func (tr *TrialsResult) ConvergedTrials() int {
-	n := 0
-	for _, t := range tr.Trials {
-		if t.ConvergedAt >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// WriteCSV emits the aggregate per-cycle series with a header. Campaigns
-// run with sampled measurement grow ±ci columns.
-func (tr *TrialsResult) WriteCSV(w io.Writer) error {
-	return writeAggCSV(w, tr.Agg, tr.Params.MeasureSample > 0)
-}
-
 // writeAggCSV is the shared CSV emitter for aggregate series; sampled adds
 // the estimator interval columns, keeping full-measurement output
 // byte-identical to the historical format.
@@ -247,18 +236,10 @@ func writeAggCSV(w io.Writer, agg []AggPoint, sampled bool) error {
 		return err
 	}
 	for _, a := range agg {
-		row := strconv.Itoa(a.Cycle) + "," +
-			strconv.Itoa(a.Trials) + "," +
-			strconv.FormatFloat(a.LeafMean, 'e', 6, 64) + "," +
-			strconv.FormatFloat(a.LeafMin, 'e', 6, 64) + "," +
-			strconv.FormatFloat(a.LeafMax, 'e', 6, 64) + "," +
-			strconv.FormatFloat(a.PrefixMean, 'e', 6, 64) + "," +
-			strconv.FormatFloat(a.PrefixMin, 'e', 6, 64) + "," +
-			strconv.FormatFloat(a.PrefixMax, 'e', 6, 64) + "," +
-			strconv.FormatFloat(a.ConvergedFrac, 'f', 4, 64)
+		row := fmt.Sprintf("%d,%d,%.6e,%.6e,%.6e,%.6e,%.6e,%.6e,%.4f", a.Cycle, a.Trials,
+			a.LeafMean, a.LeafMin, a.LeafMax, a.PrefixMean, a.PrefixMin, a.PrefixMax, a.ConvergedFrac)
 		if sampled {
-			row += "," + strconv.FormatFloat(a.LeafCIMean, 'e', 6, 64) +
-				"," + strconv.FormatFloat(a.PrefixCIMean, 'e', 6, 64)
+			row += fmt.Sprintf(",%.6e,%.6e", a.LeafCIMean, a.PrefixCIMean)
 		}
 		if _, err := fmt.Fprintln(w, row); err != nil {
 			return err
