@@ -19,14 +19,15 @@ func decodeIDs(data []byte) []id.ID {
 }
 
 // FuzzLeafSetUpdate feeds arbitrary ID batches into a leaf set and checks
-// the structural invariants can never be violated.
+// that it tracks the unfiltered reference (reference_test.go) and that the
+// structural invariants can never be violated.
 func FuzzLeafSetUpdate(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}, uint64(100))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint64(0))
 	f.Add([]byte{}, uint64(42))
 	f.Fuzz(func(t *testing.T, data []byte, selfRaw uint64) {
 		self := id.ID(selfRaw)
-		l := NewLeafSet(self, 8)
+		l, ref := NewLeafSet(self, 8), &refLeafSet{self: self, c: 8}
 		ids := decodeIDs(data)
 		// Feed in two batches to exercise the incremental path.
 		mid := len(ids) / 2
@@ -35,7 +36,10 @@ func FuzzLeafSetUpdate(f *testing.F) {
 			for i, v := range batch {
 				ds[i] = peer.Descriptor{ID: v, Addr: peer.Addr(int32(i))}
 			}
-			l.Update(ds)
+			if got, want := l.Update(ds), ref.Update(ds); got != want || !sameLeaf(l, ref) {
+				t.Fatalf("Update = %v, reference %v\n got %v | %v\nwant %v | %v",
+					got, want, l.Successors(), l.Predecessors(), ref.succ, ref.pred)
+			}
 		}
 		if l.Len() > 8 {
 			t.Fatalf("capacity violated: %d", l.Len())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -48,6 +49,7 @@ type leafScratch struct {
 	pool       peer.Set
 	old        []peer.Descriptor
 	succ, pred []peer.Descriptor
+	admitted   []peer.Descriptor // what a full set's admission test let through
 }
 
 var leafScratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
@@ -55,8 +57,43 @@ var leafScratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
 // Update merges the given descriptors into the leaf set and re-applies the
 // selection rule. The node's own descriptor and duplicates are ignored.
 // It reports whether the kept set changed.
+//
+// A full set first turns away, in two compares each, the candidates that
+// cannot be kept: a direction holding its share of a contested set — c/2
+// predecessors, c − c/2 successors, who get the odd slot — keeps that
+// count whatever arrives, so it admits only IDs strictly closer than its
+// farthest entry; a direction holding less has borrowed the other's slots
+// and admits anything. When nothing is admitted nothing changes, and the
+// call returns without merging or sorting. (DESIGN.md has the proof.)
 func (l *LeafSet) Update(ds []peer.Descriptor) bool {
-	sc := leafScratchPool.Get().(*leafScratch)
+	var sc *leafScratch
+	if half := l.c / 2; half > 0 && l.Len() == l.c {
+		// Per direction, the directed distance an admitted ID is under.
+		succLim, predLim := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		if n := len(l.succ); n >= l.c-half {
+			succLim = id.Succ(l.self, l.succ[n-1].ID)
+		}
+		if n := len(l.pred); n >= half {
+			predLim = id.Pred(l.self, l.pred[n-1].ID)
+		}
+		for _, d := range ds {
+			cw, ccw := id.Succ(l.self, d.ID), id.Pred(l.self, d.ID)
+			if (cw <= ccw && cw >= succLim) || (cw > ccw && ccw >= predLim) {
+				continue // cw ≤ ccw: a successor (id.IsSuccessor) — or self, skipped below
+			}
+			if sc == nil {
+				sc = leafScratchPool.Get().(*leafScratch)
+				sc.admitted = sc.admitted[:0]
+			}
+			sc.admitted = append(sc.admitted, d)
+		}
+		if sc == nil {
+			return false
+		}
+		ds = sc.admitted
+	} else {
+		sc = leafScratchPool.Get().(*leafScratch)
+	}
 	defer leafScratchPool.Put(sc)
 	pool := &sc.pool
 	pool.Reset()
@@ -203,6 +240,31 @@ func (l *LeafSet) Slice() []peer.Descriptor {
 	return out
 }
 
+// appendByID appends self and the leaf set to dst in ascending ID order.
+// Predecessors reversed, self, successors is one clockwise run spanning
+// less than the whole ring, so it ascends by ID except where it passes 0;
+// the entries beyond that wrap — the far end of one direction — move to
+// the other end of the output.
+func (l *LeafSet) appendByID(dst []peer.Descriptor, self peer.Descriptor) []peer.Descriptor {
+	ws, wp := len(l.succ), len(l.pred)
+	for ws > 0 && l.succ[ws-1].ID < l.self {
+		ws--
+	}
+	for wp > 0 && l.pred[wp-1].ID > l.self {
+		wp--
+	}
+	dst = append(dst, l.succ[ws:]...)
+	for i := wp - 1; i >= 0; i-- {
+		dst = append(dst, l.pred[i])
+	}
+	dst = append(dst, self)
+	dst = append(dst, l.succ[:ws]...)
+	for i := len(l.pred) - 1; i >= wp; i-- {
+		dst = append(dst, l.pred[i])
+	}
+	return dst
+}
+
 // Contains reports whether a descriptor with the given ID is in the set.
 func (l *LeafSet) Contains(nodeID id.ID) bool {
 	return containsID(l.succ, nodeID) || containsID(l.pred, nodeID)
@@ -247,11 +309,4 @@ func removeInPlace(ds []peer.Descriptor, nodeID id.ID) []peer.Descriptor {
 		}
 	}
 	return ds
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

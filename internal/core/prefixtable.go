@@ -129,20 +129,60 @@ func (t *PrefixTable) Each(fn func(row, col int, d peer.Descriptor) bool) {
 	}
 }
 
-// Entries returns all table entries as a fresh slice.
+// Entries returns all table entries as a fresh slice, row by row.
 func (t *PrefixTable) Entries() []peer.Descriptor {
-	return t.AppendEntries(make([]peer.Descriptor, 0, t.Len()))
-}
-
-// AppendEntries appends all table entries to dst, row by row — the
-// allocation-free variant of Entries for hot paths with a scratch buffer.
-func (t *PrefixTable) AppendEntries(dst []peer.Descriptor) []peer.Descriptor {
+	out := make([]peer.Descriptor, 0, t.Len())
 	for _, row := range t.rows {
 		for _, slot := range row {
-			dst = append(dst, slot...)
+			out = append(out, slot...)
+		}
+	}
+	return out
+}
+
+// appendByID appends all table entries to dst in ascending ID order. Row i
+// holds the IDs that share i digits with the owner, column j those whose
+// next digit is j; so below the owner's ID come the columns left of its own
+// digit, row after row downward (each longer shared prefix sorts higher),
+// and above it the columns right of its digit, coming back up the rows.
+// Slots keep their stored order — first come, which sweepTarget indexes —
+// and are sorted in dst.
+func (t *PrefixTable) appendByID(dst []peer.Descriptor) []peer.Descriptor {
+	for i, row := range t.rows {
+		if row != nil {
+			dst = appendSlotsByID(dst, row[:t.self.Digit(i, t.b)])
+		}
+	}
+	for i := len(t.rows) - 1; i >= 0; i-- {
+		if row := t.rows[i]; row != nil {
+			dst = appendSlotsByID(dst, row[t.self.Digit(i, t.b)+1:])
 		}
 	}
 	return dst
+}
+
+func appendSlotsByID(dst []peer.Descriptor, slots [][]peer.Descriptor) []peer.Descriptor {
+	for _, slot := range slots {
+		base := len(dst)
+		for _, d := range slot { // ≤ k: cheaper than a memmove call
+			dst = append(dst, d)
+		}
+		sortByID(dst[base:])
+	}
+	return dst
+}
+
+// at returns the i-th entry in Each's order, 0 ≤ i < Len().
+func (t *PrefixTable) at(i int) peer.Descriptor {
+	for _, row := range t.rows {
+		for _, slot := range row {
+			if i < len(slot) {
+				return slot[i]
+			}
+			i -= len(slot)
+		}
+	}
+	panic("core: prefix table index out of range")
 }
 
 // SlotCounts returns, for each row, the number of entries per column.

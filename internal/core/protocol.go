@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/flat"
@@ -112,7 +114,7 @@ type Node struct {
 	released bool
 }
 
-// msgScratch holds the union set and sample buffer reused across
+// msgScratch holds the ID-ordered runs and merge buffers reused across
 // createMessage calls so steady-state message construction allocates
 // nothing: the shipped entries live in a pooled message's arena. The
 // scratch is pooled process-wide rather than retained per node — each
@@ -121,9 +123,12 @@ type Node struct {
 // holds an object exclusively for its duration and a handful of objects
 // serve any number of nodes.
 type msgScratch struct {
-	union   peer.Set
-	sample  []peer.Descriptor
-	table   []peer.Descriptor
+	near    []peer.Descriptor // self + leaf set, by ID
+	sample  []peer.Descriptor // the cr samples, by ID
+	table   []peer.Descriptor // the prefix table, by ID
+	merged  []peer.Descriptor // near ∪ sample
+	union   []peer.Descriptor // merged ∪ table
+	fork    []peer.Descriptor // filterTombstoned's copy; see takeFork
 	expired []id.ID
 }
 
@@ -252,12 +257,21 @@ func (n *Node) Tick(ctx proto.Context) {
 // the probe that lets the failure detector reach entries the ring gossip
 // never contacts (far leaf entries and prefix-table slots).
 func (n *Node) sweepTarget(rng *rand.Rand) peer.Descriptor {
-	all := n.leaf.Slice()
-	all = append(all, n.table.Entries()...)
-	if len(all) == 0 {
+	total := n.leaf.Len() + n.table.Len()
+	if total == 0 {
 		return peer.None
 	}
-	return all[rng.Intn(len(all))]
+	// Index successors, then predecessors, then the table row by row,
+	// without materialising the concatenation.
+	succ, pred := n.leaf.Successors(), n.leaf.Predecessors()
+	switch i := rng.Intn(total); {
+	case i < len(succ):
+		return succ[i]
+	case i < len(succ)+len(pred):
+		return pred[i-len(succ)]
+	default:
+		return n.table.at(i - len(succ) - len(pred))
+	}
 }
 
 // noteMissedAnswer charges the previously contacted peer when its answer
@@ -287,7 +301,9 @@ func (n *Node) noteMissedAnswer() {
 // incoming slice in place: even though receivers own their messages (see
 // Message), an engine that broadcasts one message value to several
 // receivers shares the Entries backing array between them, and an in-place
-// rewrite here would corrupt the siblings' view mid-filter.
+// rewrite here would corrupt the siblings' view mid-filter. The copy lives
+// in a buffer detached from the scratch pool (takeFork); a caller done with
+// a shortened result hands it back with returnFork.
 func (n *Node) filterTombstoned(ds []peer.Descriptor) []peer.Descriptor {
 	if n.tombs.Len() == 0 {
 		return ds
@@ -301,14 +317,32 @@ func (n *Node) filterTombstoned(ds []peer.Descriptor) []peer.Descriptor {
 		}
 		switch {
 		case dead && !forked: // first removal: fork, keep the prefix
-			out = make([]peer.Descriptor, i, len(ds)-1)
-			copy(out, ds[:i])
+			out = append(takeFork(), ds[:i]...)
 			forked = true
 		case !dead && forked:
 			out = append(out, d)
 		}
 	}
 	return out
+}
+
+// takeFork detaches the fork buffer from a pooled scratch object. The
+// scratch goes straight back to the pool without it, so the buffer is
+// exclusively the caller's until returnFork re-attaches it — to whichever
+// scratch object the pool hands out then. A buffer never returned is
+// merely garbage.
+func takeFork() []peer.Descriptor {
+	sc := msgScratchPool.Get().(*msgScratch)
+	buf := sc.fork[:0]
+	sc.fork = nil
+	msgScratchPool.Put(sc)
+	return buf
+}
+
+func returnFork(buf []peer.Descriptor) {
+	sc := msgScratchPool.Get().(*msgScratch)
+	sc.fork = buf
+	msgScratchPool.Put(sc)
 }
 
 // Handle implements both the passive thread (answer requests with an
@@ -335,6 +369,9 @@ func (n *Node) Handle(ctx proto.Context, from peer.Addr, msg proto.Message) {
 	}
 	n.updateLeafSet(entries)
 	n.updatePrefixTable(entries)
+	if len(entries) != len(m.Entries) { // shortened, hence forked; not retained
+		returnFork(entries)
+	}
 	n.exchanges++
 }
 
@@ -399,54 +436,111 @@ func (n *Node) selectPeer(rng *rand.Rand) peer.Descriptor {
 // "usually smaller in practice" — the union is far smaller than 768).
 func (n *Node) createMessage(q peer.Descriptor, request bool) *Message {
 	sc := msgScratchPool.Get().(*msgScratch)
-	union := &sc.union
-	union.Reset()
-	union.Add(n.self)
-	union.AddAll(n.leaf.Successors())
-	union.AddAll(n.leaf.Predecessors())
+	// Every source is ID-ordered already or nearly so, so the union is a
+	// merge, not a hash-dedupe and a sort. An ID present in several sources
+	// keeps its first descriptor in the order self, leaf set, samples, table.
+	sc.near = n.leaf.appendByID(sc.near[:0], n.self)
+	union := sc.near
 	if n.cfg.CR > 0 {
 		if n.appendSampler != nil {
 			sc.sample = n.appendSampler.AppendSample(sc.sample[:0], n.cfg.CR)
-			union.AddAll(sc.sample)
 		} else {
-			union.AddAll(n.sampler.Sample(n.cfg.CR))
+			sc.sample = append(sc.sample[:0], n.sampler.Sample(n.cfg.CR)...)
 		}
+		sortByID(sc.sample)
+		sc.merged = mergeByID(sc.merged[:0], union, sc.sample)
+		union = sc.merged
 	}
+	limit := n.cfg.C
 	if !n.cfg.DisablePrefixFeedback {
-		sc.table = n.table.AppendEntries(sc.table[:0])
-		union.AddAll(sc.table)
+		sc.table = n.table.appendByID(sc.table[:0])
+		sc.union = mergeByID(sc.union[:0], union, sc.table)
+		union = sc.union
+		limit += n.cfg.TableCapacity()
 	}
-	union.Remove(q.ID) // never ship the destination its own descriptor
 
-	nBase := min(n.cfg.C, union.Len())
-	nExtra := 0
-	if !n.cfg.DisablePrefixFeedback {
-		nExtra = min(union.Len()-nBase, n.cfg.TableCapacity())
-	}
-	// Partial selection, run directly on the union's backing list: only
-	// the nBase+nExtra entries actually shipped are selected and sorted,
-	// O(u log(c+extra)) instead of fully sorting the whole union per
-	// message. Selection permutes the list in place (the set's index is
-	// stale afterwards, which Reset clears on next use), but its result
-	// is order-insensitive: ring distance with ID tie-break is a total
-	// order and the union holds distinct IDs, so the selected prefix is a
-	// pure function of the union's contents.
-	closest := peer.SelectNClosest(union.Slice(), q.ID, nBase+nExtra)
-
-	// The shipped entries are copied out of scratch into a pooled
-	// message's arena: messages are owned by their receiver (see Message),
-	// so scratch must never escape — and the engine recycles the arena
-	// once the receiver is done with it.
+	// The shipped entries go from scratch straight into a pooled message's
+	// arena: messages are owned by their receiver (see Message), so scratch
+	// must never escape — and the engine recycles the arena once the
+	// receiver is done with it.
 	m := messagePool.Get().(*Message)
 	m.Sender = n.self
 	m.Request = request
-	m.Entries = append(m.Entries[:0], closest...)
+	m.Entries = appendOutward(m.Entries[:0], union, q.ID, limit)
 	m.Dead = m.Dead[:0]
 	if n.cfg.EvictAfterMisses > 0 {
 		m.Dead = n.appendCertificates(m.Dead, sc)
 	}
 	msgScratchPool.Put(sc)
 	return m
+}
+
+// sortByID sorts ds in place by ascending ID. It is an insertion sort — for
+// the cr samples and the ≤ k entries of a table slot — and stable, so of
+// two descriptors with one ID the earlier stays first.
+func sortByID(ds []peer.Descriptor) {
+	for i := 1; i < len(ds); i++ {
+		d, j := ds[i], i
+		for ; j > 0 && ds[j-1].ID > d.ID; j-- {
+			ds[j] = ds[j-1]
+		}
+		ds[j] = d
+	}
+}
+
+// mergeByID appends to dst the merge of two ID-ascending runs, one
+// descriptor per ID: the first of a run's duplicates, and a's over b's.
+func mergeByID(dst, a, b []peer.Descriptor) []peer.Descriptor {
+	for len(a) > 0 || len(b) > 0 {
+		var d peer.Descriptor
+		if len(b) == 0 || (len(a) > 0 && a[0].ID <= b[0].ID) {
+			d, a = a[0], a[1:]
+		} else {
+			d, b = b[0], b[1:]
+		}
+		if k := len(dst); k == 0 || dst[k-1].ID != d.ID {
+			dst = append(dst, d)
+		}
+	}
+	return dst
+}
+
+// appendOutward appends to dst the limit descriptors of the ID-ascending,
+// duplicate-free union closest to q by ring distance, closest first, the
+// smaller ID first on a tie, q itself skipped: ring-distance order with no
+// sort. Two cursors start either side of q's position and walk apart around
+// the ring; the clockwise one meets IDs in growing clockwise distance from
+// q, the other in growing counter-clockwise distance, and whichever is
+// nearer is next. Every descriptor not yet shipped lies on the arc between
+// the cursors, at least as far from q in each direction as the cursor on
+// that side, so the nearer cursor holds a nearest remaining descriptor.
+func appendOutward(dst, union []peer.Descriptor, q id.ID, limit int) []peer.Descriptor {
+	u := len(union)
+	hi, found := slices.BinarySearchFunc(union, q, func(d peer.Descriptor, q id.ID) int {
+		return cmp.Compare(d.ID, q)
+	})
+	lo, left := hi-1, u
+	if found {
+		hi, left = hi+1, u-1
+	}
+	for left = min(left, limit); left > 0; left-- {
+		if hi == u {
+			hi = 0
+		}
+		if lo < 0 {
+			lo = u - 1
+		}
+		up, down := union[hi], union[lo]
+		cw, ccw := id.Succ(q, up.ID), id.Pred(q, down.ID)
+		if cw < ccw || (cw == ccw && up.ID <= down.ID) {
+			dst = append(dst, up)
+			hi++
+		} else {
+			dst = append(dst, down)
+			lo--
+		}
+	}
+	return dst
 }
 
 // Self returns the node's own descriptor.

@@ -221,10 +221,10 @@ func TestTwoNodeExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Attach(d1.Addr, ProtoID, n1, cfg.Delta, 0); err != nil {
+	if err := net.Attach(d1.Addr, ProtoID, invariantChecked{n1, t}, cfg.Delta, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Attach(d2.Addr, ProtoID, n2, cfg.Delta, 1); err != nil {
+	if err := net.Attach(d2.Addr, ProtoID, invariantChecked{n2, t}, cfg.Delta, 1); err != nil {
 		t.Fatal(err)
 	}
 	net.Run(cfg.Delta * 5)
@@ -349,10 +349,10 @@ func TestEvictionDetectsDeadPeer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := net.Attach(d1.Addr, ProtoID, n1, cfg.Delta, 0); err != nil {
+		if err := net.Attach(d1.Addr, ProtoID, invariantChecked{n1, t}, cfg.Delta, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := net.Attach(d2.Addr, ProtoID, n2, cfg.Delta, 1); err != nil {
+		if err := net.Attach(d2.Addr, ProtoID, invariantChecked{n2, t}, cfg.Delta, 1); err != nil {
 			t.Fatal(err)
 		}
 		net.Run(cfg.Delta * 5) // learn each other

@@ -81,6 +81,28 @@ func TestFilterTombstonedPreservesSharedSlice(t *testing.T) {
 	}
 }
 
+// TestHandleTombstoneForkAllocs pins the fork's storage: a message that
+// carries a tombstoned entry is filtered into a pooled buffer that Handle
+// hands back, so steady-state handling under churn allocates nothing.
+func TestHandleTombstoneForkAllocs(t *testing.T) {
+	cfg := testConfig()
+	cfg.EvictAfterMisses = 2
+	n, err := NewNode(peer.Descriptor{ID: 1000, Addr: 0}, cfg, sampling.Fixed(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.tombs.Put(2, n.ticks+tombstoneTTL)
+	m := &Message{Sender: peer.Descriptor{ID: 7, Addr: 7},
+		Entries: []peer.Descriptor{{ID: 1, Addr: 1}, {ID: 2, Addr: 2}, {ID: 3, Addr: 3}}}
+	n.Handle(nil, 7, m) // warm: entries learned, fork buffer grown
+	if n.Leaf().Contains(2) || !n.Leaf().Contains(3) {
+		t.Fatalf("tombstoned entry not filtered: leaf = %v", n.Leaf().Slice())
+	}
+	if avg := testing.AllocsPerRun(200, func() { n.Handle(nil, 7, m) }); avg > 0 {
+		t.Errorf("Handle with a tombstoned entry allocates %.1f times per message, want 0", avg)
+	}
+}
+
 // TestCreateMessageScratchStable checks that the per-node scratch buffers
 // reused across createMessage calls never leak into a shipped message: two
 // consecutive messages must have disjoint backing arrays and identical

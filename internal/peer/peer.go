@@ -135,61 +135,12 @@ func SortByRingDistance(ds []Descriptor, pivot id.ID) {
 }
 
 // ringLess reports whether a sorts before b by ring distance from pivot,
-// breaking ties by ID — the same strict weak order SortByRingDistance uses.
+// breaking ties by ID.
 func ringLess(pivot id.ID, a, b Descriptor) bool {
 	if c := id.CompareRing(pivot, a.ID, b.ID); c != 0 {
 		return c < 0
 	}
 	return a.ID < b.ID
-}
-
-// SelectNClosest partially orders ds in place so that its first n elements
-// are the n descriptors closest to pivot by ring distance, sorted closest
-// first, and returns that prefix. For n ≥ len(ds) it is a full sort. The
-// result is element-for-element identical to SortByRingDistance followed by
-// truncation to n, but costs O(u log n) instead of O(u log u) — the win the
-// bootstrap protocol's createMessage depends on when a node knows far more
-// peers than fit in one message.
-func SelectNClosest(ds []Descriptor, pivot id.ID, n int) []Descriptor {
-	if n <= 0 {
-		return ds[:0]
-	}
-	if n >= len(ds) {
-		SortByRingDistance(ds, pivot)
-		return ds
-	}
-	// Max-heap over ds[:n] keyed on ring distance (root = farthest kept),
-	// then stream the tail through it keeping only closer elements.
-	for i := n/2 - 1; i >= 0; i-- {
-		selectSiftDown(ds[:n], pivot, i)
-	}
-	for i := n; i < len(ds); i++ {
-		if ringLess(pivot, ds[i], ds[0]) {
-			ds[0], ds[i] = ds[i], ds[0]
-			selectSiftDown(ds[:n], pivot, 0)
-		}
-	}
-	SortByRingDistance(ds[:n], pivot)
-	return ds[:n]
-}
-
-// selectSiftDown restores the max-heap property of h rooted at i.
-func selectSiftDown(h []Descriptor, pivot id.ID, i int) {
-	n := len(h)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			return
-		}
-		if r := child + 1; r < n && ringLess(pivot, h[child], h[r]) {
-			child = r
-		}
-		if !ringLess(pivot, h[i], h[child]) {
-			return
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
 }
 
 // SortByXORDistance orders ds in place by XOR distance from the pivot,
