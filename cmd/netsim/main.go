@@ -142,12 +142,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// workerStats is what a worker reports of its shard: the traffic counters,
+// and the frames its link handed to the kernel with the Write calls that
+// carried them. The driver sums them field by field.
+type workerStats struct {
+	host.Stats
+	Frames, Writes int64
+}
+
+func (w *workerStats) add(o workerStats) {
+	w.Stats.Add(o.Stats)
+	w.Frames += o.Frames
+	w.Writes += o.Writes
+}
+
 // runWorker executes one shard under the driver's line protocol:
 //
 //	worker → READY
 //	driver → CYCLE <c>     worker → POINT <json experiment.Partial>
-//	driver → DRAIN         worker → DRAINED <ok> <json Stats>
-//	driver → STATS         worker → STATS <json Stats>
+//	driver → DRAIN         worker → DRAINED <ok> <json workerStats>
+//	driver → STATS         worker → STATS <json workerStats>
 //	driver → EXIT          worker closes and exits
 func runWorker(opts *options, stdin io.Reader, stdout io.Writer) error {
 	trial, err := experiment.OpenLiveShard(opts.p, opts.seed)
@@ -170,6 +184,10 @@ func runWorker(opts *options, stdin io.Reader, stdout io.Writer) error {
 		}
 		return out.Flush()
 	}
+	stats := func() workerStats {
+		frames, writes := trial.WriteStats()
+		return workerStats{trial.Stats(), frames, writes}
+	}
 	if err := say("READY", nil); err != nil {
 		return err
 	}
@@ -188,9 +206,9 @@ func runWorker(opts *options, stdin io.Reader, stdout io.Writer) error {
 			}
 			err = say("POINT", part)
 		case "DRAIN":
-			err = say(fmt.Sprintf("DRAINED %t", trial.Drain()), trial.Stats())
+			err = say(fmt.Sprintf("DRAINED %t", trial.Drain()), stats())
 		case "STATS":
-			err = say("STATS", trial.Stats())
+			err = say("STATS", stats())
 		case "EXIT":
 			return nil
 		default:
@@ -363,26 +381,27 @@ func runDriver(opts *options, args []string, wait time.Duration, stdout, stderr 
 	if err != nil {
 		return err
 	}
-	var final host.Stats
+	var sum workerStats
 	for round := 0; round < 50; round++ {
-		var cur host.Stats
+		var cur workerStats
 		err := ask(workers, "STATS", "STATS", func(_ *workerProc, rest string) error {
-			var st host.Stats
+			var st workerStats
 			if err := json.Unmarshal([]byte(rest), &st); err != nil {
 				return err
 			}
-			cur.Add(st)
+			cur.add(st)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		if round > 0 && cur == final {
+		if round > 0 && cur == sum {
 			break
 		}
-		final = cur
+		sum = cur
 		time.Sleep(50 * time.Millisecond)
 	}
+	final := sum.Stats
 	for _, w := range workers {
 		if err := w.send("EXIT"); err != nil {
 			return err
@@ -420,6 +439,8 @@ func runDriver(opts *options, args []string, wait time.Duration, stdout, stderr 
 	conservedOK := final.Sent == final.Delivered+final.Dropped+final.Overflow
 	fmt.Fprintf(out, "# netstats sent=%d delivered=%d dropped=%d overflow=%d conserved=%t\n",
 		final.Sent, final.Delivered, final.Dropped, final.Overflow, conservedOK)
+	// How well the socket writers coalesced: 1 is a write per message.
+	fmt.Fprintf(out, "# frames_per_write=%.2f\n", float64(sum.Frames)/float64(max(sum.Writes, 1)))
 	if !conservedOK {
 		return fmt.Errorf("traffic counters not conserved at quiescence: %+v (diff %d)",
 			final, final.Sent-final.Delivered-final.Dropped-final.Overflow)

@@ -84,6 +84,14 @@ func TestNetsimSmoke(t *testing.T) {
 	if !strings.Contains(got, "conserved=true") {
 		t.Errorf("traffic counters not conserved:\n%s", got)
 	}
+	// The writers' coalescing is reported after the counters; a campaign
+	// that moved messages wrote at least one frame per write.
+	var fpw float64
+	if _, tail, ok := strings.Cut(got, "\n# frames_per_write="); !ok {
+		t.Errorf("missing frames_per_write line:\n%s", got)
+	} else if _, err := fmt.Sscanf(tail, "%f\n", &fpw); err != nil || fpw < 1 {
+		t.Errorf("frames_per_write = %v (%v), want a ratio of at least 1:\n%s", fpw, err, got)
+	}
 	// At least one data row beyond the header.
 	rows := 0
 	for _, line := range strings.Split(got, "\n") {

@@ -25,7 +25,7 @@ const DrainBudget = 15 * time.Second
 // hostEngine runs a trial on the goroutine host runtime (internal/host):
 // wall-clock cycles, a livenet.Scenario as the fault plan. It is opened
 // over livenet's in-memory link or over transport's sockets and beyond
-// that knows the link only by two optional capabilities.
+// that knows the link only by three optional capabilities.
 type hostEngine struct {
 	population
 	p  LiveParams
@@ -36,6 +36,9 @@ type hostEngine struct {
 	// quiesce is nil on the in-memory link, whose Close already drains to
 	// exact conservation.
 	quiesce func(timeout time.Duration) bool
+	// writeStats is nil on the in-memory link: frames handed to the
+	// kernel and the Write calls that carried them.
+	writeStats func() (frames, writes int64)
 
 	schedule []livenet.Event
 	plans    map[int][]fault
@@ -71,7 +74,7 @@ func openHostEngine(p LiveParams, seed int64) (*hostEngine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.rt, e.quiesce = net.Runtime, net.Quiesce
+		e.rt, e.quiesce, e.writeStats = net.Runtime, net.Quiesce, net.WriteStats
 	} else {
 		net := livenet.New(livenet.Config{
 			Seed: seed, Drop: p.Drop, InboxSize: p.InboxSize,

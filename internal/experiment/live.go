@@ -303,6 +303,10 @@ func (s *LiveShard) Drain() bool { return s.eng.drain() }
 // Stats returns the shard-local traffic counters.
 func (s *LiveShard) Stats() host.Stats { return s.eng.rt.Snapshot() }
 
+// WriteStats returns how many frames the shard has handed to the kernel and
+// in how many Write calls (see transport.Network.WriteStats).
+func (s *LiveShard) WriteStats() (frames, writes int64) { return s.eng.writeStats() }
+
 // Close tears the shard down.
 func (s *LiveShard) Close() { s.eng.rt.Close() }
 

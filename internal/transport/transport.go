@@ -12,7 +12,8 @@
 // p. Each process runs one peer loop per destination process (including
 // itself — local traffic traverses the same loopback sockets, so every
 // message pays the full encode/kernel/decode path) with dial-on-demand, a
-// versioned handshake, bounded send queues, and reconnect under capped
+// versioned handshake, a bounded pending buffer that the writer hands to
+// the kernel a run of frames at a time, and reconnect under capped
 // exponential backoff.
 //
 // The host model is not this package's: the one-goroutine-per-host runtime
@@ -30,9 +31,10 @@
 // Accounting follows the runtime's conservation law. Every send is counted
 // Sent and lands in exactly one outcome bucket: Delivered (dispatched to
 // a protocol on the destination process), Overflow (bounced off a full
-// send queue or a full destination inbox), or Dropped (sender-side fault
-// model, dead/unknown destination, write failure, or shutdown drain).
-// Sends and outcomes are counted on different processes, so the law
+// pending buffer or a full destination inbox), or Dropped (sender-side
+// fault model, dead/unknown destination, undecodable on arrival, failed
+// datagram write, or shutdown drain). Sends and outcomes are counted on
+// different processes, so the law
 //
 //	ΣSent == ΣDelivered + ΣDropped + ΣOverflow
 //
@@ -44,12 +46,14 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,11 +81,14 @@ type Config struct {
 	BasePort int
 	// InboxSize bounds each host's message queue (zero selects 256).
 	InboxSize int
-	// QueueSize bounds each peer loop's send queue (zero selects 1024).
-	// A full queue maps the kernel's backpressure into Overflow: when a
-	// destination process reads slower than we send, its TCP window
-	// closes, our writer stalls, the queue fills, and further sends
-	// overflow instead of blocking the protocol callback.
+	// QueueSize bounds, per destination process, the frames Send has
+	// appended that the writer has not yet taken (zero selects 1024); the
+	// run the writer holds, at most as many again, is not counted. It
+	// takes only when connected and done writing, so the bound maps the
+	// kernel's backpressure into Overflow: when a destination process
+	// reads slower than we send, its TCP window closes, our writer stalls
+	// in Write, the buffer fills, and further sends overflow instead of
+	// blocking the protocol callback.
 	QueueSize int
 	// Drop is the sender-side per-message loss probability — the same
 	// injected fault model the other engines expose, applied before a
@@ -176,10 +183,11 @@ type sockets struct {
 	conns   map[net.Conn]struct{} // guarded by mu: inbound conns for teardown
 	closing bool                  // guarded by mu: no wg.Add once set
 
-	// inflight counts frames accepted into a send queue but not yet
-	// handed to the kernel (or dropped); Quiesce requires it to reach
-	// zero before trusting counter stability.
-	inflight atomic.Int64
+	// inflight counts frames Send has appended that are not yet handed
+	// to the kernel (or dropped); Quiesce requires it to reach zero
+	// before trusting counter stability. frames counts those handed
+	// over, writes the Write calls that carried them.
+	inflight, frames, writes atomic.Int64
 }
 
 // New builds the shard: every local host (addr % Procs == Proc) is
@@ -205,16 +213,22 @@ func New(cfg Config) (*Network, error) {
 	}
 	for p := 0; p < cfg.Procs; p++ {
 		s.peers[p] = &peerLoop{
-			s:     s,
-			addr:  fmt.Sprintf("127.0.0.1:%d", cfg.BasePort+p),
-			queue: make(chan *[]byte, cfg.QueueSize),
+			s:    s,
+			addr: fmt.Sprintf("127.0.0.1:%d", cfg.BasePort+p),
+			wake: make(chan struct{}, 1),
 		}
 	}
 	return &Network{Runtime: s.rt, sock: s}, nil
 }
 
-// Quiesce waits for this process's traffic to settle: no frames pending
-// in send queues and the counters unchanged across several consecutive
+// WriteStats returns how many frames this process has handed to the kernel
+// and in how many Write calls.
+func (n *Network) WriteStats() (frames, writes int64) {
+	return n.sock.frames.Load(), n.sock.writes.Load()
+}
+
+// Quiesce waits for this process's traffic to settle: no frames waiting
+// for a writer and the counters unchanged across several consecutive
 // polls. Call StopTicks first (on every process of the campaign); with
 // tick sources stopped the bootstrap protocol generates at most one reply
 // per in-flight request, so traffic drains in bounded hops. Returns false
@@ -271,15 +285,13 @@ func (s *sockets) Start() error {
 	return nil
 }
 
-// frameBufPool recycles encode buffers; pointers-to-slices so Put/Get do
-// not allocate a header per frame.
-var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-
-// Send serialises the message and enqueues the frame on the destination
-// process's peer loop. Serialisation is the sending side's retirement
-// point: once the bytes are built the message is recycled — the receiving
-// process decodes into its own pooled message, so the two sides never
-// share storage (they may not even share an address space).
+// Send serialises the message straight into the pending buffer of the
+// destination process's peer loop and wakes its writer if the buffer was
+// empty. Serialisation is the sending side's retirement point: once the
+// bytes are built the message is recycled — the receiving process decodes
+// into its own pooled message, so the two sides never share storage (they
+// may not even share an address space). The bound is checked first, so a
+// send that overflows costs a lock and a counter, not an encode.
 //
 // Payload types the wire codec does not understand take the loopback
 // shortcut when the destination is process-local (direct inbox delivery,
@@ -295,102 +307,144 @@ func (s *sockets) Send(_ *rand.Rand, from, to peer.Addr, pid proto.ProtoID, msg 
 		s.rt.Deliver(from, to, pid, msg)
 		return
 	}
-	bufp := frameBufPool.Get().(*[]byte)
-	*bufp = wire.AppendFrame((*bufp)[:0], wire.Envelope{From: from, To: to, Pid: pid}, m)
-	m.Recycle()
 	p := s.peers[int(to)%s.cfg.Procs]
+	p.mu.Lock()
+	if p.frames >= s.cfg.QueueSize {
+		// The destination process is reading slower than we produce —
+		// kernel backpressure surfaced as Overflow.
+		p.mu.Unlock()
+		s.rt.Overflow(m)
+		return
+	}
+	p.pend = wire.AppendFrame(p.pend, wire.Envelope{From: from, To: to, Pid: pid}, m)
+	p.frames++
+	first := p.frames == 1
 	s.inflight.Add(1)
-	select {
-	case p.queue <- bufp:
-	default:
-		// Send queue full: the destination process is reading slower
-		// than we produce — kernel backpressure surfaced as Overflow.
-		s.inflight.Add(-1)
-		s.rt.Overflow(nil)
-		releaseFrame(bufp)
+	p.mu.Unlock()
+	m.Recycle()
+	if first {
+		select {
+		case p.wake <- struct{}{}:
+		default: // a wakeup is already pending; the writer will take this frame with it
+		}
 	}
 }
 
-func releaseFrame(bufp *[]byte) { frameBufPool.Put(bufp) }
-
-// strand retires a queued frame that will never reach the kernel, as
-// dropped.
-func (s *sockets) strand(bufp *[]byte) {
-	s.rt.Drop(nil)
-	s.inflight.Add(-1)
-	releaseFrame(bufp)
-}
-
 // peerLoop is the sending side of one process-to-process link: a bounded
-// frame queue drained by a writer goroutine that dials on demand and
-// reconnects under capped exponential backoff.
+// buffer of encoded frames every local sender appends to, emptied by a
+// writer goroutine that dials on demand and reconnects under backoff.
 type peerLoop struct {
-	s     *sockets
-	addr  string
-	queue chan *[]byte
+	s    *sockets
+	addr string
+	wake chan struct{} // 1 slot: pend went from empty to non-empty
+
+	mu     sync.Mutex
+	pend   []byte // guarded by mu: whole frames appended by Send, not yet taken by the writer
+	frames int    // guarded by mu: how many
 }
 
 const initialBackoff = 20 * time.Millisecond
 
-// run is the writer goroutine. Each frame is written (and flushed — the
-// write syscall hands it to the kernel) before the next is pulled; a
-// write error closes the connection, counts the frame as dropped, and
-// re-dials with backoff. Frames stranded at shutdown drain as dropped.
+// run is the writer goroutine. The unit in flight is a run of frames, not
+// a frame: woken by the first append, the writer connects if it has to,
+// yields once, takes everything appended so far by swapping pend with its
+// spare buffer, and hands the run to the kernel in one Write (UDP: one
+// datagram per frame). The yield is what makes the run long: the senders
+// already runnable when the first frame lands append before the take, and
+// with nothing else runnable it returns at once — the batch follows the
+// load, with no timer to add latency and no size or interval to tune.
+//
+// A short or failed write closes the connection; the frames the kernel
+// took whole are retired and the cut frame and everything behind it go out
+// again, whole and in order, on the next connection (the receiver drops a
+// partial frame with the connection it came on), so every frame keeps a
+// single outcome. While the peer is down the dial loop backs off with the
+// frames held; at shutdown whatever is held or pending drains as dropped.
 func (p *peerLoop) run() {
 	s := p.s
 	defer s.wg.Done()
 	var conn net.Conn
+	var out []byte // the run in flight: whole frames the kernel has not accepted yet
+	n := 0         // frames in out
 	defer func() {
 		if conn != nil {
 			conn.Close()
 		}
-		p.drain()
+		// host.Runtime.Close stops the hosts first: nothing appends now.
+		p.mu.Lock()
+		n += p.frames
+		p.pend, p.frames = nil, 0
+		p.mu.Unlock()
+		s.inflight.Add(-int64(n))
+		for ; n > 0; n-- {
+			s.rt.Drop(nil)
+		}
 	}()
 	for {
-		var bufp *[]byte
-		select {
-		case <-s.stop:
-			return
-		case bufp = <-p.queue:
+		if n == 0 {
+			select {
+			case <-s.stop:
+				return
+			case <-p.wake:
+			}
 		}
-		for {
-			if conn == nil {
-				conn = p.dial()
-				if conn == nil { // network stopping
-					s.strand(bufp)
-					return
-				}
+		if conn == nil {
+			if conn = p.dial(); conn == nil { // network stopping
+				return
 			}
-			if s.cfg.UDP {
-				_, err := conn.Write(*bufp)
-				if err != nil {
-					// A UDP send error is local (no route, full socket
-					// buffer); the datagram is gone either way.
-					s.rt.Drop(nil)
-				}
-				break
-			}
-			if _, err := conn.Write(*bufp); err != nil {
-				conn.Close()
-				conn = nil
-				select {
-				case <-s.stop:
-					s.strand(bufp)
-					return
-				default:
-				}
-				// Retry the same frame on a fresh connection once; if the
-				// peer stays down the dial loop backs off and the frame
-				// eventually drains as dropped at shutdown. To keep the
-				// accounting single-outcome the retry happens before any
-				// counter is touched.
-				continue
-			}
+		}
+		if n == 0 {
+			runtime.Gosched()
+			p.mu.Lock()
+			out, p.pend = p.pend, out[:0]
+			n, p.frames = p.frames, 0
+			p.mu.Unlock()
+		}
+		sent, err := s.flush(conn, out)
+		done := n
+		if err != nil {
+			var resend int
+			done, resend = wholeFrames(out, sent)
+			out = out[:copy(out, out[resend:])]
+			conn.Close()
+			conn = nil
+		}
+		n -= done
+		s.frames.Add(int64(done))
+		s.inflight.Add(-int64(done))
+	}
+}
+
+// flush hands a run to the kernel and reports how many bytes it accepted.
+// A UDP send error is local (no route, full socket buffer): the datagram
+// is gone either way.
+func (s *sockets) flush(conn net.Conn, run []byte) (int, error) {
+	if !s.cfg.UDP {
+		s.writes.Add(1)
+		return conn.Write(run)
+	}
+	for off := 0; off < len(run); {
+		end := off + 4 + int(binary.LittleEndian.Uint32(run[off:]))
+		s.writes.Add(1)
+		if _, err := conn.Write(run[off:end]); err != nil {
+			s.rt.Drop(nil)
+		}
+		off = end
+	}
+	return len(run), nil
+}
+
+// wholeFrames reports how many frames of run lie wholly within its first n
+// bytes, and the offset of the first that does not: where a resend starts.
+func wholeFrames(run []byte, n int) (frames, resend int) {
+	for resend < n {
+		end := resend + 4 + int(binary.LittleEndian.Uint32(run[resend:]))
+		if end > n {
 			break
 		}
-		s.inflight.Add(-1)
-		releaseFrame(bufp)
+		frames, resend = frames+1, end
 	}
+	return frames, resend
 }
 
 // dial connects to the peer process, retrying with capped exponential
@@ -435,19 +489,6 @@ func (p *peerLoop) dial() net.Conn {
 	}
 }
 
-// drain empties the send queue at shutdown, counting stranded frames as
-// dropped.
-func (p *peerLoop) drain() {
-	for {
-		select {
-		case bufp := <-p.queue:
-			p.s.strand(bufp)
-		default:
-			return
-		}
-	}
-}
-
 // acceptLoop serves inbound TCP connections: one reader goroutine each.
 func (s *sockets) acceptLoop(l net.Listener) {
 	defer s.wg.Done()
@@ -477,9 +518,13 @@ func (s *sockets) acceptLoop(l net.Listener) {
 	}
 }
 
-// readConn validates the handshake then decodes frames until the stream
-// ends. A decode error poisons the stream (framing can no longer be
-// trusted), so the connection is closed; the dialer reconnects.
+// readBufSize sizes an inbound connection's reader: one read syscall
+// pulls in what the peer's writer coalesced, up to this many bytes.
+const readBufSize = 64 << 10
+
+// readConn validates the handshake, which the peer has DialTimeout to
+// send — a connection that stays silent must not pin a goroutine and a
+// conns entry until Close — then reads frames until the stream ends.
 func (s *sockets) readConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -488,8 +533,11 @@ func (s *sockets) readConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	br := bufio.NewReaderSize(conn, readBufSize)
+	// A deadline that cannot be set is a dead connection: the read fails.
+	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.DialTimeout))
 	var hs [handshakeLen]byte
-	if _, err := io.ReadFull(conn, hs[:]); err != nil {
+	if _, err := io.ReadFull(br, hs[:]); err != nil {
 		return
 	}
 	if [4]byte(hs[:4]) != handshakeMagic {
@@ -498,21 +546,44 @@ func (s *sockets) readConn(conn net.Conn) {
 	if proc := binary.LittleEndian.Uint32(hs[4:]); proc >= uint32(s.cfg.Procs) {
 		return
 	}
-	var buf []byte
+	_ = conn.SetReadDeadline(time.Time{})
+	s.readFrames(br)
+}
+
+// readFrames decodes and delivers frames until the stream ends. A frame
+// that fits the reader's buffer is decoded where it lies; a larger one is
+// copied out through wire.ReadFrame. A decode error poisons the stream
+// (framing can no longer be trusted), so the caller closes the connection
+// and the dialer reconnects; the frames already buffered behind the bad
+// one go with it uncounted, their sender having retired them — the same
+// loss as bytes the kernel held at a reset, and why conservation is exact
+// only without connection failures during the drain.
+func (s *sockets) readFrames(br *bufio.Reader) {
+	var side []byte // ReadFrame's buffer, for frames larger than br's
 	for {
-		payload, nbuf, err := wire.ReadFrame(conn, buf)
-		buf = nbuf
+		hdr, err := br.Peek(4)
 		if err != nil {
+			return
+		}
+		var payload []byte
+		held := 0 // bytes of br the payload aliases, discarded once decoded
+		if n := binary.LittleEndian.Uint32(hdr); n <= uint32(br.Size()-4) {
+			held = 4 + int(n)
+			if payload, err = br.Peek(held); err != nil {
+				return
+			}
+			payload = payload[4:]
+		} else if payload, side, err = wire.ReadFrame(br, side); err != nil {
 			return
 		}
 		env, m, err := wire.Decode(payload)
 		if err != nil {
 			// The peer counted this frame Sent; its bytes arrived but
-			// cannot be understood — account it before poisoning the
-			// stream.
+			// cannot be understood — account it before giving up.
 			s.rt.Drop(nil)
 			return
 		}
+		br.Discard(held)
 		s.rt.Deliver(env.From, env.To, env.Pid, m)
 	}
 }
@@ -554,8 +625,8 @@ func (s *sockets) readUDP(conn *net.UDPConn) {
 }
 
 // Close tears the sockets down and waits for every loop; each peer loop
-// drains its send queue on the way out, counting stranded frames as
-// dropped, and with the hosts gone nothing refills it. For an exact
+// counts the frames it still holds as dropped on the way out, and with the
+// hosts gone nothing appends more. For an exact
 // conservation check run StopTicks + Quiesce first (on every process);
 // Close alone can strand bytes in kernel buffers, which only the
 // cross-process sum at quiescence sees.

@@ -279,7 +279,9 @@ func decodeBody(r *reader, m *core.Message, fl byte) error {
 // needed) and returns the payload slice aliasing buf — valid until the
 // next call with the same buffer. io.EOF is returned untouched at a clean
 // frame boundary so stream loops can distinguish orderly shutdown from a
-// mid-frame cut (io.ErrUnexpectedEOF).
+// mid-frame cut (io.ErrUnexpectedEOF). The transport's read loop decodes a
+// frame that fits its bufio buffer where it lies and comes here only for a
+// larger one.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
