@@ -5,6 +5,7 @@
 //	bootsim -experiment fig3                 # Figure 3: no failures
 //	bootsim -experiment fig4                 # Figure 4: 20% message drop
 //	bootsim -experiment churn                # Section 5 churn robustness
+//	bootsim -experiment massjoin             # network doubles at cycle 10
 //	bootsim -experiment scaling              # cycles-to-converge vs N
 //	bootsim -experiment ablation             # prefix-feedback and cr ablations
 //	bootsim -experiment chord                # Chord ring+finger baseline
@@ -66,7 +67,7 @@ func (o *options) memstatsLine(out io.Writer, n int, heapBytes uint64) {
 func parseArgs(args []string) (*options, error) {
 	fs := flag.NewFlagSet("bootsim", flag.ContinueOnError)
 	var (
-		expName  = fs.String("experiment", "fig3", "fig3|fig4|churn|scaling|ablation|chord")
+		expName  = fs.String("experiment", "fig3", "fig3|fig4|churn|massjoin|scaling|ablation|chord")
 		nList    = fs.String("n", "1024,4096,16384", "comma-separated network sizes")
 		paper    = fs.Bool("paper", false, "use the paper's sizes 2^14,2^16,2^18 (slow, memory-hungry)")
 		cycles   = fs.Int("cycles", 0, "max cycles (0 = per-experiment default)")
@@ -186,6 +187,26 @@ func (o *options) maxCycles(def int) int {
 	return def
 }
 
+// params is the experiment.Params every simnet experiment starts from: the
+// size plus what the flags fix, with the common defaults (no drop unless
+// -drop, a 60-cycle budget). Each experiment amends what it varies — seed
+// offset, drop, budget, protocol config, faults — and the ones that print a
+// # memstats line ask for the heap capture.
+func (o *options) params(n int) experiment.Params {
+	return experiment.Params{
+		N:              n,
+		Seed:           o.seed,
+		Config:         o.cfg,
+		Drop:           maxF(o.drop, 0),
+		MaxCycles:      o.maxCycles(60),
+		Sampler:        o.sampler,
+		WarmupCycles:   o.warmup,
+		MeasureWorkers: o.measureWorkers,
+		MeasureSample:  o.measureSample,
+		Shards:         o.shards,
+	}
+}
+
 // runConvergence reproduces Figures 3 and 4: per-cycle missing-entry
 // proportions per network size.
 func runConvergence(o *options, out io.Writer, drop float64, label string) error {
@@ -200,19 +221,12 @@ func runConvergence(o *options, out io.Writer, drop float64, label string) error
 	}
 	for _, n := range o.sizes {
 		for rep := 0; rep < o.runs; rep++ {
-			res, err := experiment.Run(experiment.Params{
-				N:              n,
-				Seed:           o.seed + int64(rep)*7919,
-				Config:         o.cfg,
-				Drop:           drop,
-				MaxCycles:      o.maxCycles(def),
-				Sampler:        o.sampler,
-				WarmupCycles:   o.warmup,
-				MeasureWorkers: o.measureWorkers,
-				MeasureSample:  o.measureSample,
-				Shards:         o.shards,
-				MemStats:       o.memstats,
-			})
+			p := o.params(n)
+			p.Seed += int64(rep) * 7919
+			p.Drop = drop
+			p.MaxCycles = o.maxCycles(def)
+			p.MemStats = o.memstats
+			res, err := experiment.Run(p)
 			if err != nil {
 				return err
 			}
@@ -233,18 +247,11 @@ func runConvergence(o *options, out io.Writer, drop float64, label string) error
 // output is a pure function of the seeds, independent of the worker count.
 func runConvergenceTrials(o *options, out io.Writer, drop float64, defCycles int) error {
 	for _, n := range o.sizes {
-		res, err := experiment.RunTrials(experiment.Params{
-			N:              n,
-			Config:         o.cfg,
-			Drop:           drop,
-			MaxCycles:      o.maxCycles(defCycles),
-			Sampler:        o.sampler,
-			WarmupCycles:   o.warmup,
-			MeasureWorkers: o.measureWorkers,
-			MeasureSample:  o.measureSample,
-			Shards:         o.shards,
-			MemStats:       o.memstats,
-		}, experiment.Seeds(o.seed, o.trials), o.workers)
+		p := o.params(n)
+		p.Drop = drop
+		p.MaxCycles = o.maxCycles(defCycles)
+		p.MemStats = o.memstats
+		res, err := experiment.RunTrials(p, experiment.Seeds(o.seed, o.trials), o.workers)
 		if err != nil {
 			return err
 		}
@@ -269,21 +276,12 @@ func runConvergenceTrials(o *options, out io.Writer, drop float64, defCycles int
 func runChurn(o *options, out io.Writer) error {
 	fmt.Fprintf(out, "# experiment=churn sampler=%s rate=0.01 cycles 0-20, then churn-free\n", o.sampler)
 	for _, n := range o.sizes {
-		res, err := experiment.Run(experiment.Params{
-			N:                       n,
-			Seed:                    o.seed,
-			Config:                  o.cfg,
-			Drop:                    maxF(o.drop, 0),
-			MaxCycles:               o.maxCycles(50),
-			Sampler:                 o.sampler,
-			WarmupCycles:            o.warmup,
-			Churn:                   experiment.Churn{Rate: 0.01, StartCycle: 0, StopCycle: 20},
-			MeasureWorkers:          o.measureWorkers,
-			MeasureSample:           o.measureSample,
-			Shards:                  o.shards,
-			MemStats:                o.memstats,
-			KeepRunningAfterPerfect: true,
-		})
+		p := o.params(n)
+		p.MaxCycles = o.maxCycles(50)
+		p.Churn = experiment.Churn{Rate: 0.01, StartCycle: 0, StopCycle: 20}
+		p.KeepRunningAfterPerfect = true
+		p.MemStats = o.memstats
+		res, err := experiment.Run(p)
 		if err != nil {
 			return err
 		}
@@ -302,20 +300,10 @@ func runChurn(o *options, out io.Writer) error {
 func runMassJoin(o *options, out io.Writer) error {
 	fmt.Fprintf(out, "# experiment=massjoin sampler=%s double at cycle 10\n", o.sampler)
 	for _, n := range o.sizes {
-		res, err := experiment.Run(experiment.Params{
-			N:              n,
-			Seed:           o.seed,
-			Config:         o.cfg,
-			Drop:           maxF(o.drop, 0),
-			MaxCycles:      o.maxCycles(60),
-			Sampler:        o.sampler,
-			WarmupCycles:   o.warmup,
-			MeasureWorkers: o.measureWorkers,
-			MeasureSample:  o.measureSample,
-			Shards:         o.shards,
-			MemStats:       o.memstats,
-			Join:           experiment.Join{Cycle: 10, Count: n},
-		})
+		p := o.params(n)
+		p.Join = experiment.Join{Cycle: 10, Count: n}
+		p.MemStats = o.memstats
+		res, err := experiment.Run(p)
 		if err != nil {
 			return err
 		}
@@ -335,18 +323,9 @@ func runScaling(o *options, out io.Writer) error {
 	fmt.Fprintln(out, "n,run,converged_at_cycle,sent_messages")
 	for _, n := range o.sizes {
 		for rep := 0; rep < o.runs; rep++ {
-			res, err := experiment.Run(experiment.Params{
-				N:              n,
-				Seed:           o.seed + int64(rep)*104729,
-				Config:         o.cfg,
-				Drop:           maxF(o.drop, 0),
-				MaxCycles:      o.maxCycles(60),
-				Sampler:        o.sampler,
-				WarmupCycles:   o.warmup,
-				MeasureWorkers: o.measureWorkers,
-				MeasureSample:  o.measureSample,
-				Shards:         o.shards,
-			})
+			p := o.params(n)
+			p.Seed += int64(rep) * 104729
+			res, err := experiment.Run(p)
 			if err != nil {
 				return err
 			}
@@ -374,20 +353,9 @@ func runAblation(o *options, out io.Writer) error {
 	}
 	for _, n := range o.sizes {
 		for _, v := range variants {
-			cfg := o.cfg
-			v.mut(&cfg)
-			res, err := experiment.Run(experiment.Params{
-				N:              n,
-				Seed:           o.seed,
-				Config:         cfg,
-				Drop:           maxF(o.drop, 0),
-				MaxCycles:      o.maxCycles(60),
-				Sampler:        o.sampler,
-				WarmupCycles:   o.warmup,
-				MeasureWorkers: o.measureWorkers,
-				MeasureSample:  o.measureSample,
-				Shards:         o.shards,
-			})
+			p := o.params(n)
+			v.mut(&p.Config)
+			res, err := experiment.Run(p)
 			if err != nil {
 				return err
 			}

@@ -126,13 +126,14 @@ type Params struct {
 	MeasureConfidence float64
 	// Shards is the simulation engine's parallel shard count
 	// (simnet.Config.Shards): 0 or 1 runs the sequential engine, higher
-	// values partition the nodes across that many workers with
-	// conservative lookahead windows. Runs with any fixed Shards > 1 are
-	// deterministic, and every Shards > 1 value produces the same trace as
-	// every other — but that trace differs from the Shards <= 1 one: with
-	// parallel dispatch each node draws from its own oracle Stream (keyed
-	// by spawn order, as livenet does) instead of the single shared oracle
-	// stream, whose draw order is inherently dispatch-order dependent.
+	// values partition the nodes across that many workers, which run the
+	// same dispatch and Send inside fixed conservative lookahead windows.
+	// Runs with any fixed Shards > 1 are deterministic, and every
+	// Shards > 1 value produces the same trace as every other — but that
+	// trace differs from the Shards <= 1 one: with parallel dispatch each
+	// node draws from its own oracle Stream (keyed by spawn order, as
+	// livenet does) instead of the single shared oracle stream, whose draw
+	// order is inherently dispatch-order dependent.
 	Shards int
 	// KeepRunningAfterPerfect continues until MaxCycles even after
 	// perfection, for steady-state studies.

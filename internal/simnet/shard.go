@@ -35,13 +35,16 @@
 // evFunc events (At closures) may touch arbitrary network state, so any
 // window containing one runs serially on the driving goroutine in global
 // (time, seq) order — the sequential semantics exactly.
+//
+// The event-handling body is not replicated per engine: dispatch, Send and
+// push (simnet.go) serve the sequential engine and both window kinds; a
+// parallel window passes them its shard, which selects that shard's
+// counters and clock and the barrier buffer instead of a wheel.
 package simnet
 
 import (
 	"math"
 	"sync"
-
-	"repro/internal/peer"
 )
 
 // shardState is one execution shard: a wheel of the events owned by the
@@ -71,54 +74,12 @@ type genEvent struct {
 	ev    event
 }
 
-// emit buffers an event generated during a parallel window. The lookahead
-// invariant — generated events land strictly beyond the window — is what
-// licenses running the window's shards concurrently, so violating it is an
-// engine bug worth dying for.
-func (sh *shardState) emit(e event) {
-	if e.time <= sh.wend {
-		panic("simnet: generated event lands inside its own lookahead window")
-	}
-	sh.gen = append(sh.gen, genEvent{ptime: sh.now, pseq: sh.curSeq, ev: e})
-}
-
-// Sharded reports whether the network runs the sharded engine.
-func (n *Network) Sharded() bool { return len(n.shards) > 0 }
-
-// WideWindows reports how many windows ran with an adaptively widened
-// lookahead (see lookahead) — an observability counter for tuning, not a
-// semantic knob.
-func (n *Network) WideWindows() int64 { return n.wideWindows }
-
-// OnBarrier registers fn to run on the driving goroutine after every
-// window barrier, with every shard quiescent and all generated events
-// merged — the point of a sharded run where a measurement plane (e.g. the
-// truth oracle) can safely read protocol state mid-Run. Pass nil to clear.
-func (n *Network) OnBarrier(fn func(now int64)) { n.barrier = fn }
-
-// maxAdaptMult caps the adaptive window multiplier: beyond ~1024 base
-// lookaheads a window is already amortising its barrier to nothing, and
-// the cap keeps base·mult far from int64 overflow for any plausible
-// latency floor.
-const maxAdaptMult = 1 << 10
-
 // lookahead returns the conservative window width W: the minimum distance
 // a dispatched event can schedule into the future. Message latency is
-// floored at 1 (wireLatency clamps the MinLatency == 0 draw), and ticks
+// floored at 1 (Send clamps the MinLatency == 0 wire draw), and ticks
 // reschedule one period ahead, so W = min(latency floor, smallest attached
 // period). Recomputed per window: an Attach during a serial window may
 // lower the period bound.
-//
-// W is what licenses running a window's shards concurrently, but it is
-// often far too pessimistic: a workload whose traffic stays shard-local
-// (self-sends, timers, clustered topologies) pays a full barrier every W
-// ticks for cross-shard exchange that never happens. runSharded therefore
-// adapts: every window that closes with zero cross-shard events doubles
-// adaptMult (capped at maxAdaptMult), and any cross-shard event resets it
-// to 1. Widened windows run through runSerialWindow — exact sequential
-// semantics at any width — so adaptation affects barrier placement only,
-// never the event trace: the trace-invariance tests pin byte-identical
-// traces against fixed-window runs.
 func (n *Network) lookahead() int64 {
 	w := int64(1)
 	if n.cfg.MaxLatency > 0 && n.cfg.MinLatency > 1 {
@@ -131,7 +92,9 @@ func (n *Network) lookahead() int64 {
 }
 
 // runSharded is Run for the sharded engine: window-at-a-time until no
-// event at or before until remains.
+// event at or before until remains. A window starts at the earliest pending
+// event and spans one lookahead; it runs serially iff a coordinator event
+// is due inside it, else in parallel.
 func (n *Network) runSharded(until int64) int {
 	processed := 0
 	for {
@@ -152,47 +115,18 @@ func (n *Network) runSharded(until int64) int {
 		if base == math.MaxInt64 || base > until {
 			break
 		}
-		w := n.lookahead()
-		if n.adaptMult < 1 {
-			n.adaptMult = 1
-		}
-		wide := n.adaptMult > 1
-		width := w
-		if wide {
-			width = w * n.adaptMult // adaptMult capped, so this cannot overflow
-		}
-		wend := base + width - 1
+		wend := base + n.lookahead() - 1
 		if wend > until {
 			wend = until
 		}
-		n.crossShard = 0
-		if wide || (n.coord.len() > 0 && n.coord.peekTime() <= wend) {
-			// Widened windows run serially: runSerialWindow has exact
-			// sequential semantics for any window end, whereas the
-			// parallel path's lookahead invariant licenses only the base
-			// width. The trade is fewer barriers against lost parallelism
-			// — a win exactly when traffic is shard-local, which is the
-			// condition that widened the window in the first place.
-			if wide {
-				n.wideWindows++
-			}
+		if n.coord.len() > 0 && n.coord.peekTime() <= wend {
 			processed += n.runSerialWindow(wend)
 		} else {
 			processed += n.runParallelWindow(wend)
 		}
-		if n.crossShard == 0 && !n.adaptOff {
-			if n.adaptMult < maxAdaptMult {
-				n.adaptMult <<= 1
-			}
-		} else {
-			n.adaptMult = 1
-		}
 		// Every event left anywhere is beyond wend, so the global clock
 		// advances monotonically window by window.
 		n.now = wend
-		if n.barrier != nil {
-			n.barrier(n.now)
-		}
 	}
 	if n.now < until {
 		n.now = until
@@ -221,7 +155,7 @@ func (n *Network) runParallelWindow(wend int64) int {
 				e := sh.queue.pop()
 				sh.now = e.time
 				sh.curSeq = e.seq
-				n.dispatchShard(e, sh)
+				n.dispatch(e, &sh.stats, sh)
 				cnt++
 			}
 			sh.count = cnt
@@ -235,118 +169,6 @@ func (n *Network) runParallelWindow(wend int64) int {
 		total += n.shards[i].count
 	}
 	return total
-}
-
-// dispatchShard is dispatch for parallel windows: identical semantics, but
-// traffic accounts to the shard's counters and generated events buffer for
-// the barrier instead of entering a wheel. Only evInit, evTick and
-// evMessage reach shard wheels (push routes evFunc to the coordinator),
-// and each touches only the destination node's state, which this shard
-// owns.
-func (n *Network) dispatchShard(e event, sh *shardState) {
-	switch e.kind {
-	case evInit:
-		st := &n.nodes[e.to]
-		if !st.alive {
-			return
-		}
-		b := st.find(e.pid)
-		if b == nil {
-			return
-		}
-		b.proto.Init(&b.ctx)
-		if b.period > 0 {
-			sh.emit(event{time: e.time + b.period, kind: evTick, to: e.to, pid: e.pid})
-		}
-	case evTick:
-		st := &n.nodes[e.to]
-		if !st.alive {
-			return
-		}
-		b := st.find(e.pid)
-		if b == nil {
-			return
-		}
-		b.proto.Tick(&b.ctx)
-		sh.emit(event{time: e.time + b.period, kind: evTick, to: e.to, pid: e.pid})
-	case evMessage:
-		if !n.valid(e.to) || !n.nodes[e.to].alive {
-			sh.stats.DeadDest++
-			recycle(e.msg)
-			return
-		}
-		b := n.nodes[e.to].find(e.pid)
-		if b == nil {
-			sh.stats.DeadDest++
-			recycle(e.msg)
-			return
-		}
-		sh.stats.Delivered++
-		b.proto.Handle(&b.ctx, e.from, e.msg)
-		recycle(e.msg)
-	}
-}
-
-// sendSharded is the in-window half of Send: drop and latency draw from
-// the sender's wire stream, traffic accounts to the sender's shard, and in
-// a parallel window the message buffers until the barrier. Serial windows
-// push immediately (a closure may schedule work due inside the window),
-// account globally, but draw from the same wire streams as parallel
-// windows so a node's stream consumption is independent of which windows
-// happened to run serially.
-func (n *Network) sendSharded(from, to peer.Addr, pid ProtoID, msg Message) {
-	st := &n.nodes[from]
-	sh := &n.shards[st.shard]
-	stats, now := &sh.stats, sh.now
-	if n.mode == modeSerial {
-		stats, now = &n.stats, n.now
-	}
-	stats.Sent++
-	if s, ok := msg.(Sizer); ok {
-		stats.WireUnits += int64(s.WireSize())
-	}
-	if n.linkFault != nil && n.linkFault(from, to) {
-		stats.Dropped++
-		recycle(msg)
-		return
-	}
-	if n.cfg.Drop > 0 && st.wire.float64() < n.cfg.Drop {
-		stats.Dropped++
-		recycle(msg)
-		return
-	}
-	e := event{
-		time: now + n.wireLatency(&st.wire),
-		kind: evMessage,
-		to:   to, pid: pid, from: from, msg: msg,
-	}
-	if n.mode == modeSerial {
-		if n.valid(to) && n.nodes[to].shard != st.shard {
-			n.crossShard++
-		}
-		n.push(e)
-		return
-	}
-	sh.emit(e)
-}
-
-// wireLatency draws a message latency from the node's wire stream, clamped
-// to at least 1 so a generated message always lands strictly beyond the
-// window that generated it. (The sequential engine permits a 0 draw when
-// MinLatency == 0 < MaxLatency; the sharded engine cannot, and documents
-// the clamp on Config.Shards.)
-func (n *Network) wireLatency(w *wireRNG) int64 {
-	if n.cfg.MaxLatency <= 0 {
-		return 1
-	}
-	if n.cfg.MaxLatency == n.cfg.MinLatency {
-		return n.cfg.MinLatency
-	}
-	l := n.cfg.MinLatency + w.int63n(n.cfg.MaxLatency-n.cfg.MinLatency+1)
-	if l < 1 {
-		l = 1
-	}
-	return l
 }
 
 // mergeGenerated is the window barrier: a P-way merge of the shards'
@@ -382,15 +204,7 @@ func (n *Network) mergeGenerated() {
 		}
 		g := &n.shards[best].gen[heads[best]]
 		heads[best]++
-		// Tally cross-shard traffic for the adaptive window: a message
-		// whose destination lives on a different shard than the sender is
-		// the exchange the barrier exists for. Ticks and inits always stay
-		// on their own node's shard.
-		if g.ev.kind == evMessage && n.valid(g.ev.to) &&
-			n.nodes[g.ev.to].shard != n.nodes[g.ev.from].shard {
-			n.crossShard++
-		}
-		n.push(g.ev)
+		n.push(nil, g.ev)
 	}
 	for i := range n.shards {
 		sh := &n.shards[i]
@@ -435,7 +249,7 @@ func (n *Network) runSerialWindow(wend int64) int {
 			e = n.shards[best].queue.pop()
 		}
 		n.now = e.time
-		n.dispatch(e)
+		n.dispatch(e, &n.stats, nil)
 		cnt++
 	}
 	n.mode = modeIdle

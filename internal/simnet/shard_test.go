@@ -81,12 +81,9 @@ type probeResult struct {
 // plus (optionally) churn from both At closures and harness calls between
 // Run windows — and returns the full observable result. The workload is a
 // pure function of cfg, so results are comparable across shard counts.
-// fixed freezes the adaptive window multiplier at 1 (the pre-adaptive
-// fixed-window engine), giving the golden the adaptive runs are pinned to.
-func runProbeScenario(t *testing.T, cfg Config, n int, churn, fixed bool) probeResult {
+func runProbeScenario(t *testing.T, cfg Config, n int, churn bool) probeResult {
 	t.Helper()
 	net := New(cfg)
-	net.adaptOff = fixed
 	var protos []*shardProbe
 	addProbe := func() {
 		a := net.AddNode()
@@ -170,14 +167,14 @@ func TestShardedMatchesSequential(t *testing.T) {
 	for _, tc := range configs {
 		for _, n := range []int{5, 64} {
 			for _, churn := range []bool{false, true} {
-				ref := runProbeScenario(t, tc.cfg, n, churn, false)
+				ref := runProbeScenario(t, tc.cfg, n, churn)
 				if ref.stats.Sent == 0 || ref.stats.Delivered == 0 {
 					t.Fatalf("%s: degenerate reference run: %+v", tc.name, ref.stats)
 				}
 				for _, shards := range []int{1, 2, 4, 7} {
 					cfg := tc.cfg
 					cfg.Shards = shards
-					got := runProbeScenario(t, cfg, n, churn, false)
+					got := runProbeScenario(t, cfg, n, churn)
 					sameProbeResult(t,
 						fmt.Sprintf("%s/n=%d/churn=%v/shards=%d", tc.name, n, churn, shards),
 						ref, got)
@@ -196,7 +193,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 func TestShardedInvarianceStochastic(t *testing.T) {
 	cfg := Config{Seed: 99, Drop: 0.25, MinLatency: 1, MaxLatency: 6}
 	cfg.Shards = 2
-	ref := runProbeScenario(t, cfg, 64, true, false)
+	ref := runProbeScenario(t, cfg, 64, true)
 	if ref.stats.Dropped == 0 {
 		t.Fatal("stochastic scenario dropped nothing; drop path untested")
 	}
@@ -205,13 +202,13 @@ func TestShardedInvarianceStochastic(t *testing.T) {
 	}
 	for _, shards := range []int{3, 4, 8} {
 		cfg.Shards = shards
-		got := runProbeScenario(t, cfg, 64, true, false)
+		got := runProbeScenario(t, cfg, 64, true)
 		sameProbeResult(t, fmt.Sprintf("shards=%d", shards), ref, got)
 	}
 	// Determinism: the same configuration twice is the same run.
 	cfg.Shards = 4
-	a := runProbeScenario(t, cfg, 64, true, false)
-	b := runProbeScenario(t, cfg, 64, true, false)
+	a := runProbeScenario(t, cfg, 64, true)
+	b := runProbeScenario(t, cfg, 64, true)
 	sameProbeResult(t, "repeat", a, b)
 }
 
@@ -220,7 +217,7 @@ func TestShardedInvarianceStochastic(t *testing.T) {
 // dead destination, with per-shard counters summing to the global truth.
 func TestShardedConservation(t *testing.T) {
 	for _, shards := range []int{0, 4} {
-		res := runProbeScenario(t, Config{Seed: 5, Drop: 0.2, MinLatency: 1, MaxLatency: 4, Shards: shards}, 48, true, false)
+		res := runProbeScenario(t, Config{Seed: 5, Drop: 0.2, MinLatency: 1, MaxLatency: 4, Shards: shards}, 48, true)
 		s := res.stats
 		if s.Sent != s.Delivered+s.Dropped+s.DeadDest {
 			t.Errorf("shards=%d: ledger imbalance: %+v", shards, s)
@@ -267,57 +264,6 @@ func TestShardedSerialWindowAt(t *testing.T) {
 				t.Fatalf("shards=%d: fired %v, want %v", shards, fired, want)
 			}
 		}
-	}
-}
-
-// TestShardedOnBarrier pins the barrier hook contract: it runs with every
-// shard quiescent and all generated events merged, at a strictly increasing
-// clock, and protocol state read there is stable (monotone tick counts that
-// end at the true total).
-func TestShardedOnBarrier(t *testing.T) {
-	net := New(Config{Seed: 11, Shards: 4})
-	n := 32
-	protos := make([]*shardProbe, n)
-	for i := 0; i < n; i++ {
-		a := net.AddNode()
-		protos[i] = &shardProbe{peers: n, fanout: 2, maxTicks: 50}
-		if err := net.Attach(a, 1, protos[i], 3, int64(i%3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	calls := 0
-	lastNow := int64(-1)
-	lastTicks := -1
-	net.OnBarrier(func(now int64) {
-		calls++
-		if now <= lastNow {
-			t.Fatalf("barrier now %d not increasing past %d", now, lastNow)
-		}
-		lastNow = now
-		total := 0
-		for _, p := range protos {
-			total += p.ticks
-		}
-		if total < lastTicks {
-			t.Fatalf("tick total regressed at barrier: %d -> %d", lastTicks, total)
-		}
-		lastTicks = total
-	})
-	net.Run(90)
-	if calls == 0 {
-		t.Fatal("barrier hook never ran")
-	}
-	total := 0
-	for _, p := range protos {
-		total += p.ticks
-	}
-	if lastTicks != total {
-		t.Errorf("last barrier saw %d ticks, final total %d", lastTicks, total)
-	}
-	net.OnBarrier(nil)
-	net.Run(120)
-	if calls == 0 {
-		t.Fatal("unreachable")
 	}
 }
 
@@ -373,100 +319,51 @@ func TestShardedChurnHammer(t *testing.T) {
 	sameProbeResult(t, "hammer repeat", a, b)
 }
 
-// localProbe is a shard-local workload: every tick sends a message to the
-// node itself, so no event ever crosses a shard boundary. This is the
-// regime the adaptive window exists for — without widening, the engine
-// pays a full barrier every lookahead for exchange that never happens.
-type localProbe struct {
-	ticks int
-	hash  uint64
-}
-
-func (p *localProbe) mix(vals ...int64) {
-	for _, v := range vals {
-		p.hash = splitmix64(p.hash ^ uint64(v))
-	}
-}
-
-func (p *localProbe) Init(ctx proto.Context) { p.mix(1, ctx.Now(), int64(ctx.Self())) }
-
-func (p *localProbe) Tick(ctx proto.Context) {
-	p.ticks++
-	p.mix(2, ctx.Now())
-	ctx.Send(ctx.Self(), probeMsg{hop: 0, tag: int64(ctx.Rand().Int31())})
-}
-
-func (p *localProbe) Handle(ctx proto.Context, from peer.Addr, msg proto.Message) {
-	m := msg.(probeMsg)
-	p.mix(3, ctx.Now(), int64(from), m.tag)
-}
-
-// runLocalScenario runs the shard-local workload and returns the full
-// observable result plus the widened-window and barrier counts.
-func runLocalScenario(t *testing.T, shards int, fixed bool) (probeResult, int64, int) {
-	t.Helper()
-	net := New(Config{Seed: 17, Shards: shards, MinLatency: 2, MaxLatency: 2})
-	net.adaptOff = fixed
-	const n = 24
-	var protos []*localProbe
-	for i := 0; i < n; i++ {
-		a := net.AddNode()
-		pr := &localProbe{}
-		if err := net.Attach(a, 1, pr, 5, int64(a%5)); err != nil {
-			t.Fatal(err)
+// TestSerialWindowsDoNotMoveTheTrace pins that serial windows are exact
+// against parallel ones under in-window randomness: the same stochastic
+// workload runs once plain (no At closure, so every window is parallel) and
+// once with a no-op closure due at every instant (so every window is
+// serial). A node's wire-stream consumption and the summed counters must
+// not depend on which windows ran serially.
+func TestSerialWindowsDoNotMoveTheTrace(t *testing.T) {
+	const n, horizon = 64, 220
+	run := func(serial bool) (probeResult, *Network) {
+		net := New(Config{Seed: 99, Drop: 0.25, MinLatency: 1, MaxLatency: 6, Shards: 4})
+		protos := make([]*shardProbe, n)
+		for i := range protos {
+			a := net.AddNode()
+			protos[i] = &shardProbe{peers: n, fanout: 2, maxTicks: 30}
+			if err := net.Attach(a, 1, protos[i], 3, int64(a%3)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		protos = append(protos, pr)
+		closures := 0
+		if serial {
+			for at := int64(0); at <= horizon; at++ {
+				net.At(at, func() {})
+				closures++
+			}
+		}
+		events := net.Run(30) + net.Run(75) + net.Run(horizon)
+		res := probeResult{stats: net.Stats(), events: events - closures, now: net.Now(), nodes: net.NumNodes()}
+		for _, pr := range protos {
+			res.hashes = append(res.hashes, pr.hash)
+			res.ticks = append(res.ticks, pr.ticks)
+		}
+		return res, net
 	}
-	barriers := 0
-	net.OnBarrier(func(int64) { barriers++ })
-	events := net.Run(300)
-	events += net.Run(600)
-	res := probeResult{stats: net.Stats(), events: events, now: net.Now(), nodes: net.NumNodes()}
-	for _, pr := range protos {
-		res.hashes = append(res.hashes, pr.hash)
-		res.ticks = append(res.ticks, pr.ticks)
+	parallel, pnet := run(false)
+	serial, snet := run(true)
+	if parallel.stats.Dropped == 0 || parallel.stats.Delivered == 0 {
+		t.Fatalf("degenerate run: %+v", parallel.stats)
 	}
-	return res, net.WideWindows(), barriers
-}
-
-// TestAdaptiveWideningLocalTraffic pins the adaptive window's contract on
-// the workload it targets: with purely shard-local traffic the adaptive
-// run must (a) widen — and keep widening — so barriers collapse by orders
-// of magnitude, and (b) stay byte-identical to both the fixed-window
-// sharded engine and the sequential engine.
-func TestAdaptiveWideningLocalTraffic(t *testing.T) {
-	seq, seqWide, _ := runLocalScenario(t, 0, false)
-	fixed, fixWide, fixBarriers := runLocalScenario(t, 4, true)
-	ada, adaWide, adaBarriers := runLocalScenario(t, 4, false)
-	sameProbeResult(t, "fixed-vs-sequential", seq, fixed)
-	sameProbeResult(t, "adaptive-vs-fixed", fixed, ada)
-	if seqWide != 0 || fixWide != 0 {
-		t.Errorf("widening engaged where disabled: seq=%d fixed=%d", seqWide, fixWide)
+	// Parallel windows account per shard, serial windows globally: the
+	// split shows that each run really took only its own kind of window.
+	if pnet.stats != (Stats{}) {
+		t.Errorf("plain run accounted %+v globally; some window ran serially", pnet.stats)
 	}
-	if adaWide == 0 {
-		t.Error("adaptive widening never engaged on a shard-local workload")
+	if snet.stats != serial.stats {
+		t.Errorf("closure run accounted %+v globally of %+v; some window ran in parallel", snet.stats, serial.stats)
 	}
-	if adaBarriers*4 > fixBarriers {
-		t.Errorf("widening did not collapse barriers: adaptive=%d fixed=%d", adaBarriers, fixBarriers)
-	}
-}
-
-// TestAdaptiveWideningCrossTraffic pins the other half of the contract on
-// the cross-heavy probe scenario (fanout pings across the whole address
-// space, plus churn): cross-shard traffic must keep resetting the
-// multiplier so most windows still run parallel at the conservative
-// width, and the trace must stay byte-identical to the fixed-window
-// golden — adaptation moves barriers, never events.
-func TestAdaptiveWideningCrossTraffic(t *testing.T) {
-	cfg := Config{Seed: 42, MinLatency: 3, MaxLatency: 3, Shards: 4}
-	fixed := runProbeScenario(t, cfg, 64, true, true)
-	ada := runProbeScenario(t, cfg, 64, true, false)
-	sameProbeResult(t, "adaptive-vs-fixed-golden", fixed, ada)
-
-	// Stochastic config too: drops and a latency window change which
-	// messages exist, not the invariance argument.
-	scfg := Config{Seed: 99, Drop: 0.25, MinLatency: 1, MaxLatency: 6, Shards: 4}
-	sfixed := runProbeScenario(t, scfg, 64, true, true)
-	sada := runProbeScenario(t, scfg, 64, true, false)
-	sameProbeResult(t, "adaptive-vs-fixed-stochastic", sfixed, sada)
+	sameProbeResult(t, "serial-vs-parallel", parallel, serial)
 }

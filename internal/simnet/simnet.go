@@ -44,9 +44,10 @@ type Config struct {
 	MinLatency, MaxLatency int64
 	// Shards, when greater than 1, partitions the nodes across that many
 	// parallel execution shards: each shard runs its own calendar wheel
-	// inside conservative lookahead windows and the shards exchange
+	// inside fixed conservative lookahead windows and the shards exchange
 	// generated events at window barriers (see shard.go). 0 or 1 selects
-	// the sequential engine, the golden reference.
+	// the sequential engine, the golden reference. Both engines run the
+	// same dispatch and Send.
 	//
 	// Determinism: a sharded run is a pure function of the configuration,
 	// and for workloads whose engine-level randomness is never consulted
@@ -54,9 +55,9 @@ type Config struct {
 	// default instant-delivery config — the trace is byte-identical to
 	// the sequential engine for every shard count. With Drop > 0 or a
 	// latency window, in-flight draws come from per-node wire RNGs
-	// instead of the global stream, so runs remain deterministic and
-	// shard-count invariant for every Shards > 1, but diverge from the
-	// sequential (Shards <= 1) trace.
+	// instead of the global stream (and a latency draw of 0 is clamped to
+	// 1), so runs remain deterministic and shard-count invariant for every
+	// Shards > 1, but diverge from the sequential (Shards <= 1) trace.
 	Shards int
 }
 
@@ -136,7 +137,8 @@ type Stats struct {
 // runMode tracks what the engine is doing, so Send and Context.Now can
 // route state reads and writes to the right owner. It only ever changes on
 // the driving goroutine while no shard worker runs, so workers observing it
-// mid-window always see a stable value.
+// mid-window always see a stable value. The sequential engine never leaves
+// modeIdle.
 type runMode uint8
 
 const (
@@ -172,27 +174,8 @@ type Network struct {
 	// bounds the conservative lookahead window alongside the latency
 	// floor (see lookahead).
 	minPeriod int64
-	// barrier, when set, runs after every sharded window with all shards
-	// quiescent — the measurement plane's hook into a running trial.
-	barrier func(now int64)
 	// mergeHeads is the barrier merge's reusable per-shard cursor slice.
 	mergeHeads []int
-	// adaptMult is the adaptive window multiplier (see shard.go): it
-	// doubles every time a window closes with no cross-shard traffic and
-	// resets to 1 on any. Windows with adaptMult > 1 run serially over
-	// base·mult lookaheads — serial execution is exact for any window
-	// width, while the parallel path's lookahead invariant licenses only
-	// the base width.
-	adaptMult int64
-	// adaptOff freezes adaptMult at 1 (fixed-window mode; used by the
-	// trace-invariance tests).
-	adaptOff bool
-	// crossShard counts cross-shard events generated in the current
-	// window: parallel windows tally at the merge barrier, serial windows
-	// at push/send time.
-	crossShard int
-	// wideWindows counts windows that ran with adaptMult > 1.
-	wideWindows int64
 }
 
 // New returns an empty network with the given configuration.
@@ -213,7 +196,6 @@ func New(cfg Config) *Network {
 			n.shards[i].queue.init(queueBuckets(cfg))
 		}
 		n.coord.init(queueBuckets(cfg))
-		n.adaptMult = 1
 		return n
 	}
 	n.queue.init(queueBuckets(cfg))
@@ -321,7 +303,7 @@ func (n *Network) Attach(addr peer.Addr, pid ProtoID, p Protocol, period, startO
 	if period > 0 && (n.minPeriod == 0 || period < n.minPeriod) {
 		n.minPeriod = period
 	}
-	n.push(event{time: n.now + startOffset, kind: evInit, to: addr, pid: pid})
+	n.push(nil, event{time: n.now + startOffset, kind: evInit, to: addr, pid: pid})
 	return nil
 }
 
@@ -331,7 +313,7 @@ func (n *Network) At(t int64, fn func()) {
 	if t < n.now {
 		t = n.now
 	}
-	n.push(event{time: t, kind: evFunc, fn: fn})
+	n.push(nil, event{time: t, kind: evFunc, fn: fn})
 }
 
 // SetLinkFault installs a per-link fault predicate: messages for which fn
@@ -358,35 +340,69 @@ func (n *Network) Partition(groups ...[]peer.Addr) {
 	})
 }
 
-// Send transmits msg from one node to another, applying the latency and
-// drop models. It is normally called through a Context.
+// Send transmits msg from one node to another, applying the drop and
+// latency models. It is normally called through a Context.
 //
-// In sharded mode, sends issued while a window is executing draw their
-// drop and latency decisions from the sender's wire RNG and are accounted
-// to the sender's shard; a send in a parallel window additionally buffers
-// the message until the window barrier instead of pushing it directly.
-// The link-fault predicate, if any, must be safe for concurrent calls.
+// Counters, clock and random stream follow the engine's mode. Idle, or on
+// the sequential engine, Send accounts globally and draws from the global
+// stream. Inside any sharded window it draws from the sender's wire stream
+// — serial windows included, so a node's stream consumption is independent
+// of which windows happened to run serially — and in a parallel window it
+// also accounts to the sender's shard, reads that shard's clock and buffers
+// the message until the window barrier. The link-fault predicate, if any,
+// must be safe for concurrent calls.
 func (n *Network) Send(from, to peer.Addr, pid ProtoID, msg Message) {
-	if len(n.shards) > 0 && n.mode != modeIdle {
-		n.sendSharded(from, to, pid, msg)
-		return
+	stats, now := &n.stats, n.now
+	var sh *shardState // non-nil: buffer for the barrier
+	var wire *wireRNG  // non-nil: draw from the sender's stream
+	if n.mode != modeIdle {
+		st := &n.nodes[from]
+		wire = &st.wire
+		if n.mode == modeParallel {
+			sh = &n.shards[st.shard]
+			stats, now = &sh.stats, sh.now
+		}
 	}
-	n.stats.Sent++
+	stats.Sent++
 	if s, ok := msg.(Sizer); ok {
-		n.stats.WireUnits += int64(s.WireSize())
+		stats.WireUnits += int64(s.WireSize())
 	}
 	if n.linkFault != nil && n.linkFault(from, to) {
-		n.stats.Dropped++
+		stats.Dropped++
 		recycle(msg)
 		return
 	}
-	if n.cfg.Drop > 0 && n.rng.Float64() < n.cfg.Drop {
-		n.stats.Dropped++
-		recycle(msg)
-		return
+	if n.cfg.Drop > 0 {
+		var u float64
+		if wire != nil {
+			u = wire.float64()
+		} else {
+			u = n.rng.Float64()
+		}
+		if u < n.cfg.Drop {
+			stats.Dropped++
+			recycle(msg)
+			return
+		}
 	}
-	n.push(event{
-		time: n.now + n.latency(),
+	delay := int64(1) // instant delivery: never at the send instant itself
+	if lo, hi := n.cfg.MinLatency, n.cfg.MaxLatency; hi > 0 {
+		delay = lo
+		if span := hi - lo + 1; span > 1 {
+			if wire == nil {
+				delay += n.rng.Int63n(span)
+			} else {
+				// Clamped to at least 1 so a generated message always
+				// lands strictly beyond the window that generated it. (The
+				// sequential engine permits a 0 draw when MinLatency == 0
+				// < MaxLatency; the sharded engine cannot, and documents
+				// the clamp on Config.Shards.)
+				delay = max(delay+wire.int63n(span), 1)
+			}
+		}
+	}
+	n.push(sh, event{
+		time: now + delay,
 		kind: evMessage,
 		to:   to, pid: pid, from: from, msg: msg,
 	})
@@ -402,7 +418,7 @@ func (n *Network) Run(until int64) int {
 	for n.queue.len() > 0 && n.queue.peekTime() <= until {
 		e := n.queue.pop()
 		n.now = e.time
-		n.dispatch(e)
+		n.dispatch(e, &n.stats, nil)
 		processed++
 	}
 	if n.now < until {
@@ -411,23 +427,12 @@ func (n *Network) Run(until int64) int {
 	return processed
 }
 
-// RunUntil advances the network in steps of checkEvery until cond returns
-// true or virtual time exceeds max. It reports whether cond was satisfied.
-func (n *Network) RunUntil(cond func() bool, checkEvery, max int64) bool {
-	for n.now < max {
-		next := n.now + checkEvery
-		if next > max {
-			next = max
-		}
-		n.Run(next)
-		if cond() {
-			return true
-		}
-	}
-	return cond()
-}
-
-func (n *Network) dispatch(e event) {
+// dispatch runs one event: on the sequential engine and in serial windows
+// with the global counters and sh == nil, in a parallel window with the
+// dispatching shard's counters and sh. Only evInit, evTick and evMessage
+// reach shard wheels (push routes evFunc to the coordinator), and each
+// touches only the destination node's state, which that shard owns.
+func (n *Network) dispatch(e event, stats *Stats, sh *shardState) {
 	switch e.kind {
 	case evFunc:
 		e.fn()
@@ -442,7 +447,7 @@ func (n *Network) dispatch(e event) {
 		}
 		b.proto.Init(&b.ctx)
 		if b.period > 0 {
-			n.push(event{time: e.time + b.period, kind: evTick, to: e.to, pid: e.pid})
+			n.push(sh, event{time: e.time + b.period, kind: evTick, to: e.to, pid: e.pid})
 		}
 	case evTick:
 		st := &n.nodes[e.to]
@@ -454,20 +459,20 @@ func (n *Network) dispatch(e event) {
 			return
 		}
 		b.proto.Tick(&b.ctx)
-		n.push(event{time: e.time + b.period, kind: evTick, to: e.to, pid: e.pid})
+		n.push(sh, event{time: e.time + b.period, kind: evTick, to: e.to, pid: e.pid})
 	case evMessage:
 		if !n.valid(e.to) || !n.nodes[e.to].alive {
-			n.stats.DeadDest++
+			stats.DeadDest++
 			recycle(e.msg)
 			return
 		}
 		b := n.nodes[e.to].find(e.pid)
 		if b == nil {
-			n.stats.DeadDest++
+			stats.DeadDest++
 			recycle(e.msg)
 			return
 		}
-		n.stats.Delivered++
+		stats.Delivered++
 		b.proto.Handle(&b.ctx, e.from, e.msg)
 		recycle(e.msg)
 	}
@@ -483,22 +488,22 @@ func recycle(m Message) {
 	}
 }
 
-func (n *Network) latency() int64 {
-	if n.cfg.MaxLatency <= 0 {
-		return 1
+// push enqueues a generated event. With sh set — a parallel window — it
+// buffers the event for the barrier, tagged with the (time, seq) of the
+// event being dispatched; the lookahead invariant (generated events land
+// strictly beyond the window) is what licenses running the window's shards
+// concurrently, so violating it is an engine bug worth dying for. Otherwise
+// it stamps the next global insertion sequence and, in sharded mode, routes
+// to the event's owner: evFunc events to the serial coordinator queue, node
+// events to their node's home-shard wheel.
+func (n *Network) push(sh *shardState, e event) {
+	if sh != nil {
+		if e.time <= sh.wend {
+			panic("simnet: generated event lands inside its own lookahead window")
+		}
+		sh.gen = append(sh.gen, genEvent{ptime: sh.now, pseq: sh.curSeq, ev: e})
+		return
 	}
-	if n.cfg.MaxLatency == n.cfg.MinLatency {
-		return n.cfg.MinLatency
-	}
-	return n.cfg.MinLatency + n.rng.Int63n(n.cfg.MaxLatency-n.cfg.MinLatency+1)
-}
-
-// push stamps the next global insertion sequence and enqueues the event. In
-// sharded mode it routes to the event's owner: evFunc events to the serial
-// coordinator queue, node events to their node's home-shard wheel. It must
-// not be called from inside a parallel window (workers buffer generated
-// events instead; see shardState.emit).
-func (n *Network) push(e event) {
 	e.seq = n.seq
 	n.seq++
 	if len(n.shards) == 0 {
@@ -506,12 +511,6 @@ func (n *Network) push(e event) {
 		return
 	}
 	if e.kind == evFunc {
-		if n.mode == modeSerial {
-			// A closure scheduled mid-window can touch any shard's state;
-			// count it as cross-shard traffic so the adaptive window
-			// collapses back to the conservative width.
-			n.crossShard++
-		}
 		n.coord.push(e)
 		return
 	}

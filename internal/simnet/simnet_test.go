@@ -275,26 +275,6 @@ func TestAttachErrors(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	n := New(Config{Seed: 1})
-	a := n.AddNode()
-	p := &echoProto{pingOn: peer.NoAddr}
-	if err := n.Attach(a, 1, p, 10, 0); err != nil {
-		t.Fatal(err)
-	}
-	ok := n.RunUntil(func() bool { return p.ticks >= 5 }, 10, 1000)
-	if !ok {
-		t.Fatal("condition never satisfied")
-	}
-	if p.ticks < 5 || p.ticks > 6 {
-		t.Errorf("ticks = %d, want about 5", p.ticks)
-	}
-	ok = n.RunUntil(func() bool { return false }, 10, 200)
-	if ok {
-		t.Error("impossible condition reported satisfied")
-	}
-}
-
 func TestLinkFaultAndPartition(t *testing.T) {
 	n := New(Config{Seed: 9})
 	a, b, c := n.AddNode(), n.AddNode(), n.AddNode()

@@ -97,15 +97,7 @@ type sampleSums struct {
 }
 
 func (s *sampleSums) add(o sampleSums) {
-	a, b := &s.agg, &o.agg
-	a.LeafMissing += b.LeafMissing
-	a.LeafTotal += b.LeafTotal
-	a.PrefixMissing += b.PrefixMissing
-	a.PrefixTotal += b.PrefixTotal
-	a.LeafPerfect += b.LeafPerfect
-	a.PrefixPerfect += b.PrefixPerfect
-	a.LeafDead += b.LeafDead
-	a.PrefixDead += b.PrefixDead
+	s.agg.Add(o.agg)
 	s.leafMM += o.leafMM
 	s.leafMT += o.leafMT
 	s.leafTT += o.leafTT

@@ -721,14 +721,7 @@ func (t *Truth) MeasureAll(members []Member, workers int) Aggregate {
 	wg.Wait()
 	var agg Aggregate
 	for _, p := range partials {
-		agg.LeafMissing += p.LeafMissing
-		agg.LeafTotal += p.LeafTotal
-		agg.PrefixMissing += p.PrefixMissing
-		agg.PrefixTotal += p.PrefixTotal
-		agg.LeafPerfect += p.LeafPerfect
-		agg.PrefixPerfect += p.PrefixPerfect
-		agg.LeafDead += p.LeafDead
-		agg.PrefixDead += p.PrefixDead
+		agg.Add(p)
 	}
 	return agg
 }
