@@ -92,7 +92,7 @@ func parseArgs(args []string) (*options, error) {
 	fs.IntVar(&o.p.Cycles, "cycles", 30, "campaign length in periods")
 	fs.Int64Var(&o.seed, "seed", 42, "base seed")
 	fs.IntVar(&o.p.InboxSize, "inbox", 0, "per-host inbox bound (0 = engine default)")
-	fs.BoolVar(&o.p.MemStats, "memstats", false, "print a # memstats header per trial (live heap bytes per node, peak RSS)")
+	fs.BoolVar(&o.p.MemStats, "memstats", false, "print one # memstats campaign header (baseline and peak live heap across all trials, heap bytes per node, peak RSS)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package host_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,5 +333,298 @@ func TestLifecycleAttachAfterStart(t *testing.T) {
 		if err := hosts[1].Attach(core.ProtoID+1, &echo{}, 0, 0); err == nil {
 			t.Error("Attach on a killed host of a started runtime accepted")
 		}
+	})
+}
+
+// callback is one scheduled callback a witness saw: which binding's, Init
+// or Tick, and when.
+type callback struct {
+	pid  proto.ProtoID
+	init bool
+	at   time.Time
+}
+
+// witness appends its scheduled callbacks to a log its host's bindings
+// share. The log is a plain slice — one goroutine per host is the claim —
+// so a test reads it only while the host is parked or killed.
+type witness struct {
+	pid proto.ProtoID
+	log *[]callback
+}
+
+func (w witness) Init(proto.Context)                             { *w.log = append(*w.log, callback{w.pid, true, time.Now()}) }
+func (w witness) Tick(proto.Context)                             { *w.log = append(*w.log, callback{w.pid, false, time.Now()}) }
+func (w witness) Handle(proto.Context, peer.Addr, proto.Message) {}
+
+// attachWitnesses binds two periodic witnesses, half a period apart, and a
+// reactive one to h.
+func attachWitnesses(t *testing.T, h *host.Host, log *[]callback, period time.Duration) {
+	t.Helper()
+	for i, sched := range [][2]time.Duration{{period, 0}, {period, period / 2}, {0, 0}} {
+		pid := core.ProtoID + 1 + proto.ProtoID(i)
+		if err := h.Attach(pid, witness{pid, log}, sched[0], sched[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// await polls until ok reports true; past its bound it fails the test
+// with what was still missing.
+func await(t *testing.T, ok func() bool, missing func() string) {
+	t.Helper()
+	const bound = 10 * time.Second
+	for deadline := time.Now().Add(bound); !ok(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("within %v: %s", bound, missing())
+		}
+	}
+}
+
+// awaitTicks waits until h has run at least want ticks in all.
+func awaitTicks(t *testing.T, h *host.Host, want int64) {
+	t.Helper()
+	await(t, func() bool { return h.Stats().Ticks >= want }, func() string {
+		return fmt.Sprintf("host %d ran %d ticks, want %d", h.Addr(), h.Stats().Ticks, want)
+	})
+}
+
+// TestLifecycleParkedHostOwesOneTick parks a host through five of its
+// periods: nothing runs while it is parked, each periodic binding runs the
+// one tick it owes as soon as the host resumes — not five — and its next
+// tick comes no sooner than a full period later, not at the old phase.
+func TestLifecycleParkedHostOwesOneTick(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const period = 60 * time.Millisecond
+		rt := e.build(t, 19650, 91, 1, 0)
+		h := rt.LocalHosts()[0]
+		var log []callback
+		attachWitnesses(t, h, &log, period)
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		awaitTicks(t, h, 2)
+		if !h.Pause() {
+			t.Fatal("Pause failed")
+		}
+		parked := len(log)
+		time.Sleep(5*period + period/2)
+		if len(log) != parked {
+			t.Errorf("%d scheduled callbacks ran on a parked host", len(log)-parked)
+		}
+		resumed := time.Now()
+		h.Resume()
+		awaitTicks(t, h, h.Stats().Ticks+6) // three more of each binding
+		h.Kill()
+		// Counted, not timed: the loop reads its clock after Resume and
+		// schedules the tick after the owed one a period past that reading,
+		// so a second tick inside the first period is a catch-up tick
+		// however the goroutines were scheduled; none means the owed tick
+		// was not run on Resume.
+		for pid := core.ProtoID + 1; pid <= core.ProtoID+2; pid++ {
+			early := 0
+			for _, c := range log[parked:] {
+				if c.pid == pid && c.at.Before(resumed.Add(period)) {
+					early++
+				}
+			}
+			if early != 1 {
+				t.Errorf("binding %d ran %d ticks within one period (%v) of Resume, want exactly the one it owed", pid, early, period)
+			}
+		}
+	})
+}
+
+// TestLifecycleInitPrecedesFirstTick checks the order of a binding's
+// scheduled callbacks on every incarnation: exactly one Init, before any
+// Tick, for periodic and reactive bindings alike, after Respawn as at
+// Start.
+func TestLifecycleInitPrecedesFirstTick(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		rt := e.build(t, 19660, 92, 1, 0)
+		h := rt.LocalHosts()[0]
+		var log []callback
+		attachWitnesses(t, h, &log, 4*time.Millisecond)
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		for inc := int64(1); inc <= 3; inc++ {
+			awaitTicks(t, h, h.Stats().Ticks+4)
+			h.Kill()
+			for pid := core.ProtoID + 1; pid <= core.ProtoID+3; pid++ {
+				inits, ticks := 0, 0
+				for _, c := range log {
+					if c.pid != pid {
+						continue
+					}
+					if !c.init {
+						ticks++
+						continue
+					}
+					inits++
+					if ticks > 0 {
+						t.Errorf("incarnation %d: binding %d ran Init after %d ticks", inc, pid, ticks)
+					}
+				}
+				if reactive := pid == core.ProtoID+3; inits != 1 || (ticks == 0) != reactive {
+					t.Errorf("incarnation %d: binding %d (reactive: %v) ran %d inits and %d ticks", inc, pid, reactive, inits, ticks)
+				}
+			}
+			if got := h.Stats().Incarnations; got != inc {
+				t.Errorf("incarnations = %d, want %d", got, inc)
+			}
+			log = log[:0]
+			if err := h.Respawn(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// rally returns every message it handles to its sender, so two hosts keep
+// traffic flowing with no tick behind it.
+type rally struct {
+	to      peer.Addr
+	serves  int // balls served by Init
+	stop    *atomic.Bool
+	handled atomic.Int64
+}
+
+func (p *rally) Init(ctx proto.Context) {
+	for i := 0; i < p.serves; i++ {
+		ctx.Send(p.to, core.NewMessage())
+	}
+}
+func (p *rally) Tick(proto.Context) {}
+func (p *rally) Handle(ctx proto.Context, from peer.Addr, _ proto.Message) {
+	p.handled.Add(1)
+	if !p.stop.Load() {
+		ctx.Send(from, core.NewMessage())
+	}
+}
+
+// TestLifecycleStopTicksEndsTheSchedule checks that StopTicks retires the
+// schedule and nothing else: no Init and no Tick runs again — not on a
+// host respawned afterwards either — while deliveries keep being handled.
+func TestLifecycleStopTicksEndsTheSchedule(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const period = 4 * time.Millisecond
+		rt := e.build(t, 19670, 93, 3, 0)
+		hosts := rt.LocalHosts()
+		var stop atomic.Bool
+		players := []*rally{
+			{to: hosts[1].Addr(), serves: 4, stop: &stop},
+			{to: hosts[0].Addr(), stop: &stop},
+		}
+		logs := make([][]callback, len(hosts))
+		for i, h := range hosts {
+			if i < len(players) {
+				if err := h.Attach(core.ProtoID, players[i], 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			attachWitnesses(t, h, &logs[i], period)
+		}
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hosts {
+			awaitTicks(t, h, 2)
+		}
+		hosts[2].Kill()
+		rt.StopTicks()
+		if err := hosts[2].Respawn(); err != nil {
+			t.Fatal(err)
+		}
+		// A callback under way when StopTicks landed has returned once
+		// its host has parked; from here on none may start.
+		rt.PauseAll()
+		ticks, seen := make([]int64, len(hosts)), make([]int, len(hosts))
+		for i, h := range hosts {
+			ticks[i], seen[i] = h.Stats().Ticks, len(logs[i])
+		}
+		handled := players[1].handled.Load()
+		rt.ResumeAll()
+
+		time.Sleep(6 * period)
+		await(t, func() bool { return players[1].handled.Load() >= handled+100 }, func() string {
+			return fmt.Sprintf("deliveries stalled after StopTicks: %d handled, want 100", players[1].handled.Load()-handled)
+		})
+		stop.Store(true)
+		rt.PauseAll()
+		for i, h := range hosts {
+			if got := h.Stats().Ticks - ticks[i]; got != 0 {
+				t.Errorf("host %d ran %d ticks after StopTicks", i, got)
+			}
+			if got := logs[i][seen[i]:]; len(got) != 0 {
+				t.Errorf("host %d ran scheduled callbacks after StopTicks: %+v", i, got)
+			}
+		}
+		rt.ResumeAll()
+		quiesceAndClose(t, rt)
+	})
+}
+
+// flood sends a burst at one target every tick.
+type flood struct {
+	to    peer.Addr
+	burst int
+}
+
+func (p flood) Init(proto.Context) {}
+func (p flood) Tick(ctx proto.Context) {
+	for i := 0; i < p.burst; i++ {
+		ctx.Send(p.to, core.NewMessage())
+	}
+}
+func (p flood) Handle(proto.Context, peer.Addr, proto.Message) {}
+
+// slow takes a millisecond over every message.
+type slow struct{}
+
+func (slow) Init(proto.Context)                             {}
+func (slow) Tick(proto.Context)                             {}
+func (slow) Handle(proto.Context, peer.Addr, proto.Message) { time.Sleep(time.Millisecond) }
+
+// TestLifecycleFloodedHostKeepsTicking holds a live host's inbox at its
+// bound — arrivals far outpace its handler, so Overflow keeps counting —
+// and checks that its own ticks still run: the schedule does not queue
+// behind deliveries, so traffic cannot silence a host's gossip.
+func TestLifecycleFloodedHostKeepsTicking(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const (
+			period  = 5 * time.Millisecond
+			periods = 40
+		)
+		rt := e.build(t, 19680, 94, 5, 8)
+		hosts := rt.LocalHosts()
+		victim := hosts[0]
+		if err := victim.Attach(core.ProtoID, slow{}, period, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range hosts[1:] {
+			offset := time.Duration(i) * time.Millisecond / 4
+			if err := h.Attach(core.ProtoID, flood{to: victim.Addr(), burst: 32}, time.Millisecond, offset); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		await(t, func() bool { return victim.Stats().Overflow > 0 }, func() string {
+			return "the flood never filled the victim's inbox"
+		})
+		before := victim.Stats()
+		time.Sleep(periods * period)
+		after := victim.Stats()
+		if after.Overflow == before.Overflow {
+			t.Error("the flood let up: no overflow counted during the window")
+		}
+		if got := after.Ticks - before.Ticks; got < periods/4 {
+			t.Errorf("flooded host ran %d ticks in %d periods (%v), want at least %d: deliveries are starving the schedule",
+				got, periods, periods*period, periods/4)
+		}
+		quiesceAndClose(t, rt)
 	})
 }

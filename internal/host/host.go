@@ -7,12 +7,13 @@
 // The Runtime owns everything up to "this message passed the fault model
 // and must reach address to": the host table and per-host RNG seeding, the
 // stop/closing/started handshake, the runtime-mutable drop probability and
-// partition cut, and the four conserved traffic counters. A Host owns one
-// goroutine per incarnation, a bounded inbox, its protocol bindings with
-// per-binding tick coalescing, the Pause/Resume handshake, Kill/Respawn,
-// and the exactly-once retirement of proto.Recyclable messages. The Link
-// does the rest — an in-memory timing wheel, or encode → peer loop →
-// socket → decode — and hands arrivals back through Runtime.Deliver.
+// partition cut, and the four conserved traffic counters. A Host is one
+// goroutine per incarnation and no other: it owns a bounded inbox, its
+// protocol bindings and their tick schedule (see step), the Pause/Resume
+// handshake, Kill/Respawn, and the exactly-once retirement of
+// proto.Recyclable messages. The Link does the rest — an in-memory timing
+// wheel, or encode → peer loop → socket → decode — and hands arrivals
+// back through Runtime.Deliver.
 //
 // The link's half of the seam is Link itself plus Deliver, Drop and
 // Overflow; everything else exported here is the lifecycle API the engines
@@ -121,7 +122,7 @@ type Runtime struct {
 	closing bool // guarded by mu: no wg.Add once set
 	started atomic.Bool
 	start   time.Time
-	noTicks atomic.Bool // StopTicks: quiesce the tick sources
+	noTicks atomic.Bool // StopTicks: retire the tick schedules
 
 	// Mutable fault model, read lock-free on every send.
 	dropBits  atomic.Uint64 // math.Float64bits of the drop probability
@@ -205,18 +206,15 @@ func (r *Runtime) SetPartition(fn func(from, to peer.Addr) bool) {
 	r.partition.Store(&pf)
 }
 
-// StopTicks stops every tick source without touching the hosts: queued
-// and in-flight traffic keeps flowing and replies are still generated,
-// but no new gossip rounds start. It is the first step of the socket
-// engine's quiesce protocol and is irreversible for the runtime's
-// lifetime.
+// StopTicks retires every host's tick schedule without touching the hosts:
+// queued and in-flight traffic keeps flowing and replies are still
+// generated, but no Init or Tick runs again and so no new gossip rounds
+// start. It is the first step of the socket engine's quiesce protocol and
+// is irreversible for the runtime's lifetime.
 func (r *Runtime) StopTicks() { r.noTicks.Store(true) }
 
-// command is one unit of work for a host goroutine.
+// command is one delivery queued for a host goroutine.
 type command struct {
-	// tick is non-nil for tick commands.
-	tick *binding
-	// from/pid/msg describe a delivery.
 	from peer.Addr
 	pid  proto.ProtoID
 	msg  proto.Message
@@ -227,26 +225,44 @@ type command struct {
 // shadow map), and at the two-or-three bindings a bootstrap host carries a
 // linear scan of a contiguous value slice beats a map lookup while costing
 // a single allocation for the whole registry. The slice is sealed at Start
-// (Attach refuses a started runtime), so interior pointers taken by the
-// host goroutine (tick commands, the init channel) remain stable for the
-// life of the network.
+// (Attach refuses a started runtime) and a binding never changes after
+// it: what moves — when each is next due — lives in the incarnation's
+// schedule, on the host goroutine.
 type binding struct {
 	pid    proto.ProtoID
 	p      proto.Protocol
 	period time.Duration
 	offset time.Duration
-	// tickQueued coalesces tick commands: at most one tick per binding
-	// sits in the inbox at a time. Without this a host that falls behind
-	// (or is paused for a measurement) accumulates a backlog of stale
-	// ticks and then fires a catch-up gossip storm — hundreds of extra
-	// messages per host — instead of just resuming at its period.
-	//
-	// A bare uint32 driven through sync/atomic rather than atomic.Bool:
-	// the wrapper embeds a noCopy guard, which would (correctly) trip
-	// vet's copylocks on the by-value appends Attach performs before the
-	// slice is sealed. The atomics only start once Start launches the
-	// goroutines, after the last copy.
-	tickQueued uint32
+}
+
+// never is the due time of a binding with nothing scheduled.
+const never = time.Duration(math.MaxInt64)
+
+// step advances an incarnation's schedule to now and returns the earliest
+// due time left, never if nothing is scheduled. sched[i] is when bs[i]'s
+// next callback is due, measured from the start of the incarnation: its
+// offset means Init — every later time lies beyond it — then a Tick every
+// period, or never again for a reactive binding (period zero). A due
+// binding owes exactly one callback however late it is, fired in pid order.
+// Its next one keeps the phase (next+period) while that is still ahead of
+// now and otherwise lands a full period after now — so a host that fell
+// behind, or sat parked through a measurement, resumes at its period
+// rather than firing a catch-up gossip storm of stale ticks.
+func step(bs []binding, sched []time.Duration, now time.Duration, fire func(b *binding, init bool)) (wake time.Duration) {
+	wake = never
+	for i := range sched {
+		next, b := &sched[i], &bs[i]
+		if *next <= now {
+			fire(b, *next == b.offset)
+			if b.period == 0 {
+				*next = never
+			} else if *next += b.period; *next <= now {
+				*next = now + b.period
+			}
+		}
+		wake = min(wake, *next)
+	}
+	return wake
 }
 
 // incarnation is one life of a host: the channels that end it. Kill closes
@@ -292,7 +308,7 @@ type Host struct {
 	// host's own callback goroutine, so the send path needs no lock.
 	sendRNG *rand.Rand
 	// bindings is sorted by pid and sealed at Runtime.Start; it doubles as
-	// the dispatch table (find) and the tick schedule.
+	// the dispatch table (find) and the tick schedule's periods and offsets.
 	bindings []binding
 	ctrl     chan ctrlMsg
 
@@ -333,8 +349,7 @@ func (h *Host) Stats() HostStats {
 
 // Attach binds a protocol to the host. period zero installs a purely
 // reactive protocol. It returns an error once the runtime has started:
-// the host goroutine holds interior pointers into the sealed bindings
-// slice, which an append would move.
+// the host goroutine reads the sealed bindings slice without a lock.
 func (h *Host) Attach(pid proto.ProtoID, p proto.Protocol, period, offset time.Duration) error {
 	// Under the runtime mutex, which Start holds while it launches the
 	// hosts: an Attach either completes before any goroutine reads the
@@ -365,8 +380,8 @@ func (h *Host) find(pid proto.ProtoID) *binding {
 	return nil
 }
 
-// Kill crashes the host: its goroutine exits, its tickers stop, and
-// messages addressed to it are dropped. It waits for the host goroutine
+// Kill crashes the host: its goroutine exits, its tick schedule with it,
+// and messages addressed to it are dropped. It waits for the host goroutine
 // to finish its current callback, so the host's protocol state may be
 // inspected safely afterwards, and drains messages already queued in the
 // inbox, counting them as dropped. Safe to call multiple times and safe
@@ -396,18 +411,13 @@ func (h *Host) Kill() {
 	}
 }
 
-// drainInbox discards queued deliveries, counting them as dropped. Tick
-// commands are engine-internal and do not touch the traffic counters.
+// drainInbox discards queued deliveries, counting them as dropped.
 func (h *Host) drainInbox() {
 	for {
 		select {
 		case cmd := <-h.inbox:
-			if cmd.tick != nil {
-				atomic.StoreUint32(&cmd.tick.tickQueued, 0)
-			} else {
-				h.rt.dropped.Add(1)
-				recycle(cmd.msg)
-			}
+			h.rt.dropped.Add(1)
+			recycle(cmd.msg)
 		default:
 			return
 		}
@@ -568,36 +578,26 @@ func (r *Runtime) Start() error {
 	return nil
 }
 
-// run is the host main loop for one incarnation: Init all protocols
-// (after their offsets), then serve ticks, deliveries and pause/resume
-// handshakes until shutdown.
+// run is the host main loop for one incarnation and the only goroutine it
+// has: it serves deliveries, pause/resume handshakes and its own tick
+// schedule — each binding's Init, then its Ticks — until shutdown.
 func (h *Host) run(inc *incarnation) {
 	defer h.rt.wg.Done()
 	defer close(inc.exited)
 	h.incarnations.Add(1)
-	// Stagger protocol starts without blocking the mailbox: offsets are
-	// armed as timers that enqueue an init-then-tick sequence.
-	inits := make(chan *binding, len(h.bindings))
-	var timers []*time.Timer
-	var tickers []*time.Ticker
-	for i := range h.bindings {
-		b := &h.bindings[i]
-		timers = append(timers, time.AfterFunc(b.offset, func() {
-			select {
-			case inits <- b:
-			case <-h.rt.stop:
-			case <-inc.down:
-			}
-		}))
+	epoch := time.Now()
+	sched := make([]time.Duration, len(h.bindings))
+	for i := range sched {
+		sched[i] = h.bindings[i].offset
 	}
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
-		}
-		for _, t := range tickers {
-			t.Stop()
-		}
-	}()
+	// One timer, armed for the earliest due callback (by the first step,
+	// at once). due is its channel only while something is scheduled and
+	// nil otherwise: blocking on a timer's channel makes selectgo lock the
+	// timer to register and unregister the waiter on every pass, which a
+	// reactive host (nothing due once initialised) would pay per delivery.
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	due := timer.C
 	for {
 		select {
 		case <-h.rt.stop:
@@ -611,15 +611,17 @@ func (h *Host) run(inc *incarnation) {
 					return
 				}
 			}
-		case b := <-inits:
-			// Init may send; a host respawned while quiescing must not.
-			if !h.rt.noTicks.Load() {
-				b.p.Init(hostContext{h: h, pid: b.pid})
+		case <-due:
+			// StopTicks is for good: Init and Tick may send, and a host
+			// (even one respawned since) must start no new round. The clock
+			// is read here: the channel's value can predate a long park.
+			due = nil
+			if h.rt.noTicks.Load() {
+				continue
 			}
-			if b.period > 0 {
-				ticker := time.NewTicker(b.period)
-				tickers = append(tickers, ticker)
-				go h.forwardTicks(ticker, b, inc)
+			if wake := step(h.bindings, sched, time.Since(epoch), h.fire); wake != never {
+				timer.Reset(wake - time.Since(epoch))
+				due = timer.C
 			}
 		case cmd := <-h.inbox:
 			h.dispatch(cmd)
@@ -645,46 +647,17 @@ func (h *Host) parked(inc *incarnation) bool {
 	}
 }
 
-func (h *Host) forwardTicks(t *time.Ticker, b *binding, inc *incarnation) {
-	for {
-		select {
-		case <-h.rt.stop:
-			return
-		case <-inc.down:
-			return
-		case <-t.C:
-			if h.rt.noTicks.Load() {
-				continue // quiescing: stop feeding new gossip rounds
-			}
-			if !atomic.CompareAndSwapUint32(&b.tickQueued, 0, 1) {
-				continue // a tick is already queued; coalesce
-			}
-			select {
-			case h.inbox <- command{tick: b}:
-			case <-h.rt.stop:
-				atomic.StoreUint32(&b.tickQueued, 0)
-				return
-			case <-inc.down:
-				atomic.StoreUint32(&b.tickQueued, 0)
-				return
-			default:
-				// Inbox full: skip the tick rather than stall.
-				atomic.StoreUint32(&b.tickQueued, 0)
-			}
-		}
+// fire runs one scheduled callback.
+func (h *Host) fire(b *binding, init bool) {
+	if ctx := (hostContext{h: h, pid: b.pid}); init {
+		b.p.Init(ctx)
+	} else {
+		h.ticks.Add(1)
+		b.p.Tick(ctx)
 	}
 }
 
 func (h *Host) dispatch(cmd command) {
-	if cmd.tick != nil {
-		atomic.StoreUint32(&cmd.tick.tickQueued, 0)
-		if h.rt.noTicks.Load() {
-			return // queued before StopTicks
-		}
-		h.ticks.Add(1)
-		cmd.tick.p.Tick(hostContext{h: h, pid: cmd.tick.pid})
-		return
-	}
 	b := h.find(cmd.pid)
 	if b == nil {
 		h.rt.dropped.Add(1)

@@ -1,7 +1,9 @@
 package host_test
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,4 +181,61 @@ func TestRuntimeCloseWithoutStart(t *testing.T) {
 	if err := rt.Start(); err != host.ErrClosed {
 		t.Errorf("Start after Close = %v, want ErrClosed", err)
 	}
+}
+
+// TestRuntimeGoroutineBudget pins what a host costs: one goroutine per live
+// incarnation, however many periodic bindings it carries, and none that
+// outlives a Kill or the Close.
+func TestRuntimeGoroutineBudget(t *testing.T) {
+	const n, k = 40, 7
+	// goroutines waits for the process to hold exactly want goroutines.
+	goroutines := func(when string, want int) {
+		t.Helper()
+		await(t, func() bool { return runtime.NumGoroutine() == want }, func() string {
+			return fmt.Sprintf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
+		})
+	}
+	link := &fakeLink{}
+	rt := host.New(13, 0, 4, link)
+	link.rt = rt
+	led := &ledger{}
+	for i := 0; i < n; i++ {
+		h := rt.AddHost()
+		for pid := proto.ProtoID(8); pid <= 9; pid++ {
+			if err := h.Attach(pid, &sprayer{led: led, addrs: n}, time.Millisecond, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The baseline is taken once the count holds still: an earlier test's
+	// runner goroutine may still be on its way out.
+	base, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); still < 20 && time.Now().Before(deadline); still++ {
+		time.Sleep(time.Millisecond)
+		if g := runtime.NumGoroutine(); g != base {
+			base, still = g, 0
+		}
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	hosts := rt.LocalHosts()
+	// Both bindings of every host are past Init and ticking before the
+	// first count, so whatever a periodic binding costs is being paid.
+	for _, h := range hosts {
+		awaitTicks(t, h, 4)
+	}
+	goroutines("after Start", base+n)
+	for _, h := range hosts[:k] {
+		h.Kill()
+	}
+	goroutines("after Kill", base+n-k)
+	for _, h := range hosts[:k] {
+		if err := h.Respawn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goroutines("after Respawn", base+n)
+	rt.Close()
+	goroutines("after Close", base)
 }

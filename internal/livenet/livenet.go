@@ -1,18 +1,20 @@
 // Package livenet is a concurrent in-memory network runtime: one goroutine
-// per host drives the same protocol state machines that run under the
-// deterministic simulator, over a channel-based transport with optional
-// loss, latency, and bounded inboxes (UDP-like semantics). It demonstrates
-// that the protocol implementations are engine-agnostic and exercises them
-// under real concurrency; run the tests with -race.
+// per host — exactly one: deliveries and the host's own tick schedule are
+// steps of the same loop — drives the same protocol state machines that run
+// under the deterministic simulator, over a channel-based transport with
+// optional loss, latency, and bounded inboxes (UDP-like semantics). It
+// demonstrates that the protocol implementations are engine-agnostic and
+// exercises them under real concurrency; run the tests with -race.
 //
 // The host lifecycle — Pause/Resume (freeze a host between callbacks, e.g.
 // for a consistent whole-network measurement), Kill/Respawn (crash-recovery
-// churn) — the loss and partition model (SetDrop, SetPartition) and the
-// traffic accounting are internal/host's, shared with the socket engine.
-// This package owns only its link: pointer handoff between goroutines,
-// delayed by a runtime-mutable latency window (SetLatency) on sharded
-// timing wheels. The scenario layer (scenario.go) drives both during
-// campaign runs.
+// churn) — the tick schedule, the loss and partition model (SetDrop,
+// SetPartition) and the traffic accounting are internal/host's, shared with
+// the socket engine. This package owns only its link: pointer handoff
+// between goroutines, delayed by a runtime-mutable latency window
+// (SetLatency) on sharded timing wheels harvested by one sweeper goroutine
+// — the only goroutine here that is not a host. The scenario layer
+// (scenario.go) drives both during campaign runs.
 package livenet
 
 import (
