@@ -7,12 +7,13 @@
 // protocol is cheap (one small message per node per interval), randomises
 // non-random initial views very quickly, and self-heals after catastrophic
 // failures, which is what makes it a suitable "liquid" bottom layer.
+//
+// A view is always ordered freshest first — by timestamp descending, ties by
+// ID ascending — holds each ID once and never holds the node itself; merge
+// relies on that order instead of re-establishing it per message.
 package newscast
 
 import (
-	"sort"
-
-	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/proto"
 	"repro/internal/sampling"
@@ -27,6 +28,14 @@ const DefaultViewSize = 30
 type entry struct {
 	desc peer.Descriptor
 	ts   int64
+}
+
+// fresher is the view order: timestamp descending, ties by ID ascending.
+func fresher(a, b entry) bool {
+	if a.ts != b.ts {
+		return a.ts > b.ts
+	}
+	return a.desc.ID < b.desc.ID
 }
 
 // Message is a NEWSCAST view exchange. Request messages ask the receiver to
@@ -46,11 +55,18 @@ func (m Message) WireSize() int { return len(m.Entries) }
 type Protocol struct {
 	self     peer.Descriptor
 	viewSize int
-	view     []entry
 
-	// lastCtx retains the node's deterministic RNG between callbacks so
-	// that Sample, which is invoked by co-located higher layers outside
-	// a callback, can stay deterministic.
+	// view is sorted by fresher, holds each ID once, never holds self and
+	// is at most viewSize long. merge is its only writer.
+	view []entry
+
+	// spare is the buffer merge builds the next view in; the two swap on
+	// every merge. scratch holds merge's sorted copy of a received list.
+	spare, scratch []entry
+
+	// rng is the node's deterministic RNG, captured at Init so that
+	// Sample, which co-located higher layers call outside a callback,
+	// stays deterministic.
 	rng interface{ Intn(int) int }
 }
 
@@ -68,13 +84,11 @@ func New(self peer.Descriptor, bootstrapView []peer.Descriptor, viewSize int) *P
 		viewSize = DefaultViewSize
 	}
 	p := &Protocol{self: self, viewSize: viewSize}
-	for _, d := range bootstrapView {
-		if d.ID == self.ID {
-			continue
-		}
-		p.view = append(p.view, entry{desc: d, ts: 0})
+	boot := make([]entry, len(bootstrapView))
+	for i, d := range bootstrapView {
+		boot[i] = entry{desc: d, ts: 0}
 	}
-	p.truncate()
+	p.merge(boot)
 	return p
 }
 
@@ -117,40 +131,55 @@ func (p *Protocol) outgoing(now int64) []entry {
 }
 
 // merge folds received entries into the view, keeping for each ID the
-// freshest occurrence, dropping the self entry, and truncating to the
-// viewSize freshest descriptors.
+// freshest occurrence (the view's on an exact timestamp tie, else the first
+// received), dropping the self entry, and keeping the viewSize freshest
+// descriptors.
+//
+// The view is already in fresher order and a received list is the sender's
+// outgoing — its self entry stamped now, then its view — so sorting the copy
+// of it is one linear pass, and the first occurrence of an ID in the two-way
+// merge is its freshest. Input in any other order, with repeated IDs or with
+// a self entry comes out the same way, only slower. Steady state allocates
+// nothing: the next view is built in spare and the two buffers swap.
 func (p *Protocol) merge(received []entry) {
-	best := make(map[id.ID]entry, len(p.view)+len(received))
-	for _, e := range p.view {
-		best[e.desc.ID] = e
+	// Stable insertion sort of the copy: among equal (ts, ID) pairs the
+	// first received stays first.
+	r := append(p.scratch[:0], received...)
+	for i := 1; i < len(r); i++ {
+		e := r[i]
+		j := i
+		for ; j > 0 && fresher(e, r[j-1]); j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = e
 	}
-	for _, e := range received {
+	p.scratch = r
+
+	if cap(p.spare) < p.viewSize {
+		p.spare = make([]entry, 0, p.viewSize)
+	}
+	out, v := p.spare[:0], p.view
+next:
+	for len(out) < p.viewSize && (len(v) > 0 || len(r) > 0) {
+		var e entry
+		if len(r) == 0 || (len(v) > 0 && !fresher(r[0], v[0])) {
+			e, v = v[0], v[1:]
+		} else {
+			e, r = r[0], r[1:]
+		}
 		if e.desc.ID == p.self.ID {
 			continue
 		}
-		if cur, ok := best[e.desc.ID]; !ok || e.ts > cur.ts {
-			best[e.desc.ID] = e
+		// A fresher copy of this ID may have come from the other list;
+		// out holds at most viewSize entries, so a scan beats a set.
+		for _, o := range out {
+			if o.desc.ID == e.desc.ID {
+				continue next
+			}
 		}
+		out = append(out, e)
 	}
-	p.view = p.view[:0]
-	for _, e := range best {
-		p.view = append(p.view, e)
-	}
-	p.truncate()
-}
-
-// truncate keeps the viewSize freshest entries, breaking timestamp ties by
-// ID for determinism.
-func (p *Protocol) truncate() {
-	sort.Slice(p.view, func(i, j int) bool {
-		if p.view[i].ts != p.view[j].ts {
-			return p.view[i].ts > p.view[j].ts
-		}
-		return p.view[i].desc.ID < p.view[j].desc.ID
-	})
-	if len(p.view) > p.viewSize {
-		p.view = p.view[:p.viewSize]
-	}
+	p.view, p.spare = out, p.view[:0]
 }
 
 // Sample returns up to n distinct random descriptors from the current view.

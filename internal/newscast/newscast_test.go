@@ -1,6 +1,7 @@
 package newscast
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/id"
@@ -225,4 +226,38 @@ func TestCostOneMessagePerCycle(t *testing.T) {
 	if sent < int64(n*cycles) {
 		t.Errorf("sent %d messages, expected at least %d requests", sent, n*cycles)
 	}
+}
+
+// mergeReference is merge as it stood before the view's order was put to
+// work — a map keyed by ID, a rebuild in map order, sort.Slice, truncate —
+// kept verbatim (the receiver's fields became parameters) as the definition
+// FuzzMergeMatchesReference and TestMergeCases hold merge to. It returns the
+// next view and leaves its arguments alone.
+func mergeReference(self id.ID, viewSize int, view, received []entry) []entry {
+	best := make(map[id.ID]entry, len(view)+len(received))
+	for _, e := range view {
+		best[e.desc.ID] = e
+	}
+	for _, e := range received {
+		if e.desc.ID == self {
+			continue
+		}
+		if cur, ok := best[e.desc.ID]; !ok || e.ts > cur.ts {
+			best[e.desc.ID] = e
+		}
+	}
+	view = nil
+	for _, e := range best {
+		view = append(view, e)
+	}
+	sort.Slice(view, func(i, j int) bool {
+		if view[i].ts != view[j].ts {
+			return view[i].ts > view[j].ts
+		}
+		return view[i].desc.ID < view[j].desc.ID
+	})
+	if len(view) > viewSize {
+		view = view[:viewSize]
+	}
+	return view
 }

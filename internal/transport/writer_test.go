@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/proto"
+	"repro/internal/testenv"
 	"repro/internal/wire"
 )
 
@@ -400,12 +400,8 @@ func TestReadFramesInPlaceAndOversize(t *testing.T) {
 // pooled messages. The frames are addressed to a host this process does
 // not own, so each is retired on arrival and the pool stays warm.
 func TestReadFramesAllocs(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
-			}
-		}
+	if testenv.Race() {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	n, err := New(Config{Seed: 17, N: 2, Procs: 2, BasePort: 19260})
 	if err != nil {
