@@ -582,7 +582,7 @@ func BenchmarkTruthMeasureAll(b *testing.B) {
 }
 
 // BenchmarkMeasureSample is the acceptance benchmark for the sampled
-// measurement plane: at n=2^16 a MeasureSample(1024) measurement must be
+// measurement plane: at n=2^16 a 1024-node MeasureSampleConf must be
 // >= 20x faster than the sharded full-network MeasureAll it replaces (it
 // measures 64x fewer nodes; sample selection is O(sample)). The sampled
 // estimate's intervals are exercised for correctness by the statistical
@@ -616,30 +616,12 @@ func BenchmarkMeasureSample(b *testing.B) {
 		rng := rand.New(rand.NewSource(99))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sa := tr.MeasureSample(members, sample, rng, 0)
+			sa := tr.MeasureSampleConf(members, sample, 0.95, rng, 0)
 			if sa.Exact || sa.SampleSize != sample {
 				b.Fatalf("unexpected fallback: %+v", sa)
 			}
 		}
 	})
-}
-
-func BenchmarkTruthMeasureNode(b *testing.B) {
-	descs, ids := benchWorld(1<<14, 8)
-	cfg := core.DefaultConfig()
-	tr, err := truth.New(ids, cfg.B, cfg.K, cfg.C)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pt := core.NewPrefixTable(descs[0].ID, cfg.B, cfg.K)
-	pt.AddAll(descs[:2000])
-	ls := core.NewLeafSet(descs[0].ID, cfg.C)
-	ls.Update(descs[:200])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.LeafSetMissingFor(descs[0].ID, ls)
-		tr.PrefixMissingFor(descs[0].ID, pt)
-	}
 }
 
 func BenchmarkPastryRoute(b *testing.B) {

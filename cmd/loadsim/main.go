@@ -355,22 +355,13 @@ func run(args []string, out io.Writer) error {
 		st := gen.RunCycle(o.ops)
 
 		members = w.liveMembers(members[:0])
-		var leaf, prefix, leafCI, prefixCI float64
-		if o.measureSample > 0 && o.measureSample < len(members) {
-			agg := w.oracle.MeasureSampleConf(members, o.measureSample, 0.95, measRng, o.measureWorkers)
-			leaf, leafCI = agg.LeafMissing.Mean, agg.LeafMissing.CI
-			prefix, prefixCI = agg.PrefixMissing.Mean, agg.PrefixMissing.CI
-		} else {
-			agg := w.oracle.MeasureAll(members, o.measureWorkers)
-			leaf = proportion(agg.LeafMissing, agg.LeafTotal)
-			prefix = proportion(agg.PrefixMissing, agg.PrefixTotal)
-		}
+		sa := w.oracle.MeasureSampleConf(members, o.measureSample, 0.95, measRng, o.measureWorkers)
 
 		fmt.Fprintf(out, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%d,%d,%d,%e,%e,%e,%e\n",
 			cycle, w.nLive, st.Ops, st.OK, st.NotFound, st.NoRoute, st.Degraded,
 			st.Hops.Quantile(0.5), st.Hops.Quantile(0.99), st.Hops.Mean(),
 			st.Lat.Quantile(0.5), st.Lat.Quantile(0.99), st.Lat.Quantile(0.999),
-			leaf, leafCI, prefix, prefixCI)
+			sa.LeafMissing.Mean, sa.LeafMissing.CI, sa.PrefixMissing.Mean, sa.PrefixMissing.CI)
 	}
 
 	elapsed := time.Since(start)
@@ -387,11 +378,4 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("success rate %.4f under %s, want >= 0.99", tot.SuccessRate(), o.scenario)
 	}
 	return nil
-}
-
-func proportion(num, den int) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
 }

@@ -100,16 +100,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var leafMiss, leafTot, prefMiss, prefTot int
+	members := make([]truth.Member, numHosts)
 	for i, nd := range nodes {
-		lm, lt := tr.LeafSetMissingFor(descs[i].ID, nd.Leaf())
-		pm, pt := tr.PrefixMissingFor(descs[i].ID, nd.Table())
-		leafMiss, leafTot = leafMiss+lm, leafTot+lt
-		prefMiss, prefTot = prefMiss+pm, prefTot+pt
+		members[i] = truth.Member{Self: descs[i].ID, Leaf: nd.Leaf(), Table: nd.Table()}
 	}
+	agg := tr.MeasureAll(members, 0)
 	st := net.Snapshot()
 	fmt.Printf("after ~70 periods (incl. crash/recovery): leaf missing %.4f, prefix missing %.4f\n",
-		float64(leafMiss)/float64(leafTot), float64(prefMiss)/float64(prefTot))
+		float64(agg.LeafMissing)/float64(agg.LeafTotal), float64(agg.PrefixMissing)/float64(agg.PrefixTotal))
 	fmt.Printf("traffic: sent %d, dropped %d (%.1f%%), delivered %d, inbox overflow %d\n",
 		st.Sent, st.Dropped, 100*float64(st.Dropped)/float64(st.Sent), st.Delivered, st.Overflow)
 

@@ -55,24 +55,25 @@ func buildPool(net *simnet.Network, descs []peer.Descriptor, pid simnet.ProtoID,
 	return p, nil
 }
 
-func measure(label string, nodes []*core.Node, memberIDs []id.ID) error {
+// measure measures every node against the ground truth of memberIDs.
+func measure(nodes []*core.Node, memberIDs []id.ID) (truth.Aggregate, error) {
 	cfg := core.DefaultConfig()
 	tr, err := truth.New(memberIDs, cfg.B, cfg.K, cfg.C)
 	if err != nil {
-		return err
+		return truth.Aggregate{}, err
 	}
-	var leafMiss, leafTot, prefMiss, prefTot int
-	for _, nd := range nodes {
-		lm, lt := tr.LeafSetMissingFor(nd.Self().ID, nd.Leaf())
-		pm, pt := tr.PrefixMissingFor(nd.Self().ID, nd.Table())
-		leafMiss, leafTot = leafMiss+lm, leafTot+lt
-		prefMiss, prefTot = prefMiss+pm, prefTot+pt
+	members := make([]truth.Member, len(nodes))
+	for i, nd := range nodes {
+		members[i] = truth.Member{Self: nd.Self().ID, Leaf: nd.Leaf(), Table: nd.Table()}
 	}
+	return tr.MeasureAll(members, 0), nil
+}
+
+func report(label string, agg truth.Aggregate) {
 	fmt.Printf("%-28s leaf-missing %8.2e   prefix-missing %8.2e\n",
 		label,
-		float64(leafMiss)/float64(leafTot),
-		float64(prefMiss)/float64(prefTot))
-	return nil
+		float64(agg.LeafMissing)/float64(agg.LeafTotal),
+		float64(agg.PrefixMissing)/float64(agg.PrefixTotal))
 }
 
 func run() error {
@@ -97,13 +98,16 @@ func run() error {
 		return err
 	}
 	net.Run(net.Now() + 30*delta)
-	idsA, idsB := memberIDs(descsA), memberIDs(descsB)
-	if err := measure("pool A after 30 cycles:", poolA.nodes, idsA); err != nil {
+	aggA, err := measure(poolA.nodes, memberIDs(descsA))
+	if err != nil {
 		return err
 	}
-	if err := measure("pool B after 30 cycles:", poolB.nodes, idsB); err != nil {
+	report("pool A after 30 cycles:", aggA)
+	aggB, err := measure(poolB.nodes, memberIDs(descsB))
+	if err != nil {
 		return err
 	}
+	report("pool B after 30 cycles:", aggB)
 
 	// Phase 2: merge. The sampling layer of the union becomes available
 	// (in production: NEWSCAST views cross-pollinate within a few
@@ -118,12 +122,14 @@ func run() error {
 	start := net.Now()
 	for cycle := 1; cycle <= 40; cycle++ {
 		net.Run(start + int64(cycle)*delta)
-		if cycle%5 == 0 {
-			if err := measure(fmt.Sprintf("merged, cycle %2d:", cycle), poolAll.nodes, allIDs); err != nil {
-				return err
-			}
+		agg, err := measure(poolAll.nodes, allIDs)
+		if err != nil {
+			return err
 		}
-		if perfect(poolAll.nodes, allIDs) {
+		if cycle%5 == 0 {
+			report(fmt.Sprintf("merged, cycle %2d:", cycle), agg)
+		}
+		if agg.LeafMissing == 0 && agg.PrefixMissing == 0 {
 			fmt.Printf("\nmerged overlay perfect at every node after %d cycles\n", cycle)
 			return nil
 		}
@@ -137,21 +143,4 @@ func memberIDs(descs []peer.Descriptor) []id.ID {
 		out[i] = d.ID
 	}
 	return out
-}
-
-func perfect(nodes []*core.Node, memberIDs []id.ID) bool {
-	cfg := core.DefaultConfig()
-	tr, err := truth.New(memberIDs, cfg.B, cfg.K, cfg.C)
-	if err != nil {
-		return false
-	}
-	for _, nd := range nodes {
-		if lm, _ := tr.LeafSetMissingFor(nd.Self().ID, nd.Leaf()); lm != 0 {
-			return false
-		}
-		if pm, _, _ := tr.PrefixMissingLive(nd.Self().ID, nd.Table()); pm != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -46,9 +46,11 @@ func run() error {
 		return err
 	}
 	net.Run(30 * delta)
-	if err := report("whole pool after 30 cycles:", whole, memberIDs(descs)); err != nil {
+	agg, err := measure(whole, memberIDs(descs))
+	if err != nil {
 		return err
 	}
+	report("whole pool after 30 cycles:", agg)
 
 	// Phase 2: split the pool down the middle — the halves cannot even
 	// talk to each other any more — and bootstrap one fresh overlay per
@@ -71,13 +73,17 @@ func run() error {
 	start := net.Now()
 	for cycle := 5; cycle <= 40; cycle += 5 {
 		net.Run(start + int64(cycle)*delta)
-		if err := report(fmt.Sprintf("left  half, cycle %2d:", cycle), lNodes, memberIDs(left)); err != nil {
+		l, err := measure(lNodes, memberIDs(left))
+		if err != nil {
 			return err
 		}
-		if err := report(fmt.Sprintf("right half, cycle %2d:", cycle), rNodes, memberIDs(right)); err != nil {
+		r, err := measure(rNodes, memberIDs(right))
+		if err != nil {
 			return err
 		}
-		if perfect(lNodes, memberIDs(left)) && perfect(rNodes, memberIDs(right)) {
+		report(fmt.Sprintf("left  half, cycle %2d:", cycle), l)
+		report(fmt.Sprintf("right half, cycle %2d:", cycle), r)
+		if perfect(l) && perfect(r) {
 			fmt.Printf("\nboth halves perfect after %d cycles\n", cycle)
 			return nil
 		}
@@ -104,39 +110,26 @@ func attachOverlay(net *simnet.Network, descs []peer.Descriptor, pid simnet.Prot
 	return nodes, nil
 }
 
-func report(label string, nodes []*core.Node, ids []id.ID) error {
+// measure measures every node against the ground truth of ids.
+func measure(nodes []*core.Node, ids []id.ID) (truth.Aggregate, error) {
 	cfg := core.DefaultConfig()
 	tr, err := truth.New(ids, cfg.B, cfg.K, cfg.C)
 	if err != nil {
-		return err
+		return truth.Aggregate{}, err
 	}
-	var lm, lt, pm, pt int
-	for _, nd := range nodes {
-		a, b := tr.LeafSetMissingFor(nd.Self().ID, nd.Leaf())
-		c, d := tr.PrefixMissingFor(nd.Self().ID, nd.Table())
-		lm, lt, pm, pt = lm+a, lt+b, pm+c, pt+d
+	members := make([]truth.Member, len(nodes))
+	for i, nd := range nodes {
+		members[i] = truth.Member{Self: nd.Self().ID, Leaf: nd.Leaf(), Table: nd.Table()}
 	}
-	fmt.Printf("%-24s leaf-missing %8.2e   prefix-missing %8.2e\n",
-		label, float64(lm)/float64(lt), float64(pm)/float64(pt))
-	return nil
+	return tr.MeasureAll(members, 0), nil
 }
 
-func perfect(nodes []*core.Node, ids []id.ID) bool {
-	cfg := core.DefaultConfig()
-	tr, err := truth.New(ids, cfg.B, cfg.K, cfg.C)
-	if err != nil {
-		return false
-	}
-	for _, nd := range nodes {
-		if m, _ := tr.LeafSetMissingFor(nd.Self().ID, nd.Leaf()); m != 0 {
-			return false
-		}
-		if m, _ := tr.PrefixMissingFor(nd.Self().ID, nd.Table()); m != 0 {
-			return false
-		}
-	}
-	return true
+func report(label string, agg truth.Aggregate) {
+	fmt.Printf("%-24s leaf-missing %8.2e   prefix-missing %8.2e\n", label,
+		float64(agg.LeafMissing)/float64(agg.LeafTotal), float64(agg.PrefixMissing)/float64(agg.PrefixTotal))
 }
+
+func perfect(agg truth.Aggregate) bool { return agg.LeafMissing == 0 && agg.PrefixMissing == 0 }
 
 func memberIDs(descs []peer.Descriptor) []id.ID {
 	out := make([]id.ID, len(descs))

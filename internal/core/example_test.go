@@ -49,9 +49,8 @@ func Example() {
 	}
 	perfect := 0
 	for i, nd := range nodes {
-		lm, _ := tr.LeafSetMissingFor(descs[i].ID, nd.Leaf())
-		pm, _ := tr.PrefixMissingFor(descs[i].ID, nd.Table())
-		if lm == 0 && pm == 0 {
+		agg := tr.MeasureAll([]truth.Member{{Self: descs[i].ID, Leaf: nd.Leaf(), Table: nd.Table()}}, 1)
+		if agg.LeafMissing == 0 && agg.PrefixMissing == 0 {
 			perfect++
 		}
 	}

@@ -95,12 +95,8 @@ func FuzzPrefixTableAdd(f *testing.F) {
 		if count != pt.Len() {
 			t.Fatalf("Each visited %d, Len says %d", count, pt.Len())
 		}
-		for _, row := range pt.SlotCounts() {
-			for _, c := range row {
-				if c > k {
-					t.Fatalf("slot over capacity: %d > %d", c, k)
-				}
-			}
+		if err := pt.checkInvariants(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -185,19 +185,6 @@ func (t *PrefixTable) at(i int) peer.Descriptor {
 	panic("core: prefix table index out of range")
 }
 
-// SlotCounts returns, for each row, the number of entries per column.
-// Used by the ground-truth comparison.
-func (t *PrefixTable) SlotCounts() [][]int {
-	out := make([][]int, len(t.rows))
-	for i, row := range t.rows {
-		out[i] = make([]int, 1<<uint(t.b))
-		for j, slot := range row {
-			out[i][j] = len(slot)
-		}
-	}
-	return out
-}
-
 // Remove drops the entry with the given ID, if present (e.g. a peer
 // detected as dead), compacting the slot in place so the slot keeps its
 // arena block.

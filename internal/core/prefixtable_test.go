@@ -119,22 +119,6 @@ func TestPrefixTableRemove(t *testing.T) {
 	pt.Remove(0)    // self: no-op
 }
 
-func TestPrefixTableSlotCounts(t *testing.T) {
-	pt := NewPrefixTable(0, 4, 3)
-	pt.AddAll([]peer.Descriptor{
-		{ID: 0x1000000000000000, Addr: 1},
-		{ID: 0x1100000000000000, Addr: 2},
-		{ID: 0x0200000000000000, Addr: 3},
-	})
-	counts := pt.SlotCounts()
-	if counts[0][1] != 2 {
-		t.Errorf("slot (0,1) count = %d, want 2", counts[0][1])
-	}
-	if counts[1][2] != 1 {
-		t.Errorf("slot (1,2) count = %d, want 1", counts[1][2])
-	}
-}
-
 // TestPrefixTableInvariants: after arbitrary inserts every stored entry is
 // in its correct slot, no slot exceeds k, and no duplicates exist.
 func TestPrefixTableInvariants(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/sampling"
+	"repro/internal/testenv"
 )
 
 // TestSelectPeerRebootstrapAfterLosingLeafSet covers the recovery path a
@@ -85,6 +86,9 @@ func TestFilterTombstonedPreservesSharedSlice(t *testing.T) {
 // carries a tombstoned entry is filtered into a pooled buffer that Handle
 // hands back, so steady-state handling under churn allocates nothing.
 func TestHandleTombstoneForkAllocs(t *testing.T) {
+	if testenv.Race() {
+		t.Skip("the race detector allocates on its own account")
+	}
 	cfg := testConfig()
 	cfg.EvictAfterMisses = 2
 	n, err := NewNode(peer.Descriptor{ID: 1000, Addr: 0}, cfg, sampling.Fixed(nil))

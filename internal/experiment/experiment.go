@@ -109,7 +109,7 @@ type Params struct {
 	// MeasureSample, when positive and smaller than the live population,
 	// measures a uniform random node sample of that size per cycle
 	// instead of the full network, reporting ratio estimates with
-	// confidence intervals (truth.MeasureSample) — the paper itself
+	// confidence intervals (truth.MeasureSampleConf) — the paper itself
 	// plots means over node samples, and at paper scale full measurement
 	// costs seconds per cycle. Zero (the default) measures every node.
 	// Sampling touches only the measurement plane — the protocol trace

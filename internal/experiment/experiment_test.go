@@ -363,10 +363,11 @@ func TestConvergesWithLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, nd := range nodes {
-		if lm, _ := tr.LeafSetMissingFor(descs[i].ID, nd.Leaf()); lm != 0 {
+		agg := tr.MeasureAll([]truth.Member{{Self: descs[i].ID, Leaf: nd.Leaf(), Table: nd.Table()}}, 1)
+		if agg.LeafMissing != 0 {
 			t.Fatalf("node %d leaf set imperfect after 40 cycles with latency", i)
 		}
-		if pm, _ := tr.PrefixMissingFor(descs[i].ID, nd.Table()); pm != 0 {
+		if agg.PrefixMissing != 0 {
 			t.Fatalf("node %d prefix table imperfect after 40 cycles with latency", i)
 		}
 	}

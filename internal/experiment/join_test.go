@@ -122,12 +122,11 @@ func TestPartitionHealing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss := 0
+	members := make([]truth.Member, n)
 	for i, nd := range nodes {
-		lm, _ := tr.LeafSetMissingFor(descs[i].ID, nd.Leaf())
-		miss += lm
+		members[i] = truth.Member{Self: descs[i].ID, Leaf: nd.Leaf(), Table: nd.Table()}
 	}
-	if miss == 0 {
+	if tr.MeasureAll(members, 1).LeafMissing == 0 {
 		t.Fatal("partitioned network reached global perfection — partition ineffective")
 	}
 
@@ -137,11 +136,12 @@ func TestPartitionHealing(t *testing.T) {
 		s.svc = global
 	}
 	net.Run(net.Now() + cfg.Delta*25)
-	for i, nd := range nodes {
-		if lm, _ := tr.LeafSetMissingFor(descs[i].ID, nd.Leaf()); lm != 0 {
+	for i, m := range members {
+		agg := tr.MeasureAll([]truth.Member{m}, 1)
+		if agg.LeafMissing != 0 {
 			t.Fatalf("node %d leaf set still imperfect %d cycles after healing", i, 25)
 		}
-		if pm, _ := tr.PrefixMissingFor(descs[i].ID, nd.Table()); pm != 0 {
+		if agg.PrefixMissing != 0 {
 			t.Fatalf("node %d prefix table still imperfect after healing", i)
 		}
 	}

@@ -30,7 +30,7 @@ func runSimTrial(t *testing.T, p Params) (*trial, []*member) {
 
 // TestStatSampleCoverage is the statistical regression for the sampled
 // measurement plane: on realistic protocol state — n=4096 mid-bootstrap
-// under 1% per-cycle churn — MeasureSample(512)'s 95% confidence intervals
+// under 1% per-cycle churn — a 512-node sample's 95% confidence intervals
 // must cover MeasureAll's exact missing proportions in at least 93 of 100
 // sampling trials, per metric. Every input is seeded (the simulation, the
 // oracle, all 100 sample draws), so the covered counts are fixed numbers:
@@ -66,7 +66,7 @@ func TestStatSampleCoverage(t *testing.T) {
 	leafCovered, prefixCovered := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(0x9999 + trial*7919)))
-		sa := r.tr.MeasureSample(ms, sampleSize, rng, 2)
+		sa := r.tr.MeasureSampleConf(ms, sampleSize, 0.95, rng, 2)
 		if sa.Exact || sa.SampleSize != sampleSize {
 			t.Fatalf("trial %d: expected a true sample, got %+v", trial, sa)
 		}
@@ -137,7 +137,7 @@ func TestStatSampleCoverageHighChurn(t *testing.T) {
 	coverage := func(ms []truth.Member, wantStrata int) (leaf, prefix int) {
 		for trial := 0; trial < trials; trial++ {
 			rng := rand.New(rand.NewSource(int64(0x9999 + trial*7919)))
-			sa := r.tr.MeasureSample(ms, sampleSize, rng, 2)
+			sa := r.tr.MeasureSampleConf(ms, sampleSize, 0.95, rng, 2)
 			if sa.Strata != wantStrata {
 				t.Fatalf("trial %d: Strata = %d, want %d", trial, sa.Strata, wantStrata)
 			}

@@ -246,17 +246,14 @@ func (t *trial) partial(cycle int) (Partial, error) {
 // measure computes the network-wide missing proportions against ground
 // truth while the world is frozen, sharded across workers goroutines, and
 // decides whether the cycle was perfect. With sample > 0 it measures a
-// uniform node sample and reports ratio estimates (Params.MeasureSample).
+// uniform node sample and reports ratio estimates (Params.MeasureSample);
+// truth falls back to the exact measurement otherwise.
 func (t *trial) measure(cycle, alive int, tf traffic) (Point, bool) {
 	settled := t.rec.settled(cycle)
-	if t.sample <= 0 {
-		agg := t.tr.MeasureAll(t.measBuf, t.workers)
-		return pointFromAggregate(cycle, agg, alive, tf), settled && exactlyPerfect(agg)
-	}
 	sa := t.tr.MeasureSampleConf(t.measBuf, t.sample, t.confidence, t.measRNG, t.workers)
 	pt := pointFromSampleAggregate(cycle, sa, alive, tf)
 	perfect := settled && pt.LeafMissing == 0 && pt.PrefixMissing == 0
-	if perfect && pt.SampleSize > 0 {
+	if perfect && !sa.Exact {
 		// An all-perfect sample is only evidence, not proof: a small
 		// sample can miss every imperfect node. Confirm with one exact
 		// measurement, while the world is still frozen, before the run is

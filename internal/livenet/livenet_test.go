@@ -63,17 +63,13 @@ func TestBootstrapOverLivenet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var leafMiss, leafTot, prefMiss, prefTot int
+	members := make([]truth.Member, n)
 	for i, nd := range nodes {
-		lm, lt := tr.LeafSetMissingFor(descs[i].ID, nd.Leaf())
-		pm, pt := tr.PrefixMissingFor(descs[i].ID, nd.Table())
-		leafMiss += lm
-		leafTot += lt
-		prefMiss += pm
-		prefTot += pt
+		members[i] = truth.Member{Self: descs[i].ID, Leaf: nd.Leaf(), Table: nd.Table()}
 	}
-	leafFrac := float64(leafMiss) / float64(leafTot)
-	prefFrac := float64(prefMiss) / float64(prefTot)
+	agg := tr.MeasureAll(members, 1)
+	leafFrac := float64(agg.LeafMissing) / float64(agg.LeafTotal)
+	prefFrac := float64(agg.PrefixMissing) / float64(agg.PrefixTotal)
 	t.Logf("livenet convergence: leaf missing %.4f, prefix missing %.4f, stats %+v",
 		leafFrac, prefFrac, net.Stats())
 	// Wall-clock scheduling is nondeterministic; demand substantial

@@ -236,7 +236,7 @@ func (s *scriptedSource) Uint64() uint64 {
 	return v
 }
 func (s *scriptedSource) Int63() int64 { return int64(s.Uint64() >> 1) }
-func (s *scriptedSource) Seed(int64)  {}
+func (s *scriptedSource) Seed(int64)   {}
 
 // TestDrawKeysDedup is the regression test for key-ID aliasing: before
 // the fix, New kept raw krng.Uint64() draws, so a collision made two key

@@ -27,14 +27,14 @@ func FuzzTrieCounts(f *testing.F) {
 			return
 		}
 		const b = 4
-		tr, err := New(ids, b, 3, 8)
+		tr, err := New(ids, b, len(ids)+1, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		self := ids[0]
 		row := int(rowRaw) % 8
 		col := int(colRaw) % 16
-		got := tr.AvailableAt(self, row, col)
+		got := availableAt(tr, self, row, col)
 		want := 0
 		for _, v := range ids {
 			if v == self {
@@ -45,7 +45,7 @@ func FuzzTrieCounts(f *testing.F) {
 			}
 		}
 		if got != want {
-			t.Fatalf("AvailableAt(%s, %d, %d) = %d, want %d (n=%d)", self, row, col, got, want, len(ids))
+			t.Fatalf("availableAt(%s, %d, %d) = %d, want %d (n=%d)", self, row, col, got, want, len(ids))
 		}
 	})
 }

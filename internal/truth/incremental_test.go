@@ -28,11 +28,11 @@ func equivalent(t *testing.T, inc *Truth, ids []id.ID, b, k, c int) {
 		if !inc.Contains(v) {
 			t.Fatalf("member %s missing", v)
 		}
-		if got, want := inc.PerfectLeafSet(v), fresh.PerfectLeafSet(v); !reflect.DeepEqual(got, want) {
-			t.Fatalf("PerfectLeafSet(%s) = %v, want %v", v, got, want)
+		if got, want := perfectLeafSet(inc, v), perfectLeafSet(fresh, v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("perfectLeafSet(%s) = %v, want %v", v, got, want)
 		}
-		if got, want := inc.ExpectedSlotCounts(v), fresh.ExpectedSlotCounts(v); !reflect.DeepEqual(got, want) {
-			t.Fatalf("ExpectedSlotCounts(%s) = %v, want %v", v, got, want)
+		if got, want := expectedSlotCounts(inc, v), expectedSlotCounts(fresh, v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("expectedSlotCounts(%s) = %v, want %v", v, got, want)
 		}
 	}
 }
@@ -161,10 +161,11 @@ func buildMembers(ids []id.ID, b, k, c int) []Member {
 		descs[i] = peer.Descriptor{ID: v, Addr: peer.Addr(int32(i))}
 	}
 	members := make([]Member, len(ids))
+	w := min(8, len(descs)-1)
 	for i, v := range ids {
 		ls := core.NewLeafSet(v, c)
-		lo := i % (len(descs) - 8)
-		ls.Update(descs[lo : lo+8])
+		lo := i % (len(descs) - w)
+		ls.Update(descs[lo : lo+w])
 		pt := core.NewPrefixTable(v, b, k)
 		pt.AddAll(descs[(i*13)%len(descs):])
 		members[i] = Member{Self: v, Leaf: ls, Table: pt}
@@ -172,36 +173,104 @@ func buildMembers(ids []id.ID, b, k, c int) []Member {
 	return members
 }
 
-func TestMeasureAllMatchesSerialMethods(t *testing.T) {
-	const b, k, c = 4, 3, 8
-	ids := id.Unique(96, 5)
-	tr, err := New(ids, b, k, c)
-	if err != nil {
-		t.Fatal(err)
+// naiveMeasure is the brute-force reference for MeasureAll over the
+// current membership ids: the perfect leaf set comes from core.LeafSet.Update
+// over every member, a slot's perfect occupancy is min(k, naiveAvailable),
+// and only descriptors of current members occupy anything.
+func naiveMeasure(ids []id.ID, members []Member, b, k, c int) Aggregate {
+	live := make(map[id.ID]bool, len(ids))
+	for _, v := range ids {
+		live[v] = true
 	}
-	members := buildMembers(ids, b, k, c)
-
-	// Reference: the existing one-node-at-a-time public methods.
-	var want Aggregate
+	var agg Aggregate
 	for _, m := range members {
-		lm, lt := tr.LeafSetMissingFor(m.Self, m.Leaf)
-		pm, pt, pd := tr.PrefixMissingLive(m.Self, m.Table)
-		want.LeafMissing += lm
-		want.LeafTotal += lt
-		want.PrefixMissing += pm
-		want.PrefixTotal += pt
-		want.PrefixDead += pd
-		want.LeafDead += tr.LeafSetDead(m.Leaf)
-		if lm == 0 {
-			want.LeafPerfect++
+		if !live[m.Self] {
+			continue
 		}
-		if pm == 0 {
-			want.PrefixPerfect++
+		perfect := naivePerfectLeafSet(ids, m.Self, c)
+		leafMissing := 0
+		for v := range perfect {
+			if !m.Leaf.Contains(v) {
+				leafMissing++
+			}
+		}
+		for _, d := range m.Leaf.Slice() {
+			if !live[d.ID] {
+				agg.LeafDead++
+			}
+		}
+		have := make(map[[2]int]int)
+		m.Table.Each(func(row, col int, d peer.Descriptor) bool {
+			if live[d.ID] {
+				have[[2]int{row, col}]++
+			} else {
+				agg.PrefixDead++
+			}
+			return true
+		})
+		prefixMissing := 0
+		for row := 0; row < id.NumDigits(b); row++ {
+			for col := 0; col < 1<<b; col++ {
+				want := min(k, naiveAvailable(ids, m.Self, row, col, b))
+				agg.PrefixTotal += want
+				prefixMissing += max(0, want-have[[2]int{row, col}])
+			}
+		}
+		agg.LeafMissing += leafMissing
+		agg.LeafTotal += len(perfect)
+		agg.PrefixMissing += prefixMissing
+		if leafMissing == 0 {
+			agg.LeafPerfect++
+		}
+		if prefixMissing == 0 {
+			agg.PrefixPerfect++
 		}
 	}
-	for _, workers := range []int{1, 2, 3, 7, 32} {
-		if got := tr.MeasureAll(members, workers); got != want {
-			t.Errorf("MeasureAll(workers=%d) = %+v, want %+v", workers, got, want)
+	return agg
+}
+
+// TestMeasureAllMatchesNaive pins both measurement entry points — MeasureAll
+// at every worker count, and MeasureSampleConf's exact fallback — to the
+// brute-force reference, across digit widths, a network small enough for
+// the leaf windows to wrap, and departed members whose descriptors linger.
+func TestMeasureAllMatchesNaive(t *testing.T) {
+	const k, c = 3, 8
+	cases := []struct {
+		name       string
+		n, b       int
+		departures int // members removed from the truth after the state is built
+	}{
+		{"b=1", 96, 1, 0},
+		{"b=2", 96, 2, 0},
+		{"b=4", 96, 4, 0},
+		{"b=8", 96, 8, 0},
+		{"n<=c", 6, 4, 0},
+		{"departed", 96, 4, 12},
+	}
+	for _, tc := range cases {
+		ids := id.Unique(tc.n, 5)
+		tr, err := New(ids, tc.b, k, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := buildMembers(ids, tc.b, k, c)
+		if err := tr.Update(nil, ids[:tc.departures]); err != nil {
+			t.Fatal(err)
+		}
+		want := naiveMeasure(ids[tc.departures:], members, tc.b, k, c)
+		if tc.departures > 0 && (want.LeafDead == 0 || want.PrefixDead == 0) {
+			t.Fatalf("%s: reference counts no dead entries: %+v", tc.name, want)
+		}
+		for _, workers := range []int{1, 2, 3, 7, 32} {
+			if got := tr.MeasureAll(members, workers); got != want {
+				t.Errorf("%s: MeasureAll(workers=%d) = %+v, want %+v", tc.name, workers, got, want)
+			}
+		}
+		for _, s := range []int{len(members), len(members) + 5} {
+			sa := tr.MeasureSampleConf(members, s, 0.95, rand.New(rand.NewSource(1)), 3)
+			if !sa.Exact || sa.Sums != want {
+				t.Errorf("%s: MeasureSampleConf(%d) = %+v, want exact %+v", tc.name, s, sa, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Sampled measurement: the paper reports convergence as means over node
 // samples, and at paper scale (2^18) even the sharded full-network
-// MeasureAll costs seconds per cycle. MeasureSample measures a uniform
+// MeasureAll costs seconds per cycle. MeasureSampleConf measures a uniform
 // node sample without replacement and reports ratio estimates of the
 // missing-entry proportions with Student-t confidence intervals, making
 // per-cycle measurement O(sample) instead of O(N).
@@ -44,9 +44,7 @@ package truth
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // Estimate is a point estimate together with the half-width of its
@@ -86,61 +84,20 @@ type SampleAggregate struct {
 	Sums Aggregate
 }
 
-// sampleSums extends the per-shard Aggregate with the integer square and
-// cross sums the variance of the ratio estimator needs. Everything stays
-// integral until the final estimate, so the result is bit-identical for
-// every worker count.
-type sampleSums struct {
-	agg                          Aggregate
-	leafMM, leafMT, leafTT       int64 // Σm², Σm·t, Σt² (leaf)
-	prefixMM, prefixMT, prefixTT int64 // Σm², Σm·t, Σt² (prefix)
-}
-
-func (s *sampleSums) add(o sampleSums) {
-	s.agg.Add(o.agg)
-	s.leafMM += o.leafMM
-	s.leafMT += o.leafMT
-	s.leafTT += o.leafTT
-	s.prefixMM += o.prefixMM
-	s.prefixMT += o.prefixMT
-	s.prefixTT += o.prefixTT
-}
-
-func (s *sampleSums) measure(t *Truth, m Member, scr *measureScratch) {
-	nc, ok := t.measureNode(m, scr)
-	if !ok {
-		return
-	}
-	nc.addTo(&s.agg)
-	lm, lt := int64(nc.leafMissing), int64(nc.leafTotal)
-	pm, pt := int64(nc.prefixMissing), int64(nc.prefixTotal)
-	s.leafMM += lm * lm
-	s.leafMT += lm * lt
-	s.leafTT += lt * lt
-	s.prefixMM += pm * pm
-	s.prefixMT += pm * pt
-	s.prefixTT += pt * pt
-}
-
-// MeasureSample measures a uniform random sample of sampleSize members
+// MeasureSampleConf measures a uniform random sample of sampleSize members
 // drawn without replacement and returns ratio estimates of the
-// network-wide missing proportions with 95% Student-t confidence
-// intervals. The measurement shares MeasureAll's per-shard scratch and
-// worker-pool sharding (workers < 1 means GOMAXPROCS); like MeasureAll
-// the result is bit-identical for every worker count, because the sample
-// is drawn before sharding and every accumulation is integral. rng drives
-// only the sample selection; a given (rng state, members) pair yields the
-// same sample deterministically. sampleSize <= 0 or >= len(members) falls
-// back to an exact full measurement with zero-width intervals (without
-// consuming rng). A membership containing both fresh and established nodes
-// (Member.Fresh) is sampled per age stratum and estimated with the
-// combined stratified estimator — see the package comment.
-func (t *Truth) MeasureSample(members []Member, sampleSize int, rng *rand.Rand, workers int) SampleAggregate {
-	return t.MeasureSampleConf(members, sampleSize, 0.95, rng, workers)
-}
-
-// MeasureSampleConf is MeasureSample at an explicit two-sided confidence
-// level in (0, 1); out-of-range values select 0.95.
+// network-wide missing proportions with Student-t confidence intervals at
+// the given two-sided level in (0, 1); out-of-range values select 0.95.
+// The measurement runs through MeasureAll's sharded loop (workers < 1
+// means GOMAXPROCS); like MeasureAll the result is bit-identical for every
+// worker count, because the sample is drawn before sharding and every
+// accumulation is integral. rng drives only the sample selection; a given
+// (rng state, members) pair yields the same sample deterministically.
+// sampleSize <= 0 or >= len(members) falls back to an exact full
+// measurement with zero-width intervals (without consuming rng). A
+// membership containing both fresh and established nodes (Member.Fresh) is
+// sampled per age stratum and estimated with the combined stratified
+// estimator — see the package comment.
 func (t *Truth) MeasureSampleConf(members []Member, sampleSize int, confidence float64, rng *rand.Rand, workers int) SampleAggregate {
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
@@ -176,7 +133,7 @@ func (t *Truth) MeasureSampleConf(members []Member, sampleSize int, confidence f
 	}
 
 	idx := sampleIndices(rng, n, sampleSize)
-	sums := measureIndices(t, members, idx, workers)
+	sums := t.measureShards(members, idx, workers)
 	tq := tQuantile(confidence, sampleSize-1)
 	return SampleAggregate{
 		SampleSize: sampleSize,
@@ -194,7 +151,7 @@ func (t *Truth) MeasureSampleConf(members []Member, sampleSize int, confidence f
 // stratum is one age stratum's measured sample: its integer sums, how many
 // nodes were measured, and how many the stratum holds in the population.
 type stratum struct {
-	sums sampleSums
+	sums measureSums
 	n, N int
 }
 
@@ -239,7 +196,7 @@ func (t *Truth) measureStratified(members []Member, sampleSize int, confidence f
 		PrefixMissing: combinedRatioEstimate([2]metricSums{
 			strata[0].metric(prefixMetric), strata[1].metric(prefixMetric)}, tq),
 	}
-	var both sampleSums
+	var both measureSums
 	both.add(strata[0].sums)
 	both.add(strata[1].sums)
 	sa.Sums = both.agg
@@ -258,7 +215,7 @@ func (t *Truth) measureStratum(members []Member, idx []int, s int, rng *rand.Ran
 		}
 	}
 	return stratum{
-		sums: measureIndices(t, members, picked, workers),
+		sums: t.measureShards(members, picked, workers),
 		n:    len(picked),
 		N:    len(idx),
 	}
@@ -360,49 +317,6 @@ func combinedRatioEstimate(strata [2]metricSums, tq float64) Estimate {
 		v += float64(st.N) * float64(st.N) * fpc * s2 / float64(st.n)
 	}
 	return Estimate{Mean: r, CI: tq * math.Sqrt(v) / tHat}
-}
-
-// measureIndices measures the members at the given (sorted) indices,
-// sharding across the worker pool exactly like MeasureAll.
-func measureIndices(t *Truth, members []Member, idx []int, workers int) sampleSums {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(idx) {
-		workers = len(idx)
-	}
-	if workers <= 1 {
-		var sums sampleSums
-		scr := newMeasureScratch(t)
-		for _, i := range idx {
-			sums.measure(t, members[i], scr)
-		}
-		return sums
-	}
-	partials := make([]sampleSums, workers)
-	chunk := (len(idx) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(idx))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			scr := newMeasureScratch(t)
-			for _, i := range idx[lo:hi] {
-				partials[w].measure(t, members[i], scr)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var sums sampleSums
-	for i := range partials {
-		sums.add(partials[i])
-	}
-	return sums
 }
 
 // sampleIndices draws a uniform sample of s distinct indices in [0, n)

@@ -46,7 +46,7 @@ func TestMeasureSampleExactFallback(t *testing.T) {
 	tr, members := sampleWorld(t, 512)
 	exact := tr.MeasureAll(members, 2)
 	for _, s := range []int{0, len(members), len(members) + 10} {
-		sa := tr.MeasureSample(members, s, rand.New(rand.NewSource(1)), 2)
+		sa := tr.MeasureSampleConf(members, s, 0.95, rand.New(rand.NewSource(1)), 2)
 		if !sa.Exact {
 			t.Fatalf("sampleSize=%d: want exact fallback", s)
 		}
@@ -71,7 +71,7 @@ func TestMeasureSampleWorkerInvariance(t *testing.T) {
 	tr, members := sampleWorld(t, 1024)
 	var ref SampleAggregate
 	for i, workers := range []int{1, 2, 3, 4, 7} {
-		sa := tr.MeasureSample(members, 200, rand.New(rand.NewSource(42)), workers)
+		sa := tr.MeasureSampleConf(members, 200, 0.95, rand.New(rand.NewSource(42)), workers)
 		if i == 0 {
 			ref = sa
 			continue
@@ -84,12 +84,12 @@ func TestMeasureSampleWorkerInvariance(t *testing.T) {
 
 func TestMeasureSampleDeterministic(t *testing.T) {
 	tr, members := sampleWorld(t, 1024)
-	a := tr.MeasureSample(members, 128, rand.New(rand.NewSource(9)), 2)
-	b := tr.MeasureSample(members, 128, rand.New(rand.NewSource(9)), 4)
+	a := tr.MeasureSampleConf(members, 128, 0.95, rand.New(rand.NewSource(9)), 2)
+	b := tr.MeasureSampleConf(members, 128, 0.95, rand.New(rand.NewSource(9)), 4)
 	if a != b {
 		t.Fatalf("same seed diverged: %+v != %+v", a, b)
 	}
-	c := tr.MeasureSample(members, 128, rand.New(rand.NewSource(10)), 2)
+	c := tr.MeasureSampleConf(members, 128, 0.95, rand.New(rand.NewSource(10)), 2)
 	if a == c {
 		t.Fatal("different seeds produced identical samples (suspicious)")
 	}
@@ -109,7 +109,7 @@ func TestMeasureSampleEstimatesNearExact(t *testing.T) {
 	if exactLeaf == 0 || exactPrefix == 0 {
 		t.Fatal("world unexpectedly perfect; the estimator test needs variance")
 	}
-	sa := tr.MeasureSample(members, 512, rand.New(rand.NewSource(3)), 2)
+	sa := tr.MeasureSampleConf(members, 512, 0.95, rand.New(rand.NewSource(3)), 2)
 	if sa.LeafMissing.CI <= 0 || sa.PrefixMissing.CI <= 0 {
 		t.Fatalf("degenerate CIs: %+v", sa)
 	}
@@ -136,18 +136,18 @@ func TestMeasureStratifiedEngagement(t *testing.T) {
 	tr, members := sampleWorld(t, 512)
 	rng := func() *rand.Rand { return rand.New(rand.NewSource(4)) }
 
-	if sa := tr.MeasureSample(members, 64, rng(), 2); sa.Strata != 1 {
+	if sa := tr.MeasureSampleConf(members, 64, 0.95, rng(), 2); sa.Strata != 1 {
 		t.Fatalf("uniform membership: Strata = %d, want 1", sa.Strata)
 	}
 	allFresh := markFresh(members)
 	for i := range allFresh {
 		allFresh[i].Fresh = true
 	}
-	if sa := tr.MeasureSample(allFresh, 64, rng(), 2); sa.Strata != 1 {
+	if sa := tr.MeasureSampleConf(allFresh, 64, 0.95, rng(), 2); sa.Strata != 1 {
 		t.Fatalf("all-fresh membership: Strata = %d, want 1", sa.Strata)
 	}
 	mixed := markFresh(members, 3, 17, 101, 200, 499)
-	sa := tr.MeasureSample(mixed, 64, rng(), 2)
+	sa := tr.MeasureSampleConf(mixed, 64, 0.95, rng(), 2)
 	if sa.Strata != 2 {
 		t.Fatalf("mixed membership: Strata = %d, want 2", sa.Strata)
 	}
@@ -155,7 +155,7 @@ func TestMeasureStratifiedEngagement(t *testing.T) {
 		t.Fatalf("stratified aggregate malformed: %+v", sa)
 	}
 	// Exact fallback ignores the marks.
-	if sa := tr.MeasureSample(mixed, 0, rng(), 2); !sa.Exact || sa.Strata != 1 {
+	if sa := tr.MeasureSampleConf(mixed, 0, 0.95, rng(), 2); !sa.Exact || sa.Strata != 1 {
 		t.Fatalf("exact fallback: %+v", sa)
 	}
 }
@@ -172,7 +172,7 @@ func TestMeasureStratifiedInvariance(t *testing.T) {
 	mixed := markFresh(members, fresh...)
 	var ref SampleAggregate
 	for i, workers := range []int{1, 2, 3, 4, 7} {
-		sa := tr.MeasureSample(mixed, 200, rand.New(rand.NewSource(42)), workers)
+		sa := tr.MeasureSampleConf(mixed, 200, 0.95, rand.New(rand.NewSource(42)), workers)
 		if i == 0 {
 			ref = sa
 			continue
@@ -184,7 +184,7 @@ func TestMeasureStratifiedInvariance(t *testing.T) {
 	if ref.Strata != 2 {
 		t.Fatalf("Strata = %d, want 2", ref.Strata)
 	}
-	if other := tr.MeasureSample(mixed, 200, rand.New(rand.NewSource(43)), 2); other == ref {
+	if other := tr.MeasureSampleConf(mixed, 200, 0.95, rand.New(rand.NewSource(43)), 2); other == ref {
 		t.Fatal("different seeds produced identical stratified samples (suspicious)")
 	}
 }
@@ -197,7 +197,7 @@ func TestMeasureStratifiedCensusStratum(t *testing.T) {
 	tr, members := sampleWorld(t, 256)
 	mixed := markFresh(members, 7)
 	exact := tr.MeasureAll(members, 2)
-	sa := tr.MeasureSample(mixed, 255, rand.New(rand.NewSource(8)), 2)
+	sa := tr.MeasureSampleConf(mixed, 255, 0.95, rand.New(rand.NewSource(8)), 2)
 	if sa.Strata != 2 {
 		t.Fatalf("Strata = %d, want 2", sa.Strata)
 	}

@@ -3,6 +3,9 @@
 // and measures how far protocol state is from it. These are exactly the
 // "proportion of missing leaf set entries" and "proportion of missing
 // prefix table entries" metrics plotted in the paper's Figures 3 and 4.
+// A missing entry has one definition, liveness-aware (a descriptor of a
+// departed node occupies nothing), and MeasureAll and MeasureSampleConf
+// both sum it.
 //
 // Perfect prefix-table occupancy is derived from a lazily expanded
 // radix-2^b trie with subtree counts, so a full-network measurement costs
@@ -249,26 +252,11 @@ func (n *trieNode) childCount(d, depth, b int) int {
 	return n.children[d].count
 }
 
-// PerfectLeafSet returns the IDs a perfect leaf set for self must contain,
-// applying the paper's selection rule (c/2 closest successors and
-// predecessors, topped up from the other direction) to the full membership.
-func (t *Truth) PerfectLeafSet(self id.ID) []id.ID {
-	p := t.indexOf(self)
-	if p < 0 {
-		return nil
-	}
-	// Candidate buffers only — the slot-count tables of a full
-	// measurement scratch are not needed on the leaf-set path.
-	scr := &measureScratch{
-		succ: make([]id.ID, 0, t.c),
-		pred: make([]id.ID, 0, t.c),
-	}
-	return t.appendPerfectLeafSet(nil, p, scr)
-}
-
-// appendPerfectLeafSet appends the perfect leaf set of the member at sorted
-// position p to dst, using scr's buffers for the candidate lists. It is the
-// allocation-free core of PerfectLeafSet.
+// appendPerfectLeafSet appends to dst the IDs a perfect leaf set for the
+// member at sorted position p must contain, applying the paper's selection
+// rule (c/2 closest successors and predecessors, topped up from the other
+// direction) to the full membership. scr's buffers hold the candidate
+// lists, so the derivation allocates nothing once they have grown.
 func (t *Truth) appendPerfectLeafSet(dst []id.ID, p int, scr *measureScratch) []id.ID {
 	self := t.sorted[p]
 	n := len(t.sorted)
@@ -346,50 +334,9 @@ func (t *Truth) appendPerfectLeafSet(dst []id.ID, p int, scr *measureScratch) []
 	return dst
 }
 
-// LeafSetMissingFor returns how many entries of the perfect leaf set for
-// self are absent from ls, and the perfect total.
-func (t *Truth) LeafSetMissingFor(self id.ID, ls *core.LeafSet) (missing, total int) {
-	return LeafSetMissingWith(t.PerfectLeafSet(self), ls)
-}
-
-// LeafSetMissingWith is LeafSetMissingFor against a precomputed perfect
-// leaf set — callers measuring every cycle cache PerfectLeafSet per
-// membership epoch instead of re-deriving it per node per cycle.
-func LeafSetMissingWith(perfect []id.ID, ls *core.LeafSet) (missing, total int) {
-	for _, v := range perfect {
-		if !ls.Contains(v) {
-			missing++
-		}
-	}
-	return missing, len(perfect)
-}
-
-// ExpectedSlotCounts returns, for each (row, col) of self's prefix table,
-// the perfect occupancy min(k, available), where available is the number of
-// member IDs whose slot relative to self is (row, col). Rows beyond the
-// point where self is alone in its prefix subtree are all-zero and omitted.
-func (t *Truth) ExpectedSlotCounts(self id.ID) [][]int {
-	cols := 1 << t.b
-	var out [][]int
-	node := t.root
-	for depth := 0; depth < id.NumDigits(t.b); depth++ {
-		if node == nil || node.count <= 1 {
-			break
-		}
-		row := make([]int, cols)
-		t.expectedRow(node, self, depth, row)
-		out = append(out, row)
-		if node.children == nil {
-			break
-		}
-		node = node.children[self.Digit(depth, t.b)]
-	}
-	return out
-}
-
 // expectedRow fills row with the perfect per-column occupancy of the prefix
 // table row at the given depth, reading the trie node covering self's
-// depth-long prefix.
+// depth-long prefix: min(k, available) per column, zero in self's own.
 func (t *Truth) expectedRow(node *trieNode, self id.ID, depth int, row []int) {
 	own := self.Digit(depth, t.b)
 	for j := range row {
@@ -405,8 +352,12 @@ func (t *Truth) expectedRow(node *trieNode, self id.ID, depth int, row []int) {
 	}
 }
 
-// expectedSlotCountsInto is ExpectedSlotCounts writing into preallocated
-// rows (each cols wide); it returns the number of rows filled.
+// expectedSlotCountsInto writes, for each (row, col) of self's prefix
+// table, the perfect occupancy min(k, available) into the preallocated rows
+// (each 2^b wide), where available is the number of member IDs whose slot
+// relative to self is (row, col). It returns the number of rows filled:
+// rows beyond the point where self is alone in its prefix subtree are
+// all-zero and left untouched.
 func (t *Truth) expectedSlotCountsInto(self id.ID, rows [][]int) int {
 	node := t.root
 	used := 0
@@ -424,71 +375,8 @@ func (t *Truth) expectedSlotCountsInto(self id.ID, rows [][]int) int {
 	return used
 }
 
-// PrefixMissingFor returns how many perfect prefix-table entries are absent
-// from pt (per-slot shortfall against ExpectedSlotCounts) and the perfect
-// total. Entries beyond a slot's expectation never compensate for another
-// slot's shortfall.
-func (t *Truth) PrefixMissingFor(self id.ID, pt *core.PrefixTable) (missing, total int) {
-	expected := t.ExpectedSlotCounts(self)
-	actual := pt.SlotCounts()
-	for i, row := range expected {
-		for j, want := range row {
-			if want == 0 {
-				continue
-			}
-			total += want
-			have := 0
-			if i < len(actual) && actual[i] != nil {
-				have = actual[i][j]
-			}
-			if have < want {
-				missing += want - have
-			}
-		}
-	}
-	return missing, total
-}
-
-// PrefixMissingLive is PrefixMissingFor with liveness awareness: only
-// entries that are current members count toward a slot's occupancy, so
-// descriptors of departed nodes do not mask real gaps. In a failure-free
-// run it agrees with PrefixMissingFor exactly.
-func (t *Truth) PrefixMissingLive(self id.ID, pt *core.PrefixTable) (missing, total, dead int) {
-	return t.PrefixMissingLiveWith(t.ExpectedSlotCounts(self), pt)
-}
-
-// PrefixMissingLiveWith is PrefixMissingLive against precomputed expected
-// slot counts (see LeafSetMissingWith for the rationale).
-func (t *Truth) PrefixMissingLiveWith(expected [][]int, pt *core.PrefixTable) (missing, total, dead int) {
-	live := make(map[int]map[int]int, len(expected))
-	pt.Each(func(row, col int, d peer.Descriptor) bool {
-		if t.members.Contains(d.ID) {
-			if live[row] == nil {
-				live[row] = make(map[int]int)
-			}
-			live[row][col]++
-		} else {
-			dead++
-		}
-		return true
-	})
-	for i, row := range expected {
-		for j, want := range row {
-			if want == 0 {
-				continue
-			}
-			total += want
-			have := live[i][j]
-			if have < want {
-				missing += want - have
-			}
-		}
-	}
-	return missing, total, dead
-}
-
-// LeafSetDead counts entries of ls that are not current members.
-func (t *Truth) LeafSetDead(ls *core.LeafSet) int {
+// leafSetDead counts entries of ls that are not current members.
+func (t *Truth) leafSetDead(ls *core.LeafSet) int {
 	dead := 0
 	for _, d := range ls.Successors() {
 		if !t.members.Contains(d.ID) {
@@ -505,25 +393,6 @@ func (t *Truth) LeafSetDead(ls *core.LeafSet) int {
 
 // Contains reports whether nodeID is a current member.
 func (t *Truth) Contains(nodeID id.ID) bool { return t.members.Contains(nodeID) }
-
-// AvailableAt returns the exact number of member IDs whose slot relative to
-// self is (row, col), uncapped by k. self must be a member. Used by tests
-// to cross-check the trie.
-func (t *Truth) AvailableAt(self id.ID, row, col int) int {
-	node := t.root
-	for depth := 0; depth < row; depth++ {
-		if node == nil || node.children == nil {
-			// self is a member, so an unexpanded node on self's
-			// path holds exactly self; nothing else lies below.
-			return 0
-		}
-		node = node.children[self.Digit(depth, t.b)]
-	}
-	if node == nil || col == self.Digit(row, t.b) {
-		return 0
-	}
-	return node.childCount(col, row, t.b)
-}
 
 // Member pairs a node's identity with the structures MeasureAll inspects.
 type Member struct {
@@ -570,7 +439,7 @@ func (a *Aggregate) Add(o Aggregate) {
 	a.PrefixDead += o.PrefixDead
 }
 
-// measureScratch is the per-shard working memory of MeasureAll: candidate
+// measureScratch is the per-shard working memory of measureShards: candidate
 // and result buffers for perfect leaf sets, and two rows×cols tables for
 // expected and observed slot occupancy. One scratch per worker keeps the
 // shards false-sharing-free and the whole measurement allocation-free
@@ -599,9 +468,9 @@ func newMeasureScratch(t *Truth) *measureScratch {
 	return scr
 }
 
-// nodeCounts is the raw per-node measurement — the unit both MeasureAll
-// (which sums them into an Aggregate) and MeasureSample (which additionally
-// needs per-node values for the estimator's variance) are built from.
+// nodeCounts is the raw per-node measurement — the one definition of a
+// missing entry that every exact, sampled, sharded or multi-process
+// measurement sums.
 type nodeCounts struct {
 	leafMissing, leafTotal, leafDead       int
 	prefixMissing, prefixTotal, prefixDead int
@@ -622,7 +491,7 @@ func (t *Truth) measureNode(m Member, scr *measureScratch) (nc nodeCounts, ok bo
 		}
 	}
 	nc.leafTotal = len(scr.leaf)
-	nc.leafDead = t.LeafSetDead(m.Leaf)
+	nc.leafDead = t.leafSetDead(m.Leaf)
 
 	rows := t.expectedSlotCountsInto(m.Self, scr.expected)
 	maxRow := -1
@@ -654,10 +523,33 @@ func (t *Truth) measureNode(m Member, scr *measureScratch) (nc nodeCounts, ok bo
 	return nc, true
 }
 
-// addTo folds one node's counts into the network aggregate — the single
-// accumulation shared by the full (MeasureAll) and sampled (MeasureSample)
-// paths, so a new metric cannot diverge between them.
-func (nc nodeCounts) addTo(agg *Aggregate) {
+// measureSums is the integer sum of a set of nodeCounts: the Aggregate,
+// plus the square and cross sums the sampled estimator's variance needs
+// (MeasureAll drops them). Everything stays integral until the final
+// estimate, so the result is bit-identical for every worker count.
+type measureSums struct {
+	agg                          Aggregate
+	leafMM, leafMT, leafTT       int64 // Σm², Σm·t, Σt² (leaf)
+	prefixMM, prefixMT, prefixTT int64 // Σm², Σm·t, Σt² (prefix)
+}
+
+func (s *measureSums) add(o measureSums) {
+	s.agg.Add(o.agg)
+	s.leafMM += o.leafMM
+	s.leafMT += o.leafMT
+	s.leafTT += o.leafTT
+	s.prefixMM += o.prefixMM
+	s.prefixMT += o.prefixMT
+	s.prefixTT += o.prefixTT
+}
+
+// measure measures one member into s using scr's buffers.
+func (s *measureSums) measure(t *Truth, m Member, scr *measureScratch) {
+	nc, ok := t.measureNode(m, scr)
+	if !ok {
+		return
+	}
+	agg := &s.agg
 	agg.LeafMissing += nc.leafMissing
 	agg.LeafTotal += nc.leafTotal
 	if nc.leafMissing == 0 {
@@ -670,13 +562,14 @@ func (nc nodeCounts) addTo(agg *Aggregate) {
 		agg.PrefixPerfect++
 	}
 	agg.PrefixDead += nc.prefixDead
-}
-
-// measureOne measures a single member into agg using scr's buffers.
-func (t *Truth) measureOne(m Member, scr *measureScratch, agg *Aggregate) {
-	if nc, ok := t.measureNode(m, scr); ok {
-		nc.addTo(agg)
-	}
+	lm, lt := int64(nc.leafMissing), int64(nc.leafTotal)
+	pm, pt := int64(nc.prefixMissing), int64(nc.prefixTotal)
+	s.leafMM += lm * lm
+	s.leafMT += lm * lt
+	s.leafTT += lt * lt
+	s.prefixMM += pm * pm
+	s.prefixMT += pm * pt
+	s.prefixTT += pt * pt
 }
 
 // MeasureAll measures every member against the oracle, sharding the work
@@ -686,42 +579,63 @@ func (t *Truth) measureOne(m Member, scr *measureScratch, agg *Aggregate) {
 // read the measured structures' nodes only if those nodes are quiescent;
 // the oracle itself must not be mutated concurrently.
 func (t *Truth) MeasureAll(members []Member, workers int) Aggregate {
+	return t.measureShards(members, nil, workers).agg
+}
+
+// measureShards measures the members at the given indices — every member
+// when idx is nil — split into contiguous shards over workers goroutines
+// (workers < 1 means GOMAXPROCS; a single shard runs on the caller), one
+// scratch per shard, and sums the shards' integer partials. It is the one
+// fan-out behind MeasureAll and MeasureSampleConf.
+func (t *Truth) measureShards(members []Member, idx []int, workers int) measureSums {
+	n := len(members)
+	if idx != nil {
+		n = len(idx)
+	}
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(members) {
-		workers = len(members)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		var agg Aggregate
-		scr := newMeasureScratch(t)
-		for _, m := range members {
-			t.measureOne(m, scr, &agg)
-		}
-		return agg
+		return t.measureShard(members, idx, 0, n)
 	}
-	partials := make([]Aggregate, workers)
-	chunk := (len(members) + workers - 1) / workers
+	partials := make([]measureSums, workers)
+	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
-		hi := min(lo+chunk, len(members))
+		hi := min(lo+chunk, n)
 		if lo >= hi {
 			break
 		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			scr := newMeasureScratch(t)
-			for i := lo; i < hi; i++ {
-				t.measureOne(members[i], scr, &partials[w])
-			}
+			partials[w] = t.measureShard(members, idx, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	var agg Aggregate
-	for _, p := range partials {
-		agg.Add(p)
+	var sums measureSums
+	for i := range partials {
+		sums.add(partials[i])
 	}
-	return agg
+	return sums
+}
+
+// measureShard measures positions [lo, hi) of idx — of members when idx is
+// nil — with a scratch of its own. It sums into a local and stores the
+// partial once: neighbouring partials share cache lines.
+func (t *Truth) measureShard(members []Member, idx []int, lo, hi int) measureSums {
+	var sums measureSums
+	scr := newMeasureScratch(t)
+	for i := lo; i < hi; i++ {
+		if idx != nil {
+			sums.measure(t, members[idx[i]], scr)
+		} else {
+			sums.measure(t, members[i], scr)
+		}
+	}
+	return sums
 }

@@ -34,11 +34,27 @@ func naiveAvailable(ids []id.ID, self id.ID, row, col, b int) int {
 	return n
 }
 
+// expectedSlotCounts returns self's perfect per-slot occupancy, the rows
+// expectedSlotCountsInto fills.
+func expectedSlotCounts(tr *Truth, self id.ID) [][]int {
+	rows := newMeasureScratch(tr).expected
+	return rows[:tr.expectedSlotCountsInto(self, rows)]
+}
+
+// availableAt is the trie's count of members whose slot relative to self
+// is (row, col). It is uncapped only when tr was built with k > N.
+func availableAt(tr *Truth, self id.ID, row, col int) int {
+	if e := expectedSlotCounts(tr, self); row < len(e) {
+		return e[row][col]
+	}
+	return 0
+}
+
 func TestAvailableAtMatchesNaive(t *testing.T) {
 	const b = 4
 	rng := rand.New(rand.NewSource(5))
 	ids := id.Unique(300, 5)
-	tr, err := New(ids, b, 3, 20)
+	tr, err := New(ids, b, len(ids)+1, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +63,9 @@ func TestAvailableAtMatchesNaive(t *testing.T) {
 		row := rng.Intn(6)
 		col := rng.Intn(16)
 		want := naiveAvailable(ids, self, row, col, b)
-		got := tr.AvailableAt(self, row, col)
+		got := availableAt(tr, self, row, col)
 		if got != want {
-			t.Fatalf("AvailableAt(%s, %d, %d) = %d, want %d", self, row, col, got, want)
+			t.Fatalf("availableAt(%s, %d, %d) = %d, want %d", self, row, col, got, want)
 		}
 	}
 }
@@ -57,7 +73,7 @@ func TestAvailableAtMatchesNaive(t *testing.T) {
 func TestAvailableAtSmallBases(t *testing.T) {
 	for _, b := range []int{1, 2, 8} {
 		ids := id.Unique(100, int64(b))
-		tr, err := New(ids, b, 3, 20)
+		tr, err := New(ids, b, len(ids)+1, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +82,8 @@ func TestAvailableAtSmallBases(t *testing.T) {
 			self := ids[rng.Intn(len(ids))]
 			row := rng.Intn(3)
 			col := rng.Intn(1 << uint(b))
-			if got, want := tr.AvailableAt(self, row, col), naiveAvailable(ids, self, row, col, b); got != want {
-				t.Fatalf("b=%d: AvailableAt(%s, %d, %d) = %d, want %d", b, self, row, col, got, want)
+			if got, want := availableAt(tr, self, row, col), naiveAvailable(ids, self, row, col, b); got != want {
+				t.Fatalf("b=%d: availableAt(%s, %d, %d) = %d, want %d", b, self, row, col, got, want)
 			}
 		}
 	}
@@ -83,7 +99,7 @@ func TestExpectedSlotCountsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		self := ids[rng.Intn(len(ids))]
-		expected := tr.ExpectedSlotCounts(self)
+		expected := expectedSlotCounts(tr, self)
 		for row := 0; row < 8; row++ {
 			for col := 0; col < 16; col++ {
 				want := naiveAvailable(ids, self, row, col, b)
@@ -109,7 +125,7 @@ func TestExpectedSlotCountsOwnDigitZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	self := ids[0]
-	for row, cols := range tr.ExpectedSlotCounts(self) {
+	for row, cols := range expectedSlotCounts(tr, self) {
 		if cols[self.Digit(row, 4)] != 0 {
 			t.Fatalf("row %d: own-digit slot must be zero", row)
 		}
@@ -143,6 +159,17 @@ func naivePerfectLeafSet(ids []id.ID, self id.ID, c int) map[id.ID]bool {
 	return out
 }
 
+// perfectLeafSet returns the perfect leaf set of member self, the IDs
+// appendPerfectLeafSet derives.
+func perfectLeafSet(tr *Truth, self id.ID) []id.ID {
+	return tr.appendPerfectLeafSet(nil, tr.indexOf(self), newMeasureScratch(tr))
+}
+
+// measureOne measures a single node through MeasureAll.
+func measureOne(tr *Truth, self id.ID, ls *core.LeafSet, pt *core.PrefixTable) Aggregate {
+	return tr.MeasureAll([]Member{{Self: self, Leaf: ls, Table: pt}}, 1)
+}
+
 func TestPerfectLeafSetMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{5, 12, 21, 50, 300} {
 		const c = 8
@@ -151,7 +178,7 @@ func TestPerfectLeafSetMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			self := ids[rng.Intn(len(ids))]
 			want := naivePerfectLeafSet(ids, self, c)
-			got := tr.PerfectLeafSet(self)
+			got := perfectLeafSet(tr, self)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d self=%s: size %d, want %d", n, self, len(got), len(want))
 			}
@@ -164,10 +191,13 @@ func TestPerfectLeafSetMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestPerfectLeafSetUnknownSelf: a non-member has no perfect leaf set, so
+// measuring it contributes nothing.
 func TestPerfectLeafSetUnknownSelf(t *testing.T) {
 	_, tr := buildRing(t, 10, 1, 4)
-	if got := tr.PerfectLeafSet(id.ID(123456789)); got != nil {
-		t.Errorf("unknown self returned %v", got)
+	const self = id.ID(123456789)
+	if got := measureOne(tr, self, core.NewLeafSet(self, 4), core.NewPrefixTable(self, 4, 3)); got != (Aggregate{}) {
+		t.Errorf("unknown self contributed %+v", got)
 	}
 }
 
@@ -175,44 +205,44 @@ func TestLeafSetMissingFor(t *testing.T) {
 	ids, tr := buildRing(t, 50, 2, 8)
 	self := ids[0]
 	ls := core.NewLeafSet(self, 8)
-	missing, total := tr.LeafSetMissingFor(self, ls)
-	if total != 8 {
-		t.Fatalf("total = %d, want 8", total)
+	pt := core.NewPrefixTable(self, 4, 3)
+	agg := measureOne(tr, self, ls, pt)
+	if agg.LeafTotal != 8 {
+		t.Fatalf("total = %d, want 8", agg.LeafTotal)
 	}
-	if missing != total {
-		t.Fatalf("empty leaf set should miss everything: %d/%d", missing, total)
+	if agg.LeafMissing != agg.LeafTotal || agg.LeafPerfect != 0 {
+		t.Fatalf("empty leaf set should miss everything: %+v", agg)
 	}
 	// Fill with the perfect entries: zero missing.
-	perfect := tr.PerfectLeafSet(self)
+	perfect := perfectLeafSet(tr, self)
 	ds := make([]peer.Descriptor, len(perfect))
 	for i, v := range perfect {
 		ds[i] = peer.Descriptor{ID: v, Addr: peer.Addr(i)}
 	}
 	ls.Update(ds)
-	missing, total = tr.LeafSetMissingFor(self, ls)
-	if missing != 0 {
-		t.Fatalf("perfectly filled leaf set missing %d/%d", missing, total)
+	if agg = measureOne(tr, self, ls, pt); agg.LeafMissing != 0 || agg.LeafPerfect != 1 {
+		t.Fatalf("perfectly filled leaf set missing %d/%d", agg.LeafMissing, agg.LeafTotal)
 	}
 }
 
 func TestPrefixMissingFor(t *testing.T) {
 	ids, tr := buildRing(t, 100, 4, 8)
 	self := ids[0]
+	ls := core.NewLeafSet(self, 8)
 	pt := core.NewPrefixTable(self, 4, 3)
-	missing, total := tr.PrefixMissingFor(self, pt)
-	if total == 0 {
+	agg := measureOne(tr, self, ls, pt)
+	if agg.PrefixTotal == 0 {
 		t.Fatal("expected some perfect prefix entries at n=100")
 	}
-	if missing != total {
-		t.Fatalf("empty table should miss everything: %d/%d", missing, total)
+	if agg.PrefixMissing != agg.PrefixTotal || agg.PrefixPerfect != 0 {
+		t.Fatalf("empty table should miss everything: %+v", agg)
 	}
 	// Insert every member: table perfect (per-slot counts reach min(k, avail)).
 	for i, v := range ids {
 		pt.Add(peer.Descriptor{ID: v, Addr: peer.Addr(i)})
 	}
-	missing, _ = tr.PrefixMissingFor(self, pt)
-	if missing != 0 {
-		t.Fatalf("fully fed table still missing %d entries", missing)
+	if agg = measureOne(tr, self, ls, pt); agg.PrefixMissing != 0 || agg.PrefixPerfect != 1 {
+		t.Fatalf("fully fed table still missing %d entries", agg.PrefixMissing)
 	}
 }
 
@@ -224,15 +254,14 @@ func TestPrefixMissingPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ls := core.NewLeafSet(ids[0], 2)
 	pt := core.NewPrefixTable(ids[0], 4, 3)
-	missing, total := tr.PrefixMissingFor(ids[0], pt)
-	if total != 1 || missing != 1 {
-		t.Fatalf("missing/total = %d/%d, want 1/1", missing, total)
+	if agg := measureOne(tr, ids[0], ls, pt); agg.PrefixTotal != 1 || agg.PrefixMissing != 1 {
+		t.Fatalf("missing/total = %d/%d, want 1/1", agg.PrefixMissing, agg.PrefixTotal)
 	}
 	pt.Add(peer.Descriptor{ID: ids[1], Addr: 1})
-	missing, total = tr.PrefixMissingFor(ids[0], pt)
-	if total != 1 || missing != 0 {
-		t.Fatalf("after add: missing/total = %d/%d, want 0/1", missing, total)
+	if agg := measureOne(tr, ids[0], ls, pt); agg.PrefixTotal != 1 || agg.PrefixMissing != 0 {
+		t.Fatalf("after add: missing/total = %d/%d, want 0/1", agg.PrefixMissing, agg.PrefixTotal)
 	}
 }
 
@@ -251,8 +280,8 @@ func TestTrieInsertionOrderIrrelevant(t *testing.T) {
 			return false
 		}
 		for _, self := range ids[:8] {
-			e1 := tr1.ExpectedSlotCounts(self)
-			e2 := tr2.ExpectedSlotCounts(self)
+			e1 := expectedSlotCounts(tr1, self)
+			e2 := expectedSlotCounts(tr2, self)
 			if len(e1) != len(e2) {
 				return false
 			}
