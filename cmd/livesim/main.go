@@ -27,7 +27,6 @@
 //	-period dur     gossip period Δ; 0 scales with -n (default 0)
 //	-cycles int     campaign length in periods (default 30)
 //	-seed int       base seed; trial i uses seed+i*7919 (default 42)
-//	-inbox int      per-host inbox bound; 0 = engine default (default 0)
 //	-memstats       print a # memstats campaign header: baseline and peak
 //	                live heap across all trials, heap bytes per node at
 //	                peak, and peak RSS (default false)
@@ -91,7 +90,6 @@ func parseArgs(args []string) (*options, error) {
 	fs.DurationVar(&o.p.Period, "period", 0, "gossip period (0 scales with -n)")
 	fs.IntVar(&o.p.Cycles, "cycles", 30, "campaign length in periods")
 	fs.Int64Var(&o.seed, "seed", 42, "base seed")
-	fs.IntVar(&o.p.InboxSize, "inbox", 0, "per-host inbox bound (0 = engine default)")
 	fs.BoolVar(&o.p.MemStats, "memstats", false, "print one # memstats campaign header (baseline and peak live heap across all trials, heap bytes per node, peak RSS)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err

@@ -1,6 +1,6 @@
 // Command netsim runs socket-engine campaigns of the bootstrapping
 // service sharded across real OS processes: each worker process owns
-// n/procs hosts behind its own TCP (or UDP) port on a port-indexed
+// n/procs hosts behind its own TCP port on a port-indexed
 // localhost topology, every protocol message crosses the kernel through
 // the internal/wire codec, and the driver aggregates the same per-cycle
 // CSV series bootsim and livesim emit. It is the third engine's campaign
@@ -21,9 +21,6 @@
 //	-drop float     initial sender-side loss probability (default 0)
 //	-seed int       campaign seed (default 42)
 //	-base-port int  worker p listens on base-port+p (default 18500)
-//	-inbox int      per-host inbox bound; 0 = engine default
-//	-queue int      per-peer send-queue bound; 0 = engine default
-//	-udp            datagram sockets instead of TCP streams
 //	-measure-workers int  goroutines sharding each worker's measurement
 //	-full           keep running after convergence
 //	-o path         write the CSV to path instead of stdout
@@ -94,9 +91,6 @@ func parseArgs(args []string) (*options, error) {
 	fs.Float64Var(&o.p.Drop, "drop", 0, "initial loss probability")
 	fs.Int64Var(&o.seed, "seed", 42, "campaign seed")
 	fs.IntVar(&sock.BasePort, "base-port", 18500, "worker p listens on base-port+p")
-	fs.IntVar(&o.p.InboxSize, "inbox", 0, "per-host inbox bound (0 = default)")
-	fs.IntVar(&sock.QueueSize, "queue", 0, "per-peer send-queue bound (0 = default)")
-	fs.BoolVar(&sock.UDP, "udp", false, "datagram sockets instead of TCP")
 	fs.IntVar(&o.p.MeasureWorkers, "measure-workers", 0, "measurement goroutines per worker (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.p.KeepRunningAfterPerfect, "full", false, "keep running after convergence")
 	fs.StringVar(&o.out, "o", "", "output path (default stdout)")
@@ -428,8 +422,8 @@ func runDriver(opts *options, args []string, wait time.Duration, stdout, stderr 
 		defer f.Close()
 		out = f
 	}
-	fmt.Fprintf(out, "# netsim n=%d procs=%d period=%s cycles=%d scenario=%s seed=%d drop=%g udp=%t\n",
-		p.N, p.Sockets.Procs, p.Period, p.Cycles, p.Scenario.Name, opts.seed, p.Drop, p.Sockets.UDP)
+	fmt.Fprintf(out, "# netsim n=%d procs=%d period=%s cycles=%d scenario=%s seed=%d drop=%g\n",
+		p.N, p.Sockets.Procs, p.Period, p.Cycles, p.Scenario.Name, opts.seed, p.Drop)
 	res := rec.Result()
 	res.Stats = final
 	fmt.Fprintf(out, "# converged_at=%d\n", res.ConvergedAt)

@@ -68,8 +68,8 @@ func openHostEngine(p LiveParams, seed int64) (*hostEngine, error) {
 	e := &hostEngine{p: p}
 	if s := p.Sockets; s != nil {
 		net, err := transport.New(transport.Config{
-			Seed: seed, N: p.N, Drop: p.Drop, InboxSize: p.InboxSize,
-			Procs: s.Procs, Proc: s.Proc, BasePort: s.BasePort, QueueSize: s.QueueSize, UDP: s.UDP,
+			Seed: seed, N: p.N, Drop: p.Drop,
+			Procs: s.Procs, Proc: s.Proc, BasePort: s.BasePort,
 		})
 		if err != nil {
 			return nil, err
@@ -77,7 +77,7 @@ func openHostEngine(p LiveParams, seed int64) (*hostEngine, error) {
 		e.rt, e.quiesce, e.writeStats = net.Runtime, net.Quiesce, net.WriteStats
 	} else {
 		net := livenet.New(livenet.Config{
-			Seed: seed, Drop: p.Drop, InboxSize: p.InboxSize,
+			Seed: seed, Drop: p.Drop,
 			MinLatency: p.MinLatency, MaxLatency: p.MaxLatency,
 		})
 		for i := 0; i < p.N; i++ {

@@ -40,9 +40,6 @@ type LiveParams struct {
 	// in-memory link injects. They must be zero on sockets, where the
 	// kernel provides the latency.
 	MinLatency, MaxLatency time.Duration
-	// InboxSize bounds each host's inbox (zero selects the engine
-	// default).
-	InboxSize int
 	// Sockets, when non-nil, runs the trial over real loopback sockets
 	// (package transport) instead of the in-memory link; it says where
 	// this process sits in the campaign. The link carries only bootstrap
@@ -98,11 +95,6 @@ type Sockets struct {
 	Procs, Proc int
 	// BasePort indexes the topology: process p listens on BasePort+p.
 	BasePort int
-	// QueueSize bounds each per-peer send queue (zero selects the
-	// transport default).
-	QueueSize int
-	// UDP selects datagram sockets (see transport.Config.UDP).
-	UDP bool
 }
 
 // procs is the campaign's process count; 1 for the in-memory link.
@@ -189,7 +181,7 @@ type LiveResult struct {
 	ConvergedAt int
 	// Stats is the final network traffic snapshot, conserved: Sent ==
 	// Delivered + Dropped + Overflow — exactly after the in-memory link's
-	// shutdown, at quiescence on sockets (a lower bound under UDP).
+	// shutdown, at quiescence on sockets.
 	Stats host.Stats
 	// Killed and Respawned count lifecycle events applied by the
 	// scenario.

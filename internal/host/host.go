@@ -840,6 +840,3 @@ func (r *Runtime) readStats() Stats {
 	st.Sent = r.sent.Load()
 	return st
 }
-
-// Stats returns a snapshot of the traffic counters; see Snapshot.
-func (r *Runtime) Stats() Stats { return r.Snapshot() }

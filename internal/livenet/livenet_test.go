@@ -71,7 +71,7 @@ func TestBootstrapOverLivenet(t *testing.T) {
 	leafFrac := float64(agg.LeafMissing) / float64(agg.LeafTotal)
 	prefFrac := float64(agg.PrefixMissing) / float64(agg.PrefixTotal)
 	t.Logf("livenet convergence: leaf missing %.4f, prefix missing %.4f, stats %+v",
-		leafFrac, prefFrac, net.Stats())
+		leafFrac, prefFrac, net.Snapshot())
 	// Wall-clock scheduling is nondeterministic; demand substantial
 	// convergence rather than perfection.
 	if leafFrac > 0.05 {
@@ -80,7 +80,7 @@ func TestBootstrapOverLivenet(t *testing.T) {
 	if prefFrac > 0.05 {
 		t.Errorf("prefix missing %.4f after ~60 periods, want < 0.05", prefFrac)
 	}
-	if st := net.Stats(); st.Sent == 0 || st.Delivered == 0 {
+	if st := net.Snapshot(); st.Sent == 0 || st.Delivered == 0 {
 		t.Errorf("no traffic recorded: %+v", st)
 	}
 }
@@ -175,7 +175,7 @@ func TestDropModel(t *testing.T) {
 	if pb.handled != 0 {
 		t.Errorf("drop=1.0 still delivered %d messages", pb.handled)
 	}
-	if st := net.Stats(); st.Dropped == 0 {
+	if st := net.Snapshot(); st.Dropped == 0 {
 		t.Error("no drops recorded")
 	}
 }
@@ -192,7 +192,7 @@ func TestSendToUnknownHost(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 	net.Close()
-	if st := net.Stats(); st.Dropped == 0 {
+	if st := net.Snapshot(); st.Dropped == 0 {
 		t.Error("sends to unknown hosts should count as dropped")
 	}
 }

@@ -59,7 +59,7 @@ func TestLiveSendPathConcurrentFaultMutation(t *testing.T) {
 	wg.Wait()
 	net.Close()
 
-	st := net.Stats()
+	st := net.Snapshot()
 	if st.Sent == 0 {
 		t.Fatal("no traffic generated")
 	}
@@ -109,16 +109,15 @@ func buildFloodNet(t *testing.T, n int, cfg Config, stop <-chan struct{}, to fun
 	return net
 }
 
-// TestLiveWireShardedEnqueueRace hammers the sharded wire: 64 hosts
-// concurrently push latency-delayed sends (one goroutine per host — the
-// send path's concurrency contract) while the sweeper harvests expired
-// buckets and a mutator churns the latency window, under -race in CI's
-// live job. Each sender locks only its own shard stripe, so this is the
-// proof that the latency-delayed send path acquires no global mutex — the
-// wire analogue of TestLiveSendPathConcurrentFaultMutation — and the
+// TestLiveWireEnqueueRace hammers the wire: 64 hosts concurrently push
+// latency-delayed sends (one goroutine per host — the send path's
+// concurrency contract) while the sweeper harvests expired buckets and a
+// mutator churns the latency window, under -race in CI. The wire's one lock
+// is the only synchronisation between every sender and the sweeper, so this
+// is the proof that it covers the wheel, next and the wake, and the
 // conservation check at quiescence proves no flight is lost between the
-// wheels, the sweeper's scratch buffer, and Close's drain.
-func TestLiveWireShardedEnqueueRace(t *testing.T) {
+// wheel, the sweeper's scratch buffer, and Close's drain.
+func TestLiveWireEnqueueRace(t *testing.T) {
 	const n = 64
 	stop := make(chan struct{})
 	net := buildFloodNet(t, n, Config{Seed: 77, MinLatency: 20 * time.Microsecond, MaxLatency: 400 * time.Microsecond},
@@ -127,7 +126,7 @@ func TestLiveWireShardedEnqueueRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Churn the latency window so deadlines swing between the wheels'
+	// Churn the latency window so deadlines swing between the wheel's
 	// level-0 window and the overflow level, and earlier-deadline
 	// enqueues keep re-arming the sweeper mid-sleep.
 	var wg sync.WaitGroup
@@ -150,7 +149,7 @@ func TestLiveWireShardedEnqueueRace(t *testing.T) {
 	wg.Wait()
 	net.Close()
 
-	st := net.Stats()
+	st := net.Snapshot()
 	if st.Sent == 0 {
 		t.Fatal("no traffic generated")
 	}
@@ -178,7 +177,7 @@ func TestLiveWireCloseRacesDrain(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	<-done
-	st := net.Stats()
+	st := net.Snapshot()
 	if st.Sent == 0 {
 		t.Fatal("no traffic generated")
 	}
@@ -187,11 +186,10 @@ func TestLiveWireCloseRacesDrain(t *testing.T) {
 
 // TestWireWakeOnEarlierDeadline pins the wake condition the wheel API
 // fixed: with the sweeper asleep toward a far deadline (5s), an enqueue
-// with a strictly earlier deadline — on a different shard — must re-arm it,
-// so the near flight is delivered in tens of milliseconds, not at the far
-// deadline. The old check compared the new deadline against the heap head
-// by value; a sweeper sleeping toward a stale deadline could miss the
-// reordering entirely.
+// with a strictly earlier deadline must re-arm it, so the near flight is
+// delivered in tens of milliseconds, not at the far deadline. The old check
+// compared the new deadline against the heap head by value; a sweeper
+// sleeping toward a stale deadline could miss the reordering entirely.
 func TestWireWakeOnEarlierDeadline(t *testing.T) {
 	net := New(Config{Seed: 79})
 	a, b := net.AddHost(), net.AddHost()

@@ -169,7 +169,7 @@ func TestRecyclableExactlyOnceLivenet(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	net.Close()
 
-	st := net.Stats()
+	st := net.Snapshot()
 	if st.Delivered == 0 || st.Dropped == 0 {
 		t.Fatalf("not all retirement paths exercised: %+v", st)
 	}

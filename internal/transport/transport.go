@@ -1,10 +1,9 @@
 // Package transport is the third protocol engine: real sockets. Where
 // simnet interleaves events deterministically and livenet hands pointers
 // between goroutines, transport serialises every protocol message through
-// the internal/wire codec and carries it over the kernel's network stack —
-// TCP streams by default, UDP datagrams optionally — so serialization
-// cost, kernel backpressure, and real partial failure are measured rather
-// than modeled.
+// the internal/wire codec and carries it over the kernel's TCP stack, so
+// serialization cost, kernel backpressure, and real partial failure are
+// measured rather than modeled.
 //
 // Topology is the coinkit-style port-indexed localhost shape: a campaign
 // of N hosts is sharded across Procs OS processes; process p listens on
@@ -32,17 +31,15 @@
 // Sent and lands in exactly one outcome bucket: Delivered (dispatched to
 // a protocol on the destination process), Overflow (bounced off a full
 // pending buffer or a full destination inbox), or Dropped (sender-side
-// fault model, dead/unknown destination, undecodable on arrival, failed
-// datagram write, or shutdown drain). Sends and outcomes are counted on
+// fault model, dead/unknown destination, undecodable on arrival, or
+// shutdown drain). Sends and outcomes are counted on
 // different processes, so the law
 //
 //	ΣSent == ΣDelivered + ΣDropped + ΣOverflow
 //
 // holds for the sum over all processes, at quiescence (StopTicks +
 // Quiesce, no connection failures during the drain); cmd/netsim checks it
-// at the end of every campaign. UDP mode relaxes this: datagrams the
-// kernel sheds vanish uncounted, which is exactly the difference between
-// the two socket types worth measuring.
+// at the end of every campaign.
 package transport
 
 import (
@@ -94,10 +91,6 @@ type Config struct {
 	// injected fault model the other engines expose, applied before a
 	// frame reaches the socket so scenarios stay engine-portable.
 	Drop float64
-	// UDP selects datagram sockets for the data plane: no handshake, no
-	// reconnect, no delivery guarantee — conservation becomes a lower
-	// bound rather than an equality.
-	UDP bool
 	// DialTimeout bounds one dial attempt (zero selects 2s).
 	DialTimeout time.Duration
 	// MaxBackoff caps the reconnect backoff (zero selects 2s).
@@ -177,7 +170,6 @@ type sockets struct {
 	stop  chan struct{}
 
 	listener net.Listener
-	udp      *net.UDPConn
 
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{} // guarded by mu: inbound conns for teardown
@@ -253,31 +245,17 @@ func (n *Network) Quiesce(timeout time.Duration) bool {
 	return false
 }
 
-// Start binds the listener and launches the accept (or datagram read)
-// loop and the peer writers.
+// Start binds the listener and launches the accept loop and the peer
+// writers.
 func (s *sockets) Start() error {
 	bind := fmt.Sprintf("127.0.0.1:%d", s.cfg.BasePort+s.cfg.Proc)
-	if s.cfg.UDP {
-		uaddr, err := net.ResolveUDPAddr("udp", bind)
-		if err != nil {
-			return err
-		}
-		conn, err := net.ListenUDP("udp", uaddr)
-		if err != nil {
-			return fmt.Errorf("transport: bind %s: %w", bind, err)
-		}
-		s.udp = conn
-		s.wg.Add(1)
-		go s.readUDP(conn)
-	} else {
-		l, err := net.Listen("tcp", bind)
-		if err != nil {
-			return fmt.Errorf("transport: bind %s: %w", bind, err)
-		}
-		s.listener = l
-		s.wg.Add(1)
-		go s.acceptLoop(l)
+	l, err := net.Listen("tcp", bind)
+	if err != nil {
+		return fmt.Errorf("transport: bind %s: %w", bind, err)
 	}
+	s.listener = l
+	s.wg.Add(1)
+	go s.acceptLoop(l)
 	for _, p := range s.peers {
 		s.wg.Add(1)
 		go p.run()
@@ -348,11 +326,11 @@ const initialBackoff = 20 * time.Millisecond
 // run is the writer goroutine. The unit in flight is a run of frames, not
 // a frame: woken by the first append, the writer connects if it has to,
 // yields once, takes everything appended so far by swapping pend with its
-// spare buffer, and hands the run to the kernel in one Write (UDP: one
-// datagram per frame). The yield is what makes the run long: the senders
-// already runnable when the first frame lands append before the take, and
-// with nothing else runnable it returns at once — the batch follows the
-// load, with no timer to add latency and no size or interval to tune.
+// spare buffer, and hands the run to the kernel in one Write. The yield is
+// what makes the run long: the senders already runnable when the first
+// frame lands append before the take, and with nothing else runnable it
+// returns at once — the batch follows the load, with no timer to add
+// latency and no size or interval to tune.
 //
 // A short or failed write closes the connection; the frames the kernel
 // took whole are retired and the cut frame and everything behind it go out
@@ -400,7 +378,8 @@ func (p *peerLoop) run() {
 			n, p.frames = p.frames, 0
 			p.mu.Unlock()
 		}
-		sent, err := s.flush(conn, out)
+		s.writes.Add(1)
+		sent, err := conn.Write(out)
 		done := n
 		if err != nil {
 			var resend int
@@ -413,25 +392,6 @@ func (p *peerLoop) run() {
 		s.frames.Add(int64(done))
 		s.inflight.Add(-int64(done))
 	}
-}
-
-// flush hands a run to the kernel and reports how many bytes it accepted.
-// A UDP send error is local (no route, full socket buffer): the datagram
-// is gone either way.
-func (s *sockets) flush(conn net.Conn, run []byte) (int, error) {
-	if !s.cfg.UDP {
-		s.writes.Add(1)
-		return conn.Write(run)
-	}
-	for off := 0; off < len(run); {
-		end := off + 4 + int(binary.LittleEndian.Uint32(run[off:]))
-		s.writes.Add(1)
-		if _, err := conn.Write(run[off:end]); err != nil {
-			s.rt.Drop(nil)
-		}
-		off = end
-	}
-	return len(run), nil
 }
 
 // wholeFrames reports how many frames of run lie wholly within its first n
@@ -448,8 +408,8 @@ func wholeFrames(run []byte, n int) (frames, resend int) {
 }
 
 // dial connects to the peer process, retrying with capped exponential
-// backoff until it succeeds or the network stops (then nil). TCP mode
-// sends the handshake before the connection is considered up.
+// backoff until it succeeds or the network stops (then nil). The handshake
+// goes out before the connection is considered up.
 func (p *peerLoop) dial() net.Conn {
 	s := p.s
 	backoff := initialBackoff
@@ -459,12 +419,8 @@ func (p *peerLoop) dial() net.Conn {
 			return nil
 		default:
 		}
-		network := "tcp"
-		if s.cfg.UDP {
-			network = "udp"
-		}
-		conn, err := net.DialTimeout(network, p.addr, s.cfg.DialTimeout)
-		if err == nil && !s.cfg.UDP {
+		conn, err := net.DialTimeout("tcp", p.addr, s.cfg.DialTimeout)
+		if err == nil {
 			var hs [handshakeLen]byte
 			copy(hs[:], handshakeMagic[:])
 			binary.LittleEndian.PutUint32(hs[4:], uint32(s.cfg.Proc))
@@ -489,7 +445,7 @@ func (p *peerLoop) dial() net.Conn {
 	}
 }
 
-// acceptLoop serves inbound TCP connections: one reader goroutine each.
+// acceptLoop serves inbound connections: one reader goroutine each.
 func (s *sockets) acceptLoop(l net.Listener) {
 	defer s.wg.Done()
 	for {
@@ -588,42 +544,6 @@ func (s *sockets) readFrames(br *bufio.Reader) {
 	}
 }
 
-// readUDP decodes one frame per datagram. Datagrams still carry the
-// 4-byte length prefix so the two modes share the exact wire format.
-func (s *sockets) readUDP(conn *net.UDPConn) {
-	defer s.wg.Done()
-	buf := make([]byte, 64*1024)
-	for {
-		sz, _, err := conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		if sz < 4 {
-			s.rt.Drop(nil)
-			continue
-		}
-		want := binary.LittleEndian.Uint32(buf[:4])
-		if int(want) != sz-4 {
-			s.rt.Drop(nil)
-			continue
-		}
-		env, m, err := wire.Decode(buf[4:sz])
-		if err != nil {
-			s.rt.Drop(nil)
-			continue
-		}
-		s.rt.Deliver(env.From, env.To, env.Pid, m)
-	}
-}
-
 // Close tears the sockets down and waits for every loop; each peer loop
 // counts the frames it still holds as dropped on the way out, and with the
 // hosts gone nothing appends more. For an exact
@@ -641,9 +561,6 @@ func (s *sockets) Close() {
 	close(s.stop)
 	if s.listener != nil {
 		s.listener.Close()
-	}
-	if s.udp != nil {
-		s.udp.Close()
 	}
 	for _, c := range conns {
 		c.Close()

@@ -285,14 +285,6 @@ func TestTransportReconnectBackoff(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return n1.Snapshot().Delivered > before }, "delivery after reconnect")
 }
 
-func TestTransportUDP(t *testing.T) {
-	c := newCluster(t, Config{Seed: 5, N: 4, Procs: 2, BasePort: 19350, UDP: true}, 10*time.Millisecond)
-	defer c.close()
-	c.start(t)
-	// UDP offers no conservation guarantee; assert the data plane works.
-	waitFor(t, 5*time.Second, func() bool { return c.requests.Load() >= 20 }, "datagram traffic")
-}
-
 func TestTransportPauseResume(t *testing.T) {
 	c := newCluster(t, Config{Seed: 6, N: 4, Procs: 1, BasePort: 19360}, 5*time.Millisecond)
 	defer c.close()
