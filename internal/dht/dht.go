@@ -26,7 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/flat"
 	"repro/internal/id"
 	"repro/internal/overlay/pastry"
 	"repro/internal/peer"
@@ -73,13 +72,6 @@ func (n *Node) Keys() int {
 	return n.store.keys()
 }
 
-// StoreBytes returns the size of the node's value arena (diagnostics).
-func (n *Node) StoreBytes() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.store.bytes()
-}
-
 // Partition is an optional reachability cut: it reports true when a and b
 // are on opposite sides and must not exchange messages. It must be safe
 // for concurrent use and cheap — it runs on every routing candidate.
@@ -92,16 +84,13 @@ type Partition func(a, b peer.Addr) bool
 type Cluster struct {
 	replicas int
 	nodes    []*Node
-	// byAddr maps peer.Addr (widened to id.ID) to the node's slot index;
-	// open-addressed so the per-hop lookup is a probe over flat arrays.
-	byAddr *flat.Table[int32]
-	alive  []atomic.Bool
-	// aliveByAddr is a dense addr-indexed mirror of alive, built when the
-	// address space is compact (the usual case): liveness checks on the
-	// routing hot path become one array load instead of a hash probe.
-	aliveByAddr []atomic.Bool
-	live        atomic.Int32
-	part        atomic.Pointer[Partition]
+	// slots (the node's index in nodes, -1 for none) and alive are both
+	// indexed by address over [0, max address], so resolving a routing
+	// hop or checking liveness is one array load.
+	slots []int32
+	alive []atomic.Bool
+	live  atomic.Int32
+	part  atomic.Pointer[Partition]
 	// filtered stays false until the first departure or partition; while
 	// it is false every node is reachable and ops route with a nil filter,
 	// skipping the per-candidate liveness calls entirely.
@@ -113,7 +102,9 @@ type Cluster struct {
 }
 
 // NewCluster builds a cluster; replicas <= 0 selects DefaultReplicas and
-// values above MaxReplicas are clamped.
+// values above MaxReplicas are clamped. Node addresses must be distinct
+// and non-negative; the address tables span [0, max address], so they
+// should also be dense (simnet.AddNode and peer.Addr(i) numbering are).
 func NewCluster(nodes []*Node, replicas int) *Cluster {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
@@ -121,40 +112,26 @@ func NewCluster(nodes []*Node, replicas int) *Cluster {
 	if replicas > MaxReplicas {
 		replicas = MaxReplicas
 	}
+	maxAddr := peer.Addr(-1)
+	for _, n := range nodes {
+		maxAddr = max(maxAddr, n.Addr())
+	}
 	c := &Cluster{
 		replicas: replicas,
 		nodes:    nodes,
-		byAddr:   flat.NewTable[int32](len(nodes)),
-		alive:    make([]atomic.Bool, len(nodes)),
+		slots:    make([]int32, maxAddr+1),
+		alive:    make([]atomic.Bool, maxAddr+1),
 	}
-	maxAddr := peer.Addr(-1)
+	for a := range c.slots {
+		c.slots[a] = -1
+	}
 	for i, n := range nodes {
-		c.byAddr.Put(addrKey(n.Addr()), int32(i))
-		c.alive[i].Store(true)
-		if a := n.Addr(); a > maxAddr {
-			maxAddr = a
-		}
+		c.slots[n.Addr()] = int32(i)
+		c.alive[n.Addr()].Store(true)
 	}
 	c.live.Store(int32(len(nodes)))
-	if int(maxAddr)+1 <= 4*len(nodes)+64 {
-		c.aliveByAddr = make([]atomic.Bool, int(maxAddr)+1)
-		for _, n := range nodes {
-			c.aliveByAddr[n.Addr()].Store(true)
-		}
-		c.reach = func(from, to peer.Addr) bool {
-			if to < 0 || int(to) >= len(c.aliveByAddr) || !c.aliveByAddr[to].Load() {
-				return false
-			}
-			if p := c.part.Load(); p != nil && (*p)(from, to) {
-				return false
-			}
-			return true
-		}
-		return c
-	}
 	c.reach = func(from, to peer.Addr) bool {
-		slot, ok := c.slotOf(to)
-		if !ok || !c.alive[slot].Load() {
+		if !c.isAlive(to) {
 			return false
 		}
 		if p := c.part.Load(); p != nil && (*p)(from, to) {
@@ -177,11 +154,7 @@ func (c *Cluster) filter() pastry.Reachable {
 
 // isAlive reports whether the address belongs to a live node.
 func (c *Cluster) isAlive(a peer.Addr) bool {
-	if c.aliveByAddr != nil {
-		return a >= 0 && int(a) < len(c.aliveByAddr) && c.aliveByAddr[a].Load()
-	}
-	slot, ok := c.slotOf(a)
-	return ok && c.alive[slot].Load()
+	return a >= 0 && int(a) < len(c.alive) && c.alive[a].Load()
 }
 
 // SetPartition installs (or, with nil, clears) a reachability cut that
@@ -220,25 +193,22 @@ type OpStats struct {
 	Want int
 }
 
-// addrKey widens an address into the flat table's key domain.
-func addrKey(a peer.Addr) id.ID { return id.ID(uint64(uint32(a))) }
-
 // slotOf resolves an address to its node slot.
 func (c *Cluster) slotOf(addr peer.Addr) (int32, bool) {
-	if addr < 0 {
+	if addr < 0 || int(addr) >= len(c.slots) || c.slots[addr] < 0 {
 		return 0, false
 	}
-	return c.byAddr.Get(addrKey(addr))
+	return c.slots[addr], true
 }
 
 // route walks the key from the origin to its live root, returning the
 // root's slot and the hop count. Zero-alloc: every step reads an
 // immutable snapshot through an atomic pointer.
 func (c *Cluster) route(from peer.Addr, key id.ID) (int32, int, error) {
-	slot, ok := c.slotOf(from)
-	if !ok || !c.alive[slot].Load() {
+	if !c.isAlive(from) {
 		return 0, 0, ErrNoRoute
 	}
+	slot := c.slots[from]
 	filt := c.filter()
 	hops := 0
 	for {
@@ -454,37 +424,21 @@ func (c *Cluster) Get(from peer.Addr, key id.ID) ([]byte, error) {
 func (c *Cluster) Remove(addr peer.Addr) {
 	c.repairMu.Lock()
 	defer c.repairMu.Unlock()
-	slot, ok := c.slotOf(addr)
-	if !ok || !c.alive[slot].Load() {
+	if !c.isAlive(addr) {
 		return
 	}
 	// Publish the filtered flag before the death so no op can observe the
 	// dead node without also routing through the filter.
 	c.filtered.Store(true)
-	c.alive[slot].Store(false)
-	if c.aliveByAddr != nil {
-		c.aliveByAddr[addr].Store(false)
-	}
+	c.alive[addr].Store(false)
 	c.live.Add(-1)
-	victim := c.nodes[slot]
+	victim := c.nodes[c.slots[addr]]
 	victimID := victim.router.Self().ID
-	vsnap := victim.snap.Load()
-	succ, pred := vsnap.Leaf()
 
 	// The victim's live leaf neighbourhood: the routers that listed it,
 	// the peers that inherit its key range, and the candidates they adopt
 	// to refill their own structures.
-	cand := make([]peer.Descriptor, 0, len(succ)+len(pred))
-	for _, d := range succ {
-		if s, ok := c.slotOf(d.Addr); ok && c.alive[s].Load() {
-			cand = append(cand, d)
-		}
-	}
-	for _, d := range pred {
-		if s, ok := c.slotOf(d.Addr); ok && c.alive[s].Load() {
-			cand = append(cand, d)
-		}
-	}
+	cand := c.liveLeaf(victim.snap.Load())
 	for _, d := range cand {
 		ms, _ := c.slotOf(d.Addr)
 		m := c.nodes[ms]
@@ -508,34 +462,19 @@ func (c *Cluster) Join(addr peer.Addr) {
 	c.repairMu.Lock()
 	defer c.repairMu.Unlock()
 	slot, ok := c.slotOf(addr)
-	if !ok || c.alive[slot].Load() {
+	if !ok || c.alive[addr].Load() {
 		return
 	}
 	joiner := c.nodes[slot]
 	jdesc := joiner.router.Self()
 
-	c.alive[slot].Store(true)
-	if c.aliveByAddr != nil {
-		c.aliveByAddr[addr].Store(true)
-	}
+	c.alive[addr].Store(true)
 	c.live.Add(1)
 
 	// The joiner's live leaf neighbourhood, read from its last published
 	// snapshot. The snapshot may be stale — peers died while the joiner
 	// was down — so filter to the currently live ones.
-	jsnap := joiner.snap.Load()
-	succ, pred := jsnap.Leaf()
-	cand := make([]peer.Descriptor, 0, len(succ)+len(pred))
-	for _, d := range succ {
-		if s, ok := c.slotOf(d.Addr); ok && c.alive[s].Load() {
-			cand = append(cand, d)
-		}
-	}
-	for _, d := range pred {
-		if s, ok := c.slotOf(d.Addr); ok && c.alive[s].Load() {
-			cand = append(cand, d)
-		}
-	}
+	cand := c.liveLeaf(joiner.snap.Load())
 	withJoiner := append(append(make([]peer.Descriptor, 0, len(cand)+1), cand...), jdesc)
 	for _, d := range cand {
 		ms, _ := c.slotOf(d.Addr)
@@ -549,6 +488,21 @@ func (c *Cluster) Join(addr peer.Addr) {
 	joiner.snap.Store(joiner.router.Snapshot())
 
 	c.migrate(withJoiner)
+}
+
+// liveLeaf returns the live entries of a snapshot's leaf lists,
+// successors first.
+func (c *Cluster) liveLeaf(s *pastry.Snapshot) []peer.Descriptor {
+	succ, pred := s.Leaf()
+	out := make([]peer.Descriptor, 0, len(succ)+len(pred))
+	for _, side := range [2][]peer.Descriptor{succ, pred} {
+		for _, d := range side {
+			if c.isAlive(d.Addr) {
+				out = append(out, d)
+			}
+		}
+	}
+	return out
 }
 
 // migrate re-replicates every key held in the given neighbourhood: each
@@ -602,14 +556,11 @@ func (c *Cluster) migrate(neighbourhood []peer.Descriptor) {
 // Len returns the number of live nodes.
 func (c *Cluster) Len() int { return int(c.live.Load()) }
 
-// Replicas returns the configured replication factor.
-func (c *Cluster) Replicas() int { return c.replicas }
-
 // LiveAddrs appends the addresses of all live nodes to dst (slot order,
 // deterministic) and returns it.
 func (c *Cluster) LiveAddrs(dst []peer.Addr) []peer.Addr {
-	for i, n := range c.nodes {
-		if c.alive[i].Load() {
+	for _, n := range c.nodes {
+		if c.alive[n.Addr()].Load() {
 			dst = append(dst, n.Addr())
 		}
 	}

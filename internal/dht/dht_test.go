@@ -3,6 +3,7 @@ package dht
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,10 +16,16 @@ import (
 // perfectCluster builds a DHT over perfectly bootstrapped routers.
 func perfectCluster(t testing.TB, n, replicas int, seed int64) (*Cluster, []peer.Descriptor) {
 	t.Helper()
+	return perfectClusterAt(t, n, replicas, seed, func(i int) peer.Addr { return peer.Addr(i) })
+}
+
+// perfectClusterAt is perfectCluster with node i at address addr(i).
+func perfectClusterAt(t testing.TB, n, replicas int, seed int64, addr func(int) peer.Addr) (*Cluster, []peer.Descriptor) {
+	t.Helper()
 	ids := id.Unique(n, seed)
 	descs := make([]peer.Descriptor, n)
 	for i, v := range ids {
-		descs[i] = peer.Descriptor{ID: v, Addr: peer.Addr(i)}
+		descs[i] = peer.Descriptor{ID: v, Addr: addr(i)}
 	}
 	cfg := core.DefaultConfig()
 	nodes := make([]*Node, n)
@@ -183,5 +190,85 @@ func TestRemoveUnknownIsNoop(t *testing.T) {
 	c.Remove(peer.Addr(999))
 	if c.Len() != 10 {
 		t.Error("removing unknown changed the cluster")
+	}
+}
+
+// TestSparseAddresses: a cluster whose node i sits at address 3i+1 behaves
+// exactly as the compact cluster over the same IDs — routing reads IDs,
+// addresses only name nodes — through puts, gets, removals and joins, and
+// its Reachable filter rejects the holes between addresses, peer.NoAddr
+// and addresses past the table.
+func TestSparseAddresses(t *testing.T) {
+	const n = 128
+	at := func(i int) peer.Addr { return peer.Addr(3*i + 1) }
+	compact, _ := perfectCluster(t, n, 3, 81)
+	sparse, _ := perfectClusterAt(t, n, 3, 81, at)
+	toCompact := func(addrs []peer.Addr) []peer.Addr {
+		out := make([]peer.Addr, len(addrs))
+		for i, a := range addrs {
+			out[i] = (a - 1) / 3
+		}
+		return out
+	}
+	sameErr := func(a, b error) bool {
+		return (a == nil) == (b == nil) && errors.Is(a, ErrNotFound) == errors.Is(b, ErrNotFound)
+	}
+	rng := rand.New(rand.NewSource(82))
+	keys := make([]id.ID, 100)
+	put := func(k int) {
+		from := rng.Intn(n)
+		want, werr := compact.Put(peer.Addr(from), keys[k], []byte{byte(k)})
+		got, gerr := sparse.Put(at(from), keys[k], []byte{byte(k)})
+		if !sameErr(werr, gerr) || fmt.Sprint(toCompact(got)) != fmt.Sprint(want) {
+			t.Fatalf("put %d from node %d: sparse stored %v (%v), compact %v (%v)", k, from, toCompact(got), gerr, want, werr)
+		}
+	}
+	getAll := func(stage string) {
+		for k, key := range keys {
+			from := rng.Intn(n)
+			want, werr := compact.Get(peer.Addr(from), key)
+			got, gerr := sparse.Get(at(from), key)
+			if !sameErr(werr, gerr) || !bytes.Equal(got, want) {
+				t.Fatalf("%s: get %d from node %d: sparse %v (%v), compact %v (%v)", stage, k, from, got, gerr, want, werr)
+			}
+		}
+	}
+	for k := range keys {
+		keys[k] = id.ID(rng.Uint64())
+		put(k)
+	}
+	getAll("preload")
+	removed := rng.Perm(n)[:24]
+	for _, i := range removed {
+		compact.Remove(peer.Addr(i))
+		sparse.Remove(at(i))
+	}
+	getAll("after removals")
+	for _, i := range removed[:12] {
+		compact.Join(peer.Addr(i))
+		sparse.Join(at(i))
+	}
+	for k := 0; k < len(keys); k += 2 {
+		put(k)
+	}
+	getAll("after joins")
+	if sparse.Len() != compact.Len() {
+		t.Fatalf("live: sparse %d, compact %d", sparse.Len(), compact.Len())
+	}
+	if got, want := toCompact(sparse.LiveAddrs(nil)), compact.LiveAddrs(nil); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("LiveAddrs: sparse %v, compact %v", got, want)
+	}
+
+	from := at(removed[0])
+	for _, to := range []peer.Addr{peer.NoAddr, 0, 2, 3, at(n), at(n) + 1000} {
+		if sparse.reach(from, to) {
+			t.Errorf("Reachable accepted %d, which names no node", to)
+		}
+	}
+	if sparse.reach(from, at(removed[len(removed)-1])) {
+		t.Error("Reachable accepted a removed node")
+	}
+	if !sparse.reach(from, at(removed[0])) {
+		t.Error("Reachable rejected a rejoined node")
 	}
 }

@@ -1,9 +1,10 @@
 package dht
 
-// The pre-PR 8 synchronous cluster, kept verbatim as a benchmark baseline
-// (PR 5 idiom): map-based node/value lookup, per-op value copies, and a
-// full pastry.NewMesh rebuild on every departure. BenchmarkDHTOps and
-// BenchmarkClusterRemove measure the rewrite against it.
+// The pre-PR 8 synchronous cluster, kept as a benchmark baseline (PR 5
+// idiom): map-based node/value lookup, per-op value copies, and a full
+// pastry.NewMesh rebuild (with every node's leaf snapshot) on every
+// departure. BenchmarkDHTOps and BenchmarkClusterRemove measure the
+// rewrite against it.
 
 import (
 	"fmt"
@@ -15,7 +16,10 @@ import (
 
 type legacyNode struct {
 	router *pastry.Router
-	data   map[id.ID][]byte
+	// snap is the router's state as of the last mesh (re)build; replicaSet
+	// reads its leaf lists.
+	snap *pastry.Snapshot
+	data map[id.ID][]byte
 }
 
 type legacyCluster struct {
@@ -30,7 +34,7 @@ func newLegacyCluster(routers []*pastry.Router, replicas int) *legacyCluster {
 	}
 	byAddr := make(map[peer.Addr]*legacyNode, len(routers))
 	for _, r := range routers {
-		byAddr[r.Self().Addr] = &legacyNode{router: r, data: make(map[id.ID][]byte)}
+		byAddr[r.Self().Addr] = &legacyNode{router: r, snap: r.Snapshot(), data: make(map[id.ID][]byte)}
 	}
 	return &legacyCluster{
 		nodes:    byAddr,
@@ -80,6 +84,7 @@ func (c *legacyCluster) Remove(addr peer.Addr) {
 	routers := make([]*pastry.Router, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		n.router.Forget(victimID)
+		n.snap = n.router.Snapshot()
 		routers = append(routers, n.router)
 	}
 	c.mesh = pastry.NewMesh(routers, 0)
@@ -99,8 +104,7 @@ func (c *legacyCluster) root(from peer.Addr, key id.ID) (*legacyNode, error) {
 
 func (c *legacyCluster) replicaSet(root *legacyNode) []peer.Addr {
 	out := []peer.Addr{root.router.Self().Addr}
-	succ := root.router.LeafSuccessors()
-	pred := root.router.LeafPredecessors()
+	succ, pred := root.snap.Leaf()
 	i, j := 0, 0
 	for len(out) < c.replicas {
 		progressed := false

@@ -61,6 +61,3 @@ func (s *valueStore) get(key id.ID, dst []byte) ([]byte, bool) {
 
 // keys returns the number of keys stored.
 func (s *valueStore) keys() int { return s.refs.Len() }
-
-// bytes returns the arena size (diagnostics).
-func (s *valueStore) bytes() int { return len(s.heap) }

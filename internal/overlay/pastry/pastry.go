@@ -19,7 +19,8 @@ import (
 // entries.
 type Proximity func(a, b peer.Addr) int64
 
-// Router routes keys using one node's bootstrapped state.
+// Router holds one node's bootstrapped routing state. Routes are taken
+// over its Snapshot, which carries Pastry's next-hop rule.
 type Router struct {
 	self  peer.Descriptor
 	leaf  *core.LeafSet
@@ -45,10 +46,10 @@ func New(self peer.Descriptor, leaf *core.LeafSet, table *core.PrefixTable, b in
 	return &Router{self: self, leaf: leaf, table: table, b: b}
 }
 
-// WithProximity makes the router prefer, within a prefix-table slot, the
-// entry closest to this node under the given metric — Pastry's locality
-// heuristic, enabled by the bootstrap parameter k > 1 (the paper calls
-// this out as the reason to keep multiple entries per slot). Any slot
+// WithProximity makes the router's snapshots prefer, within a prefix-table
+// slot, the entry closest to this node under the given metric — Pastry's
+// locality heuristic, enabled by the bootstrap parameter k > 1 (the paper
+// calls this out as the reason to keep multiple entries per slot). Any slot
 // entry makes the same prefix progress, so route correctness and length
 // are unaffected; only per-hop cost changes. It returns the router.
 func (r *Router) WithProximity(p Proximity) *Router {
@@ -66,134 +67,24 @@ func (r *Router) Forget(nodeID id.ID) {
 	r.table.Remove(nodeID)
 }
 
-// LeafSuccessors returns the leaf-set successors, closest first. The slice
-// is shared storage; callers must not modify it.
-func (r *Router) LeafSuccessors() []peer.Descriptor { return r.leaf.Successors() }
-
-// LeafPredecessors returns the leaf-set predecessors, closest first. The
-// slice is shared storage; callers must not modify it.
-func (r *Router) LeafPredecessors() []peer.Descriptor { return r.leaf.Predecessors() }
-
-// NextHop returns the next node on the route toward key, following Pastry's
-// algorithm: deliver locally when this node is the closest leaf; otherwise
-// use the prefix-table entry extending the shared prefix; otherwise fall
-// back to any known node strictly closer to the key that does not shorten
-// the shared prefix. done is true when the key is rooted here.
-func (r *Router) NextHop(key id.ID) (next peer.Descriptor, done bool) {
-	if key == r.self.ID {
-		return r.self, true
-	}
-	// Leaf set rule: if the key falls in the span covered by the leaf
-	// set, the numerically closest of {leaf set, self} is the root.
-	if best, in := r.leafRoot(key); in {
-		if best.ID == r.self.ID {
-			return r.self, true
-		}
-		return best, false
-	}
-	// Prefix rule: extend the common prefix by one digit, choosing the
-	// proximally closest slot entry when a metric is installed.
-	row := id.CommonPrefixLen(r.self.ID, key, r.b)
-	col := key.Digit(row, r.b)
-	if slot := r.table.Get(row, col); len(slot) > 0 {
-		best := slot[0]
-		if r.prox != nil {
-			for _, d := range slot[1:] {
-				if r.prox(r.self.Addr, d.Addr) < r.prox(r.self.Addr, best.Addr) {
-					best = d
-				}
-			}
-		}
-		return best, false
-	}
-	// Rare case: any known node closer to the key with at least as long
-	// a shared prefix.
-	if d, ok := r.rareCase(key, row); ok {
-		return d, false
-	}
-	// Nothing closer is known: deliver here (best effort).
-	return r.self, true
-}
-
-// leafRoot reports whether key lies within the leaf set span and, if so,
-// returns the numerically closest node among the leaf set and self.
-func (r *Router) leafRoot(key id.ID) (peer.Descriptor, bool) {
-	succ := r.leaf.Successors()
-	pred := r.leaf.Predecessors()
-	if len(succ) == 0 && len(pred) == 0 {
-		return r.self, true // alone in the world
-	}
-	// Span: from the farthest predecessor to the farthest successor,
-	// clockwise through self.
-	lo := r.self.ID
-	if len(pred) > 0 {
-		lo = pred[len(pred)-1].ID
-	}
-	hi := r.self.ID
-	if len(succ) > 0 {
-		hi = succ[len(succ)-1].ID
-	}
-	// key in [lo, hi] going clockwise from lo?
-	span := id.Succ(lo, hi)
-	off := id.Succ(lo, key)
-	if off > span {
-		return peer.Descriptor{Addr: peer.NoAddr}, false
-	}
-	best := r.self
-	bestDist := id.RingDistance(key, r.self.ID)
-	for _, d := range succ {
-		if dist := id.RingDistance(key, d.ID); dist < bestDist {
-			best, bestDist = d, dist
-		}
-	}
-	for _, d := range pred {
-		if dist := id.RingDistance(key, d.ID); dist < bestDist {
-			best, bestDist = d, dist
-		}
-	}
-	return best, true
-}
-
-// rareCase scans everything the node knows for a peer strictly closer to
-// the key whose shared prefix with the key is at least row digits.
-func (r *Router) rareCase(key id.ID, row int) (peer.Descriptor, bool) {
-	selfDist := id.RingDistance(key, r.self.ID)
-	best := peer.Descriptor{Addr: peer.NoAddr}
-	bestDist := selfDist
-	consider := func(d peer.Descriptor) {
-		if id.CommonPrefixLen(d.ID, key, r.b) < row {
-			return
-		}
-		if dist := id.RingDistance(key, d.ID); dist < bestDist {
-			best, bestDist = d, dist
-		}
-	}
-	for _, d := range r.leaf.Slice() {
-		consider(d)
-	}
-	r.table.Each(func(_, _ int, d peer.Descriptor) bool {
-		consider(d)
-		return true
-	})
-	return best, !best.Nil()
-}
-
 // Mesh evaluates routing over a set of routers indexed by address,
 // simulating message forwarding hop by hop.
 type Mesh struct {
-	routers map[peer.Addr]*Router
+	snaps   map[peer.Addr]*Snapshot
 	maxHops int
 }
 
-// NewMesh builds an evaluator over the given routers. maxHops bounds route
-// length; <= 0 selects a generous default.
+// NewMesh builds an evaluator over the given routers as they are now: it
+// routes over one Snapshot per router taken here, so it must be rebuilt
+// after the routers change. maxHops bounds route length; <= 0 selects a
+// generous default.
 func NewMesh(routers []*Router, maxHops int) *Mesh {
 	if maxHops <= 0 {
 		maxHops = 128
 	}
-	m := &Mesh{routers: make(map[peer.Addr]*Router, len(routers)), maxHops: maxHops}
+	m := &Mesh{snaps: make(map[peer.Addr]*Snapshot, len(routers)), maxHops: maxHops}
 	for _, r := range routers {
-		m.routers[r.self.Addr] = r
+		m.snaps[r.self.Addr] = r.Snapshot()
 	}
 	return m
 }
@@ -206,22 +97,22 @@ var ErrRouteFailed = errors.New("pastry: route failed")
 // itself the root. It returns the path of node addresses visited, starting
 // at start and ending at the root.
 func (m *Mesh) Route(start peer.Addr, key id.ID) ([]peer.Addr, error) {
-	cur, ok := m.routers[start]
+	cur, ok := m.snaps[start]
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown start %d", ErrRouteFailed, start)
 	}
 	path := []peer.Addr{start}
 	for hop := 0; hop < m.maxHops; hop++ {
-		next, done := cur.NextHop(key)
+		next, done := cur.NextHopAlive(key, start, nil)
 		if done {
 			return path, nil
 		}
-		nr, ok := m.routers[next.Addr]
+		ns, ok := m.snaps[next.Addr]
 		if !ok {
 			return path, fmt.Errorf("%w: hop to unknown node %s", ErrRouteFailed, next)
 		}
 		path = append(path, next.Addr)
-		cur = nr
+		cur = ns
 	}
 	return path, fmt.Errorf("%w: exceeded %d hops", ErrRouteFailed, m.maxHops)
 }

@@ -117,7 +117,7 @@ func TestRouteToExistingIDs(t *testing.T) {
 
 func TestNextHopSelfKey(t *testing.T) {
 	routers, descs, _ := perfectRouters(t, 50, 6)
-	next, done := routers[0].NextHop(descs[0].ID)
+	next, done := routers[0].Snapshot().NextHopAlive(descs[0].ID, descs[0].Addr, nil)
 	if !done || next.ID != descs[0].ID {
 		t.Error("own key must be delivered locally")
 	}
@@ -127,7 +127,7 @@ func TestLoneNodeOwnsEverything(t *testing.T) {
 	d := peer.Descriptor{ID: 42, Addr: 0}
 	cfg := core.DefaultConfig()
 	r := New(d, core.NewLeafSet(d.ID, cfg.C), core.NewPrefixTable(d.ID, cfg.B, cfg.K), cfg.B)
-	next, done := r.NextHop(id.ID(999))
+	next, done := r.Snapshot().NextHopAlive(id.ID(999), d.Addr, nil)
 	if !done || next.ID != 42 {
 		t.Error("a lone node must root every key")
 	}

@@ -21,6 +21,7 @@ import (
 type Snapshot struct {
 	self peer.Descriptor
 	b    int
+	prox Proximity // nil: take the first reachable slot entry
 	// succ and pred are the leaf lists, closest first.
 	succ, pred []peer.Descriptor
 	// Populated prefix slots, flattened: slot (row, col) holds
@@ -36,7 +37,7 @@ type Snapshot struct {
 // meant to be rebuilt only when the state changes (join/repair), not per
 // route.
 func (r *Router) Snapshot() *Snapshot {
-	s := &Snapshot{self: r.self, b: r.b}
+	s := &Snapshot{self: r.self, b: r.b, prox: r.prox}
 	s.succ = append(s.succ, r.leaf.Successors()...)
 	s.pred = append(s.pred, r.leaf.Predecessors()...)
 	// Find the deepest populated row so the offset array stays O(log N)
@@ -97,10 +98,16 @@ func (s *Snapshot) slot(row, col int) []peer.Descriptor {
 // candidate. A nil filter accepts everything.
 type Reachable func(from, to peer.Addr) bool
 
-// NextHopAlive is Router.NextHop evaluated against the snapshot, skipping
-// every candidate the filter rejects. done is true when the key is rooted
-// at the snapshot's owner (no live candidate is closer). The hot path
-// allocates nothing: all scanning works over the snapshot's backing arrays.
+// NextHopAlive is Pastry's next-hop rule over the snapshot, considering
+// only candidates the filter accepts. In order: a key within the live span
+// of the leaf set goes to the ring-closest of the live leaf entries and
+// self; otherwise the live entries of the prefix-table slot that extends
+// the shared prefix by one digit take it (the proximally closest one when
+// the router had a Proximity metric, else the first); otherwise any live
+// known node strictly closer to the key that does not shorten the shared
+// prefix does. done is true when the key is rooted at the snapshot's owner
+// (no live candidate is closer). The hot path allocates nothing: all
+// scanning works over the snapshot's backing arrays.
 func (s *Snapshot) NextHopAlive(key id.ID, origin peer.Addr, ok Reachable) (next peer.Descriptor, done bool) {
 	if key == s.self.ID {
 		return s.self, true
@@ -113,10 +120,20 @@ func (s *Snapshot) NextHopAlive(key id.ID, origin peer.Addr, ok Reachable) (next
 	}
 	row := id.CommonPrefixLen(s.self.ID, key, s.b)
 	col := key.Digit(row, s.b)
+	best, found := peer.Descriptor{}, false
 	for _, d := range s.slot(row, col) {
-		if ok == nil || ok(origin, d.Addr) {
+		if ok != nil && !ok(origin, d.Addr) {
+			continue
+		}
+		if s.prox == nil {
 			return d, false
 		}
+		if !found || s.prox(s.self.Addr, d.Addr) < s.prox(s.self.Addr, best.Addr) {
+			best, found = d, true
+		}
+	}
+	if found {
+		return best, false
 	}
 	if d, found := s.rareCase(key, row, origin, ok); found {
 		return d, false
