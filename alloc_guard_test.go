@@ -18,7 +18,7 @@ import (
 // cycle in steady state, the pooled event queue's contract.
 func TestEventLoopZeroAllocs(t *testing.T) {
 	const nodes = 64
-	net := simnet.New(simnet.Config{Seed: 23, MinLatency: 1, MaxLatency: 5})
+	net := simnet.New(simnet.Config{Seed: 23})
 	addrs := make([]peer.Addr, nodes)
 	for i := range addrs {
 		addrs[i] = net.AddNode()

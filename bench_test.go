@@ -403,7 +403,7 @@ func BenchmarkCreateMessageViaTick(b *testing.B) {
 // beyond the message value itself.
 func BenchmarkEventLoop(b *testing.B) {
 	const nodes = 256
-	net := simnet.New(simnet.Config{Seed: 23, MinLatency: 1, MaxLatency: 5})
+	net := simnet.New(simnet.Config{Seed: 23})
 	addrs := make([]peer.Addr, nodes)
 	for i := range addrs {
 		addrs[i] = net.AddNode()
@@ -432,7 +432,7 @@ func (p *pingProto) Tick(ctx proto.Context)                                     
 func (p *pingProto) Handle(ctx proto.Context, from peer.Addr, msg proto.Message) {}
 
 // BenchmarkSimnetSharded compares the sequential engine (shards=1) against
-// the conservative-window parallel engine at GOMAXPROCS shards on the same
+// the one-step-per-instant parallel engine at GOMAXPROCS shards on the same
 // fixed-length bootstrap workload (KeepRunningAfterPerfect pins the cycle
 // count, so both variants execute the same number of protocol cycles).
 // The gap between the two sub-benchmarks is the engine-level speedup the

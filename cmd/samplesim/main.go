@@ -160,9 +160,9 @@ func runStartSpread(o *options, out io.Writer) error {
 			return err
 		}
 	}
-	net.At(o.delta, func() {
-		net.Send(descs[0].Addr, descs[0].Addr, broadcast.ProtoID, broadcast.Rumor{Seq: 1, Payload: "start"})
-	})
+	// The start signal goes out once the first period has elapsed.
+	net.Run(o.delta)
+	net.Send(descs[0].Addr, descs[0].Addr, broadcast.ProtoID, broadcast.Rumor{Seq: 1, Payload: "start"})
 	net.Run(o.delta * int64(o.cycles))
 
 	var times []int64

@@ -58,9 +58,8 @@ func TestNewValidation(t *testing.T) {
 func TestFullCoverage(t *testing.T) {
 	const n = 500
 	net, protos, _ := buildNetwork(t, n, 1, 0)
-	net.At(5, func() {
-		ctxInject(net, protos[0], Rumor{Seq: 1, Payload: "start"})
-	})
+	net.Run(5)
+	ctxInject(net, protos[0], Rumor{Seq: 1, Payload: "start"})
 	net.Run(10 * 20)
 	covered := 0
 	for _, p := range protos {
@@ -73,9 +72,9 @@ func TestFullCoverage(t *testing.T) {
 	}
 }
 
-// ctxInject injects a rumor through a scheduled function; the Protocol API
-// needs a Context, which only the network can mint, so we reuse the node's
-// Handle path via a self-addressed message.
+// ctxInject injects a rumor from the harness, between Run calls. The
+// Protocol API needs a Context, which only the network can mint, so we reuse
+// the node's Handle path via a self-addressed message.
 func ctxInject(net *simnet.Network, p *Protocol, r Rumor) {
 	net.Send(p.self.Addr, p.self.Addr, ProtoID, r)
 }
@@ -84,9 +83,8 @@ func ctxInject(net *simnet.Network, p *Protocol, r Rumor) {
 func TestCoverageUnderDrop(t *testing.T) {
 	const n = 300
 	net, protos, _ := buildNetwork(t, n, 2, 0.2)
-	net.At(5, func() {
-		ctxInject(net, protos[0], Rumor{Seq: 7, Payload: "start"})
-	})
+	net.Run(5)
+	ctxInject(net, protos[0], Rumor{Seq: 7, Payload: "start"})
 	net.Run(10 * 30)
 	covered := 0
 	for _, p := range protos {
@@ -105,9 +103,7 @@ func TestCoverageUnderDrop(t *testing.T) {
 func TestStartSkewBounded(t *testing.T) {
 	const n, period = 400, 10
 	net, protos, _ := buildNetwork(t, n, 3, 0)
-	net.At(0, func() {
-		ctxInject(net, protos[0], Rumor{Seq: 9, Payload: "start"})
-	})
+	ctxInject(net, protos[0], Rumor{Seq: 9, Payload: "start"})
 	net.Run(period * 30)
 	var first, last int64 = 1 << 62, -1
 	for _, p := range protos {

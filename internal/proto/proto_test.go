@@ -112,12 +112,12 @@ func TestCountingFakeDetectsDouble(t *testing.T) {
 // TestRecyclableExactlyOnceSimnet drives the deterministic engine through
 // every retirement path it has — delivery, loss model, dead destination —
 // and audits at quiescence. The senders stop at a cutoff and the run
-// extends past cutoff+MaxLatency, so nothing is still in flight when the
-// audit runs.
+// extends well past the one instant a message takes, so nothing is still
+// in flight when the audit runs.
 func TestRecyclableExactlyOnceSimnet(t *testing.T) {
 	const n, cutoff = 16, 50
 	trk := &tracker{}
-	net := simnet.New(simnet.Config{Seed: 1, Drop: 0.3, MinLatency: 1, MaxLatency: 3})
+	net := simnet.New(simnet.Config{Seed: 1, Drop: 0.3})
 	addrs := make([]peer.Addr, n)
 	for i := range addrs {
 		addrs[i] = net.AddNode()
@@ -129,7 +129,8 @@ func TestRecyclableExactlyOnceSimnet(t *testing.T) {
 		}
 	}
 	// A mid-run death exercises the dead-destination retirement path.
-	net.At(cutoff/2, func() { net.Kill(addrs[0]) })
+	net.Run(cutoff / 2)
+	net.Kill(addrs[0])
 	net.Run(cutoff + 10)
 
 	st := net.Stats()

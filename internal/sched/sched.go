@@ -43,8 +43,9 @@ import (
 )
 
 // Default geometry: 256 buckets of width 1. Right for virtual-time workloads
-// (simnet: tick period 10, latency ≤ ~10), where a bucket holds exactly one
-// instant and intra-bucket order is insertion order by construction.
+// (simnet: tick period 10, messages one instant ahead), where a bucket holds
+// exactly one instant and intra-bucket order is insertion order by
+// construction.
 const (
 	defaultShift   = 0
 	defaultBuckets = 256
@@ -185,18 +186,6 @@ func (q *Queue[T]) PeekTime() (int64, bool) {
 		return 0, false
 	}
 	return q.settle().at, true
-}
-
-// Peek returns the earliest entry's value without removing it — the value
-// Pop would return next. The sharded simulator uses it to compare the heads
-// of several wheels by their embedded sequence numbers when it must merge
-// serially.
-func (q *Queue[T]) Peek() (T, bool) {
-	if q.size == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.settle().val, true
 }
 
 // Pop removes and returns the earliest entry's value.

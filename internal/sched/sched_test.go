@@ -64,30 +64,31 @@ func TestQueueOrdering(t *testing.T) {
 	}
 }
 
-// TestQueuePeek pins Peek's contract: it returns exactly what the next Pop
-// returns, without consuming it, at every point of a randomized workload.
+// TestQueuePeek pins PeekTime's contract: it reports exactly the deadline
+// of the entry the next Pop returns, without consuming it, at every point
+// of a randomized workload.
 func TestQueuePeek(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	q := New[int](0, 16)
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue reported ok")
+	q := New[int64](0, 16)
+	if _, ok := q.PeekTime(); ok {
+		t.Fatal("PeekTime on empty queue reported ok")
+	}
+	check := func() {
+		at, pok := q.PeekTime()
+		v, ok := q.Pop()
+		if !pok || !ok || at != v {
+			t.Fatalf("PeekTime = (%d, %v) but Pop = (%d, %v)", at, pok, v, ok)
+		}
 	}
 	for i := 0; i < 2000; i++ {
-		q.Push(int64(rng.Intn(500)), i)
+		at := int64(rng.Intn(500))
+		q.Push(at, at)
 		if rng.Intn(3) == 0 {
-			pv, pok := q.Peek()
-			v, ok := q.Pop()
-			if !pok || !ok || pv != v {
-				t.Fatalf("Peek = (%d, %v) but Pop = (%d, %v)", pv, pok, v, ok)
-			}
+			check()
 		}
 	}
 	for q.Len() > 0 {
-		pv, _ := q.Peek()
-		v, _ := q.Pop()
-		if pv != v {
-			t.Fatalf("Peek = %d but Pop = %d", pv, v)
-		}
+		check()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/peer"
+	"repro/internal/sched"
 )
 
 // legacyHeapQueue is the PR 1 pooled indexed min-heap, preserved verbatim as
@@ -88,10 +89,11 @@ func (q *legacyHeapQueue) siftDown(i int) {
 
 // driveSeedWorkload replays a seed-scenario-shaped event stream — n nodes'
 // staggered tick trains at the default period, each tick fanning out
-// latency-delayed messages with the default 1..10 latency window, plus
-// occasional At-style same-instant functions, with pops interleaved exactly
-// as Network.Run interleaves them — through push/pop callbacks. The stream
-// is a pure function of the seed, so two queue implementations fed the same
+// messages due 1..10 instants ahead (a wider horizon than the simulator's
+// one-instant delivery, so buckets fill unevenly), plus occasional pushes
+// at the current instant, with pops interleaved exactly as Network.Run
+// interleaves them — through push/pop callbacks. The stream is a pure
+// function of the seed, so two queue implementations fed the same
 // callbacks see byte-identical input.
 func driveSeedWorkload(n int, seed int64, cycles int64,
 	push func(event), pop func() (event, bool)) {
@@ -115,8 +117,8 @@ func driveSeedWorkload(n int, seed int64, cycles int64,
 		}
 		switch e.kind {
 		case evTick:
-			// A tick sends 1-2 latency-delayed messages and reschedules
-			// itself — the simulator's dominant pattern.
+			// A tick sends 1-2 messages and reschedules itself — the
+			// simulator's dominant pattern.
 			fan := 1 + rng.Intn(2)
 			for f := 0; f < fan; f++ {
 				emit(event{
@@ -137,12 +139,11 @@ func driveSeedWorkload(n int, seed int64, cycles int64,
 					from: e.to,
 				})
 			}
-		case evFunc:
 		}
-		// Occasional At(now) — runs at the current instant, after queued
-		// work, exactly like Network.At with a past deadline.
+		// Occasional push at the current instant: it runs after the work
+		// already queued there, like any push at or before the cursor.
 		if rng.Intn(64) == 0 {
-			emit(event{time: e.time, kind: evFunc})
+			emit(event{time: e.time, kind: evInit})
 		}
 	}
 }
@@ -156,7 +157,7 @@ func driveSeedWorkload(n int, seed int64, cycles int64,
 // now runs on this queue.
 func TestGoldenQueueOrderMatchesLegacyHeap(t *testing.T) {
 	var legacy legacyHeapQueue
-	var calendar eventQueue
+	var calendar sched.Queue[event]
 	type rec struct {
 		e  event
 		ok bool
@@ -174,15 +175,15 @@ func TestGoldenQueueOrderMatchesLegacyHeap(t *testing.T) {
 		})
 	i := 0
 	driveSeedWorkload(1024, 42, 40,
-		func(e event) { calendar.push(e) },
+		func(e event) { calendar.Push(e.time, e) },
 		func() (event, bool) {
-			if calendar.len() == 0 {
+			if calendar.Len() == 0 {
 				if i < len(legacyPops) {
 					t.Fatalf("calendar queue drained at pop %d; heap served %d pops", i, len(legacyPops))
 				}
 				return event{}, false
 			}
-			e := calendar.pop()
+			e, _ := calendar.Pop()
 			if i >= len(legacyPops) {
 				t.Fatalf("calendar queue served extra pop %d: %+v", i, e)
 			}
@@ -206,7 +207,7 @@ func TestGoldenQueueOrderMatchesLegacyHeap(t *testing.T) {
 
 // BenchmarkEventQueue pits the retired PR 1 pooled heap against the calendar
 // queue on the acceptance workload: 1<<16 queued events in steady state,
-// each op one pop plus one bounded-horizon push (message latency 1..10 or a
+// each op one pop plus one bounded-horizon push (a message 1..10 ahead or a
 // tick one period out). The calendar queue must be >= 2x faster with
 // allocs/op no worse; CI's bench job asserts the ratio on a multi-core
 // runner (this container is single-core, but the workload is serial anyway).
@@ -226,8 +227,12 @@ func BenchmarkEventQueue(b *testing.B) {
 			return impl{push: q.push, pop: q.pop, name: "heap"}
 		}},
 		{"calendar", func() impl {
-			var q eventQueue
-			return impl{push: q.push, pop: q.pop, name: "calendar"}
+			var q sched.Queue[event]
+			return impl{
+				push: func(e event) { q.Push(e.time, e) },
+				pop:  func() event { e, _ := q.Pop(); return e },
+				name: "calendar",
+			}
 		}},
 	} {
 		b.Run(fmt.Sprintf("impl=%s/queued=%d", mk.name, queued), func(b *testing.B) {

@@ -4,21 +4,23 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/sched"
 )
 
-// TestEventQueueOrdering feeds the pooled heap a shuffled workload and
-// checks pops come out in (time, seq) order — the exact contract the old
-// container/heap implementation provided.
+// TestEventQueueOrdering feeds the engine's wheel a shuffled workload of
+// events and checks they pop in (time, seq) order — the exact contract the
+// old container/heap implementation provided.
 func TestEventQueueOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var q eventQueue
+	var q sched.Queue[event]
 	const total = 2000
 	events := make([]event, total)
 	for i := range events {
 		events[i] = event{time: int64(rng.Intn(50)), seq: uint64(i), kind: evTick}
 	}
 	for _, e := range events {
-		q.push(e)
+		q.Push(e.time, e)
 	}
 	want := make([]event, total)
 	copy(want, events)
@@ -29,14 +31,14 @@ func TestEventQueueOrdering(t *testing.T) {
 		return want[i].seq < want[j].seq
 	})
 	for i := range want {
-		got := q.pop()
+		got, _ := q.Pop()
 		if got.time != want[i].time || got.seq != want[i].seq {
 			t.Fatalf("pop %d = (t=%d seq=%d), want (t=%d seq=%d)",
 				i, got.time, got.seq, want[i].time, want[i].seq)
 		}
 	}
-	if q.len() != 0 {
-		t.Fatalf("queue not drained: %d left", q.len())
+	if q.Len() != 0 {
+		t.Fatalf("queue not drained: %d left", q.Len())
 	}
 }
 
@@ -44,19 +46,18 @@ func TestEventQueueOrdering(t *testing.T) {
 // recycles bucket storage in place instead of allocating — the property the
 // pooled heap had and the calendar queue must keep.
 func TestEventQueueSteadyStateAllocs(t *testing.T) {
-	var q eventQueue
+	var q sched.Queue[event]
 	const width = 64
-	now := int64(0)
 	for i := 0; i < width; i++ {
-		q.push(event{time: int64(i), seq: uint64(i)})
+		q.Push(int64(i), event{time: int64(i), seq: uint64(i)})
 	}
 	seq := uint64(width)
 	warm := func(rounds int) {
 		for round := 0; round < rounds; round++ {
 			for i := 0; i < width; i++ {
-				e := q.pop()
-				now = e.time
-				q.push(event{time: now + width, seq: seq})
+				e, _ := q.Pop()
+				next := event{time: e.time + width, seq: seq}
+				q.Push(next.time, next)
 				seq++
 			}
 		}
@@ -73,7 +74,7 @@ func TestEventQueueSteadyStateAllocs(t *testing.T) {
 // guard the event-queue rewrite must keep satisfying.
 func TestRunProcessedCountDeterministic(t *testing.T) {
 	run := func() ([]int, Stats) {
-		n := New(Config{Seed: 7, Drop: 0.25, MinLatency: 1, MaxLatency: 11})
+		n := New(Config{Seed: 7, Drop: 0.25})
 		a, b, c := n.AddNode(), n.AddNode(), n.AddNode()
 		_ = n.Attach(a, 1, &echoProto{pingOn: b}, 3, 0)
 		_ = n.Attach(b, 1, &echoProto{pingOn: c}, 4, 1)

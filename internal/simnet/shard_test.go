@@ -18,7 +18,7 @@ import (
 // Traffic shape: every tick (up to maxTicks) sends fanout pings to
 // rng-chosen peers across the whole address space, so most messages cross
 // shard boundaries; a ping with hops left is answered back at the sender,
-// so traffic flows both directions through every barrier.
+// so traffic flows both directions through every merge.
 type shardProbe struct {
 	peers    int
 	fanout   int
@@ -78,9 +78,9 @@ type probeResult struct {
 }
 
 // runProbeScenario runs a fixed workload — n nodes ticking and pinging,
-// plus (optionally) churn from both At closures and harness calls between
-// Run windows — and returns the full observable result. The workload is a
-// pure function of cfg, so results are comparable across shard counts.
+// plus (optionally) kills and joins between Run calls, where harness calls
+// go — and returns the full observable result. The workload is a pure
+// function of cfg, so results are comparable across shard counts.
 func runProbeScenario(t *testing.T, cfg Config, n int, churn bool) probeResult {
 	t.Helper()
 	net := New(cfg)
@@ -96,24 +96,23 @@ func runProbeScenario(t *testing.T, cfg Config, n int, churn bool) probeResult {
 	for i := 0; i < n; i++ {
 		addProbe()
 	}
-	if churn {
-		// Mid-run churn through At closures: exercised inside serial
-		// windows, interleaved with parallel ones.
-		net.At(25, func() {
-			net.Kill(peer.Addr(1 % n))
-			net.Kill(peer.Addr(7 % n))
-		})
-		net.At(40, func() { addProbe(); addProbe() })
-		net.At(61, func() { net.Kill(peer.Addr(net.NumNodes() - 1)) })
+	events := 0
+	for _, stop := range []struct {
+		at    int64
+		churn func()
+	}{
+		{25, func() { net.Kill(peer.Addr(1 % n)); net.Kill(peer.Addr(7 % n)) }},
+		{30, func() { net.Kill(peer.Addr(5 % n)); addProbe() }},
+		{40, func() { addProbe(); addProbe() }},
+		{61, func() { net.Kill(peer.Addr(net.NumNodes() - 1)) }},
+		{75, nil},
+		{220, nil},
+	} {
+		events += net.Run(stop.at)
+		if churn && stop.churn != nil {
+			stop.churn()
+		}
 	}
-	events := net.Run(30)
-	if churn {
-		// Harness churn between Run calls (engine idle).
-		net.Kill(peer.Addr(5 % n))
-		addProbe()
-	}
-	events += net.Run(75)
-	events += net.Run(220)
 	res := probeResult{
 		stats:  net.Stats(),
 		events: events,
@@ -150,48 +149,37 @@ func sameProbeResult(t *testing.T, label string, want, got probeResult) {
 	}
 }
 
-// TestShardedMatchesSequential pins the strongest claim: with no mid-window
-// engine randomness (Drop == 0, fixed latency — including the default
-// instant-delivery config), a sharded run is byte-identical to the
-// sequential engine for every shard count, through churn from both At
-// closures and idle harness calls. Shards ∈ {0, 1} must both take the
-// sequential path.
+// TestShardedMatchesSequential pins the strongest claim: with Drop == 0 the
+// engine draws no randomness of its own, and a sharded run is
+// byte-identical to the sequential engine for every shard count, through
+// churn between Run calls. Shards ∈ {0, 1} must both take the sequential
+// path.
 func TestShardedMatchesSequential(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  Config
-	}{
-		{"instant", Config{Seed: 42}},
-		{"fixedlat3", Config{Seed: 42, MinLatency: 3, MaxLatency: 3}},
-	}
-	for _, tc := range configs {
-		for _, n := range []int{5, 64} {
-			for _, churn := range []bool{false, true} {
-				ref := runProbeScenario(t, tc.cfg, n, churn)
-				if ref.stats.Sent == 0 || ref.stats.Delivered == 0 {
-					t.Fatalf("%s: degenerate reference run: %+v", tc.name, ref.stats)
-				}
-				for _, shards := range []int{1, 2, 4, 7} {
-					cfg := tc.cfg
-					cfg.Shards = shards
-					got := runProbeScenario(t, cfg, n, churn)
-					sameProbeResult(t,
-						fmt.Sprintf("%s/n=%d/churn=%v/shards=%d", tc.name, n, churn, shards),
-						ref, got)
-				}
+	cfg := Config{Seed: 42}
+	for _, n := range []int{5, 64} {
+		for _, churn := range []bool{false, true} {
+			ref := runProbeScenario(t, cfg, n, churn)
+			if ref.stats.Sent == 0 || ref.stats.Delivered == 0 {
+				t.Fatalf("n=%d: degenerate reference run: %+v", n, ref.stats)
+			}
+			for _, shards := range []int{1, 2, 4, 7} {
+				sharded := cfg
+				sharded.Shards = shards
+				got := runProbeScenario(t, sharded, n, churn)
+				sameProbeResult(t, fmt.Sprintf("n=%d/churn=%v/shards=%d", n, churn, shards), ref, got)
 			}
 		}
 	}
 }
 
 // TestShardedInvarianceStochastic pins the weaker claim that holds with
-// engine randomness in play (Drop > 0, a latency window): every shard
-// count > 1 produces the identical run, because drop and latency draw from
-// per-node wire streams that are pure functions of (seed, addr). The
-// sequential engine draws those from its one global stream and legitimately
-// diverges, so it is not in the comparison set.
+// engine randomness in play (Drop > 0): every shard count > 1 produces the
+// identical run, because drops draw from per-node wire streams that are
+// pure functions of (seed, addr). The sequential engine draws them from its
+// one global stream and legitimately diverges, so it is not in the
+// comparison set.
 func TestShardedInvarianceStochastic(t *testing.T) {
-	cfg := Config{Seed: 99, Drop: 0.25, MinLatency: 1, MaxLatency: 6}
+	cfg := Config{Seed: 99, Drop: 0.25}
 	cfg.Shards = 2
 	ref := runProbeScenario(t, cfg, 64, true)
 	if ref.stats.Dropped == 0 {
@@ -217,7 +205,7 @@ func TestShardedInvarianceStochastic(t *testing.T) {
 // dead destination, with per-shard counters summing to the global truth.
 func TestShardedConservation(t *testing.T) {
 	for _, shards := range []int{0, 4} {
-		res := runProbeScenario(t, Config{Seed: 5, Drop: 0.2, MinLatency: 1, MaxLatency: 4, Shards: shards}, 48, true)
+		res := runProbeScenario(t, Config{Seed: 5, Drop: 0.2, Shards: shards}, 48, true)
 		s := res.stats
 		if s.Sent != s.Delivered+s.Dropped+s.DeadDest {
 			t.Errorf("shards=%d: ledger imbalance: %+v", shards, s)
@@ -228,53 +216,14 @@ func TestShardedConservation(t *testing.T) {
 	}
 }
 
-// TestShardedSerialWindowAt pins the evFunc path: At closures run in serial
-// windows at their exact times, in order, observe a consistent global
-// clock, may send (drawing from the same wire streams as parallel windows),
-// and may schedule further closures due inside the current window.
-func TestShardedSerialWindowAt(t *testing.T) {
-	for _, shards := range []int{2, 5} {
-		net := New(Config{Seed: 7, Shards: shards})
-		n := 16
-		protos := make([]*shardProbe, n)
-		for i := 0; i < n; i++ {
-			a := net.AddNode()
-			protos[i] = &shardProbe{peers: n, fanout: 1, maxTicks: 100}
-			if err := net.Attach(a, 1, protos[i], 4, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var fired []int64
-		net.At(10, func() {
-			fired = append(fired, net.Now())
-			// A closure scheduling at its own instant must still run,
-			// inside this same serial window.
-			net.At(10, func() { fired = append(fired, net.Now()) })
-			// And a closure may inject traffic directly.
-			net.Send(0, 1, 1, probeMsg{hop: 0, tag: 1234})
-		})
-		net.At(23, func() { fired = append(fired, net.Now()) })
-		net.Run(50)
-		want := []int64{10, 10, 23}
-		if len(fired) != len(want) {
-			t.Fatalf("shards=%d: fired %v, want %v", shards, fired, want)
-		}
-		for i := range want {
-			if fired[i] != want[i] {
-				t.Fatalf("shards=%d: fired %v, want %v", shards, fired, want)
-			}
-		}
-	}
-}
-
-// TestShardedChurnHammer is the race hammer: many short Run windows with
-// kills, node additions, and At closures between and during them, at a drop
-// rate and latency window that keep cross-shard traffic and dead-letter
-// paths hot. Run under -race it checks the barrier discipline; its result
-// must also be bit-for-bit repeatable.
+// TestShardedChurnHammer is the race hammer: many short Run calls with
+// kills, node additions and injected messages between them, at a drop rate
+// that keeps cross-shard traffic and dead-letter paths hot. Run under
+// -race it checks the step discipline; its result must also be bit-for-bit
+// repeatable.
 func TestShardedChurnHammer(t *testing.T) {
 	run := func() probeResult {
-		net := New(Config{Seed: 1234, Drop: 0.15, MinLatency: 1, MaxLatency: 5, Shards: 4})
+		net := New(Config{Seed: 1234, Drop: 0.15, Shards: 4})
 		var protos []*shardProbe
 		add := func() {
 			a := net.AddNode()
@@ -297,10 +246,14 @@ func TestShardedChurnHammer(t *testing.T) {
 			case 1:
 				add()
 			case 2:
-				st := step
-				net.At(now+2, func() { net.Kill(peer.Addr((st * 7) % 96)) })
+				// Injected between steps, the message enters its
+				// destination's wheel like any other; its drop draw comes
+				// from the sender's wire stream.
+				net.Send(peer.Addr(step%96), peer.Addr((step*7)%96), 1, probeMsg{hop: 1, tag: int64(step)})
 			case 3:
-				net.At(now+1, func() { add() })
+				net.Run(now + 2)
+				net.Kill(peer.Addr((step * 7) % 96))
+				add()
 			}
 		}
 		net.Run(now + 40)
@@ -317,53 +270,4 @@ func TestShardedChurnHammer(t *testing.T) {
 	}
 	b := run()
 	sameProbeResult(t, "hammer repeat", a, b)
-}
-
-// TestSerialWindowsDoNotMoveTheTrace pins that serial windows are exact
-// against parallel ones under in-window randomness: the same stochastic
-// workload runs once plain (no At closure, so every window is parallel) and
-// once with a no-op closure due at every instant (so every window is
-// serial). A node's wire-stream consumption and the summed counters must
-// not depend on which windows ran serially.
-func TestSerialWindowsDoNotMoveTheTrace(t *testing.T) {
-	const n, horizon = 64, 220
-	run := func(serial bool) (probeResult, *Network) {
-		net := New(Config{Seed: 99, Drop: 0.25, MinLatency: 1, MaxLatency: 6, Shards: 4})
-		protos := make([]*shardProbe, n)
-		for i := range protos {
-			a := net.AddNode()
-			protos[i] = &shardProbe{peers: n, fanout: 2, maxTicks: 30}
-			if err := net.Attach(a, 1, protos[i], 3, int64(a%3)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		closures := 0
-		if serial {
-			for at := int64(0); at <= horizon; at++ {
-				net.At(at, func() {})
-				closures++
-			}
-		}
-		events := net.Run(30) + net.Run(75) + net.Run(horizon)
-		res := probeResult{stats: net.Stats(), events: events - closures, now: net.Now(), nodes: net.NumNodes()}
-		for _, pr := range protos {
-			res.hashes = append(res.hashes, pr.hash)
-			res.ticks = append(res.ticks, pr.ticks)
-		}
-		return res, net
-	}
-	parallel, pnet := run(false)
-	serial, snet := run(true)
-	if parallel.stats.Dropped == 0 || parallel.stats.Delivered == 0 {
-		t.Fatalf("degenerate run: %+v", parallel.stats)
-	}
-	// Parallel windows account per shard, serial windows globally: the
-	// split shows that each run really took only its own kind of window.
-	if pnet.stats != (Stats{}) {
-		t.Errorf("plain run accounted %+v globally; some window ran serially", pnet.stats)
-	}
-	if snet.stats != serial.stats {
-		t.Errorf("closure run accounted %+v globally of %+v; some window ran in parallel", snet.stats, serial.stats)
-	}
-	sameProbeResult(t, "serial-vs-parallel", parallel, serial)
 }

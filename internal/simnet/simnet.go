@@ -1,8 +1,14 @@
 // Package simnet provides a deterministic discrete-event network simulator,
 // the substrate this repository uses in place of the paper's PeerSim. It
-// models virtual time, per-message latency, uniform message drop (the
-// paper's unreliable-UDP failure model), and node churn, and it drives
-// protocol state machines attached to simulated nodes.
+// models virtual time, uniform message drop (the paper's unreliable-UDP
+// failure model), link faults and node churn, and it drives protocol state
+// machines attached to simulated nodes.
+//
+// Delivery rule: a message sent at instant t that survives the link-fault
+// predicate and the drop model arrives at t+1 — the paper's cycle model, in
+// which an exchange completes well inside one period. There is no latency
+// model here; the goroutine engine (livenet) injects latency where a
+// campaign needs it.
 //
 // Determinism: all randomness flows from the Config seed, and the event
 // queue breaks time ties by insertion sequence, so a run is a pure function
@@ -15,6 +21,7 @@ import (
 
 	"repro/internal/peer"
 	"repro/internal/proto"
+	"repro/internal/sched"
 )
 
 // Message, Sizer, ProtoID and Protocol are the engine-neutral contract
@@ -38,26 +45,20 @@ type Config struct {
 	// Drop is the probability that any single message is lost in
 	// transit. The paper's Figure 4 uses 0.2.
 	Drop float64
-	// MinLatency and MaxLatency bound the uniform message latency in
-	// virtual time units. Zero values mean instant delivery (latency 1,
-	// so a message never arrives at its send instant).
-	MinLatency, MaxLatency int64
 	// Shards, when greater than 1, partitions the nodes across that many
-	// parallel execution shards: each shard runs its own calendar wheel
-	// inside fixed conservative lookahead windows and the shards exchange
-	// generated events at window barriers (see shard.go). 0 or 1 selects
-	// the sequential engine, the golden reference. Both engines run the
-	// same dispatch and Send.
+	// parallel execution shards: each shard holds its own calendar wheel,
+	// the shards dispatch each instant's events concurrently and exchange
+	// the events they generated when the instant ends (see shard.go). 0 or
+	// 1 selects the sequential engine, the golden reference. Both engines
+	// run the same dispatch and Send.
 	//
-	// Determinism: a sharded run is a pure function of the configuration,
-	// and for workloads whose engine-level randomness is never consulted
-	// mid-window — Drop == 0 and a fixed latency, which includes the
-	// default instant-delivery config — the trace is byte-identical to
-	// the sequential engine for every shard count. With Drop > 0 or a
-	// latency window, in-flight draws come from per-node wire RNGs
-	// instead of the global stream (and a latency draw of 0 is clamped to
-	// 1), so runs remain deterministic and shard-count invariant for every
-	// Shards > 1, but diverge from the sequential (Shards <= 1) trace.
+	// Determinism: a sharded run is a pure function of the configuration.
+	// With Drop == 0 the engine draws no randomness of its own and the
+	// trace is byte-identical to the sequential engine for every shard
+	// count. With Drop > 0 the drop draws come from per-node wire RNGs
+	// instead of the global stream, so runs remain deterministic and
+	// shard-count invariant for every Shards > 1, but diverge from the
+	// sequential (Shards <= 1) trace.
 	Shards int
 }
 
@@ -66,11 +67,10 @@ type eventKind uint8
 const (
 	evTick eventKind = iota + 1
 	evMessage
-	evFunc
-	// evInit fires a binding's Init and schedules its first tick. A
-	// dedicated kind (not an evFunc closure) so the sharded engine can
-	// dispatch node starts in parallel windows: the event names its owner
-	// node, and dispatching it touches only that node's state.
+	// evInit fires a binding's Init and schedules its first tick. The
+	// event names its owner node, and dispatching it touches only that
+	// node's state, so the sharded engine dispatches node starts in
+	// parallel like any other event.
 	evInit
 )
 
@@ -83,8 +83,6 @@ type event struct {
 	pid  ProtoID
 	from peer.Addr
 	msg  Message
-
-	fn func()
 }
 
 // binding is one protocol instance bound to a node, its tick period, and
@@ -108,9 +106,9 @@ type nodeState struct {
 	// shard is the node's home execution shard (sharded mode only): the
 	// shard that dispatches its events and owns its mutable state.
 	shard int32
-	// wire draws the node's in-window drop and latency decisions in
-	// sharded mode. Per node — not per shard, not global — so the stream
-	// each node consumes is independent of the shard count.
+	// wire draws the drop decisions for the node's messages on the sharded
+	// engine. Per node — not per shard, not global — so the stream each
+	// node consumes is independent of the shard count.
 	wire wireRNG
 }
 
@@ -134,93 +132,36 @@ type Stats struct {
 	WireUnits int64 // cumulative size of sent messages (descriptor units)
 }
 
-// runMode tracks what the engine is doing, so Send and Context.Now can
-// route state reads and writes to the right owner. It only ever changes on
-// the driving goroutine while no shard worker runs, so workers observing it
-// mid-window always see a stable value. The sequential engine never leaves
-// modeIdle.
-type runMode uint8
-
-const (
-	// modeIdle: between Run windows; harness calls mutate global state.
-	modeIdle runMode = iota
-	// modeParallel: shard workers dispatch concurrently; generated events
-	// buffer in per-shard lists until the window barrier.
-	modeParallel
-	// modeSerial: a window containing evFunc events runs single-threaded
-	// in global (time, seq) order, exactly like the sequential engine.
-	modeSerial
-)
-
 // Network is a deterministic discrete-event simulated network.
 type Network struct {
 	cfg       Config
 	rng       *rand.Rand
 	now       int64
 	seq       uint64
-	queue     eventQueue
+	queue     sched.Queue[event] // the sequential engine's wheel
 	nodes     []nodeState
 	stats     Stats
 	linkFault func(from, to peer.Addr) bool
 
-	// Sharded-execution state; shards is nil in sequential mode.
+	// shards is nil in sequential mode; in sharded mode each shard's wheel
+	// holds the events addressed to its nodes.
 	shards []shardState
-	// coord holds evFunc events (At closures), which may touch arbitrary
-	// state and therefore never run inside a parallel window: any window
-	// with a due coord event runs serially instead.
-	coord eventQueue
-	mode  runMode
-	// minPeriod is the smallest positive tick period ever attached; it
-	// bounds the conservative lookahead window alongside the latency
-	// floor (see lookahead).
-	minPeriod int64
-	// mergeHeads is the barrier merge's reusable per-shard cursor slice.
-	mergeHeads []int
+	// parallel is set while shard workers dispatch an instant. It only
+	// changes on the driving goroutine while no worker runs, so Send sees
+	// a stable value.
+	parallel bool
 }
 
 // New returns an empty network with the given configuration.
 func New(cfg Config) *Network {
-	if cfg.MaxLatency < cfg.MinLatency {
-		cfg.MaxLatency = cfg.MinLatency
-	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
-	}
 	n := &Network{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if cfg.Shards > 1 {
 		n.shards = make([]shardState, cfg.Shards)
-		for i := range n.shards {
-			n.shards[i].queue.init(queueBuckets(cfg))
-		}
-		n.coord.init(queueBuckets(cfg))
-		return n
 	}
-	n.queue.init(queueBuckets(cfg))
 	return n
-}
-
-// queueBuckets derives the calendar queue's level-0 window from the
-// config's latency bound instead of assuming the default 256-instant
-// geometry. Buckets stay one instant wide — intra-bucket order is then
-// insertion order by construction — and the ring is widened until the
-// scheduling horizon (messages up to MaxLatency ahead, ticks a few periods
-// ahead) fits comfortably inside level 0, so a long-latency configuration
-// does not cycle every message through the overflow level. Pop order is
-// independent of the geometry (see internal/sched), so this cannot perturb
-// a golden trace.
-func queueBuckets(cfg Config) int {
-	const (
-		defaultBuckets = 256
-		maxBuckets     = 1 << 16
-	)
-	buckets := defaultBuckets
-	for int64(buckets) < 4*cfg.MaxLatency && buckets < maxBuckets {
-		buckets <<= 1
-	}
-	return buckets
 }
 
 // Now returns the current virtual time.
@@ -276,8 +217,9 @@ func (n *Network) Kill(addr peer.Addr) {
 }
 
 // Attach binds a protocol instance to a node. The protocol's Init runs at
-// startOffset, and Tick fires every period after that. Attaching with period
-// zero installs a purely reactive protocol (Handle only, after Init).
+// startOffset from now, and Tick fires every period after that. Attaching
+// with period zero installs a purely reactive protocol (Handle only, after
+// Init). Like every harness call it runs between Run calls.
 //
 // The binding lands in the node's pid-sorted binding slice. The slice may
 // move when a later Attach appends to it, so the scheduled evInit event
@@ -300,20 +242,8 @@ func (n *Network) Attach(addr peer.Addr, pid ProtoID, p Protocol, period, startO
 	for i := len(st.bindings) - 1; i > 0 && st.bindings[i].pid < st.bindings[i-1].pid; i-- {
 		st.bindings[i], st.bindings[i-1] = st.bindings[i-1], st.bindings[i]
 	}
-	if period > 0 && (n.minPeriod == 0 || period < n.minPeriod) {
-		n.minPeriod = period
-	}
 	n.push(nil, event{time: n.now + startOffset, kind: evInit, to: addr, pid: pid})
 	return nil
-}
-
-// At schedules fn to run at the given absolute virtual time. Times in the
-// past run at the current instant, after already-queued events.
-func (n *Network) At(t int64, fn func()) {
-	if t < n.now {
-		t = n.now
-	}
-	n.push(nil, event{time: t, kind: evFunc, fn: fn})
 }
 
 // SetLinkFault installs a per-link fault predicate: messages for which fn
@@ -340,28 +270,22 @@ func (n *Network) Partition(groups ...[]peer.Addr) {
 	})
 }
 
-// Send transmits msg from one node to another, applying the drop and
-// latency models. It is normally called through a Context.
+// Send transmits msg from one node to another under the engine's one
+// delivery rule: it is lost to the link-fault predicate or the drop model,
+// or it arrives at the next instant. It is normally called through a
+// Context; called between Run calls, it injects a message from the harness.
 //
-// Counters, clock and random stream follow the engine's mode. Idle, or on
-// the sequential engine, Send accounts globally and draws from the global
-// stream. Inside any sharded window it draws from the sender's wire stream
-// — serial windows included, so a node's stream consumption is independent
-// of which windows happened to run serially — and in a parallel window it
-// also accounts to the sender's shard, reads that shard's clock and buffers
-// the message until the window barrier. The link-fault predicate, if any,
-// must be safe for concurrent calls.
+// Drops are drawn from the global stream on the sequential engine and from
+// the sender's wire stream on the sharded one. Inside a sharded step Send
+// also accounts to the sender's shard and buffers the message for the
+// step's merge. The link-fault predicate, if any, must be safe for
+// concurrent calls.
 func (n *Network) Send(from, to peer.Addr, pid ProtoID, msg Message) {
-	stats, now := &n.stats, n.now
-	var sh *shardState // non-nil: buffer for the barrier
-	var wire *wireRNG  // non-nil: draw from the sender's stream
-	if n.mode != modeIdle {
-		st := &n.nodes[from]
-		wire = &st.wire
-		if n.mode == modeParallel {
-			sh = &n.shards[st.shard]
-			stats, now = &sh.stats, sh.now
-		}
+	stats := &n.stats
+	var sh *shardState // non-nil: a sharded step is dispatching
+	if n.parallel {
+		sh = &n.shards[n.nodes[from].shard]
+		stats = &sh.stats
 	}
 	stats.Sent++
 	if s, ok := msg.(Sizer); ok {
@@ -374,8 +298,8 @@ func (n *Network) Send(from, to peer.Addr, pid ProtoID, msg Message) {
 	}
 	if n.cfg.Drop > 0 {
 		var u float64
-		if wire != nil {
-			u = wire.float64()
+		if len(n.shards) > 0 {
+			u = n.nodes[from].wire.float64()
 		} else {
 			u = n.rng.Float64()
 		}
@@ -385,41 +309,31 @@ func (n *Network) Send(from, to peer.Addr, pid ProtoID, msg Message) {
 			return
 		}
 	}
-	delay := int64(1) // instant delivery: never at the send instant itself
-	if lo, hi := n.cfg.MinLatency, n.cfg.MaxLatency; hi > 0 {
-		delay = lo
-		if span := hi - lo + 1; span > 1 {
-			if wire == nil {
-				delay += n.rng.Int63n(span)
-			} else {
-				// Clamped to at least 1 so a generated message always
-				// lands strictly beyond the window that generated it. (The
-				// sequential engine permits a 0 draw when MinLatency == 0
-				// < MaxLatency; the sharded engine cannot, and documents
-				// the clamp on Config.Shards.)
-				delay = max(delay+wire.int63n(span), 1)
-			}
-		}
-	}
 	n.push(sh, event{
-		time: now + delay,
+		time: n.now + 1,
 		kind: evMessage,
 		to:   to, pid: pid, from: from, msg: msg,
 	})
 }
 
 // Run processes events until virtual time reaches until (inclusive) or the
-// queue drains. It returns the number of events processed.
+// queue drains, one step per instant: the clock moves to the earliest
+// pending instant and every event due then is dispatched — in insertion
+// order on the sequential engine, shard by shard in parallel on the sharded
+// one (see shard.go). It returns the number of events processed.
 func (n *Network) Run(until int64) int {
-	if len(n.shards) > 0 {
-		return n.runSharded(until)
-	}
 	processed := 0
-	for n.queue.len() > 0 && n.queue.peekTime() <= until {
-		e := n.queue.pop()
-		n.now = e.time
-		n.dispatch(e, &n.stats, nil)
-		processed++
+	for {
+		t, ok := n.earliest()
+		if !ok || t > until {
+			break
+		}
+		n.now = t
+		if len(n.shards) == 0 {
+			processed += n.dispatchDue(t, nil)
+		} else {
+			processed += n.step(t)
+		}
 	}
 	if n.now < until {
 		n.now = until
@@ -427,15 +341,49 @@ func (n *Network) Run(until int64) int {
 	return processed
 }
 
-// dispatch runs one event: on the sequential engine and in serial windows
-// with the global counters and sh == nil, in a parallel window with the
-// dispatching shard's counters and sh. Only evInit, evTick and evMessage
-// reach shard wheels (push routes evFunc to the coordinator), and each
-// touches only the destination node's state, which that shard owns.
+// earliest returns the time of the earliest pending event, if any.
+func (n *Network) earliest() (int64, bool) {
+	if len(n.shards) == 0 {
+		return n.queue.PeekTime()
+	}
+	var t int64
+	found := false
+	for i := range n.shards {
+		if pt, ok := n.shards[i].queue.PeekTime(); ok && (!found || pt < t) {
+			t, found = pt, true
+		}
+	}
+	return t, found
+}
+
+// dispatchDue pops and dispatches every event due at or before t: the
+// sequential engine's whole step (sh == nil: the global wheel and
+// counters), or one shard's share of a sharded step (its own wheel and
+// counters).
+func (n *Network) dispatchDue(t int64, sh *shardState) int {
+	q, stats := &n.queue, &n.stats
+	if sh != nil {
+		q, stats = &sh.queue, &sh.stats
+	}
+	count := 0
+	for {
+		if pt, ok := q.PeekTime(); !ok || pt > t {
+			return count
+		}
+		e, _ := q.Pop()
+		if sh != nil {
+			sh.curSeq = e.seq
+		}
+		n.dispatch(e, stats, sh)
+		count++
+	}
+}
+
+// dispatch runs one event with the counters and shard dispatchDue chose.
+// Each event touches only its destination node's state, which that shard
+// owns.
 func (n *Network) dispatch(e event, stats *Stats, sh *shardState) {
 	switch e.kind {
-	case evFunc:
-		e.fn()
 	case evInit:
 		st := &n.nodes[e.to]
 		if !st.alive {
@@ -488,33 +436,24 @@ func recycle(m Message) {
 	}
 }
 
-// push enqueues a generated event. With sh set — a parallel window — it
-// buffers the event for the barrier, tagged with the (time, seq) of the
-// event being dispatched; the lookahead invariant (generated events land
-// strictly beyond the window) is what licenses running the window's shards
-// concurrently, so violating it is an engine bug worth dying for. Otherwise
-// it stamps the next global insertion sequence and, in sharded mode, routes
-// to the event's owner: evFunc events to the serial coordinator queue, node
-// events to their node's home-shard wheel.
+// push enqueues a generated event. With sh set — a sharded step — it
+// buffers the event for the step's merge, its seq holding the seq of the
+// event being dispatched (the merge key). Otherwise it stamps the next
+// global insertion sequence and enqueues on the sequential wheel or, in
+// sharded mode, on the wheel of the event's home shard.
 func (n *Network) push(sh *shardState, e event) {
 	if sh != nil {
-		if e.time <= sh.wend {
-			panic("simnet: generated event lands inside its own lookahead window")
-		}
-		sh.gen = append(sh.gen, genEvent{ptime: sh.now, pseq: sh.curSeq, ev: e})
+		e.seq = sh.curSeq
+		sh.gen = append(sh.gen, e)
 		return
 	}
 	e.seq = n.seq
 	n.seq++
 	if len(n.shards) == 0 {
-		n.queue.push(e)
+		n.queue.Push(e.time, e)
 		return
 	}
-	if e.kind == evFunc {
-		n.coord.push(e)
-		return
-	}
-	n.shards[n.nodes[e.to].shard].queue.push(e)
+	n.shards[n.nodes[e.to].shard].queue.Push(e.time, e)
 }
 
 func (n *Network) valid(addr peer.Addr) bool {
@@ -536,15 +475,9 @@ var _ proto.Context = (*Context)(nil)
 // Self returns the node's own address.
 func (c *Context) Self() peer.Addr { return c.self }
 
-// Now returns the current virtual time: inside a parallel window, the
-// dispatching shard's local clock; otherwise the global clock.
-func (c *Context) Now() int64 {
-	n := c.net
-	if n.mode == modeParallel {
-		return n.shards[n.nodes[c.self].shard].now
-	}
-	return n.now
-}
+// Now returns the current virtual time. A step dispatches a single instant,
+// so every shard reads the one clock.
+func (c *Context) Now() int64 { return c.net.now }
 
 // Rand returns the node's private deterministic random source.
 func (c *Context) Rand() *rand.Rand { return c.net.nodes[c.self].rng }

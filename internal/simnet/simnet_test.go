@@ -191,7 +191,7 @@ func TestKillStopsTicks(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() ([]string, Stats) {
-		n := New(Config{Seed: 99, Drop: 0.3, MinLatency: 1, MaxLatency: 9})
+		n := New(Config{Seed: 99, Drop: 0.3})
 		a, b := n.AddNode(), n.AddNode()
 		pa := &echoProto{pingOn: b}
 		pb := &echoProto{pingOn: a}
@@ -215,26 +215,31 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestLatencyBounds(t *testing.T) {
-	n := New(Config{Seed: 5, MinLatency: 3, MaxLatency: 8})
-	a, b := n.AddNode(), n.AddNode()
-	var deliveredAt []int64
-	pb := &recorderProto{onMsg: func(now int64) { deliveredAt = append(deliveredAt, now) }}
-	if err := n.Attach(b, 1, pb, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	pa := &echoProto{pingOn: b}
-	if err := n.Attach(a, 1, pa, 10, 0); err != nil {
-		t.Fatal(err)
-	}
-	n.Run(500)
-	if len(deliveredAt) == 0 {
-		t.Fatal("nothing delivered")
-	}
-	for _, at := range deliveredAt {
-		lat := at % 10 // pings are sent exactly at multiples of 10
-		if lat < 3 || lat > 8 {
-			t.Fatalf("latency %d outside [3, 8]", lat)
+// TestDeliveryTakesOneInstant pins the delivery rule on both engines: a
+// message sent at instant t is handled at t+1.
+func TestDeliveryTakesOneInstant(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		n := New(Config{Seed: 5, Shards: shards})
+		a, b := n.AddNode(), n.AddNode()
+		var deliveredAt []int64
+		pb := &recorderProto{onMsg: func(now int64) { deliveredAt = append(deliveredAt, now) }}
+		if err := n.Attach(b, 1, pb, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		pa := &echoProto{pingOn: b}
+		if err := n.Attach(a, 1, pa, 10, 0); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(500)
+		// Pings leave at 10, 20, ..., 500; the last one lands past the
+		// horizon.
+		if len(deliveredAt) != 49 {
+			t.Fatalf("shards=%d: %d deliveries, want 49", shards, len(deliveredAt))
+		}
+		for i, at := range deliveredAt {
+			if want := int64(10*(i+1) + 1); at != want {
+				t.Fatalf("shards=%d: delivery %d at %d, want %d", shards, i, at, want)
+			}
 		}
 	}
 }
@@ -247,17 +252,6 @@ func (p *recorderProto) Init(proto.Context) {}
 func (p *recorderProto) Tick(proto.Context) {}
 func (p *recorderProto) Handle(ctx proto.Context, _ peer.Addr, _ Message) {
 	p.onMsg(ctx.Now())
-}
-
-func TestAtSchedulesFunctions(t *testing.T) {
-	n := New(Config{Seed: 1})
-	var times []int64
-	n.At(30, func() { times = append(times, n.Now()) })
-	n.At(10, func() { times = append(times, n.Now()) })
-	n.Run(100)
-	if len(times) != 2 || times[0] != 10 || times[1] != 30 {
-		t.Errorf("got %v, want [10 30]", times)
-	}
 }
 
 func TestAttachErrors(t *testing.T) {
