@@ -55,6 +55,27 @@ func TestLoadSimGolden(t *testing.T) {
 	}
 }
 
+// TestLoadSimCrashGolden pins the deterministic CSV of a seeded crash
+// run. Unlike churn, crash repairs no neighbours, so dead peers stay in
+// the snapshots and every hop near them steps around dead entries.
+func TestLoadSimCrashGolden(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{
+		"-n", "256", "-cycles", "5", "-ops", "2000", "-workers", "2",
+		"-scenario", "crash", "-measure-sample", "64", "-seed", "42",
+	}, &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := deterministicColumns(t, sb.String())
+	sum := sha256.Sum256([]byte(det))
+	got := hex.EncodeToString(sum[:])
+	const want = "d787fdc569f4b0e549de8a1dcf287eb1cf030aed35e9a4cc8c30e21fb0de5598"
+	if got != want {
+		t.Errorf("deterministic CSV hash = %s, want %s\ncontent:\n%s", got, want, det)
+	}
+}
+
 // TestLoadSimFlashCrowd pins the flash-crowd join scenario: a quarter of
 // the population burst-joins at mid-run, the live column must jump by
 // exactly the standby count, run() itself enforces the >= 0.99 success

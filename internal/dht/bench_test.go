@@ -10,6 +10,7 @@ import (
 	"repro/internal/id"
 	"repro/internal/overlay/pastry"
 	"repro/internal/peer"
+	"repro/internal/testenv"
 )
 
 // buildRouters constructs perfectly bootstrapped routers (shared by the
@@ -234,12 +235,48 @@ func BenchmarkClusterRemove(b *testing.B) {
 // must not allocate.
 func TestGetStatsAllocs(t *testing.T) {
 	const n = 512
-	const working = 128
 	c, _ := perfectCluster(t, n, 3, 34)
-	keys, origins := benchKeys(n, working, 35)
+	keys, origins := benchKeys(n, 128, 35)
+	checkOpsAllocFree(t, c, keys, origins)
+}
+
+// TestGetStatsFilteredAllocs is the same guard on the filtered path, where
+// every routing candidate goes through the cluster's Reachable filter:
+// after a few departures, and with a partition cut installed.
+func TestGetStatsFilteredAllocs(t *testing.T) {
+	if testenv.Race() {
+		t.Skip("alloc counts do not hold under -race")
+	}
+	const n = 512
+	keys, origins := benchKeys(n, 128, 35)
+	t.Run("removed", func(t *testing.T) {
+		c, _ := perfectCluster(t, n, 3, 34)
+		origin := make([]bool, n)
+		for _, o := range origins {
+			origin[o] = true
+		}
+		for a, removed := 0, 0; removed < 8; a += 61 {
+			if !origin[a%n] {
+				c.Remove(peer.Addr(a % n))
+				removed++
+			}
+		}
+		checkOpsAllocFree(t, c, keys, origins)
+	})
+	t.Run("partition", func(t *testing.T) {
+		c, _ := perfectCluster(t, n, 3, 34)
+		c.SetPartition(func(a, b peer.Addr) bool { return (a < n/2) != (b < n/2) })
+		checkOpsAllocFree(t, c, keys, origins)
+	})
+}
+
+// checkOpsAllocFree preloads keys[i] from origins[i], then checks that
+// steady-state GetStats and overwriting PutStats allocate nothing.
+func checkOpsAllocFree(t *testing.T, c *Cluster, keys []id.ID, origins []peer.Addr) {
+	t.Helper()
 	val := make([]byte, benchValSize)
 	var st OpStats
-	for i := 0; i < working; i++ {
+	for i := range keys {
 		if err := c.PutStats(origins[i], keys[i], val, &st); err != nil {
 			t.Fatalf("preload: %v", err)
 		}
@@ -247,7 +284,7 @@ func TestGetStatsAllocs(t *testing.T) {
 	scratch := make([]byte, 0, benchValSize)
 	i := 0
 	got := testing.AllocsPerRun(500, func() {
-		j := i % working
+		j := i % len(keys)
 		i++
 		out, err := c.GetStats(scratch[:0], origins[j], keys[j], &st)
 		if err != nil {
@@ -263,7 +300,7 @@ func TestGetStatsAllocs(t *testing.T) {
 	}
 	i = 0
 	got = testing.AllocsPerRun(500, func() {
-		j := i % working
+		j := i % len(keys)
 		i++
 		if err := c.PutStats(origins[j], keys[j], val, &st); err != nil {
 			t.Fatal(err)

@@ -7,9 +7,10 @@
 //
 // The serving hot path is built for concurrent load generation:
 //
-//   - routing reads immutable pastry.Snapshot values through per-node
-//     atomic pointers (PR 4 copy-on-write discipline), so any number of
-//     workers route lock-free while Remove repairs routers;
+//   - routing reads immutable pastry.Snapshot values from one dense table
+//     of atomic pointers indexed by node slot (copy-on-write), so any
+//     number of workers route lock-free while Remove repairs routers and
+//     a hop loads its snapshot without dereferencing the Node;
 //   - departed nodes are not scrubbed from every router eagerly; routes
 //     step around them through the cluster's Reachable filter, and only
 //     the victim's leaf neighbourhood is repaired and re-replicated
@@ -43,13 +44,10 @@ const MaxReplicas = 64
 // O(log N) hops, so hitting this means the overlay is broken, not slow.
 const maxRouteHops = 128
 
-// Node is one DHT participant: a router, its published routing snapshot,
-// and local storage.
+// Node is one DHT participant: a router and local storage. The cluster
+// publishes the router's snapshots.
 type Node struct {
 	router *pastry.Router
-	// snap is the immutable routing state ops read. It is republished
-	// (under the cluster's repair lock) whenever the router changes.
-	snap atomic.Pointer[pastry.Snapshot]
 	// mu serialises access to store; routing never takes it.
 	mu    sync.Mutex
 	store valueStore
@@ -57,9 +55,7 @@ type Node struct {
 
 // NewNode wraps a router with an empty store.
 func NewNode(r *pastry.Router) *Node {
-	n := &Node{router: r}
-	n.snap.Store(r.Snapshot())
-	return n
+	return &Node{router: r}
 }
 
 // Addr returns the node's address.
@@ -84,6 +80,9 @@ type Partition func(a, b peer.Addr) bool
 type Cluster struct {
 	replicas int
 	nodes    []*Node
+	// snaps[i] is the immutable routing state ops read for nodes[i]. It
+	// is republished (under repairMu) whenever the node's router changes.
+	snaps []atomic.Pointer[pastry.Snapshot]
 	// slots (the node's index in nodes, -1 for none) and alive are both
 	// indexed by address over [0, max address], so resolving a routing
 	// hop or checking liveness is one array load.
@@ -105,6 +104,7 @@ type Cluster struct {
 // values above MaxReplicas are clamped. Node addresses must be distinct
 // and non-negative; the address tables span [0, max address], so they
 // should also be dense (simnet.AddNode and peer.Addr(i) numbering are).
+// It publishes a fresh snapshot of every node's router.
 func NewCluster(nodes []*Node, replicas int) *Cluster {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
@@ -119,6 +119,7 @@ func NewCluster(nodes []*Node, replicas int) *Cluster {
 	c := &Cluster{
 		replicas: replicas,
 		nodes:    nodes,
+		snaps:    make([]atomic.Pointer[pastry.Snapshot], len(nodes)),
 		slots:    make([]int32, maxAddr+1),
 		alive:    make([]atomic.Bool, maxAddr+1),
 	}
@@ -126,6 +127,7 @@ func NewCluster(nodes []*Node, replicas int) *Cluster {
 		c.slots[a] = -1
 	}
 	for i, n := range nodes {
+		c.snaps[i].Store(n.router.Snapshot())
 		c.slots[n.Addr()] = int32(i)
 		c.alive[n.Addr()].Store(true)
 	}
@@ -212,7 +214,7 @@ func (c *Cluster) route(from peer.Addr, key id.ID) (int32, int, error) {
 	filt := c.filter()
 	hops := 0
 	for {
-		next, done := c.nodes[slot].snap.Load().NextHopAlive(key, from, filt)
+		next, done := c.snaps[slot].Load().NextHopAlive(key, from, filt)
 		if done {
 			return slot, hops, nil
 		}
@@ -246,7 +248,7 @@ type replicaCursor struct {
 }
 
 func (c *Cluster) replicaCursor(origin peer.Addr, rootSlot int32) replicaCursor {
-	snap := c.nodes[rootSlot].snap.Load()
+	snap := c.snaps[rootSlot].Load()
 	succ, pred := snap.Leaf()
 	return replicaCursor{
 		c:        c,
@@ -432,18 +434,18 @@ func (c *Cluster) Remove(addr peer.Addr) {
 	c.filtered.Store(true)
 	c.alive[addr].Store(false)
 	c.live.Add(-1)
-	victim := c.nodes[c.slots[addr]]
-	victimID := victim.router.Self().ID
+	vs := c.slots[addr]
+	victimID := c.nodes[vs].router.Self().ID
 
 	// The victim's live leaf neighbourhood: the routers that listed it,
 	// the peers that inherit its key range, and the candidates they adopt
 	// to refill their own structures.
-	cand := c.liveLeaf(victim.snap.Load())
+	cand := c.liveLeaf(c.snaps[vs].Load())
 	for _, d := range cand {
 		ms, _ := c.slotOf(d.Addr)
-		m := c.nodes[ms]
-		m.router.Repair(victimID, cand)
-		m.snap.Store(m.router.Snapshot())
+		m := c.nodes[ms].router
+		m.Repair(victimID, cand)
+		c.snaps[ms].Store(m.Snapshot())
 	}
 	c.migrate(cand)
 }
@@ -474,18 +476,18 @@ func (c *Cluster) Join(addr peer.Addr) {
 	// The joiner's live leaf neighbourhood, read from its last published
 	// snapshot. The snapshot may be stale — peers died while the joiner
 	// was down — so filter to the currently live ones.
-	cand := c.liveLeaf(joiner.snap.Load())
+	cand := c.liveLeaf(c.snaps[slot].Load())
 	withJoiner := append(append(make([]peer.Descriptor, 0, len(cand)+1), cand...), jdesc)
 	for _, d := range cand {
 		ms, _ := c.slotOf(d.Addr)
-		m := c.nodes[ms]
-		m.router.Adopt(withJoiner)
-		m.snap.Store(m.router.Snapshot())
+		m := c.nodes[ms].router
+		m.Adopt(withJoiner)
+		c.snaps[ms].Store(m.Snapshot())
 	}
 	// Refresh the joiner against the neighbourhood as it is now and
 	// republish, so ops routing through it see live peers again.
 	joiner.router.Adopt(cand)
-	joiner.snap.Store(joiner.router.Snapshot())
+	c.snaps[slot].Store(joiner.router.Snapshot())
 
 	c.migrate(withJoiner)
 }

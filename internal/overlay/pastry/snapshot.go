@@ -6,72 +6,62 @@ import (
 )
 
 // Snapshot is an immutable copy of one router's routing state: the leaf
-// lists and the populated prefix-table slots, flattened into two backing
-// arrays. A snapshot is built under the owner's repair lock and then
-// published through an atomic pointer, so any number of concurrent readers
-// can route through it while the live core structures are being repaired —
-// the copy-on-write discipline the serving plane requires (readers never
-// touch a LeafSet or PrefixTable that a repair might be mutating).
+// lists and the prefix-table slots, copied into one backing array. A
+// snapshot is built under the owner's repair lock and then published
+// through an atomic pointer, so any number of concurrent readers can route
+// through it while the live core structures are being repaired — the
+// copy-on-write discipline the serving plane requires (readers never touch
+// a LeafSet or PrefixTable that a repair might be mutating).
 //
 // Snapshots go stale by design: a departed peer stays in every snapshot
 // that listed it until the owner republishes. Readers therefore route with
 // NextHopAlive, which takes a liveness filter and steps around dead
 // entries, so a stale snapshot costs at most a few skipped candidates,
 // never a wrong delivery.
+//
+// The fields a hop reads come first. A hop touches the header, the leaf
+// lists (which start the backing array) and at most one prefix slot.
 type Snapshot struct {
 	self peer.Descriptor
 	b    int
-	prox Proximity // nil: take the first reachable slot entry
+	// Prefix slots at a fixed stride: slot (row, col) is
+	// entries[(row*cols+col)*k:][:k], its entries in the table's
+	// first-come order, padded with peer.None. Only the first `rows` rows
+	// are represented; deeper rows are empty.
+	rows, cols, k int
+	entries       []peer.Descriptor
+	prox          Proximity // nil: take the first reachable slot entry
 	// succ and pred are the leaf lists, closest first.
 	succ, pred []peer.Descriptor
-	// Populated prefix slots, flattened: slot (row, col) holds
-	// entries[slotOff[row*cols+col] : slotOff[row*cols+col+1]]. Only the
-	// first `rows` rows are represented; deeper rows are empty.
-	rows, cols int
-	slotOff    []int32
-	entries    []peer.Descriptor
 }
 
 // Snapshot captures the router's current routing state. The result shares
-// nothing with the live structures; it costs O(leaf + table entries) and is
-// meant to be rebuilt only when the state changes (join/repair), not per
-// route.
+// nothing with the live structures; it costs O(leaf + rows·2^b·k) for the
+// populated rows and is meant to be rebuilt only when the state changes
+// (join/repair), not per route.
 func (r *Router) Snapshot() *Snapshot {
-	s := &Snapshot{self: r.self, b: r.b, prox: r.prox}
-	s.succ = append(s.succ, r.leaf.Successors()...)
-	s.pred = append(s.pred, r.leaf.Predecessors()...)
-	// Find the deepest populated row so the offset array stays O(log N)
-	// in practice instead of O(NumDigits * 2^b).
-	maxRow := -1
+	s := &Snapshot{self: r.self, b: r.b, cols: 1 << uint(r.b), k: r.table.K(), prox: r.prox}
+	// The deepest populated row bounds the slot array, which keeps it
+	// O(log N) rows in practice instead of NumDigits.
 	r.table.Each(func(row, _ int, _ peer.Descriptor) bool {
-		if row > maxRow {
-			maxRow = row
-		}
+		s.rows = max(s.rows, row+1)
 		return true
 	})
-	s.rows = maxRow + 1
-	s.cols = 1 << uint(r.b)
-	if s.rows == 0 {
-		return s
-	}
-	s.slotOff = make([]int32, s.rows*s.cols+1)
-	s.entries = make([]peer.Descriptor, 0, r.table.Len())
-	// Each visits slots in (row, col) order, so one pass fills the
-	// flattened layout; a second pass over slotOff turns counts into
-	// offsets.
-	cur := 0
-	r.table.Each(func(row, col int, d peer.Descriptor) bool {
-		idx := row*s.cols + col
-		for cur < idx {
-			cur++
-			s.slotOff[cur] = int32(len(s.entries))
+	succ, pred := r.leaf.Successors(), r.leaf.Predecessors()
+	ns, np := len(succ), len(pred)
+	buf := make([]peer.Descriptor, ns+np+s.rows*s.cols*s.k)
+	s.succ = buf[:ns:ns]
+	s.pred = buf[ns : ns+np : ns+np]
+	s.entries = buf[ns+np:]
+	copy(s.succ, succ)
+	copy(s.pred, pred)
+	for row := 0; row < s.rows; row++ {
+		for col := 0; col < s.cols; col++ {
+			slot := s.slot(row, col)
+			for i := copy(slot, r.table.Get(row, col)); i < len(slot); i++ {
+				slot[i] = peer.None
+			}
 		}
-		s.entries = append(s.entries, d)
-		s.slotOff[idx+1] = int32(len(s.entries))
-		return true
-	})
-	for i := cur + 1; i < len(s.slotOff); i++ {
-		s.slotOff[i] = int32(len(s.entries))
 	}
 	return s
 }
@@ -83,13 +73,14 @@ func (s *Snapshot) Self() peer.Descriptor { return s.self }
 // the snapshot's backing storage; callers must not modify them.
 func (s *Snapshot) Leaf() (succ, pred []peer.Descriptor) { return s.succ, s.pred }
 
-// slot returns the (row, col) slot contents.
+// slot returns the (row, col) slot: k entries, padding (peer.None) after
+// the populated ones.
 func (s *Snapshot) slot(row, col int) []peer.Descriptor {
 	if row < 0 || row >= s.rows {
 		return nil
 	}
-	idx := row*s.cols + col
-	return s.entries[s.slotOff[idx]:s.slotOff[idx+1]]
+	off := (row*s.cols + col) * s.k
+	return s.entries[off : off+s.k]
 }
 
 // Reachable is the liveness filter NextHopAlive consults before it
@@ -97,6 +88,11 @@ func (s *Snapshot) slot(row, col int) []peer.Descriptor {
 // partition predicate can reject cross-boundary hops) and to is the
 // candidate. A nil filter accepts everything.
 type Reachable func(from, to peer.Addr) bool
+
+// live reports whether the filter accepts d.
+func live(ok Reachable, origin peer.Addr, d peer.Descriptor) bool {
+	return ok == nil || ok(origin, d.Addr)
+}
 
 // NextHopAlive is Pastry's next-hop rule over the snapshot, considering
 // only candidates the filter accepts. In order: a key within the live span
@@ -107,7 +103,7 @@ type Reachable func(from, to peer.Addr) bool
 // known node strictly closer to the key that does not shorten the shared
 // prefix does. done is true when the key is rooted at the snapshot's owner
 // (no live candidate is closer). The hot path allocates nothing: all
-// scanning works over the snapshot's backing arrays.
+// scanning works over the snapshot's backing array.
 func (s *Snapshot) NextHopAlive(key id.ID, origin peer.Addr, ok Reachable) (next peer.Descriptor, done bool) {
 	if key == s.self.ID {
 		return s.self, true
@@ -122,7 +118,10 @@ func (s *Snapshot) NextHopAlive(key id.ID, origin peer.Addr, ok Reachable) (next
 	col := key.Digit(row, s.b)
 	best, found := peer.Descriptor{}, false
 	for _, d := range s.slot(row, col) {
-		if ok != nil && !ok(origin, d.Addr) {
+		if d.Nil() {
+			break
+		}
+		if !live(ok, origin, d) {
 			continue
 		}
 		if s.prox == nil {
@@ -144,61 +143,93 @@ func (s *Snapshot) NextHopAlive(key id.ID, origin peer.Addr, ok Reachable) (next
 // leafRoot reports whether key lies within the live span of the leaf set
 // and, if so, returns the closest live node among the leaf entries and
 // self. Dead entries neither define the span nor compete for root.
+//
+// The live entries and self lie on the arc from the farthest live
+// predecessor clockwise through self to the farthest live successor, in
+// order of directed distance from self (the leaf lists split the ring at
+// self and its antipode, so the arc never wraps onto itself). A key on
+// that arc is therefore strictly closer to one of its two neighbours in
+// the set than to any other member, so only those two are compared.
 func (s *Snapshot) leafRoot(key id.ID, origin peer.Addr, ok Reachable) (peer.Descriptor, bool) {
-	// Farthest live entry in each direction bounds the span.
-	lo, hi := s.self.ID, s.self.ID
-	anyLive := false
-	for i := len(s.pred) - 1; i >= 0; i-- {
-		if ok == nil || ok(origin, s.pred[i].Addr) {
-			lo = s.pred[i].ID
-			anyLive = true
-			break
-		}
-	}
-	for i := len(s.succ) - 1; i >= 0; i-- {
-		if ok == nil || ok(origin, s.succ[i].Addr) {
-			hi = s.succ[i].ID
-			anyLive = true
-			break
-		}
-	}
-	if !anyLive {
+	lo, np := s.spanEnd(s.pred, origin, ok)
+	hi, ns := s.spanEnd(s.succ, origin, ok)
+	if np == 0 && ns == 0 {
 		return s.self, true // alone in the (live) world
 	}
-	span := id.Succ(lo, hi)
-	off := id.Succ(lo, key)
-	if off > span {
-		return peer.Descriptor{Addr: peer.NoAddr}, false
+	if id.Succ(lo, key) > id.Succ(lo, hi) {
+		return peer.None, false
 	}
-	best := s.self
-	bestDist := id.RingDistance(key, s.self.ID)
-	for _, d := range s.succ {
-		if ok != nil && !ok(origin, d.Addr) {
-			continue
-		}
-		if dist := id.RingDistance(key, d.ID); dist < bestDist {
-			best, bestDist = d, dist
-		}
+	if id.Succ(s.self.ID, key) <= id.Succ(s.self.ID, hi) {
+		return s.nearer(s.succ[:ns], true, key, origin, ok), true
 	}
-	for _, d := range s.pred {
-		if ok != nil && !ok(origin, d.Addr) {
-			continue
-		}
-		if dist := id.RingDistance(key, d.ID); dist < bestDist {
-			best, bestDist = d, dist
+	return s.nearer(s.pred[:np], false, key, origin, ok), true
+}
+
+// spanEnd cuts one leaf list after its farthest live entry: it returns
+// that entry's ID and the cut length, or self's ID and 0 when no entry is
+// live.
+func (s *Snapshot) spanEnd(side []peer.Descriptor, origin peer.Addr, ok Reachable) (id.ID, int) {
+	for n := len(side); n > 0; n-- {
+		if live(ok, origin, side[n-1]) {
+			return side[n-1].ID, n
 		}
 	}
-	return best, true
+	return s.self.ID, 0
+}
+
+// nearer returns the ring-closer to key of its two neighbours among self
+// and the live entries of side — one leaf list (cw: the successors), cut
+// so that its last entry was live and is at least as far from self as key.
+// The outer neighbour is the first live entry at or beyond key, the inner
+// one the last live entry before it, or self. On a tie the inner one wins:
+// it is the one a scan of self, succ, pred in order would keep first. The
+// filter may change between calls (a peer departs mid-route), so when no
+// live entry is left beyond key the inner neighbour is the answer.
+func (s *Snapshot) nearer(side []peer.Descriptor, cw bool, key id.ID, origin peer.Addr, ok Reachable) peer.Descriptor {
+	at := dirDist(s.self.ID, key, cw)
+	i, j := 0, len(side)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if dirDist(s.self.ID, side[h].ID, cw) < at {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	outer := i
+	for outer < len(side) && !live(ok, origin, side[outer]) {
+		outer++
+	}
+	inner := s.self
+	for i--; i >= 0; i-- {
+		if live(ok, origin, side[i]) {
+			inner = side[i]
+			break
+		}
+	}
+	if outer < len(side) && id.RingDistance(key, side[outer].ID) < id.RingDistance(key, inner.ID) {
+		return side[outer]
+	}
+	return inner
+}
+
+// dirDist is the directed distance from self to x: clockwise when cw,
+// counter-clockwise otherwise.
+func dirDist(self, x id.ID, cw bool) uint64 {
+	if cw {
+		return id.Succ(self, x)
+	}
+	return id.Pred(self, x)
 }
 
 // rareCase scans everything the snapshot knows for a live peer strictly
 // closer to the key whose shared prefix with the key is at least row
 // digits.
 func (s *Snapshot) rareCase(key id.ID, row int, origin peer.Addr, ok Reachable) (peer.Descriptor, bool) {
-	best := peer.Descriptor{Addr: peer.NoAddr}
+	best := peer.None
 	bestDist := id.RingDistance(key, s.self.ID)
 	consider := func(d peer.Descriptor) {
-		if ok != nil && !ok(origin, d.Addr) {
+		if d.Nil() || !live(ok, origin, d) {
 			return
 		}
 		if id.CommonPrefixLen(d.ID, key, s.b) < row {
