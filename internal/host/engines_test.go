@@ -272,7 +272,9 @@ func TestLifecycleAfterClose(t *testing.T) {
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		for _, h := range hosts {
+			awaitTicks(t, h, 2)
+		}
 		rt.Close()
 		rt.Close() // idempotent
 		hosts[0].Kill()
@@ -289,6 +291,36 @@ func TestLifecycleAfterClose(t *testing.T) {
 	})
 }
 
+// TestLifecycleCloseWhilePaused closes a network whose hosts are all
+// parked: a parked host leaves when Close kills its incarnation, so Close
+// returns, every host goroutine (and the link's) is gone, the hosts read
+// Stopped, and Pause afterwards fails.
+func TestLifecycleCloseWhilePaused(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		rt := e.build(t, 19690, 95, 8, 0)
+		hosts := attachEcho(t, rt, time.Millisecond)
+		base := settledGoroutines()
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hosts {
+			awaitTicks(t, h, 2)
+		}
+		rt.PauseAll()
+		awaitClose(t, rt)
+		awaitGoroutines(t, "after Close", base)
+		for _, h := range hosts {
+			if !h.Stopped() {
+				t.Errorf("host %d not Stopped after Close", h.Addr())
+			}
+		}
+		if hosts[0].Pause() {
+			t.Error("Pause succeeded after Close")
+		}
+		e.checkBareClose(t, rt.Snapshot())
+	})
+}
+
 // TestLifecycleKillBeforeStart kills a host before Start: the network
 // must come up without it and Close cleanly.
 func TestLifecycleKillBeforeStart(t *testing.T) {
@@ -299,7 +331,9 @@ func TestLifecycleKillBeforeStart(t *testing.T) {
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		for _, h := range hosts[:3] {
+			awaitTicks(t, h, 2)
+		}
 		rt.Close()
 		if got := hosts[3].Stats().Incarnations; got != 0 {
 			t.Errorf("pre-start-killed host ran %d incarnations", got)

@@ -6,14 +6,16 @@
 //
 // The Runtime owns everything up to "this message passed the fault model
 // and must reach address to": the host table and per-host RNG seeding, the
-// stop/closing/started handshake, the runtime-mutable drop probability and
+// closing/started handshake, the runtime-mutable drop probability and
 // partition cut, and the four conserved traffic counters. A Host is one
 // goroutine per incarnation and no other: it owns a bounded inbox, its
 // protocol bindings and their tick schedule (see step), the Pause/Resume
 // handshake, Kill/Respawn, and the exactly-once retirement of
-// proto.Recyclable messages. The Link does the rest — an in-memory timing
-// wheel, or encode → peer loop → socket → decode — and hands arrivals
-// back through Runtime.Deliver.
+// proto.Recyclable messages. Close ends every incarnation the way Kill
+// ends one, so the host loop waits only on channels its host owns: no
+// channel every host shares is locked per message. The Link does the
+// rest — an in-memory timing wheel, or encode → peer loop → socket →
+// decode — and hands arrivals back through Runtime.Deliver.
 //
 // The link's half of the seam is Link itself plus Deliver, Drop and
 // Overflow; everything else exported here is the lifecycle API the engines
@@ -117,7 +119,6 @@ type Runtime struct {
 	hosts   []*Host    // index = address, nil for remote; append-only before Start, read lock-free afterwards
 	local   []*Host    // the non-nil subset, in address order
 	wg      sync.WaitGroup
-	stop    chan struct{}
 	closed  atomic.Bool
 	closing bool // guarded by mu: no wg.Add once set
 	started atomic.Bool
@@ -140,7 +141,6 @@ func New(seed int64, drop float64, inboxSize int, link Link) *Runtime {
 		link:      link,
 		inboxSize: inboxSize,
 		rng:       rand.New(rand.NewSource(seed)),
-		stop:      make(chan struct{}),
 	}
 	r.dropBits.Store(math.Float64bits(drop))
 	return r
@@ -433,7 +433,8 @@ func recycle(m proto.Message) {
 	}
 }
 
-// Stopped reports whether the host's current incarnation has been killed.
+// Stopped reports whether the host's current incarnation has been killed,
+// by Kill or by Runtime.Close.
 func (h *Host) Stopped() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -501,11 +502,11 @@ func (h *Host) Respawn() error {
 // draining its inbox and ticks until Resume. It returns once the host is
 // actually parked, so the caller may read the host's protocol state until
 // the matching Resume (the handshake establishes the happens-before
-// edges). Returns false if the host is dead or the network stopped.
+// edges). Returns false if the host is dead, which it is after Close.
 func (h *Host) Pause() bool { return h.control(true) }
 
-// Resume unfreezes a paused host. Returns false if the host is dead or
-// the network stopped. Resuming a host that is not paused is a no-op
+// Resume unfreezes a paused host. Returns false if the host is dead, which
+// it is after Close. Resuming a host that is not paused is a no-op
 // handshake.
 func (h *Host) Resume() bool { return h.control(false) }
 
@@ -529,10 +530,9 @@ func (h *Host) control(pause bool) bool {
 			<-c.ack
 			return true
 		case <-inc.exited:
-			// This incarnation ended; re-evaluate — a concurrent
-			// Respawn may have installed a live one.
-		case <-h.rt.stop:
-			return false
+			// This incarnation ended — Kill, or Close killing every
+			// incarnation; re-evaluate: a concurrent Respawn may have
+			// installed a live one.
 		}
 	}
 }
@@ -580,7 +580,10 @@ func (r *Runtime) Start() error {
 
 // run is the host main loop for one incarnation and the only goroutine it
 // has: it serves deliveries, pause/resume handshakes and its own tick
-// schedule — each binding's Init, then its Ticks — until shutdown.
+// schedule — each binding's Init, then its Ticks — until the incarnation
+// is killed (Kill, or Close killing them all). Its select names only
+// channels this host owns: a runtime-wide stop channel there would be
+// locked by every host on every message.
 func (h *Host) run(inc *incarnation) {
 	defer h.rt.wg.Done()
 	defer close(inc.exited)
@@ -600,8 +603,6 @@ func (h *Host) run(inc *incarnation) {
 	due := timer.C
 	for {
 		select {
-		case <-h.rt.stop:
-			return
 		case <-inc.down:
 			return
 		case c := <-h.ctrl:
@@ -629,8 +630,9 @@ func (h *Host) run(inc *incarnation) {
 	}
 }
 
-// parked blocks until Resume, Kill, or network stop. It reports whether
-// the incarnation should keep running.
+// parked blocks until Resume or until the incarnation is killed — by Kill
+// or by Close, which kills every incarnation. It reports whether the
+// incarnation should keep running.
 func (h *Host) parked(inc *incarnation) bool {
 	for {
 		select {
@@ -640,8 +642,6 @@ func (h *Host) parked(inc *incarnation) bool {
 				return true
 			}
 		case <-inc.down:
-			return false
-		case <-h.rt.stop:
 			return false
 		}
 	}
@@ -701,9 +701,14 @@ func (r *Runtime) send(from *Host, to peer.Addr, pid proto.ProtoID, msg proto.Me
 // accounting comes out the same); only when the inbox is full does
 // liveness pick the category, so a dead host's steady-state losses read
 // as Dropped, not inbox pressure. An arrival for an address this runtime
-// does not own is dropped (its sender counted it Sent).
+// does not own, or one after Close has begun, is dropped (its sender
+// counted it Sent).
+//
+// The enqueue is a single-case non-blocking send, so it locks the
+// destination inbox and nothing else: no channel every host shares sits on
+// the per-message path, and the closed flag is an atomic load.
 func (r *Runtime) Deliver(from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
-	if !r.Local(to) {
+	if r.closed.Load() || !r.Local(to) {
 		r.dropped.Add(1)
 		recycle(msg)
 		return
@@ -711,9 +716,6 @@ func (r *Runtime) Deliver(from, to peer.Addr, pid proto.ProtoID, msg proto.Messa
 	dst := r.hosts[to]
 	select {
 	case dst.inbox <- command{from: from, pid: pid, msg: msg}:
-	case <-r.stop:
-		r.dropped.Add(1)
-		recycle(msg)
 	default:
 		if dst.Stopped() {
 			r.dropped.Add(1)
@@ -742,10 +744,11 @@ func (r *Runtime) Overflow(msg proto.Message) {
 	recycle(msg)
 }
 
-// Close stops all hosts, waits for them to exit, closes the link, and
-// settles the traffic accounting: in-flight and queued-but-undispatched
-// messages are counted as dropped, so the conservation law documented on
-// Stats holds. It is idempotent.
+// Close stops all hosts the way Kill does — every local host's current
+// incarnation is killed, so Stopped reports true afterwards — waits for
+// them to exit, closes the link, and settles the traffic accounting:
+// in-flight and queued-but-undispatched messages are counted as dropped,
+// so the conservation law documented on Stats holds. It is idempotent.
 func (r *Runtime) Close() {
 	if r.closed.Swap(true) {
 		return
@@ -754,11 +757,19 @@ func (r *Runtime) Close() {
 	r.closing = true
 	hosts := r.local
 	r.mu.Unlock()
-	close(r.stop)
+	// A Respawn racing this either installed its incarnation before
+	// closing was set, so it is the one read and killed here, or it sees
+	// closing and returns ErrClosed.
+	for _, h := range hosts {
+		h.mu.Lock()
+		inc := h.inc
+		h.mu.Unlock()
+		inc.kill()
+	}
 	r.wg.Wait()
 	// Hosts first, link second: with every sender gone, what the link
-	// finds stranded is final. Arrivals it still delivers meanwhile land
-	// in an inbox (or count dropped on stop) and are drained below.
+	// finds stranded is final. Arrivals it still hands to Deliver count
+	// dropped there; what reached an inbox before Close is drained below.
 	r.link.Close()
 	for _, h := range hosts {
 		h.drainInbox()

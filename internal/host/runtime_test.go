@@ -50,8 +50,7 @@ func (l *fakeLink) Send(_ *rand.Rand, from, to peer.Addr, pid proto.ProtoID, msg
 }
 
 // Close delivers half of what it held — after the hosts are gone, so the
-// arrivals can only strand in an inbox or bounce off the stop — and drops
-// the rest.
+// arrivals can only be dropped at Deliver — and drops the rest.
 func (l *fakeLink) Close() {
 	l.closes.Add(1)
 	for i, h := range l.held {
@@ -128,18 +127,26 @@ func TestRuntimeConservationAndExactlyOnceRecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := rt.LocalHosts()
-	time.Sleep(20 * time.Millisecond)
+	await(t, func() bool { return rt.Snapshot().Delivered > 0 }, func() string {
+		return fmt.Sprintf("no message delivered: %+v", rt.Snapshot())
+	})
 	if !hosts[1].Pause() { // inbox fills under a live host: Overflow
 		t.Fatal("Pause failed")
 	}
 	hosts[2].Kill() // inbox fills under a dead host: Dropped, then drained
-	time.Sleep(20 * time.Millisecond)
+	await(t, func() bool { return hosts[1].Stats().Overflow > 0 }, func() string {
+		return "paused host's inbox never overflowed"
+	})
 	hosts[2].Kill()
 	if err := hosts[2].Respawn(); err != nil {
 		t.Fatal(err)
 	}
+	handled, ticks := hosts[1].Stats().Delivered, hosts[2].Stats().Ticks
 	hosts[1].Resume()
-	time.Sleep(20 * time.Millisecond)
+	awaitTicks(t, hosts[2], ticks+2)
+	await(t, func() bool { return hosts[1].Stats().Delivered > handled }, func() string {
+		return "resumed host handled nothing"
+	})
 	rt.Close()
 	rt.Close()
 
@@ -238,4 +245,112 @@ func TestRuntimeGoroutineBudget(t *testing.T) {
 	goroutines("after Respawn", base+n)
 	rt.Close()
 	goroutines("after Close", base)
+}
+
+// settledGoroutines returns the process's goroutine count once it holds
+// still: an earlier test's runner goroutine may still be on its way out.
+func settledGoroutines() int {
+	base, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); still < 20 && time.Now().Before(deadline); still++ {
+		time.Sleep(time.Millisecond)
+		if g := runtime.NumGoroutine(); g != base {
+			base, still = g, 0
+		}
+	}
+	return base
+}
+
+// awaitClose runs rt.Close and fails the test if it does not return
+// within await's bound.
+func awaitClose(t *testing.T, rt *host.Runtime) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		rt.Close()
+		close(closed)
+	}()
+	await(t, func() bool {
+		select {
+		case <-closed:
+			return true
+		default:
+			return false
+		}
+	}, func() string { return "Close did not return" })
+}
+
+// awaitGoroutines waits for the process to hold exactly want goroutines.
+func awaitGoroutines(t *testing.T, when string, want int) {
+	t.Helper()
+	await(t, func() bool { return runtime.NumGoroutine() == want }, func() string {
+		return fmt.Sprintf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
+	})
+}
+
+// TestRuntimeCloseRacesRespawn runs Close while a goroutine loops
+// Kill/Respawn on a ticking host. Close kills whatever incarnation each
+// host holds when it looks, so a Respawn either installed its incarnation
+// before Close set closing — and Close kills it — or returns ErrClosed:
+// Close returns, no host goroutine outlives it, and the accounting holds.
+// Once Close has begun the loop stops after its next successful Respawn
+// instead of killing again, so the incarnation it leaves is Close's to end.
+func TestRuntimeCloseRacesRespawn(t *testing.T) {
+	const n = 4
+	link := &fakeLink{}
+	rt := host.New(14, 0.1, 2, link)
+	link.rt = rt
+	led := &ledger{}
+	for i := 0; i < n; i++ {
+		if err := rt.AddHost().Attach(9, &sprayer{led: led, addrs: n}, time.Millisecond, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := settledGoroutines()
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	h := rt.LocalHosts()[0]
+	awaitTicks(t, h, 2)
+
+	var closing atomic.Bool
+	churned := make(chan error, 1)
+	go func() {
+		for {
+			h.Kill()
+			if err := h.Respawn(); err != nil || closing.Load() {
+				churned <- err
+				return
+			}
+		}
+	}()
+	await(t, func() bool { return h.Stats().Incarnations >= 20 }, func() string {
+		return fmt.Sprintf("churn ran %d incarnations, want 20", h.Stats().Incarnations)
+	})
+	closing.Store(true)
+	awaitClose(t, rt)
+	if err := <-churned; err != nil && err != host.ErrClosed {
+		t.Errorf("churn loop ended with %v, want nil or ErrClosed", err)
+	}
+	awaitGoroutines(t, "after Close", base)
+	if err := h.Respawn(); err != host.ErrClosed {
+		t.Errorf("Respawn after Close = %v, want ErrClosed", err)
+	}
+	for _, h := range rt.LocalHosts() {
+		if !h.Stopped() {
+			t.Errorf("host %d not Stopped after Close", h.Addr())
+		}
+	}
+	st := rt.Snapshot()
+	if st.Sent != led.issued.Load() {
+		t.Errorf("Sent = %d, protocols issued %d", st.Sent, led.issued.Load())
+	}
+	if st.Sent != st.Delivered+st.Dropped+st.Overflow {
+		t.Errorf("conservation violated at Close: %+v", st)
+	}
+	if d := led.doubles.Load(); d != 0 {
+		t.Errorf("%d double recycles (contract: exactly once)", d)
+	}
+	if issued, retired := led.issued.Load(), led.retired.Load(); retired != issued {
+		t.Errorf("%d of %d messages never retired", issued-retired, issued)
+	}
 }
