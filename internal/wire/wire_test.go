@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,11 @@ import (
 	"repro/internal/proto"
 	"repro/internal/testenv"
 )
+
+// addrBoundaries are the addresses at each edge of a uvarint width: the
+// widest 1- and 2-byte values the decoder reads inline, the narrowest
+// values that fall back, the 4- and 5-byte edges, and the sentinel.
+var addrBoundaries = []peer.Addr{0, 0x7f, 0x80, 0x3fff, 0x4000, 0x1fffff, 0x200000, math.MaxInt32, peer.NoAddr}
 
 // randomMessage fills a pooled message with rng-driven contents.
 func randomMessage(rng *rand.Rand) *core.Message {
@@ -81,7 +87,8 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 // TestWireRoundTripEdgeCases pins the corners the random sweep may miss:
-// empty message, NoAddr sentinels everywhere, and the max-entry shape.
+// empty message, NoAddr sentinels everywhere, certificates only, and each
+// address-width boundary in the sender, the entries, From and To.
 func TestWireRoundTripEdgeCases(t *testing.T) {
 	cases := []func(m *core.Message) Envelope{
 		func(m *core.Message) Envelope { // empty everything
@@ -97,6 +104,16 @@ func TestWireRoundTripEdgeCases(t *testing.T) {
 			m.Dead = append(m.Dead, 1, 2, 3)
 			return Envelope{From: 7, To: 9, Pid: proto.NewscastID}
 		},
+	}
+	for _, a := range addrBoundaries { // every address width, everywhere
+		cases = append(cases, func(m *core.Message) Envelope {
+			m.Sender = peer.Descriptor{ID: id.ID(a) << 3, Addr: a}
+			for j, b := range addrBoundaries {
+				m.Entries = append(m.Entries, peer.Descriptor{ID: id.ID(j), Addr: b})
+			}
+			m.Entries = append(m.Entries, peer.Descriptor{ID: ^id.ID(0), Addr: a})
+			return Envelope{From: a, To: a, Pid: proto.BootstrapID}
+		})
 	}
 	for i, build := range cases {
 		m := core.NewMessage()
@@ -161,6 +178,33 @@ func TestWireDecodeMalformed(t *testing.T) {
 		bad = append(bad, 0xff, 0x7f)
 		if _, _, err := Decode(bad); err == nil {
 			t.Fatal("decode with forged count succeeded")
+		}
+	})
+	// The next two cut into the entry run where the decoder's inline
+	// window (10 bytes) no longer applies or no longer suffices, so they
+	// exercise its fall-back to the uvarint path.
+	t.Run("2-byte address cut after its first byte", func(t *testing.T) {
+		m := core.NewMessage()
+		m.Entries = append(m.Entries, peer.Descriptor{ID: 1, Addr: 5}, peer.Descriptor{ID: 2, Addr: 0x80})
+		p := AppendFrame(nil, Envelope{From: 1, To: 2}, m)[4:]
+		m.Recycle()
+		// p ends id(8) 0x80 0x01 and a 1-byte certificate count: drop the
+		// address's second byte and the count, leaving 9 bytes for the
+		// last entry.
+		if _, _, err := Decode(p[:len(p)-2]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("want ErrTruncated, got %v", err)
+		}
+	})
+	t.Run("entry address overflows 32 bits", func(t *testing.T) {
+		m := core.NewMessage()
+		m.Entries = append(m.Entries, peer.Descriptor{ID: 1, Addr: 0})
+		p := AppendFrame(nil, Envelope{From: 1, To: 2}, m)[4:]
+		m.Recycle()
+		// Replace the entry's 1-byte address (second to last byte) with
+		// the 6-byte varint of 1<<35.
+		bad := append(bytes.Clone(p[:len(p)-2]), 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, p[len(p)-1])
+		if _, _, err := Decode(bad); !errors.Is(err, ErrCounts) {
+			t.Fatalf("want ErrCounts, got %v", err)
 		}
 	})
 	t.Run("oversized payload", func(t *testing.T) {
@@ -260,8 +304,27 @@ func BenchmarkWireCodec(b *testing.B) {
 		m.Entries = append(m.Entries, peer.Descriptor{ID: id.ID(i * 0x9e3779b9), Addr: peer.Addr(i)})
 	}
 	m.Dead = append(m.Dead, 0x1111, 0x2222)
-	env := Envelope{From: 17, To: 4, Pid: proto.BootstrapID}
+	benchmarkCodec(b, m)
+}
 
+// BenchmarkWireCodecFull is the same round trip at the full bootstrap
+// message (160 entries, the relay-sock-full shape). Addresses are drawn
+// from [0, 4096), so both inline address widths run. CI asserts 0
+// allocs/op.
+func BenchmarkWireCodecFull(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	m := core.NewMessage()
+	m.Request = true
+	m.Sender = peer.Descriptor{ID: id.ID(rng.Uint64()), Addr: 17}
+	for i := 0; i < 160; i++ {
+		m.Entries = append(m.Entries, peer.Descriptor{ID: id.ID(rng.Uint64()), Addr: peer.Addr(rng.Intn(4096))})
+	}
+	m.Dead = append(m.Dead, 0x1111, 0x2222)
+	benchmarkCodec(b, m)
+}
+
+func benchmarkCodec(b *testing.B, m *core.Message) {
+	env := Envelope{From: 17, To: 4, Pid: proto.BootstrapID}
 	buf := AppendFrame(nil, env, m)
 	_, warm, err := Decode(buf[4:])
 	if err != nil {
