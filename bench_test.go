@@ -545,11 +545,33 @@ func BenchmarkTruthUpdateChurn(b *testing.B) {
 	}
 }
 
+// invalidateMeasureCache moves the oracle's membership out and back — one
+// ID in, the same ID out — which leaves the membership as it was and makes
+// every member's cached measurement stale, so the next measurement
+// re-measures each node it covers, as in a cycle where everything changed.
+// It runs with the timer stopped.
+func invalidateMeasureCache(b *testing.B, tr *truth.Truth) {
+	b.StopTimer()
+	spare := id.ID(1)
+	for tr.Contains(spare) {
+		spare++
+	}
+	if err := tr.Add(spare); err != nil {
+		b.Fatal(err)
+	}
+	if err := tr.Remove(spare); err != nil {
+		b.Fatal(err)
+	}
+	b.StartTimer()
+}
+
 // BenchmarkTruthMeasureAll measures a full-network convergence measurement
 // at N=2^14 over realistic mid-convergence node state, sharded across a
 // worker pool. The workers=1 case is the serial baseline; the speedup at
 // workers=4 is the acceptance figure for the sharded measurement plane
-// (the result itself is bit-identical across worker counts).
+// (the result itself is bit-identical across worker counts). Every
+// iteration measures every node afresh (invalidateMeasureCache); cached is
+// the steady state of a network in which no node changed.
 func BenchmarkTruthMeasureAll(b *testing.B) {
 	const n = 1 << 14
 	descs, ids := benchWorld(n, 25)
@@ -573,12 +595,21 @@ func BenchmarkTruthMeasureAll(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				invalidateMeasureCache(b, tr)
 				if agg := tr.MeasureAll(members, workers); agg != ref {
 					b.Fatalf("aggregate diverged across worker counts: %+v != %+v", agg, ref)
 				}
 			}
 		})
 	}
+	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if agg := tr.MeasureAll(members, 1); agg != ref {
+				b.Fatalf("cached aggregate diverged: %+v != %+v", agg, ref)
+			}
+		}
+	})
 }
 
 // BenchmarkMeasureSample is the acceptance benchmark for the sampled
@@ -587,6 +618,10 @@ func BenchmarkTruthMeasureAll(b *testing.B) {
 // measures 64x fewer nodes; sample selection is O(sample)). The sampled
 // estimate's intervals are exercised for correctness by the statistical
 // suite; this benchmark tracks the speed claim in CI (BENCH_pr4.json).
+// Both sides measure every node they cover afresh each iteration
+// (invalidateMeasureCache): the claim compares measurement work, and a
+// cached full measurement of an unchanged network would do none. cached is
+// that steady state, for reference.
 func BenchmarkMeasureSample(b *testing.B) {
 	const n = 1 << 16
 	const sample = 1024
@@ -609,6 +644,7 @@ func BenchmarkMeasureSample(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			invalidateMeasureCache(b, tr)
 			tr.MeasureAll(members, 0)
 		}
 	})
@@ -616,10 +652,19 @@ func BenchmarkMeasureSample(b *testing.B) {
 		rng := rand.New(rand.NewSource(99))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			invalidateMeasureCache(b, tr)
 			sa := tr.MeasureSampleConf(members, sample, 0.95, rng, 0)
 			if sa.Exact || sa.SampleSize != sample {
 				b.Fatalf("unexpected fallback: %+v", sa)
 			}
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		tr.MeasureAll(members, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr.MeasureAll(members, 0)
 		}
 	})
 }

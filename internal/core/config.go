@@ -42,6 +42,10 @@ const (
 	DefaultDelta = 10
 )
 
+// MaxK is the largest prefix-table slot capacity: a slot's fill count is
+// one byte.
+const MaxK = 255
+
 // Config holds the bootstrap protocol parameters (paper Section 4, last
 // paragraph).
 type Config struct {
@@ -95,8 +99,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: B = %d out of range [1, 8]", c.B)
 	case id.Bits%c.B != 0:
 		return fmt.Errorf("config: B = %d must divide %d", c.B, id.Bits)
-	case c.K < 1:
-		return errors.New("config: K must be at least 1")
+	case c.K < 1 || c.K > MaxK:
+		return fmt.Errorf("config: K = %d out of range [1, %d]", c.K, MaxK)
 	case c.C < 2:
 		return errors.New("config: C must be at least 2")
 	case c.C%2 != 0:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/id"
 	"repro/internal/peer"
@@ -12,9 +13,10 @@ import (
 // at most c entries, never the node itself, each on the side id.IsSuccessor
 // dictates and each direction strictly ascending in directed distance
 // (hence duplicate-free); every prefix-table entry sits in the slot Slot
-// dictates, at most k to a slot, no ID twice; and no entry is currently
-// tombstoned. It returns the first violation found, nil when there is
-// none. It is a test and debugging aid: no engine calls it.
+// dictates, at most k to a slot, no ID twice, nothing stored past a slot's
+// fill; and no entry is currently tombstoned. It returns the first
+// violation found, nil when there is none. It is a test and debugging
+// aid: no engine calls it.
 func (n *Node) CheckInvariants() error {
 	if err := n.leaf.checkInvariants(); err != nil {
 		return fmt.Errorf("node %s: leaf set: %w", n.self.ID, err)
@@ -57,12 +59,39 @@ func (l *LeafSet) checkInvariants() error {
 }
 
 func (t *PrefixTable) checkInvariants() error {
-	for i, row := range t.rows {
-		for j, slot := range row {
-			if len(slot) > t.k {
-				return fmt.Errorf("slot (%d,%d) holds %d entries, k = %d", i, j, len(slot), t.k)
+	cols := 1 << uint(t.b)
+	if r := len(t.rows); r > 0 && t.rows[r-1] == nil {
+		return fmt.Errorf("rows end at row %d, which is unpopulated", r-1)
+	}
+	n := 0
+	for i := 0; i < id.NumDigits(t.b); i++ {
+		var blk []peer.Descriptor
+		if i < len(t.rows) {
+			blk = t.rows[i]
+		}
+		if blk == nil {
+			if t.fill != nil && slices.ContainsFunc(t.fill[i*cols:(i+1)*cols], func(f uint8) bool { return f != 0 }) {
+				return fmt.Errorf("row %d unallocated but filled", i)
 			}
+			continue
+		}
+		if len(blk) != cols*t.k {
+			return fmt.Errorf("row %d block holds %d descriptors, want %d", i, len(blk), cols*t.k)
+		}
+		for j := 0; j < cols; j++ {
+			f := int(t.fill[i*cols+j])
+			if f > t.k {
+				return fmt.Errorf("slot (%d,%d) holds %d entries, k = %d", i, j, f, t.k)
+			}
+			n += f
+			slot := blk[j*t.k : (j+1)*t.k]
 			for x, d := range slot {
+				if x >= f {
+					if d != (peer.Descriptor{}) {
+						return fmt.Errorf("stale %s past the fill of slot (%d,%d)", d, i, j)
+					}
+					continue
+				}
 				if r, c, ok := t.Slot(d.ID); !ok || r != i || c != j {
 					return fmt.Errorf("%s in slot (%d,%d), belongs in (%d,%d) (ok=%v)", d, i, j, r, c, ok)
 				}
@@ -71,6 +100,9 @@ func (t *PrefixTable) checkInvariants() error {
 				}
 			}
 		}
+	}
+	if n != t.n {
+		return fmt.Errorf("slots hold %d entries, Len says %d", n, t.n)
 	}
 	return nil
 }

@@ -26,6 +26,8 @@ type LeafSet struct {
 	block []peer.Descriptor // cap-c backing; succ and pred alias into it
 	succ  []peer.Descriptor // ascending clockwise distance from self
 	pred  []peer.Descriptor // ascending counter-clockwise distance from self
+	// version advances on every change to the contents (see Version).
+	version uint64
 }
 
 // NewLeafSet returns an empty heap-backed leaf set of capacity c for the
@@ -120,20 +122,32 @@ func (l *LeafSet) Update(ds []peer.Descriptor) bool {
 	sc.old = append(sc.old[:0], l.succ...)
 	sc.old = append(sc.old, l.pred...)
 	l.rebuild(pool.Slice(), sc)
-	if l.Len() != len(sc.old) {
+	if !l.holdsExactly(sc.old) {
+		l.version++
 		return true
 	}
+	return false
+}
+
+// holdsExactly reports whether the set's IDs are exactly those of old
+// (distinct IDs). The rebuild that kept them also kept their descriptors
+// and order: kept entries enter the pool first, and the order is a
+// function of the IDs.
+func (l *LeafSet) holdsExactly(old []peer.Descriptor) bool {
+	if l.Len() != len(old) {
+		return false
+	}
 	for _, d := range l.succ {
-		if !containsID(sc.old, d.ID) {
-			return true
+		if !containsID(old, d.ID) {
+			return false
 		}
 	}
 	for _, d := range l.pred {
-		if !containsID(sc.old, d.ID) {
-			return true
+		if !containsID(old, d.ID) {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 func containsID(ds []peer.Descriptor, nodeID id.ID) bool {
@@ -215,7 +229,14 @@ func (l *LeafSet) Release() {
 		l.arena.Put(l.block)
 	}
 	l.block, l.succ, l.pred = nil, nil, nil
+	l.version++
 }
+
+// Version returns a counter that advances whenever the set's contents
+// change (an Update that reports a change, a Remove that finds its entry,
+// Release) and only then, so two equal readings bracket an unchanged set.
+// Measurement caches key on it.
+func (l *LeafSet) Version() uint64 { return l.version }
 
 // Len returns the number of descriptors currently held.
 func (l *LeafSet) Len() int { return len(l.succ) + len(l.pred) }
@@ -295,8 +316,12 @@ func (l *LeafSet) SortedByRingDistance() []peer.Descriptor {
 // Remove drops a descriptor (e.g. one detected as dead) from the set,
 // compacting the affected direction in place.
 func (l *LeafSet) Remove(nodeID id.ID) {
+	n := l.Len()
 	l.succ = removeInPlace(l.succ, nodeID)
 	l.pred = removeInPlace(l.pred, nodeID)
+	if l.Len() != n {
+		l.version++
+	}
 }
 
 // removeInPlace deletes the entry with the given ID preserving order.

@@ -27,6 +27,7 @@ func TestConfigValidate(t *testing.T) {
 		{B: 9, K: 3, C: 20, CR: 30, Delta: 10},
 		{B: 5, K: 3, C: 20, CR: 30, Delta: 10}, // 5 does not divide 64
 		{B: 4, K: 0, C: 20, CR: 30, Delta: 10},
+		{B: 4, K: MaxK + 1, C: 20, CR: 30, Delta: 10}, // a fill count is one byte
 		{B: 4, K: 3, C: 1, CR: 30, Delta: 10},
 		{B: 4, K: 3, C: 21, CR: 30, Delta: 10}, // odd C
 		{B: 4, K: 3, C: 20, CR: -1, Delta: 10},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -12,11 +13,12 @@ import (
 	"repro/internal/sampling"
 )
 
-// This file keeps the constructions createMessage and LeafSet.Update
-// replaced — hash-dedupe into a peer.Set then comparison-sort by ring
-// distance; merge everything then re-sort both directions — as references,
-// and holds the merge-and-walk and the admission filter to them, element
-// for element, over states built to sit on the edges of ring arithmetic.
+// This file keeps the constructions createMessage, LeafSet.Update and
+// PrefixTable replaced — hash-dedupe into a peer.Set then comparison-sort
+// by ring distance; merge everything then re-sort both directions; one
+// slice per slot — as references, and holds the merge-and-walk, the
+// admission filter and the row blocks to them, element for element, over
+// states built to sit on the edges of ring arithmetic and slot capacity.
 
 // referenceEntries is CreateMessage as it was: the union as a peer.Set in
 // the order self, successors, predecessors, samples, table (first
@@ -402,14 +404,386 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		"successors out of order":      func(n *Node) { n.leaf.succ[0], n.leaf.succ[1] = n.leaf.succ[1], n.leaf.succ[0] },
 		"predecessor among successors": func(n *Node) { n.leaf.succ[2] = desc(997) },
 		"self in the leaf set":         func(n *Node) { n.leaf.pred[0] = desc(1000) },
-		"entry in the wrong slot":      func(n *Node) { n.table.rows[0][15][0] = desc(5) },
-		"entry twice in a slot":        func(n *Node) { n.table.rows[0][15][1] = n.table.rows[0][15][0] },
-		"tombstoned entry kept":        func(n *Node) { n.tombs.Put(1002, n.ticks+tombstoneTTL) },
+		// Slot (0, 15) holds the two 0xF… IDs: k = 3, so one position is free.
+		"entry in the wrong slot":       func(n *Node) { n.table.rows[0][15*3] = desc(5) },
+		"entry twice in a slot":         func(n *Node) { n.table.rows[0][15*3+1] = n.table.rows[0][15*3] },
+		"stale descriptor past fill":    func(n *Node) { n.table.rows[0][15*3+2] = desc(0xF000000000000002) },
+		"slot filled past k":            func(n *Node) { n.table.fill[15] = 4 },
+		"fill counts disagree with Len": func(n *Node) { n.table.n-- },
+		"tombstoned entry kept":         func(n *Node) { n.tombs.Put(1002, n.ticks+tombstoneTTL) },
 	} {
 		n := build()
 		corrupt(n)
 		if n.CheckInvariants() == nil {
 			t.Errorf("%s: not detected", name)
 		}
+	}
+}
+
+// referencePrefixTable is the routing structure at the heart of prefix-based DHTs:
+// for every pair (i, j) — i the longest-common-prefix length with the
+// node's own ID in base-2^b digits, j the first differing digit — it holds
+// up to k descriptors of nodes whose IDs realise that pair. Rows are
+// allocated lazily, because at any practical network size only the first
+// O(log N) rows can ever be populated.
+//
+// Slot storage (the cap-k descriptor arrays) is drawn from the network's
+// DescriptorArena when one is configured, also lazily, and returned whole
+// through Release when the owning node is permanently retired.
+type referencePrefixTable struct {
+	self  id.ID
+	b, k  int
+	arena *peer.DescriptorArena
+	rows  [][][]peer.Descriptor // rows[i][j] is the (i, j) slot, cap k
+}
+
+// newReferencePrefixTableIn returns an empty prefix table whose slot storage is
+// drawn from the given arena (nil for plain heap allocation).
+func newReferencePrefixTableIn(arena *peer.DescriptorArena, self id.ID, b, k int) *referencePrefixTable {
+	return &referencePrefixTable{
+		self:  self,
+		b:     b,
+		k:     k,
+		arena: arena,
+		rows:  make([][][]peer.Descriptor, id.NumDigits(b)),
+	}
+}
+
+// Slot locates the (row, column) a descriptor ID belongs to relative to the
+// table owner. ok is false for the owner's own ID.
+func (t *referencePrefixTable) Slot(nodeID id.ID) (row, col int, ok bool) {
+	if nodeID == t.self {
+		return 0, 0, false
+	}
+	row = id.CommonPrefixLen(t.self, nodeID, t.b)
+	col = nodeID.Digit(row, t.b)
+	return row, col, true
+}
+
+// Add inserts a descriptor into its slot unless the slot is full or the
+// descriptor is already present. It reports whether the table changed —
+// this is the paper's UpdatePrefixTable applied to a single descriptor.
+func (t *referencePrefixTable) Add(d peer.Descriptor) bool {
+	row, col, ok := t.Slot(d.ID)
+	if !ok {
+		return false
+	}
+	if t.rows[row] == nil {
+		t.rows[row] = make([][]peer.Descriptor, 1<<uint(t.b))
+	}
+	slot := t.rows[row][col]
+	if len(slot) >= t.k {
+		return false
+	}
+	for _, cur := range slot {
+		if cur.ID == d.ID {
+			return false
+		}
+	}
+	if slot == nil {
+		// First entry for this slot: draw its full cap-k block, so the
+		// append below (and every later one, len < k) never reallocates.
+		slot = t.arena.Get(t.k)
+	}
+	t.rows[row][col] = append(slot, d)
+	return true
+}
+
+// AddAll inserts every descriptor of ds (the paper's UpdatePrefixTable).
+// It reports how many entries were inserted.
+func (t *referencePrefixTable) AddAll(ds []peer.Descriptor) int {
+	n := 0
+	for _, d := range ds {
+		if t.Add(d) {
+			n++
+		}
+	}
+	return n
+}
+
+// Get returns the slot contents for (row, col). The returned slice is
+// internal storage; callers must not modify it.
+func (t *referencePrefixTable) Get(row, col int) []peer.Descriptor {
+	if row < 0 || row >= len(t.rows) || t.rows[row] == nil {
+		return nil
+	}
+	if col < 0 || col >= len(t.rows[row]) {
+		return nil
+	}
+	return t.rows[row][col]
+}
+
+// Len returns the total number of entries in the table.
+func (t *referencePrefixTable) Len() int {
+	n := 0
+	for _, row := range t.rows {
+		for _, slot := range row {
+			n += len(slot)
+		}
+	}
+	return n
+}
+
+// Each calls fn for every entry in the table, row by row. fn returning
+// false stops the iteration.
+func (t *referencePrefixTable) Each(fn func(row, col int, d peer.Descriptor) bool) {
+	for i, row := range t.rows {
+		for j, slot := range row {
+			for _, d := range slot {
+				if !fn(i, j, d) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Entries returns all table entries as a fresh slice, row by row.
+func (t *referencePrefixTable) Entries() []peer.Descriptor {
+	out := make([]peer.Descriptor, 0, t.Len())
+	for _, row := range t.rows {
+		for _, slot := range row {
+			out = append(out, slot...)
+		}
+	}
+	return out
+}
+
+// appendByID appends all table entries to dst in ascending ID order. Row i
+// holds the IDs that share i digits with the owner, column j those whose
+// next digit is j; so below the owner's ID come the columns left of its own
+// digit, row after row downward (each longer shared prefix sorts higher),
+// and above it the columns right of its digit, coming back up the rows.
+// Slots keep their stored order — first come, which sweepTarget indexes —
+// and are sorted in dst.
+func (t *referencePrefixTable) appendByID(dst []peer.Descriptor) []peer.Descriptor {
+	for i, row := range t.rows {
+		if row != nil {
+			dst = referenceAppendSlotsByID(dst, row[:t.self.Digit(i, t.b)])
+		}
+	}
+	for i := len(t.rows) - 1; i >= 0; i-- {
+		if row := t.rows[i]; row != nil {
+			dst = referenceAppendSlotsByID(dst, row[t.self.Digit(i, t.b)+1:])
+		}
+	}
+	return dst
+}
+
+func referenceAppendSlotsByID(dst []peer.Descriptor, slots [][]peer.Descriptor) []peer.Descriptor {
+	for _, slot := range slots {
+		base := len(dst)
+		for _, d := range slot { // ≤ k: cheaper than a memmove call
+			dst = append(dst, d)
+		}
+		sortByID(dst[base:])
+	}
+	return dst
+}
+
+// at returns the i-th entry in Each's order, 0 ≤ i < Len().
+func (t *referencePrefixTable) at(i int) peer.Descriptor {
+	for _, row := range t.rows {
+		for _, slot := range row {
+			if i < len(slot) {
+				return slot[i]
+			}
+			i -= len(slot)
+		}
+	}
+	panic("core: prefix table index out of range")
+}
+
+// Remove drops the entry with the given ID, if present (e.g. a peer
+// detected as dead), compacting the slot in place so the slot keeps its
+// arena block.
+func (t *referencePrefixTable) Remove(nodeID id.ID) {
+	row, col, ok := t.Slot(nodeID)
+	if !ok || t.rows[row] == nil {
+		return
+	}
+	slot := t.rows[row][col]
+	for i := range slot {
+		if slot[i].ID == nodeID {
+			copy(slot[i:], slot[i+1:])
+			t.rows[row][col] = slot[:len(slot)-1]
+			return
+		}
+	}
+}
+
+// Release returns every slot block to the arena and drops the rows. The
+// table must not be used again by its current owner: the blocks may be
+// handed to another node. Safe to call repeatedly.
+func (t *referencePrefixTable) Release() {
+	for i, row := range t.rows {
+		for j, slot := range row {
+			if slot != nil {
+				t.arena.Put(slot)
+				row[j] = nil
+			}
+		}
+		t.rows[i] = nil
+	}
+}
+
+func (t *referencePrefixTable) checkInvariants() error {
+	for i, row := range t.rows {
+		for j, slot := range row {
+			if len(slot) > t.k {
+				return fmt.Errorf("slot (%d,%d) holds %d entries, k = %d", i, j, len(slot), t.k)
+			}
+			for x, d := range slot {
+				if r, c, ok := t.Slot(d.ID); !ok || r != i || c != j {
+					return fmt.Errorf("%s in slot (%d,%d), belongs in (%d,%d) (ok=%v)", d, i, j, r, c, ok)
+				}
+				if containsID(slot[:x], d.ID) {
+					return fmt.Errorf("%s twice in slot (%d,%d)", d, i, j)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// nearID builds an ID that shares row digits with self and has digit col
+// next (reduced to the row count and the digit width), followed by one of
+// 16 tails: so few distinct IDs per slot that duplicates, full slots and
+// deeper rows (col equal to self's digit) all come up. The high bit of row
+// unlocks the deep rows; without it the ID lands in the first three.
+func nearID(self id.ID, b int, row, col, tail byte) id.ID {
+	r := int(row&0x7f) % id.NumDigits(b)
+	if row&0x80 == 0 {
+		r %= 3
+	}
+	shift := uint(64 - (r+1)*b)
+	hi := uint64(self) &^ (^uint64(0) >> uint(r*b)) // self's first r digits
+	low := uint64(tail%16) * 0x9E3779B97F4A7C15 & (1<<shift - 1)
+	return id.ID(hi | uint64(col)&(1<<uint(b)-1)<<shift | low)
+}
+
+// samePrefixTable fails t unless tab and ref read the same through every
+// accessor — Len, Get for every slot (and just outside the table), Each
+// (in full and stopped halfway), at, appendByID, Entries — and both pass
+// their invariant checks.
+func samePrefixTable(t *testing.T, tab *PrefixTable, ref *referencePrefixTable) {
+	t.Helper()
+	if tab.Len() != ref.Len() {
+		t.Fatalf("Len = %d, reference %d", tab.Len(), ref.Len())
+	}
+	for row := -1; row <= id.NumDigits(tab.b); row++ {
+		for col := -1; col <= 1<<uint(tab.b); col++ {
+			if got, want := tab.Get(row, col), ref.Get(row, col); !slices.Equal(got, want) {
+				t.Fatalf("Get(%d, %d) = %v, reference %v", row, col, got, want)
+			}
+		}
+	}
+	type entry struct {
+		row, col int
+		d        peer.Descriptor
+	}
+	walk := func(each func(func(int, int, peer.Descriptor) bool), stop int) []entry {
+		var out []entry
+		each(func(row, col int, d peer.Descriptor) bool {
+			out = append(out, entry{row, col, d})
+			return len(out) != stop
+		})
+		return out
+	}
+	for _, stop := range []int{-1, tab.Len() / 2} {
+		if got, want := walk(tab.Each, stop), walk(ref.Each, stop); !slices.Equal(got, want) {
+			t.Fatalf("Each (stop %d) = %v, reference %v", stop, got, want)
+		}
+	}
+	for i := 0; i < tab.Len(); i++ {
+		if got, want := tab.at(i), ref.at(i); got != want {
+			t.Fatalf("at(%d) = %v, reference %v", i, got, want)
+		}
+	}
+	if got, want := tab.appendByID(nil), ref.appendByID(nil); !slices.Equal(got, want) {
+		t.Fatalf("appendByID = %v, reference %v", got, want)
+	}
+	if got, want := tab.Entries(), ref.Entries(); !slices.Equal(got, want) {
+		t.Fatalf("Entries = %v, reference %v", got, want)
+	}
+	if err := tab.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.checkInvariants(); err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+}
+
+// FuzzPrefixTableMatchesReference drives the row-block table and the
+// per-slot reference through one sequence of Add, AddAll, Remove and
+// Release, for b in {1, 2, 4, 8} and k in {1, 2, 3, 7}, and compares them
+// after every operation; Version must move exactly when an operation
+// changed the table. Each operation takes four bytes: the operation (its
+// high bits size an AddAll batch), then nearID's row, column and tail;
+// bytes past the first 256 operations are ignored.
+func FuzzPrefixTableMatchesReference(f *testing.F) {
+	f.Add(uint8(0), uint64(0), []byte{})
+	f.Add(uint8(10), uint64(0xA3F0000000000000), []byte{0, 0, 11, 1, 0, 0, 11, 2, 0, 0, 11, 3, 0, 0, 11, 4, 5, 0, 11, 2, 7, 0, 0, 0, 0, 0, 11, 1})
+	f.Add(uint8(15), ^uint64(0), []byte{0x2b, 0x81, 0xff, 9, 0x53, 0x8f, 0x01, 7, 5, 0x81, 0xff, 9, 6, 0x8f, 1, 7})
+	f.Fuzz(runPrefixTableOps)
+}
+
+// maxPrefixTableOps bounds a fuzzed sequence: every operation is followed
+// by a full comparison, so long inputs would only slow the fuzzer down.
+const maxPrefixTableOps = 256
+
+func runPrefixTableOps(t *testing.T, shape uint8, selfRaw uint64, ops []byte) {
+	b := []int{1, 2, 4, 8}[shape&3]
+	k := []int{1, 2, 3, 7}[shape>>2&3]
+	self := id.ID(selfRaw)
+	arena, refArena := peer.NewDescriptorArena(), peer.NewDescriptorArena()
+	tab := NewPrefixTableIn(arena, self, b, k)
+	ref := newReferencePrefixTableIn(refArena, self, b, k)
+	ops = ops[:min(len(ops), 4*maxPrefixTableOps)]
+	for ; len(ops) >= 4; ops = ops[4:] {
+		op, row, col, tail := ops[0], ops[1], ops[2], ops[3]
+		d := peer.Descriptor{ID: nearID(self, b, row, col, tail), Addr: peer.Addr(tail)}
+		v := tab.Version()
+		var changed bool
+		switch op & 7 {
+		case 0, 1, 2:
+			got, want := tab.Add(d), ref.Add(d)
+			if got != want {
+				t.Fatalf("Add(%v) = %v, reference %v", d, got, want)
+			}
+			changed = got
+		case 3, 4:
+			ds := make([]peer.Descriptor, op>>3%8)
+			for i := range ds {
+				x := byte(i)
+				ds[i] = peer.Descriptor{ID: nearID(self, b, row+x, col^x*37, tail+x), Addr: peer.Addr(x)}
+			}
+			got, want := tab.AddAll(ds), ref.AddAll(ds)
+			if got != want {
+				t.Fatalf("AddAll(%v) = %d, reference %d", ds, got, want)
+			}
+			changed = got > 0
+		case 5, 6:
+			n := tab.Len()
+			tab.Remove(d.ID)
+			ref.Remove(d.ID)
+			changed = tab.Len() != n
+		case 7:
+			tab.Release()
+			ref.Release()
+			changed = true
+		}
+		if moved := tab.Version() != v; moved != changed {
+			t.Fatalf("op %d changed the table: %v, but Version moved: %v", op&7, changed, moved)
+		}
+		samePrefixTable(t, tab, ref)
+	}
+	tab.Release()
+	ref.Release()
+	if n := arena.Outstanding(); n != 0 {
+		t.Fatalf("%d row blocks outstanding after Release", n)
+	}
+	if n := refArena.Outstanding(); n != 0 {
+		t.Fatalf("reference: %d slot blocks outstanding after Release", n)
 	}
 }

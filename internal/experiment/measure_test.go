@@ -1,11 +1,15 @@
 package experiment
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/id"
+	"repro/internal/livenet"
+	"repro/internal/truth"
 )
 
 // TestMeasureWorkersInvariance: the per-cycle measurement is sharded
@@ -88,6 +92,100 @@ func TestGeneratorReserve(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if g.Next() == first {
 			t.Fatal("generator returned a reserved ID")
+		}
+	}
+}
+
+// TestMeasureCacheMatchesFresh holds the trial's long-lived oracle — whose
+// per-node measurement cache carries counts across calls and cycles — to
+// oracles built from scratch for every measurement, after every cycle of
+// trials that mutate node state every way there is: simnet with churn
+// (structures replaced, membership patched), eviction (LeafSet.Remove and
+// PrefixTable.Remove), drops and NEWSCAST, then released structures; and
+// livenet kill/respawn, where a node keeps its ID and its structures
+// across the membership change. A mutation the cache key misses shows up
+// as a stale count.
+func TestMeasureCacheMatchesFresh(t *testing.T) {
+	t.Run("simnet", func(t *testing.T) {
+		cfg := core.DefaultConfig()
+		cfg.EvictAfterMisses = 2
+		p := Params{
+			N: 160, Seed: 23, Config: cfg, Drop: 0.1, MaxCycles: 24,
+			Churn:   Churn{Rate: 0.03, StartCycle: 2, StopCycle: 8},
+			Sampler: SamplerNewscast, WarmupCycles: 3,
+		}
+		tr, _, err := newSimTrial(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cycle := 0; cycle < p.MaxCycles; cycle++ {
+			if _, _, err := tr.observe(cycle); err != nil {
+				t.Fatal(err)
+			}
+			checkCacheMatchesFresh(t, tr, cfg, cycle)
+			tr.eng.thaw()
+		}
+		// Structures released under a still-current membership measure
+		// as empty, not as their last cached counts: leaf sets of one
+		// quarter of the members, prefix tables of another.
+		q := len(tr.measBuf) / 4
+		for i, m := range tr.measBuf[:2*q] {
+			if i < q {
+				m.Leaf.Release()
+			} else {
+				m.Table.Release()
+			}
+		}
+		checkCacheMatchesFresh(t, tr, cfg, p.MaxCycles)
+	})
+	t.Run("livenet", func(t *testing.T) {
+		p := quickLiveParams(48, 16)
+		p.Period = 10 * time.Millisecond
+		p.Scenario = livenet.ScenarioChurn
+		tr, eng, err := newLiveTrial(p, 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.rt.Close()
+		for cycle := 0; cycle < p.Cycles; cycle++ {
+			if _, _, err := tr.observe(cycle); err != nil {
+				t.Fatal(err)
+			}
+			checkCacheMatchesFresh(t, tr, p.Config, cycle)
+			tr.eng.thaw()
+		}
+		if eng.killed == 0 || eng.respawned == 0 {
+			t.Fatalf("killed %d, respawned %d: the schedule exercised no kill/respawn", eng.killed, eng.respawned)
+		}
+	})
+}
+
+// checkCacheMatchesFresh compares the trial oracle's MeasureAll and
+// MeasureSampleConf over the frozen members, at one and two workers,
+// with those of a new oracle for the same membership.
+func checkCacheMatchesFresh(t *testing.T, tr *trial, cfg core.Config, cycle int) {
+	t.Helper()
+	ids := make([]id.ID, len(tr.measBuf))
+	for i, m := range tr.measBuf {
+		ids[i] = m.Self
+	}
+	fresh := func() *truth.Truth {
+		f, err := truth.New(ids, cfg.B, cfg.K, cfg.C)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	sample := len(ids) / 4
+	for _, workers := range []int{1, 2} {
+		if got, want := tr.tr.MeasureAll(tr.measBuf, workers), fresh().MeasureAll(tr.measBuf, workers); got != want {
+			t.Fatalf("cycle %d, workers %d: MeasureAll %+v, fresh oracle %+v", cycle, workers, got, want)
+		}
+		seed := int64(cycle*2 + workers)
+		got := tr.tr.MeasureSampleConf(tr.measBuf, sample, 0.95, rand.New(rand.NewSource(seed)), workers)
+		want := fresh().MeasureSampleConf(tr.measBuf, sample, 0.95, rand.New(rand.NewSource(seed)), workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d, workers %d: MeasureSampleConf %+v, fresh oracle %+v", cycle, workers, got, want)
 		}
 	}
 }

@@ -229,26 +229,35 @@ func TestLifecycleSendToDeadHost(t *testing.T) {
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(30 * time.Millisecond)
+		await(t, func() bool { return b.Stats().Delivered > 0 }, func() string {
+			return "host b handled nothing before the kill"
+		})
 		b.Kill()
 		if !b.Stopped() {
 			t.Fatal("killed host not Stopped")
 		}
 		b.Kill() // idempotent
-		time.Sleep(30 * time.Millisecond)
+		// A dead host's inbox keeps filling; once it is full, each arrival
+		// counts as dropped.
+		await(t, func() bool { return rt.Snapshot().Dropped > 0 }, func() string {
+			return "no drop while host b was dead"
+		})
 
 		// Reading pb is safe: Kill waited for the host goroutine.
 		handledWhileDead := pb.handled
 		if handledWhileDead == 0 {
 			t.Error("no traffic handled before the kill")
 		}
+		deliveredWhileDead := b.Stats().Delivered
 		if err := b.Respawn(); err != nil {
 			t.Fatal(err)
 		}
 		if b.Stopped() {
 			t.Error("respawned host still Stopped")
 		}
-		time.Sleep(30 * time.Millisecond)
+		await(t, func() bool { return b.Stats().Delivered > deliveredWhileDead }, func() string {
+			return "respawned host b handled nothing"
+		})
 		quiesceAndClose(t, rt)
 		if pb.handled <= handledWhileDead {
 			t.Error("respawned host handled no new messages")

@@ -16,7 +16,10 @@
 // per-ID trie surgery — instead of an O(N log N) rebuild, and MeasureAll
 // shards the per-node measurement across a worker pool with per-shard
 // scratch buffers, so paper-scale (2^18) per-cycle measurement is bounded
-// by cores, not by a single thread re-deriving ground truth.
+// by cores, not by a single thread re-deriving ground truth. A node whose
+// leaf set, prefix table and oracle are all unchanged since its last
+// measurement is not measured again: its counts come from a per-node
+// cache (see counts).
 package truth
 
 import (
@@ -33,8 +36,10 @@ import (
 )
 
 // Truth is a ground-truth oracle for a membership set. The membership can
-// be mutated with Add, Remove and Update; measurement methods may be called
-// concurrently with each other, but not concurrently with mutations.
+// be mutated with Add, Remove and Update. Measurement methods (MeasureAll,
+// MeasureSampleConf) write the oracle's measurement cache, so they must not
+// run concurrently with each other or with mutations; each spreads its own
+// work across workers.
 type Truth struct {
 	b, k, c int
 	sorted  []id.ID
@@ -43,6 +48,12 @@ type Truth struct {
 	// iteration authority (flat.Set iterates in slot order, not ID order).
 	members flat.Set
 	root    *trieNode
+	// epoch advances with every membership change; a cached measurement
+	// from an earlier epoch is stale.
+	epoch uint64
+	// cache[p] is the last measurement of the member at ring position p;
+	// the first measurement after the ring changes size resizes it.
+	cache []cachedCounts
 }
 
 // New builds the oracle for the given membership and protocol parameters
@@ -183,6 +194,7 @@ func (t *Truth) Update(added, removed []id.ID) error {
 	}
 	merged = append(merged, addSorted[ai:]...)
 	t.sorted, t.spare = merged, t.sorted
+	t.epoch++
 	return nil
 }
 
@@ -443,7 +455,7 @@ func (a *Aggregate) Add(o Aggregate) {
 // and result buffers for perfect leaf sets, and two rows×cols tables for
 // expected and observed slot occupancy. One scratch per worker keeps the
 // shards false-sharing-free and the whole measurement allocation-free
-// after the first node.
+// after the first node. The zero value holds no buffers; init draws them.
 type measureScratch struct {
 	leaf       []id.ID
 	succ, pred []id.ID
@@ -452,9 +464,9 @@ type measureScratch struct {
 	live       [][]int
 }
 
-func newMeasureScratch(t *Truth) *measureScratch {
+func (scr *measureScratch) init(t *Truth) {
 	rows, cols := id.NumDigits(t.b), 1<<t.b
-	scr := &measureScratch{
+	*scr = measureScratch{
 		leaf:     make([]id.ID, 0, t.c),
 		succ:     make([]id.ID, 0, t.c),
 		pred:     make([]id.ID, 0, t.c),
@@ -465,7 +477,6 @@ func newMeasureScratch(t *Truth) *measureScratch {
 		scr.expected[i] = make([]int, cols)
 		scr.live[i] = make([]int, cols)
 	}
-	return scr
 }
 
 // nodeCounts is the raw per-node measurement — the one definition of a
@@ -476,14 +487,49 @@ type nodeCounts struct {
 	prefixMissing, prefixTotal, prefixDead int
 }
 
-// measureNode measures a single member using scr's buffers. scr.live must
-// be all-zero on entry and is restored to all-zero before returning. ok is
-// false for a non-member (harness bug), which contributes nothing.
-func (t *Truth) measureNode(m Member, scr *measureScratch) (nc nodeCounts, ok bool) {
+// measureKey is what a member's nodeCounts depend on besides its ring
+// position: its structures, their contents and the oracle's membership.
+type measureKey struct {
+	leaf              *core.LeafSet
+	table             *core.PrefixTable
+	leafVer, tableVer uint64
+	epoch             uint64
+}
+
+// cachedCounts is one member's last measurement and the key it was taken
+// under.
+type cachedCounts struct {
+	key measureKey
+	nc  nodeCounts
+}
+
+// counts returns m's nodeCounts. A member whose structures and versions
+// and the oracle's epoch all match its ring position's cache entry is
+// summed from the cache; any other goes through measureNode (scr draws its
+// buffers on first need) and refreshes the entry. Distinct members own
+// distinct entries, so shards never write the same one. ok is false for a
+// non-member (harness bug), which contributes nothing.
+func (t *Truth) counts(m Member, scr *measureScratch) (nodeCounts, bool) {
 	p := t.indexOf(m.Self)
 	if p < 0 {
 		return nodeCounts{}, false
 	}
+	key := measureKey{m.Leaf, m.Table, m.Leaf.Version(), m.Table.Version(), t.epoch}
+	c := &t.cache[p]
+	if c.key == key {
+		return c.nc, true
+	}
+	if scr.expected == nil {
+		scr.init(t)
+	}
+	*c = cachedCounts{key, t.measureNode(m, p, scr)}
+	return c.nc, true
+}
+
+// measureNode measures the member at ring position p using scr's buffers.
+// scr.live must be all-zero on entry and is restored to all-zero before
+// returning.
+func (t *Truth) measureNode(m Member, p int, scr *measureScratch) (nc nodeCounts) {
 	scr.leaf = t.appendPerfectLeafSet(scr.leaf[:0], p, scr)
 	for _, v := range scr.leaf {
 		if !m.Leaf.Contains(v) {
@@ -520,7 +566,7 @@ func (t *Truth) measureNode(m Member, scr *measureScratch) (nc nodeCounts, ok bo
 	for i := 0; i <= maxRow; i++ {
 		clear(scr.live[i])
 	}
-	return nc, true
+	return nc
 }
 
 // measureSums is the integer sum of a set of nodeCounts: the Aggregate,
@@ -543,9 +589,9 @@ func (s *measureSums) add(o measureSums) {
 	s.prefixTT += o.prefixTT
 }
 
-// measure measures one member into s using scr's buffers.
+// measure adds one member's counts to s.
 func (s *measureSums) measure(t *Truth, m Member, scr *measureScratch) {
-	nc, ok := t.measureNode(m, scr)
+	nc, ok := t.counts(m, scr)
 	if !ok {
 		return
 	}
@@ -575,9 +621,9 @@ func (s *measureSums) measure(t *Truth, m Member, scr *measureScratch) {
 // MeasureAll measures every member against the oracle, sharding the work
 // across a pool of workers (workers < 1 means GOMAXPROCS). The aggregate is
 // a sum of per-node integer counts, so the result is bit-identical for
-// every worker count, including 1. Safe to call while other goroutines
-// read the measured structures' nodes only if those nodes are quiescent;
-// the oracle itself must not be mutated concurrently.
+// every worker count, including 1, and whether a member came from the
+// cache or was measured afresh. The measured nodes must be quiescent, and
+// no other measurement or mutation of the oracle may run concurrently.
 func (t *Truth) MeasureAll(members []Member, workers int) Aggregate {
 	return t.measureShards(members, nil, workers).agg
 }
@@ -597,6 +643,11 @@ func (t *Truth) measureShards(members []Member, idx []int, workers int) measureS
 	}
 	if workers > n {
 		workers = n
+	}
+	if len(t.cache) != len(t.sorted) {
+		// Only Update changes the ring's size, and it advances the epoch:
+		// whatever the entries hold is stale.
+		t.cache = slices.Grow(t.cache[:0], len(t.sorted))[:len(t.sorted)]
 	}
 	if workers <= 1 {
 		return t.measureShard(members, idx, 0, n)
@@ -625,16 +676,17 @@ func (t *Truth) measureShards(members []Member, idx []int, workers int) measureS
 }
 
 // measureShard measures positions [lo, hi) of idx — of members when idx is
-// nil — with a scratch of its own. It sums into a local and stores the
-// partial once: neighbouring partials share cache lines.
+// nil — with a scratch of its own, drawn only if some member misses the
+// cache. It sums into a local and stores the partial once: neighbouring
+// partials share cache lines.
 func (t *Truth) measureShard(members []Member, idx []int, lo, hi int) measureSums {
 	var sums measureSums
-	scr := newMeasureScratch(t)
+	var scr measureScratch
 	for i := lo; i < hi; i++ {
 		if idx != nil {
-			sums.measure(t, members[idx[i]], scr)
+			sums.measure(t, members[idx[i]], &scr)
 		} else {
-			sums.measure(t, members[i], scr)
+			sums.measure(t, members[i], &scr)
 		}
 	}
 	return sums

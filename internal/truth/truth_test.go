@@ -37,8 +37,9 @@ func naiveAvailable(ids []id.ID, self id.ID, row, col, b int) int {
 // expectedSlotCounts returns self's perfect per-slot occupancy, the rows
 // expectedSlotCountsInto fills.
 func expectedSlotCounts(tr *Truth, self id.ID) [][]int {
-	rows := newMeasureScratch(tr).expected
-	return rows[:tr.expectedSlotCountsInto(self, rows)]
+	var scr measureScratch
+	scr.init(tr)
+	return scr.expected[:tr.expectedSlotCountsInto(self, scr.expected)]
 }
 
 // availableAt is the trie's count of members whose slot relative to self
@@ -162,7 +163,9 @@ func naivePerfectLeafSet(ids []id.ID, self id.ID, c int) map[id.ID]bool {
 // perfectLeafSet returns the perfect leaf set of member self, the IDs
 // appendPerfectLeafSet derives.
 func perfectLeafSet(tr *Truth, self id.ID) []id.ID {
-	return tr.appendPerfectLeafSet(nil, tr.indexOf(self), newMeasureScratch(tr))
+	var scr measureScratch
+	scr.init(tr)
+	return tr.appendPerfectLeafSet(nil, tr.indexOf(self), &scr)
 }
 
 // measureOne measures a single node through MeasureAll.
