@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -222,6 +224,29 @@ func TestParsePaperSizes(t *testing.T) {
 	for i, w := range want {
 		if o.sizes[i] != w {
 			t.Fatalf("sizes = %v, want %v", o.sizes, want)
+		}
+	}
+}
+
+// TestBootsimGolden pins the sha256 of two full CLI outputs: fig4 on the
+// sharded engine with drops, and fig3 over the NEWSCAST sampler. Both are
+// pure functions of the flags, so any moved draw changes the hash.
+func TestBootsimGolden(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "256", "-experiment", "fig4", "-shards", "2"}, "8b0209335285742fe943619d47d86124f35c784bc2e032e2e4db6bfef71dd3b4"},
+		{[]string{"-n", "512", "-sampler", "newscast", "-seed", "3"}, "d77624f04cf96a485cc67b6f5c90fe6049902617124abcbb02984fc61bc346f6"},
+	}
+	for _, c := range cases {
+		var sb strings.Builder
+		if err := run(c.args, &sb); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		sum := sha256.Sum256([]byte(sb.String()))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%v: output sha256 = %s, want %s\n%s", c.args, got, c.want, sb.String())
 		}
 	}
 }

@@ -152,8 +152,7 @@ func buildPerfect(o *options) (*world, error) {
 }
 
 // buildSimnet runs the paper's bootstrap protocol on the simulated
-// network and promotes the converged structures into the DHT (the
-// examples/kvstore flow).
+// network and promotes the converged structures into the DHT.
 func buildSimnet(o *options) (*world, error) {
 	total := o.n + o.standby
 	net := simnet.New(simnet.Config{Seed: o.seed})

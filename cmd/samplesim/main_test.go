@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -61,5 +63,28 @@ func TestSizeEstSmall(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "probe_estimate") {
 		t.Error("missing CSV header")
+	}
+}
+
+// TestSamplesimGolden pins the sha256 of two full CLI outputs: the
+// default self-healing run and the start-spread experiment. NEWSCAST's
+// view order feeds every draw in them, so a change there moves the hash.
+func TestSamplesimGolden(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{nil, "18c243765e61c8fee6ce542f1fbdaa40d0e21b570edfde626bd9fc4762e56054"},
+		{[]string{"-experiment", "startspread"}, "b6ed9b3cf1b834fb7e97b165d6baeedd82ee992bcf20e8fe4f154dff5d76a7f6"},
+	}
+	for _, c := range cases {
+		var sb strings.Builder
+		if err := run(c.args, &sb); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		sum := sha256.Sum256([]byte(sb.String()))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%v: output sha256 = %s, want %s\n%s", c.args, got, c.want, sb.String())
+		}
 	}
 }

@@ -5,6 +5,7 @@
 // from scratch on top of a peer sampling service.
 //
 // The implementation lives under internal/ (see DESIGN.md for the module
-// inventory), the runnable demos under examples/, and the figure
-// regeneration harness in bench_test.go and cmd/bootsim.
+// inventory), runnable usage in the packages' Example functions and the
+// CLIs under cmd/, and the figure regeneration harness in bench_test.go
+// and cmd/bootsim.
 package repro

@@ -25,7 +25,7 @@ import "sync"
 //
 // A nil *DescriptorArena is valid and falls back to plain heap allocation
 // (Get makes a fresh slice, Put discards), so code paths without an
-// engine-owned arena — examples, unit tests, the chord overlay — need no
+// engine-owned arena — unit tests, the chord overlay — need no
 // special casing.
 //
 // Get and Put lock a mutex; both sit on cold paths (node construction,
