@@ -16,15 +16,12 @@ import (
 	"testing"
 
 	"repro/internal/chord"
-	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/experiment"
 	"repro/internal/id"
 	"repro/internal/newscast"
-	"repro/internal/overlay/kademlia"
 	"repro/internal/overlay/pastry"
-	"repro/internal/overlay/tapestry"
 	"repro/internal/peer"
 	"repro/internal/proto"
 	"repro/internal/sampling"
@@ -690,30 +687,6 @@ func BenchmarkPastryRoute(b *testing.B) {
 	}
 }
 
-func BenchmarkKademliaLookup(b *testing.B) {
-	descs, _ := benchWorld(2048, 11)
-	cfg := core.DefaultConfig()
-	oracle := sampling.NewOracle(descs, 12)
-	nodes := make([]*kademlia.Node, len(descs))
-	for i, d := range descs {
-		nd, err := core.NewNode(d, cfg, oracle)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nd.Leaf().Update(descs)
-		nd.Table().AddAll(descs)
-		nodes[i] = kademlia.FromBootstrap(nd)
-	}
-	mesh := kademlia.NewMesh(nodes, 0)
-	rng := rand.New(rand.NewSource(13))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mesh.Lookup(descs[rng.Intn(len(descs))].Addr, id.ID(rng.Uint64())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkNewscastCycle(b *testing.B) {
 	const n = 1024
 	net := simnet.New(simnet.Config{Seed: 14})
@@ -800,72 +773,6 @@ func BenchmarkChurnEviction(b *testing.B) {
 			b.ReportMetric(leaf/float64(b.N), "final-leaf-missing")
 			b.ReportMetric(prefix/float64(b.N), "final-prefix-missing")
 		})
-	}
-}
-
-// BenchmarkProximityRouting quantifies the paper's k>1 rationale: mean
-// route cost with and without proximity-aware slot selection.
-func BenchmarkProximityRouting(b *testing.B) {
-	const n = 1 << 10
-	descs, _ := benchWorld(n, 16)
-	space := coord.NewRandomSpace(n, 17, 100)
-	cfg := core.DefaultConfig()
-	build := func(prox pastry.Proximity) *pastry.Mesh {
-		routers := make([]*pastry.Router, n)
-		for i, d := range descs {
-			ls := core.NewLeafSet(d.ID, cfg.C)
-			ls.Update(descs)
-			pt := core.NewPrefixTable(d.ID, cfg.B, cfg.K)
-			pt.AddAll(descs)
-			r := pastry.New(d, ls, pt, cfg.B)
-			if prox != nil {
-				r.WithProximity(prox)
-			}
-			routers[i] = r
-		}
-		return pastry.NewMesh(routers, 0)
-	}
-	for _, variant := range []struct {
-		name string
-		prox pastry.Proximity
-	}{{"plain", nil}, {"proximity", space.Latency}} {
-		b.Run(variant.name, func(b *testing.B) {
-			mesh := build(variant.prox)
-			rng := rand.New(rand.NewSource(18))
-			var cost int64
-			routes := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				path, err := mesh.Route(descs[rng.Intn(n)].Addr, id.ID(rng.Uint64()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost += pastry.PathCost(path, space.Latency)
-				routes++
-			}
-			b.ReportMetric(float64(cost)/float64(routes), "cost/route")
-		})
-	}
-}
-
-// BenchmarkTapestryRoute measures surrogate routing over perfect tables.
-func BenchmarkTapestryRoute(b *testing.B) {
-	const n = 2048
-	descs, _ := benchWorld(n, 19)
-	cfg := core.DefaultConfig()
-	routers := make([]*tapestry.Router, n)
-	for i, d := range descs {
-		pt := core.NewPrefixTable(d.ID, cfg.B, cfg.K)
-		pt.AddAll(descs)
-		routers[i] = tapestry.New(d, pt, cfg.B)
-	}
-	mesh := tapestry.NewMesh(routers, 0)
-	rng := rand.New(rand.NewSource(20))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mesh.Route(descs[rng.Intn(n)].Addr, id.ID(rng.Uint64())); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

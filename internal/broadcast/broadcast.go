@@ -101,15 +101,9 @@ func New(self peer.Descriptor, cfg Config, sampler sampling.Service, onDeliver f
 	}, nil
 }
 
-// Init is a no-op; the protocol is purely reactive until a rumor arrives
-// or is injected.
+// Init is a no-op; the protocol is purely reactive until a rumor arrives.
+// A harness starts one by sending the origin a rumor addressed to itself.
 func (p *Protocol) Init(proto.Context) {}
-
-// Inject makes this node the origin of a rumor (the "system
-// administrator" entry point).
-func (p *Protocol) Inject(ctx proto.Context, r Rumor) {
-	p.receive(ctx, r)
-}
 
 // Tick pushes all hot rumors to Fanout random peers and cools them.
 func (p *Protocol) Tick(ctx proto.Context) {

@@ -29,8 +29,10 @@ const (
 	// DefaultB is the number of bits per digit (digits in base 2^b).
 	DefaultB = 4
 	// DefaultK is the number of entries kept per (prefix length, digit)
-	// pair. k > 1 remains useful even for substrates that need a single
-	// entry, because it enables proximity optimisation of routes.
+	// pair. The paper keeps k > 1 even for substrates that need a single
+	// entry, because it enables proximity optimisation of routes; here
+	// the later entries are what pastry's next-hop rule falls back to
+	// when the first one is dead.
 	DefaultK = 3
 	// DefaultC is the leaf set size.
 	DefaultC = 20

@@ -266,9 +266,6 @@ func (t *PrefixTable) Release() {
 	t.version++
 }
 
-// Owner returns the ID of the node this table belongs to.
-func (t *PrefixTable) Owner() id.ID { return t.self }
-
 // B returns the digit width parameter.
 func (t *PrefixTable) B() int { return t.b }
 

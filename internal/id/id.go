@@ -1,7 +1,6 @@
 // Package id implements the 64-bit node identifier arithmetic used by the
 // bootstrapping service: base-2^b digit access, longest-common-prefix
-// length, the ring metric used for leaf sets, and the XOR metric used by
-// Kademlia-style overlays.
+// length, and the ring metric used for leaf sets.
 //
 // The paper simulates 64-bit IDs (Section 5): although DHT definitions often
 // use 128 bits, the longest common prefix between any two IDs is far below
@@ -59,14 +58,6 @@ func CommonPrefixLen(a, b2 ID, b int) int {
 	}
 	return bits.LeadingZeros64(x) / b
 }
-
-// CommonPrefixBits returns the longest common prefix of a and b2 in bits.
-func CommonPrefixBits(a, b2 ID) int {
-	return bits.LeadingZeros64(uint64(a) ^ uint64(b2))
-}
-
-// XORDistance is the Kademlia metric between two IDs.
-func XORDistance(a, b2 ID) uint64 { return uint64(a) ^ uint64(b2) }
 
 // Succ returns the clockwise (increasing, wrapping) distance from a to b2 on
 // the ring. Succ(a, a) == 0.

@@ -1,7 +1,6 @@
 package id
 
 import (
-	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -157,42 +156,6 @@ func TestCompareRing(t *testing.T) {
 	// wraparound: 2^64-1 is at distance 101 from 100
 	if CompareRing(a, ID(^uint64(0)), 300) >= 0 {
 		t.Error("wraparound distance should beat 300-100")
-	}
-}
-
-func TestXORDistance(t *testing.T) {
-	if XORDistance(0b1010, 0b1010) != 0 {
-		t.Error("distance to self must be zero")
-	}
-	if XORDistance(0b1010, 0b0010) != 0b1000 {
-		t.Error("xor metric mismatch")
-	}
-	f := func(x, y uint64) bool {
-		return XORDistance(ID(x), ID(y)) == XORDistance(ID(y), ID(x))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestXORDistanceUnidirectional(t *testing.T) {
-	// Kademlia's unidirectionality: for any a and distance d there is
-	// exactly one y with XORDistance(a, y) == d.
-	f := func(x, d uint64) bool {
-		y := ID(x ^ d)
-		return XORDistance(ID(x), y) == d
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCommonPrefixBitsMatchesLeadingZeros(t *testing.T) {
-	f := func(x, y uint64) bool {
-		return CommonPrefixBits(ID(x), ID(y)) == bits.LeadingZeros64(x^y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

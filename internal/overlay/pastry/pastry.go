@@ -14,11 +14,6 @@ import (
 	"repro/internal/peer"
 )
 
-// Proximity is a symmetric cost metric between nodes (e.g. measured
-// network latency). Routers use it to choose among equivalent prefix-table
-// entries.
-type Proximity func(a, b peer.Addr) int64
-
 // Router holds one node's bootstrapped routing state. Routes are taken
 // over its Snapshot, which carries Pastry's next-hop rule.
 type Router struct {
@@ -26,7 +21,6 @@ type Router struct {
 	leaf  *core.LeafSet
 	table *core.PrefixTable
 	b     int
-	prox  Proximity
 }
 
 // FromBootstrap adopts a bootstrap node's structures. The router shares the
@@ -41,20 +35,12 @@ func FromBootstrap(n *core.Node) *Router {
 	}
 }
 
-// New builds a router from explicit structures (used by tests).
+// New builds a router from explicit structures. cmd/loadsim's perfect
+// boot and the benchmark's perfect-table cluster (its direct DHT and route
+// timings) use it with tables they filled without running the bootstrap
+// protocol.
 func New(self peer.Descriptor, leaf *core.LeafSet, table *core.PrefixTable, b int) *Router {
 	return &Router{self: self, leaf: leaf, table: table, b: b}
-}
-
-// WithProximity makes the router's snapshots prefer, within a prefix-table
-// slot, the entry closest to this node under the given metric — Pastry's
-// locality heuristic, enabled by the bootstrap parameter k > 1 (the paper
-// calls this out as the reason to keep multiple entries per slot). Any slot
-// entry makes the same prefix progress, so route correctness and length
-// are unaffected; only per-hop cost changes. It returns the router.
-func (r *Router) WithProximity(p Proximity) *Router {
-	r.prox = p
-	return r
 }
 
 // Self returns the descriptor of the owning node.
@@ -115,13 +101,4 @@ func (m *Mesh) Route(start peer.Addr, key id.ID) ([]peer.Addr, error) {
 		cur = ns
 	}
 	return path, fmt.Errorf("%w: exceeded %d hops", ErrRouteFailed, m.maxHops)
-}
-
-// PathCost sums the per-hop costs of a route under the given metric.
-func PathCost(path []peer.Addr, prox Proximity) int64 {
-	var total int64
-	for i := 1; i < len(path); i++ {
-		total += prox(path[i-1], path[i])
-	}
-	return total
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/id"
 	"repro/internal/peer"
@@ -183,66 +182,6 @@ func TestRoutingAfterRealBootstrap(t *testing.T) {
 		if path[len(path)-1] != want.Addr {
 			t.Fatalf("key %s rooted at %d, want %s", key, path[len(path)-1], want)
 		}
-	}
-}
-
-// TestProximityRoutingCheaper validates the paper's rationale for k > 1:
-// choosing the proximally closest of the k slot entries lowers total route
-// cost without changing route length or the delivery root.
-func TestProximityRoutingCheaper(t *testing.T) {
-	const n = 600
-	routers, descs, _ := perfectRouters(t, n, 21)
-	space := coord.NewRandomSpace(n, 22, 100)
-
-	proxRouters := make([]*Router, n)
-	for i, d := range descs {
-		cfg := core.DefaultConfig()
-		ls := core.NewLeafSet(d.ID, cfg.C)
-		ls.Update(descs)
-		pt := core.NewPrefixTable(d.ID, cfg.B, cfg.K)
-		pt.AddAll(descs)
-		proxRouters[i] = New(d, ls, pt, cfg.B).WithProximity(space.Latency)
-	}
-	plain := NewMesh(routers, 0)
-	prox := NewMesh(proxRouters, 0)
-
-	rng := rand.New(rand.NewSource(23))
-	var plainCost, proxCost int64
-	const trials = 400
-	for i := 0; i < trials; i++ {
-		key := id.ID(rng.Uint64())
-		start := peer.Addr(rng.Intn(n))
-		p1, err := plain.Route(start, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := prox.Route(start, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p1[len(p1)-1] != p2[len(p2)-1] {
-			t.Fatalf("proximity choice changed the delivery root for %s", key)
-		}
-		plainCost += PathCost(p1, space.Latency)
-		proxCost += PathCost(p2, space.Latency)
-	}
-	if proxCost >= plainCost {
-		t.Errorf("proximity routing cost %d >= plain %d — k>1 gave no benefit", proxCost, plainCost)
-	}
-	improvement := 1 - float64(proxCost)/float64(plainCost)
-	t.Logf("proximity routing saves %.1f%% of path cost", improvement*100)
-	if improvement < 0.05 {
-		t.Errorf("improvement %.3f suspiciously small for k=3", improvement)
-	}
-}
-
-func TestPathCost(t *testing.T) {
-	unit := func(a, b peer.Addr) int64 { return 10 }
-	if got := PathCost([]peer.Addr{1, 2, 3}, unit); got != 20 {
-		t.Errorf("PathCost = %d, want 20", got)
-	}
-	if got := PathCost([]peer.Addr{1}, unit); got != 0 {
-		t.Errorf("single-node path cost = %d, want 0", got)
 	}
 }
 

@@ -30,7 +30,6 @@ type Snapshot struct {
 	// are represented; deeper rows are empty.
 	rows, cols, k int
 	entries       []peer.Descriptor
-	prox          Proximity // nil: take the first reachable slot entry
 	// succ and pred are the leaf lists, closest first.
 	succ, pred []peer.Descriptor
 }
@@ -40,7 +39,7 @@ type Snapshot struct {
 // populated rows and is meant to be rebuilt only when the state changes
 // (join/repair), not per route.
 func (r *Router) Snapshot() *Snapshot {
-	s := &Snapshot{self: r.self, b: r.b, cols: 1 << uint(r.b), k: r.table.K(), prox: r.prox}
+	s := &Snapshot{self: r.self, b: r.b, cols: 1 << uint(r.b), k: r.table.K()}
 	// The deepest populated row bounds the slot array, which keeps it
 	// O(log N) rows in practice instead of NumDigits.
 	r.table.Each(func(row, _ int, _ peer.Descriptor) bool {
@@ -97,13 +96,13 @@ func live(ok Reachable, origin peer.Addr, d peer.Descriptor) bool {
 // NextHopAlive is Pastry's next-hop rule over the snapshot, considering
 // only candidates the filter accepts. In order: a key within the live span
 // of the leaf set goes to the ring-closest of the live leaf entries and
-// self; otherwise the live entries of the prefix-table slot that extends
-// the shared prefix by one digit take it (the proximally closest one when
-// the router had a Proximity metric, else the first); otherwise any live
-// known node strictly closer to the key that does not shorten the shared
-// prefix does. done is true when the key is rooted at the snapshot's owner
-// (no live candidate is closer). The hot path allocates nothing: all
-// scanning works over the snapshot's backing array.
+// self; otherwise the first live entry, in the table's first-come order, of
+// the prefix-table slot that extends the shared prefix by one digit takes
+// it (the slot's later entries stand in when earlier ones are dead);
+// otherwise any live known node strictly closer to the key that does not
+// shorten the shared prefix does. done is true when the key is rooted at
+// the snapshot's owner (no live candidate is closer). The hot path
+// allocates nothing: all scanning works over the snapshot's backing array.
 func (s *Snapshot) NextHopAlive(key id.ID, origin peer.Addr, ok Reachable) (next peer.Descriptor, done bool) {
 	if key == s.self.ID {
 		return s.self, true
@@ -116,23 +115,13 @@ func (s *Snapshot) NextHopAlive(key id.ID, origin peer.Addr, ok Reachable) (next
 	}
 	row := id.CommonPrefixLen(s.self.ID, key, s.b)
 	col := key.Digit(row, s.b)
-	best, found := peer.Descriptor{}, false
 	for _, d := range s.slot(row, col) {
 		if d.Nil() {
 			break
 		}
-		if !live(ok, origin, d) {
-			continue
-		}
-		if s.prox == nil {
+		if live(ok, origin, d) {
 			return d, false
 		}
-		if !found || s.prox(s.self.Addr, d.Addr) < s.prox(s.self.Addr, best.Addr) {
-			best, found = d, true
-		}
-	}
-	if found {
-		return best, false
 	}
 	if d, found := s.rareCase(key, row, origin, ok); found {
 		return d, false

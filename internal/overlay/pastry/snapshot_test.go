@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/id"
 	"repro/internal/peer"
@@ -14,25 +13,19 @@ import (
 
 // TestSnapshotNextHopMatchesRouter: with a nil filter, NextHopAlive must
 // agree hop-for-hop with referenceNextHop over the live structures for
-// every (start, key), both with no proximity metric and with one.
+// every (start, key).
 func TestSnapshotNextHopMatchesRouter(t *testing.T) {
 	const n = 128
 	routers, _, _ := perfectRouters(t, n, 11)
 	keys := id.Unique(200, 12)
-	space := coord.NewRandomSpace(n, 13, 100)
-	for _, pass := range []struct {
-		name string
-		prox Proximity
-	}{{"plain", nil}, {"proximity", space.Latency}} {
-		for i, r := range routers {
-			snap := r.WithProximity(pass.prox).Snapshot()
-			for _, key := range keys {
-				wantNext, wantDone := referenceNextHop(r, key)
-				gotNext, gotDone := snap.NextHopAlive(key, r.Self().Addr, nil)
-				if wantDone != gotDone || wantNext.ID != gotNext.ID {
-					t.Fatalf("%s: router %d key %s: snapshot hop (%s, %v) != reference hop (%s, %v)",
-						pass.name, i, key, gotNext, gotDone, wantNext, wantDone)
-				}
+	for i, r := range routers {
+		snap := r.Snapshot()
+		for _, key := range keys {
+			wantNext, wantDone := referenceNextHop(r, key)
+			gotNext, gotDone := snap.NextHopAlive(key, r.Self().Addr, nil)
+			if wantDone != gotDone || wantNext.ID != gotNext.ID {
+				t.Fatalf("router %d key %s: snapshot hop (%s, %v) != reference hop (%s, %v)",
+					i, key, gotNext, gotDone, wantNext, wantDone)
 			}
 		}
 	}
@@ -53,20 +46,12 @@ func referenceNextHop(r *Router, key id.ID) (next peer.Descriptor, done bool) {
 		}
 		return best, false
 	}
-	// Prefix rule: extend the common prefix by one digit, choosing the
-	// proximally closest slot entry when a metric is installed.
+	// Prefix rule: extend the common prefix by one digit through the
+	// slot's first entry.
 	row := id.CommonPrefixLen(r.self.ID, key, r.b)
 	col := key.Digit(row, r.b)
 	if slot := r.table.Get(row, col); len(slot) > 0 {
-		best := slot[0]
-		if r.prox != nil {
-			for _, d := range slot[1:] {
-				if r.prox(r.self.Addr, d.Addr) < r.prox(r.self.Addr, best.Addr) {
-					best = d
-				}
-			}
-		}
-		return best, false
+		return slot[0], false
 	}
 	// Rare case: any known node closer to the key with at least as long
 	// a shared prefix.
@@ -157,20 +142,10 @@ func referenceNextHopAlive(s *Snapshot, key id.ID, origin peer.Addr, ok Reachabl
 	}
 	row := id.CommonPrefixLen(s.self.ID, key, s.b)
 	col := key.Digit(row, s.b)
-	best, found := peer.Descriptor{}, false
 	for _, d := range referenceSlot(s, row, col) {
-		if ok != nil && !ok(origin, d.Addr) {
-			continue
-		}
-		if s.prox == nil {
+		if ok == nil || ok(origin, d.Addr) {
 			return d, false
 		}
-		if !found || s.prox(s.self.Addr, d.Addr) < s.prox(s.self.Addr, best.Addr) {
-			best, found = d, true
-		}
-	}
-	if found {
-		return best, false
 	}
 	if d, found := referenceRareCaseAlive(s, key, row, origin, ok); found {
 		return d, false
@@ -293,9 +268,8 @@ const gridStep = uint64(1) << 58
 // newRefRing builds n routers with distinct IDs: uniform random IDs, or
 // random multiples of gridStep when grid is set (n <= 64). Each router
 // learns the ring in its own shuffled order, so the first-come order of
-// prefix slots differs between routers. With prox set the snapshots carry
-// a proximity metric.
-func newRefRing(n int, grid, prox bool, seed int64) *refRing {
+// prefix slots differs between routers.
+func newRefRing(n int, grid bool, seed int64) *refRing {
 	rng := rand.New(rand.NewSource(seed))
 	var ids []id.ID
 	if grid {
@@ -309,10 +283,6 @@ func newRefRing(n int, grid, prox bool, seed int64) *refRing {
 	for i, v := range ids {
 		r.descs[i] = peer.Descriptor{ID: v, Addr: peer.Addr(i)}
 	}
-	var metric Proximity
-	if prox {
-		metric = coord.NewRandomSpace(n, seed+1, 100).Latency
-	}
 	cfg := core.DefaultConfig()
 	order := slices.Clone(r.descs)
 	for _, d := range r.descs {
@@ -321,7 +291,7 @@ func newRefRing(n int, grid, prox bool, seed int64) *refRing {
 		ls.Update(order)
 		pt := core.NewPrefixTable(d.ID, cfg.B, cfg.K)
 		pt.AddAll(order)
-		r.snaps = append(r.snaps, New(d, ls, pt, cfg.B).WithProximity(metric).Snapshot())
+		r.snaps = append(r.snaps, New(d, ls, pt, cfg.B).Snapshot())
 	}
 	return r
 }
@@ -379,23 +349,21 @@ func TestSnapshotNextHopAliveMatchesReference(t *testing.T) {
 			if grid && n > 64 {
 				continue
 			}
-			for _, prox := range []bool{false, true} {
-				seed := int64(10 * n)
-				if grid {
-					seed++
-				}
-				r := newRefRing(n, grid, prox, seed)
-				keys := append(id.Unique(100, seed+2), r.edgeKeys()...)
-				rng := rand.New(rand.NewSource(seed + 3))
-				for _, frac := range []float64{0, 0.1, 0.5, 1} {
-					name := fmt.Sprintf("n=%d/grid=%v/prox=%v/dead=%v", n, grid, prox, frac)
-					for i := range r.snaps {
-						var ok Reachable
-						if frac > 0 {
-							ok = r.deadFilter(frac, i, rng)
-						}
-						r.check(t, name, i, ok, keys)
+			seed := int64(10 * n)
+			if grid {
+				seed++
+			}
+			r := newRefRing(n, grid, seed)
+			keys := append(id.Unique(100, seed+2), r.edgeKeys()...)
+			rng := rand.New(rand.NewSource(seed + 3))
+			for _, frac := range []float64{0, 0.1, 0.5, 1} {
+				name := fmt.Sprintf("n=%d/grid=%v/dead=%v", n, grid, frac)
+				for i := range r.snaps {
+					var ok Reachable
+					if frac > 0 {
+						ok = r.deadFilter(frac, i, rng)
 					}
+					r.check(t, name, i, ok, keys)
 				}
 			}
 		}
@@ -405,14 +373,14 @@ func TestSnapshotNextHopAliveMatchesReference(t *testing.T) {
 // FuzzNextHopAliveMatchesReference drives the same comparison from
 // arbitrary ring sizes, dead sets and keys.
 func FuzzNextHopAliveMatchesReference(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint64(0), false, false)
-	f.Add(int64(2), uint8(1), uint8(128), uint64(1)<<63, true, false)
-	f.Add(int64(3), uint8(20), uint8(25), uint64(12345), true, true)
-	f.Add(int64(4), uint8(39), uint8(255), ^uint64(0), false, true)
-	f.Add(int64(5), uint8(10), uint8(60), uint64(3)<<57, true, false)
-	f.Fuzz(func(t *testing.T, seed int64, size, dead uint8, key uint64, grid, prox bool) {
+	f.Add(int64(1), uint8(0), uint8(0), uint64(0), false)
+	f.Add(int64(2), uint8(1), uint8(128), uint64(1)<<63, true)
+	f.Add(int64(3), uint8(20), uint8(25), uint64(12345), true)
+	f.Add(int64(4), uint8(39), uint8(255), ^uint64(0), false)
+	f.Add(int64(5), uint8(10), uint8(60), uint64(3)<<57, true)
+	f.Fuzz(func(t *testing.T, seed int64, size, dead uint8, key uint64, grid bool) {
 		n := 1 + int(size)%40
-		r := newRefRing(n, grid, prox, seed)
+		r := newRefRing(n, grid, seed)
 		rng := rand.New(rand.NewSource(seed))
 		i := rng.Intn(n)
 		var ok Reachable
@@ -431,7 +399,7 @@ func FuzzNextHopAliveMatchesReference(f *testing.F) {
 // outward walk past the end of its leaf list; the hop falls back to the
 // inner neighbour.
 func TestNextHopAliveFilterChangesMidHop(t *testing.T) {
-	r := newRefRing(128, false, false, 17)
+	r := newRefRing(128, false, 17)
 	s := r.snaps[0]
 	succ, pred := s.Leaf()
 	for _, tc := range []struct {

@@ -6,7 +6,6 @@ package peer
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/flat"
 	"repro/internal/id"
@@ -141,29 +140,6 @@ func ringLess(pivot id.ID, a, b Descriptor) bool {
 		return c < 0
 	}
 	return a.ID < b.ID
-}
-
-// SortByXORDistance orders ds in place by XOR distance from the pivot,
-// closest first.
-func SortByXORDistance(ds []Descriptor, pivot id.ID) {
-	sort.Slice(ds, func(i, j int) bool {
-		return id.XORDistance(pivot, ds[i].ID) < id.XORDistance(pivot, ds[j].ID)
-	})
-}
-
-// Dedup returns ds with duplicate IDs removed, keeping first occurrences.
-// The input slice is not modified.
-func Dedup(ds []Descriptor) []Descriptor {
-	seen := make(map[id.ID]struct{}, len(ds))
-	out := make([]Descriptor, 0, len(ds))
-	for _, d := range ds {
-		if _, dup := seen[d.ID]; dup {
-			continue
-		}
-		seen[d.ID] = struct{}{}
-		out = append(out, d)
-	}
-	return out
 }
 
 // Without returns ds with any descriptor matching nodeID removed. The input

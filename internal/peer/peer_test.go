@@ -109,28 +109,6 @@ func TestSortByRingDistanceIsSorted(t *testing.T) {
 	}
 }
 
-func TestSortByXORDistance(t *testing.T) {
-	ds := []Descriptor{d(0b1000), d(0b0001), d(0b0010)}
-	SortByXORDistance(ds, 0)
-	if ds[0].ID != 0b0001 || ds[1].ID != 0b0010 || ds[2].ID != 0b1000 {
-		t.Errorf("unexpected order %v", ds)
-	}
-}
-
-func TestDedup(t *testing.T) {
-	in := []Descriptor{d(1), d(2), d(1), d(3), d(2)}
-	out := Dedup(in)
-	if len(out) != 3 {
-		t.Fatalf("len = %d, want 3", len(out))
-	}
-	if out[0].ID != 1 || out[1].ID != 2 || out[2].ID != 3 {
-		t.Errorf("order not preserved: %v", out)
-	}
-	if len(in) != 5 {
-		t.Error("input modified")
-	}
-}
-
 func TestWithout(t *testing.T) {
 	in := []Descriptor{d(1), d(2), d(3)}
 	out := Without(in, 2)
