@@ -236,8 +236,8 @@ func TestBootsimGolden(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-n", "256", "-experiment", "fig4", "-shards", "2"}, "8b0209335285742fe943619d47d86124f35c784bc2e032e2e4db6bfef71dd3b4"},
-		{[]string{"-n", "512", "-sampler", "newscast", "-seed", "3"}, "d77624f04cf96a485cc67b6f5c90fe6049902617124abcbb02984fc61bc346f6"},
+		{[]string{"-n", "256", "-experiment", "fig4", "-shards", "2"}, "7f81590e09fcb611653b6ca6baf06d4a53340ce88f251752ca6e04bcd56027aa"},
+		{[]string{"-n", "512", "-sampler", "newscast", "-seed", "3"}, "75f106737540006b1d05d88bcde8241a86625f9dbb2f6d3e9be67b58dd0c9f16"},
 	}
 	for _, c := range cases {
 		var sb strings.Builder

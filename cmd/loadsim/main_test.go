@@ -49,7 +49,7 @@ func TestLoadSimGolden(t *testing.T) {
 	det := deterministicColumns(t, sb.String())
 	sum := sha256.Sum256([]byte(det))
 	got := hex.EncodeToString(sum[:])
-	const want = "6bc506b0e7959d7872f0dbd29152fa2eac0db728327a887b0e0c8aa660352fa7"
+	const want = "a81636edbaeca4d3fb6c85493cbd930cd7c433f2ecc3ca115fd1c6da8ec6b609"
 	if got != want {
 		t.Errorf("deterministic CSV hash = %s, want %s\ncontent:\n%s", got, want, det)
 	}
@@ -70,7 +70,7 @@ func TestLoadSimCrashGolden(t *testing.T) {
 	det := deterministicColumns(t, sb.String())
 	sum := sha256.Sum256([]byte(det))
 	got := hex.EncodeToString(sum[:])
-	const want = "d787fdc569f4b0e549de8a1dcf287eb1cf030aed35e9a4cc8c30e21fb0de5598"
+	const want = "8562dbc5d7fc1e9aa70b0cba6d0d0943c37f67e677505751ddcf6d03a5658e2d"
 	if got != want {
 		t.Errorf("deterministic CSV hash = %s, want %s\ncontent:\n%s", got, want, det)
 	}

@@ -74,7 +74,7 @@ func TestSamplesimGolden(t *testing.T) {
 		args []string
 		want string
 	}{
-		{nil, "18c243765e61c8fee6ce542f1fbdaa40d0e21b570edfde626bd9fc4762e56054"},
+		{nil, "186d7bd34174f9907c75c100920f381b7d732d3d363fcb92f9d22e5824329a8b"},
 		{[]string{"-experiment", "startspread"}, "b6ed9b3cf1b834fb7e97b165d6baeedd82ee992bcf20e8fe4f154dff5d76a7f6"},
 	}
 	for _, c := range cases {

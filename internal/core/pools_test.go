@@ -66,8 +66,8 @@ func TestLiquidPools(t *testing.T) {
 				break
 			}
 		}
-		checkFixedPoint(t, out.Bytes(), "0a2d7bc373c64dd201ba6d286a060353dbec70f26fb8a06d0ef27ae8bd6429c5",
-			net.Stats(), simnet.Stats{Sent: 96200, Delivered: 95800, WireUnits: 9980819})
+		checkFixedPoint(t, out.Bytes(), "41c6f2b5975cb59ec08bb0b5b88d1a8d914f78a8b0514b38e103cc426b5add94",
+			net.Stats(), simnet.Stats{Sent: 92200, Delivered: 91800, WireUnits: 9527613})
 	})
 
 	t.Run("split", func(t *testing.T) {
@@ -107,8 +107,8 @@ func TestLiquidPools(t *testing.T) {
 				break
 			}
 		}
-		checkFixedPoint(t, out.Bytes(), "53a68c238044bbe5c976e4b4b553c5208b7601bd50b0a8c6fd733a91a8ad1f12",
-			net.Stats(), simnet.Stats{Sent: 91175, Dropped: 5137, Delivered: 85749, WireUnits: 10480041})
+		checkFixedPoint(t, out.Bytes(), "1935969333d15889b823d4d1fb5bbea7b45e028d3f000a1d47638ca84b7c9a2c",
+			net.Stats(), simnet.Stats{Sent: 91169, Dropped: 5133, Delivered: 85731, WireUnits: 10478041})
 	})
 }
 

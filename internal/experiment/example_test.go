@@ -43,15 +43,15 @@ func ExampleRun() {
 	//
 	// cycle  leaf-missing  prefix-missing  perfect-nodes
 	//     0      9.79e-01        1.00e+00       0/1000
-	//     1      8.51e-01        4.54e-01       0/1000
-	//     2      5.36e-01        2.18e-01       1/1000
-	//     3      1.58e-01        5.46e-02     236/1000
-	//     4      1.94e-02        7.42e-03     790/1000
-	//     5      1.85e-03        1.01e-03     963/1000
-	//     6      2.50e-04        3.82e-04     990/1000
-	//     7      0.00e+00        1.01e-04     998/1000
+	//     1      8.53e-01        4.53e-01       0/1000
+	//     2      5.30e-01        2.18e-01       1/1000
+	//     3      1.59e-01        5.55e-02     234/1000
+	//     4      1.91e-02        7.15e-03     786/1000
+	//     5      1.65e-03        8.31e-04     963/1000
+	//     6      2.00e-04        1.35e-04     994/1000
+	//     7      0.00e+00        1.12e-05     999/1000
 	//     8      0.00e+00        0.00e+00    1000/1000
 	//
 	// perfect leaf sets and prefix tables at ALL nodes after 9 cycles
-	// traffic: 16106 messages, 1766409 descriptor units
+	// traffic: 16106 messages, 1765210 descriptor units
 }

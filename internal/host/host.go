@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/proto"
 )
@@ -140,7 +141,7 @@ func New(seed int64, drop float64, inboxSize int, link Link) *Runtime {
 	r := &Runtime{
 		link:      link,
 		inboxSize: inboxSize,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       id.NewRand(seed),
 	}
 	r.dropBits.Store(math.Float64bits(drop))
 	return r
@@ -149,8 +150,9 @@ func New(seed int64, drop float64, inboxSize int, link Link) *Runtime {
 // AddHost allocates a host at the next address. All hosts must be added,
 // and their protocols attached, before Start.
 //
-// Host RNG seeds are two draws per address, in address order, from the
-// shared seed.
+// Each host owns two RNGs, each an 8-byte id.SplitMix64 behind a
+// *rand.Rand; their seeds are two draws per address, in address order,
+// from the shared seed.
 func (r *Runtime) AddHost() *Host {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -158,8 +160,8 @@ func (r *Runtime) AddHost() *Host {
 		rt:      r,
 		addr:    peer.Addr(len(r.hosts)),
 		inbox:   make(chan command, r.inboxSize),
-		rng:     rand.New(rand.NewSource(r.rng.Int63())),
-		sendRNG: rand.New(rand.NewSource(r.rng.Int63())),
+		rng:     id.NewRand(r.rng.Int63()),
+		sendRNG: id.NewRand(r.rng.Int63()),
 		ctrl:    make(chan ctrlMsg),
 		inc:     newIncarnation(),
 	}

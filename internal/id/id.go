@@ -141,6 +141,45 @@ func (g *Generator) Next() ID {
 	}
 }
 
+// SplitMix64 is a rand.Source64 with 8 bytes of state (Steele, Lea and
+// Flood's SplitMix64: a Weyl sequence passed through a 64-bit finalizer).
+// It backs every per-node, per-host and per-stream RNG, where math/rand's
+// own source would hold 4.9 KB of state apiece.
+type SplitMix64 struct{ state uint64 }
+
+var _ rand.Source64 = (*SplitMix64)(nil)
+
+// splitGamma is the Weyl increment: 2^64 divided by the golden ratio.
+const splitGamma = 0x9e3779b97f4a7c15
+
+// Seed resets the stream to state splitmix64(seed). The seed is hashed, not
+// used raw: seeds that differ by a multiple of the Weyl increment (as the
+// oracle's whitened stream keys do) would otherwise give one sequence
+// shifted by a few draws.
+func (s *SplitMix64) Seed(seed int64) {
+	s.state = uint64(seed)
+	s.state = s.Uint64()
+}
+
+// Uint64 returns the next 64 uniformly random bits.
+func (s *SplitMix64) Uint64() uint64 {
+	s.state += splitGamma
+	x := s.state
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// Int63 returns a uniformly random non-negative int64.
+func (s *SplitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// NewRand returns a *rand.Rand over a SplitMix64 seeded with seed.
+func NewRand(seed int64) *rand.Rand {
+	s := new(SplitMix64)
+	s.Seed(seed)
+	return rand.New(s)
+}
+
 // Unique returns n distinct random IDs drawn from a source seeded with seed.
 func Unique(n int, seed int64) []ID {
 	g := NewGenerator(seed)

@@ -3,6 +3,7 @@ package newscast
 import (
 	"math/rand"
 
+	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/sampling"
 )
@@ -33,7 +34,7 @@ var (
 
 // NewSampler returns a sampler over p's live view, seeded deterministically.
 func NewSampler(p *Protocol, seed int64) *Sampler {
-	return &Sampler{p: p, rng: rand.New(rand.NewSource(seed))}
+	return &Sampler{p: p, rng: id.NewRand(seed)}
 }
 
 // Sample returns up to n distinct random descriptors from the protocol's

@@ -117,7 +117,8 @@ func (o *Oracle) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 }
 
 // Stream returns a sampling handle with its own deterministic RNG stream
-// and scratch, reading the shared membership snapshot lock-free. Streams
+// (an 8-byte id.SplitMix64) and scratch, reading the shared membership
+// snapshot lock-free. Streams
 // with the same (oracle seed, key) draw identical sequences over identical
 // membership histories — seed-stable — and distinct keys draw independent
 // streams. A Stream is for a single caller: it must not be used from more
@@ -126,9 +127,9 @@ func (o *Oracle) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 // Add/Remove without contending.
 func (o *Oracle) Stream(key int64) *Stream {
 	// SplitMix64-style key whitening so adjacent keys land on distant
-	// rand.Source states.
+	// seeds; id.NewRand hashes the seed again before it becomes state.
 	mixed := int64(uint64(o.seed) ^ (0x9e3779b97f4a7c15 * (uint64(key) + 1)))
-	return &Stream{o: o, rng: rand.New(rand.NewSource(mixed))}
+	return &Stream{o: o, rng: id.NewRand(mixed)}
 }
 
 // Stream is a single-caller view of an Oracle: a private RNG stream plus

@@ -110,31 +110,3 @@ func (n *Network) merge() {
 		sh.gen, sh.head = sh.gen[:0], 0
 	}
 }
-
-// wireRNG is a tiny per-node deterministic stream (SplitMix64) for the
-// sharded engine's drop draws: 8 bytes of state per node — against
-// math/rand's ~5 KB — and a pure function of (config seed, address), so the
-// stream each node consumes is independent of the shard count.
-type wireRNG struct{ state uint64 }
-
-func newWireRNG(seed, addr uint64) wireRNG {
-	return wireRNG{state: splitmix64(seed ^ (addr+1)*0xbf58476d1ce4e5b9)}
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func (w *wireRNG) next() uint64 {
-	w.state += 0x9e3779b97f4a7c15
-	x := w.state
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// float64 returns a uniform draw in [0, 1).
-func (w *wireRNG) float64() float64 { return float64(w.next()>>11) / (1 << 53) }

@@ -271,3 +271,35 @@ func TestShardedChurnHammer(t *testing.T) {
 	b := run()
 	sameProbeResult(t, "hammer repeat", a, b)
 }
+
+// TestWireStreamMatchesSplitMix64 pins the sharded engine's drop draws:
+// node addr's wire stream is the SplitMix64 sequence from state
+// splitmix64(seed ^ (addr+1)·0xbf58476d1ce4e5b9), on every shard count.
+func TestWireStreamMatchesSplitMix64(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42} {
+		for _, shards := range []int{2, 3} {
+			n := New(Config{Seed: seed, Shards: shards})
+			for addr := uint64(0); addr < 64; addr++ {
+				n.AddNode()
+				w := n.nodes[addr].wire
+				state := splitmix64(uint64(seed) ^ (addr+1)*0xbf58476d1ce4e5b9)
+				for i := 0; i < 4; i++ {
+					want := splitmix64(state)
+					state += 0x9e3779b97f4a7c15
+					if got := w.Uint64(); got != want {
+						t.Fatalf("seed %d shards %d addr %d draw %d: %#x, want %#x", seed, shards, addr, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// splitmix64 is one step of the reference SplitMix64 generator from state
+// x: the value it returns after adding the Weyl increment.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

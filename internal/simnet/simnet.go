@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/proto"
 	"repro/internal/sched"
@@ -109,7 +110,7 @@ type nodeState struct {
 	// wire draws the drop decisions for the node's messages on the sharded
 	// engine. Per node — not per shard, not global — so the stream each
 	// node consumes is independent of the shard count.
-	wire wireRNG
+	wire id.SplitMix64
 }
 
 // find returns the binding for pid, or nil. The slice is sorted by pid but
@@ -156,7 +157,7 @@ type Network struct {
 func New(cfg Config) *Network {
 	n := &Network{
 		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rng: id.NewRand(cfg.Seed),
 	}
 	if cfg.Shards > 1 {
 		n.shards = make([]shardState, cfg.Shards)
@@ -188,13 +189,15 @@ func (n *Network) AddNode() peer.Addr {
 	addr := peer.Addr(len(n.nodes))
 	st := nodeState{
 		alive: true,
-		rng:   rand.New(rand.NewSource(n.rng.Int63())),
+		rng:   id.NewRand(n.rng.Int63()),
 	}
 	if len(n.shards) > 0 {
-		// Home shard and wire stream are pure functions of (seed, addr):
-		// deterministic, and the wire stream is shard-count independent.
-		st.shard = int32(splitmix64(uint64(n.cfg.Seed)^uint64(addr)*0x9e3779b97f4a7c15) % uint64(len(n.shards)))
-		st.wire = newWireRNG(uint64(n.cfg.Seed), uint64(addr))
+		// The wire stream is a pure function of (seed, addr), so the
+		// stream each node consumes is independent of the shard count.
+		// The home shard is its first output, drawn from a copy.
+		st.wire.Seed(int64(uint64(n.cfg.Seed) ^ (uint64(addr)+1)*0xbf58476d1ce4e5b9))
+		home := st.wire
+		st.shard = int32(home.Uint64() % uint64(len(n.shards)))
 	}
 	n.nodes = append(n.nodes, st)
 	return addr
@@ -299,7 +302,7 @@ func (n *Network) Send(from, to peer.Addr, pid ProtoID, msg Message) {
 	if n.cfg.Drop > 0 {
 		var u float64
 		if len(n.shards) > 0 {
-			u = n.nodes[from].wire.float64()
+			u = float64(n.nodes[from].wire.Uint64()>>11) / (1 << 53)
 		} else {
 			u = n.rng.Float64()
 		}

@@ -2,43 +2,68 @@
 // samples, and at paper scale (2^18) even the sharded full-network
 // MeasureAll costs seconds per cycle. MeasureSampleConf measures a uniform
 // node sample without replacement and reports ratio estimates of the
-// missing-entry proportions with Student-t confidence intervals, making
-// per-cycle measurement O(sample) instead of O(N).
+// missing-entry proportions with confidence intervals, making per-cycle
+// measurement O(sample) instead of O(N).
 //
 // Estimator. The exact network metric is a ratio of population sums,
-// R = Σ missing_i / Σ total_i. Over a simple random sample without
-// replacement of s of the N nodes, the classical survey-sampling ratio
-// estimator R̂ = Σ_s missing_i / Σ_s total_i targets R with first-order
-// bias O(1/s), and its linearized variance is
+// R = Σ missing_i / Σ total_i. The sample is drawn per stratum h (one
+// stratum covering everyone, or two — see Stratification) as a simple
+// random sample of n_h of the stratum's N_h nodes, and the combined ratio
+// estimator
 //
-//	Var(R̂) ≈ (1 − s/N) · s_e² / (s · t̄²)
+//	R̂ = Σ_h (N_h/n_h)·m_h / Σ_h (N_h/n_h)·t_h = M̂ / T̂
 //
-// where s_e² = Σ_s (missing_i − R̂·total_i)² / (s−1) is the residual
-// variance and t̄ the sample mean of total_i; (1 − s/N) is the finite
-// population correction for sampling without replacement. The reported
-// interval is R̂ ± t_{1−α/2, s−1} · √Var(R̂).
+// targets R with first-order bias O(1/n). Its linearized variance is
+//
+//	Var(R̂) ≈ (1/T̂²) · Σ_h N_h²·(1 − n_h/N_h)·s_h²/n_h
+//
+// where s_h² is the within-stratum variance of the residuals
+// e_i = missing_i − R̂·total_i (centred per stratum, since the combined R̂
+// does not zero each stratum's residual mean) and (1 − n_h/N_h) the finite
+// population correction. With one stratum this is the classical
+// survey-sampling ratio estimator. A stratum sampled completely is a
+// census: it contributes its exact sums and no variance.
+//
+// Design-effect floor. The design effect of a stratum is s_h² over the
+// variance its entries would have if drawn independently,
+// t̄_h·R̂_h·(1 − R̂_h). As in the survey-statistics convention for
+// proportions (Korn and Graubard, 1998; NCHS data presentation standards),
+// an estimated design effect below 1 is truncated to 1: a small sample
+// that happened to miss a stratum's rare heavy nodes shows too little
+// variance exactly when its interval would be too short. The price is a
+// conservative interval where per-node counts are genuinely more regular
+// than independent entries — e.g. a converged overlay after removals,
+// where every node misses about the same few entries.
+//
+// Interval. The missing counts are heavily right-skewed (a few imperfect
+// nodes carry most of the missing entries), and for skewed data the
+// Student-t interval R̂ ± t_{1−α/2, df}·√Var(R̂), df = Σ_h (n_h − 1),
+// undercovers by O(γ²/n). The critical value is therefore widened by the
+// second-order Edgeworth term of the two-sided studentized mean (Hall,
+// The Bootstrap and Edgeworth Expansion, 1992, §2.6):
+//
+//	z·[ γ²/n·(z⁴ + 2z² − 3)/18 − κ/n·(z² − 3)/12 ]
+//
+// with z the normal quantile, and γ²/n = k₃²/V³, κ/n = k₄/V² estimated from
+// the residuals' third and fourth sample cumulants, scaled per stratum by
+// the without-replacement factors (1−f)(1−2f) and (1−f)(1−6f(1−f)). A
+// negative term (light tails) is dropped: the interval is never narrower
+// than the t-interval.
+//
+// Each correction is needed on its own: without the floor, a stratified
+// sample under churn undercovers the leaf metric; without the Edgeworth
+// term, a simple random sample of a partly converged network undercovers
+// the prefix metric (DESIGN.md, "Sampled-interval coverage").
 //
 // Stratification. Under churn the population is a mixture: a small fresh
 // minority (nodes that joined in the last cycle or two) with large missing
 // counts, and an established majority near zero. A simple random sample's
 // count of fresh nodes is itself binomial — the dominant variance term —
-// and the residual distribution is bimodal, so the t-interval undercovers.
+// and the residual distribution is bimodal, so the interval undercovers.
 // When the membership marks both fresh and established nodes (Member.Fresh)
 // the estimator therefore samples the two strata separately with
-// proportional allocation and reports the combined ratio estimator
-//
-//	R̂ = Σ_h (N_h/n_h)·m_h / Σ_h (N_h/n_h)·t_h
-//
-// with the stratified linearized variance
-//
-//	Var(R̂) = (1/T̂²) · Σ_h N_h²·(1 − n_h/N_h)·s_eh²/n_h
-//
-// where s_eh² is the within-stratum variance of the residuals
-// e_i = missing_i − R̂·total_i (centred per stratum, since the combined R̂
-// does not zero each stratum's residual mean), and the t-interval uses
-// df = Σ_h (n_h − 1). Fixing each stratum's sample count removes the
-// binomial mixing term entirely. A stratum sampled completely is a census:
-// it contributes its exact sums and zero variance.
+// proportional allocation (each stratum's count is then fixed, removing
+// the binomial mixing term) and combines them with the estimator above.
 package truth
 
 import (
@@ -86,18 +111,17 @@ type SampleAggregate struct {
 
 // MeasureSampleConf measures a uniform random sample of sampleSize members
 // drawn without replacement and returns ratio estimates of the
-// network-wide missing proportions with Student-t confidence intervals at
-// the given two-sided level in (0, 1); out-of-range values select 0.95.
-// The measurement runs through MeasureAll's sharded loop (workers < 1
-// means GOMAXPROCS); like MeasureAll the result is bit-identical for every
-// worker count, because the sample is drawn before sharding and every
-// accumulation is integral. rng drives only the sample selection; a given
-// (rng state, members) pair yields the same sample deterministically.
-// sampleSize <= 0 or >= len(members) falls back to an exact full
-// measurement with zero-width intervals (without consuming rng). A
-// membership containing both fresh and established nodes (Member.Fresh) is
-// sampled per age stratum and estimated with the combined stratified
-// estimator — see the package comment.
+// network-wide missing proportions with confidence intervals at the given
+// two-sided level in (0, 1); out-of-range values select 0.95. The
+// measurement runs through MeasureAll's sharded loop (workers < 1 means
+// GOMAXPROCS); like MeasureAll the result is bit-identical for every
+// worker count, because the sample is drawn before sharding and the
+// estimate is computed from the per-node counts in sample order. rng drives
+// only the sample selection; a given (rng state, members) pair yields the
+// same sample deterministically. sampleSize <= 0 or >= len(members) falls
+// back to an exact full measurement with zero-width intervals (without
+// consuming rng). A membership containing both fresh and established nodes
+// (Member.Fresh) is sampled per age stratum — see the package comment.
 func (t *Truth) MeasureSampleConf(members []Member, sampleSize int, confidence float64, rng *rand.Rand, workers int) SampleAggregate {
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
@@ -128,97 +152,70 @@ func (t *Truth) MeasureSampleConf(members []Member, sampleSize int, confidence f
 			nFresh++
 		}
 	}
+	var strata []stratum
 	if nFresh > 0 && nFresh < n {
-		return t.measureStratified(members, sampleSize, confidence, nFresh, rng, workers)
-	}
-
-	idx := sampleIndices(rng, n, sampleSize)
-	sums := t.measureShards(members, idx, workers)
-	tq := tQuantile(confidence, sampleSize-1)
-	return SampleAggregate{
-		SampleSize: sampleSize,
-		Population: n,
-		Confidence: confidence,
-		Strata:     1,
-		LeafMissing: ratioEstimate(int64(sums.agg.LeafMissing), int64(sums.agg.LeafTotal),
-			sums.leafMM, sums.leafMT, sums.leafTT, sampleSize, n, tq),
-		PrefixMissing: ratioEstimate(int64(sums.agg.PrefixMissing), int64(sums.agg.PrefixTotal),
-			sums.prefixMM, sums.prefixMT, sums.prefixTT, sampleSize, n, tq),
-		Sums: sums.agg,
-	}
-}
-
-// stratum is one age stratum's measured sample: its integer sums, how many
-// nodes were measured, and how many the stratum holds in the population.
-type stratum struct {
-	sums measureSums
-	n, N int
-}
-
-// measureStratified draws and measures the fresh and established strata
-// separately (proportional allocation with a per-stratum floor, census
-// when the allocation covers a stratum) and combines them with the
-// stratified ratio estimator described in the package comment. The fresh
-// stratum draws from rng first, then the established one, so the result is
-// a deterministic function of (rng state, members) like the classical path;
-// a census stratum consumes no rng at all, mirroring the exact fallback.
-func (t *Truth) measureStratified(members []Member, sampleSize int, confidence float64, nFresh int, rng *rand.Rand, workers int) SampleAggregate {
-	n := len(members)
-	freshIdx := make([]int, 0, nFresh)
-	estIdx := make([]int, 0, n-nFresh)
-	for i := range members {
-		if members[i].Fresh {
-			freshIdx = append(freshIdx, i)
-		} else {
-			estIdx = append(estIdx, i)
+		freshIdx := make([]int, 0, nFresh)
+		estIdx := make([]int, 0, n-nFresh)
+		for i := range members {
+			if members[i].Fresh {
+				freshIdx = append(freshIdx, i)
+			} else {
+				estIdx = append(estIdx, i)
+			}
 		}
-	}
-	sFresh, sEst := allocateStrata(sampleSize, len(freshIdx), len(estIdx))
-	strata := [2]stratum{
-		t.measureStratum(members, freshIdx, sFresh, rng, workers),
-		t.measureStratum(members, estIdx, sEst, rng, workers),
-	}
-	measured := strata[0].n + strata[1].n
-	df := 0
-	for _, st := range strata {
-		if st.n < st.N && st.n >= 2 {
-			df += st.n - 1
+		sFresh, sEst := allocateStrata(sampleSize, len(freshIdx), len(estIdx))
+		// The fresh stratum draws from rng first, then the established one.
+		strata = []stratum{
+			t.measureStratum(members, freshIdx, sFresh, rng, workers),
+			t.measureStratum(members, estIdx, sEst, rng, workers),
 		}
+	} else {
+		strata = []stratum{t.measureStratum(members, nil, sampleSize, rng, workers)}
 	}
-	tq := tQuantile(confidence, df)
+
 	sa := SampleAggregate{
-		SampleSize: measured,
-		Population: n,
-		Confidence: confidence,
-		Strata:     2,
-		LeafMissing: combinedRatioEstimate([2]metricSums{
-			strata[0].metric(leafMetric), strata[1].metric(leafMetric)}, tq),
-		PrefixMissing: combinedRatioEstimate([2]metricSums{
-			strata[0].metric(prefixMetric), strata[1].metric(prefixMetric)}, tq),
+		Population:    n,
+		Confidence:    confidence,
+		Strata:        len(strata),
+		LeafMissing:   ratioEstimate(strata, leafCounts, confidence),
+		PrefixMissing: ratioEstimate(strata, prefixCounts, confidence),
 	}
-	var both measureSums
-	both.add(strata[0].sums)
-	both.add(strata[1].sums)
-	sa.Sums = both.agg
+	for _, st := range strata {
+		sa.SampleSize += len(st.vals)
+		sa.Sums.Add(st.sums)
+	}
 	return sa
 }
 
-// measureStratum samples s of the stratum's indices (all of them when
-// s >= len(idx): a census, drawing nothing from rng) and measures them.
+// stratum is one stratum's measured sample: the counts of every measured
+// node, their sum, and how many nodes the stratum holds in the population.
+type stratum struct {
+	vals []nodeCounts
+	sums Aggregate
+	N    int
+}
+
+// measureStratum samples s of the stratum's member indices and measures
+// them; s >= len(idx) is a census, which draws nothing from rng. A nil idx
+// stands for all members and is always sampled (s < len(members)).
 func (t *Truth) measureStratum(members []Member, idx []int, s int, rng *rand.Rand, workers int) stratum {
+	size := len(idx)
+	if idx == nil {
+		size = len(members)
+	}
 	picked := idx
-	if s < len(idx) {
-		pos := sampleIndices(rng, len(idx), s)
-		picked = make([]int, len(pos))
-		for i, p := range pos {
-			picked[i] = idx[p]
+	if s < size {
+		pos := sampleIndices(rng, size, s)
+		if idx != nil {
+			for i, p := range pos {
+				pos[i] = idx[p]
+			}
 		}
+		picked = pos
 	}
-	return stratum{
-		sums: t.measureShards(members, picked, workers),
-		n:    len(picked),
-		N:    len(idx),
-	}
+	st := stratum{vals: make([]nodeCounts, len(picked)), N: size}
+	st.sums = t.measureShards(members, picked, st.vals, workers)
+	return st
 }
 
 // stratumFloor is the smallest sample a stratum is given (when it holds
@@ -255,75 +252,98 @@ func allocateStrata(sampleSize, nFresh, nEst int) (sFresh, sEst int) {
 	return sFresh, sEst
 }
 
-// metricSums is one metric's slice of a stratum: the per-metric integer
-// sums plus the stratum's sample and population counts.
-type metricSums struct {
-	m, t, mm, mt, tt int64
-	n, N             int
+// leafCounts and prefixCounts select one metric's (missing, total) pair.
+func leafCounts(nc nodeCounts) (m, t float64) {
+	return float64(nc.leafMissing), float64(nc.leafTotal)
 }
 
-const (
-	leafMetric = iota
-	prefixMetric
-)
-
-func (st stratum) metric(which int) metricSums {
-	s := &st.sums
-	ms := metricSums{n: st.n, N: st.N}
-	if which == leafMetric {
-		ms.m, ms.t = int64(s.agg.LeafMissing), int64(s.agg.LeafTotal)
-		ms.mm, ms.mt, ms.tt = s.leafMM, s.leafMT, s.leafTT
-	} else {
-		ms.m, ms.t = int64(s.agg.PrefixMissing), int64(s.agg.PrefixTotal)
-		ms.mm, ms.mt, ms.tt = s.prefixMM, s.prefixMT, s.prefixTT
-	}
-	return ms
+func prefixCounts(nc nodeCounts) (m, t float64) {
+	return float64(nc.prefixMissing), float64(nc.prefixTotal)
 }
 
-// combinedRatioEstimate finalizes one metric's stratified ratio estimate.
-// With a single stratum covering the population it reduces exactly to
-// ratioEstimate (the weights cancel); see the package comment for the
-// formulas.
-func combinedRatioEstimate(strata [2]metricSums, tq float64) Estimate {
+// ratioEstimate is one metric's combined ratio estimate and its interval
+// over the measured strata; see the package comment for the formulas.
+func ratioEstimate(strata []stratum, metric func(nodeCounts) (m, t float64), confidence float64) Estimate {
 	var mHat, tHat float64
 	for _, st := range strata {
-		if st.n == 0 {
-			continue
+		var m, t float64
+		for _, nc := range st.vals {
+			mi, ti := metric(nc)
+			m += mi
+			t += ti
 		}
-		w := float64(st.N) / float64(st.n)
-		mHat += w * float64(st.m)
-		tHat += w * float64(st.t)
+		if len(st.vals) > 0 {
+			w := float64(st.N) / float64(len(st.vals))
+			mHat += w * m
+			tHat += w * t
+		}
 	}
 	if tHat <= 0 {
 		return Estimate{}
 	}
 	r := mHat / tHat
-	var v float64
+	// v is the linearized variance of M̂ − r·T̂; k3 and k4 are its third and
+	// fourth cumulants.
+	var v, k3, k4 float64
+	df := 0
 	for _, st := range strata {
-		if st.n < 2 || st.n >= st.N {
+		n := len(st.vals)
+		if n < 2 || n >= st.N {
 			// Degenerate or census stratum: no sampling variance.
 			continue
 		}
-		// Within-stratum residual variance around the combined ratio,
-		// centred because Σe_h ≠ 0 under the combined R̂.
-		sumE := float64(st.m) - r*float64(st.t)
-		sumE2 := float64(st.mm) - 2*r*float64(st.mt) + r*r*float64(st.tt)
-		ss := sumE2 - sumE*sumE/float64(st.n)
-		if ss < 0 {
-			ss = 0
+		nf, N := float64(n), float64(st.N)
+		f := nf / N
+		var sumE, sumM, sumT float64
+		for _, nc := range st.vals {
+			mi, ti := metric(nc)
+			sumE += mi - r*ti
+			sumM += mi
+			sumT += ti
 		}
-		s2 := ss / float64(st.n-1)
-		fpc := 1 - float64(st.n)/float64(st.N)
-		v += float64(st.N) * float64(st.N) * fpc * s2 / float64(st.n)
+		mean := sumE / nf
+		var c2, c3, c4 float64
+		for _, nc := range st.vals {
+			mi, ti := metric(nc)
+			d := mi - r*ti - mean
+			c2 += d * d
+			c3 += d * d * d
+			c4 += d * d * d * d
+		}
+		s2 := c2 / (nf - 1)
+		if sumT > 0 {
+			// The design-effect floor: never below independent entries.
+			rh := sumM / sumT
+			s2 = max(s2, sumT/nf*rh*(1-rh))
+		}
+		mu2, mu3, mu4 := c2/nf, c3/nf, c4/nf
+		v += N * N * (1 - f) * s2 / nf
+		k3 += N * N * N * (1 - f) * (1 - 2*f) * mu3 / (nf * nf)
+		k4 += N * N * N * N * (1 - f) * (1 - 6*f*(1-f)) * (mu4 - 3*mu2*mu2) / (nf * nf * nf)
+		df += n - 1
 	}
-	return Estimate{Mean: r, CI: tq * math.Sqrt(v) / tHat}
+	if v <= 0 {
+		return Estimate{Mean: r}
+	}
+	crit := tQuantile(confidence, df) + edgeworthWidening(k3*k3/(v*v*v), k4/(v*v), confidence)
+	return Estimate{Mean: r, CI: crit * math.Sqrt(v) / tHat}
+}
+
+// edgeworthWidening is the second-order Edgeworth correction to the
+// two-sided critical value of a studentized mean with squared skewness
+// skew2 = γ²/n and excess kurtosis kurt = κ/n (the normal-theory part of
+// the term is what the Student-t quantile already carries), clamped at
+// zero so that it only ever widens the interval.
+func edgeworthWidening(skew2, kurt, confidence float64) float64 {
+	z := normQuantile(0.5 + confidence/2)
+	z2 := z * z
+	return max(0, z*(skew2/18*(z2*z2+2*z2-3)-kurt/12*(z2-3)))
 }
 
 // sampleIndices draws a uniform sample of s distinct indices in [0, n)
 // without replacement using Floyd's algorithm — O(s) memory and exactly s
 // rng draws — and returns them sorted, so the sharded measurement walks
-// members in cache-friendly order and the integer sums are independent of
-// draw order anyway.
+// members in cache-friendly order.
 func sampleIndices(rng *rand.Rand, n, s int) []int {
 	chosen := make(map[int]struct{}, s)
 	idx := make([]int, 0, s)
@@ -337,32 +357,6 @@ func sampleIndices(rng *rand.Rand, n, s int) []int {
 	}
 	slices.Sort(idx)
 	return idx
-}
-
-// ratioEstimate finalizes one metric's ratio estimate from the integer
-// sample sums. tq is the Student-t critical value for the interval.
-func ratioEstimate(sumM, sumT, sumMM, sumMT, sumTT int64, s, n int, tq float64) Estimate {
-	if sumT <= 0 {
-		return Estimate{}
-	}
-	r := float64(sumM) / float64(sumT)
-	if s < 2 {
-		return Estimate{Mean: r}
-	}
-	// Residual sum of squares Σ(m_i − R̂·t_i)² expanded over the integer
-	// sums; clamp tiny negative float cancellation.
-	rss := float64(sumMM) - 2*r*float64(sumMT) + r*r*float64(sumTT)
-	if rss < 0 {
-		rss = 0
-	}
-	s2 := rss / float64(s-1)
-	tbar := float64(sumT) / float64(s)
-	fpc := 1 - float64(s)/float64(n)
-	if fpc < 0 {
-		fpc = 0
-	}
-	se := math.Sqrt(fpc*s2/float64(s)) / tbar
-	return Estimate{Mean: r, CI: tq * se}
 }
 
 // tQuantile returns the two-sided Student-t critical value: the t with

@@ -569,33 +569,8 @@ func (t *Truth) measureNode(m Member, p int, scr *measureScratch) (nc nodeCounts
 	return nc
 }
 
-// measureSums is the integer sum of a set of nodeCounts: the Aggregate,
-// plus the square and cross sums the sampled estimator's variance needs
-// (MeasureAll drops them). Everything stays integral until the final
-// estimate, so the result is bit-identical for every worker count.
-type measureSums struct {
-	agg                          Aggregate
-	leafMM, leafMT, leafTT       int64 // Σm², Σm·t, Σt² (leaf)
-	prefixMM, prefixMT, prefixTT int64 // Σm², Σm·t, Σt² (prefix)
-}
-
-func (s *measureSums) add(o measureSums) {
-	s.agg.Add(o.agg)
-	s.leafMM += o.leafMM
-	s.leafMT += o.leafMT
-	s.leafTT += o.leafTT
-	s.prefixMM += o.prefixMM
-	s.prefixMT += o.prefixMT
-	s.prefixTT += o.prefixTT
-}
-
-// measure adds one member's counts to s.
-func (s *measureSums) measure(t *Truth, m Member, scr *measureScratch) {
-	nc, ok := t.counts(m, scr)
-	if !ok {
-		return
-	}
-	agg := &s.agg
+// addCounts adds one node's counts to agg.
+func addCounts(agg *Aggregate, nc nodeCounts) {
 	agg.LeafMissing += nc.leafMissing
 	agg.LeafTotal += nc.leafTotal
 	if nc.leafMissing == 0 {
@@ -608,14 +583,6 @@ func (s *measureSums) measure(t *Truth, m Member, scr *measureScratch) {
 		agg.PrefixPerfect++
 	}
 	agg.PrefixDead += nc.prefixDead
-	lm, lt := int64(nc.leafMissing), int64(nc.leafTotal)
-	pm, pt := int64(nc.prefixMissing), int64(nc.prefixTotal)
-	s.leafMM += lm * lm
-	s.leafMT += lm * lt
-	s.leafTT += lt * lt
-	s.prefixMM += pm * pm
-	s.prefixMT += pm * pt
-	s.prefixTT += pt * pt
 }
 
 // MeasureAll measures every member against the oracle, sharding the work
@@ -625,15 +592,17 @@ func (s *measureSums) measure(t *Truth, m Member, scr *measureScratch) {
 // cache or was measured afresh. The measured nodes must be quiescent, and
 // no other measurement or mutation of the oracle may run concurrently.
 func (t *Truth) MeasureAll(members []Member, workers int) Aggregate {
-	return t.measureShards(members, nil, workers).agg
+	return t.measureShards(members, nil, nil, workers)
 }
 
 // measureShards measures the members at the given indices — every member
 // when idx is nil — split into contiguous shards over workers goroutines
 // (workers < 1 means GOMAXPROCS; a single shard runs on the caller), one
-// scratch per shard, and sums the shards' integer partials. It is the one
-// fan-out behind MeasureAll and MeasureSampleConf.
-func (t *Truth) measureShards(members []Member, idx []int, workers int) measureSums {
+// scratch per shard, and sums the shards' integer partials. When vals is
+// non-nil (len(idx) long) it also receives each measured node's counts, in
+// idx order; a member unknown to the oracle leaves its entry zero. It is the
+// one fan-out behind MeasureAll and MeasureSampleConf.
+func (t *Truth) measureShards(members []Member, idx []int, vals []nodeCounts, workers int) Aggregate {
 	n := len(members)
 	if idx != nil {
 		n = len(idx)
@@ -650,9 +619,9 @@ func (t *Truth) measureShards(members []Member, idx []int, workers int) measureS
 		t.cache = slices.Grow(t.cache[:0], len(t.sorted))[:len(t.sorted)]
 	}
 	if workers <= 1 {
-		return t.measureShard(members, idx, 0, n)
+		return t.measureShard(members, idx, vals, 0, n)
 	}
-	partials := make([]measureSums, workers)
+	partials := make([]Aggregate, workers)
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -664,30 +633,37 @@ func (t *Truth) measureShards(members []Member, idx []int, workers int) measureS
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			partials[w] = t.measureShard(members, idx, lo, hi)
+			partials[w] = t.measureShard(members, idx, vals, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	var sums measureSums
+	var agg Aggregate
 	for i := range partials {
-		sums.add(partials[i])
+		agg.Add(partials[i])
 	}
-	return sums
+	return agg
 }
 
 // measureShard measures positions [lo, hi) of idx — of members when idx is
 // nil — with a scratch of its own, drawn only if some member misses the
 // cache. It sums into a local and stores the partial once: neighbouring
 // partials share cache lines.
-func (t *Truth) measureShard(members []Member, idx []int, lo, hi int) measureSums {
-	var sums measureSums
+func (t *Truth) measureShard(members []Member, idx []int, vals []nodeCounts, lo, hi int) Aggregate {
+	var agg Aggregate
 	var scr measureScratch
 	for i := lo; i < hi; i++ {
+		j := i
 		if idx != nil {
-			sums.measure(t, members[idx[i]], &scr)
-		} else {
-			sums.measure(t, members[i], &scr)
+			j = idx[i]
+		}
+		nc, ok := t.counts(members[j], &scr)
+		if !ok {
+			continue
+		}
+		addCounts(&agg, nc)
+		if vals != nil {
+			vals[i] = nc
 		}
 	}
-	return sums
+	return agg
 }
