@@ -22,6 +22,17 @@
 // spread workload degrades gracefully instead of re-scanning the overflow
 // once per wrap.
 //
+// # Memory
+//
+// Backing arrays follow the buckets that are occupied, not the ring. When
+// the cursor leaves an exhausted bucket its array goes onto a spare stack
+// and the slot is left empty; a bucket that receives its first entry takes
+// an array from that stack. The number of arrays is therefore bounded by
+// the largest number of buckets occupied at once, plus one, rather than by
+// the ring size: simnet's 256-slot wheel holds about a dozen (ticks one
+// period ahead, messages one instant ahead), each sized to the busiest
+// instant it has carried.
+//
 // # Determinism
 //
 // Every Push is stamped with a strictly increasing insertion sequence
@@ -78,6 +89,10 @@ type Queue[T any] struct {
 	overflow []entry[T]
 	ofMin    int64 // minimum bucket number in overflow; valid iff overflow is non-empty
 
+	// spare holds the emptied backing arrays of released buckets. Only
+	// occupied slots own an array; an empty slot is nil.
+	spare [][]entry[T]
+
 	size int
 	seq  uint64
 }
@@ -105,8 +120,13 @@ func (q *Queue[T]) init(shift uint, buckets int) {
 // Len returns the number of pending entries.
 func (q *Queue[T]) Len() int { return q.size }
 
-// Push schedules v at time at. Entries pushed for a time already passed by
-// the cursor are served next, in push order — the "schedule at now" case.
+// Push schedules v at time at, in O(1) amortised time. Entries pushed for a
+// time already passed by the cursor are served next, in push order — the
+// "schedule at now" case. Such a late push costs O(bucket): it clamps into
+// the sorted front bucket, and the ordered insert there moves the whole
+// undrained tail in memory. simnet never pushes late (every push is at
+// now+1 or later); livenet's wire can, when PeekTime has moved the cursor
+// past wall-clock time.
 func (q *Queue[T]) Push(at int64, v T) {
 	if q.buckets == nil {
 		q.init(defaultShift, defaultBuckets)
@@ -119,15 +139,13 @@ func (q *Queue[T]) Push(at int64, v T) {
 		// Empty queue: re-anchor the window at the new entry so a long
 		// quiet gap never forces the cursor to walk dead buckets. The old
 		// front bucket may still hold a fully-popped (already zeroed)
-		// prefix that was never recycled; truncate it or the re-anchored
+		// prefix that was never recycled; release it or the re-anchored
 		// cursor could serve those dead slots.
-		if old := q.front & q.mask; len(q.buckets[old]) > 0 {
-			q.buckets[old] = q.buckets[old][:0]
-		}
+		q.release(q.front & q.mask)
 		q.front = b
 		q.frontHead = 0
 		q.frontSorted = false
-		q.buckets[b&q.mask] = append(q.buckets[b&q.mask], e)
+		q.appendTo(b&q.mask, e)
 		q.l0++
 		return
 	}
@@ -174,10 +192,34 @@ func (q *Queue[T]) place(b int64, e entry[T]) {
 		q.buckets[idx] = bkt
 		return
 	}
-	q.buckets[idx] = append(q.buckets[idx], e)
+	q.appendTo(idx, e)
 	if b == q.front {
 		q.frontSorted = false
 	}
+}
+
+// appendTo appends e to the bucket in ring slot idx. An empty slot owns no
+// array, so it takes one from the spare stack before appending.
+func (q *Queue[T]) appendTo(idx int64, e entry[T]) {
+	bkt := q.buckets[idx]
+	if n := len(q.spare); bkt == nil && n > 0 {
+		bkt = q.spare[n-1]
+		q.spare[n-1] = nil
+		q.spare = q.spare[:n-1]
+	}
+	q.buckets[idx] = append(bkt, e)
+}
+
+// release empties ring slot idx, zeroing its entries so their values can be
+// collected, and pushes its backing array onto the spare stack.
+func (q *Queue[T]) release(idx int64) {
+	bkt := q.buckets[idx]
+	if bkt == nil {
+		return
+	}
+	clear(bkt)
+	q.spare = append(q.spare, bkt[:0])
+	q.buckets[idx] = nil
 }
 
 // PeekTime returns the deadline of the earliest entry.
@@ -223,8 +265,9 @@ func (q *Queue[T]) AppendDue(now int64, buf []T) []T {
 }
 
 // Drain removes every pending entry, calling fn on each in no particular
-// order, and resets the queue (retaining its geometry and capacity). Used
-// at shutdown, where accounting needs each value but ordering is moot.
+// order, and resets the queue (retaining its geometry, and its arrays on the
+// spare stack). Used at shutdown, where accounting needs each value but
+// ordering is moot.
 func (q *Queue[T]) Drain(fn func(T)) {
 	for i := range q.buckets {
 		bkt := q.buckets[i]
@@ -235,8 +278,7 @@ func (q *Queue[T]) Drain(fn func(T)) {
 		for j := head; j < len(bkt); j++ {
 			fn(bkt[j].val)
 		}
-		clear(bkt)
-		q.buckets[i] = bkt[:0]
+		q.release(int64(i))
 	}
 	for i := range q.overflow {
 		fn(q.overflow[i].val)
@@ -265,9 +307,9 @@ func (q *Queue[T]) settle() *entry[T] {
 		idx := q.front & q.mask
 		bkt := q.buckets[idx]
 		if q.frontHead >= len(bkt) {
-			// Front bucket exhausted: recycle it and advance.
-			clear(bkt)
-			q.buckets[idx] = bkt[:0]
+			// Front bucket exhausted: return its array to the spare
+			// stack and advance.
+			q.release(idx)
 			q.frontHead = 0
 			q.frontSorted = false
 			q.front++
@@ -308,10 +350,8 @@ func (q *Queue[T]) settle() *entry[T] {
 func (q *Queue[T]) jump() {
 	// The old front bucket may hold a fully-popped zeroed prefix that was
 	// never recycled (level 0 is empty, so that is all it can hold); the
-	// re-anchored window may collide with its ring slot, so truncate it.
-	if old := q.front & q.mask; len(q.buckets[old]) > 0 {
-		q.buckets[old] = q.buckets[old][:0]
-	}
+	// re-anchored window may collide with its ring slot, so release it.
+	q.release(q.front & q.mask)
 	minAt, maxAt := int64(math.MaxInt64), int64(math.MinInt64)
 	for i := range q.overflow {
 		at := q.overflow[i].at

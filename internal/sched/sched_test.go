@@ -318,9 +318,11 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		q.Push(now+int64(1+rng.Intn(20)), i)
 	}
-	// Warm until every ring slot has seen its high-water occupancy; bucket
-	// capacity growth is the only allocation source, so the warm loop must
-	// outlast the occupancy maxima's slow logarithmic climb.
+	// Warm until the circulating arrays and the spare stack have reached
+	// their high-water capacities; growing them is the only allocation
+	// source. Arrays move between ring slots, so a slot's next array may be
+	// one that has not yet carried that slot's busiest load; the warm loop
+	// must outlast the occupancy maxima's slow logarithmic climb.
 	for i := 0; i < 1<<17; i++ {
 		v, _ := q.Pop()
 		at, _ := q.PeekTime()
@@ -337,5 +339,49 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady state allocates %.2f objects per 64-op batch, want 0", avg)
+	}
+}
+
+// TestQueueArraysFollowOccupiedBuckets pins the memory bound: on simnet's
+// tick-shaped load (each entry a period-10 tick that also sends a message
+// one instant ahead) at most 11 buckets are occupied at once, so after many
+// wraps of the 256-slot ring the queue must hold at most 13 backing arrays
+// (the horizon plus 2), counted over the ring slots and the spare stack. A
+// queue that parks one array per ring slot holds 256.
+func TestQueueArraysFollowOccupiedBuckets(t *testing.T) {
+	const (
+		period = 10
+		ticks  = 1000
+		wraps  = 40
+		msg    = -1
+	)
+	q := New[int](0, 256)
+	for i := 0; i < ticks; i++ {
+		q.Push(int64(i%period), i)
+	}
+	for {
+		at, _ := q.PeekTime()
+		if at >= 256*wraps {
+			break
+		}
+		v, _ := q.Pop()
+		if v != msg {
+			q.Push(at+period, v)
+			q.Push(at+1, msg)
+		}
+	}
+	arrays := 0
+	for _, bkt := range q.buckets {
+		if cap(bkt) > 0 {
+			arrays++
+		}
+	}
+	for _, bkt := range q.spare {
+		if cap(bkt) > 0 {
+			arrays++
+		}
+	}
+	if arrays > period+3 {
+		t.Errorf("queue holds %d backing arrays after %d wraps, want <= %d", arrays, wraps, period+3)
 	}
 }
