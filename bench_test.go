@@ -5,8 +5,8 @@
 //
 //	go test -bench . -benchmem
 //
-// prints the series the paper's plots are built from. cmd/bootsim prints
-// the full per-cycle CSV, including at the paper's 2^14-2^18 sizes.
+// prints the series the paper's plots are built from. cmd/sim prints the
+// full per-cycle CSV, including at the paper's 2^14-2^18 sizes.
 package repro
 
 import (
@@ -30,7 +30,7 @@ import (
 )
 
 // benchSizes are laptop-quick defaults; the paper's sizes (2^14, 2^16,
-// 2^18) are available through cmd/bootsim -paper.
+// 2^18) are available through `sim fig3 -paper`.
 var benchSizes = []int{1 << 10, 1 << 12, 1 << 14}
 
 func runToConvergence(b *testing.B, p experiment.Params) *experiment.Result {

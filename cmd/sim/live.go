@@ -1,55 +1,9 @@
-// Command netsim runs socket-engine campaigns of the bootstrapping
-// service sharded across real OS processes: each worker process owns
-// n/procs hosts behind its own TCP port on a port-indexed
-// localhost topology, every protocol message crosses the kernel through
-// the internal/wire codec, and the driver aggregates the same per-cycle
-// CSV series bootsim and livesim emit. It is the third engine's campaign
-// driver — after bootsim (deterministic simulation) and livesim
-// (goroutine concurrency), netsim measures the protocol over an actual
-// network stack: serialization, kernel backpressure, per-process failure
-// isolation.
-//
-// Usage:
-//
-//	netsim [flags]
-//
-//	-n int          network size (hosts) (default 1024)
-//	-procs int      worker processes sharding the hosts (default 4)
-//	-cycles int     campaign length in periods (default 30)
-//	-period dur     gossip period Δ; 0 scales with -n (default 0)
-//	-scenario name  none|churn|partition|drop (default "churn")
-//	-drop float     initial sender-side loss probability (default 0)
-//	-seed int       campaign seed (default 42)
-//	-base-port int  worker p listens on base-port+p (default 18500)
-//	-measure-workers int  goroutines sharding each worker's measurement
-//	-full           keep running after convergence
-//	-o path         write the CSV to path instead of stdout
-//
-// The latency scenario is rejected when a worker expands its fault plan:
-// the socket engine measures the kernel's real delivery latency instead of
-// injecting one.
-//
-// Workers are respawns of the same binary (-worker -proc p) driven over a
-// line protocol on stdin/stdout; their logs go to stderr. Each worker steps
-// its shard of the one trial driver (experiment.LiveShard); the driver sums
-// the workers' exact partial measurements and feeds them to the trial
-// driver's recorder (experiment.ShardRecorder), which owns the stopping
-// rule. Every wait on a worker is bounded: one that stops answering gets
-// the whole campaign killed and a non-zero exit naming it. At the end of a
-// campaign the driver drains every worker to quiescence and checks the
-// cross-process conservation law ΣSent == ΣDelivered + ΣDropped +
-// ΣOverflow — a non-conserved campaign exits non-zero.
-//
-// Examples:
-//
-//	netsim -n 128 -procs 2 -cycles 10 -scenario none
-//	netsim -n 1024 -procs 4 -scenario churn
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -59,81 +13,128 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/host"
 	"repro/internal/livenet"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+// liveParams is the trial the live and sock campaigns share. A scenario
+// disturbs the network mid-run, so under one the trial keeps measuring
+// the recovery tail instead of stopping at the first perfect cycle.
+func (o *options) liveParams() (experiment.LiveParams, error) {
+	sc, err := livenet.ParseScenario(o.scenario)
+	return experiment.LiveParams{
+		N:                       o.n(),
+		Config:                  o.cfg,
+		Period:                  o.period,
+		Cycles:                  o.cycles,
+		Drop:                    o.drop,
+		MinLatency:              o.latency / 4,
+		MaxLatency:              o.latency,
+		Scenario:                sc,
+		KeepRunningAfterPerfect: sc.Schedule != nil,
+		MeasureWorkers:          o.measureWorkers,
+		MeasureSample:           o.measureSample,
+		Sampler:                 o.sampler,
+		WarmupCycles:            o.warmup,
+		MemStats:                o.memstats,
+	}, err
 }
 
-// options is the parsed command line: the flags fill in the campaign's
-// LiveParams directly (Sockets.Proc is this worker's shard, 0 in the
-// driver), plus what only the CLI needs.
-type options struct {
-	p      experiment.LiveParams
-	seed   int64
-	out    string
-	worker bool
+// runLive runs -trials seeds of the trial on the goroutine runtime over the
+// in-memory link and prints a header per campaign (the fault plan of trial
+// 0, per-trial summaries), then the aggregate per-cycle series in the
+// format fig3 -trials prints, so the engines' campaigns plot side by side.
+func runLive(o *options, out io.Writer) error {
+	p, err := o.liveParams()
+	if err != nil {
+		return err
+	}
+	seeds := experiment.Seeds(o.seed, o.trials)
+	start := time.Now()
+	res, err := experiment.RunLiveTrials(p, seeds, o.workers)
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(start).Round(time.Millisecond)
+
+	fmt.Fprintf(out, "# livesim n=%d trials=%d workers=%d scenario=%s sampler=%s measure_sample=%d drop=%.2f latency=%s period=%s cycles=%d elapsed=%s\n",
+		p.N, o.trials, o.workers, p.Scenario.Name, p.Sampler, p.MeasureSample, p.Drop, o.latency, res.Params.Period, p.Cycles, elapsed)
+	if sched := res.Trials[0].Schedule; len(sched) > 0 {
+		fmt.Fprintf(out, "# fault plan (trial 0, seed %d):\n", seeds[0])
+		for _, e := range sched {
+			fmt.Fprintf(out, "#   %s\n", e)
+		}
+	}
+	for i, t := range res.Trials {
+		f := t.Final()
+		fmt.Fprintf(out, "# trial=%d seed=%d converged_at=%d killed=%d respawned=%d final_leaf_missing=%e final_prefix_missing=%e sent=%d delivered=%d dropped=%d overflow=%d\n",
+			i, t.Seed, t.ConvergedAt, t.Killed, t.Respawned,
+			f.LeafMissing, f.PrefixMissing,
+			t.Stats.Sent, t.Stats.Delivered, t.Stats.Dropped, t.Stats.Overflow)
+	}
+	if p.MemStats {
+		// Campaign-level accounting: one tracker samples the heap at the
+		// end of every trial (hosts still running) and keeps the peak, so
+		// the figure reflects the res.Workers trials live at once rather
+		// than whichever stragglers a single end-of-campaign snapshot
+		// would catch.
+		fmt.Fprintf(out, "# memstats n=%d trials=%d workers=%d %s\n",
+			p.N, o.trials, res.Workers, res.Mem.Line(p.N, res.Workers))
+	}
+	var total host.Stats
+	for _, t := range res.Trials {
+		total.Add(t.Stats)
+	}
+	fmt.Fprintf(out, "# converged_trials=%d/%d total_sent=%d total_delivered=%d total_dropped=%d total_overflow=%d\n",
+		res.ConvergedTrials(), o.trials, total.Sent, total.Delivered, total.Dropped, total.Overflow)
+	return res.WriteCSV(out)
 }
 
-func parseArgs(args []string) (*options, error) {
-	sock := &experiment.Sockets{}
-	o := &options{p: experiment.LiveParams{Config: core.DefaultConfig(), Sockets: sock}}
-	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
-	fs.IntVar(&o.p.N, "n", 1024, "network size (hosts)")
-	fs.IntVar(&sock.Procs, "procs", 4, "worker processes")
-	fs.IntVar(&o.p.Cycles, "cycles", 30, "campaign length in periods")
-	fs.DurationVar(&o.p.Period, "period", 0, "gossip period; 0 scales with -n")
-	scenario := fs.String("scenario", "churn", "none|churn|partition|drop")
-	fs.Float64Var(&o.p.Drop, "drop", 0, "initial loss probability")
-	fs.Int64Var(&o.seed, "seed", 42, "campaign seed")
-	fs.IntVar(&sock.BasePort, "base-port", 18500, "worker p listens on base-port+p")
-	fs.IntVar(&o.p.MeasureWorkers, "measure-workers", 0, "measurement goroutines per worker (0 = GOMAXPROCS)")
-	fs.BoolVar(&o.p.KeepRunningAfterPerfect, "full", false, "keep running after convergence")
-	fs.StringVar(&o.out, "o", "", "output path (default stdout)")
-	fs.BoolVar(&o.worker, "worker", false, "run as a worker process (internal)")
-	fs.IntVar(&sock.Proc, "proc", 0, "worker shard index (internal)")
-	if err := fs.Parse(args); err != nil {
-		return nil, err
+// sockParams is the trial of the sock campaign: the live trial over
+// loopback sockets, with the hosts sharded across -procs worker processes
+// on a port-indexed localhost topology.
+func (o *options) sockParams() (experiment.LiveParams, error) {
+	p, err := o.liveParams()
+	if err != nil {
+		return p, err
 	}
-	var err error
-	if o.p.Scenario, err = livenet.ParseScenario(*scenario); err != nil {
-		return nil, err
+	if o.procs < 1 {
+		return p, errors.New("-procs must be at least 1")
 	}
-	if sock.Procs < 1 {
-		return nil, fmt.Errorf("-procs must be at least 1")
-	}
-	if o.p.Period == 0 {
+	p.Sockets = &experiment.Sockets{Procs: o.procs, Proc: o.proc, BasePort: o.basePort}
+	if p.Period == 0 {
 		// Resolve the default here so one value reaches every worker
 		// explicitly rather than each process re-deriving it.
-		o.p.Period = experiment.DefaultLivePeriod(o.p.N, 1)
+		p.Period = experiment.DefaultLivePeriod(p.N, 1)
 	}
-	return o, nil
+	return p, nil
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
-	opts, err := parseArgs(args)
+// runSock runs the trial once across worker processes: each owns n/procs
+// hosts behind its own TCP port, and every protocol message crosses the
+// kernel through the internal/wire codec. The workers are re-runs of this
+// command line with -worker -proc p, driven over a line protocol on
+// stdin/stdout; their logs go to stderr. Each worker steps its shard of the
+// trial (experiment.LiveShard); the driver sums the workers' exact partial
+// measurements and feeds them to experiment.ShardRecorder, which owns the
+// stopping rule. The latency scenario is rejected when a worker expands its
+// fault plan: the socket engine measures the kernel's delivery latency
+// instead of injecting one.
+func runSock(o *options, out io.Writer) error {
+	p, err := o.sockParams()
 	if err != nil {
-		fmt.Fprintln(stderr, "netsim:", err)
-		return 2
+		return err
 	}
-	if opts.worker {
-		if err := runWorker(opts, os.Stdin, stdout); err != nil {
-			fmt.Fprintf(stderr, "netsim worker %d: %v\n", opts.p.Sockets.Proc, err)
-			return 1
+	if o.worker {
+		if err := runWorker(p, o.seed, os.Stdin, out); err != nil {
+			return fmt.Errorf("worker %d: %w", o.proc, err)
 		}
-		return 0
+		return nil
 	}
 	// A worker answers a CYCLE within a period plus its measurement, and a
 	// DRAIN within the drain budget; anything slower is wedged.
-	if err := runDriver(opts, args, 8*opts.p.Period+experiment.DrainBudget, stdout, stderr); err != nil {
-		fmt.Fprintln(stderr, "netsim:", err)
-		return 1
-	}
-	return 0
+	return runDriver(p, o.seed, o.args, 8*p.Period+experiment.DrainBudget, out, os.Stderr)
 }
 
 // workerStats is what a worker reports of its shard: the traffic counters,
@@ -157,8 +158,8 @@ func (w *workerStats) add(o workerStats) {
 //	driver → DRAIN         worker → DRAINED <ok> <json workerStats>
 //	driver → STATS         worker → STATS <json workerStats>
 //	driver → EXIT          worker closes and exits
-func runWorker(opts *options, stdin io.Reader, stdout io.Writer) error {
-	trial, err := experiment.OpenLiveShard(opts.p, opts.seed)
+func runWorker(p experiment.LiveParams, seed int64, stdin io.Reader, stdout io.Writer) error {
+	trial, err := experiment.OpenLiveShard(p, seed)
 	if err != nil {
 		return err
 	}
@@ -294,15 +295,17 @@ func ask(workers []*workerProc, cmd, reply string, got func(w *workerProc, rest 
 
 // runDriver spawns the workers, steps the campaign cycle by cycle,
 // aggregates the partial measurements, drains everyone to quiescence, and
-// verifies the cross-process conservation law. args is the driver's own
-// command line: the workers re-parse it, plus their role, the resolved
-// period and their shard.
-func runDriver(opts *options, args []string, wait time.Duration, stdout, stderr io.Writer) error {
+// verifies the cross-process conservation law ΣSent == ΣDelivered +
+// ΣDropped + ΣOverflow: a non-conserved campaign fails. Every wait on a
+// worker is bounded by wait: one that stops answering gets the whole
+// campaign killed and an error naming it. args is the driver's own command
+// line: the workers re-parse it, plus their role, the resolved period and
+// their shard.
+func runDriver(p experiment.LiveParams, seed int64, args []string, wait time.Duration, stdout, stderr io.Writer) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return err
 	}
-	p := opts.p
 	workerArgs := append(slices.Clone(args), "-worker", "-period", p.Period.String(), "-proc")
 
 	var workers []*workerProc
@@ -315,7 +318,7 @@ func runDriver(opts *options, args []string, wait time.Duration, stdout, stderr 
 		cmd := exec.Command(exe, append(slices.Clone(workerArgs), strconv.Itoa(proc))...)
 		// The env marker lets a test binary reroute itself into worker
 		// mode; the real binary keys off -worker alone.
-		cmd.Env = append(os.Environ(), "NETSIM_WORKER=1")
+		cmd.Env = append(os.Environ(), "SIM_WORKER=1")
 		cmd.Stderr = os.Stderr
 		stdin, err := cmd.StdinPipe()
 		if err != nil {
@@ -345,10 +348,10 @@ func runDriver(opts *options, args []string, wait time.Duration, stdout, stderr 
 			return err
 		}
 	}
-	fmt.Fprintf(stderr, "netsim: %d workers up (n=%d procs=%d period=%s scenario=%s)\n",
+	fmt.Fprintf(stderr, "sim sock: %d workers up (n=%d procs=%d period=%s scenario=%s)\n",
 		len(workers), p.N, len(workers), p.Period, p.Scenario.Name)
 
-	rec := experiment.NewShardRecorder(p, opts.seed)
+	rec := experiment.NewShardRecorder(p, seed)
 	for cycle, stop := 0, false; cycle < p.Cycles && !stop; cycle++ {
 		parts := make([]experiment.Partial, len(workers))
 		err := ask(workers, "CYCLE "+strconv.Itoa(cycle), "POINT", func(w *workerProc, rest string) error {
@@ -368,7 +371,7 @@ func runDriver(opts *options, args []string, wait time.Duration, stdout, stderr 
 	// settled.
 	err = ask(workers, "DRAIN", "DRAINED", func(w *workerProc, rest string) error {
 		if ok, _, _ := strings.Cut(rest, " "); ok != "true" {
-			fmt.Fprintf(stderr, "netsim: worker %d did not settle locally\n", w.proc)
+			fmt.Fprintf(stderr, "sim sock: worker %d did not settle locally\n", w.proc)
 		}
 		return nil
 	})
@@ -413,34 +416,25 @@ func runDriver(opts *options, args []string, wait time.Duration, stdout, stderr 
 	}
 	workers = nil
 
-	out := stdout
-	if opts.out != "" {
-		f, err := os.Create(opts.out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	fmt.Fprintf(out, "# netsim n=%d procs=%d period=%s cycles=%d scenario=%s seed=%d drop=%g\n",
-		p.N, p.Sockets.Procs, p.Period, p.Cycles, p.Scenario.Name, opts.seed, p.Drop)
+	fmt.Fprintf(stdout, "# netsim n=%d procs=%d period=%s cycles=%d scenario=%s seed=%d drop=%g\n",
+		p.N, p.Sockets.Procs, p.Period, p.Cycles, p.Scenario.Name, seed, p.Drop)
 	res := rec.Result()
 	res.Stats = final
-	fmt.Fprintf(out, "# converged_at=%d\n", res.ConvergedAt)
-	if err := res.WriteCSV(out); err != nil {
+	fmt.Fprintf(stdout, "# converged_at=%d\n", res.ConvergedAt)
+	if err := res.WriteCSV(stdout); err != nil {
 		return err
 	}
 	conservedOK := final.Sent == final.Delivered+final.Dropped+final.Overflow
-	fmt.Fprintf(out, "# netstats sent=%d delivered=%d dropped=%d overflow=%d conserved=%t\n",
+	fmt.Fprintf(stdout, "# netstats sent=%d delivered=%d dropped=%d overflow=%d conserved=%t\n",
 		final.Sent, final.Delivered, final.Dropped, final.Overflow, conservedOK)
 	// How well the socket writers coalesced: 1 is a write per message.
-	fmt.Fprintf(out, "# frames_per_write=%.2f\n", float64(sum.Frames)/float64(max(sum.Writes, 1)))
+	fmt.Fprintf(stdout, "# frames_per_write=%.2f\n", float64(sum.Frames)/float64(max(sum.Writes, 1)))
 	if !conservedOK {
 		return fmt.Errorf("traffic counters not conserved at quiescence: %+v (diff %d)",
 			final, final.Sent-final.Delivered-final.Dropped-final.Overflow)
 	}
 	if res.ConvergedAt < 0 {
-		fmt.Fprintf(stderr, "netsim: campaign did not converge in %d cycles\n", p.Cycles)
+		fmt.Fprintf(stderr, "sim sock: campaign did not converge in %d cycles\n", p.Cycles)
 	}
 	return nil
 }

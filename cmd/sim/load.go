@@ -1,22 +1,9 @@
-// Command loadsim drives the serving plane: a deterministic closed-loop
-// get/put workload over a DHT built on the bootstrapped overlay, while a
-// churn, crash, or partition scenario runs. Per cycle it emits one CSV
-// row with op outcomes, routed-hop and latency percentiles, and the
-// overlay-quality estimate from the sampled-estimator machinery; at the
-// end it prints a `# loadstats` summary (ops/sec, per-op allocs).
-//
-//	loadsim -n 4096 -scenario churn
-//	loadsim -n 1024 -scenario partition -ops 50000 -workers 8
-//	loadsim -n 1024 -scenario flash        # 25% standby burst-joins mid-run
-//	loadsim -n 512 -boot simnet            # bootstrap via the real protocol
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"time"
 
@@ -27,96 +14,8 @@ import (
 	"repro/internal/overlay/pastry"
 	"repro/internal/peer"
 	"repro/internal/sampling"
-	"repro/internal/simnet"
 	"repro/internal/truth"
 )
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "loadsim:", err)
-		os.Exit(1)
-	}
-}
-
-type options struct {
-	n              int
-	cycles         int
-	ops            int
-	workers        int
-	keys           int
-	getRatio       float64
-	zipfS          float64
-	valueSize      int
-	replicas       int
-	scenario       string
-	churnRate      float64
-	seed           int64
-	standby        int
-	boot           string
-	measureSample  int
-	measureWorkers int
-	cfg            core.Config
-}
-
-func parseArgs(args []string) (*options, error) {
-	fs := flag.NewFlagSet("loadsim", flag.ContinueOnError)
-	var (
-		n        = fs.Int("n", 1024, "cluster size")
-		cycles   = fs.Int("cycles", 10, "measurement cycles")
-		ops      = fs.Int("ops", 20000, "operations per cycle")
-		workers  = fs.Int("workers", 4, "closed-loop load workers (G)")
-		keys     = fs.Int("keys", 1024, "distinct keys in the working set")
-		getRatio = fs.Float64("get", 0.9, "fraction of ops that are gets")
-		zipfS    = fs.Float64("zipf", 0, "Zipf popularity exponent (>1 enables skew; 0 = uniform)")
-		valSize  = fs.Int("valsize", 64, "value size in bytes")
-		replicas = fs.Int("replicas", dht.DefaultReplicas, "replication factor")
-		scenario = fs.String("scenario", "none", "none|churn|crash|partition|flash")
-		churn    = fs.Float64("churn", 0.01, "per-cycle fraction of live nodes removed (scenario=churn)")
-		seed     = fs.Int64("seed", 42, "random seed")
-		boot     = fs.String("boot", "perfect", "perfect|simnet (perfect tables, or bootstrap via the gossip protocol)")
-		measureS = fs.Int("measure-sample", 0, "overlay measurement sample size (0 = exact full measurement)")
-		measureW = fs.Int("measure-workers", 0, "measurement worker goroutines (0 = GOMAXPROCS; output identical for any value)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	o := &options{
-		n: *n, cycles: *cycles, ops: *ops, workers: *workers, keys: *keys,
-		getRatio: *getRatio, zipfS: *zipfS, valueSize: *valSize,
-		replicas: *replicas, scenario: *scenario, churnRate: *churn,
-		seed: *seed, boot: *boot,
-		measureSample: *measureS, measureWorkers: *measureW,
-		cfg: core.DefaultConfig(),
-	}
-	if o.n < 2 {
-		return nil, fmt.Errorf("-n must be at least 2, got %d", o.n)
-	}
-	if o.cycles < 1 {
-		return nil, fmt.Errorf("-cycles must be at least 1, got %d", o.cycles)
-	}
-	switch o.scenario {
-	case "none", "churn", "crash", "partition":
-	case "flash":
-		// A quarter of the population sits out as standbys and burst-joins
-		// at mid-run — the flash-crowd case the paper's joining analysis
-		// targets.
-		o.standby = o.n / 4
-		if o.standby < 1 {
-			o.standby = 1
-		}
-	default:
-		return nil, fmt.Errorf("unknown scenario %q", o.scenario)
-	}
-	switch o.boot {
-	case "perfect", "simnet":
-	default:
-		return nil, fmt.Errorf("unknown boot mode %q", o.boot)
-	}
-	if o.churnRate < 0 || o.churnRate >= 1 {
-		return nil, fmt.Errorf("-churn must be in [0, 1), got %v", o.churnRate)
-	}
-	return o, nil
-}
 
 // world is the simulated deployment: the DHT cluster plus the bookkeeping
 // the measurement plane and scenarios need.
@@ -129,10 +28,10 @@ type world struct {
 	oracle  *truth.Truth
 }
 
-// buildPerfect constructs the cluster on perfect routing tables — the
-// post-bootstrap fixed point, without simulating the bootstrap itself.
-func buildPerfect(o *options) (*world, error) {
-	total := o.n + o.standby
+// buildPerfect constructs the cluster of total nodes on perfect routing
+// tables — the post-bootstrap fixed point, without simulating the
+// bootstrap itself.
+func buildPerfect(o *options, total int) (*world, error) {
 	ids := id.Unique(total, o.seed)
 	descs := make([]peer.Descriptor, total)
 	for i, v := range ids {
@@ -148,19 +47,13 @@ func buildPerfect(o *options) (*world, error) {
 		nodes[i] = dht.NewNode(pastry.New(d, ls, pt, o.cfg.B))
 		members[i] = truth.Member{Self: d.ID, Leaf: ls, Table: pt}
 	}
-	return newWorld(o, descs, nodes, members, ids)
+	return newWorld(o, descs, nodes, members)
 }
 
 // buildSimnet runs the paper's bootstrap protocol on the simulated
 // network and promotes the converged structures into the DHT.
-func buildSimnet(o *options) (*world, error) {
-	total := o.n + o.standby
-	net := simnet.New(simnet.Config{Seed: o.seed})
-	ids := id.Unique(total, o.seed+1)
-	descs := make([]peer.Descriptor, total)
-	for i := range descs {
-		descs[i] = peer.Descriptor{ID: ids[i], Addr: net.AddNode()}
-	}
+func buildSimnet(o *options, total int) (*world, error) {
+	net, descs := simnetWorld(total, o.seed)
 	oracle := sampling.NewOracle(descs, o.seed+2)
 	boot := make([]*core.Node, total)
 	for i, d := range descs {
@@ -180,17 +73,18 @@ func buildSimnet(o *options) (*world, error) {
 		nodes[i] = dht.NewNode(pastry.FromBootstrap(b))
 		members[i] = truth.Member{Self: descs[i].ID, Leaf: b.Leaf(), Table: b.Table()}
 	}
-	return newWorld(o, descs, nodes, members, ids)
+	return newWorld(o, descs, nodes, members)
 }
 
-func newWorld(o *options, descs []peer.Descriptor, nodes []*dht.Node, members []truth.Member, ids []id.ID) (*world, error) {
+func newWorld(o *options, descs []peer.Descriptor, nodes []*dht.Node, members []truth.Member) (*world, error) {
+	ids := make([]id.ID, len(descs))
+	alive := make([]bool, len(descs))
+	for i, d := range descs {
+		ids[i], alive[i] = d.ID, true
+	}
 	oracle, err := truth.New(ids, o.cfg.B, o.cfg.K, o.cfg.C)
 	if err != nil {
 		return nil, err
-	}
-	alive := make([]bool, len(descs))
-	for i := range alive {
-		alive[i] = true
 	}
 	return &world{
 		cluster: dht.NewCluster(nodes, o.replicas),
@@ -237,17 +131,17 @@ func (w *world) liveMembers(dst []truth.Member) []truth.Member {
 }
 
 // applyScenario mutates the world before a cycle's load runs. Deterministic
-// in (options, cycle, rng state).
+// in (options, cycle, rng state). The standbys are the nodes past -n.
 func applyScenario(o *options, w *world, cycle int, rng *rand.Rand) error {
 	switch o.scenario {
 	case "churn":
-		// Steady churn from cycle 1 on: each cycle kills churnRate of the
+		// Steady churn from cycle 1 on: each cycle kills churn of the
 		// live population, one node at a time (each departure repairs
 		// before the next, the steady-state regime).
 		if cycle == 0 {
 			return nil
 		}
-		kill := int(float64(w.nLive) * o.churnRate)
+		kill := int(float64(w.nLive) * o.churn)
 		if kill < 1 {
 			kill = 1
 		}
@@ -282,7 +176,7 @@ func applyScenario(o *options, w *world, cycle int, rng *rand.Rand) error {
 		if cycle != o.cycles/2 {
 			return nil
 		}
-		for i := o.n; i < o.n+o.standby; i++ {
+		for i := o.n(); i < len(w.descs); i++ {
 			if err := w.join(i); err != nil {
 				return err
 			}
@@ -291,7 +185,7 @@ func applyScenario(o *options, w *world, cycle int, rng *rand.Rand) error {
 		// Split the address space in half for the middle third of the
 		// run, then heal.
 		lo, hi := o.cycles/3, 2*o.cycles/3
-		half := peer.Addr(o.n / 2)
+		half := peer.Addr(o.n() / 2)
 		if cycle == lo {
 			w.cluster.SetPartition(func(a, b peer.Addr) bool {
 				return (a < half) != (b < half)
@@ -304,39 +198,62 @@ func applyScenario(o *options, w *world, cycle int, rng *rand.Rand) error {
 	return nil
 }
 
-func run(args []string, out io.Writer) error {
-	o, err := parseArgs(args)
-	if err != nil {
-		return err
+// runLoad drives the serving plane: a deterministic closed-loop get/put
+// workload over a DHT built on the bootstrapped overlay, while a churn,
+// crash, partition or flash-crowd scenario runs. Per cycle it emits one
+// CSV row with op outcomes, routed-hop and latency percentiles, and the
+// overlay-quality estimate from the sampled-estimator machinery; at the
+// end it prints a `# loadstats` summary (ops/sec, per-op allocs). Under
+// churn and flash it fails below 99% op success.
+func runLoad(o *options, out io.Writer) error {
+	n, standby := o.n(), 0
+	switch o.scenario {
+	case "none", "churn", "crash", "partition":
+	case "flash":
+		// A quarter of the population sits out as standbys and burst-joins
+		// at mid-run — the flash-crowd case the paper's joining analysis
+		// targets.
+		standby = max(n/4, 1)
+	default:
+		return fmt.Errorf("unknown scenario %q", o.scenario)
 	}
-	var w *world
-	if o.boot == "simnet" {
-		w, err = buildSimnet(o)
-	} else {
-		w, err = buildPerfect(o)
+	build := buildPerfect
+	switch o.boot {
+	case "perfect":
+	case "simnet":
+		build = buildSimnet
+	default:
+		return fmt.Errorf("unknown boot mode %q", o.boot)
 	}
+	if o.cycles < 1 {
+		return fmt.Errorf("-cycles must be at least 1, got %d", o.cycles)
+	}
+	if o.churn < 0 || o.churn >= 1 {
+		return fmt.Errorf("-churn must be in [0, 1), got %v", o.churn)
+	}
+	w, err := build(o, n+standby)
 	if err != nil {
 		return err
 	}
 	// Standbys sit out until the flash crowd: parked before the preload so
 	// the working set lives entirely on the initial population.
-	for i := o.n; i < o.n+o.standby; i++ {
+	for i := n; i < n+standby; i++ {
 		if err := w.remove(i); err != nil {
 			return err
 		}
 	}
 	gen := load.New(w.cluster, load.Config{
-		Workers:   o.workers,
+		Workers:   o.clients,
 		KeySpace:  o.keys,
-		GetRatio:  o.getRatio,
-		ZipfS:     o.zipfS,
-		ValueSize: o.valueSize,
+		GetRatio:  o.get,
+		ZipfS:     o.zipf,
+		ValueSize: o.valSize,
 		Seed:      o.seed + 3,
 	})
 	full := gen.Preload()
 
 	fmt.Fprintf(out, "# loadsim n=%d boot=%s scenario=%s workers=%d ops/cycle=%d keys=%d get=%.2f zipf=%.2f replicas=%d seed=%d measure_sample=%d\n",
-		o.n, o.boot, o.scenario, o.workers, o.ops, o.keys, o.getRatio, o.zipfS, o.replicas, o.seed, o.measureSample)
+		n, o.boot, o.scenario, o.clients, o.ops, o.keys, o.get, o.zipf, o.replicas, o.seed, o.measureSample)
 	fmt.Fprintf(out, "# preload keys=%d full_replication=%d\n", o.keys, full)
 	fmt.Fprintln(out, "cycle,live,ops,ok,notfound,noroute,degraded,hop_p50,hop_p99,hop_mean,lat_p50_ns,lat_p99_ns,lat_p999_ns,leaf_missing,leaf_ci,prefix_missing,prefix_ci")
 

@@ -8,6 +8,6 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the module
 // inventory), runnable usage in the packages' Example functions and the
-// CLIs under cmd/, and the figure regeneration harness in bench_test.go
-// and cmd/bootsim.
+// campaign binary cmd/sim (`sim <campaign> [flags]`), and the figure
+// regeneration harness in bench_test.go and cmd/sim.
 package repro

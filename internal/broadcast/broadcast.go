@@ -6,8 +6,8 @@
 //
 // A node holding the rumor forwards it to Fanout random peers every period,
 // for TTL periods after first hearing it. The time between injection and a
-// node's first reception is that node's start skew; the experiment in
-// cmd/samplesim measures the skew distribution, which justifies the paper's
+// node's first reception is that node's start skew; the startspread
+// campaign of cmd/sim measures the skew distribution, which justifies the paper's
 // assumption that all nodes can start within a small number of Δ.
 package broadcast
 

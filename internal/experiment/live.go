@@ -252,7 +252,7 @@ func RunLive(p LiveParams, seed int64) (*LiveResult, error) {
 }
 
 // LiveShard is one process's share of a sharded socket campaign, stepped
-// one cycle at a time so a driver (cmd/netsim) can put its own barriers
+// one cycle at a time so a driver (cmd/sim sock) can put its own barriers
 // between cycles. It is the same trial RunLive runs; only the stopping rule
 // moves to the driver's ShardRecorder, which sees the whole network.
 type LiveShard struct {

@@ -135,7 +135,7 @@ func socketParams(n, cycles, basePort int) LiveParams {
 }
 
 // TestSocketShardedPartialSums runs a two-shard campaign inside one test
-// process, stepping the shards in lockstep the way cmd/netsim does across
+// process, stepping the shards in lockstep the way cmd/sim sock does across
 // real processes, and checks the driver-side invariants: per-cycle global
 // alive counts agree between shards, the summed partial aggregates form a
 // complete measurement (totals cover every live node), and the summed
@@ -183,8 +183,8 @@ func TestSocketShardedPartialSums(t *testing.T) {
 	for _, tr := range trials {
 		tr.eng.rt.StopTicks()
 	}
-	// Global quiescence: poll the summed counters, mirroring the netsim
-	// driver's DRAIN barrier.
+	// Global quiescence: poll the summed counters, mirroring the sock
+	// campaign driver's DRAIN barrier.
 	deadline := time.Now().Add(10 * time.Second)
 	var prev host.Stats
 	stable := 0

@@ -62,8 +62,8 @@ type (
 )
 
 // Seeds returns n deterministic trial seeds derived from base, suitable for
-// RunTrials: base, base+7919, base+2*7919, … — the same stride cmd/bootsim
-// uses for -runs repetitions, so a -trials campaign aggregates exactly the
+// RunTrials: base, base+7919, base+2*7919, … — the same seeds cmd/sim's
+// fig3 and fig4 use for -runs repetitions, so a -trials campaign aggregates exactly the
 // per-seed series a -runs campaign prints raw.
 func Seeds(base int64, n int) []int64 {
 	out := make([]int64, n)

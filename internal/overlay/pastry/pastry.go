@@ -35,8 +35,8 @@ func FromBootstrap(n *core.Node) *Router {
 	}
 }
 
-// New builds a router from explicit structures. cmd/loadsim's perfect
-// boot and the benchmark's perfect-table cluster (its direct DHT and route
+// New builds a router from explicit structures. The load campaign's
+// perfect boot (cmd/sim) and the benchmark's perfect-table cluster (its direct DHT and route
 // timings) use it with tables they filled without running the bootstrap
 // protocol.
 func New(self peer.Descriptor, leaf *core.LeafSet, table *core.PrefixTable, b int) *Router {

@@ -38,7 +38,7 @@
 //	ΣSent == ΣDelivered + ΣDropped + ΣOverflow
 //
 // holds for the sum over all processes, at quiescence (StopTicks +
-// Quiesce, no connection failures during the drain); cmd/netsim checks it
+// Quiesce, no connection failures during the drain); cmd/sim sock checks it
 // at the end of every campaign.
 package transport
 
