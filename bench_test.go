@@ -1,12 +1,10 @@
-// Benchmarks regenerating every figure and prose result of the paper's
-// evaluation (Section 5), plus ablations and micro-benchmarks. Each
-// figure-level benchmark runs the full experiment and reports the paper's
-// headline quantity (cycles to perfect convergence) as a custom metric, so
-//
-//	go test -bench . -benchmem
-//
-// prints the series the paper's plots are built from. cmd/sim prints the
-// full per-cycle CSV, including at the paper's 2^14-2^18 sizes.
+// Benchmarks of the hot paths and of the memory footprint. Each is read by
+// a step of .github/workflows/ci.yml, whose "Every benchmark has a CI step"
+// check fails on one that is not: MeasureSample (the stats job's >= 20x
+// speedup), NetworkFootprint (bytes/node <= 7500), SimnetSharded (a trend),
+// and EventLoop, CreateMessageViaTick and the three Truth benchmarks (the
+// bench job's "Key benchmarks"). The paper's figures and prose results are
+// regenerated by cmd/sim (`sim fig3`, `sim churn`, ...), not here.
 package repro
 
 import (
@@ -15,274 +13,15 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/chord"
 	"repro/internal/core"
-	"repro/internal/dht"
 	"repro/internal/experiment"
 	"repro/internal/id"
-	"repro/internal/newscast"
-	"repro/internal/overlay/pastry"
 	"repro/internal/peer"
 	"repro/internal/proto"
 	"repro/internal/sampling"
 	"repro/internal/simnet"
 	"repro/internal/truth"
 )
-
-// benchSizes are laptop-quick defaults; the paper's sizes (2^14, 2^16,
-// 2^18) are available through `sim fig3 -paper`.
-var benchSizes = []int{1 << 10, 1 << 12, 1 << 14}
-
-func runToConvergence(b *testing.B, p experiment.Params) *experiment.Result {
-	b.Helper()
-	res, err := experiment.Run(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.ConvergedAt < 0 {
-		b.Fatalf("no convergence within %d cycles (final %+v)", p.MaxCycles, res.Final())
-	}
-	return res
-}
-
-// BenchmarkFig3Convergence reproduces Figure 3 (both panels): failure-free
-// bootstrap at increasing N. Metrics: cycles to perfection, plus the cycle
-// at which each structure individually became perfect.
-func BenchmarkFig3Convergence(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			var cycles, leafAt, prefixAt float64
-			for i := 0; i < b.N; i++ {
-				res := runToConvergence(b, experiment.Params{
-					N:         n,
-					Seed:      int64(1000 + i),
-					Config:    core.DefaultConfig(),
-					MaxCycles: 60,
-				})
-				cycles += float64(res.ConvergedAt + 1)
-				leafAt += float64(firstPerfect(res, func(pt experiment.Point) bool { return pt.LeafMissing == 0 }) + 1)
-				prefixAt += float64(firstPerfect(res, func(pt experiment.Point) bool { return pt.PrefixMissing == 0 }) + 1)
-			}
-			b.ReportMetric(cycles/float64(b.N), "cycles")
-			b.ReportMetric(leafAt/float64(b.N), "leaf-cycles")
-			b.ReportMetric(prefixAt/float64(b.N), "prefix-cycles")
-		})
-	}
-}
-
-// BenchmarkFig4Convergence reproduces Figure 4: bootstrap under 20%
-// uniform message drop. The paper's observation: same shape as Figure 3,
-// convergence slowed proportionally.
-func BenchmarkFig4Convergence(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				res := runToConvergence(b, experiment.Params{
-					N:         n,
-					Seed:      int64(2000 + i),
-					Config:    core.DefaultConfig(),
-					Drop:      0.2,
-					MaxCycles: 90,
-				})
-				cycles += float64(res.ConvergedAt + 1)
-			}
-			b.ReportMetric(cycles/float64(b.N), "cycles")
-		})
-	}
-}
-
-// BenchmarkChurn reproduces the Section 5 prose claim that the protocol is
-// not sensitive to churn: 1% of the network is replaced per cycle for the
-// first 20 cycles. Metrics: residual missing proportions after recovery.
-func BenchmarkChurn(b *testing.B) {
-	for _, n := range []int{1 << 10, 1 << 12} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			var leaf, prefix float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.Run(experiment.Params{
-					N:                       n,
-					Seed:                    int64(3000 + i),
-					Config:                  core.DefaultConfig(),
-					MaxCycles:               50,
-					Churn:                   experiment.Churn{Rate: 0.01, StartCycle: 0, StopCycle: 20},
-					KeepRunningAfterPerfect: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				leaf += res.Final().LeafMissing
-				prefix += res.Final().PrefixMissing
-			}
-			b.ReportMetric(leaf/float64(b.N), "final-leaf-missing")
-			b.ReportMetric(prefix/float64(b.N), "final-prefix-missing")
-		})
-	}
-}
-
-// BenchmarkPairLoss reproduces the Section 5 analysis: with 20% uniform
-// drop and request/answer pairs, the expected overall message loss is 28%.
-func BenchmarkPairLoss(b *testing.B) {
-	var loss float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Run(experiment.Params{
-			N:         512,
-			Seed:      int64(4000 + i),
-			Config:    core.DefaultConfig(),
-			Drop:      0.2,
-			MaxCycles: 60,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := res.Stats
-		// An exchange should carry 2 messages (request + answer), but
-		// answers to dropped requests are never sent, so Sent counts
-		// (2-p) messages per request at drop rate p. Reconstruct the
-		// intended traffic and compare what was actually delivered;
-		// the paper's analysis predicts 28% of it lost at p=0.2.
-		const p = 0.2
-		requests := float64(st.Sent) / (2 - p)
-		loss += 1 - float64(st.Delivered)/(2*requests)
-	}
-	b.ReportMetric(loss/float64(b.N), "message-loss")
-}
-
-// BenchmarkScaling reproduces the logarithmic-convergence claim (E7):
-// doubling N four-fold adds roughly a constant number of cycles.
-func BenchmarkScaling(b *testing.B) {
-	for _, n := range []int{1 << 8, 1 << 10, 1 << 12, 1 << 14} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				res := runToConvergence(b, experiment.Params{
-					N:         n,
-					Seed:      int64(5000 + i),
-					Config:    core.DefaultConfig(),
-					MaxCycles: 60,
-				})
-				cycles += float64(res.ConvergedAt + 1)
-			}
-			b.ReportMetric(cycles/float64(b.N), "cycles")
-		})
-	}
-}
-
-// BenchmarkAblationFeedback quantifies the paper's "the two components
-// mutually boost each other" design claim (A1): the same run with the
-// prefix-table feedback removed from message construction.
-func BenchmarkAblationFeedback(b *testing.B) {
-	const n = 1 << 12
-	for _, variant := range []struct {
-		name    string
-		disable bool
-	}{{"full", false}, {"no-feedback", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			var cycles, finalPrefix float64
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig()
-				cfg.DisablePrefixFeedback = variant.disable
-				res, err := experiment.Run(experiment.Params{
-					N:         n,
-					Seed:      int64(6000 + i),
-					Config:    cfg,
-					MaxCycles: 60,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.ConvergedAt >= 0 {
-					cycles += float64(res.ConvergedAt + 1)
-				} else {
-					cycles += float64(res.Params.MaxCycles) // censored
-				}
-				finalPrefix += res.Final().PrefixMissing
-			}
-			b.ReportMetric(cycles/float64(b.N), "cycles")
-			b.ReportMetric(finalPrefix/float64(b.N), "final-prefix-missing")
-		})
-	}
-}
-
-// BenchmarkAblationSamples sweeps cr, the number of fresh random samples
-// per message (A2).
-func BenchmarkAblationSamples(b *testing.B) {
-	const n = 1 << 12
-	for _, cr := range []int{0, 10, 30, 100} {
-		b.Run(fmt.Sprintf("cr=%d", cr), func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig()
-				cfg.CR = cr
-				res, err := experiment.Run(experiment.Params{
-					N:         n,
-					Seed:      int64(7000 + i),
-					Config:    cfg,
-					MaxCycles: 80,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.ConvergedAt >= 0 {
-					cycles += float64(res.ConvergedAt + 1)
-				} else {
-					cycles += float64(res.Params.MaxCycles)
-				}
-			}
-			b.ReportMetric(cycles/float64(b.N), "cycles")
-		})
-	}
-}
-
-// BenchmarkBaselineChord runs the Chord ring+finger bootstrap (A3) with
-// the same gossip budget, for comparison against BenchmarkFig3Convergence.
-func BenchmarkBaselineChord(b *testing.B) {
-	for _, n := range []int{1 << 10, 1 << 12} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunChord(experiment.ChordParams{
-					N:         n,
-					Seed:      int64(8000 + i),
-					Config:    chord.DefaultConfig(),
-					MaxCycles: 60,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.ConvergedAt < 0 {
-					b.Fatal("chord baseline did not converge")
-				}
-				cycles += float64(res.ConvergedAt + 1)
-			}
-			b.ReportMetric(cycles/float64(b.N), "cycles")
-		})
-	}
-}
-
-// BenchmarkSamplerChoice compares the oracle sampling layer against a live
-// NEWSCAST layer under the bootstrap protocol (A4), validating the paper's
-// assumption that a real sampling implementation is good enough.
-func BenchmarkSamplerChoice(b *testing.B) {
-	const n = 1 << 10
-	for _, s := range []experiment.SamplerKind{experiment.SamplerOracle, experiment.SamplerNewscast} {
-		b.Run(s.String(), func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				res := runToConvergence(b, experiment.Params{
-					N:            n,
-					Seed:         int64(9000 + i),
-					Config:       core.DefaultConfig(),
-					MaxCycles:    60,
-					Sampler:      s,
-					WarmupCycles: 10,
-				})
-				cycles += float64(res.ConvergedAt + 1)
-			}
-			b.ReportMetric(cycles/float64(b.N), "cycles")
-		})
-	}
-}
 
 // BenchmarkNetworkFootprint measures the retained heap per node of a full
 // deployment at the paper's smallest headline size (2^14): network, event
@@ -341,31 +80,6 @@ func benchWorld(n int, seed int64) ([]peer.Descriptor, []id.ID) {
 		descs[i] = peer.Descriptor{ID: v, Addr: peer.Addr(i)}
 	}
 	return descs, ids
-}
-
-func BenchmarkLeafSetUpdate(b *testing.B) {
-	descs, _ := benchWorld(4096, 1)
-	cfg := core.DefaultConfig()
-	rng := rand.New(rand.NewSource(2))
-	batch := make([]peer.Descriptor, 60)
-	ls := core.NewLeafSet(descs[0].ID, cfg.C)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range batch {
-			batch[j] = descs[rng.Intn(len(descs))]
-		}
-		ls.Update(batch)
-	}
-}
-
-func BenchmarkPrefixTableAdd(b *testing.B) {
-	descs, _ := benchWorld(4096, 3)
-	cfg := core.DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pt := core.NewPrefixTable(descs[0].ID, cfg.B, cfg.K)
-		pt.AddAll(descs[1:])
-	}
 }
 
 func BenchmarkCreateMessageViaTick(b *testing.B) {
@@ -459,30 +173,6 @@ func BenchmarkSimnetSharded(b *testing.B) {
 				}
 				if len(res.Points) != 12 {
 					b.Fatalf("ran %d cycles, want 12", len(res.Points))
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRunTrials measures the multi-trial experiment runner at
-// increasing worker counts over a fixed seed set, recording the parallel
-// speedup of independent-seed campaigns.
-func BenchmarkRunTrials(b *testing.B) {
-	seeds := experiment.Seeds(42, 8)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunTrials(experiment.Params{
-					N:         512,
-					Config:    core.DefaultConfig(),
-					MaxCycles: 40,
-				}, seeds, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.ConvergedTrials() != len(seeds) {
-					b.Fatal("trial failed to converge")
 				}
 			}
 		})
@@ -664,142 +354,4 @@ func BenchmarkMeasureSample(b *testing.B) {
 			tr.MeasureAll(members, 0)
 		}
 	})
-}
-
-func BenchmarkPastryRoute(b *testing.B) {
-	descs, _ := benchWorld(2048, 9)
-	cfg := core.DefaultConfig()
-	routers := make([]*pastry.Router, len(descs))
-	for i, d := range descs {
-		ls := core.NewLeafSet(d.ID, cfg.C)
-		ls.Update(descs)
-		pt := core.NewPrefixTable(d.ID, cfg.B, cfg.K)
-		pt.AddAll(descs)
-		routers[i] = pastry.New(d, ls, pt, cfg.B)
-	}
-	mesh := pastry.NewMesh(routers, 0)
-	rng := rand.New(rand.NewSource(10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mesh.Route(descs[rng.Intn(len(descs))].Addr, id.ID(rng.Uint64())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNewscastCycle(b *testing.B) {
-	const n = 1024
-	net := simnet.New(simnet.Config{Seed: 14})
-	descs, _ := benchWorld(n, 15)
-	protos := make([]*newscast.Protocol, n)
-	for i := range descs {
-		descs[i].Addr = net.AddNode()
-		protos[i] = newscast.New(descs[i], descs[:5], newscast.DefaultViewSize)
-		if err := net.Attach(descs[i].Addr, newscast.ProtoID, protos[i], 10, int64(i%10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	net.Run(100) // warm
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Run(net.Now() + 10)
-	}
-}
-
-func firstPerfect(res *experiment.Result, pred func(experiment.Point) bool) int {
-	for _, pt := range res.Points {
-		if pred(pt) {
-			return pt.Cycle
-		}
-	}
-	return res.Params.MaxCycles
-}
-
-// BenchmarkMassJoin doubles the network at cycle 10 (the paper's
-// motivating massive-join scenario) and reports the cycles from join to
-// renewed perfection.
-func BenchmarkMassJoin(b *testing.B) {
-	for _, n := range []int{1 << 10, 1 << 12} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			var recovery float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.Run(experiment.Params{
-					N:         n,
-					Seed:      int64(11000 + i),
-					Config:    core.DefaultConfig(),
-					MaxCycles: 60,
-					Join:      experiment.Join{Cycle: 10, Count: n},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.ConvergedAt < 0 {
-					b.Fatal("no reconvergence after mass join")
-				}
-				recovery += float64(res.ConvergedAt - 10 + 1)
-			}
-			b.ReportMetric(recovery/float64(b.N), "recovery-cycles")
-		})
-	}
-}
-
-// BenchmarkChurnEviction compares the post-churn residual of the
-// paper-faithful protocol against the eviction extension (failure
-// detector + tombstones + death certificates).
-func BenchmarkChurnEviction(b *testing.B) {
-	for _, variant := range []struct {
-		name  string
-		evict int
-	}{{"paper", 0}, {"evict=2", 2}} {
-		b.Run(variant.name, func(b *testing.B) {
-			var leaf, prefix float64
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig()
-				cfg.EvictAfterMisses = variant.evict
-				res, err := experiment.Run(experiment.Params{
-					N:                       1 << 10,
-					Seed:                    int64(12000 + i),
-					Config:                  cfg,
-					MaxCycles:               50,
-					Churn:                   experiment.Churn{Rate: 0.01, StartCycle: 0, StopCycle: 20},
-					KeepRunningAfterPerfect: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				leaf += res.Final().LeafMissing
-				prefix += res.Final().PrefixMissing
-			}
-			b.ReportMetric(leaf/float64(b.N), "final-leaf-missing")
-			b.ReportMetric(prefix/float64(b.N), "final-prefix-missing")
-		})
-	}
-}
-
-// BenchmarkDHTPutGet measures the application layer over perfect tables.
-func BenchmarkDHTPutGet(b *testing.B) {
-	const n = 1024
-	descs, _ := benchWorld(n, 21)
-	cfg := core.DefaultConfig()
-	nodes := make([]*dht.Node, n)
-	for i, d := range descs {
-		ls := core.NewLeafSet(d.ID, cfg.C)
-		ls.Update(descs)
-		pt := core.NewPrefixTable(d.ID, cfg.B, cfg.K)
-		pt.AddAll(descs)
-		nodes[i] = dht.NewNode(pastry.New(d, ls, pt, cfg.B))
-	}
-	cluster := dht.NewCluster(nodes, 3)
-	rng := rand.New(rand.NewSource(22))
-	val := []byte("benchmark-value")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := id.ID(rng.Uint64())
-		if _, err := cluster.Put(descs[rng.Intn(n)].Addr, key, val); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := cluster.Get(descs[rng.Intn(n)].Addr, key); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

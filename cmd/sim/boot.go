@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/chord"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/memstats"
@@ -132,9 +131,9 @@ func runScaling(o *options, out io.Writer) error {
 	fmt.Fprintf(out, "# experiment=scaling sampler=%s\n", o.sampler)
 	fmt.Fprintln(out, "n,run,converged_at_cycle,sent_messages")
 	for _, n := range o.sizes {
-		for rep := 0; rep < o.runs; rep++ {
-			p := o.params(n)
-			p.Seed += int64(rep) * 104729
+		p := o.params(n)
+		for rep, seed := range experiment.Seeds(o.seed, o.runs) {
+			p.Seed = seed
 			res, err := experiment.Run(p)
 			if err != nil {
 				return err
@@ -184,7 +183,7 @@ func runChord(o *options, out io.Writer) error {
 		res, err := experiment.RunChord(experiment.ChordParams{
 			N:         n,
 			Seed:      o.seed,
-			Config:    chord.Config{C: o.cfg.C, CR: o.cfg.CR, Delta: o.cfg.Delta},
+			Config:    o.cfg,
 			Drop:      o.drop,
 			MaxCycles: o.cycles,
 		})

@@ -7,7 +7,8 @@
 // plane measures.
 //
 // The implementation lives under internal/ (see DESIGN.md for the module
-// inventory), runnable usage in the packages' Example functions and the
-// campaign binary cmd/sim (`sim <campaign> [flags]`), and the figure
-// regeneration harness in bench_test.go and cmd/sim.
+// inventory) and runnable usage in the packages' Example functions. The
+// campaign binary cmd/sim (`sim <campaign> [flags]`) is the one front end
+// that regenerates the paper's figures and prose results; bench_test.go
+// holds only the hot-path and footprint benchmarks CI reads.
 package repro

@@ -26,41 +26,9 @@ const ProtoID proto.ProtoID = 3
 // NumFingers is the finger-table size: one finger per bit of the ID space.
 const NumFingers = id.Bits
 
-// Config parameterises the Chord bootstrap baseline. It mirrors the
-// bootstrap service's ring parameters so comparisons are apples-to-apples.
-type Config struct {
-	// C is the leaf (successor/predecessor) set size.
-	C int
-	// CR is the number of random samples mixed into each message.
-	CR int
-	// Delta is the gossip period.
-	Delta int64
-	// FixPerTick is the number of fingers refreshed per cycle through
-	// find-successor queries routed over the ring (Chord's fix_fingers).
-	FixPerTick int
-}
-
-// DefaultConfig mirrors the bootstrap service's defaults.
-func DefaultConfig() Config {
-	return Config{C: core.DefaultC, CR: core.DefaultCR, Delta: core.DefaultDelta, FixPerTick: 8}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.C < 2 || c.C%2 != 0 {
-		return fmt.Errorf("chord config: C = %d must be even and >= 2", c.C)
-	}
-	if c.CR < 0 {
-		return fmt.Errorf("chord config: CR = %d must not be negative", c.CR)
-	}
-	if c.Delta < 1 {
-		return fmt.Errorf("chord config: Delta = %d must be positive", c.Delta)
-	}
-	if c.FixPerTick < 0 {
-		return fmt.Errorf("chord config: FixPerTick = %d must not be negative", c.FixPerTick)
-	}
-	return nil
-}
+// FixPerTick is the number of fingers each node refreshes per cycle through
+// find-successor queries routed over the ring (Chord's fix_fingers).
+const FixPerTick = 8
 
 // Message is a Chord bootstrap gossip exchange.
 type Message struct {
@@ -101,7 +69,7 @@ const maxFindHops = 64
 
 // Node is the Chord bootstrap state machine for one participant.
 type Node struct {
-	cfg     Config
+	cfg     core.Config
 	self    peer.Descriptor
 	sampler sampling.Service
 	leaf    *core.LeafSet
@@ -111,8 +79,11 @@ type Node struct {
 
 var _ proto.Protocol = (*Node)(nil)
 
-// NewNode returns a Chord bootstrap node with empty structures.
-func NewNode(self peer.Descriptor, cfg Config, sampler sampling.Service) (*Node, error) {
+// NewNode returns a Chord bootstrap node with empty structures. It takes the
+// bootstrap service's own configuration, so the comparison is
+// apples-to-apples: C sizes the successor/predecessor set, CR is the number
+// of random samples per message, and the prefix-table fields go unused.
+func NewNode(self peer.Descriptor, cfg core.Config, sampler sampling.Service) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -143,7 +114,7 @@ func (n *Node) Tick(ctx proto.Context) {
 	if !q.Nil() {
 		ctx.Send(q.Addr, n.createMessage(q, true))
 	}
-	for j := 0; j < n.cfg.FixPerTick; j++ {
+	for j := 0; j < FixPerTick; j++ {
 		i := n.fixIdx % NumFingers
 		n.fixIdx++
 		target := n.FingerTarget(i)

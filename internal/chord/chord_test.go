@@ -4,24 +4,30 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/sampling"
 	"repro/internal/simnet"
 )
 
+// TestConfigValidate: NewNode checks its configuration with
+// core.Config.Validate, so a ring parameter the bootstrap service would
+// reject is rejected here too.
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	self := peer.Descriptor{ID: 1, Addr: 0}
+	if _, err := NewNode(self, core.DefaultConfig(), sampling.Fixed(nil)); err != nil {
+		t.Fatalf("default config rejected: %v", err)
 	}
-	bad := []Config{
-		{C: 1, CR: 0, Delta: 10},
-		{C: 3, CR: 0, Delta: 10},
-		{C: 20, CR: -1, Delta: 10},
-		{C: 20, CR: 0, Delta: 0},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+	for i, mut := range []func(*core.Config){
+		func(c *core.Config) { c.C = 1 },
+		func(c *core.Config) { c.C = 3 },
+		func(c *core.Config) { c.CR = -1 },
+		func(c *core.Config) { c.Delta = 0 },
+	} {
+		cfg := core.DefaultConfig()
+		mut(&cfg)
+		if _, err := NewNode(self, cfg, sampling.Fixed(nil)); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
@@ -29,16 +35,16 @@ func TestConfigValidate(t *testing.T) {
 
 func TestNewNodeValidation(t *testing.T) {
 	self := peer.Descriptor{ID: 1, Addr: 0}
-	if _, err := NewNode(self, Config{}, sampling.Fixed(nil)); err == nil {
+	if _, err := NewNode(self, core.Config{}, sampling.Fixed(nil)); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := NewNode(self, DefaultConfig(), nil); err == nil {
+	if _, err := NewNode(self, core.DefaultConfig(), nil); err == nil {
 		t.Error("nil sampler accepted")
 	}
 }
 
 func TestFingerTarget(t *testing.T) {
-	n, err := NewNode(peer.Descriptor{ID: 100, Addr: 0}, DefaultConfig(), sampling.Fixed(nil))
+	n, err := NewNode(peer.Descriptor{ID: 100, Addr: 0}, core.DefaultConfig(), sampling.Fixed(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,7 @@ func TestFingerTarget(t *testing.T) {
 }
 
 func TestImproveFingers(t *testing.T) {
-	n, err := NewNode(peer.Descriptor{ID: 0, Addr: 0}, DefaultConfig(), sampling.Fixed(nil))
+	n, err := NewNode(peer.Descriptor{ID: 0, Addr: 0}, core.DefaultConfig(), sampling.Fixed(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +109,7 @@ func buildChordNetwork(t testing.TB, n int, seed int64, cycles int64) ([]*Node, 
 		descs[i] = peer.Descriptor{ID: ids[i], Addr: net.AddNode()}
 	}
 	oracle := sampling.NewOracle(descs, seed+200)
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	nodes := make([]*Node, n)
 	for i, d := range descs {
 		nd, err := NewNode(d, cfg, oracle)
@@ -201,7 +207,7 @@ func TestWireSize(t *testing.T) {
 func TestHandleIgnoresForeignMessages(t *testing.T) {
 	net := simnet.New(simnet.Config{Seed: 1})
 	d := peer.Descriptor{ID: 5, Addr: net.AddNode()}
-	nd, err := NewNode(d, DefaultConfig(), sampling.Fixed(nil))
+	nd, err := NewNode(d, core.DefaultConfig(), sampling.Fixed(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

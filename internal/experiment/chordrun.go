@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/chord"
+	"repro/internal/core"
 	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/sampling"
@@ -16,7 +17,7 @@ import (
 type ChordParams struct {
 	N         int
 	Seed      int64
-	Config    chord.Config
+	Config    core.Config
 	Drop      float64
 	MaxCycles int
 }

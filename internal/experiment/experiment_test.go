@@ -2,11 +2,11 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/chord"
 	"repro/internal/core"
 )
 
@@ -120,6 +120,31 @@ func TestConvergesUnderDrop(t *testing.T) {
 	// The paper: convergence is slowed proportionally, not broken.
 	if lossy.ConvergedAt > clean.ConvergedAt*3 {
 		t.Errorf("lossy convergence %d too slow vs clean %d", lossy.ConvergedAt, clean.ConvergedAt)
+	}
+}
+
+// TestPairLoss reproduces the Section 5 analysis of message loss: at drop
+// rate p = 0.2, with request/answer pairs, 28 % of the intended traffic is
+// lost, since a dropped request also suppresses its answer
+// (1 - (1-p)^2 / 2 - (1-p)/2 = p + p(1-p)/2 = 0.28). Each of R requests
+// intends 2 messages, and Sent counts (2-p) of them per request, so
+// R = Sent/(2-p). The lost messages are the dropped ones plus the 2R - Sent
+// answers never sent; messages still in flight when the run stops are not
+// lost.
+func TestPairLoss(t *testing.T) {
+	const p = 0.2
+	params := smallParams(512, 4000)
+	params.Drop = p
+	params.MaxCycles = 60
+	res, err := Run(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	requests := float64(st.Sent) / (2 - p)
+	loss := (float64(st.Dropped) + 2*requests - float64(st.Sent)) / (2 * requests)
+	if math.Abs(loss-0.28) > 0.01 {
+		t.Errorf("message loss %.4f, want 0.28 +- 0.01 (stats %+v)", loss, st)
 	}
 }
 
@@ -276,7 +301,7 @@ func TestChordBaselineRun(t *testing.T) {
 	res, err := RunChord(ChordParams{
 		N:         128,
 		Seed:      11,
-		Config:    chord.DefaultConfig(),
+		Config:    core.DefaultConfig(),
 		MaxCycles: 40,
 	})
 	if err != nil {
@@ -294,7 +319,7 @@ func TestChordBaselineRun(t *testing.T) {
 }
 
 func TestChordBaselineValidation(t *testing.T) {
-	if _, err := RunChord(ChordParams{N: 10, Config: chord.Config{}, MaxCycles: 5}); err == nil {
+	if _, err := RunChord(ChordParams{N: 10, Config: core.Config{}, MaxCycles: 5}); err == nil {
 		t.Error("invalid chord config accepted")
 	}
 }

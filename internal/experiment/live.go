@@ -231,7 +231,7 @@ func newLiveTrial(p LiveParams, seed int64) (*trial, *hostEngine, error) {
 // socket campaign are stepped through OpenLiveShard instead.
 func RunLive(p LiveParams, seed int64) (*LiveResult, error) {
 	if p.Sockets.procs() != 1 {
-		return nil, errors.New("experiment: RunLive is single-process; step the shards of a multi-process campaign with OpenLiveShard (cmd/netsim)")
+		return nil, errors.New("experiment: RunLive is single-process; step the shards of a multi-process campaign with OpenLiveShard (sim sock)")
 	}
 	t, eng, err := newLiveTrial(p, seed)
 	if err != nil {

@@ -51,12 +51,7 @@ type (
 	Host = host.Host
 	// Stats is a snapshot of the network traffic counters.
 	Stats = host.Stats
-	// HostStats is a per-host traffic snapshot.
-	HostStats = host.HostStats
 )
-
-// ErrClosed is returned by Start and Respawn after Close.
-var ErrClosed = host.ErrClosed
 
 // latencyWindow is an immutable [min, max] delivery latency pair; SetLatency
 // swaps the whole window atomically so senders never observe a torn pair.

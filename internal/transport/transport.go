@@ -141,12 +141,7 @@ type (
 	// Stats is a snapshot of this process's traffic counters; see the
 	// package comment for the cross-process conservation law.
 	Stats = host.Stats
-	// HostStats is a per-host traffic snapshot.
-	HostStats = host.HostStats
 )
-
-// ErrClosed is returned by Start and Respawn after Close.
-var ErrClosed = host.ErrClosed
 
 // handshake framing: magic, wire version, and the dialing process index.
 var handshakeMagic = [4]byte{'R', 'P', 'W', wire.Version}
