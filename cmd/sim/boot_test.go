@@ -111,9 +111,20 @@ func TestBootAblationSmall(t *testing.T) {
 	}
 }
 
+// TestBootChordSmall: the 64-node ring converges at seeds 42, 6 and 8.
+// When messages shipped the C entries closest to the receiver by ring
+// distance, not the C/2 per side its leaf set keeps, each of these seeds
+// kept one leaf entry missing for 40 cycles.
 func TestBootChordSmall(t *testing.T) {
-	if !strings.Contains(mustRun(t, "chord", "-n", "64", "-cycles", "30"), "finger_wrong") {
-		t.Error("missing chord CSV header")
+	for _, seed := range []string{"42", "6", "8"} {
+		out := mustRun(t, "chord", "-n", "64", "-cycles", "40", "-seed", seed)
+		if !strings.Contains(out, "finger_wrong") {
+			t.Errorf("seed %s: missing chord CSV header", seed)
+		}
+		_, at, _ := strings.Cut(out, "# n=64 converged_at=")
+		if at, err := strconv.Atoi(strings.TrimSpace(at)); err != nil || at < 0 {
+			t.Errorf("seed %s: converged_at = %v (%v), want >= 0:\n%s", seed, at, err, out)
+		}
 	}
 }
 

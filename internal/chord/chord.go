@@ -206,8 +206,9 @@ func (n *Node) selectPeer(rng *rand.Rand) peer.Descriptor {
 	return pred[i-nSucc]
 }
 
-// createMessage keeps the c entries closest to q from everything known
-// (leaf set, fingers, cr random samples, self), then appends, for each of
+// createMessage keeps, from everything known (leaf set, fingers, cr random
+// samples, self), the entries q's leaf set would keep — the c/2 closest
+// successors and c/2 closest predecessors of q — then appends, for each of
 // q's finger targets, the sender's best candidate — the Chord analogue of
 // the bootstrap service's prefix part. Without the target-directed part,
 // exact fingers for far targets would only ever arrive through the
@@ -227,11 +228,15 @@ func (n *Node) createMessage(q peer.Descriptor, request bool) Message {
 	}
 	union.Remove(q.ID)
 
+	// The leaf part: what q's own leaf set would keep of the union — its
+	// C/2 closest successors and C/2 closest predecessors, topped up from
+	// the other side when one falls short.
 	all := union.Copy()
-	peer.SortByRingDistance(all, q.ID)
-	keep := min(len(all), n.cfg.C)
-	entries := make([]peer.Descriptor, 0, keep+NumFingers)
-	entries = append(entries, all[:keep]...)
+	near := core.NewLeafSet(q.ID, n.cfg.C)
+	near.Update(all)
+	entries := make([]peer.Descriptor, 0, near.Len()+NumFingers)
+	entries = append(entries, near.Successors()...)
+	entries = append(entries, near.Predecessors()...)
 
 	// Target-directed part: the best known successor candidate for each
 	// of q's finger targets, deduplicated against the base part.

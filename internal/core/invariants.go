@@ -12,11 +12,12 @@ import (
 // state satisfies, whatever the messages that led to it: the leaf set holds
 // at most c entries, never the node itself, each on the side id.IsSuccessor
 // dictates and each direction strictly ascending in directed distance
-// (hence duplicate-free); every prefix-table entry sits in the slot Slot
-// dictates, at most k to a slot, no ID twice, nothing stored past a slot's
-// fill; and no entry is currently tombstoned. It returns the first
-// violation found, nil when there is none. It is a test and debugging
-// aid: no engine calls it.
+// (hence duplicate-free); each prefix-table row is strictly ascending by
+// ID in a block of a capacity class, each slot's sub-run lies in the slot
+// Slot dictates, at most k to a slot, its ranks a permutation of 0…fill−1,
+// and nothing is stored past a row's run; and no entry is currently
+// tombstoned. It returns the first violation found, nil when there is
+// none. It is a test and debugging aid: no engine calls it.
 func (n *Node) CheckInvariants() error {
 	if err := n.leaf.checkInvariants(); err != nil {
 		return fmt.Errorf("node %s: leaf set: %w", n.self.ID, err)
@@ -59,47 +60,56 @@ func (l *LeafSet) checkInvariants() error {
 }
 
 func (t *PrefixTable) checkInvariants() error {
-	cols := 1 << uint(t.b)
 	if r := len(t.rows); r > 0 && t.rows[r-1] == nil {
 		return fmt.Errorf("rows end at row %d, which is unpopulated", r-1)
 	}
+	if len(t.meta) != len(t.rows)*t.stride() {
+		return fmt.Errorf("%d bytes of fill counts and ranks for %d rows", len(t.meta), len(t.rows))
+	}
 	n := 0
-	for i := 0; i < id.NumDigits(t.b); i++ {
-		var blk []peer.Descriptor
-		if i < len(t.rows) {
-			blk = t.rows[i]
-		}
-		if blk == nil {
-			if t.fill != nil && slices.ContainsFunc(t.fill[i*cols:(i+1)*cols], func(f uint8) bool { return f != 0 }) {
+	for i, run := range t.rows {
+		fills, rk := t.fills(i), t.ranks(i)
+		if run == nil {
+			if slices.ContainsFunc(fills, func(f uint8) bool { return f != 0 }) ||
+				slices.ContainsFunc(rk[:t.rowCap()], func(r uint8) bool { return r != 0 }) {
 				return fmt.Errorf("row %d unallocated but filled", i)
 			}
 			continue
 		}
-		if len(blk) != cols*t.k {
-			return fmt.Errorf("row %d block holds %d descriptors, want %d", i, len(blk), cols*t.k)
+		if c := cap(run); c != t.class(c) {
+			return fmt.Errorf("row %d block holds %d descriptors, not a capacity class", i, c)
 		}
-		for j := 0; j < cols; j++ {
-			f := int(t.fill[i*cols+j])
-			if f > t.k {
+		if slices.ContainsFunc(run[len(run):cap(run)], func(d peer.Descriptor) bool { return d != peer.Descriptor{} }) ||
+			slices.ContainsFunc(rk[len(rk):t.rowCap()], func(r uint8) bool { return r != 0 }) {
+			return fmt.Errorf("row %d: stale entry or rank past the run", i)
+		}
+		for x := 1; x < len(run); x++ {
+			if run[x-1].ID >= run[x].ID {
+				return fmt.Errorf("row %d out of ID order or duplicated at %d: %s then %s", i, x, run[x-1], run[x])
+			}
+		}
+		x := 0
+		for j, f := range fills {
+			if int(f) > t.k {
 				return fmt.Errorf("slot (%d,%d) holds %d entries, k = %d", i, j, f, t.k)
 			}
-			n += f
-			slot := blk[j*t.k : (j+1)*t.k]
-			for x, d := range slot {
-				if x >= f {
-					if d != (peer.Descriptor{}) {
-						return fmt.Errorf("stale %s past the fill of slot (%d,%d)", d, i, j)
-					}
-					continue
-				}
+			if x+int(f) > len(run) {
+				return fmt.Errorf("row %d holds %d entries, its fills more", i, len(run))
+			}
+			for y, d := range run[x : x+int(f)] {
 				if r, c, ok := t.Slot(d.ID); !ok || r != i || c != j {
 					return fmt.Errorf("%s in slot (%d,%d), belongs in (%d,%d) (ok=%v)", d, i, j, r, c, ok)
 				}
-				if containsID(slot[:x], d.ID) {
-					return fmt.Errorf("%s twice in slot (%d,%d)", d, i, j)
+				if r := rk[x+y]; r >= f || slices.Contains(rk[x:x+y], r) {
+					return fmt.Errorf("slot (%d,%d): ranks %v are not a permutation of 0..%d", i, j, rk[x:x+int(f)], f-1)
 				}
 			}
+			x += int(f)
 		}
+		if x != len(run) {
+			return fmt.Errorf("row %d holds %d entries, its fills %d", i, len(run), x)
+		}
+		n += x
 	}
 	if n != t.n {
 		return fmt.Errorf("slots hold %d entries, Len says %d", n, t.n)

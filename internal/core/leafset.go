@@ -60,13 +60,14 @@ var leafScratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
 // selection rule. The node's own descriptor and duplicates are ignored.
 // It reports whether the kept set changed.
 //
-// A full set first turns away, in two compares each, the candidates that
-// cannot be kept: a direction holding its share of a contested set — c/2
-// predecessors, c − c/2 successors, who get the odd slot — keeps that
-// count whatever arrives, so it admits only IDs strictly closer than its
-// farthest entry; a direction holding less has borrowed the other's slots
-// and admits anything. When nothing is admitted nothing changes, and the
-// call returns without merging or sorting. (DESIGN.md has the proof.)
+// A full set first turns away the candidates that cannot change it: a
+// direction holding its share of a contested set — c/2 predecessors,
+// c − c/2 successors, who get the odd slot — keeps that count whatever
+// arrives, so it admits only IDs strictly closer than its farthest entry;
+// a direction holding less has borrowed the other's slots and admits
+// anything; and neither admits an ID it already holds. When nothing is
+// admitted nothing changes, and the call returns without merging or
+// sorting. (DESIGN.md has the proof.)
 func (l *LeafSet) Update(ds []peer.Descriptor) bool {
 	var sc *leafScratch
 	if half := l.c / 2; half > 0 && l.Len() == l.c {
@@ -79,9 +80,24 @@ func (l *LeafSet) Update(ds []peer.Descriptor) bool {
 			predLim = id.Pred(l.self, l.pred[n-1].ID)
 		}
 		for _, d := range ds {
+			// The candidate's side is a coin flip to the branch predictor,
+			// so the distance and limit are selected, not branched on.
+			// cw ≤ ccw: a successor (id.IsSuccessor) — or self, skipped
+			// below.
 			cw, ccw := id.Succ(l.self, d.ID), id.Pred(l.self, d.ID)
-			if (cw <= ccw && cw >= succLim) || (cw > ccw && ccw >= predLim) {
-				continue // cw ≤ ccw: a successor (id.IsSuccessor) — or self, skipped below
+			dist, lim := cw, succLim
+			if cw > ccw {
+				dist, lim = ccw, predLim
+			}
+			if dist >= lim {
+				continue
+			}
+			side := l.succ
+			if cw > ccw {
+				side = l.pred
+			}
+			if containsID(side, d.ID) {
+				continue
 			}
 			if sc == nil {
 				sc = leafScratchPool.Get().(*leafScratch)

@@ -57,7 +57,7 @@ func TestPrefixTableAdd(t *testing.T) {
 	if pt.Len() != 2 {
 		t.Errorf("len = %d, want 2", pt.Len())
 	}
-	got := pt.Get(0, 0xF)
+	got := pt.AppendSlot(nil, 0, 0xF)
 	if len(got) != 2 {
 		t.Errorf("slot (0, 15) has %d entries, want 2", len(got))
 	}
@@ -72,8 +72,8 @@ func TestPrefixTableRejectsSelf(t *testing.T) {
 
 func TestPrefixTableGetOutOfRange(t *testing.T) {
 	pt := NewPrefixTable(0, 4, 3)
-	if pt.Get(-1, 0) != nil || pt.Get(99, 0) != nil || pt.Get(0, -1) != nil || pt.Get(0, 99) != nil {
-		t.Error("out-of-range Get should return nil")
+	if pt.AppendSlot(nil, -1, 0) != nil || pt.AppendSlot(nil, 99, 0) != nil || pt.AppendSlot(nil, 0, -1) != nil || pt.AppendSlot(nil, 0, 99) != nil {
+		t.Error("out-of-range AppendSlot should append nothing")
 	}
 }
 
@@ -165,7 +165,7 @@ func TestPrefixTableDifferentBases(t *testing.T) {
 			t.Errorf("b=%d: add failed", b)
 		}
 		row, col, _ := pt.Slot(other)
-		if got := pt.Get(row, col); len(got) != 1 {
+		if got := pt.AppendSlot(nil, row, col); len(got) != 1 {
 			t.Errorf("b=%d: entry not found in slot (%d,%d)", b, row, col)
 		}
 		if pt.NumRows() != 64/b {

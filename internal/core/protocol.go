@@ -124,10 +124,9 @@ type Node struct {
 // serve any number of nodes.
 type msgScratch struct {
 	near    []peer.Descriptor // self + leaf set, by ID
+	raw     []peer.Descriptor // the cr samples as drawn
 	sample  []peer.Descriptor // the cr samples, by ID
-	table   []peer.Descriptor // the prefix table, by ID
-	merged  []peer.Descriptor // near ∪ sample
-	union   []peer.Descriptor // merged ∪ table
+	union   []peer.Descriptor // near ∪ sample ∪ table, by ID
 	fork    []peer.Descriptor // filterTombstoned's copy; see takeFork
 	expired []id.ID
 }
@@ -434,28 +433,31 @@ func (n *Node) selectPeer(rng *rand.Rand) peer.Descriptor {
 // convergence. We therefore ship all remaining union entries, which also
 // matches the paper's stated bound (the size of the full prefix table,
 // "usually smaller in practice" — the union is far smaller than 768).
+//
+// The send path does no table work: the union is one three-way merge of
+// the ID-ordered leaf set, the sorted samples and the table's rows, which
+// the table keeps in ID order and the merge reads in place.
 func (n *Node) createMessage(q peer.Descriptor, request bool) *Message {
 	sc := msgScratchPool.Get().(*msgScratch)
-	// Every source is ID-ordered already or nearly so, so the union is a
-	// merge, not a hash-dedupe and a sort. An ID present in several sources
-	// keeps its first descriptor in the order self, leaf set, samples, table.
+	// Every source is ID-ordered already or nearly so, so the union is one
+	// merge, not a hash-dedupe and a sort; the table's rows are read in
+	// place. An ID present in several sources keeps its first descriptor in
+	// the order self, leaf set, samples, table.
 	sc.near = n.leaf.appendByID(sc.near[:0], n.self)
-	union := sc.near
+	sc.sample = sc.sample[:0]
 	if n.cfg.CR > 0 {
 		if n.appendSampler != nil {
-			sc.sample = n.appendSampler.AppendSample(sc.sample[:0], n.cfg.CR)
+			sc.raw = n.appendSampler.AppendSample(sc.raw[:0], n.cfg.CR)
 		} else {
-			sc.sample = append(sc.sample[:0], n.sampler.Sample(n.cfg.CR)...)
+			sc.raw = append(sc.raw[:0], n.sampler.Sample(n.cfg.CR)...)
 		}
-		sortByID(sc.sample)
-		sc.merged = mergeByID(sc.merged[:0], union, sc.sample)
-		union = sc.merged
+		sc.sample = appendSortedByID(sc.sample, sc.raw)
 	}
 	limit := n.cfg.C
-	if !n.cfg.DisablePrefixFeedback {
-		sc.table = n.table.appendByID(sc.table[:0])
-		sc.union = mergeByID(sc.union[:0], union, sc.table)
-		union = sc.union
+	if n.cfg.DisablePrefixFeedback {
+		sc.union = mergeByID(sc.union[:0], sc.near, sc.sample)
+	} else {
+		sc.union = n.table.appendMerged(sc.union[:0], sc.near, sc.sample)
 		limit += n.cfg.TableCapacity()
 	}
 
@@ -466,7 +468,7 @@ func (n *Node) createMessage(q peer.Descriptor, request bool) *Message {
 	m := messagePool.Get().(*Message)
 	m.Sender = n.self
 	m.Request = request
-	m.Entries = appendOutward(m.Entries[:0], union, q.ID, limit)
+	m.Entries = appendOutward(m.Entries[:0], sc.union, q.ID, limit)
 	m.Dead = m.Dead[:0]
 	if n.cfg.EvictAfterMisses > 0 {
 		m.Dead = n.appendCertificates(m.Dead, sc)
@@ -475,9 +477,9 @@ func (n *Node) createMessage(q peer.Descriptor, request bool) *Message {
 	return m
 }
 
-// sortByID sorts ds in place by ascending ID. It is an insertion sort — for
-// the cr samples and the ≤ k entries of a table slot — and stable, so of
-// two descriptors with one ID the earlier stays first.
+// sortByID sorts ds in place by ascending ID. It is an insertion sort,
+// for runs that are short or nearly sorted, and stable, so of two
+// descriptors with one ID the earlier stays first.
 func sortByID(ds []peer.Descriptor) {
 	for i := 1; i < len(ds); i++ {
 		d, j := ds[i], i
@@ -486,6 +488,31 @@ func sortByID(ds []peer.Descriptor) {
 		}
 		ds[j] = d
 	}
+}
+
+// appendSortedByID appends src to dst in ascending ID order, stably: a
+// counting pass on the top 5 ID bits leaves every descriptor in its
+// bucket, and an insertion sort orders the buckets, a few descriptors each
+// for the cr samples of a message.
+func appendSortedByID(dst, src []peer.Descriptor) []peer.Descriptor {
+	const bucketBits = 5
+	const shift = id.Bits - bucketBits
+	var start [1<<bucketBits + 1]int
+	for _, d := range src {
+		start[d.ID>>shift+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, len(src))[:base+len(src)]
+	out := dst[base:]
+	for _, d := range src {
+		out[start[d.ID>>shift]] = d
+		start[d.ID>>shift]++
+	}
+	sortByID(out)
+	return dst
 }
 
 // mergeByID appends to dst the merge of two ID-ascending runs, one
@@ -530,15 +557,21 @@ func appendOutward(dst, union []peer.Descriptor, q id.ID, limit int) []peer.Desc
 		if lo < 0 {
 			lo = u - 1
 		}
-		up, down := union[hi], union[lo]
-		cw, ccw := id.Succ(q, up.ID), id.Pred(q, down.ID)
-		if cw < ccw || (cw == ccw && up.ID <= down.ID) {
-			dst = append(dst, up)
-			hi++
-		} else {
-			dst = append(dst, down)
-			lo--
+		upID, downID := union[hi].ID, union[lo].ID
+		cw, ccw := id.Succ(q, upID), id.Pred(q, downID)
+		// Which cursor moves is a coin flip to the branch predictor, so
+		// it is computed, not branched on: up is 1 to take the clockwise
+		// one.
+		up := 0
+		if cw < ccw {
+			up = 1
 		}
+		if cw == ccw && upID <= downID { // q's antipode: rare
+			up = 1
+		}
+		dst = append(dst, union[lo+up*(hi-lo)])
+		hi += up
+		lo -= 1 - up
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -17,8 +18,9 @@ import (
 // PrefixTable replaced — hash-dedupe into a peer.Set then comparison-sort
 // by ring distance; merge everything then re-sort both directions; one
 // slice per slot — as references, and holds the merge-and-walk, the
-// admission filter and the row blocks to them, element for element, over
-// states built to sit on the edges of ring arithmetic and slot capacity.
+// admission filter and the ID-ordered rows to them, element for element,
+// over states built to sit on the edges of ring arithmetic and slot
+// capacity.
 
 // referenceEntries is CreateMessage as it was: the union as a peer.Set in
 // the order self, successors, predecessors, samples, table (first
@@ -404,11 +406,14 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		"successors out of order":      func(n *Node) { n.leaf.succ[0], n.leaf.succ[1] = n.leaf.succ[1], n.leaf.succ[0] },
 		"predecessor among successors": func(n *Node) { n.leaf.succ[2] = desc(997) },
 		"self in the leaf set":         func(n *Node) { n.leaf.pred[0] = desc(1000) },
-		// Slot (0, 15) holds the two 0xF… IDs: k = 3, so one position is free.
-		"entry in the wrong slot":       func(n *Node) { n.table.rows[0][15*3] = desc(5) },
-		"entry twice in a slot":         func(n *Node) { n.table.rows[0][15*3+1] = n.table.rows[0][15*3] },
-		"stale descriptor past fill":    func(n *Node) { n.table.rows[0][15*3+2] = desc(0xF000000000000002) },
-		"slot filled past k":            func(n *Node) { n.table.fill[15] = 4 },
+		// Row 0 holds the two 0xF… IDs, slot (0, 15), in a block of class
+		// k = 3; row 15 holds 1001.
+		"entry in the wrong slot":       func(n *Node) { n.table.rows[0][0] = desc(0xE000000000000000) },
+		"entry twice in a slot":         func(n *Node) { n.table.rows[0][1] = n.table.rows[0][0] },
+		"run out of ID order":           func(n *Node) { n.table.rows[0][0], n.table.rows[0][1] = n.table.rows[0][1], n.table.rows[0][0] },
+		"duplicate rank":                func(n *Node) { rk := n.table.ranks(0); rk[1] = rk[0] },
+		"stale descriptor past the run": func(n *Node) { n.table.rows[0][:3][2] = desc(0xF000000000000002) },
+		"slot filled past k":            func(n *Node) { n.table.fills(0)[15] = 4 },
 		"fill counts disagree with Len": func(n *Node) { n.table.n-- },
 		"tombstoned entry kept":         func(n *Node) { n.tombs.Put(1002, n.ticks+tombstoneTTL) },
 	} {
@@ -663,8 +668,9 @@ func nearID(self id.ID, b int, row, col, tail byte) id.ID {
 }
 
 // samePrefixTable fails t unless tab and ref read the same through every
-// accessor — Len, Get for every slot (and just outside the table), Each
-// (in full and stopped halfway), at, appendByID, Entries — and both pass
+// accessor — Len, every slot (and just outside the table) through
+// AppendSlot and Get, Each (in full and stopped halfway), EachSlot, at, the
+// ID order through appendMerged and appendByID, Entries — and both pass
 // their invariant checks.
 func samePrefixTable(t *testing.T, tab *PrefixTable, ref *referencePrefixTable) {
 	t.Helper()
@@ -673,8 +679,8 @@ func samePrefixTable(t *testing.T, tab *PrefixTable, ref *referencePrefixTable) 
 	}
 	for row := -1; row <= id.NumDigits(tab.b); row++ {
 		for col := -1; col <= 1<<uint(tab.b); col++ {
-			if got, want := tab.Get(row, col), ref.Get(row, col); !slices.Equal(got, want) {
-				t.Fatalf("Get(%d, %d) = %v, reference %v", row, col, got, want)
+			if got, want := tab.AppendSlot(nil, row, col), ref.Get(row, col); !slices.Equal(got, want) {
+				t.Fatalf("AppendSlot(%d, %d) = %v, reference Get %v", row, col, got, want)
 			}
 		}
 	}
@@ -695,13 +701,37 @@ func samePrefixTable(t *testing.T, tab *PrefixTable, ref *referencePrefixTable) 
 			t.Fatalf("Each (stop %d) = %v, reference %v", stop, got, want)
 		}
 	}
+	// EachSlot: the same entries, each slot in ID order, one call a slot.
+	var bySlot []entry
+	calls := 0
+	tab.EachSlot(func(row, col int, slot []peer.Descriptor) bool {
+		calls++
+		for _, d := range slot {
+			bySlot = append(bySlot, entry{row, col, d})
+		}
+		return true
+	})
+	want := walk(ref.Each, -1)
+	slices.SortStableFunc(want, func(x, y entry) int {
+		return cmp.Or(cmp.Compare(x.row, y.row), cmp.Compare(x.col, y.col), cmp.Compare(x.d.ID, y.d.ID))
+	})
+	if !slices.Equal(bySlot, want) {
+		t.Fatalf("EachSlot = %v, reference by slot and ID %v", bySlot, want)
+	}
+	if calls > 0 {
+		stopped := 0
+		tab.EachSlot(func(int, int, []peer.Descriptor) bool { stopped++; return false })
+		if stopped != 1 {
+			t.Fatalf("EachSlot stopped after %d calls, want 1", stopped)
+		}
+	}
 	for i := 0; i < tab.Len(); i++ {
 		if got, want := tab.at(i), ref.at(i); got != want {
 			t.Fatalf("at(%d) = %v, reference %v", i, got, want)
 		}
 	}
-	if got, want := tab.appendByID(nil), ref.appendByID(nil); !slices.Equal(got, want) {
-		t.Fatalf("appendByID = %v, reference %v", got, want)
+	if got, want := tab.appendMerged(nil, nil, nil), ref.appendByID(nil); !slices.Equal(got, want) {
+		t.Fatalf("appendMerged = %v, reference appendByID %v", got, want)
 	}
 	if got, want := tab.Entries(), ref.Entries(); !slices.Equal(got, want) {
 		t.Fatalf("Entries = %v, reference %v", got, want)
@@ -714,7 +744,7 @@ func samePrefixTable(t *testing.T, tab *PrefixTable, ref *referencePrefixTable) 
 	}
 }
 
-// FuzzPrefixTableMatchesReference drives the row-block table and the
+// FuzzPrefixTableMatchesReference drives the ID-ordered table and the
 // per-slot reference through one sequence of Add, AddAll, Remove and
 // Release, for b in {1, 2, 4, 8} and k in {1, 2, 3, 7}, and compares them
 // after every operation; Version must move exactly when an operation

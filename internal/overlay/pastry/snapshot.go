@@ -57,7 +57,7 @@ func (r *Router) Snapshot() *Snapshot {
 	for row := 0; row < s.rows; row++ {
 		for col := 0; col < s.cols; col++ {
 			slot := s.slot(row, col)
-			for i := copy(slot, r.table.Get(row, col)); i < len(slot); i++ {
+			for i := len(r.table.AppendSlot(slot[:0], row, col)); i < len(slot); i++ {
 				slot[i] = peer.None
 			}
 		}

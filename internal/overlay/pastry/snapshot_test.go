@@ -50,7 +50,7 @@ func referenceNextHop(r *Router, key id.ID) (next peer.Descriptor, done bool) {
 	// slot's first entry.
 	row := id.CommonPrefixLen(r.self.ID, key, r.b)
 	col := key.Digit(row, r.b)
-	if slot := r.table.Get(row, col); len(slot) > 0 {
+	if slot := r.table.AppendSlot(nil, row, col); len(slot) > 0 {
 		return slot[0], false
 	}
 	// Rare case: any known node closer to the key with at least as long

@@ -541,14 +541,14 @@ func (t *Truth) measureNode(m Member, p int, scr *measureScratch) (nc nodeCounts
 
 	rows := t.expectedSlotCountsInto(m.Self, scr.expected)
 	maxRow := -1
-	m.Table.Each(func(row, col int, d peer.Descriptor) bool {
-		if t.members.Contains(d.ID) {
-			scr.live[row][col]++
-			if row > maxRow {
-				maxRow = row
+	m.Table.EachSlot(func(row, col int, slot []peer.Descriptor) bool {
+		for _, d := range slot {
+			if t.members.Contains(d.ID) {
+				scr.live[row][col]++
+				maxRow = max(maxRow, row)
+			} else {
+				nc.prefixDead++
 			}
-		} else {
-			nc.prefixDead++
 		}
 		return true
 	})
