@@ -58,7 +58,7 @@ func convergence(label string) func(*options, io.Writer) error {
 					// the above-baseline heap attributed over the res.Workers
 					// trials that were live at once.
 					fmt.Fprintf(out, "# memstats n=%d trials=%d workers=%d %s\n",
-						n, o.trials, res.Workers, res.Mem.Line(n, res.Workers))
+						n, o.trials, res.Workers, memstats.CampaignLine(n, res.Workers, res.HeapBaseline, res.HeapPeak()))
 				}
 				if err := res.WriteCSV(out); err != nil {
 					return err

@@ -111,19 +111,26 @@ func TestBootAblationSmall(t *testing.T) {
 	}
 }
 
-// TestBootChordSmall: the 64-node ring converges at seeds 42, 6 and 8.
-// When messages shipped the C entries closest to the receiver by ring
-// distance, not the C/2 per side its leaf set keeps, each of these seeds
-// kept one leaf entry missing for 40 cycles.
+// TestBootChordSmall: small rings converge. The 64-node ring at seeds 42,
+// 6 and 8: when messages shipped the C entries closest to the receiver by
+// ring distance, not the C/2 per side its leaf set keeps, each of these
+// seeds kept one leaf entry missing for 40 cycles. The 24- and 22-node
+// rings hold fewer than 2C members, where a leaf set splits its neighbours
+// at the antipode rather than C/2 per side; measured against ring
+// positions ±1…±C/2 instead of the perfect leaf set, they never read
+// converged.
 func TestBootChordSmall(t *testing.T) {
-	for _, seed := range []string{"42", "6", "8"} {
-		out := mustRun(t, "chord", "-n", "64", "-cycles", "40", "-seed", seed)
+	for _, c := range []struct{ n, cycles, seed string }{
+		{"64", "40", "42"}, {"64", "40", "6"}, {"64", "40", "8"},
+		{"24", "30", "3"}, {"22", "30", "42"},
+	} {
+		out := mustRun(t, "chord", "-n", c.n, "-cycles", c.cycles, "-seed", c.seed)
 		if !strings.Contains(out, "finger_wrong") {
-			t.Errorf("seed %s: missing chord CSV header", seed)
+			t.Errorf("n %s seed %s: missing chord CSV header", c.n, c.seed)
 		}
-		_, at, _ := strings.Cut(out, "# n=64 converged_at=")
+		_, at, _ := strings.Cut(out, "# n="+c.n+" converged_at=")
 		if at, err := strconv.Atoi(strings.TrimSpace(at)); err != nil || at < 0 {
-			t.Errorf("seed %s: converged_at = %v (%v), want >= 0:\n%s", seed, at, err, out)
+			t.Errorf("n %s seed %s: converged_at = %v (%v), want >= 0:\n%s", c.n, c.seed, at, err, out)
 		}
 	}
 }
@@ -156,9 +163,10 @@ func TestBootMassJoinSmall(t *testing.T) {
 	}
 }
 
-// TestBootsimGolden pins the sha256 of two full outputs: fig4 on the
-// sharded engine with drops, and fig3 over the NEWSCAST sampler. Both are
-// pure functions of the flags, so any moved draw changes the hash.
+// TestBootsimGolden pins the sha256 of three full outputs: fig4 on the
+// sharded engine with drops, fig3 over the NEWSCAST sampler, and the Chord
+// baseline measured against the same ground truth. All are pure functions
+// of the flags, so any moved draw changes the hash.
 func TestBootsimGolden(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -166,6 +174,7 @@ func TestBootsimGolden(t *testing.T) {
 	}{
 		{[]string{"fig4", "-n", "256", "-shards", "2"}, "7f81590e09fcb611653b6ca6baf06d4a53340ce88f251752ca6e04bcd56027aa"},
 		{[]string{"fig3", "-n", "512", "-sampler", "newscast", "-seed", "3"}, "75f106737540006b1d05d88bcde8241a86625f9dbb2f6d3e9be67b58dd0c9f16"},
+		{[]string{"chord", "-n", "512", "-cycles", "30"}, "746f4e5e83459d23bd1ffca1cb65a0957e9ba477e069262935857a7b44f15568"},
 	} {
 		out := mustRun(t, c.args...)
 		if got := sha256Of(out); got != c.want {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/host"
 	"repro/internal/livenet"
+	"repro/internal/memstats"
 )
 
 // liveParams is the trial the live and sock campaigns share. A scenario
@@ -74,13 +75,13 @@ func runLive(o *options, out io.Writer) error {
 			t.Stats.Sent, t.Stats.Delivered, t.Stats.Dropped, t.Stats.Overflow)
 	}
 	if p.MemStats {
-		// Campaign-level accounting: one tracker samples the heap at the
-		// end of every trial (hosts still running) and keeps the peak, so
-		// the figure reflects the res.Workers trials live at once rather
-		// than whichever stragglers a single end-of-campaign snapshot
-		// would catch.
+		// Campaign-level accounting: the peak of the heap samples taken at
+		// the end of every trial (hosts still running), so the figure
+		// reflects the res.Workers trials live at once rather than
+		// whichever stragglers a single end-of-campaign snapshot would
+		// catch.
 		fmt.Fprintf(out, "# memstats n=%d trials=%d workers=%d %s\n",
-			p.N, o.trials, res.Workers, res.Mem.Line(p.N, res.Workers))
+			p.N, o.trials, res.Workers, memstats.CampaignLine(p.N, res.Workers, res.HeapBaseline, res.HeapPeak()))
 	}
 	var total host.Stats
 	for _, t := range res.Trials {

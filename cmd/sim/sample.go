@@ -74,7 +74,7 @@ func runStartSpread(o *options, out io.Writer) error {
 	oracle := sampling.NewOracle(descs, o.seed+2)
 	protos := make([]*broadcast.Protocol, n)
 	for i, d := range descs {
-		p, err := broadcast.New(d, broadcast.DefaultConfig(), oracle, nil)
+		p, err := broadcast.New(d, oracle)
 		if err != nil {
 			return err
 		}

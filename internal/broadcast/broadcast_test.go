@@ -20,7 +20,7 @@ func buildNetwork(t testing.TB, n int, seed int64, drop float64) (*simnet.Networ
 	oracle := sampling.NewOracle(descs, seed+20)
 	protos := make([]*Protocol, n)
 	for i, d := range descs {
-		p, err := New(d, DefaultConfig(), oracle, nil)
+		p, err := New(d, oracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,24 +32,9 @@ func buildNetwork(t testing.TB, n int, seed int64, drop float64) (*simnet.Networ
 	return net, protos, descs
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Config{Fanout: 0, TTL: 5}).Validate(); err == nil {
-		t.Error("zero fanout accepted")
-	}
-	if err := (Config{Fanout: 2, TTL: 0}).Validate(); err == nil {
-		t.Error("zero ttl accepted")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
-	if _, err := New(peer.Descriptor{ID: 1}, DefaultConfig(), nil, nil); err == nil {
+	if _, err := New(peer.Descriptor{ID: 1}, nil); err == nil {
 		t.Error("nil sampler accepted")
-	}
-	if _, err := New(peer.Descriptor{ID: 1}, Config{}, sampling.Fixed(nil), nil); err == nil {
-		t.Error("invalid config accepted")
 	}
 }
 
@@ -124,10 +109,11 @@ func TestStartSkewBounded(t *testing.T) {
 	}
 }
 
+// TestDeliverOnce: a rumor is delivered at its first reception; a later
+// copy of the same Seq changes nothing.
 func TestDeliverOnce(t *testing.T) {
 	net, protos, _ := buildNetwork(t, 50, 4, 0)
-	calls := 0
-	p, err := New(peer.Descriptor{ID: 999999, Addr: net.AddNode()}, DefaultConfig(), sampling.Fixed(nil), func(Rumor, int64) { calls++ })
+	p, err := New(peer.Descriptor{ID: 999999, Addr: net.AddNode()}, sampling.Fixed(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +121,15 @@ func TestDeliverOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Send(protos[0].self.Addr, p.self.Addr, ProtoID, Rumor{Seq: 3})
+	net.Run(50)
+	first, ok := p.Delivered(3)
+	if !ok {
+		t.Fatal("rumor not delivered")
+	}
 	net.Send(protos[0].self.Addr, p.self.Addr, ProtoID, Rumor{Seq: 3})
 	net.Run(100)
-	if calls != 1 {
-		t.Errorf("onDeliver fired %d times, want 1", calls)
+	if at, _ := p.Delivered(3); at != first {
+		t.Errorf("second copy re-delivered the rumor at %d, first at %d", at, first)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/sampling"
 	"repro/internal/simnet"
+	"repro/internal/truth"
 )
 
 // TestConfigValidate: NewNode checks its configuration with
@@ -86,21 +87,9 @@ func TestImproveFingers(t *testing.T) {
 	}
 }
 
-func TestRingTruth(t *testing.T) {
-	r := NewRing([]id.ID{10, 20, 30})
-	if r.Successor(5) != 10 || r.Successor(10) != 10 || r.Successor(11) != 20 {
-		t.Error("successor basic cases failed")
-	}
-	if r.Successor(31) != 10 {
-		t.Error("successor must wrap")
-	}
-	if r.RootOf(25) != 30 {
-		t.Error("root of 25 should be 30")
-	}
-}
-
-// buildChordNetwork runs the Chord bootstrap over a simnet.
-func buildChordNetwork(t testing.TB, n int, seed int64, cycles int64) ([]*Node, []peer.Descriptor, *Ring) {
+// buildChordNetwork runs the Chord bootstrap over a simnet and returns the
+// nodes, their descriptors and the ground truth over their IDs.
+func buildChordNetwork(t testing.TB, n int, seed int64, cycles int64) ([]*Node, []peer.Descriptor, *truth.Truth) {
 	t.Helper()
 	net := simnet.New(simnet.Config{Seed: seed})
 	ids := id.Unique(n, seed+100)
@@ -122,15 +111,33 @@ func buildChordNetwork(t testing.TB, n int, seed int64, cycles int64) ([]*Node, 
 		}
 	}
 	net.Run(cfg.Delta * cycles)
-	return nodes, descs, NewRing(ids)
+	tr, err := truth.New(ids, cfg.B, cfg.K, cfg.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nodes, descs, tr
+}
+
+// fingerErrors counts the fingers of nodes that are not the true successor
+// of their target, out of all of them.
+func fingerErrors(tr *truth.Truth, nodes []*Node) (wrong, total int) {
+	for _, n := range nodes {
+		for i := 0; i < NumFingers; i++ {
+			total++
+			if f := n.Finger(i); f.Nil() || f.ID != tr.Successor(n.FingerTarget(i)) {
+				wrong++
+			}
+		}
+	}
+	return wrong, total
 }
 
 // TestChordBootstrapConverges: fingers converge to ground truth within a
 // logarithmic number of cycles — the property of "Chord on demand" that
 // the paper builds on.
 func TestChordBootstrapConverges(t *testing.T) {
-	nodes, _, ring := buildChordNetwork(t, 256, 1, 30)
-	wrong, total := ring.NetworkFingerErrors(nodes)
+	nodes, _, tr := buildChordNetwork(t, 256, 1, 30)
+	wrong, total := fingerErrors(tr, nodes)
 	if wrong != 0 {
 		t.Errorf("%d/%d fingers still wrong after 30 cycles", wrong, total)
 	}
@@ -163,7 +170,7 @@ func TestChordLeafConverges(t *testing.T) {
 // O(log N) hops.
 func TestChordRouting(t *testing.T) {
 	const n = 256
-	nodes, descs, ring := buildChordNetwork(t, n, 3, 30)
+	nodes, _, tr := buildChordNetwork(t, n, 3, 30)
 	byAddr := make(map[peer.Addr]*Node, n)
 	for _, nd := range nodes {
 		byAddr[nd.Self().Addr] = nd
@@ -186,15 +193,14 @@ func TestChordRouting(t *testing.T) {
 			}
 			cur = nxt
 		}
-		if cur.Self().ID != ring.RootOf(key) {
-			t.Fatalf("key %s delivered to %s, want %s", key, cur.Self().ID, ring.RootOf(key))
+		if root := tr.Successor(key); cur.Self().ID != root {
+			t.Fatalf("key %s delivered to %s, want %s", key, cur.Self().ID, root)
 		}
 		totalHops += hops
 	}
 	if mean := float64(totalHops) / trials; mean > 10 {
 		t.Errorf("mean hops %.1f too high for n=%d", mean, n)
 	}
-	_ = descs
 }
 
 func TestWireSize(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/sampling"
 	"repro/internal/simnet"
+	"repro/internal/truth"
 )
 
 // ChordParams configures a run of the Chord bootstrap baseline (ablation
@@ -29,8 +30,8 @@ type ChordPoint struct {
 	// ground truth.
 	FingerWrong float64
 	// LeafMissing is the proportion of missing successor/predecessor
-	// entries (against the same perfect-leaf-set rule as the bootstrap
-	// service, using the chord C parameter).
+	// entries, against the perfect leaf set the bootstrap service is
+	// measured against (truth.LeafMissing, with the chord C parameter).
 	LeafMissing float64
 	Sent        int64
 }
@@ -67,28 +68,28 @@ func RunChord(p ChordParams) (*ChordResult, error) {
 			return nil, err
 		}
 	}
-	ring := chord.NewRing(ids)
-	sorted := make([]id.ID, len(ids))
-	copy(sorted, ids)
-	id.SortAscending(sorted)
-	pos := make(map[id.ID]int, len(sorted))
-	for i, v := range sorted {
-		pos[v] = i
+	tr, err := truth.New(ids, p.Config.B, p.Config.K, p.Config.C)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &ChordResult{Params: p, ConvergedAt: -1}
 	for cycle := 0; cycle < p.MaxCycles; cycle++ {
 		net.Run(int64(cycle+1) * p.Config.Delta)
-		wrong, total := ring.NetworkFingerErrors(nodes)
-		var leafMiss, leafTot int
-		for i, nd := range nodes {
-			lm, lt := leafMissingAgainstRing(sorted, pos[descs[i].ID], nd)
+		var wrong, leafMiss, leafTot int
+		for _, nd := range nodes {
+			for i := 0; i < chord.NumFingers; i++ {
+				if f := nd.Finger(i); f.Nil() || f.ID != tr.Successor(nd.FingerTarget(i)) {
+					wrong++
+				}
+			}
+			lm, lt := tr.LeafMissing(nd.Self().ID, nd.Leaf())
 			leafMiss += lm
 			leafTot += lt
 		}
 		pt := ChordPoint{
 			Cycle:       cycle,
-			FingerWrong: float64(wrong) / float64(total),
+			FingerWrong: float64(wrong) / float64(len(nodes)*chord.NumFingers),
 			Sent:        net.Stats().Sent,
 		}
 		if leafTot > 0 {
@@ -102,22 +103,4 @@ func RunChord(p ChordParams) (*ChordResult, error) {
 	}
 	res.Stats = net.Stats()
 	return res, nil
-}
-
-// leafMissingAgainstRing checks the chord node's successor list against the
-// true ring: its C/2 nearest successors and predecessors in the pre-sorted
-// membership, where pos is the node's own index.
-func leafMissingAgainstRing(sorted []id.ID, pos int, nd *chord.Node) (missing, total int) {
-	half := nd.Leaf().Capacity() / 2
-	n := len(sorted)
-	for i := 1; i <= half && i < n; i++ {
-		total += 2
-		if !nd.Leaf().Contains(sorted[(pos+i)%n]) {
-			missing++
-		}
-		if !nd.Leaf().Contains(sorted[(pos-i+n)%n]) {
-			missing++
-		}
-	}
-	return missing, total
 }

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/id"
-	"repro/internal/memstats"
 	"repro/internal/simnet"
 )
 
@@ -143,12 +142,6 @@ type Params struct {
 	// reachable — the CLI's -memstats accounting. It runs once, after the
 	// last cycle, so the protocol trace is untouched.
 	MemStats bool
-
-	// memCampaign, when non-nil, redirects the MemStats capture through a
-	// shared campaign tracker: the end-of-trial heap sample also feeds the
-	// campaign's peak high-water mark. Set only by RunTrials, which owns
-	// the campaign across its worker pool.
-	memCampaign *memstats.Campaign
 }
 
 // Join describes a massive simultaneous join event.
@@ -272,7 +265,7 @@ func Run(p Params) (*Result, error) {
 		Points:      t.rec.points,
 		ConvergedAt: t.rec.convergedAt,
 		Stats:       eng.net.Stats(),
-		HeapBytes:   captureHeap(p.MemStats, p.memCampaign),
+		HeapBytes:   captureHeap(p.MemStats),
 	}, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/livenet"
-	"repro/internal/memstats"
 	"repro/internal/truth"
 )
 
@@ -60,9 +59,6 @@ type LiveParams struct {
 	// the pause-the-world window from O(N) to O(sample). Single-process
 	// only: a sharded campaign sums exact per-process counts.
 	MeasureSample int
-	// MeasureConfidence is the two-sided confidence level of the sampled
-	// estimator's intervals; 0 selects 0.95.
-	MeasureConfidence float64
 	// Sampler selects the sampling layer under the bootstrap nodes; the
 	// zero value means oracle. With SamplerOracle every node draws
 	// through its own lock-free oracle Stream; with SamplerNewscast a
@@ -77,13 +73,9 @@ type LiveParams struct {
 	// MemStats records the live heap into LiveResult.HeapBytes after the
 	// last cycle, with every host still running (see Params.MemStats).
 	// A single trial's figure is directly attributable; across a
-	// concurrent campaign use LiveTrialsResult.Mem, the shared tracker
-	// RunLiveTrials maintains from the same per-trial samples.
+	// concurrent campaign use LiveTrialsResult.HeapPeak, the high-water
+	// mark of the same per-trial samples.
 	MemStats bool
-
-	// memCampaign mirrors Params.memCampaign: set only by RunLiveTrials so
-	// every trial's end-of-run heap sample also feeds the campaign peak.
-	memCampaign *memstats.Campaign
 }
 
 // Sockets places a trial on transport's port-indexed localhost topology —
@@ -126,7 +118,7 @@ func DefaultLivePeriod(n, concurrent int) time.Duration {
 }
 
 func (p LiveParams) measureSpec() measureSpec {
-	return measureSpec{p.MeasureSample, p.MeasureConfidence, p.MeasureWorkers}
+	return measureSpec{sample: p.MeasureSample, workers: p.MeasureWorkers}
 }
 
 func (p LiveParams) withDefaults(concurrent int) LiveParams {
@@ -245,7 +237,7 @@ func RunLive(p LiveParams, seed int64) (*LiveResult, error) {
 		Params: eng.p, Seed: seed, Schedule: eng.schedule,
 		Points: t.rec.points, ConvergedAt: t.rec.convergedAt,
 		Killed: eng.killed, Respawned: eng.respawned,
-		HeapBytes: captureHeap(p.MemStats, p.memCampaign),
+		HeapBytes: captureHeap(p.MemStats),
 	}
 	res.Stats, err = eng.finish()
 	return res, err
@@ -363,7 +355,6 @@ func RunLiveTrials(p LiveParams, seeds []int64, workers int) (*LiveTrialsResult,
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	p.memCampaign = tr.Mem
 	tr.Params, tr.sampled = p, p.MeasureSample > 0
 	if err := tr.run(func(seed int64) (*LiveResult, error) { return RunLive(p, seed) }); err != nil {
 		return nil, err

@@ -116,18 +116,18 @@ func TestLiveTrialsChurnCampaign(t *testing.T) {
 	if res.Workers != 2 {
 		t.Errorf("resolved Workers = %d, want 2", res.Workers)
 	}
-	if res.Mem == nil {
-		t.Fatal("MemStats campaign tracker missing from LiveTrialsResult")
+	if res.HeapBaseline == 0 {
+		t.Error("campaign baseline is 0")
 	}
-	if res.Mem.Peak() < res.Mem.Baseline() {
-		t.Errorf("campaign peak %d below baseline %d", res.Mem.Peak(), res.Mem.Baseline())
+	if res.HeapPeak() < res.HeapBaseline {
+		t.Errorf("campaign peak %d below baseline %d", res.HeapPeak(), res.HeapBaseline)
 	}
 	for i, tr := range res.Trials {
 		if tr.HeapBytes == 0 {
 			t.Errorf("trial %d: HeapBytes not sampled under MemStats", i)
 		}
-		if tr.HeapBytes > res.Mem.Peak() {
-			t.Errorf("trial %d: heap sample %d above campaign peak %d", i, tr.HeapBytes, res.Mem.Peak())
+		if tr.HeapBytes > res.HeapPeak() {
+			t.Errorf("trial %d: heap sample %d above campaign peak %d", i, tr.HeapBytes, res.HeapPeak())
 		}
 		if tr.Killed == 0 || tr.Respawned == 0 {
 			t.Errorf("trial %d: churn scenario applied no lifecycle events (killed=%d respawned=%d)",

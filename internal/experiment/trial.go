@@ -167,8 +167,9 @@ type trial struct {
 	rec recorder
 }
 
-// measureSpec is the measurement plane's configuration, shared verbatim by
-// Params and LiveParams (MeasureSample, MeasureConfidence, MeasureWorkers).
+// measureSpec is the measurement plane's configuration, read from Params
+// (MeasureSample, MeasureConfidence, MeasureWorkers) and LiveParams
+// (MeasureSample, MeasureWorkers; its intervals use the default 0.95).
 type measureSpec struct {
 	sample     int
 	confidence float64
@@ -272,14 +273,11 @@ func (t *trial) measure(cycle, alive int, tf traffic) (Point, bool) {
 }
 
 // captureHeap takes the end-of-run live-heap sample (Params.MemStats) while
-// the network is still reachable. A campaign tracker, when present, also
-// folds the sample into its peak high-water mark.
-func captureHeap(on bool, campaign *memstats.Campaign) uint64 {
+// the network is still reachable; a campaign's HeapPeak is the largest of
+// these samples.
+func captureHeap(on bool) uint64 {
 	if !on {
 		return 0
-	}
-	if campaign != nil {
-		return campaign.Sample()
 	}
 	return memstats.HeapAlloc()
 }

@@ -45,10 +45,9 @@ type Campaign[P any, R outcome] struct {
 	// Workers is the resolved worker-pool size the trials actually ran on
 	// (after the GOMAXPROCS default and the clamp to the trial count).
 	Workers int
-	// Mem is the campaign heap tracker — baseline before the first trial,
-	// peak across every trial's end-of-run sample taken while that trial's
-	// network was still live. Nil unless MemStats was set.
-	Mem *memstats.Campaign
+	// HeapBaseline is the post-GC live heap before the first trial; 0
+	// unless MemStats was set. HeapPeak folds the trials' samples into it.
+	HeapBaseline uint64
 	// sampled: the campaign measured node samples, so its CSV grows the
 	// estimator interval columns.
 	sampled bool
@@ -90,7 +89,6 @@ func RunTrials(p Params, seeds []int64, workers int) (*TrialsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.memCampaign = tr.Mem
 	tr.Params, tr.sampled = p, p.MeasureSample > 0
 	err = tr.run(func(seed int64) (*Result, error) {
 		tp := p
@@ -104,7 +102,7 @@ func RunTrials(p Params, seeds []int64, workers int) (*TrialsResult, error) {
 }
 
 // newCampaign resolves the worker pool of a campaign over seeds (workers < 1
-// means GOMAXPROCS) and starts its heap tracker.
+// means GOMAXPROCS) and, under memStats, reads its heap baseline.
 func newCampaign[P any, R outcome](seeds []int64, workers, shards int, memStats bool) (*Campaign[P, R], error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("experiment: a campaign needs at least one seed")
@@ -117,22 +115,36 @@ func newCampaign[P any, R outcome](seeds []int64, workers, shards int, memStats 
 		workers = max(1, runtime.GOMAXPROCS(0)/max(1, shards))
 	}
 	tr := &Campaign[P, R]{Seeds: seeds, Workers: min(workers, len(seeds))}
-	// One campaign tracker across the pool: each worker samples the heap
-	// at the end of each of its trials (network still reachable), and the
-	// tracker keeps the high-water mark — a per-trial end-of-run snapshot
-	// is meaningless when concurrent trials share the heap.
 	if memStats {
-		tr.Mem = memstats.StartCampaign()
+		tr.HeapBaseline = memstats.HeapAlloc()
 	}
 	return tr, nil
 }
 
+// HeapPeak returns the campaign's live-heap high-water mark: the largest of
+// the baseline and every trial's end-of-run sample, each taken while that
+// trial's network was still reachable and its concurrent trials were live.
+// A single end-of-campaign snapshot would instead see whatever subset of
+// trials happened to be live at that instant.
+func (tr *Campaign[P, R]) HeapPeak() uint64 {
+	peak := tr.HeapBaseline
+	for _, r := range tr.Trials {
+		peak = max(peak, r.heapBytes())
+	}
+	return peak
+}
+
 // outcome is what campaign aggregation reads from one finished trial, on
-// either engine: its per-cycle series and ConvergedAt.
-type outcome interface{ series() ([]Point, int) }
+// either engine: its per-cycle series and ConvergedAt, and its heap sample.
+type outcome interface {
+	series() ([]Point, int)
+	heapBytes() uint64
+}
 
 func (res *Result) series() ([]Point, int)     { return res.Points, res.ConvergedAt }
 func (res *LiveResult) series() ([]Point, int) { return res.Points, res.ConvergedAt }
+func (res *Result) heapBytes() uint64          { return res.HeapBytes }
+func (res *LiveResult) heapBytes() uint64      { return res.HeapBytes }
 
 // run is the shared trial fan-out of RunTrials and RunLiveTrials: one trial
 // per seed across a pool of Workers goroutines, then the aggregation.

@@ -99,9 +99,10 @@ func TestRunTrialsAggregateInvariants(t *testing.T) {
 	}
 }
 
-// TestRunTrialsMemCampaign checks the campaign heap accounting: every
-// trial's HeapBytes comes from a shared tracker whose peak bounds all the
-// per-trial samples, and the resolved worker count is reported.
+// TestRunTrialsMemCampaign checks the campaign heap accounting: a baseline
+// is read before the trials, every trial samples its HeapBytes, the
+// campaign peak is the largest of them (never below the baseline), and the
+// resolved worker count is reported.
 func TestRunTrialsMemCampaign(t *testing.T) {
 	p := trialParams(128)
 	p.MemStats = true
@@ -112,19 +113,18 @@ func TestRunTrialsMemCampaign(t *testing.T) {
 	if res.Workers != 2 {
 		t.Errorf("resolved Workers = %d, want 2", res.Workers)
 	}
-	if res.Mem == nil {
-		t.Fatal("MemStats campaign tracker missing from TrialsResult")
-	}
-	if res.Mem.Baseline() == 0 {
+	if res.HeapBaseline == 0 {
 		t.Error("campaign baseline is 0")
 	}
+	peak := res.HeapBaseline
 	for i, tr := range res.Trials {
 		if tr.HeapBytes == 0 {
 			t.Errorf("trial %d: HeapBytes not sampled under MemStats", i)
 		}
-		if tr.HeapBytes > res.Mem.Peak() {
-			t.Errorf("trial %d: heap sample %d above campaign peak %d", i, tr.HeapBytes, res.Mem.Peak())
-		}
+		peak = max(peak, tr.HeapBytes)
+	}
+	if got := res.HeapPeak(); got != peak {
+		t.Errorf("campaign peak %d, want %d (the largest of baseline and trial samples)", got, peak)
 	}
 
 	p.MemStats = false
@@ -132,8 +132,8 @@ func TestRunTrialsMemCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mem != nil {
-		t.Error("campaign tracker allocated without MemStats")
+	if res.HeapBaseline != 0 || res.HeapPeak() != 0 {
+		t.Errorf("heap read without MemStats: baseline %d, peak %d", res.HeapBaseline, res.HeapPeak())
 	}
 	if res.Workers != 2 {
 		t.Errorf("resolved Workers = %d, want 2 (clamped to the trial count)", res.Workers)

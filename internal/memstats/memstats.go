@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // HeapAlloc returns the live heap in bytes after a forced collection —
@@ -41,64 +40,17 @@ func Line(n int, heapBytes uint64) string {
 	return s
 }
 
-// Campaign tracks the live heap across a multi-trial campaign. A single
-// end-of-run HeapAlloc is meaningless when several trials share one heap:
-// it sees whatever subset happened to be live at that instant. A Campaign
-// instead records a baseline before any trial starts and lets every worker
-// Sample() the heap at the end of each of its trials — while that trial's
-// network is still reachable — keeping the maximum. The peak is a true
-// high-water mark of retained state under the campaign's actual
-// concurrency, not a snapshot of the stragglers.
-//
-// Sample is safe for concurrent use; Baseline, Peak and Line are meant for
-// after the campaign completes.
-type Campaign struct {
-	baseline uint64
-	peak     atomic.Uint64
-}
-
-// StartCampaign captures the pre-campaign baseline (post-GC live heap) and
-// returns a tracker for the workers to sample.
-func StartCampaign() *Campaign {
-	return &Campaign{baseline: HeapAlloc()}
-}
-
-// Sample records the current post-GC live heap into the campaign maximum
-// and returns the sampled value. Callers sample at per-trial measurement
-// points with the trial's network still reachable — the forced collection
-// makes this far too heavy for any hot path.
-func (c *Campaign) Sample() uint64 {
-	h := HeapAlloc()
-	for {
-		old := c.peak.Load()
-		if h <= old || c.peak.CompareAndSwap(old, h) {
-			return h
-		}
-	}
-}
-
-// Baseline returns the pre-campaign live heap.
-func (c *Campaign) Baseline() uint64 { return c.baseline }
-
-// Peak returns the largest sampled live heap, never below the baseline.
-func (c *Campaign) Peak() uint64 {
-	if p := c.peak.Load(); p > c.baseline {
-		return p
-	}
-	return c.baseline
-}
-
-// Line returns the campaign's key=value summary. n is the per-trial
-// network size and workers the number of trials live at once, so the
-// above-baseline peak is attributed across the n*workers node instances
-// that coexisted at the high-water mark.
-func (c *Campaign) Line(n, workers int) string {
-	base, peak := c.Baseline(), c.Peak()
+// CampaignLine returns the key=value summary of a multi-trial campaign
+// whose live heap read baseline before the first trial and peak at its
+// high-water mark. n is the per-trial network size and workers the number
+// of trials live at once, so the above-baseline peak is attributed across
+// the n*workers node instances that coexisted at the high-water mark.
+func CampaignLine(n, workers int, baseline, peak uint64) string {
 	perNode := uint64(0)
 	if nodes := uint64(n) * uint64(workers); nodes > 0 {
-		perNode = (peak - base) / nodes
+		perNode = (peak - baseline) / nodes
 	}
-	s := fmt.Sprintf("heap_baseline_bytes=%d heap_peak_bytes=%d heap_bytes_per_node=%d", base, peak, perNode)
+	s := fmt.Sprintf("heap_baseline_bytes=%d heap_peak_bytes=%d heap_bytes_per_node=%d", baseline, peak, perNode)
 	if rss, ok := PeakRSSKB(); ok {
 		s += fmt.Sprintf(" peak_rss_kb=%d", rss)
 	}

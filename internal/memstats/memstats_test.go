@@ -2,7 +2,6 @@ package memstats
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -30,58 +29,8 @@ func TestLineZeroNodes(t *testing.T) {
 	}
 }
 
-func TestCampaignPeak(t *testing.T) {
-	c := StartCampaign()
-	if c.Baseline() == 0 {
-		t.Fatal("campaign baseline is 0 for a running process")
-	}
-	if c.Peak() != c.Baseline() {
-		t.Errorf("pre-sample peak %d != baseline %d", c.Peak(), c.Baseline())
-	}
-	// A retained allocation must show up in the sample and raise the peak
-	// above the baseline captured before it existed.
-	buf := make([]byte, 8<<20)
-	h := c.Sample()
-	if buf[0] != 0 { // keep buf live across the forced GC inside Sample
-		t.Fatal("unreachable")
-	}
-	if h <= c.Baseline() {
-		t.Errorf("sample %d with 8MiB retained not above baseline %d", h, c.Baseline())
-	}
-	if c.Peak() != h {
-		t.Errorf("peak %d != only sample %d", c.Peak(), h)
-	}
-	// Releasing the buffer lowers the live heap but never the peak.
-	buf = nil
-	_ = buf
-	c.Sample()
-	if c.Peak() < h {
-		t.Errorf("peak regressed from %d to %d after a smaller sample", h, c.Peak())
-	}
-}
-
-func TestCampaignConcurrentSample(t *testing.T) {
-	c := StartCampaign()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				c.Sample()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Peak() < c.Baseline() {
-		t.Errorf("peak %d below baseline %d after concurrent sampling", c.Peak(), c.Baseline())
-	}
-}
-
 func TestCampaignLineShape(t *testing.T) {
-	c := &Campaign{baseline: 1 << 20}
-	c.peak.Store(9 << 20)
-	line := c.Line(1024, 2)
+	line := CampaignLine(1024, 2, 1<<20, 9<<20)
 	for _, want := range []string{
 		"heap_baseline_bytes=1048576",
 		"heap_peak_bytes=9437184",
@@ -97,7 +46,7 @@ func TestCampaignLineShape(t *testing.T) {
 			t.Errorf("field %q is not key=value", f)
 		}
 	}
-	if zero := c.Line(0, 0); !strings.Contains(zero, "heap_bytes_per_node=0") {
+	if zero := CampaignLine(0, 0, 1<<20, 9<<20); !strings.Contains(zero, "heap_bytes_per_node=0") {
 		t.Errorf("zero nodes should report 0 bytes/node, got %q", zero)
 	}
 }

@@ -7,8 +7,9 @@ import (
 	"repro/internal/id"
 )
 
-// FuzzTrieCounts cross-checks the radix trie's subtree counts against a
-// naive scan for arbitrary membership sets.
+// FuzzTrieCounts cross-checks the slot counts read off the ring's nested
+// prefix runs (an implicit radix trie) against a naive scan for arbitrary
+// membership sets.
 func FuzzTrieCounts(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}, uint8(0), uint8(3))
 	f.Add([]byte{0xAB, 0xCD, 0, 0, 0, 0, 0, 0}, uint8(1), uint8(0))

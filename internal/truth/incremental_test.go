@@ -3,11 +3,13 @@ package truth
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/id"
 	"repro/internal/peer"
+	"repro/internal/testenv"
 )
 
 // equivalent asserts that the incrementally maintained oracle answers every
@@ -151,6 +153,47 @@ func TestUpdateReinsertRemovedID(t *testing.T) {
 		t.Fatal(err)
 	}
 	equivalent(t, tr, ids, 4, 3, 8)
+}
+
+// TestUpdateAllocs pins a churn cycle's allocations: Update merges the ring
+// into its retained spare buffer, so replacing 1 % of the membership costs
+// the batch's validation set and nothing that grows with N or with the
+// number of cycles applied.
+func TestUpdateAllocs(t *testing.T) {
+	if testenv.Race() {
+		t.Skip("allocation counts do not hold under -race")
+	}
+	const runs = 20
+	for _, n := range []int{4096, 1 << 14} {
+		churn := n / 100
+		// The members, then one batch of fresh IDs per call (AllocsPerRun
+		// calls once more than runs to warm up).
+		ids := id.Unique(n+(runs+1)*churn, int64(n))
+		members, fresh := slices.Clip(ids[:n]), ids[n:]
+		tr, err := New(members, 4, 3, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		removed := make([]id.ID, churn)
+		avg := testing.AllocsPerRun(runs, func() {
+			added := fresh[:churn]
+			fresh = fresh[churn:]
+			// Draw distinct members: each pick moves to the tail, which
+			// later picks in the batch skip.
+			for j := range removed {
+				k, last := rng.Intn(len(members)-j), len(members)-1-j
+				members[k], members[last] = members[last], members[k]
+				removed[j], members[last] = members[last], added[j]
+			}
+			if err := tr.Update(added, removed); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 4 {
+			t.Errorf("N=%d: Update at 1%% churn allocates %.1f times per call, want at most 4", n, avg)
+		}
+	}
 }
 
 // buildMembers gives every node a partially filled leaf set and prefix

@@ -7,16 +7,20 @@
 // departed node occupies nothing), and MeasureAll and MeasureSampleConf
 // both sum it.
 //
-// Perfect prefix-table occupancy is derived from a lazily expanded
-// radix-2^b trie with subtree counts, so a full-network measurement costs
-// O(N · rows · 2^b) instead of O(N^2).
+// The membership's one index is its sorted ring. Leaf sets are ring
+// neighbourhoods, the owner of a point is its clockwise successor
+// (Successor), and the members that share a node's first d digits form one
+// run of the ring, which the digit at depth d splits into consecutive
+// sub-runs: perfect prefix-table occupancy is read off binary-searched run
+// boundaries, so a full-network measurement costs O(N · rows · 2^b · log N)
+// instead of O(N^2).
 //
 // The oracle is incremental: Update applies a churn delta in
-// O(changes·log N + N) — one allocation-free merge of the sorted ring plus
-// per-ID trie surgery — instead of an O(N log N) rebuild, and MeasureAll
-// shards the per-node measurement across a worker pool with per-shard
-// scratch buffers, so paper-scale (2^18) per-cycle measurement is bounded
-// by cores, not by a single thread re-deriving ground truth. A node whose
+// O(changes·log N + N) — one allocation-free merge of the sorted ring —
+// instead of an O(N log N) rebuild, and MeasureAll shards the per-node
+// measurement across a worker pool with per-shard scratch buffers, so
+// paper-scale (2^18) per-cycle measurement is bounded by cores, not by a
+// single thread re-deriving ground truth. A node whose
 // leaf set, prefix table and oracle are all unchanged since its last
 // measurement is not measured again: its counts come from a per-node
 // cache (see counts).
@@ -47,7 +51,6 @@ type Truth struct {
 	// members is the membership test; the sorted ring above stays the
 	// iteration authority (flat.Set iterates in slot order, not ID order).
 	members flat.Set
-	root    *trieNode
 	// epoch advances with every membership change; a cached measurement
 	// from an earlier epoch is stale.
 	epoch uint64
@@ -67,7 +70,6 @@ func New(ids []id.ID, b, k, c int) (*Truth, error) {
 		k:      k,
 		c:      c,
 		sorted: make([]id.ID, len(ids)),
-		root:   &trieNode{},
 	}
 	copy(t.sorted, ids)
 	slices.Sort(t.sorted)
@@ -79,9 +81,6 @@ func New(ids []id.ID, b, k, c int) (*Truth, error) {
 	t.members.Reserve(len(t.sorted))
 	for _, v := range t.sorted {
 		t.members.Add(v)
-	}
-	for _, v := range ids {
-		t.root.insert(v, 0, b)
 	}
 	return t, nil
 }
@@ -97,6 +96,16 @@ func (t *Truth) indexOf(v id.ID) int {
 	return -1
 }
 
+// Successor returns the first member clockwise from point, point itself
+// included: the member that owns point under the successor rule.
+func (t *Truth) Successor(point id.ID) id.ID {
+	i, _ := slices.BinarySearch(t.sorted, point)
+	if i == len(t.sorted) {
+		i = 0 // wrap
+	}
+	return t.sorted[i]
+}
+
 // Add inserts a single member. See Update for cost; callers applying a
 // whole churn cycle should batch through Update instead.
 func (t *Truth) Add(v id.ID) error { return t.Update([]id.ID{v}, nil) }
@@ -106,9 +115,9 @@ func (t *Truth) Remove(v id.ID) error { return t.Update(nil, []id.ID{v}) }
 
 // Update applies a membership delta: every ID of removed leaves, every ID
 // of added joins. The sorted ring is rebuilt with one merge pass into a
-// retained spare buffer and the prefix trie is patched per ID, so a churn
-// cycle costs O(N + changes·log N) with no steady-state allocation —
-// versus the O(N log N) sort, map build and trie build of a fresh New.
+// retained spare buffer, so a churn cycle costs O(N + changes·log N) with
+// no steady-state allocation — versus the O(N log N) sort and set build of
+// a fresh New.
 //
 // An ID may not appear in both lists, removed IDs must be members, added
 // IDs must not be; violations leave the oracle unchanged and return an
@@ -122,8 +131,9 @@ func (t *Truth) Update(added, removed []id.ID) error {
 	}
 	// Validate both lists in full before mutating anything. Every ID
 	// must appear at most once across the whole delta: a repeated
-	// removal would decrement the trie counts twice, a repeated addition
-	// (or an added-and-removed ID) would ring the ID twice in the merge.
+	// removal would miscount the size the emptiness check reads, a
+	// repeated addition (or an added-and-removed ID) would ring the ID
+	// twice in the merge.
 	// Small batches are checked by scanning; large ones (mass joins)
 	// through a throwaway set, keeping validation O(changes) rather
 	// than O(changes²).
@@ -170,11 +180,9 @@ func (t *Truth) Update(added, removed []id.ID) error {
 	}
 	for _, v := range removed {
 		t.members.Remove(v)
-		t.root.remove(v, 0, t.b)
 	}
 	for _, v := range added {
 		t.members.Add(v)
-		t.root.insert(v, 0, t.b)
 	}
 	// Merge the surviving ring with the sorted additions into the spare
 	// buffer, then swap the buffers.
@@ -196,72 +204,6 @@ func (t *Truth) Update(added, removed []id.ID) error {
 	t.sorted, t.spare = merged, t.sorted
 	t.epoch++
 	return nil
-}
-
-// trieNode is a lazily expanded radix-2^b trie node with subtree counts.
-// While an unexpanded node holds count == 1 it remembers its sole ID;
-// expanded nodes whose count drops through removals are not re-collapsed
-// (the subtree counts alone drive every query, so collapse would only
-// save memory already paid for).
-type trieNode struct {
-	count    int
-	children []*trieNode
-	sole     id.ID
-}
-
-func (n *trieNode) insert(v id.ID, depth, b int) {
-	n.count++
-	if n.children == nil {
-		if n.count == 1 {
-			n.sole = v
-			return
-		}
-		if depth == id.NumDigits(b) {
-			return // full depth; unique IDs never reach here twice
-		}
-		n.children = make([]*trieNode, 1<<b)
-		// Push the previously sole occupant one level down.
-		d := n.sole.Digit(depth, b)
-		n.children[d] = &trieNode{}
-		n.children[d].insert(n.sole, depth+1, b)
-	}
-	if depth == id.NumDigits(b) {
-		return
-	}
-	d := v.Digit(depth, b)
-	if n.children[d] == nil {
-		n.children[d] = &trieNode{}
-	}
-	n.children[d].insert(v, depth+1, b)
-}
-
-// remove decrements the subtree counts along v's path. Emptied nodes stay
-// allocated; count == 0 makes them invisible to every query.
-func (n *trieNode) remove(v id.ID, depth, b int) {
-	n.count--
-	if n.children == nil || depth == id.NumDigits(b) {
-		return
-	}
-	if c := n.children[v.Digit(depth, b)]; c != nil {
-		c.remove(v, depth+1, b)
-	}
-}
-
-// childCount returns the number of IDs below child digit d, resolving
-// unexpanded single-occupant nodes.
-func (n *trieNode) childCount(d, depth, b int) int {
-	if n.children == nil {
-		// Unexpanded: n.count <= 1. The sole occupant counts if its
-		// digit matches.
-		if n.count == 1 && n.sole.Digit(depth, b) == d {
-			return 1
-		}
-		return 0
-	}
-	if n.children[d] == nil {
-		return 0
-	}
-	return n.children[d].count
 }
 
 // appendPerfectLeafSet appends to dst the IDs a perfect leaf set for the
@@ -346,43 +288,43 @@ func (t *Truth) appendPerfectLeafSet(dst []id.ID, p int, scr *measureScratch) []
 	return dst
 }
 
-// expectedRow fills row with the perfect per-column occupancy of the prefix
-// table row at the given depth, reading the trie node covering self's
-// depth-long prefix: min(k, available) per column, zero in self's own.
-func (t *Truth) expectedRow(node *trieNode, self id.ID, depth int, row []int) {
-	own := self.Digit(depth, t.b)
-	for j := range row {
-		if j == own {
-			row[j] = 0
-			continue
-		}
-		avail := node.childCount(j, depth, t.b)
-		if avail > t.k {
-			avail = t.k
-		}
-		row[j] = avail
-	}
-}
-
 // expectedSlotCountsInto writes, for each (row, col) of self's prefix
 // table, the perfect occupancy min(k, available) into the preallocated rows
 // (each 2^b wide), where available is the number of member IDs whose slot
 // relative to self is (row, col). It returns the number of rows filled:
-// rows beyond the point where self is alone in its prefix subtree are
-// all-zero and left untouched.
+// rows beyond the point where self is alone in its prefix run are all-zero
+// and left untouched.
+//
+// The members sharing self's first depth digits are the run [lo, hi) of
+// the ring. Column j of row depth holds the sub-run whose digit at depth
+// is j; sub-runs are consecutive, so each column's count is the distance
+// between two binary-searched boundaries, and self's own column is the next
+// row's run.
 func (t *Truth) expectedSlotCountsInto(self id.ID, rows [][]int) int {
-	node := t.root
+	lo, hi := 0, len(t.sorted)
 	used := 0
-	for depth := 0; depth < id.NumDigits(t.b); depth++ {
-		if node == nil || node.count <= 1 {
-			break
+	for depth := 0; depth < id.NumDigits(t.b) && hi-lo > 1; depth++ {
+		shift := uint(id.Bits - (depth+1)*t.b)
+		prefix := uint64(self) >> (shift + uint(t.b)) << (shift + uint(t.b))
+		own := self.Digit(depth, t.b)
+		row := rows[used]
+		start, nextLo, nextHi := lo, lo, hi
+		for j := range row {
+			end := hi
+			if j+1 < len(row) {
+				n, _ := slices.BinarySearch(t.sorted[start:hi], id.ID(prefix|uint64(j+1)<<shift))
+				end = start + n
+			}
+			if j == own {
+				row[j] = 0
+				nextLo, nextHi = start, end
+			} else {
+				row[j] = min(end-start, t.k)
+			}
+			start = end
 		}
-		t.expectedRow(node, self, depth, rows[used])
 		used++
-		if node.children == nil {
-			break
-		}
-		node = node.children[self.Digit(depth, t.b)]
+		lo, hi = nextLo, nextHi
 	}
 	return used
 }
@@ -526,17 +468,36 @@ func (t *Truth) counts(m Member, scr *measureScratch) (nodeCounts, bool) {
 	return c.nc, true
 }
 
+// LeafMissing counts the entries of self's perfect leaf set that ls lacks,
+// out of the perfect set's size: the leaf half of the measurement, for
+// overlays that keep a leaf set but no prefix table. A non-member has no
+// perfect leaf set and reads 0, 0.
+func (t *Truth) LeafMissing(self id.ID, ls *core.LeafSet) (missing, total int) {
+	p := t.indexOf(self)
+	if p < 0 {
+		return 0, 0
+	}
+	var scr measureScratch
+	return t.leafMissing(ls, p, &scr)
+}
+
+// leafMissing counts the perfect leaf-set entries of the member at ring
+// position p that ls lacks, and the perfect set's size.
+func (t *Truth) leafMissing(ls *core.LeafSet, p int, scr *measureScratch) (missing, total int) {
+	scr.leaf = t.appendPerfectLeafSet(scr.leaf[:0], p, scr)
+	for _, v := range scr.leaf {
+		if !ls.Contains(v) {
+			missing++
+		}
+	}
+	return missing, len(scr.leaf)
+}
+
 // measureNode measures the member at ring position p using scr's buffers.
 // scr.live must be all-zero on entry and is restored to all-zero before
 // returning.
 func (t *Truth) measureNode(m Member, p int, scr *measureScratch) (nc nodeCounts) {
-	scr.leaf = t.appendPerfectLeafSet(scr.leaf[:0], p, scr)
-	for _, v := range scr.leaf {
-		if !m.Leaf.Contains(v) {
-			nc.leafMissing++
-		}
-	}
-	nc.leafTotal = len(scr.leaf)
+	nc.leafMissing, nc.leafTotal = t.leafMissing(m.Leaf, p, scr)
 	nc.leafDead = t.leafSetDead(m.Leaf)
 
 	rows := t.expectedSlotCountsInto(m.Self, scr.expected)

@@ -19,8 +19,8 @@ func TestNewRejectsBadInput(t *testing.T) {
 	}
 }
 
-// naiveAvailable counts, without the trie, the members whose slot relative
-// to self is (row, col).
+// naiveAvailable counts, by a scan of the whole membership, the members
+// whose slot relative to self is (row, col).
 func naiveAvailable(ids []id.ID, self id.ID, row, col, b int) int {
 	n := 0
 	for _, v := range ids {
@@ -42,7 +42,7 @@ func expectedSlotCounts(tr *Truth, self id.ID) [][]int {
 	return scr.expected[:tr.expectedSlotCountsInto(self, scr.expected)]
 }
 
-// availableAt is the trie's count of members whose slot relative to self
+// availableAt is the oracle's count of members whose slot relative to self
 // is (row, col). It is uncapped only when tr was built with k > N.
 func availableAt(tr *Truth, self id.ID, row, col int) int {
 	if e := expectedSlotCounts(tr, self); row < len(e) {
@@ -168,6 +168,60 @@ func perfectLeafSet(tr *Truth, self id.ID) []id.ID {
 	return tr.appendPerfectLeafSet(nil, tr.indexOf(self), &scr)
 }
 
+// TestSuccessor: the owner of a point is the first member clockwise from
+// it, the point itself included, wrapping past the largest ID.
+func TestSuccessor(t *testing.T) {
+	tr, err := New([]id.ID{30, 10, 20}, 4, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ point, want id.ID }{
+		{5, 10}, {10, 10}, {11, 20}, {25, 30}, {30, 30}, {31, 10}, {^id.ID(0), 10},
+	} {
+		if got := tr.Successor(c.point); got != c.want {
+			t.Errorf("Successor(%d) = %d, want %d", c.point, got, c.want)
+		}
+	}
+}
+
+// TestLeafMissingMatchesNaive: LeafMissing counts the brute-force perfect
+// leaf set's entries a leaf set lacks, out of that set's size, on rings
+// small enough for the antipode split to matter and on larger ones.
+func TestLeafMissingMatchesNaive(t *testing.T) {
+	const c = 8
+	for _, n := range []int{3, 5, 12, 21, 50, 300} {
+		ids, tr := buildRing(t, n, int64(n), c)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for trial := 0; trial < 20; trial++ {
+			self := ids[rng.Intn(len(ids))]
+			ls := core.NewLeafSet(self, c)
+			var ds []peer.Descriptor
+			for i, v := range ids {
+				if rng.Intn(3) == 0 {
+					ds = append(ds, peer.Descriptor{ID: v, Addr: peer.Addr(i)})
+				}
+			}
+			ls.Update(ds)
+			perfect := naivePerfectLeafSet(ids, self, c)
+			want := 0
+			for v := range perfect {
+				if !ls.Contains(v) {
+					want++
+				}
+			}
+			missing, total := tr.LeafMissing(self, ls)
+			if missing != want || total != len(perfect) {
+				t.Fatalf("n=%d self=%s: LeafMissing = %d/%d, want %d/%d", n, self, missing, total, want, len(perfect))
+			}
+		}
+	}
+	_, tr := buildRing(t, 10, 1, c)
+	const stranger = id.ID(123456789)
+	if missing, total := tr.LeafMissing(stranger, core.NewLeafSet(stranger, c)); missing != 0 || total != 0 {
+		t.Errorf("non-member read %d/%d, want 0/0", missing, total)
+	}
+}
+
 // measureOne measures a single node through MeasureAll.
 func measureOne(tr *Truth, self id.ID, ls *core.LeafSet, pt *core.PrefixTable) Aggregate {
 	return tr.MeasureAll([]Member{{Self: self, Leaf: ls, Table: pt}}, 1)
@@ -268,9 +322,9 @@ func TestPrefixMissingPartial(t *testing.T) {
 	}
 }
 
-// TestTrieInsertionOrderIrrelevant: the trie is a pure function of the
-// membership set.
-func TestTrieInsertionOrderIrrelevant(t *testing.T) {
+// TestSlotCountsInsertionOrderIrrelevant: perfect slot occupancy is a pure
+// function of the membership set, not of the order New receives it in.
+func TestSlotCountsInsertionOrderIrrelevant(t *testing.T) {
 	f := func(seed int64) bool {
 		ids := id.Unique(64, seed)
 		tr1, err1 := New(ids, 4, 3, 8)
