@@ -119,9 +119,8 @@ func (o *options) sockParams() (experiment.LiveParams, error) {
 // stdin/stdout; their logs go to stderr. Each worker steps its shard of the
 // trial (experiment.LiveShard); the driver sums the workers' exact partial
 // measurements and feeds them to experiment.ShardRecorder, which owns the
-// stopping rule. The latency scenario is rejected when a worker expands its
-// fault plan: the socket engine measures the kernel's delivery latency
-// instead of injecting one.
+// stopping rule. Injected latency (-latency, -scenario latency) is applied
+// by the receiving hosts, on top of the kernel's own.
 func runSock(o *options, out io.Writer) error {
 	p, err := o.sockParams()
 	if err != nil {
@@ -139,15 +138,18 @@ func runSock(o *options, out io.Writer) error {
 }
 
 // workerStats is what a worker reports of its shard: the traffic counters,
-// and the frames its link handed to the kernel with the Write calls that
-// carried them. The driver sums them field by field.
+// the arrivals its hosts hold for their latency, and the frames its link
+// handed to the kernel with the Write calls that carried them. The driver
+// sums them field by field.
 type workerStats struct {
 	host.Stats
+	Held           int64
 	Frames, Writes int64
 }
 
 func (w *workerStats) add(o workerStats) {
 	w.Stats.Add(o.Stats)
+	w.Held += o.Held
 	w.Frames += o.Frames
 	w.Writes += o.Writes
 }
@@ -182,7 +184,7 @@ func runWorker(p experiment.LiveParams, seed int64, stdin io.Reader, stdout io.W
 	}
 	stats := func() workerStats {
 		frames, writes := trial.WriteStats()
-		return workerStats{trial.Stats(), frames, writes}
+		return workerStats{trial.Stats(), trial.Held(), frames, writes}
 	}
 	if err := say("READY", nil); err != nil {
 		return err
@@ -367,9 +369,10 @@ func runDriver(p experiment.LiveParams, seed int64, args []string, wait time.Dur
 	}
 
 	// Quiesce: stop every worker's tick sources, wait for each local
-	// drain, then poll the global sum until stable — frames can still be
-	// crossing process boundaries when an individual worker reports
-	// settled.
+	// drain, then poll the global sum until it is stable with no arrival
+	// held — frames can still be crossing process boundaries when an
+	// individual worker reports settled, and a held arrival is counted
+	// Sent with no outcome yet.
 	err = ask(workers, "DRAIN", "DRAINED", func(w *workerProc, rest string) error {
 		if ok, _, _ := strings.Cut(rest, " "); ok != "true" {
 			fmt.Fprintf(stderr, "sim sock: worker %d did not settle locally\n", w.proc)
@@ -393,7 +396,7 @@ func runDriver(p experiment.LiveParams, seed int64, args []string, wait time.Dur
 		if err != nil {
 			return err
 		}
-		if round > 0 && cur == sum {
+		if round > 0 && cur == sum && cur.Held == 0 {
 			break
 		}
 		sum = cur

@@ -49,8 +49,7 @@ func TestLiveSimMemStats(t *testing.T) {
 }
 
 // TestSockStopsLikeLive: live and sock resolve every built-in scenario by
-// name (latency parses too; a sock worker's plan expansion rejects it), and
-// to the same stopping rule — a campaign under a scenario runs to -cycles.
+// name, and to the same stopping rule — a campaign under a scenario runs to -cycles.
 func TestSockStopsLikeLive(t *testing.T) {
 	for _, sc := range livenet.Builtins() {
 		var keep []bool

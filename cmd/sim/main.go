@@ -175,7 +175,7 @@ func parse(args []string, stderr io.Writer) (o *options, c *campaign, err error)
 	fs.IntVar(&o.cfg.C, "c", o.cfg.C, "leaf set size")
 	fs.IntVar(&o.cfg.CR, "cr", o.cfg.CR, "random samples per message")
 	fs.StringVar(&o.scenario, "scenario", "none", "live, sock: none|churn|partition|drop|latency; load: none|churn|crash|partition|flash")
-	fs.DurationVar(&o.latency, "latency", 0, "max delivery latency on the in-memory link (min is latency/4)")
+	fs.DurationVar(&o.latency, "latency", 0, "max injected delivery latency, on either link (min is latency/4)")
 	fs.DurationVar(&o.period, "period", 0, "wall-clock gossip period (0 scales with -n)")
 	fs.IntVar(&o.procs, "procs", 4, "worker processes sharding the hosts")
 	fs.IntVar(&o.basePort, "base-port", 18500, "worker p listens on base-port+p")

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -25,14 +24,11 @@ const DrainBudget = 15 * time.Second
 // hostEngine runs a trial on the goroutine host runtime (internal/host):
 // wall-clock cycles, a livenet.Scenario as the fault plan. It is opened
 // over livenet's in-memory link or over transport's sockets and beyond
-// that knows the link only by three optional capabilities.
+// that knows the link only by two optional capabilities.
 type hostEngine struct {
 	population
 	p  LiveParams
 	rt *host.Runtime
-	// setLatency is nil on sockets: the kernel provides the latency there,
-	// so latency events are rejected when the plan is expanded.
-	setLatency func(min, max time.Duration)
 	// quiesce is nil on the in-memory link, whose Close already drains to
 	// exact conservation.
 	quiesce func(timeout time.Duration) bool
@@ -76,15 +72,13 @@ func openHostEngine(p LiveParams, seed int64) (*hostEngine, error) {
 		}
 		e.rt, e.quiesce, e.writeStats = net.Runtime, net.Quiesce, net.WriteStats
 	} else {
-		net := livenet.New(livenet.Config{
-			Seed: seed, Drop: p.Drop,
-			MinLatency: p.MinLatency, MaxLatency: p.MaxLatency,
-		})
+		net := livenet.New(livenet.Config{Seed: seed, Drop: p.Drop})
 		for i := 0; i < p.N; i++ {
 			net.AddHost()
 		}
-		e.rt, e.setLatency = net.Runtime, net.SetLatency
+		e.rt = net.Runtime
 	}
+	e.rt.SetLatency(p.MinLatency, p.MaxLatency)
 	if err := e.wire(seed); err != nil {
 		e.rt.Close()
 		return nil, err
@@ -144,7 +138,7 @@ func (e *hostEngine) wire(seed int64) error {
 	}
 	e.schedule = p.Scenario.Events(seed, p.N, p.Cycles)
 	var err error
-	e.plans, err = expandSchedule(e.schedule, p.N, rng, e.setLatency != nil)
+	e.plans, err = expandSchedule(e.schedule, p.N, rng)
 	return err
 }
 
@@ -152,7 +146,7 @@ func (e *hostEngine) wire(seed int64) error {
 // victims are drawn from rng over the simulated alive set in ascending
 // address order, so the same inputs yield the same victims on every
 // process.
-func expandSchedule(schedule []livenet.Event, n int, rng *rand.Rand, latencyOK bool) (map[int][]fault, error) {
+func expandSchedule(schedule []livenet.Event, n int, rng *rand.Rand) (map[int][]fault, error) {
 	plans := make(map[int][]fault)
 	alive := make([]bool, n)
 	for i := range alive {
@@ -190,11 +184,7 @@ func expandSchedule(schedule []livenet.Event, n int, rng *rand.Rand, latencyOK b
 					f.addrs = append(f.addrs, addr)
 				}
 			}
-		case livenet.OpSetLatency:
-			if !latencyOK {
-				return nil, errors.New("experiment: socket engine does not support latency events (the kernel provides the latency)")
-			}
-		case livenet.OpPartition, livenet.OpHeal, livenet.OpSetDrop:
+		case livenet.OpPartition, livenet.OpHeal, livenet.OpSetDrop, livenet.OpSetLatency:
 		default:
 			return nil, fmt.Errorf("experiment: unknown scenario op %v", ev.Op)
 		}
@@ -261,7 +251,7 @@ func (e *hostEngine) applyFaults(cycle int) (added, removed []id.ID, err error) 
 			if lo < 0 || hi < 0 {
 				lo, hi = e.p.MinLatency, e.p.MaxLatency // restore the configured baseline
 			}
-			e.setLatency(lo, hi)
+			e.rt.SetLatency(lo, hi)
 		}
 	}
 	return added, removed, nil

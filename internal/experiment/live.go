@@ -36,8 +36,8 @@ type LiveParams struct {
 	// change it mid-run).
 	Drop float64
 	// MinLatency and MaxLatency bound the initial delivery latency the
-	// in-memory link injects. They must be zero on sockets, where the
-	// kernel provides the latency.
+	// hosts inject on arrival, on either link (on sockets it adds to the
+	// kernel's own).
 	MinLatency, MaxLatency time.Duration
 	// Sockets, when non-nil, runs the trial over real loopback sockets
 	// (package transport) instead of the in-memory link; it says where
@@ -45,7 +45,7 @@ type LiveParams struct {
 	// messages, so the sampler must be the oracle.
 	Sockets *Sockets
 	// Scenario is the churn/failure schedule; the zero value runs
-	// failure-free. Latency events need the in-memory link.
+	// failure-free.
 	Scenario livenet.Scenario
 	// KeepRunningAfterPerfect continues to Cycles even after perfection.
 	KeepRunningAfterPerfect bool
@@ -147,9 +147,6 @@ func (p LiveParams) Validate() error {
 		}
 		if p.Sampler == SamplerNewscast {
 			return errors.New("experiment: the socket link carries only bootstrap messages; NEWSCAST needs the in-memory link")
-		}
-		if p.MinLatency != 0 || p.MaxLatency != 0 {
-			return errors.New("experiment: latency bounds need the in-memory link (the kernel provides the latency on sockets)")
 		}
 		if p.MeasureSample > 0 && s.procs() > 1 {
 			return errors.New("experiment: sampled measurement is single-process (partial sums need exact counts)")
@@ -286,6 +283,10 @@ func (s *LiveShard) Drain() bool { return s.eng.drain() }
 
 // Stats returns the shard-local traffic counters.
 func (s *LiveShard) Stats() host.Stats { return s.eng.rt.Snapshot() }
+
+// Held returns how many arrivals the shard's hosts hold for their latency:
+// counted Sent, with no outcome yet (see host.Runtime.Held).
+func (s *LiveShard) Held() int64 { return s.eng.rt.Held() }
 
 // WriteStats returns how many frames the shard has handed to the kernel and
 // in how many Write calls (see transport.Network.WriteStats).

@@ -39,7 +39,6 @@ func TestLiveParamsValidate(t *testing.T) {
 		{"shard out of range", func(p *LiveParams) { p.Sockets = &Sockets{Procs: 2, Proc: 2, BasePort: 19000} }},
 		{"negative shard", func(p *LiveParams) { p.Sockets = &Sockets{Proc: -1, BasePort: 19000} }},
 		{"newscast over sockets", func(p *LiveParams) { p.Sockets = &Sockets{BasePort: 19000}; p.Sampler = SamplerNewscast }},
-		{"injected latency over sockets", func(p *LiveParams) { p.Sockets = &Sockets{BasePort: 19000}; p.MaxLatency = time.Millisecond }},
 		{"sampled sharded measurement", func(p *LiveParams) { p.Sockets = &Sockets{Procs: 2, BasePort: 19000}; p.MeasureSample = 4 }},
 	}
 	for _, tc := range cases {
@@ -235,6 +234,28 @@ func TestLiveScenariosOnBothLinks(t *testing.T) {
 			}
 			if got := res.Final().Alive; got != p.N {
 				t.Errorf("final alive = %d, want %d after last respawn", got, p.N)
+			}
+			if st := res.Stats; st.Sent != st.Delivered+st.Dropped+st.Overflow {
+				t.Errorf("counters not conserved: %+v", st)
+			}
+		})
+		t.Run(link.name+"/latency", func(t *testing.T) {
+			p := quickLiveParams(32, 24)
+			p.Sockets = link.sockets
+			p.Scenario = livenet.ScenarioLatency
+			p.KeepRunningAfterPerfect = true
+			res, err := RunLive(p, 13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Schedule) == 0 {
+				t.Fatal("latency scenario planned no spike")
+			}
+			// The spikes hold arrivals for two to ten periods; once the
+			// window is back to none the structures must recover.
+			final := res.Final()
+			if final.LeafMissing > 0.05 || final.PrefixMissing > 0.05 {
+				t.Errorf("no recovery after the last spike: final leaf=%e prefix=%e", final.LeafMissing, final.PrefixMissing)
 			}
 			if st := res.Stats; st.Sent != st.Delivered+st.Dropped+st.Overflow {
 				t.Errorf("counters not conserved: %+v", st)

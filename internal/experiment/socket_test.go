@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,16 +15,16 @@ import (
 // TestSocketScheduleExpansion pins the properties the multi-process
 // driver depends on: the expansion is deterministic (two processes
 // expanding independently from identically seeded streams agree on every
-// victim), kills and respawns track a consistent alive set, and latency
-// events are rejected exactly when the link cannot inject latency.
+// victim), kills and respawns track a consistent alive set, and a latency
+// event passes into the plan as it is (either link applies it).
 func TestSocketScheduleExpansion(t *testing.T) {
 	const n, cycles = 50, 30
 	schedule := livenet.ScenarioChurn.Events(7, n, cycles)
-	a, err := expandSchedule(schedule, n, rand.New(rand.NewSource(7)), false)
+	a, err := expandSchedule(schedule, n, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := expandSchedule(schedule, n, rand.New(rand.NewSource(7)), false)
+	b, err := expandSchedule(schedule, n, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +60,8 @@ func TestSocketScheduleExpansion(t *testing.T) {
 	}
 
 	lat := []livenet.Event{{Cycle: 1, Op: livenet.OpSetLatency, Min: time.Millisecond, Max: time.Millisecond}}
-	if _, err := expandSchedule(lat, n, rand.New(rand.NewSource(1)), false); err == nil || !strings.Contains(err.Error(), "does not support latency events") {
-		t.Fatalf("latency event on a link without latency injection: err = %v", err)
-	}
-	if plans, err := expandSchedule(lat, n, rand.New(rand.NewSource(1)), true); err != nil || len(plans[1]) != 1 {
-		t.Fatalf("latency event on the in-memory link: plans = %v, err = %v", plans, err)
-	}
-	// The same rejection reaches a caller through the shard constructor.
-	p := socketParams(n, cycles, 19420)
-	p.Scenario = livenet.ScenarioLatency
-	if _, err := OpenLiveShard(p, 1); err == nil || !strings.Contains(err.Error(), "does not support latency events") {
-		t.Fatalf("latency scenario over sockets: err = %v", err)
+	if plans, err := expandSchedule(lat, n, rand.New(rand.NewSource(1))); err != nil || len(plans[1]) != 1 || plans[1][0].Event != lat[0] {
+		t.Fatalf("latency event: plans = %v, err = %v", plans, err)
 	}
 }
 
@@ -104,7 +94,7 @@ func TestSocketShardsDeriveSamePlan(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rng.Int63n(int64(p.Period))
 	}
-	want, err := expandSchedule(p.Scenario.Events(seed, n, cycles), n, rng, true)
+	want, err := expandSchedule(p.Scenario.Events(seed, n, cycles), n, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,26 +1,15 @@
 package host_test
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/host"
+	"repro/internal/livenet"
 	"repro/internal/peer"
 	"repro/internal/proto"
 )
-
-// directLink hands every message straight back to Runtime.Deliver on the
-// sender's goroutine, as livenet does with no latency set.
-type directLink struct{ rt *host.Runtime }
-
-func (*directLink) Start() error { return nil }
-func (*directLink) Close()       {}
-func (l *directLink) Send(_ *rand.Rand, from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
-	l.rt.Deliver(from, to, pid, msg)
-}
 
 // baton is a pooled message: retiring it returns it to the pool its next
 // hop takes from, so the hand-off allocates nothing.
@@ -50,16 +39,15 @@ func (p *passer) Handle(ctx proto.Context, _ peer.Addr, _ proto.Message) {
 }
 
 // BenchmarkDeliverHandoff isolates the goroutine engines' per-message
-// hand-off — Runtime.Deliver → host loop → Handle → recycle — with no link
-// and no protocol work behind it: a few hosts in a ring pass one baton each
+// hand-off — Runtime.Deliver → host loop → Handle → recycle — over
+// livenet's link, which is that hand-off and nothing else, with no protocol
+// work behind it: a few hosts in a ring pass one baton each
 // around. One op is one message handled, so ns/op is ns/msg; at -cpu 2 the
 // hosts' loops run on both cores, so anything the loops share shows here.
 func BenchmarkDeliverHandoff(b *testing.B) {
 	const hosts = 4
 	balls := min(hosts, b.N)
-	link := &directLink{}
-	rt := host.New(1, 0, 2*hosts, link)
-	link.rt = rt
+	rt := livenet.New(livenet.Config{Seed: 1, InboxSize: 2 * hosts}).Runtime
 	pool := &sync.Pool{}
 	pool.New = func() any { return &baton{pool: pool} }
 	var handled atomic.Int64

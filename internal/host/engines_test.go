@@ -671,3 +671,156 @@ func TestLifecycleFloodedHostKeepsTicking(t *testing.T) {
 		quiesceAndClose(t, rt)
 	})
 }
+
+// courier sends one message to its target for every request, from its
+// next tick: a protocol can only send from its host's goroutine.
+type courier struct {
+	to  peer.Addr
+	req chan struct{}
+}
+
+func (p *courier) Init(proto.Context) {}
+func (p *courier) Tick(ctx proto.Context) {
+	select {
+	case <-p.req:
+		ctx.Send(p.to, core.NewMessage())
+	default:
+	}
+}
+func (p *courier) Handle(proto.Context, peer.Addr, proto.Message) {}
+
+// signal is a reactive protocol that reports every message it handles.
+type signal struct{ got chan struct{} }
+
+func (signal) Init(proto.Context) {}
+func (signal) Tick(proto.Context) {}
+func (p signal) Handle(proto.Context, peer.Addr, proto.Message) {
+	select {
+	case p.got <- struct{}{}:
+	default:
+	}
+}
+
+// TestHeldArrivalRearmsTimer pins the wake rule of the held arrivals: a
+// reactive host holding one arrival under a 5 s window sleeps toward that
+// due time, and an arrival due earlier must re-arm its timer, so it is
+// dispatched within tens of milliseconds rather than at the far deadline.
+// The receiver has no tick schedule, so only the held arrivals arm its
+// timer.
+func TestHeldArrivalRearmsTimer(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		rt := e.build(t, 19700, 96, 2, 0)
+		defer rt.Close()
+		a, b := rt.LocalHosts()[0], rt.LocalHosts()[1]
+		sender := &courier{to: b.Addr(), req: make(chan struct{}, 1)}
+		got := make(chan struct{}, 1)
+		if err := a.Attach(core.ProtoID, sender, time.Millisecond, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Attach(core.ProtoID, signal{got}, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		rt.SetLatency(5*time.Second, 5*time.Second)
+		sender.req <- struct{}{}
+		await(t, func() bool { return rt.Held() == 1 }, func() string {
+			return fmt.Sprintf("%d arrivals held, want the far one", rt.Held())
+		})
+		time.Sleep(20 * time.Millisecond) // the receiver now sleeps toward the far due time
+		rt.SetLatency(30*time.Millisecond, 30*time.Millisecond)
+		start := time.Now()
+		sender.req <- struct{}{}
+		select {
+		case <-got:
+			if waited := time.Since(start); waited > 2*time.Second {
+				t.Fatalf("near arrival took %v; the receiver slept toward the far due time", waited)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatal("near arrival never dispatched: holding it did not re-arm the timer")
+		}
+		rt.Close()
+		if h := rt.Held(); h != 0 {
+			t.Errorf("%d arrivals still held after Close", h)
+		}
+		e.checkBareClose(t, rt.Snapshot())
+	})
+}
+
+// TestHeldArrivalsConservation kills, respawns and closes hosts while they
+// hold arrivals under a window long enough that none comes due: the held
+// list of each incarnation is dropped exactly once — Kill and Respawn race
+// to drain the same incarnation — and after Close nothing is held, the
+// counters conserve and every message was retired exactly once.
+func TestHeldArrivalsConservation(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const n = 6
+		rt := e.build(t, 19710, 97, n, 0)
+		defer rt.Close()
+		rt.SetLatency(time.Minute, 2*time.Minute)
+		led := &ledger{}
+		hosts := rt.LocalHosts()
+		for _, h := range hosts {
+			if err := h.Attach(9, &sprayer{led: led, addrs: n}, time.Millisecond, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		await(t, func() bool { return rt.Held() >= 50 }, func() string {
+			return fmt.Sprintf("%d arrivals held, want 50", rt.Held())
+		})
+		hosts[0].Kill()
+		for i := 0; i < 20; i++ {
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); hosts[1].Kill() }()
+			go func() {
+				defer wg.Done()
+				if err := hosts[1].Respawn(); err != nil {
+					t.Error(err)
+				}
+			}()
+			wg.Wait()
+			time.Sleep(time.Millisecond)
+		}
+		// With the ticks stopped and every host revived (a Respawn drains
+		// what reached the inbox while the host was dead), once every
+		// message but the held ones has its outcome nothing is left in an
+		// inbox, a queue or the kernel: Close then finds the held arrivals
+		// and nothing else.
+		rt.StopTicks()
+		for _, h := range hosts {
+			if err := h.Respawn(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		await(t, func() bool {
+			st := rt.Snapshot()
+			return st.Sent == st.Delivered+st.Dropped+st.Overflow+rt.Held()
+		}, func() string {
+			return fmt.Sprintf("traffic never settled: %+v, %d held", rt.Snapshot(), rt.Held())
+		})
+		held, before := rt.Held(), rt.Snapshot()
+		if held == 0 {
+			t.Fatal("nothing held at Close")
+		}
+		rt.Close()
+		st := rt.Snapshot()
+		if h := rt.Held(); h != 0 {
+			t.Errorf("%d arrivals still held after Close", h)
+		}
+		if got := st.Dropped - before.Dropped; got != held {
+			t.Errorf("Close dropped %d, want the %d held", got, held)
+		}
+		checkConservation(t, st)
+		if d := led.doubles.Load(); d != 0 {
+			t.Errorf("%d double recycles (contract: exactly once)", d)
+		}
+		if issued, retired := led.issued.Load(), led.retired.Load(); retired != issued {
+			t.Errorf("%d of %d messages never retired", issued-retired, issued)
+		}
+	})
+}

@@ -5,17 +5,18 @@
 // and nothing else.
 //
 // The Runtime owns everything up to "this message passed the fault model
-// and must reach address to": the host table and per-host RNG seeding, the
-// closing/started handshake, the runtime-mutable drop probability and
-// partition cut, and the four conserved traffic counters. A Host is one
-// goroutine per incarnation and no other: it owns a bounded inbox, its
-// protocol bindings and their tick schedule (see step), the Pause/Resume
-// handshake, Kill/Respawn, and the exactly-once retirement of
-// proto.Recyclable messages. Close ends every incarnation the way Kill
-// ends one, so the host loop waits only on channels its host owns: no
-// channel every host shares is locked per message. The Link does the
-// rest — an in-memory timing wheel, or encode → peer loop → socket →
-// decode — and hands arrivals back through Runtime.Deliver.
+// and must reach address to", and the delay it waits out on arrival: the
+// host table and per-host RNG seeding, the closing/started handshake, the
+// runtime-mutable fault model (drop probability, partition cut, latency
+// window) and the four conserved traffic counters. A Host is one goroutine
+// per incarnation and no other: it owns a bounded inbox, the arrivals it
+// holds for their injected latency, its protocol bindings and their tick
+// schedule (see step), the Pause/Resume handshake, Kill/Respawn, and the
+// exactly-once retirement of proto.Recyclable messages. Close ends every
+// incarnation the way Kill ends one, so the host loop waits only on
+// channels its host owns: no channel every host shares is locked per
+// message. The Link does the rest — a pointer handoff, or encode → peer
+// loop → socket → decode — and hands arrivals back through Runtime.Deliver.
 //
 // The link's half of the seam is Link itself plus Deliver, Drop and
 // Overflow; everything else exported here is the lifecycle API the engines
@@ -27,6 +28,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,10 +50,8 @@ type Link interface {
 	Start() error
 	// Send carries msg towards to. The message has already been counted
 	// Sent and passed the fault model, and to is a known address. Send
-	// runs on the sending host's callback goroutine and must not block;
-	// rng is that host's private send-RNG, for link-level draws (latency)
-	// that need no lock.
-	Send(rng *rand.Rand, from, to peer.Addr, pid proto.ProtoID, msg proto.Message)
+	// runs on the sending host's callback goroutine and must not block.
+	Send(from, to peer.Addr, pid proto.ProtoID, msg proto.Message)
 	// Close stops the link's goroutines, waits for them, and settles what
 	// is stranded in flight as dropped. Runtime.Close calls it once, after
 	// every host goroutine has exited — no Send is running and none will
@@ -65,8 +66,9 @@ type Link interface {
 //
 // Every sent message is eventually dispatched to a protocol (Delivered),
 // rejected by the fault model, addressed to a dead or unknown host, lost
-// on the link or stranded in flight at shutdown (Dropped), or bounced off
-// a full inbox or link queue (Overflow). Under the socket engine sends and
+// on the link, stranded in flight at shutdown or held for its latency by a
+// host that is killed or closed (Dropped), or bounced off a full inbox or
+// link queue (Overflow). Under the socket engine sends and
 // outcomes are counted on different processes, so there the law holds for
 // the sum over all processes.
 type Stats struct {
@@ -103,12 +105,19 @@ var ErrClosed = errors.New("host: network closed")
 // partitionFunc is a cut predicate; see SetPartition.
 type partitionFunc func(from, to peer.Addr) bool
 
+// latencyWindow is an immutable [min, max] delivery latency pair; SetLatency
+// swaps the whole window atomically so no host observes a torn pair.
+type latencyWindow struct {
+	min, span int64 // nanoseconds; span = max - min
+}
+
 // Runtime is a network of hosts over one Link.
 //
-// The send path is deliberately lock-free: the fault model lives in
-// atomics (drop probability as float bits, the partition predicate behind
-// an atomic pointer) and the per-send randomness comes from the sending
-// host's private RNG, so concurrent senders never serialise on Runtime.mu.
+// The message path is deliberately lock-free: the fault model lives in
+// atomics (drop probability as float bits, the partition predicate and the
+// latency window behind atomic pointers) and every draw comes from a host's
+// private send-RNG — the sender's for loss, the receiver's for latency — so
+// concurrent hosts never serialise on Runtime.mu.
 // The mutex only guards cold control-plane state: host registration and
 // the closing handshake.
 type Runtime struct {
@@ -126,11 +135,13 @@ type Runtime struct {
 	start   time.Time
 	noTicks atomic.Bool // StopTicks: retire the tick schedules
 
-	// Mutable fault model, read lock-free on every send.
+	// Mutable fault model, read lock-free on every send and arrival.
 	dropBits  atomic.Uint64 // math.Float64bits of the drop probability
 	partition atomic.Pointer[partitionFunc]
+	latency   atomic.Pointer[latencyWindow] // nil: arrivals are dispatched at once
 
 	sent, dropped, delivered, overflow atomic.Int64
+	held                               atomic.Int64 // arrivals waiting out their latency
 }
 
 // New returns a runtime over link, ready for AddHost/Attach; call Start to
@@ -208,6 +219,24 @@ func (r *Runtime) SetPartition(fn func(from, to peer.Addr) bool) {
 	r.partition.Store(&pf)
 }
 
+// SetLatency changes the delivery latency window at runtime: from now on
+// each arrival a host takes from its inbox waits a delay drawn uniformly
+// from [lo, hi] (hi below lo reads as lo) before it is dispatched. A
+// window of zero removes the delay; arrivals already held keep their due
+// times.
+func (r *Runtime) SetLatency(lo, hi time.Duration) {
+	lo = max(lo, 0)
+	if hi = max(hi, lo); hi == 0 {
+		r.latency.Store(nil)
+		return
+	}
+	r.latency.Store(&latencyWindow{min: int64(lo), span: int64(hi - lo)})
+}
+
+// Held returns how many arrivals the hosts hold for their latency: counted
+// Sent, not yet given an outcome. A quiescent network holds none.
+func (r *Runtime) Held() int64 { return r.held.Load() }
+
 // StopTicks retires every host's tick schedule without touching the hosts:
 // queued and in-flight traffic keeps flowing and replies are still
 // generated, but no Init or Tick runs again and so no new gossip rounds
@@ -229,12 +258,15 @@ type command struct {
 // a single allocation for the whole registry. The slice is sealed at Start
 // (Attach refuses a started runtime) and a binding never changes after
 // it: what moves — when each is next due — lives in the incarnation's
-// schedule, on the host goroutine.
+// schedule, on the host goroutine. ctx is the binding's proto.Context,
+// built once by Attach: callbacks get &ctx, which is stable once the slice
+// is sealed, so no callback boxes a fresh context.
 type binding struct {
 	pid    proto.ProtoID
 	p      proto.Protocol
 	period time.Duration
 	offset time.Duration
+	ctx    hostContext
 }
 
 // never is the due time of a binding with nothing scheduled.
@@ -267,13 +299,25 @@ func step(bs []binding, sched []time.Duration, now time.Duration, fire func(b *b
 	return wake
 }
 
-// incarnation is one life of a host: the channels that end it. Kill closes
-// down and waits for exited; Respawn installs a fresh incarnation.
+// incarnation is one life of a host: the channels that end it, and the
+// arrivals it holds for their latency. Kill closes down and waits for
+// exited; Respawn installs a fresh incarnation.
 type incarnation struct {
 	down     chan struct{}
 	downOnce sync.Once
 	exited   chan struct{}
 	running  bool // goroutine launched (guarded by Host.mu)
+	// held is ordered by due time, latest first, so the next one due is
+	// last. The host goroutine owns it while it runs; once exited is
+	// closed, whoever drains the incarnation takes it under Host.mu.
+	held []arrival
+}
+
+// arrival is one delivery held until due, in time since the incarnation's
+// epoch.
+type arrival struct {
+	due time.Duration
+	cmd command
 }
 
 func newIncarnation() *incarnation {
@@ -305,9 +349,9 @@ type Host struct {
 	addr  peer.Addr
 	inbox chan command
 	rng   *rand.Rand
-	// sendRNG drives this host's outbound drop/latency decisions. It is
-	// distinct from the protocol-visible rng and is only touched from the
-	// host's own callback goroutine, so the send path needs no lock.
+	// sendRNG draws this host's outbound drops and the latency of its
+	// arrivals. It is distinct from the protocol-visible rng and is only
+	// touched from the host's own goroutine, so neither path needs a lock.
 	sendRNG *rand.Rand
 	// bindings is sorted by pid and sealed at Runtime.Start; it doubles as
 	// the dispatch table (find) and the tick schedule's periods and offsets.
@@ -327,12 +371,12 @@ type hostContext struct {
 	pid proto.ProtoID
 }
 
-var _ proto.Context = hostContext{}
+var _ proto.Context = (*hostContext)(nil)
 
-func (c hostContext) Self() peer.Addr  { return c.h.addr }
-func (c hostContext) Now() int64       { return time.Since(c.h.rt.start).Milliseconds() }
-func (c hostContext) Rand() *rand.Rand { return c.h.rng }
-func (c hostContext) Send(to peer.Addr, msg proto.Message) {
+func (c *hostContext) Self() peer.Addr  { return c.h.addr }
+func (c *hostContext) Now() int64       { return time.Since(c.h.rt.start).Milliseconds() }
+func (c *hostContext) Rand() *rand.Rand { return c.h.rng }
+func (c *hostContext) Send(to peer.Addr, msg proto.Message) {
 	c.h.rt.send(c.h, to, c.pid, msg)
 }
 
@@ -364,7 +408,7 @@ func (h *Host) Attach(pid proto.ProtoID, p proto.Protocol, period, offset time.D
 	if h.find(pid) != nil {
 		return fmt.Errorf("host attach: protocol %d already bound at host %d", pid, h.addr)
 	}
-	h.bindings = append(h.bindings, binding{pid: pid, p: p, period: period, offset: offset})
+	h.bindings = append(h.bindings, binding{pid: pid, p: p, period: period, offset: offset, ctx: hostContext{h: h, pid: pid}})
 	for i := len(h.bindings) - 1; i > 0 && h.bindings[i].pid < h.bindings[i-1].pid; i-- {
 		h.bindings[i], h.bindings[i-1] = h.bindings[i-1], h.bindings[i]
 	}
@@ -386,8 +430,9 @@ func (h *Host) find(pid proto.ProtoID) *binding {
 // and messages addressed to it are dropped. It waits for the host goroutine
 // to finish its current callback, so the host's protocol state may be
 // inspected safely afterwards, and drains messages already queued in the
-// inbox, counting them as dropped. Safe to call multiple times and safe
-// to call concurrently with Respawn and with senders.
+// inbox or held for their latency, counting them as dropped. Safe to call
+// multiple times and safe to call concurrently with Respawn and with
+// senders.
 func (h *Host) Kill() {
 	for {
 		h.mu.Lock()
@@ -400,7 +445,7 @@ func (h *Host) Kill() {
 		if running {
 			<-inc.exited
 		}
-		h.drainInbox()
+		h.drain(inc)
 		h.mu.Lock()
 		same := h.inc == inc
 		h.mu.Unlock()
@@ -413,8 +458,21 @@ func (h *Host) Kill() {
 	}
 }
 
-// drainInbox discards queued deliveries, counting them as dropped.
-func (h *Host) drainInbox() {
+// drain discards the deliveries queued in the inbox and the arrivals the
+// exited incarnation inc still held for their latency, counting them as
+// dropped. Kill and Respawn can drain the same incarnation at once, so each
+// takes the held list under h.mu: every message is retired by exactly one
+// of them.
+func (h *Host) drain(inc *incarnation) {
+	h.mu.Lock()
+	held := inc.held
+	inc.held = nil
+	h.mu.Unlock()
+	for _, a := range held {
+		h.rt.held.Add(-1)
+		h.rt.dropped.Add(1)
+		recycle(a.cmd.msg)
+	}
 	for {
 		select {
 		case cmd := <-h.inbox:
@@ -471,7 +529,7 @@ func (h *Host) Respawn() error {
 		// flight on the link from the down window can land after the
 		// drain and reach the new incarnation — indistinguishable, to
 		// the protocol, from one sent during the reboot itself.
-		h.drainInbox()
+		h.drain(inc)
 		r.mu.Lock()
 		if r.closing {
 			r.mu.Unlock()
@@ -586,6 +644,11 @@ func (r *Runtime) Start() error {
 // is killed (Kill, or Close killing them all). Its select names only
 // channels this host owns: a runtime-wide stop channel there would be
 // locked by every host on every message.
+//
+// While a latency window is set, an arrival taken from the inbox is not
+// dispatched at once but held until its due time, drawn from the host's
+// send-RNG; the one timer serves the held arrivals and the tick schedule
+// alike, armed for whichever is due first.
 func (h *Host) run(inc *incarnation) {
 	defer h.rt.wg.Done()
 	defer close(inc.exited)
@@ -595,14 +658,15 @@ func (h *Host) run(inc *incarnation) {
 	for i := range sched {
 		sched[i] = h.bindings[i].offset
 	}
-	// One timer, armed for the earliest due callback (by the first step,
-	// at once). due is its channel only while something is scheduled and
-	// nil otherwise: blocking on a timer's channel makes selectgo lock the
-	// timer to register and unregister the waiter on every pass, which a
-	// reactive host (nothing due once initialised) would pay per delivery.
+	// One timer, armed for the earliest due callback or held arrival (by
+	// the first pass, at once); armed is when it fires. due is its channel
+	// only while something is scheduled and nil otherwise: blocking on a
+	// timer's channel makes selectgo lock the timer to register and
+	// unregister the waiter on every pass, which a reactive host with
+	// nothing held would pay per delivery.
 	timer := time.NewTimer(0)
 	defer timer.Stop()
-	due := timer.C
+	due, armed := timer.C, time.Duration(0)
 	for {
 		select {
 		case <-inc.down:
@@ -615,21 +679,56 @@ func (h *Host) run(inc *incarnation) {
 				}
 			}
 		case <-due:
-			// StopTicks is for good: Init and Tick may send, and a host
-			// (even one respawned since) must start no new round. The clock
-			// is read here: the channel's value can predate a long park.
-			due = nil
-			if h.rt.noTicks.Load() {
-				continue
+			// The clock is read here: the channel's value can predate a
+			// long park.
+			due, armed = nil, never
+			now := time.Since(epoch)
+			for n := len(inc.held); n > 0 && inc.held[n-1].due <= now; n-- {
+				a := inc.held[n-1]
+				inc.held[n-1] = arrival{}
+				inc.held = inc.held[:n-1]
+				h.rt.held.Add(-1)
+				h.dispatch(a.cmd)
 			}
-			if wake := step(h.bindings, sched, time.Since(epoch), h.fire); wake != never {
-				timer.Reset(wake - time.Since(epoch))
-				due = timer.C
+			// StopTicks is for good: Init and Tick may send, and a host
+			// (even one respawned since) must start no new round.
+			next := never
+			if !h.rt.noTicks.Load() {
+				next = step(h.bindings, sched, now, h.fire)
+			}
+			if n := len(inc.held); n > 0 {
+				next = min(next, inc.held[n-1].due)
+			}
+			if next != never {
+				timer.Reset(next - time.Since(epoch))
+				due, armed = timer.C, next
 			}
 		case cmd := <-h.inbox:
-			h.dispatch(cmd)
+			win := h.rt.latency.Load()
+			if win == nil {
+				h.dispatch(cmd)
+				continue
+			}
+			at := time.Since(epoch) + time.Duration(win.min)
+			if win.span > 0 {
+				at += time.Duration(h.sendRNG.Int63n(win.span + 1))
+			}
+			inc.hold(at, cmd)
+			h.rt.held.Add(1)
+			if at < armed {
+				timer.Reset(at - time.Since(epoch))
+				due, armed = timer.C, at
+			}
 		}
 	}
+}
+
+// hold files cmd among the incarnation's held arrivals, due at at: after
+// every arrival due no later, so arrivals with equal due times are
+// dispatched in the order they were taken from the inbox.
+func (inc *incarnation) hold(at time.Duration, cmd command) {
+	i := sort.Search(len(inc.held), func(i int) bool { return inc.held[i].due <= at })
+	inc.held = slices.Insert(inc.held, i, arrival{due: at, cmd: cmd})
 }
 
 // parked blocks until Resume or until the incarnation is killed — by Kill
@@ -651,11 +750,11 @@ func (h *Host) parked(inc *incarnation) bool {
 
 // fire runs one scheduled callback.
 func (h *Host) fire(b *binding, init bool) {
-	if ctx := (hostContext{h: h, pid: b.pid}); init {
-		b.p.Init(ctx)
+	if init {
+		b.p.Init(&b.ctx)
 	} else {
 		h.ticks.Add(1)
-		b.p.Tick(ctx)
+		b.p.Tick(&b.ctx)
 	}
 }
 
@@ -668,7 +767,7 @@ func (h *Host) dispatch(cmd command) {
 	}
 	h.rt.delivered.Add(1)
 	h.delivered.Add(1)
-	b.p.Handle(hostContext{h: h, pid: cmd.pid}, cmd.from, cmd.msg)
+	b.p.Handle(&b.ctx, cmd.from, cmd.msg)
 	recycle(cmd.msg)
 }
 
@@ -693,7 +792,7 @@ func (r *Runtime) send(from *Host, to peer.Addr, pid proto.ProtoID, msg proto.Me
 		recycle(msg)
 		return
 	}
-	r.link.Send(rng, from.addr, to, pid, msg)
+	r.link.Send(from.addr, to, pid, msg)
 }
 
 // Deliver is the link's single way back in: it places an arrived message
@@ -749,8 +848,9 @@ func (r *Runtime) Overflow(msg proto.Message) {
 // Close stops all hosts the way Kill does — every local host's current
 // incarnation is killed, so Stopped reports true afterwards — waits for
 // them to exit, closes the link, and settles the traffic accounting:
-// in-flight and queued-but-undispatched messages are counted as dropped,
-// so the conservation law documented on Stats holds. It is idempotent.
+// in-flight, queued and held-but-undispatched messages are counted as
+// dropped, so the conservation law documented on Stats holds. It is
+// idempotent.
 func (r *Runtime) Close() {
 	if r.closed.Swap(true) {
 		return
@@ -771,10 +871,14 @@ func (r *Runtime) Close() {
 	r.wg.Wait()
 	// Hosts first, link second: with every sender gone, what the link
 	// finds stranded is final. Arrivals it still hands to Deliver count
-	// dropped there; what reached an inbox before Close is drained below.
+	// dropped there; what reached an inbox or a held list before Close is
+	// drained below.
 	r.link.Close()
 	for _, h := range hosts {
-		h.drainInbox()
+		h.mu.Lock()
+		inc := h.inc
+		h.mu.Unlock()
+		h.drain(inc)
 	}
 }
 

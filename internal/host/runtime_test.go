@@ -2,7 +2,6 @@ package host_test
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/host"
+	"repro/internal/livenet"
 	"repro/internal/peer"
 	"repro/internal/proto"
 )
@@ -34,7 +34,7 @@ type heldMsg struct {
 
 func (l *fakeLink) Start() error { l.starts.Add(1); return nil }
 
-func (l *fakeLink) Send(_ *rand.Rand, from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
+func (l *fakeLink) Send(from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
 	switch turn := l.turn.Add(1) % 8; {
 	case !l.rt.Local(to), turn == 0:
 		l.rt.Drop(msg)
@@ -191,8 +191,10 @@ func TestRuntimeCloseWithoutStart(t *testing.T) {
 }
 
 // TestRuntimeGoroutineBudget pins what a host costs: one goroutine per live
-// incarnation, however many periodic bindings it carries, and none that
-// outlives a Kill or the Close.
+// incarnation, however many periodic bindings it carries and however many
+// arrivals it holds for their latency, and none that outlives a Kill or the
+// Close. It runs on livenet with a latency window set: the link starts no
+// goroutine of its own, so the held arrivals wait on the hosts' own timers.
 func TestRuntimeGoroutineBudget(t *testing.T) {
 	const n, k = 40, 7
 	// goroutines waits for the process to hold exactly want goroutines.
@@ -202,9 +204,8 @@ func TestRuntimeGoroutineBudget(t *testing.T) {
 			return fmt.Sprintf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
 		})
 	}
-	link := &fakeLink{}
-	rt := host.New(13, 0, 4, link)
-	link.rt = rt
+	rt := livenet.New(livenet.Config{Seed: 13, InboxSize: 4}).Runtime
+	rt.SetLatency(time.Millisecond, 3*time.Millisecond)
 	led := &ledger{}
 	for i := 0; i < n; i++ {
 		h := rt.AddHost()
@@ -232,6 +233,7 @@ func TestRuntimeGoroutineBudget(t *testing.T) {
 	for _, h := range hosts {
 		awaitTicks(t, h, 4)
 	}
+	await(t, func() bool { return rt.Held() > 0 }, func() string { return "no arrival held" })
 	goroutines("after Start", base+n)
 	for _, h := range hosts[:k] {
 		h.Kill()
@@ -245,6 +247,12 @@ func TestRuntimeGoroutineBudget(t *testing.T) {
 	goroutines("after Respawn", base+n)
 	rt.Close()
 	goroutines("after Close", base)
+	if h := rt.Held(); h != 0 {
+		t.Errorf("%d arrivals still held after Close", h)
+	}
+	if st := rt.Snapshot(); st.Sent != st.Delivered+st.Dropped+st.Overflow {
+		t.Errorf("conservation violated at Close: %+v", st)
+	}
 }
 
 // settledGoroutines returns the process's goroutine count once it holds

@@ -54,17 +54,12 @@ func checkConservation(t *testing.T, st Stats) {
 }
 
 // TestLiveStatsConservation drives traffic through every loss path — the
-// drop model, latency (in-flight messages stranded at Close), a tiny
-// inbox (overflow), and a killed host — and checks that at quiescence
+// drop model, latency (arrivals held by a killed host, or at Close), a
+// tiny inbox (overflow), and a killed host — and checks that at quiescence
 // Sent == Delivered + Dropped + Overflow.
 func TestLiveStatsConservation(t *testing.T) {
-	net, hosts := buildEchoNet(t, 8, Config{
-		Seed:       21,
-		Drop:       0.3,
-		MinLatency: time.Millisecond,
-		MaxLatency: 3 * time.Millisecond,
-		InboxSize:  4,
-	}, 2*time.Millisecond)
+	net, hosts := buildEchoNet(t, 8, Config{Seed: 21, Drop: 0.3, InboxSize: 4}, 2*time.Millisecond)
+	net.SetLatency(time.Millisecond, 3*time.Millisecond)
 	if err := net.Start(); err != nil {
 		t.Fatal(err)
 	}

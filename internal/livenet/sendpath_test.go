@@ -11,13 +11,15 @@ import (
 
 // TestLiveSendPathConcurrentFaultMutation hammers the runtime-mutable
 // fault model from several goroutines while every host is sending: the
-// send path reads drop probability, latency window and partition predicate
-// lock-free, so this test (run under -race in CI) is the proof that
-// concurrent senders and control-plane writers never race — and that no
-// send acquires Network.mu, since the writers never block the senders.
+// send path reads drop probability and partition predicate, and the
+// arrival path the latency window, lock-free, so this test (run under
+// -race in CI) is the proof that concurrent hosts and control-plane
+// writers never race — and that no message acquires Network.mu, since the
+// writers never block the hosts.
 func TestLiveSendPathConcurrentFaultMutation(t *testing.T) {
 	const n = 48
-	net, _ := buildEchoNet(t, n, Config{Seed: 31, MaxLatency: 500 * time.Microsecond}, 2*time.Millisecond)
+	net, _ := buildEchoNet(t, n, Config{Seed: 31}, 2*time.Millisecond)
+	net.SetLatency(0, 500*time.Microsecond)
 	if err := net.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +68,8 @@ func TestLiveSendPathConcurrentFaultMutation(t *testing.T) {
 	checkConservation(t, st)
 }
 
-// wireTestMsg is a minimal payload for wire-level hammers.
-type wireTestMsg struct{}
+// floodMsg is a minimal payload for the flooding hammers.
+type floodMsg struct{}
 
 // flooder sends from its Init callback until stop closes. A protocol can
 // only send from its host's callback goroutine, so n flooders are n
@@ -85,7 +87,7 @@ func (f *flooder) Init(ctx proto.Context) {
 		case <-f.stop:
 			return
 		default:
-			ctx.Send(f.to(ctx.Self(), j), wireTestMsg{})
+			ctx.Send(f.to(ctx.Self(), j), floodMsg{})
 		}
 	}
 }
@@ -97,38 +99,44 @@ func (f *flooder) Handle(proto.Context, peer.Addr, proto.Message) {
 	}
 }
 
-// buildFloodNet wires n flooding hosts.
+// buildFloodNet wires n hosts: the first n/2 flood, the rest only receive
+// (a flooder is stuck in Init, so it would never take from its inbox).
 func buildFloodNet(t *testing.T, n int, cfg Config, stop <-chan struct{}, to func(self peer.Addr, j int) peer.Addr) *Network {
 	t.Helper()
 	net := New(cfg)
 	for i := 0; i < n; i++ {
-		if err := net.AddHost().Attach(1, &flooder{stop: stop, to: to}, 0, 0); err != nil {
+		f := &flooder{stop: stop}
+		if i < n/2 {
+			f.to = to
+		}
+		if err := net.AddHost().Attach(1, f, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return net
 }
 
-// TestLiveWireEnqueueRace hammers the wire: 64 hosts concurrently push
-// latency-delayed sends (one goroutine per host — the send path's
-// concurrency contract) while the sweeper harvests expired buckets and a
-// mutator churns the latency window, under -race in CI. The wire's one lock
-// is the only synchronisation between every sender and the sweeper, so this
-// is the proof that it covers the wheel, next and the wake, and the
-// conservation check at quiescence proves no flight is lost between the
-// wheel, the sweeper's scratch buffer, and Close's drain.
-func TestLiveWireEnqueueRace(t *testing.T) {
+// TestLiveHeldArrivalRace hammers the held arrivals: 32 hosts flood 32
+// others (one goroutine per host — the send path's concurrency contract)
+// while every receiver holds what it takes from its inbox for a latency
+// drawn from a window a mutator keeps swinging, under -race in CI. Each
+// host's held list is its own goroutine's, and its timer is re-armed for
+// earlier and later arrivals as the window moves; the conservation check
+// at quiescence proves no arrival is lost between the inbox, the held
+// list, and Close's drain.
+func TestLiveHeldArrivalRace(t *testing.T) {
 	const n = 64
 	stop := make(chan struct{})
-	net := buildFloodNet(t, n, Config{Seed: 77, MinLatency: 20 * time.Microsecond, MaxLatency: 400 * time.Microsecond},
-		stop, func(self peer.Addr, j int) peer.Addr { return peer.Addr((int(self) + 1 + 7*j) % n) })
+	net := buildFloodNet(t, n, Config{Seed: 77}, stop,
+		func(self peer.Addr, j int) peer.Addr { return peer.Addr(n/2 + (int(self)+7*j)%(n/2)) })
+	net.SetLatency(20*time.Microsecond, 400*time.Microsecond)
 	if err := net.Start(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Churn the latency window so deadlines swing between the wheel's
-	// level-0 window and the overflow level, and earlier-deadline
-	// enqueues keep re-arming the sweeper mid-sleep.
+	// Churn the latency window so due times swing between tens of
+	// microseconds and tens of milliseconds, and arrivals due earlier than
+	// the armed timer keep re-arming it mid-sleep.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -153,18 +161,22 @@ func TestLiveWireEnqueueRace(t *testing.T) {
 	if st.Sent == 0 {
 		t.Fatal("no traffic generated")
 	}
+	if h := net.Held(); h != 0 {
+		t.Errorf("%d arrivals still held after Close", h)
+	}
 	checkConservation(t, st)
 }
 
-// TestLiveWireCloseRacesDrain closes the network while senders are still
-// mid-enqueue: Close must wait the senders out before the wire drains, so
-// every racing enqueue lands before the drain and is counted dropped, and
-// Close neither deadlocks nor loses a flight.
-func TestLiveWireCloseRacesDrain(t *testing.T) {
+// TestLiveHeldCloseRacesDrain closes the network while senders are still
+// flooding and receivers still hold arrivals: Close must wait the hosts
+// out before it drains, so every arrival held at that point is counted
+// dropped exactly once, and Close neither deadlocks nor loses one.
+func TestLiveHeldCloseRacesDrain(t *testing.T) {
 	const n = 32
 	stop := make(chan struct{})
-	net := buildFloodNet(t, n, Config{Seed: 78, MinLatency: 10 * time.Microsecond, MaxLatency: 200 * time.Microsecond},
-		stop, func(_ peer.Addr, j int) peer.Addr { return peer.Addr(j % n) })
+	net := buildFloodNet(t, n, Config{Seed: 78}, stop,
+		func(_ peer.Addr, j int) peer.Addr { return peer.Addr(n/2 + j%(n/2)) })
+	net.SetLatency(10*time.Microsecond, 200*time.Microsecond)
 	if err := net.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,39 +193,8 @@ func TestLiveWireCloseRacesDrain(t *testing.T) {
 	if st.Sent == 0 {
 		t.Fatal("no traffic generated")
 	}
+	if h := net.Held(); h != 0 {
+		t.Errorf("%d arrivals still held after Close", h)
+	}
 	checkConservation(t, st)
-}
-
-// TestWireWakeOnEarlierDeadline pins the wake condition the wheel API
-// fixed: with the sweeper asleep toward a far deadline (5s), an enqueue
-// with a strictly earlier deadline must re-arm it, so the near flight is
-// delivered in tens of milliseconds, not at the far deadline. The old check
-// compared the new deadline against the heap head by value; a sweeper
-// sleeping toward a stale deadline could miss the reordering entirely.
-func TestWireWakeOnEarlierDeadline(t *testing.T) {
-	net := New(Config{Seed: 79})
-	a, b := net.AddHost(), net.AddHost()
-	got := make(chan struct{}, 1)
-	if err := a.Attach(1, &flooder{got: got}, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	w := net.wire
-
-	w.enqueue(5*time.Second, flight{from: a.Addr(), to: b.Addr(), pid: 1})
-	time.Sleep(20 * time.Millisecond) // let the sweeper arm the 5s timer
-	start := time.Now()
-	w.enqueue(30*time.Millisecond, flight{from: b.Addr(), to: a.Addr(), pid: 1})
-
-	select {
-	case <-got:
-		if waited := time.Since(start); waited > 2*time.Second {
-			t.Fatalf("near flight took %v; the sweeper slept toward the far deadline", waited)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("near flight never delivered: earlier-deadline enqueue did not wake the sweeper")
-	}
 }

@@ -141,16 +141,14 @@ func TestRecyclableExactlyOnceSimnet(t *testing.T) {
 }
 
 // TestRecyclableExactlyOnceLivenet audits the goroutine engine. Close
-// drains in-flight and queued messages into the Dropped bucket, so after
-// it returns every issued message must be retired — including those
-// stranded by the kill, the loss model, and the tiny inboxes.
+// drains held and queued messages into the Dropped bucket, so after it
+// returns every issued message must be retired — including those stranded
+// by the kill, the loss model, the latency window, and the tiny inboxes.
 func TestRecyclableExactlyOnceLivenet(t *testing.T) {
 	const n = 12
 	trk := &tracker{}
-	net := livenet.New(livenet.Config{
-		Seed: 2, Drop: 0.2, InboxSize: 2,
-		MinLatency: time.Millisecond, MaxLatency: 3 * time.Millisecond,
-	})
+	net := livenet.New(livenet.Config{Seed: 2, Drop: 0.2, InboxSize: 2})
+	net.SetLatency(time.Millisecond, 3*time.Millisecond)
 	hosts := make([]*livenet.Host, n)
 	addrs := make([]peer.Addr, n)
 	for i := range hosts {

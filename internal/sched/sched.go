@@ -2,9 +2,9 @@
 // wheel with an overflow level — for time-ordered scheduling in O(1)
 // amortised time per operation.
 //
-// Both engines in this repository are tick-dominated: nearly every hot-path
-// operation is "schedule an event a bounded distance in the future" (a
-// gossip tick one period ahead, a message one latency ahead). A binary heap
+// The simulator is tick-dominated: nearly every hot-path operation is
+// "schedule an event a bounded distance in the future" (a gossip tick one
+// period ahead, a message one instant ahead). A binary heap
 // pays O(log n) sifts per event for a workload that never needs the full
 // generality of a priority queue; a calendar queue exploits the bounded
 // horizon to make both enqueue and dequeue O(1) amortised.
@@ -44,8 +44,8 @@
 // perturbing a single golden trace.
 //
 // The zero Queue is ready to use with default geometry; New picks explicit
-// geometry. Queue is not safe for concurrent use — callers shard and lock
-// (see livenet's wire) or are single-threaded (simnet).
+// geometry. Queue is not safe for concurrent use: simnet keeps one per
+// shard, each driven by one goroutine.
 package sched
 
 import (
@@ -124,9 +124,8 @@ func (q *Queue[T]) Len() int { return q.size }
 // time already passed by the cursor are served next, in push order — the
 // "schedule at now" case. Such a late push costs O(bucket): it clamps into
 // the sorted front bucket, and the ordered insert there moves the whole
-// undrained tail in memory. simnet never pushes late (every push is at
-// now+1 or later); livenet's wire can, when PeekTime has moved the cursor
-// past wall-clock time.
+// undrained tail in memory. No caller pushes late now: simnet's every push
+// is at now+1 or later.
 func (q *Queue[T]) Push(at int64, v T) {
 	if q.buckets == nil {
 		q.init(defaultShift, defaultBuckets)
@@ -243,52 +242,6 @@ func (q *Queue[T]) Pop() (T, bool) {
 	q.l0--
 	q.size--
 	return v, true
-}
-
-// AppendDue pops every entry with deadline <= now, in (time, seq) order,
-// appending the values to buf and returning it. The append form lets a
-// caller holding a lock collect due work into a scratch buffer and run it
-// after unlocking.
-func (q *Queue[T]) AppendDue(now int64, buf []T) []T {
-	for q.size > 0 {
-		e := q.settle()
-		if e.at > now {
-			break
-		}
-		buf = append(buf, e.val)
-		*e = entry[T]{}
-		q.frontHead++
-		q.l0--
-		q.size--
-	}
-	return buf
-}
-
-// Drain removes every pending entry, calling fn on each in no particular
-// order, and resets the queue (retaining its geometry, and its arrays on the
-// spare stack). Used at shutdown, where accounting needs each value but
-// ordering is moot.
-func (q *Queue[T]) Drain(fn func(T)) {
-	for i := range q.buckets {
-		bkt := q.buckets[i]
-		head := 0
-		if int64(i) == q.front&q.mask {
-			head = q.frontHead
-		}
-		for j := head; j < len(bkt); j++ {
-			fn(bkt[j].val)
-		}
-		q.release(int64(i))
-	}
-	for i := range q.overflow {
-		fn(q.overflow[i].val)
-	}
-	clear(q.overflow)
-	q.overflow = q.overflow[:0]
-	q.frontHead = 0
-	q.frontSorted = false
-	q.l0 = 0
-	q.size = 0
 }
 
 // settle positions the cursor on the earliest pending entry and returns a

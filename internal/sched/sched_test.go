@@ -239,62 +239,6 @@ func TestQueueReanchorAfterEmpty(t *testing.T) {
 	}
 }
 
-// TestQueueAppendDue checks the sweeper path: only entries at or before now
-// come out, in order, and the rest stay queued.
-func TestQueueAppendDue(t *testing.T) {
-	q := New[int](4, 8)
-	times := []int64{100, 40, 40, 700, 5, 300}
-	for i, at := range times {
-		q.Push(at, i)
-	}
-	got := q.AppendDue(100, nil)
-	want := []int{4, 1, 2, 0} // at=5, 40(seq1), 40(seq2), 100
-	if len(got) != len(want) {
-		t.Fatalf("AppendDue returned %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendDue returned %v, want %v", got, want)
-		}
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len after AppendDue = %d, want 2", q.Len())
-	}
-	if at, _ := q.PeekTime(); at != 300 {
-		t.Fatalf("PeekTime = %d, want 300", at)
-	}
-}
-
-// TestQueueDrain checks Drain visits every pending entry exactly once,
-// including overflow and a partially drained front bucket, and resets.
-func TestQueueDrain(t *testing.T) {
-	q := New[int](0, 8)
-	seen := make(map[int]bool)
-	for i := 0; i < 40; i++ {
-		q.Push(int64(i*3), i)
-	}
-	for i := 0; i < 5; i++ {
-		v, _ := q.Pop()
-		seen[v] = true
-	}
-	q.Drain(func(v int) {
-		if seen[v] {
-			t.Fatalf("Drain revisited %d", v)
-		}
-		seen[v] = true
-	})
-	if len(seen) != 40 {
-		t.Fatalf("saw %d entries, want 40", len(seen))
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len after Drain = %d", q.Len())
-	}
-	q.Push(1, 99)
-	if v, ok := q.Pop(); !ok || v != 99 {
-		t.Fatal("queue unusable after Drain")
-	}
-}
-
 // TestQueueZeroValue checks the zero Queue initialises itself on first Push.
 func TestQueueZeroValue(t *testing.T) {
 	var q Queue[string]

@@ -17,8 +17,8 @@
 //
 // The host model is not this package's: the one-goroutine-per-host runtime
 // with its bounded inboxes, Attach/Kill/Respawn/Pause/Resume, per-binding
-// tick coalescing, sender-side loss and partition model and traffic
-// counters is internal/host, shared with livenet, so the experiment harness
+// tick coalescing, fault model (sender-side loss and partition,
+// receiver-side latency) and traffic counters is internal/host, shared with livenet, so the experiment harness
 // drives the goroutine engines through the same motions by construction.
 // What lives here is the link under it: Config and its validation, framing
 // and handshake, the peer loops, the accept and read loops, and Quiesce.
@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"runtime"
 	"sync"
@@ -215,8 +214,8 @@ func (n *Network) WriteStats() (frames, writes int64) {
 }
 
 // Quiesce waits for this process's traffic to settle: no frames waiting
-// for a writer and the counters unchanged across several consecutive
-// polls. Call StopTicks first (on every process of the campaign); with
+// for a writer, no arrival held for its latency, and the counters
+// unchanged across several consecutive polls. Call StopTicks first (on every process of the campaign); with
 // tick sources stopped the bootstrap protocol generates at most one reply
 // per in-flight request, so traffic drains in bounded hops. Returns false
 // on timeout.
@@ -228,7 +227,7 @@ func (n *Network) Quiesce(timeout time.Duration) bool {
 	for time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 		cur := n.Snapshot()
-		if n.sock.inflight.Load() == 0 && cur == prev {
+		if n.sock.inflight.Load() == 0 && n.Held() == 0 && cur == prev {
 			if stable++; stable >= needStable {
 				return true
 			}
@@ -271,7 +270,7 @@ func (s *sockets) Start() error {
 // pointer handoff as under livenet) and panic when it is not: shipping an
 // unserialisable payload across processes is an engine-contract violation,
 // not a runtime condition.
-func (s *sockets) Send(_ *rand.Rand, from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
+func (s *sockets) Send(from, to peer.Addr, pid proto.ProtoID, msg proto.Message) {
 	m, ok := msg.(*core.Message)
 	if !ok {
 		if !s.rt.Local(to) {

@@ -48,6 +48,10 @@ type Truth struct {
 	b, k, c int
 	sorted  []id.ID
 	spare   []id.ID // second buffer, swapped with sorted by Update merges
+	// row0[j] is the ring position of the first member whose first digit
+	// is at least j, for j in [0, 2^b]: row 0's column boundaries, the same
+	// for every member until the membership changes.
+	row0 []int
 	// members is the membership test; the sorted ring above stays the
 	// iteration authority (flat.Set iterates in slot order, not ID order).
 	members flat.Set
@@ -82,7 +86,19 @@ func New(ids []id.ID, b, k, c int) (*Truth, error) {
 	for _, v := range t.sorted {
 		t.members.Add(v)
 	}
+	t.indexRow0()
 	return t, nil
+}
+
+// indexRow0 recomputes row0 from the sorted ring.
+func (t *Truth) indexRow0() {
+	cols := 1 << t.b
+	t.row0 = slices.Grow(t.row0[:0], cols+1)[:cols+1]
+	shift := uint(id.Bits - t.b)
+	for j := range cols {
+		t.row0[j], _ = slices.BinarySearch(t.sorted, id.ID(uint64(j)<<shift))
+	}
+	t.row0[cols] = len(t.sorted)
 }
 
 // N returns the membership size.
@@ -202,6 +218,7 @@ func (t *Truth) Update(added, removed []id.ID) error {
 	}
 	merged = append(merged, addSorted[ai:]...)
 	t.sorted, t.spare = merged, t.sorted
+	t.indexRow0()
 	t.epoch++
 	return nil
 }
@@ -298,8 +315,8 @@ func (t *Truth) appendPerfectLeafSet(dst []id.ID, p int, scr *measureScratch) []
 // The members sharing self's first depth digits are the run [lo, hi) of
 // the ring. Column j of row depth holds the sub-run whose digit at depth
 // is j; sub-runs are consecutive, so each column's count is the distance
-// between two binary-searched boundaries, and self's own column is the next
-// row's run.
+// between two boundaries — row 0's from row0, deeper rows' binary-searched
+// — and self's own column is the next row's run.
 func (t *Truth) expectedSlotCountsInto(self id.ID, rows [][]int) int {
 	lo, hi := 0, len(t.sorted)
 	used := 0
@@ -311,7 +328,9 @@ func (t *Truth) expectedSlotCountsInto(self id.ID, rows [][]int) int {
 		start, nextLo, nextHi := lo, lo, hi
 		for j := range row {
 			end := hi
-			if j+1 < len(row) {
+			if depth == 0 {
+				end = t.row0[j+1]
+			} else if j+1 < len(row) {
 				n, _ := slices.BinarySearch(t.sorted[start:hi], id.ID(prefix|uint64(j+1)<<shift))
 				end = start + n
 			}
