@@ -93,24 +93,22 @@ func TestQueuePeek(t *testing.T) {
 }
 
 // TestQueueInterleavedModel is the main correctness hammer: a long random
-// interleaving of pushes (including far-future overflow times, same-instant
-// ties, and pushes at or before the cursor) and pops, checked against a
-// reference sort at every pop. Several geometries, including a wheel small
-// enough that overflow and re-binning dominate.
+// interleaving of pushes (including far-future times, same-instant ties,
+// and pushes before the cursor) and pops, checked against a reference
+// (time, push order) minimum at every pop. Two starting ring sizes; on the
+// 2-slot ring nearly every push grows it.
 func TestQueueInterleavedModel(t *testing.T) {
 	geometries := []struct {
 		name    string
-		shift   uint
 		buckets int
 	}{
-		{"w1xb256", 0, 256},
-		{"w8xb16", 3, 16},
-		{"w1xb2", 0, 2}, // pathological: nearly everything overflows
+		{"w1xb256", 256},
+		{"w1xb2", 2},
 	}
 	for _, g := range geometries {
 		t.Run(g.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			q := New[int](g.shift, g.buckets)
+			q := New[int](0, g.buckets)
 			type live struct {
 				at  int64
 				seq int
@@ -122,9 +120,9 @@ func TestQueueInterleavedModel(t *testing.T) {
 				if rng.Intn(3) > 0 || len(pending) == 0 {
 					var at int64
 					switch rng.Intn(10) {
-					case 0: // at or before the cursor: must run next
-						at = now
-					case 1: // far future: exercises overflow + widening
+					case 0: // at or before the cursor: moves it back
+						at = now - int64(rng.Intn(4))
+					case 1: // far future: grows the ring
 						at = now + int64(rng.Intn(100000))
 					default: // bounded horizon, the dominant workload
 						at = now + int64(rng.Intn(40))
@@ -134,10 +132,7 @@ func TestQueueInterleavedModel(t *testing.T) {
 					seq++
 					continue
 				}
-				// Pop, and check it is the (time, seq) minimum. Late
-				// pushes (at <= cursor) are served as if at the cursor
-				// time, so order by max(at, pushed-after-now) — but the
-				// queue clamps internally; the reference must clamp too.
+				// Pop, and check it is the (time, push order) minimum.
 				best := 0
 				for i := 1; i < len(pending); i++ {
 					if pending[i].at != pending[best].at {
@@ -201,6 +196,29 @@ func TestQueueLatePushClamped(t *testing.T) {
 	}
 }
 
+// TestQueueLatePushGrows pins the ring's span after a late push: with the
+// cursor at 5 and an entry pending at 20, a push at 0 needs 21 slots. On
+// the 16-slot ring times 20 and 4 share slot 4, so a late push that does
+// not grow the ring serves 20 out of order or loses it.
+func TestQueueLatePushGrows(t *testing.T) {
+	q := New[int](0, 16)
+	q.Push(5, 5)
+	q.Push(20, 20)
+	if v, _ := q.Pop(); v != 5 {
+		t.Fatalf("first pop = %d, want 5", v)
+	}
+	q.Push(0, 0)
+	for _, want := range []int{0, 20} {
+		at, _ := q.PeekTime()
+		if v, ok := q.Pop(); !ok || v != want || at != int64(want) {
+			t.Fatalf("pop = %d at %d (ok=%v), want %d", v, at, ok, want)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after draining, want 0", q.Len())
+	}
+}
+
 // TestQueueReanchorAfterEmpty is the regression for the stale front bucket:
 // drain the queue, then push a time whose ring slot collides with the old
 // front bucket. The popped prefix must not resurface as zero values.
@@ -223,19 +241,23 @@ func TestQueueReanchorAfterEmpty(t *testing.T) {
 		t.Fatalf("re-anchored pop = %d (ok=%v), want 12", v, ok)
 	}
 
-	// Same hazard through the overflow jump: the overflow entry at bucket
-	// 19+16 shares a ring slot with the stale, fully-popped front bucket.
+	// Re-anchor onto the stale front slot, then grow past it: 19+16
+	// shares ring slot 3 with the front bucket at 19, so it needs a
+	// 32-slot ring and must still pop last, at its own time.
 	q.Push(19, 20)
 	q.Push(19, 21)
-	q.Push(19+16, 22) // beyond the window: lands in overflow
+	q.Push(19+16, 22)
 	if v, _ := q.Pop(); v != 20 {
-		t.Fatal("jump warmup pop 1")
+		t.Fatal("grow warmup pop 1")
 	}
 	if v, _ := q.Pop(); v != 21 {
-		t.Fatal("jump warmup pop 2")
+		t.Fatal("grow warmup pop 2")
+	}
+	if at, _ := q.PeekTime(); at != 19+16 {
+		t.Fatalf("PeekTime after growth = %d, want %d", at, 19+16)
 	}
 	if v, ok := q.Pop(); !ok || v != 22 {
-		t.Fatalf("post-jump pop = %d (ok=%v), want 22", v, ok)
+		t.Fatalf("post-grow pop = %d (ok=%v), want 22", v, ok)
 	}
 }
 
@@ -289,9 +311,10 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 // TestQueueArraysFollowOccupiedBuckets pins the memory bound: on simnet's
 // tick-shaped load (each entry a period-10 tick that also sends a message
 // one instant ahead) at most 11 buckets are occupied at once, so after many
-// wraps of the 256-slot ring the queue must hold at most 13 backing arrays
-// (the horizon plus 2), counted over the ring slots and the spare stack. A
-// queue that parks one array per ring slot holds 256.
+// wraps of the ring the queue must hold at most 13 backing arrays (the
+// horizon plus 2), counted over the ring slots and the spare stack. A
+// queue that parks one array per ring slot holds 16. The ring itself must
+// stay at 16 slots, the power of two over the 11-instant horizon.
 func TestQueueArraysFollowOccupiedBuckets(t *testing.T) {
 	const (
 		period = 10
@@ -299,7 +322,7 @@ func TestQueueArraysFollowOccupiedBuckets(t *testing.T) {
 		wraps  = 40
 		msg    = -1
 	)
-	q := New[int](0, 256)
+	var q Queue[int]
 	for i := 0; i < ticks; i++ {
 		q.Push(int64(i%period), i)
 	}
@@ -314,8 +337,11 @@ func TestQueueArraysFollowOccupiedBuckets(t *testing.T) {
 			q.Push(at+1, msg)
 		}
 	}
+	if len(q.ring) != 16 {
+		t.Errorf("ring has %d slots, want 16", len(q.ring))
+	}
 	arrays := 0
-	for _, bkt := range q.buckets {
+	for _, bkt := range q.ring {
 		if cap(bkt) > 0 {
 			arrays++
 		}

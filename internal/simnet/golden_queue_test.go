@@ -253,9 +253,9 @@ func BenchmarkEventQueue(b *testing.B) {
 			}
 			// Warm to steady state: the prefill fully sizes the heap's
 			// pool but only touches a few ring slots of the calendar
-			// queue, so run one full lap of the 256-bucket ring before
-			// timing — both structures then measure from their warmed
-			// high-water capacities.
+			// queue, so run many laps of its ring before timing — both
+			// structures then measure from their warmed high-water
+			// capacities.
 			for i := 0; i < 1<<21; i++ {
 				e := q.pop()
 				now = e.time

@@ -18,7 +18,7 @@
 // so each shard's buffer is already sorted by (parent seq, push index). The
 // merge combines the P buffers on exactly that key — which reconstructs the
 // sequential push order — and assigns the dense global sequence numbers in
-// merge order. The wheels pop in (time, insertion-seq) order, so the next
+// merge order. The wheels pop in (time, push order), so the next
 // step again dispatches the sequential order: by induction the whole run is
 // event-for-event identical to the sequential engine, for any shard count,
 // provided dispatching itself never consults global mutable state. The

@@ -7,12 +7,12 @@
 // Delivery rule: a message sent at instant t that survives the link-fault
 // predicate and the drop model arrives at t+1 — the paper's cycle model, in
 // which an exchange completes well inside one period. There is no latency
-// model here; the goroutine engine (livenet) injects latency where a
-// campaign needs it.
+// model here; the host runtime under the goroutine engines (livenet and
+// the socket transport) injects latency where a campaign needs it.
 //
 // Determinism: all randomness flows from the Config seed, and the event
-// queue breaks time ties by insertion sequence, so a run is a pure function
-// of its configuration.
+// queue breaks time ties by push order, so a run is a pure function of its
+// configuration.
 package simnet
 
 import (
