@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -42,128 +43,128 @@ func NewLeafSetIn(arena *peer.DescriptorArena, self id.ID, c int) *LeafSet {
 	return &LeafSet{self: self, c: c, arena: arena}
 }
 
-// leafScratch holds the merge pool and rebuild buffers reused across
-// Update calls. The pool is shared by every leaf set in the process (all
+// leafScratch holds the runs one Update builds, per direction (successors,
+// predecessors). The pool is shared by every leaf set in the process (all
 // updates run serialised per node; concurrent nodes draw distinct objects
-// from the pool), which turns what used to be per-call — and would
-// otherwise be per-node retained — scratch into a handful of objects.
+// from the pool), which turns what would otherwise be per-node retained
+// scratch into a handful of objects.
 type leafScratch struct {
-	pool       peer.Set
-	old        []peer.Descriptor
-	succ, pred []peer.Descriptor
-	admitted   []peer.Descriptor // what a full set's admission test let through
+	run [2][]peer.Descriptor
 }
 
 var leafScratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
 
 // Update merges the given descriptors into the leaf set and re-applies the
-// selection rule. The node's own descriptor and duplicates are ignored.
-// It reports whether the kept set changed.
+// selection rule. The node's own descriptor and duplicates are ignored: an
+// ID the set holds keeps its descriptor, and of one offered twice the first
+// copy wins. It reports whether the kept set changed.
 //
 // A full set first turns away the candidates that cannot change it: a
 // direction holding its share of a contested set — c/2 predecessors,
 // c − c/2 successors, who get the odd slot — keeps that count whatever
 // arrives, so it admits only IDs strictly closer than its farthest entry;
 // a direction holding less has borrowed the other's slots and admits
-// anything; and neither admits an ID it already holds. When nothing is
-// admitted nothing changes, and the call returns without merging or
-// sorting. (DESIGN.md has the proof.)
+// anything. No set admits an ID it already holds. When nothing is admitted
+// nothing changes, and the call returns without merging. (DESIGN.md has
+// the proof.) Each admitted candidate is inserted, in the order offered,
+// into a copy of its direction's kept run, which is ordered by distance
+// already: an insertion-sort merge that never sorts the kept entries.
 func (l *LeafSet) Update(ds []peer.Descriptor) bool {
-	var sc *leafScratch
+	// Per direction, the directed distance an admitted ID is under.
+	succLim, predLim := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	if half := l.c / 2; half > 0 && l.Len() == l.c {
-		// Per direction, the directed distance an admitted ID is under.
-		succLim, predLim := uint64(math.MaxUint64), uint64(math.MaxUint64)
 		if n := len(l.succ); n >= l.c-half {
 			succLim = id.Succ(l.self, l.succ[n-1].ID)
 		}
 		if n := len(l.pred); n >= half {
 			predLim = id.Pred(l.self, l.pred[n-1].ID)
 		}
-		for _, d := range ds {
-			// The candidate's side is a coin flip to the branch predictor,
-			// so the distance and limit are selected, not branched on.
-			// cw ≤ ccw: a successor (id.IsSuccessor) — or self, skipped
-			// below.
-			cw, ccw := id.Succ(l.self, d.ID), id.Pred(l.self, d.ID)
-			dist, lim := cw, succLim
-			if cw > ccw {
-				dist, lim = ccw, predLim
-			}
-			if dist >= lim {
-				continue
-			}
-			side := l.succ
-			if cw > ccw {
-				side = l.pred
-			}
-			if containsID(side, d.ID) {
-				continue
-			}
-			if sc == nil {
-				sc = leafScratchPool.Get().(*leafScratch)
-				sc.admitted = sc.admitted[:0]
-			}
-			sc.admitted = append(sc.admitted, d)
-		}
-		if sc == nil {
-			return false
-		}
-		ds = sc.admitted
-	} else {
-		sc = leafScratchPool.Get().(*leafScratch)
 	}
-	defer leafScratchPool.Put(sc)
-	pool := &sc.pool
-	pool.Reset()
-	for _, d := range l.succ {
-		pool.Add(d)
-	}
-	for _, d := range l.pred {
-		pool.Add(d)
-	}
-	added := false
+	var sc *leafScratch
 	for _, d := range ds {
-		if d.ID == l.self {
+		// The candidate's side is a coin flip to the branch predictor,
+		// so the distance and limit are selected, not branched on.
+		// cw ≤ ccw: a successor (id.IsSuccessor) — or self, skipped
+		// below.
+		cw, ccw := id.Succ(l.self, d.ID), id.Pred(l.self, d.ID)
+		dist, lim := cw, succLim
+		if cw > ccw {
+			dist, lim = ccw, predLim
+		}
+		if dist >= lim {
 			continue
 		}
-		if pool.Add(d) {
-			added = true
+		side, kept := 0, l.succ
+		if cw > ccw {
+			side, kept = 1, l.pred
 		}
+		if d.ID == l.self || containsID(kept, d.ID) {
+			continue
+		}
+		if sc == nil {
+			sc = leafScratchPool.Get().(*leafScratch)
+			sc.run[0] = append(sc.run[0][:0], l.succ...)
+			sc.run[1] = append(sc.run[1][:0], l.pred...)
+		}
+		sc.run[side] = l.insert(sc.run[side], side, d, dist)
 	}
-	if !added {
+	if sc == nil {
 		return false
 	}
-	// Snapshot the previous contents (distinct IDs by construction) for
-	// the change check; rebuild overwrites the backing block in place.
-	sc.old = append(sc.old[:0], l.succ...)
-	sc.old = append(sc.old, l.pred...)
-	l.rebuild(pool.Slice(), sc)
-	if !l.holdsExactly(sc.old) {
-		l.version++
-		return true
+	defer leafScratchPool.Put(sc)
+	nSucc, nPred := LeafShares(len(sc.run[0]), len(sc.run[1]), l.c)
+	succ, pred := sc.run[0][:nSucc], sc.run[1][:nPred]
+	if sameIDs(succ, l.succ) && sameIDs(pred, l.pred) {
+		return false
 	}
-	return false
+	// nSucc+nPred ≤ c, so both directions fit the single capacity-c
+	// block; the runs are scratch, so overwriting the block is safe.
+	if l.block == nil {
+		l.block = l.arena.Get(l.c)
+	}
+	blk := append(append(l.block[:0], succ...), pred...)
+	l.succ = blk[0:nSucc:nSucc]
+	l.pred = blk[nSucc : nSucc+nPred : nSucc+nPred]
+	l.version++
+	return true
 }
 
-// holdsExactly reports whether the set's IDs are exactly those of old
-// (distinct IDs). The rebuild that kept them also kept their descriptors
-// and order: kept entries enter the pool first, and the order is a
-// function of the IDs.
-func (l *LeafSet) holdsExactly(old []peer.Descriptor) bool {
-	if l.Len() != len(old) {
-		return false
-	}
-	for _, d := range l.succ {
-		if !containsID(old, d.ID) {
-			return false
+// insert puts d, at distance dist from self along direction side (0
+// clockwise, 1 counter-clockwise), into run, which is ordered by that
+// distance and holds at most c entries, and keeps it so. Distances along
+// one direction are distinct for distinct IDs, so an entry at d's distance
+// is d's ID, offered or kept earlier, and stays; an entry pushed past c
+// drops off.
+func (l *LeafSet) insert(run []peer.Descriptor, side int, d peer.Descriptor, dist uint64) []peer.Descriptor {
+	i, found := slices.BinarySearchFunc(run, dist, func(e peer.Descriptor, dist uint64) int {
+		if side == 0 {
+			return cmp.Compare(id.Succ(l.self, e.ID), dist)
 		}
+		return cmp.Compare(id.Pred(l.self, e.ID), dist)
+	})
+	if found || i == l.c {
+		return run
 	}
-	for _, d := range l.pred {
-		if !containsID(old, d.ID) {
-			return false
-		}
+	if len(run) < l.c {
+		run = append(run, peer.Descriptor{})
 	}
-	return true
+	copy(run[i+1:], run[i:])
+	run[i] = d
+	return run
+}
+
+// LeafShares is the paper's selection rule on counts: of succ successors
+// and pred predecessors on offer, a leaf set of size c keeps the nSucc and
+// nPred closest — c/2 each (successors take the odd slot), a direction
+// short of its share leaving the rest to the other.
+func LeafShares(succ, pred, c int) (nSucc, nPred int) {
+	nSucc = min(succ, c-min(pred, c/2))
+	return nSucc, min(pred, c-nSucc)
+}
+
+// sameIDs reports whether a and b hold the same IDs in the same order.
+func sameIDs(a, b []peer.Descriptor) bool {
+	return slices.EqualFunc(a, b, func(x, y peer.Descriptor) bool { return x.ID == y.ID })
 }
 
 func containsID(ds []peer.Descriptor, nodeID id.ID) bool {
@@ -173,68 +174,6 @@ func containsID(ds []peer.Descriptor, nodeID id.ID) bool {
 		}
 	}
 	return false
-}
-
-// rebuild applies the paper's selection rule to an arbitrary candidate
-// pool (entries with distinct IDs) and writes the outcome into the backing
-// block. The pool holds copies, so overwriting the block mid-rebuild
-// cannot corrupt the candidates.
-func (l *LeafSet) rebuild(pool []peer.Descriptor, sc *leafScratch) {
-	succ, pred := sc.succ[:0], sc.pred[:0]
-	for _, d := range pool {
-		if d.ID == l.self {
-			continue
-		}
-		if id.IsSuccessor(l.self, d.ID) {
-			succ = append(succ, d)
-		} else {
-			pred = append(pred, d)
-		}
-	}
-	// Directed ring distances from a fixed origin are injective over
-	// distinct IDs, so neither comparator can tie: the sort order is a
-	// total order, independent of the algorithm.
-	slices.SortFunc(succ, func(a, b peer.Descriptor) int {
-		da, db := id.Succ(l.self, a.ID), id.Succ(l.self, b.ID)
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		}
-		return 0
-	})
-	slices.SortFunc(pred, func(a, b peer.Descriptor) int {
-		da, db := id.Pred(l.self, a.ID), id.Pred(l.self, b.ID)
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		}
-		return 0
-	})
-
-	half := l.c / 2
-	nSucc := min(len(succ), half)
-	nPred := min(len(pred), half)
-	// Top up from the other direction when one side is short.
-	if spare := l.c - nSucc - nPred; spare > 0 {
-		nSucc = min(len(succ), nSucc+spare)
-	}
-	if spare := l.c - nSucc - nPred; spare > 0 {
-		nPred = min(len(pred), nPred+spare)
-	}
-	// nSucc+nPred ≤ c by the spare arithmetic, so both directions fit the
-	// single capacity-c block.
-	if l.block == nil {
-		l.block = l.arena.Get(l.c)
-	}
-	blk := append(l.block[:0], succ[:nSucc]...)
-	blk = append(blk, pred[:nPred]...)
-	l.succ = blk[0:nSucc:nSucc]
-	l.pred = blk[nSucc : nSucc+nPred : nSucc+nPred]
-	sc.succ, sc.pred = succ, pred
 }
 
 // Release returns the backing block to the arena. The leaf set must not be
@@ -256,9 +195,6 @@ func (l *LeafSet) Version() uint64 { return l.version }
 
 // Len returns the number of descriptors currently held.
 func (l *LeafSet) Len() int { return len(l.succ) + len(l.pred) }
-
-// Capacity returns the configured leaf set size c.
-func (l *LeafSet) Capacity() int { return l.c }
 
 // Successors returns the kept successors, closest first. The slice is the
 // internal storage; callers must not modify it.
@@ -305,28 +241,6 @@ func (l *LeafSet) appendByID(dst []peer.Descriptor, self peer.Descriptor) []peer
 // Contains reports whether a descriptor with the given ID is in the set.
 func (l *LeafSet) Contains(nodeID id.ID) bool {
 	return containsID(l.succ, nodeID) || containsID(l.pred, nodeID)
-}
-
-// SortedByRingDistance returns the leaf set ordered by (undirected) ring
-// distance from the node, closest first — the order used by SelectPeer.
-// Successor/predecessor lists are already sorted, so this is a merge.
-func (l *LeafSet) SortedByRingDistance() []peer.Descriptor {
-	out := make([]peer.Descriptor, 0, l.Len())
-	i, j := 0, 0
-	for i < len(l.succ) && j < len(l.pred) {
-		ds := id.Succ(l.self, l.succ[i].ID)
-		dp := id.Pred(l.self, l.pred[j].ID)
-		if ds <= dp {
-			out = append(out, l.succ[i])
-			i++
-		} else {
-			out = append(out, l.pred[j])
-			j++
-		}
-	}
-	out = append(out, l.succ[i:]...)
-	out = append(out, l.pred[j:]...)
-	return out
 }
 
 // Remove drops a descriptor (e.g. one detected as dead) from the set,

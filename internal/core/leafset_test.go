@@ -103,20 +103,6 @@ func TestLeafSetWraparound(t *testing.T) {
 	}
 }
 
-func TestLeafSetSortedByRingDistance(t *testing.T) {
-	l := NewLeafSet(100, 6)
-	l.Update(descs(103, 101, 98, 96, 110, 90))
-	sorted := l.SortedByRingDistance()
-	for i := 1; i < len(sorted); i++ {
-		if id.CompareRing(100, sorted[i-1].ID, sorted[i].ID) > 0 {
-			t.Fatalf("not sorted at %d: %v", i, sorted)
-		}
-	}
-	if len(sorted) != l.Len() {
-		t.Errorf("sorted len %d != len %d", len(sorted), l.Len())
-	}
-}
-
 func TestLeafSetRemove(t *testing.T) {
 	l := NewLeafSet(100, 4)
 	l.Update(descs(101, 102, 99, 98))

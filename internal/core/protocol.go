@@ -105,10 +105,6 @@ type Node struct {
 	tombs    flat.Table[int64]
 	ticks    int64
 
-	// appendSampler is the sampler's allocation-free fast path, resolved
-	// once at construction (nil when the sampler doesn't offer one).
-	appendSampler sampling.AppendSampler
-
 	// released records that the node's arena-backed storage has been
 	// returned; it makes Release idempotent.
 	released bool
@@ -204,7 +200,6 @@ func NewNode(self peer.Descriptor, cfg Config, sampler sampling.Service) (*Node,
 		table:   NewPrefixTableIn(cfg.Arena, self.ID, cfg.B, cfg.K),
 		pending: peer.None,
 	}
-	n.appendSampler, _ = sampler.(sampling.AppendSampler)
 	return n, nil
 }
 
@@ -446,11 +441,7 @@ func (n *Node) createMessage(q peer.Descriptor, request bool) *Message {
 	sc.near = n.leaf.appendByID(sc.near[:0], n.self)
 	sc.sample = sc.sample[:0]
 	if n.cfg.CR > 0 {
-		if n.appendSampler != nil {
-			sc.raw = n.appendSampler.AppendSample(sc.raw[:0], n.cfg.CR)
-		} else {
-			sc.raw = append(sc.raw[:0], n.sampler.Sample(n.cfg.CR)...)
-		}
+		sc.raw = n.sampler.AppendSample(sc.raw[:0], n.cfg.CR)
 		sc.sample = appendSortedByID(sc.sample, sc.raw)
 	}
 	limit := n.cfg.C

@@ -112,17 +112,6 @@ func sameLeaf(l *LeafSet, r *refLeafSet) bool {
 	return slices.Equal(l.Successors(), r.succ) && slices.Equal(l.Predecessors(), r.pred)
 }
 
-// appendFixed is sampling.Fixed with the allocation-free fast path, so both
-// of createMessage's sampler branches are driven. Unlike a real service it
-// may return one ID twice.
-type appendFixed []peer.Descriptor
-
-func (f appendFixed) Sample(n int) []peer.Descriptor { return f.AppendSample(nil, n) }
-
-func (f appendFixed) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
-	return append(dst, f[:min(n, len(f))]...)
-}
-
 // edgeIDs draws n IDs from the places ring arithmetic can go wrong: both
 // ends of the ID space (the wrap), mirrored pairs pivot±d (ring-distance
 // ties seen from pivot), the neighbourhood of pivot's antipode and of pivot
@@ -185,12 +174,8 @@ func TestCreateMessageMatchesReference(t *testing.T) {
 		for i := range samples { // an ID sampled twice: the first must win
 			samples[i].Addr = peer.Addr(100 + i)
 		}
-		var sampler sampling.Service = sampling.Fixed(samples)
-		if rng.Intn(2) == 0 {
-			sampler = appendFixed(samples)
-		}
 		self := peer.Descriptor{ID: ids[rng.Intn(len(ids))], Addr: 0}
-		n, err := NewNode(self, cfg, sampler)
+		n, err := NewNode(self, cfg, sampling.Fixed(samples))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,8 +256,8 @@ func TestCreateMessageMatchesReference(t *testing.T) {
 // TestLeafSetUpdateMatchesReference holds the filtered Update to the
 // unfiltered one — same successors, predecessors and return value after
 // every call — for even and odd c, pools fed from one side only (top-up in
-// each direction), candidates that repeat kept entries or the boundary
-// entry under another address, and holes punched by Remove.
+// each direction), the exact antipode, candidates that repeat kept entries
+// or the boundary entry under another address, and holes punched by Remove.
 func TestLeafSetUpdateMatchesReference(t *testing.T) {
 	for trial := 0; trial < 800; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -287,8 +272,11 @@ func TestLeafSetUpdateMatchesReference(t *testing.T) {
 			batch := make([]peer.Descriptor, rng.Intn(12))
 			for i := range batch {
 				d := id.ID(1 + rng.Intn(3*c))
-				if rng.Intn(8) == 0 {
+				switch rng.Intn(16) {
+				case 0, 1:
 					d = id.ID(rng.Uint64() >> 1)
+				case 2:
+					d = 1 << 63 // the antipode, which id.IsSuccessor counts as a successor
 				}
 				if sides == 1 || (sides == 2 && rng.Intn(2) == 0) {
 					d = -d
@@ -347,11 +335,7 @@ func FuzzCreateMessageMatchesReference(f *testing.F) {
 			}
 			return out
 		}
-		var sampler sampling.Service = sampling.Fixed(src(2, 3))
-		if knobs&4 != 0 {
-			sampler = appendFixed(src(2, 3))
-		}
-		n, err := NewNode(peer.Descriptor{ID: id.ID(selfRaw)}, cfg, sampler)
+		n, err := NewNode(peer.Descriptor{ID: id.ID(selfRaw)}, cfg, sampling.Fixed(src(2, 3)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func TestJoinValidation(t *testing.T) {
 	}
 }
 
-// switchableSampler redirects Sample calls to the current backing
+// switchableSampler redirects sample draws to the current backing
 // service; the test flips it from a partition-local oracle to the global
 // one when the partition heals, modelling the sampling layer's own merge.
 type switchableSampler struct {
@@ -60,6 +60,10 @@ type switchableSampler struct {
 }
 
 func (s *switchableSampler) Sample(n int) []peer.Descriptor { return s.svc.Sample(n) }
+
+func (s *switchableSampler) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
+	return s.svc.AppendSample(dst, n)
+}
 
 // TestPartitionHealing: a network bootstraps while partitioned into two
 // halves — each with its own (partition-local) sampling membership — and

@@ -88,8 +88,7 @@ func (e *simEngine) spawn(d peer.Descriptor, bootstrapStart int64) error {
 			return fmt.Errorf("attach newscast: %w", err)
 		}
 		// The adapter draws from the co-located view through its own
-		// seeded stream instead of the node's engine RNG, and gives
-		// the bootstrap layer the AppendSampler fast path.
+		// seeded stream instead of the node's engine RNG.
 		e.samplerSeq++
 		svc = newscast.NewSampler(m.nc, e.p.Seed+0x51*e.samplerSeq)
 	case e.p.Shards > 1:

@@ -40,7 +40,7 @@ func TestBootstrapOverLivenet(t *testing.T) {
 		if err := hosts[i].Attach(newscast.ProtoID, nc, period, time.Duration(i)*period/n); err != nil {
 			t.Fatal(err)
 		}
-		nd, err := core.NewNode(descs[i], cfg, nc)
+		nd, err := core.NewNode(descs[i], cfg, newscast.NewSampler(nc, int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -245,7 +245,7 @@ func TestNewDropsRepeatedBootstrapIDs(t *testing.T) {
 	if got := p.View(); !slices.Equal(got, want) {
 		t.Errorf("View() = %v, want %v (each ID once, its first copy)", got, want)
 	}
-	if got := p.Sample(10); len(got) != 3 {
+	if got := NewSampler(p, 1).Sample(10); len(got) != 3 {
 		t.Errorf("Sample(10) returned %d descriptors from 3 distinct bootstrap IDs: %v", len(got), got)
 	}
 }

@@ -16,7 +16,6 @@ package newscast
 import (
 	"repro/internal/peer"
 	"repro/internal/proto"
-	"repro/internal/sampling"
 )
 
 // DefaultViewSize matches the implementations described by the paper:
@@ -49,9 +48,9 @@ type Message struct {
 // accounting.
 func (m Message) WireSize() int { return len(m.Entries) }
 
-// Protocol is the NEWSCAST state machine for one node. It implements
-// proto.Protocol and sampling.Service: higher layers on the same node call
-// Sample locally, exactly as they would call into a co-located daemon.
+// Protocol is the NEWSCAST state machine for one node. Higher layers on
+// the same node draw from its view through a Sampler, exactly as they would
+// call into a co-located daemon.
 type Protocol struct {
 	self     peer.Descriptor
 	viewSize int
@@ -63,17 +62,9 @@ type Protocol struct {
 	// spare is the buffer merge builds the next view in; the two swap on
 	// every merge. scratch holds merge's sorted copy of a received list.
 	spare, scratch []entry
-
-	// rng is the node's deterministic RNG, captured at Init so that
-	// Sample, which co-located higher layers call outside a callback,
-	// stays deterministic.
-	rng interface{ Intn(int) int }
 }
 
-var (
-	_ proto.Protocol   = (*Protocol)(nil)
-	_ sampling.Service = (*Protocol)(nil)
-)
+var _ proto.Protocol = (*Protocol)(nil)
 
 // New returns a NEWSCAST instance for the node with the given descriptor.
 // bootstrapView seeds the initial view; it may be tiny, identical at all
@@ -92,8 +83,8 @@ func New(self peer.Descriptor, bootstrapView []peer.Descriptor, viewSize int) *P
 	return p
 }
 
-// Init captures the node RNG.
-func (p *Protocol) Init(ctx proto.Context) { p.rng = ctx.Rand() }
+// Init does nothing: the view is seeded by New.
+func (p *Protocol) Init(proto.Context) {}
 
 // Tick runs one active NEWSCAST cycle: send the view (plus a fresh self
 // descriptor) to a random view member and merge the answer when it arrives.
@@ -180,34 +171,6 @@ next:
 		out = append(out, e)
 	}
 	p.view, p.spare = out, p.view[:0]
-}
-
-// Sample returns up to n distinct random descriptors from the current view.
-// It implements sampling.Service for co-located higher layers.
-func (p *Protocol) Sample(n int) []peer.Descriptor {
-	if n > len(p.view) {
-		n = len(p.view)
-	}
-	if n <= 0 {
-		return nil
-	}
-	idx := make([]int, len(p.view))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial Fisher-Yates: only the first n positions are needed.
-	for i := 0; i < n; i++ {
-		j := i
-		if p.rng != nil {
-			j = i + p.rng.Intn(len(idx)-i)
-		}
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	out := make([]peer.Descriptor, n)
-	for i := 0; i < n; i++ {
-		out[i] = p.view[idx[i]].desc
-	}
-	return out
 }
 
 // View returns a copy of the current view descriptors, freshest first.

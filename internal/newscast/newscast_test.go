@@ -120,41 +120,18 @@ func TestSelfHealingAfterCatastrophe(t *testing.T) {
 	}
 }
 
-func TestSampleProperties(t *testing.T) {
-	const n, delta = 200, 10
-	net, protos := buildNetwork(t, n, simnet.Config{Seed: 17}, delta)
-	net.Run(delta * 15)
-	p := protos[42]
-	s := p.Sample(10)
-	if len(s) != 10 {
-		t.Fatalf("sample size %d, want 10", len(s))
-	}
-	seen := make(map[id.ID]struct{})
-	for _, d := range s {
-		if _, dup := seen[d.ID]; dup {
-			t.Fatal("duplicate in sample")
-		}
-		seen[d.ID] = struct{}{}
-	}
-	if got := p.Sample(1000); len(got) != len(p.View()) {
-		t.Errorf("oversized sample returned %d, want view size %d", len(got), len(p.View()))
-	}
-	if got := p.Sample(0); got != nil {
-		t.Errorf("zero sample returned %v", got)
-	}
-}
-
-// TestSampleApproximatelyUniform draws many single samples from one node
-// over time and checks no peer is pathologically overrepresented. NEWSCAST
+// TestSampleApproximatelyUniform draws many small samples from one node's
+// Sampler over time and checks no peer is pathologically overrepresented. NEWSCAST
 // samples are not perfectly i.i.d. uniform, so the bound is loose.
 func TestSampleApproximatelyUniform(t *testing.T) {
 	const n, delta = 150, 10
 	net, protos := buildNetwork(t, n, simnet.Config{Seed: 23}, delta)
+	s := NewSampler(protos[7], 23)
 	counts := make(map[id.ID]int)
 	draws := 0
 	for cycle := 0; cycle < 200; cycle++ {
 		net.Run(net.Now() + delta)
-		for _, d := range protos[7].Sample(3) {
+		for _, d := range s.Sample(3) {
 			counts[d.ID]++
 			draws++
 		}

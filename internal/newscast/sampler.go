@@ -9,7 +9,7 @@ import (
 )
 
 // Sampler adapts a co-located Protocol's current view into a
-// sampling.Service + sampling.AppendSampler for higher layers on the same
+// sampling.Service for higher layers on the same
 // node — the decentralized alternative to drawing from the global-knowledge
 // oracle, matching the paper's deployed architecture where the bootstrap
 // layer consumes whatever the gossip layer's view holds.
@@ -27,10 +27,7 @@ type Sampler struct {
 	scratch []int
 }
 
-var (
-	_ sampling.Service       = (*Sampler)(nil)
-	_ sampling.AppendSampler = (*Sampler)(nil)
-)
+var _ sampling.Service = (*Sampler)(nil)
 
 // NewSampler returns a sampler over p's live view, seeded deterministically.
 func NewSampler(p *Protocol, seed int64) *Sampler {

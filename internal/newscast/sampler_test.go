@@ -58,8 +58,7 @@ func TestSamplerAppendMatchesSample(t *testing.T) {
 // consecutive views overlap, so counts are overdispersed relative to the
 // oracle — hence the statistic is bounded by a generous multiple of the
 // oracle baseline rather than a raw chi-squared critical value, mirroring
-// the loose per-peer bounds of TestSampleProperties /
-// TestSampleApproximatelyUniform.
+// the loose per-peer bound of TestSampleApproximatelyUniform.
 func TestStatNewscastSamplerUniformity(t *testing.T) {
 	const n, delta = 1024, 10
 	const observers, perDraw, cycles = 16, 3, 150

@@ -163,9 +163,10 @@ func TestRecyclableExactlyOnceLivenet(t *testing.T) {
 	if err := net.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "a delivery", func() bool { return net.Snapshot().Delivered > 0 })
+	dropped := net.Snapshot().Dropped
 	hosts[0].Kill() // dead-destination path, plus the victim's inbox drain
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, "a drop after the kill", func() bool { return net.Snapshot().Dropped > dropped })
 	net.Close()
 
 	st := net.Snapshot()
@@ -205,9 +206,10 @@ func TestRecyclableExactlyOnceTransport(t *testing.T) {
 	if err := net.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "a delivery", func() bool { return net.Snapshot().Delivered > 0 })
+	dropped := net.Snapshot().Dropped
 	hosts[0].Kill()
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, "a drop after the kill", func() bool { return net.Snapshot().Dropped > dropped })
 	net.StopTicks()
 	if !net.Quiesce(5 * time.Second) {
 		t.Fatal("transport did not quiesce")
@@ -218,4 +220,18 @@ func TestRecyclableExactlyOnceTransport(t *testing.T) {
 	}
 	net.Close()
 	trk.check(t, "transport")
+}
+
+// waitFor polls cond until it holds, failing t if it does not within 10 s:
+// the wall-clock engines make progress at the scheduler's pace, so a test
+// waits for the event it needs rather than for a fixed time.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s within 10s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

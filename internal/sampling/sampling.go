@@ -32,12 +32,14 @@ type Service interface {
 	// Sample returns up to n distinct random peer descriptors. Fewer than
 	// n are returned only when the service does not know n peers.
 	Sample(n int) []peer.Descriptor
+	AppendSampler
 }
 
-// AppendSampler is optionally implemented by Services that can append
-// samples to a caller-provided buffer without allocating — the fast path
-// the bootstrap protocol's per-tick message construction probes for.
-// AppendSample must draw exactly the same sample sequence as Sample.
+// AppendSampler is the allocation-free half of Service: AppendSample
+// appends a sample to a caller-provided buffer, drawing exactly the same
+// sequence as Sample. The bootstrap protocol's per-tick message
+// construction draws through it. It stays a name of its own because
+// bench's traced sampler names it beside Service.
 type AppendSampler interface {
 	AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor
 }
@@ -70,10 +72,7 @@ type Oracle struct {
 	def   Stream
 }
 
-var (
-	_ Service       = (*Oracle)(nil)
-	_ AppendSampler = (*Oracle)(nil)
-)
+var _ Service = (*Oracle)(nil)
 
 // NewOracle returns an Oracle over the given membership, seeded
 // deterministically. The default stream consumes its RNG exactly like the
@@ -134,17 +133,14 @@ func (o *Oracle) Stream(key int64) *Stream {
 
 // Stream is a single-caller view of an Oracle: a private RNG stream plus
 // scratch over the shared lock-free membership snapshot. It implements
-// Service and AppendSampler; the sample path takes no lock.
+// Service; the sample path takes no lock.
 type Stream struct {
 	o       *Oracle
 	rng     *rand.Rand
 	scratch []int // drawn member indices of the in-progress sample
 }
 
-var (
-	_ Service       = (*Stream)(nil)
-	_ AppendSampler = (*Stream)(nil)
-)
+var _ Service = (*Stream)(nil)
 
 // Sample returns up to n distinct uniformly random members.
 func (s *Stream) Sample(n int) []peer.Descriptor {
@@ -237,10 +233,10 @@ var _ Service = Fixed(nil)
 
 // Sample returns the first n descriptors of the fixed list.
 func (f Fixed) Sample(n int) []peer.Descriptor {
-	if n > len(f) {
-		n = len(f)
-	}
-	out := make([]peer.Descriptor, n)
-	copy(out, f[:n])
-	return out
+	return f.AppendSample(nil, n)
+}
+
+// AppendSample appends the first n descriptors of the fixed list to dst.
+func (f Fixed) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
+	return append(dst, f[:min(n, len(f))]...)
 }

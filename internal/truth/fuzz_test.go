@@ -8,11 +8,13 @@ import (
 )
 
 // FuzzTrieCounts cross-checks the slot counts read off the ring's nested
-// prefix runs (an implicit radix trie) against a naive scan for arbitrary
-// membership sets.
+// prefix runs (an implicit radix trie), and every member's perfect leaf set
+// read off the ring walk, against naive scans for arbitrary membership
+// sets.
 func FuzzTrieCounts(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}, uint8(0), uint8(3))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}, uint8(0), uint8(3)) // a 2-member ring
 	f.Add([]byte{0xAB, 0xCD, 0, 0, 0, 0, 0, 0}, uint8(1), uint8(0))
+	f.Add([]byte{0x10, 0, 0, 0, 0, 0, 0, 0, 0x10, 0, 0, 0, 0, 0, 0, 0x80}, uint8(0), uint8(1)) // an antipodal pair
 	f.Fuzz(func(t *testing.T, data []byte, rowRaw, colRaw uint8) {
 		var ids []id.ID
 		seen := make(map[id.ID]bool)
@@ -47,6 +49,9 @@ func FuzzTrieCounts(f *testing.F) {
 		}
 		if got != want {
 			t.Fatalf("availableAt(%s, %d, %d) = %d, want %d (n=%d)", self, row, col, got, want, len(ids))
+		}
+		for _, self := range ids {
+			checkPerfectLeafSet(t, ids, tr, self)
 		}
 	})
 }

@@ -217,7 +217,7 @@ func buildMembers(ids []id.ID, b, k, c int) []Member {
 }
 
 // naiveMeasure is the brute-force reference for MeasureAll over the
-// current membership ids: the perfect leaf set comes from core.LeafSet.Update
+// current membership ids: the perfect leaf set comes from naivePerfectLeafSet
 // over every member, a slot's perfect occupancy is min(k, naiveAvailable),
 // and only descriptors of current members occupy anything.
 func naiveMeasure(ids []id.ID, members []Member, b, k, c int) Aggregate {

@@ -27,7 +27,6 @@
 package truth
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -224,84 +223,29 @@ func (t *Truth) Update(added, removed []id.ID) error {
 }
 
 // appendPerfectLeafSet appends to dst the IDs a perfect leaf set for the
-// member at sorted position p must contain, applying the paper's selection
-// rule (c/2 closest successors and predecessors, topped up from the other
-// direction) to the full membership. scr's buffers hold the candidate
-// lists, so the derivation allocates nothing once they have grown.
-func (t *Truth) appendPerfectLeafSet(dst []id.ID, p int, scr *measureScratch) []id.ID {
-	self := t.sorted[p]
-	n := len(t.sorted)
-	others := n - 1
-	if others <= 0 {
-		return dst
+// member at sorted position p must contain: the paper's selection rule
+// (core.LeafShares) over the full membership. Walking clockwise from p
+// meets the successors closest first until the first member past the
+// antipode; walking counter-clockwise meets the predecessors the same way.
+// Each walk takes at most c members and at most the n−1 others, so
+// neither comes back round to self.
+func (t *Truth) appendPerfectLeafSet(dst []id.ID, p int) []id.ID {
+	self, n := t.sorted[p], len(t.sorted)
+	walk := min(t.c, n-1)
+	succ, pred := 0, 0
+	for succ < walk && id.IsSuccessor(self, t.sorted[(p+succ+1)%n]) {
+		succ++
 	}
-	// Candidates: up to c ring-neighbours in each direction. The final
-	// set is always a subset of these. Classify by ring half exactly as
-	// the protocol does: clockwise neighbours beyond the antipode are
-	// really predecessors and vice versa; at practical sizes this never
-	// triggers, but small networks need it for exactness.
-	limit := min(t.c, others)
-	realSucc := scr.succ[:0]
-	realPred := scr.pred[:0]
-	classify := func(v id.ID) {
-		if id.IsSuccessor(self, v) {
-			realSucc = append(realSucc, v)
-		} else {
-			realPred = append(realPred, v)
-		}
+	for pred < walk && !id.IsSuccessor(self, t.sorted[(p-pred-1+n)%n]) {
+		pred++
 	}
-	if 2*limit <= others {
-		// The two candidate windows cannot overlap: no dedup needed.
-		for i := 1; i <= limit; i++ {
-			classify(t.sorted[(p+i)%n])
-			classify(t.sorted[(p-i+n)%n])
-		}
-	} else {
-		// Small network: the windows wrap into each other; dedup in the
-		// same order the candidates are considered (successor window
-		// first, then predecessor window).
-		if scr.seen == nil {
-			scr.seen = make(map[id.ID]struct{}, 2*limit)
-		}
-		clear(scr.seen)
-		for i := 1; i <= limit; i++ {
-			v := t.sorted[(p+i)%n]
-			if _, dup := scr.seen[v]; !dup {
-				scr.seen[v] = struct{}{}
-				classify(v)
-			}
-		}
-		for i := 1; i <= limit; i++ {
-			v := t.sorted[(p-i+n)%n]
-			if _, dup := scr.seen[v]; !dup {
-				scr.seen[v] = struct{}{}
-				classify(v)
-			}
-		}
+	succ, pred = core.LeafShares(succ, pred, t.c)
+	for i := 1; i <= succ; i++ {
+		dst = append(dst, t.sorted[(p+i)%n])
 	}
-	// slices.SortFunc, not sort.Slice: the reflection swapper of the
-	// latter allocates per call, which at one call per node per cycle
-	// dominates the measurement-plane allocation profile. The keys are
-	// distinct (distinct IDs, fixed self), so the order is total and the
-	// result algorithm-independent.
-	slices.SortFunc(realSucc, func(a, b id.ID) int {
-		return cmp.Compare(id.Succ(self, a), id.Succ(self, b))
-	})
-	slices.SortFunc(realPred, func(a, b id.ID) int {
-		return cmp.Compare(id.Pred(self, a), id.Pred(self, b))
-	})
-	scr.succ, scr.pred = realSucc, realPred
-	half := t.c / 2
-	nSucc := min(len(realSucc), half)
-	nPred := min(len(realPred), half)
-	if spare := t.c - nSucc - nPred; spare > 0 {
-		nSucc = min(len(realSucc), nSucc+spare)
+	for i := 1; i <= pred; i++ {
+		dst = append(dst, t.sorted[(p-i+n)%n])
 	}
-	if spare := t.c - nSucc - nPred; spare > 0 {
-		nPred = min(len(realPred), nPred+spare)
-	}
-	dst = append(dst, realSucc[:nSucc]...)
-	dst = append(dst, realPred[:nPred]...)
 	return dst
 }
 
@@ -412,25 +356,21 @@ func (a *Aggregate) Add(o Aggregate) {
 	a.PrefixDead += o.PrefixDead
 }
 
-// measureScratch is the per-shard working memory of measureShards: candidate
-// and result buffers for perfect leaf sets, and two rows×cols tables for
+// measureScratch is the per-shard working memory of measureShards: the
+// result buffer for perfect leaf sets, and two rows×cols tables for
 // expected and observed slot occupancy. One scratch per worker keeps the
 // shards false-sharing-free and the whole measurement allocation-free
 // after the first node. The zero value holds no buffers; init draws them.
 type measureScratch struct {
-	leaf       []id.ID
-	succ, pred []id.ID
-	seen       map[id.ID]struct{} // only used when candidate windows overlap
-	expected   [][]int
-	live       [][]int
+	leaf     []id.ID
+	expected [][]int
+	live     [][]int
 }
 
 func (scr *measureScratch) init(t *Truth) {
 	rows, cols := id.NumDigits(t.b), 1<<t.b
 	*scr = measureScratch{
 		leaf:     make([]id.ID, 0, t.c),
-		succ:     make([]id.ID, 0, t.c),
-		pred:     make([]id.ID, 0, t.c),
 		expected: make([][]int, rows),
 		live:     make([][]int, rows),
 	}
@@ -503,7 +443,7 @@ func (t *Truth) LeafMissing(self id.ID, ls *core.LeafSet) (missing, total int) {
 // leafMissing counts the perfect leaf-set entries of the member at ring
 // position p that ls lacks, and the perfect set's size.
 func (t *Truth) leafMissing(ls *core.LeafSet, p int, scr *measureScratch) (missing, total int) {
-	scr.leaf = t.appendPerfectLeafSet(scr.leaf[:0], p, scr)
+	scr.leaf = t.appendPerfectLeafSet(scr.leaf[:0], p)
 	for _, v := range scr.leaf {
 		if !ls.Contains(v) {
 			missing++

@@ -2,6 +2,7 @@ package truth
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -145,17 +146,36 @@ func buildRing(t *testing.T, n int, seed int64, c int) ([]id.ID, *Truth) {
 }
 
 // naivePerfectLeafSet computes the perfect leaf set by brute force over the
-// whole membership, mirroring the protocol selection exactly.
+// whole membership: every other member classified by id.IsSuccessor, each
+// side sorted by distance, and the selection rule's top-up written out here
+// rather than taken from core.
 func naivePerfectLeafSet(ids []id.ID, self id.ID, c int) map[id.ID]bool {
-	ls := core.NewLeafSet(self, c)
-	ds := make([]peer.Descriptor, 0, len(ids))
-	for i, v := range ids {
-		ds = append(ds, peer.Descriptor{ID: v, Addr: peer.Addr(i)})
+	var succ, pred []id.ID
+	for _, v := range ids {
+		switch {
+		case v == self:
+		case id.IsSuccessor(self, v):
+			succ = append(succ, v)
+		default:
+			pred = append(pred, v)
+		}
 	}
-	ls.Update(ds)
-	out := make(map[id.ID]bool, ls.Len())
-	for _, d := range ls.Slice() {
-		out[d.ID] = true
+	sort.Slice(succ, func(i, j int) bool { return id.Succ(self, succ[i]) < id.Succ(self, succ[j]) })
+	sort.Slice(pred, func(i, j int) bool { return id.Pred(self, pred[i]) < id.Pred(self, pred[j]) })
+	half := c / 2
+	nSucc, nPred := min(len(succ), half), min(len(pred), half)
+	if spare := c - nSucc - nPred; spare > 0 {
+		nSucc = min(len(succ), nSucc+spare)
+	}
+	if spare := c - nSucc - nPred; spare > 0 {
+		nPred = min(len(pred), nPred+spare)
+	}
+	out := make(map[id.ID]bool, nSucc+nPred)
+	for _, v := range succ[:nSucc] {
+		out[v] = true
+	}
+	for _, v := range pred[:nPred] {
+		out[v] = true
 	}
 	return out
 }
@@ -163,9 +183,23 @@ func naivePerfectLeafSet(ids []id.ID, self id.ID, c int) map[id.ID]bool {
 // perfectLeafSet returns the perfect leaf set of member self, the IDs
 // appendPerfectLeafSet derives.
 func perfectLeafSet(tr *Truth, self id.ID) []id.ID {
-	var scr measureScratch
-	scr.init(tr)
-	return tr.appendPerfectLeafSet(nil, tr.indexOf(self), &scr)
+	return tr.appendPerfectLeafSet(nil, tr.indexOf(self))
+}
+
+// checkPerfectLeafSet fails t unless perfectLeafSet derives for member
+// self of tr, a ring over ids, exactly naivePerfectLeafSet's set.
+func checkPerfectLeafSet(t *testing.T, ids []id.ID, tr *Truth, self id.ID) {
+	t.Helper()
+	want := naivePerfectLeafSet(ids, self, tr.c)
+	got := perfectLeafSet(tr, self)
+	if len(got) != len(want) {
+		t.Fatalf("n=%d self=%s: size %d, want %d", len(ids), self, len(got), len(want))
+	}
+	for _, v := range got {
+		if !want[v] {
+			t.Fatalf("n=%d self=%s: %s not in brute-force set", len(ids), self, v)
+		}
+	}
 }
 
 // TestSuccessor: the owner of a point is the first member clockwise from
@@ -228,22 +262,34 @@ func measureOne(tr *Truth, self id.ID, ls *core.LeafSet, pt *core.PrefixTable) A
 }
 
 func TestPerfectLeafSetMatchesBruteForce(t *testing.T) {
+	const c = 8
 	for _, n := range []int{5, 12, 21, 50, 300} {
-		const c = 8
 		ids, tr := buildRing(t, n, int64(n), c)
 		rng := rand.New(rand.NewSource(int64(n)))
 		for trial := 0; trial < 20; trial++ {
-			self := ids[rng.Intn(len(ids))]
-			want := naivePerfectLeafSet(ids, self, c)
-			got := perfectLeafSet(tr, self)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d self=%s: size %d, want %d", n, self, len(got), len(want))
+			checkPerfectLeafSet(t, ids, tr, ids[rng.Intn(len(ids))])
+		}
+	}
+	// Rings of antipodal pairs (plus one lone member when n is odd): each
+	// member's antipode sits exactly where id.IsSuccessor still says
+	// successor, and small rings make both walks meet it.
+	rng := rand.New(rand.NewSource(1))
+	for n := 2; n <= 3*c; n++ {
+		var ids []id.ID
+		for len(ids) < n {
+			v := id.ID(rng.Uint64())
+			if n-len(ids) >= 2 {
+				ids = append(ids, v, v+1<<63)
+			} else {
+				ids = append(ids, v)
 			}
-			for _, v := range got {
-				if !want[v] {
-					t.Fatalf("n=%d self=%s: %s not in brute-force set", n, self, v)
-				}
-			}
+		}
+		tr, err := New(ids, 4, 3, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, self := range ids {
+			checkPerfectLeafSet(t, ids, tr, self)
 		}
 	}
 }
