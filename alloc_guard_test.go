@@ -1,4 +1,4 @@
-// Allocation regression guards for the two tightest hot paths. The
+// Allocation regression guards for the tightest hot paths. The
 // benchmarks report the same numbers, but benchmarks don't fail CI;
 // these tests pin the budgets so a future PR cannot silently regress
 // steady-state allocation behaviour.
@@ -8,9 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/id"
+	"repro/internal/newscast"
 	"repro/internal/peer"
 	"repro/internal/sampling"
 	"repro/internal/simnet"
+	"repro/internal/testenv"
 )
 
 // TestEventLoopZeroAllocs pins raw event-loop dispatch — tick, enqueue,
@@ -29,10 +32,11 @@ func TestEventLoopZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm: queue and message pool reach steady-state size. One full lap
-	// of the calendar queue's 256-slot bucket ring (256 virtual time
-	// units), so every ring slot has grown to its high-water capacity
-	// before measurement.
+	// Warm: the message pool and the event queue reach steady-state size.
+	// The queue's ring of one-instant buckets doubles until it spans every
+	// pending event and keeps arrays only for occupied buckets, so 3000
+	// instants leave it at its steady size with every array it draws
+	// already grown.
 	net.Run(3000)
 	avg := testing.AllocsPerRun(50, func() {
 		net.Run(net.Now() + 10)
@@ -45,12 +49,16 @@ func TestEventLoopZeroAllocs(t *testing.T) {
 // maxTickAllocs bounds a full protocol Tick — selectPeer plus pooled
 // createMessage plus engine dispatch. The steady state is zero; the slack
 // of one absorbs a GC emptying the message pool mid-measurement. The
-// pre-pooling baseline was 11.
+// pre-pooling baseline was 11. TestNewscastExchangeAllocs holds a NEWSCAST
+// cycle to the same budget.
 const maxTickAllocs = 1.0
 
 // TestCreateMessageViaTickAllocs pins message construction at its pooled
 // allocation budget (see BenchmarkCreateMessageViaTick for the ns/op view).
 func TestCreateMessageViaTickAllocs(t *testing.T) {
+	if testenv.Race() {
+		t.Skip("the race detector allocates on its own account and sync.Pool drops Puts under it")
+	}
 	descs, _ := benchWorld(4096, 4)
 	cfg := core.DefaultConfig()
 	oracle := sampling.NewOracle(descs, 5)
@@ -66,14 +74,45 @@ func TestCreateMessageViaTickAllocs(t *testing.T) {
 	}
 	nd.Leaf().Update(descs[1:100])
 	nd.Table().AddAll(descs)
-	// Warm scratch buffers, the message pool, and one full lap of the
-	// calendar queue's 256-slot bucket ring (each tick instant lands in a
-	// fresh ring slot until the cursor wraps).
+	// Warm scratch buffers, the message pool and the event queue, whose
+	// ring of one-instant buckets sizes itself to the pending events.
 	net.Run(cfg.Delta * 300)
 	avg := testing.AllocsPerRun(100, func() {
 		net.Run(net.Now() + cfg.Delta)
 	})
 	if avg > maxTickAllocs {
 		t.Errorf("tick allocates %.2f objects, want at most %v", avg, maxTickAllocs)
+	}
+}
+
+// TestNewscastExchangeAllocs pins a whole NEWSCAST cycle on simnet — every
+// node's request, the answers and both merges — at the pooled budget: each
+// message comes from the package pool and the engine recycles it after
+// Handle, and merge builds views in buffers it already holds.
+func TestNewscastExchangeAllocs(t *testing.T) {
+	if testenv.Race() {
+		t.Skip("the race detector allocates on its own account and sync.Pool drops Puts under it")
+	}
+	const nodes, delta = 256, 10
+	net := simnet.New(simnet.Config{Seed: 29})
+	ids := id.Unique(nodes, 30)
+	descs := make([]peer.Descriptor, nodes)
+	for i := range descs {
+		descs[i] = peer.Descriptor{ID: ids[i], Addr: net.AddNode()}
+	}
+	for i, d := range descs {
+		p := newscast.New(d, descs[:5], newscast.DefaultViewSize)
+		if err := net.Attach(d.Addr, newscast.ProtoID, p, delta, int64(i)*delta/nodes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm: views fill, every merge buffer reaches viewSize, and the pool
+	// and the self-sizing event queue reach their steady size.
+	net.Run(delta * 30)
+	avg := testing.AllocsPerRun(50, func() {
+		net.Run(net.Now() + delta)
+	})
+	if avg > maxTickAllocs {
+		t.Errorf("a NEWSCAST cycle of %d nodes allocates %.2f objects, want at most %v", nodes, avg, maxTickAllocs)
 	}
 }

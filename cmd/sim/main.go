@@ -24,7 +24,8 @@
 // There is one flag set: a flag means the same in every campaign, and a
 // campaign ignores the flags it has no use for. The defaults a campaign
 // differs on sit in its row of the campaign table; `sim <campaign> -help`
-// prints the flags with that campaign's defaults. A wrong command line
+// prints the flags with that campaign's defaults. -cpuprofile and
+// -memprofile write pprof profiles of any campaign. A wrong command line
 // exits 2, a failed campaign 1.
 package main
 
@@ -34,6 +35,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -94,11 +97,62 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if err := c.run(o, stdout); err != nil {
+	if err := profiled(o, func() error { return c.run(o, stdout) }); err != nil {
 		fmt.Fprintf(stderr, "sim %s: %v\n", c.name, err)
 		return 1
 	}
 	return 0
+}
+
+// profiled runs a campaign under the profiling flags: -cpuprofile samples
+// the whole run, and -memprofile writes the allocation profile (every
+// sampled allocation since the process started, plus what is still live)
+// once the campaign has succeeded. A sock worker re-runs the driver's
+// command line, so it writes its profiles under the driver's names suffixed
+// with .worker<p>.
+func profiled(o *options, run func() error) (err error) {
+	cpu, mem := o.cpuProfile, o.memProfile
+	if o.worker {
+		suffix := fmt.Sprintf(".worker%d", o.proc)
+		if cpu != "" {
+			cpu += suffix
+		}
+		if mem != "" {
+			mem += suffix
+		}
+	}
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("cpuprofile: %w", cerr)
+			}
+		}()
+	}
+	if err := run(); err != nil || mem == "" {
+		return err
+	}
+	f, err := os.Create(mem)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the live-object columns as of the campaign's end
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return nil
 }
 
 func usage(w io.Writer) {
@@ -126,6 +180,8 @@ type options struct {
 	shards         int
 	memstats       bool
 	cfg            core.Config
+
+	cpuProfile, memProfile string
 
 	scenario              string
 	latency, period       time.Duration
@@ -191,6 +247,8 @@ func parse(args []string, stderr io.Writer) (o *options, c *campaign, err error)
 	fs.Float64Var(&o.churn, "churn", 0.01, "per-cycle fraction of live nodes removed (load -scenario churn)")
 	fs.StringVar(&o.boot, "boot", "perfect", "perfect|simnet: perfect tables, or bootstrap via the gossip protocol")
 	fs.Float64Var(&o.fail, "fail", 0.7, "fraction killed by selfheal")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the campaign to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile to this file when the campaign ends")
 
 	// The row's defaults become the flags' defaults; the command line
 	// then overrides them.

@@ -162,3 +162,34 @@ func TestFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestProfileFlags: -cpuprofile and -memprofile write non-empty profiles
+// and leave the campaign's output byte-identical; a path that cannot be
+// created fails the campaign.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := dir+"/cpu.pprof", dir+"/mem.pprof"
+	plain := mustRun(t, "fig3", "-n", "64")
+	if got := mustRun(t, "fig3", "-n", "64", "-cpuprofile", cpu, "-memprofile", mem); got != plain {
+		t.Errorf("output under the profiling flags differs:\n%s\nwant\n%s", got, plain)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (stat: %v)", f, err)
+		}
+	}
+	if code := run([]string{"fig3", "-n", "64", "-cpuprofile", dir + "/missing/cpu.pprof"}, io.Discard, io.Discard); code != 1 {
+		t.Errorf("an uncreatable -cpuprofile path: exit %d, want 1", code)
+	}
+	// A sock worker shares the driver's command line, so its files carry
+	// its shard index.
+	w := &options{worker: true, proc: 1, cpuProfile: dir + "/w.cpu", memProfile: dir + "/w.mem"}
+	if err := profiled(w, func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{dir + "/w.cpu.worker1", dir + "/w.mem.worker1"} {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("worker profile: %v", err)
+		}
+	}
+}

@@ -174,6 +174,36 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestNewscastShardInvariance runs the two-layer stack on the sharded
+// engine, where a pooled NEWSCAST message is filled on its sender's shard,
+// read on its receiver's and recycled there for any shard's next send.
+// Every shard count above 1 yields one trace, so 2 and 3 must agree
+// byte for byte; under -race it is the test that watches the hand-over.
+func TestNewscastShardInvariance(t *testing.T) {
+	csv := func(shards int) string {
+		p := smallParams(256, 6)
+		p.Sampler = SamplerNewscast
+		p.WarmupCycles = 5
+		p.MaxCycles = 20
+		p.Shards = shards
+		res, err := Run(p)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if res.ConvergedAt < 0 {
+			t.Errorf("shards=%d: did not converge; final %+v", shards, res.Final())
+		}
+		var buf bytes.Buffer
+		if err := res.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if a, b := csv(2), csv(3); a != b {
+		t.Errorf("shards=3 CSV differs from shards=2:\n%s\nwant\n%s", b, a)
+	}
+}
+
 // TestNewscastSampler runs the full two-layer stack: NEWSCAST warms up,
 // then bootstrap runs over it.
 func TestNewscastSampler(t *testing.T) {

@@ -77,8 +77,9 @@ func runSteps(t *testing.T, self peer.Descriptor, viewSize int, steps [][]entry)
 
 // mergeCases names every input shape merge must get right. steps[0] is the
 // bootstrap view handed to New; each later step is one received list. IDs
-// stay below 63, timestamps within [-2, 5] and Addrs below 256 so that
-// encodeSteps can hand the same cases to the fuzzer as its seeds.
+// stay below 63 or are their twins, timestamps within [-2, 5] and Addrs
+// below 256 so that encodeSteps can hand the same cases to the fuzzer as its
+// seeds.
 var mergeCases = []struct {
 	name     string
 	self     id.ID
@@ -160,7 +161,48 @@ var mergeCases = []struct {
 		steps: [][]entry{seq(1, 5, 0), reversed(seq(10, 50, 1))},
 		want:  seq(10, 39, 1),
 	},
+	{
+		name: "outgoing-shaped lists with ties at the sender's now, read in place", self: 1, viewSize: 5,
+		steps: [][]entry{seq(2, 4, 0),
+			{en(3, 2, 103), en(6, 2, 6), en(7, 2, 7), en(2, 1, 102), en(4, 0, 104)},
+			{en(9, 3, 9), en(6, 2, 106), en(5, 1, 5), en(1, 0, 1)}},
+		want: []entry{en(9, 3, 9), en(3, 2, 103), en(6, 2, 6), en(7, 2, 7), en(2, 1, 102)},
+	},
+	{
+		name: "out of order with repeated IDs and self: sorted in a copy", self: 1, viewSize: 4,
+		steps: [][]entry{seq(2, 3, 0),
+			{en(4, 1, 4), en(1, 5, 1), en(3, 2, 103), en(4, 3, 104), en(2, -1, 102), en(3, 2, 3), en(5, 0, 5)}},
+		want: []entry{en(4, 3, 104), en(3, 2, 103), en(2, 0, 2), en(5, 0, 5)},
+	},
+	{
+		name: "IDs sharing a filter bit: each kept once, none mistaken for another", self: 1, viewSize: 6,
+		steps: [][]entry{{en(5, 0, 5), en(twin(5, 1), 0, 51)},
+			{en(twin(5, 2), 3, 52), en(5, 2, 105), en(twin(5, 1), 1, 151), en(twin(5, 3), 1, 53), en(twin(5, 2), 0, 152)},
+			{en(twin(5, 3), 4, 153), en(twin(5, 1), 2, 251), en(7, 2, 7), en(twin(7, 1), 1, 71), en(5, 1, 205)}},
+		want: []entry{en(twin(5, 3), 4, 153), en(twin(5, 2), 3, 52), en(5, 2, 105), en(7, 2, 7), en(twin(5, 1), 2, 251), en(twin(7, 1), 1, 71)},
+	},
 }
+
+// fuzzIDs decodes the ID byte of an encoded entry: its low six bits pick a
+// base ID and its top two bits one of the base's twins — the base itself, or
+// the first, second or third ID above 63 that merge's filter maps to the
+// same bit as the base — so the fuzzer meets filter collisions as readily
+// as repeated IDs.
+var fuzzIDs = func() (t [256]id.ID) {
+	for b := range t {
+		base := id.ID(b & 0x3F)
+		t[b] = base
+		for k, x := b>>6, id.ID(64); k > 0; x++ {
+			if idBit(x) == idBit(base) {
+				t[b], k = x, k-1
+			}
+		}
+	}
+	return t
+}()
+
+// twin is the k-th filter twin of base (0 <= k <= 3, base < 64).
+func twin(base id.ID, k int) id.ID { return fuzzIDs[int(base)|k<<6] }
 
 func reversed(es []entry) []entry {
 	slices.Reverse(es)
@@ -186,8 +228,60 @@ func TestMergeCases(t *testing.T) {
 	}
 }
 
+// TestMergeCasesCoverBothPaths keeps the seeds honest about what they
+// drive: received lists merge reads in place and lists it must sort first,
+// and, within one list, distinct IDs that share a filter bit.
+func TestMergeCasesCoverBothPaths(t *testing.T) {
+	var inPlace, sorted, collide bool
+	for _, c := range mergeCases {
+		for _, r := range c.steps[1:] {
+			if len(r) > 1 {
+				inPlace = inPlace || inOrder(r)
+				sorted = sorted || !inOrder(r)
+			}
+			for i, a := range r {
+				for _, b := range r[:i] {
+					collide = collide || (a.desc.ID != b.desc.ID && idBit(a.desc.ID) == idBit(b.desc.ID))
+				}
+			}
+		}
+	}
+	if !inPlace || !sorted || !collide {
+		t.Errorf("mergeCases drive: read in place %v, sorted copy %v, filter collision %v; want all three", inPlace, sorted, collide)
+	}
+}
+
+// TestMergeLeavesReceivedAlone holds merge to the ownership rule on both of
+// its paths: it does not write to the received list, and the view it builds
+// does not change when the list is overwritten afterwards, as a recycled
+// message's arena is.
+func TestMergeLeavesReceivedAlone(t *testing.T) {
+	for _, received := range [][]entry{
+		{en(9, 5, 9), en(4, 3, 4), en(2, 2, 2), en(5, 1, 5)},                // in order: read in place
+		{en(5, 1, 5), en(1, 4, 1), en(9, 5, 9), en(4, 3, 4), en(9, 2, 109)}, // sorted in a copy
+	} {
+		p := New(peer.Descriptor{ID: 1, Addr: 1}, []peer.Descriptor{{ID: 3, Addr: 3}}, 4)
+		orig := slices.Clone(received)
+		p.merge(received)
+		if !slices.Equal(received, orig) {
+			t.Errorf("merge wrote to the received list\n got %v\nwant %v", received, orig)
+		}
+		view := slices.Clone(p.view)
+		for i := range received {
+			received[i] = en(7, 9, 107)
+		}
+		if !slices.Equal(p.view, view) {
+			t.Errorf("overwriting the received list changed the view\n got %v\nwant %v", p.view, view)
+		}
+		p.merge(nil)
+		if !slices.Equal(p.view, view) {
+			t.Errorf("merge buffers alias the received list: an empty merge left\n %v\nwant %v", p.view, view)
+		}
+	}
+}
+
 // stepBreak separates two steps in the fuzzer's byte encoding; any other
-// byte opens a three-byte entry: ID (low six bits), ts (low three bits,
+// byte opens a three-byte entry: ID (through fuzzIDs), ts (low three bits,
 // offset to [-2, 5]), Addr. Few IDs and fewer timestamps make repeats and
 // ties the common case rather than the lucky one.
 const stepBreak = 0xFF
@@ -204,7 +298,7 @@ func decodeSteps(data []byte) [][]entry {
 			break
 		}
 		last := &steps[len(steps)-1]
-		*last = append(*last, en(id.ID(data[0]&0x3F), int64(data[1]&7)-2, peer.Addr(data[2])))
+		*last = append(*last, en(fuzzIDs[data[0]], int64(data[1]&7)-2, peer.Addr(data[2])))
 		data = data[3:]
 	}
 	return steps
@@ -217,7 +311,7 @@ func encodeSteps(steps [][]entry) []byte {
 			out = append(out, stepBreak)
 		}
 		for _, e := range s {
-			out = append(out, byte(e.desc.ID), byte(e.ts+2), byte(e.desc.Addr))
+			out = append(out, byte(slices.Index(fuzzIDs[:], e.desc.ID)), byte(e.ts+2), byte(e.desc.Addr))
 		}
 	}
 	return out
@@ -264,7 +358,9 @@ func (c *lastSent) Rand() *rand.Rand                  { return c.rng }
 func (c *lastSent) Send(_ peer.Addr, m proto.Message) { c.msg = m }
 
 // TestMergeAllocs pins what the sampling layer costs the heap in steady
-// state: merge nothing, and a full exchange only the two lists it ships.
+// state: nothing, for merge alone and for a full exchange. The harness
+// retires each message once its Handle returns, as every engine does, so
+// both outgoing lists come from the pool.
 func TestMergeAllocs(t *testing.T) {
 	if testenv.Race() {
 		t.Skip("the race detector allocates on its own account")
@@ -284,18 +380,26 @@ func TestMergeAllocs(t *testing.T) {
 		cb.now++
 		a.Tick(ca)
 		b.Handle(cb, ca.self, ca.msg)
+		ca.msg.(proto.Recyclable).Recycle()
 		a.Handle(ca, cb.self, cb.msg)
+		cb.msg.(proto.Recyclable).Recycle()
 	}
-	for i := 0; i < 3; i++ { // both buffers of both nodes, and scratch, reach full size
+	for i := 0; i < 3; i++ { // both buffers of both nodes, and the pooled arenas, reach full size
 		exchange()
 	}
 
-	received := a.outgoing(ca.now + 1)
-	if avg := testing.AllocsPerRun(100, func() { b.merge(received) }); avg != 0 {
-		t.Errorf("merge: %v allocs/op, want 0 (the sorted copy lives in scratch, the next view in spare)", avg)
+	sent := a.outgoing(ca.now+1, false)
+	defer sent.Recycle()
+	if avg := testing.AllocsPerRun(100, func() { b.merge(sent.Entries) }); avg != 0 {
+		t.Errorf("merge: %v allocs/op, want 0 (the list is read in place, the next view built in spare)", avg)
 	}
-	if avg := testing.AllocsPerRun(100, exchange); avg != 4 {
-		t.Errorf("Tick + Handle(request) + Handle(answer): %v allocs/op, want 4: "+
-			"the request's outgoing list and the answer's, and the interface box of each Message", avg)
+	shuffled := slices.Clone(sent.Entries)
+	slices.Reverse(shuffled)
+	if avg := testing.AllocsPerRun(100, func() { b.merge(shuffled) }); avg != 0 {
+		t.Errorf("merge of an unsorted list: %v allocs/op, want 0 (the sorted copy lives in scratch)", avg)
+	}
+	if avg := testing.AllocsPerRun(100, exchange); avg != 0 {
+		t.Errorf("Tick + Handle(request) + Handle(answer): %v allocs/op, want 0: "+
+			"both messages come from the pool and return to it", avg)
 	}
 }

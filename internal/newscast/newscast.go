@@ -14,6 +14,9 @@
 package newscast
 
 import (
+	"sync"
+
+	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/proto"
 )
@@ -39,6 +42,12 @@ func fresher(a, b entry) bool {
 
 // Message is a NEWSCAST view exchange. Request messages ask the receiver to
 // answer with its own view; answers do not.
+//
+// Messages travel as *Message drawn from a pool and implement
+// proto.Recyclable: the engine that retires a delivered or dropped message
+// returns it, Entries arena included, for the next outgoing. Ownership: the
+// receiver may read Entries during Handle and must neither write them nor
+// keep them, or any part of the message, after Handle returns.
 type Message struct {
 	Entries []entry
 	Request bool
@@ -47,6 +56,18 @@ type Message struct {
 // WireSize reports the message size in descriptor units for traffic
 // accounting.
 func (m Message) WireSize() int { return len(m.Entries) }
+
+var messagePool = sync.Pool{New: func() any { return new(Message) }}
+
+var _ proto.Recyclable = (*Message)(nil)
+
+// Recycle implements proto.Recyclable: the message returns to the pool and
+// its Entries array becomes the arena of a future send. Only an engine may
+// call it, exactly once, once the message is retired.
+func (m *Message) Recycle() {
+	m.Entries = m.Entries[:0]
+	messagePool.Put(m)
+}
 
 // Protocol is the NEWSCAST state machine for one node. Higher layers on
 // the same node draw from its view through a Sampler, exactly as they would
@@ -93,17 +114,17 @@ func (p *Protocol) Tick(ctx proto.Context) {
 		return
 	}
 	target := p.view[ctx.Rand().Intn(len(p.view))].desc
-	ctx.Send(target.Addr, Message{Entries: p.outgoing(ctx.Now()), Request: true})
+	ctx.Send(target.Addr, p.outgoing(ctx.Now(), true))
 }
 
 // Handle merges an incoming view and answers requests with the local view.
 func (p *Protocol) Handle(ctx proto.Context, from peer.Addr, msg proto.Message) {
-	m, ok := msg.(Message)
+	m, ok := msg.(*Message)
 	if !ok {
 		return
 	}
 	if m.Request {
-		ctx.Send(from, Message{Entries: p.outgoing(ctx.Now())})
+		ctx.Send(from, p.outgoing(ctx.Now(), false))
 	}
 	p.merge(m.Entries)
 }
@@ -112,44 +133,52 @@ func (p *Protocol) Handle(ctx proto.Context, from peer.Addr, msg proto.Message) 
 // sampling layer.
 const ProtoID proto.ProtoID = 1
 
-// outgoing builds the view to send: the current view plus the node's own
-// descriptor stamped with the current time.
-func (p *Protocol) outgoing(now int64) []entry {
-	out := make([]entry, 0, len(p.view)+1)
-	out = append(out, entry{desc: p.self, ts: now})
-	out = append(out, p.view...)
-	return out
+// outgoing builds the message to send in a pooled arena: the node's own
+// descriptor stamped with the current time, then the current view.
+func (p *Protocol) outgoing(now int64, request bool) *Message {
+	m := messagePool.Get().(*Message)
+	m.Entries = append(append(m.Entries[:0], entry{desc: p.self, ts: now}), p.view...)
+	m.Request = request
+	return m
 }
 
 // merge folds received entries into the view, keeping for each ID the
 // freshest occurrence (the view's on an exact timestamp tie, else the first
 // received), dropping the self entry, and keeping the viewSize freshest
-// descriptors.
+// descriptors. It never writes to received and keeps no reference to it.
 //
-// The view is already in fresher order and a received list is the sender's
-// outgoing — its self entry stamped now, then its view — so sorting the copy
-// of it is one linear pass, and the first occurrence of an ID in the two-way
-// merge is its freshest. Input in any other order, with repeated IDs or with
-// a self entry comes out the same way, only slower. Steady state allocates
-// nothing: the next view is built in spare and the two buffers swap.
+// The view is already in fresher order, and so is a received list that is
+// the sender's outgoing — its self entry stamped now, then its view — unless
+// a view entry's stamp ties or passes the sender's now. One pass confirms
+// the order and the two-way merge reads the list in place; the first
+// occurrence of an ID in that merge is its freshest. A list in any other order is stable-sorted in a copy first, and
+// repeated IDs and self entries come out the same way. Steady state allocates nothing: the
+// next view is built in spare and the two buffers swap.
 func (p *Protocol) merge(received []entry) {
-	// Stable insertion sort of the copy: among equal (ts, ID) pairs the
-	// first received stays first.
-	r := append(p.scratch[:0], received...)
-	for i := 1; i < len(r); i++ {
-		e := r[i]
-		j := i
-		for ; j > 0 && fresher(e, r[j-1]); j-- {
-			r[j] = r[j-1]
+	r := received
+	if !inOrder(r) {
+		// Stable insertion sort of a copy: among equal (ts, ID) pairs the
+		// first received stays first.
+		r = append(p.scratch[:0], received...)
+		for i := 1; i < len(r); i++ {
+			e := r[i]
+			j := i
+			for ; j > 0 && fresher(e, r[j-1]); j-- {
+				r[j] = r[j-1]
+			}
+			r[j] = e
 		}
-		r[j] = e
+		p.scratch = r
 	}
-	p.scratch = r
 
 	if cap(p.spare) < p.viewSize {
 		p.spare = make([]entry, 0, p.viewSize)
 	}
 	out, v := p.spare[:0], p.view
+	// seen has bit idBit(ID) set for every ID in out: a clear bit proves an
+	// ID new without scanning out, so the scan runs only on a repeat or a
+	// filter collision.
+	var seen [2]uint64
 next:
 	for len(out) < p.viewSize && (len(v) > 0 || len(r) > 0) {
 		var e entry
@@ -161,17 +190,35 @@ next:
 		if e.desc.ID == p.self.ID {
 			continue
 		}
-		// A fresher copy of this ID may have come from the other list;
-		// out holds at most viewSize entries, so a scan beats a set.
-		for _, o := range out {
-			if o.desc.ID == e.desc.ID {
-				continue next
+		b := idBit(e.desc.ID)
+		if seen[b>>6]&(1<<(b&63)) != 0 {
+			// A fresher copy of this ID may have come from the other list.
+			for _, o := range out {
+				if o.desc.ID == e.desc.ID {
+					continue next
+				}
 			}
 		}
+		seen[b>>6] |= 1 << (b & 63)
 		out = append(out, e)
 	}
 	p.view, p.spare = out, p.view[:0]
 }
+
+// inOrder reports whether es is already in the order merge's stable sort
+// would leave it: no entry fresher than the one before it.
+func inOrder(es []entry) bool {
+	for i := 1; i < len(es); i++ {
+		if fresher(es[i], es[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// idBit hashes an ID to one of merge's 128 filter bits (Fibonacci hashing:
+// the top seven bits of the product, so small sequential IDs spread too).
+func idBit(i id.ID) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 >> 57 }
 
 // View returns a copy of the current view descriptors, freshest first.
 // Intended for tests and measurement code.
