@@ -166,13 +166,15 @@ func TestBootMassJoinSmall(t *testing.T) {
 // TestBootsimGolden pins the sha256 of three full outputs: fig4 on the
 // sharded engine with drops, fig3 over the NEWSCAST sampler, and the Chord
 // baseline measured against the same ground truth. All are pure functions
-// of the flags, so any moved draw changes the hash.
+// of the flags, so any moved draw changes the hash. It also checks that
+// fig4 over the NEWSCAST sampler prints the same bytes on the sharded and
+// the sequential engine.
 func TestBootsimGolden(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"fig4", "-n", "256", "-shards", "2"}, "7f81590e09fcb611653b6ca6baf06d4a53340ce88f251752ca6e04bcd56027aa"},
+		{[]string{"fig4", "-n", "256", "-shards", "2"}, "684ba4d53701e8c9e1998243269679d256005820f467ee8d4abfe6a5a0ae53dc"},
 		{[]string{"fig3", "-n", "512", "-sampler", "newscast", "-seed", "3"}, "75f106737540006b1d05d88bcde8241a86625f9dbb2f6d3e9be67b58dd0c9f16"},
 		{[]string{"chord", "-n", "512", "-cycles", "30"}, "746f4e5e83459d23bd1ffca1cb65a0957e9ba477e069262935857a7b44f15568"},
 	} {
@@ -180,5 +182,9 @@ func TestBootsimGolden(t *testing.T) {
 		if got := sha256Of(out); got != c.want {
 			t.Errorf("%v: output sha256 = %s, want %s\n%s", c.args, got, c.want, out)
 		}
+	}
+	seq := mustRun(t, "fig4", "-n", "256", "-sampler", "newscast", "-shards", "0")
+	if got := mustRun(t, "fig4", "-n", "256", "-sampler", "newscast", "-shards", "2"); got != seq {
+		t.Errorf("fig4 -sampler newscast: -shards 2 output differs from -shards 0:\n%s\nwant\n%s", got, seq)
 	}
 }

@@ -224,7 +224,7 @@ func parse(args []string, stderr io.Writer) (o *options, c *campaign, err error)
 	fs.IntVar(&o.workers, "workers", 0, "trials run at once (0 = GOMAXPROCS)")
 	fs.IntVar(&o.measureWorkers, "measure-workers", 0, "goroutines sharding the per-cycle measurement (0 = GOMAXPROCS; output identical for any value)")
 	fs.IntVar(&o.measureSample, "measure-sample", 0, "per-cycle measurement sample size with 95% confidence intervals (0 = exact full measurement)")
-	fs.IntVar(&o.shards, "shards", 0, "parallel simnet shards per run (0/1 = sequential engine; every value >1 yields one trace, distinct from the sequential one)")
+	fs.IntVar(&o.shards, "shards", 0, "parallel simnet shards per run (0/1 = sequential engine; with -sampler newscast every value yields the sequential trace, with the oracle sampler every value >1 yields one trace, distinct from the sequential one)")
 	fs.BoolVar(&o.memstats, "memstats", false, "print # memstats headers: live heap bytes per node and peak RSS")
 	fs.IntVar(&o.cfg.B, "b", o.cfg.B, "bits per digit")
 	fs.IntVar(&o.cfg.K, "k", o.cfg.K, "entries per prefix-table slot")

@@ -23,11 +23,9 @@ const ProtoID proto.ProtoID = 2
 // own descriptor so the receiver can answer. Request messages ask for an
 // answer built the same way.
 //
-// Ownership: a Message is owned by its receiver. Senders must not retain or
-// mutate Entries/Dead after handing the message to an engine; conversely a
-// receiver may read but must not rewrite the slices in place, because an
-// engine that fans one message out to several receivers (broadcast,
-// livenet) shares the backing arrays between deliveries.
+// Ownership: a Message has one receiver, which owns Entries/Dead until its
+// Handle returns and may rewrite them in place. Senders must not retain or
+// mutate them after handing the message to an engine.
 //
 // Messages travel as *Message and are pooled: the protocol sends pointers
 // (boxing a pointer into the proto.Message interface allocates nothing)
@@ -123,7 +121,6 @@ type msgScratch struct {
 	raw     []peer.Descriptor // the cr samples as drawn
 	sample  []peer.Descriptor // the cr samples, by ID
 	union   []peer.Descriptor // near ∪ sample ∪ table, by ID
-	fork    []peer.Descriptor // filterTombstoned's copy; see takeFork
 	expired []id.ID
 }
 
@@ -291,52 +288,24 @@ func (n *Node) noteMissedAnswer() {
 }
 
 // filterTombstoned drops descriptors currently blacklisted, expiring
-// tombstones lazily. It copies on first removal rather than compacting the
-// incoming slice in place: even though receivers own their messages (see
-// Message), an engine that broadcasts one message value to several
-// receivers shares the Entries backing array between them, and an in-place
-// rewrite here would corrupt the siblings' view mid-filter. The copy lives
-// in a buffer detached from the scratch pool (takeFork); a caller done with
-// a shortened result hands it back with returnFork.
+// tombstones lazily. It compacts the received slice in place: the receiver
+// owns it (see Message).
 func (n *Node) filterTombstoned(ds []peer.Descriptor) []peer.Descriptor {
 	if n.tombs.Len() == 0 {
 		return ds
 	}
-	out, forked := ds, false
-	for i, d := range ds {
+	out := ds[:0]
+	for _, d := range ds {
 		expiry, dead := n.tombs.Get(d.ID)
 		if dead && n.ticks >= expiry {
 			n.tombs.Delete(d.ID)
 			dead = false
 		}
-		switch {
-		case dead && !forked: // first removal: fork, keep the prefix
-			out = append(takeFork(), ds[:i]...)
-			forked = true
-		case !dead && forked:
+		if !dead {
 			out = append(out, d)
 		}
 	}
 	return out
-}
-
-// takeFork detaches the fork buffer from a pooled scratch object. The
-// scratch goes straight back to the pool without it, so the buffer is
-// exclusively the caller's until returnFork re-attaches it — to whichever
-// scratch object the pool hands out then. A buffer never returned is
-// merely garbage.
-func takeFork() []peer.Descriptor {
-	sc := msgScratchPool.Get().(*msgScratch)
-	buf := sc.fork[:0]
-	sc.fork = nil
-	msgScratchPool.Put(sc)
-	return buf
-}
-
-func returnFork(buf []peer.Descriptor) {
-	sc := msgScratchPool.Get().(*msgScratch)
-	sc.fork = buf
-	msgScratchPool.Put(sc)
 }
 
 // Handle implements both the passive thread (answer requests with an
@@ -363,9 +332,6 @@ func (n *Node) Handle(ctx proto.Context, from peer.Addr, msg proto.Message) {
 	}
 	n.updateLeafSet(entries)
 	n.updatePrefixTable(entries)
-	if len(entries) != len(m.Entries) { // shortened, hence forked; not retained
-		returnFork(entries)
-	}
 	n.exchanges++
 }
 

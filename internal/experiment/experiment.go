@@ -124,15 +124,15 @@ type Params struct {
 	// measurement.
 	MeasureConfidence float64
 	// Shards is the simulation engine's parallel shard count
-	// (simnet.Config.Shards): 0 or 1 runs the sequential engine, higher
-	// values partition the nodes across that many workers, which run the
-	// same dispatch and Send inside fixed conservative lookahead windows.
-	// Runs with any fixed Shards > 1 are deterministic, and every
-	// Shards > 1 value produces the same trace as every other — but that
-	// trace differs from the Shards <= 1 one: with parallel dispatch each
-	// node draws from its own oracle Stream (keyed by spawn order, as
-	// livenet does) instead of the single shared oracle stream, whose draw
-	// order is inherently dispatch-order dependent.
+	// (simnet.Config.Shards): 0 or 1 dispatches sequentially, higher values
+	// split each instant's dispatch across that many workers. The engine
+	// runs the same events in the same order either way. With the NEWSCAST
+	// sampler every value therefore yields the same trace. With the
+	// oracle sampler every Shards > 1 value yields one trace, distinct
+	// from the Shards <= 1 one: under parallel dispatch each node draws
+	// from its own oracle Stream (keyed by spawn order, as livenet does)
+	// instead of the single shared oracle stream, whose draw order depends
+	// on dispatch order.
 	Shards int
 	// KeepRunningAfterPerfect continues until MaxCycles even after
 	// perfection, for steady-state studies.

@@ -69,12 +69,12 @@ func TestGoldenTrace(t *testing.T) {
 // harness level. Shards=1 must be byte-identical to the default (Shards=0)
 // run — same CSV hash TestGoldenCSVByteIdentical pins — because a single
 // shard runs the very same sequential engine. Every Shards>1 value must
-// produce one common trace: the conservative-window engine's merge order
-// and the per-node oracle streams are shard-count invariant. That common
-// trace legitimately differs from the sequential one (per-node streams
-// replace the shared oracle stream, whose draw order only exists under
-// sequential dispatch); both sides converging within a couple of cycles of
-// each other ties the two families together behaviorally.
+// produce one common trace: the engine replays the sequential order, and
+// the per-node oracle streams are shard-count invariant. That common trace
+// differs from the sequential one only because per-node streams replace
+// the shared oracle stream, whose draw order only exists under sequential
+// dispatch; both sides converging within a couple of cycles of each other
+// ties the two families together behaviorally.
 func TestGoldenTraceShardInvariance(t *testing.T) {
 	run := func(shards int) (*Result, string) {
 		res, err := Run(Params{

@@ -9,35 +9,44 @@ import (
 	"repro/internal/sched"
 )
 
-// legacyHeapQueue is the PR 1 pooled indexed min-heap, preserved verbatim as
-// a test fixture: the reference for the calendar queue's ordering contract
-// and the baseline for BenchmarkEventQueue. Do not "improve" it — its value
-// is being exactly the implementation every golden trace was captured on.
+// legacyHeapQueue is the PR 1 pooled indexed min-heap, preserved as a test
+// fixture: the reference for the calendar queue's ordering contract and the
+// baseline for BenchmarkEventQueue. Do not "improve" it — its value is
+// being exactly the implementation every golden trace was captured on. It
+// breaks time ties by a push counter of its own.
 type legacyHeapQueue struct {
-	pool []event  // event storage; slots on the free list are zeroed
-	heap []uint32 // binary min-heap of pool indices
-	free []uint32 // recycled pool slots
+	pool   []legacyEntry // event storage; slots on the free list are zeroed
+	heap   []uint32      // binary min-heap of pool indices
+	free   []uint32      // recycled pool slots
+	pushes uint64
+}
+
+type legacyEntry struct {
+	e   event
+	seq uint64 // push order
 }
 
 func (q *legacyHeapQueue) len() int { return len(q.heap) }
 
 func (q *legacyHeapQueue) less(a, b uint32) bool {
 	ea, eb := &q.pool[a], &q.pool[b]
-	if ea.time != eb.time {
-		return ea.time < eb.time
+	if ea.e.time != eb.e.time {
+		return ea.e.time < eb.e.time
 	}
 	return ea.seq < eb.seq
 }
 
 func (q *legacyHeapQueue) push(e event) {
+	le := legacyEntry{e: e, seq: q.pushes}
+	q.pushes++
 	var idx uint32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
 		q.free = q.free[:n-1]
-		q.pool[idx] = e
+		q.pool[idx] = le
 	} else {
 		idx = uint32(len(q.pool))
-		q.pool = append(q.pool, e)
+		q.pool = append(q.pool, le)
 	}
 	q.heap = append(q.heap, idx)
 	q.siftUp(len(q.heap) - 1)
@@ -51,8 +60,8 @@ func (q *legacyHeapQueue) pop() event {
 	if last > 0 {
 		q.siftDown(0)
 	}
-	e := q.pool[idx]
-	q.pool[idx] = event{}
+	e := q.pool[idx].e
+	q.pool[idx] = legacyEntry{}
 	q.free = append(q.free, idx)
 	return e
 }
@@ -94,15 +103,16 @@ func (q *legacyHeapQueue) siftDown(i int) {
 // at the current instant, with pops interleaved exactly as Network.Run
 // interleaves them — through push/pop callbacks. The stream is a pure
 // function of the seed, so two queue implementations fed the same
-// callbacks see byte-identical input.
+// callbacks see byte-identical input. Each event's payload is its emission
+// index, which tells apart events that agree on everything else.
 func driveSeedWorkload(n int, seed int64, cycles int64,
 	push func(event), pop func() (event, bool)) {
 	const delta = 10 // core.DefaultDelta; not imported to keep the fixture frozen
 	rng := rand.New(rand.NewSource(seed))
-	var seq uint64
+	emitted := 0
 	emit := func(e event) {
-		e.seq = seq
-		seq++
+		e.msg = emitted
+		emitted++
 		push(e)
 	}
 	// Bootstrap: every node's first tick at its start offset, like Attach.
@@ -150,11 +160,11 @@ func driveSeedWorkload(n int, seed int64, cycles int64,
 
 // TestGoldenQueueOrderMatchesLegacyHeap runs the seed-scenario workload at
 // n=1024 through the retired PR 1 heap and the calendar queue side by side
-// and asserts every pop is identical — time, seq, kind, and addressing. This
-// is the byte-identical-ordering half of the golden regression; the CSV half
-// (final run output sha256-pinned at n=256 and n=1024, unchanged from the
-// pre-calendar constants) is experiment.TestGoldenCSVByteIdentical, which
-// now runs on this queue.
+// and asserts every pop is identical — time, payload tag, kind, and
+// addressing. This is the byte-identical-ordering half of the golden
+// regression; the CSV half (final run output sha256-pinned at n=256 and
+// n=1024, unchanged from the pre-calendar constants) is
+// experiment.TestGoldenCSVByteIdentical, which now runs on this queue.
 func TestGoldenQueueOrderMatchesLegacyHeap(t *testing.T) {
 	var legacy legacyHeapQueue
 	var calendar sched.Queue[event]
@@ -188,11 +198,10 @@ func TestGoldenQueueOrderMatchesLegacyHeap(t *testing.T) {
 				t.Fatalf("calendar queue served extra pop %d: %+v", i, e)
 			}
 			want := legacyPops[i].e
-			if e.time != want.time || e.seq != want.seq || e.kind != want.kind ||
-				e.to != want.to || e.from != want.from {
-				t.Fatalf("pop %d diverged:\n calendar (t=%d seq=%d kind=%d to=%d from=%d)\n legacy   (t=%d seq=%d kind=%d to=%d from=%d)",
-					i, e.time, e.seq, e.kind, e.to, e.from,
-					want.time, want.seq, want.kind, want.to, want.from)
+			if e != want {
+				t.Fatalf("pop %d diverged:\n calendar (t=%d tag=%v kind=%d to=%d from=%d)\n legacy   (t=%d tag=%v kind=%d to=%d from=%d)",
+					i, e.time, e.msg, e.kind, e.to, e.from,
+					want.time, want.msg, want.kind, want.to, want.from)
 			}
 			i++
 			return e, true
@@ -238,11 +247,9 @@ func BenchmarkEventQueue(b *testing.B) {
 		b.Run(fmt.Sprintf("impl=%s/queued=%d", mk.name, queued), func(b *testing.B) {
 			q := mk.make()
 			rng := rand.New(rand.NewSource(9))
-			var seq uint64
 			now := int64(0)
 			push := func(t int64, kind eventKind) {
-				q.push(event{time: t, seq: seq, kind: kind})
-				seq++
+				q.push(event{time: t, kind: kind})
 			}
 			for i := 0; i < queued; i++ {
 				if i%3 == 0 {

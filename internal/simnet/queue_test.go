@@ -9,32 +9,28 @@ import (
 )
 
 // TestEventQueueOrdering feeds the engine's wheel a shuffled workload of
-// events and checks they pop in (time, seq) order — the exact contract the
-// old container/heap implementation provided.
+// events and checks they pop in (time, push order) — the exact contract the
+// old container/heap implementation provided. Each event carries its push
+// index as its payload.
 func TestEventQueueOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q sched.Queue[event]
 	const total = 2000
 	events := make([]event, total)
 	for i := range events {
-		events[i] = event{time: int64(rng.Intn(50)), seq: uint64(i), kind: evTick}
+		events[i] = event{time: int64(rng.Intn(50)), kind: evTick, msg: i}
 	}
 	for _, e := range events {
 		q.Push(e.time, e)
 	}
 	want := make([]event, total)
 	copy(want, events)
-	sort.SliceStable(want, func(i, j int) bool {
-		if want[i].time != want[j].time {
-			return want[i].time < want[j].time
-		}
-		return want[i].seq < want[j].seq
-	})
+	sort.SliceStable(want, func(i, j int) bool { return want[i].time < want[j].time })
 	for i := range want {
 		got, _ := q.Pop()
-		if got.time != want[i].time || got.seq != want[i].seq {
-			t.Fatalf("pop %d = (t=%d seq=%d), want (t=%d seq=%d)",
-				i, got.time, got.seq, want[i].time, want[i].seq)
+		if got.time != want[i].time || got.msg != want[i].msg {
+			t.Fatalf("pop %d = (t=%d push %v), want (t=%d push %v)",
+				i, got.time, got.msg, want[i].time, want[i].msg)
 		}
 	}
 	if q.Len() != 0 {
@@ -49,16 +45,14 @@ func TestEventQueueSteadyStateAllocs(t *testing.T) {
 	var q sched.Queue[event]
 	const width = 64
 	for i := 0; i < width; i++ {
-		q.Push(int64(i), event{time: int64(i), seq: uint64(i)})
+		q.Push(int64(i), event{time: int64(i)})
 	}
-	seq := uint64(width)
 	warm := func(rounds int) {
 		for round := 0; round < rounds; round++ {
 			for i := 0; i < width; i++ {
 				e, _ := q.Pop()
-				next := event{time: e.time + width, seq: seq}
+				next := event{time: e.time + width}
 				q.Push(next.time, next)
-				seq++
 			}
 		}
 	}

@@ -149,38 +149,35 @@ func sameProbeResult(t *testing.T, label string, want, got probeResult) {
 	}
 }
 
-// TestShardedMatchesSequential pins the strongest claim: with Drop == 0 the
-// engine draws no randomness of its own, and a sharded run is
-// byte-identical to the sequential engine for every shard count, through
-// churn between Run calls. Shards ∈ {0, 1} must both take the sequential
-// path.
+// TestShardedMatchesSequential pins the engine's contract: a sharded run is
+// the sequential run, byte for byte, for every shard count, through churn
+// between Run calls and with the drop model drawing. Shards 0 and 1 both
+// take the sequential path.
 func TestShardedMatchesSequential(t *testing.T) {
-	cfg := Config{Seed: 42}
-	for _, n := range []int{5, 64} {
-		for _, churn := range []bool{false, true} {
-			ref := runProbeScenario(t, cfg, n, churn)
-			if ref.stats.Sent == 0 || ref.stats.Delivered == 0 {
-				t.Fatalf("n=%d: degenerate reference run: %+v", n, ref.stats)
-			}
-			for _, shards := range []int{1, 2, 4, 7} {
-				sharded := cfg
-				sharded.Shards = shards
-				got := runProbeScenario(t, sharded, n, churn)
-				sameProbeResult(t, fmt.Sprintf("n=%d/churn=%v/shards=%d", n, churn, shards), ref, got)
+	for _, drop := range []float64{0, 0.25} {
+		cfg := Config{Seed: 42, Drop: drop}
+		for _, n := range []int{5, 64} {
+			for _, churn := range []bool{false, true} {
+				ref := runProbeScenario(t, cfg, n, churn)
+				if ref.stats.Sent == 0 || ref.stats.Delivered == 0 || (drop > 0) != (ref.stats.Dropped > 0) {
+					t.Fatalf("drop=%v n=%d: degenerate reference run: %+v", drop, n, ref.stats)
+				}
+				for _, shards := range []int{1, 2, 3, 4, 7, 8} {
+					sharded := cfg
+					sharded.Shards = shards
+					got := runProbeScenario(t, sharded, n, churn)
+					sameProbeResult(t, fmt.Sprintf("drop=%v/n=%d/churn=%v/shards=%d", drop, n, churn, shards), ref, got)
+				}
 			}
 		}
 	}
 }
 
-// TestShardedInvarianceStochastic pins the weaker claim that holds with
-// engine randomness in play (Drop > 0): every shard count > 1 produces the
-// identical run, because drops draw from per-node wire streams that are
-// pure functions of (seed, addr). The sequential engine draws them from its
-// one global stream and legitimately diverges, so it is not in the
-// comparison set.
+// TestShardedInvarianceStochastic runs the probe with every engine path hot
+// — drops, dead destinations, cross-shard replies — and checks that the
+// sequential run and every shard count agree, and that a run repeats.
 func TestShardedInvarianceStochastic(t *testing.T) {
 	cfg := Config{Seed: 99, Drop: 0.25}
-	cfg.Shards = 2
 	ref := runProbeScenario(t, cfg, 64, true)
 	if ref.stats.Dropped == 0 {
 		t.Fatal("stochastic scenario dropped nothing; drop path untested")
@@ -188,7 +185,7 @@ func TestShardedInvarianceStochastic(t *testing.T) {
 	if ref.stats.DeadDest == 0 {
 		t.Fatal("churn scenario hit no dead destinations; kill path untested")
 	}
-	for _, shards := range []int{3, 4, 8} {
+	for _, shards := range []int{2, 3, 4, 8} {
 		cfg.Shards = shards
 		got := runProbeScenario(t, cfg, 64, true)
 		sameProbeResult(t, fmt.Sprintf("shards=%d", shards), ref, got)
@@ -198,6 +195,33 @@ func TestShardedInvarianceStochastic(t *testing.T) {
 	a := runProbeScenario(t, cfg, 64, true)
 	b := runProbeScenario(t, cfg, 64, true)
 	sameProbeResult(t, "repeat", a, b)
+}
+
+// deadSender sends one message to a fixed address from its Init.
+type deadSender struct{ to peer.Addr }
+
+func (p deadSender) Init(ctx proto.Context)                       { ctx.Send(p.to, probeMsg{}) }
+func (deadSender) Tick(proto.Context)                             {}
+func (deadSender) Handle(proto.Context, peer.Addr, proto.Message) {}
+
+// TestSendToUnallocatedAddress checks that a message to an address no node
+// holds is a dead destination on every engine, whether a protocol sends it
+// inside a step (to peer.NoAddr) or the harness injects it between Run
+// calls (to an address past the node table).
+func TestSendToUnallocatedAddress(t *testing.T) {
+	for _, shards := range []int{0, 2, 4} {
+		net := New(Config{Seed: 3, Shards: shards})
+		a, b := net.AddNode(), net.AddNode()
+		if err := net.Attach(b, 1, deadSender{to: peer.NoAddr}, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		net.Run(1)
+		net.Send(a, 1000, 1, probeMsg{})
+		net.Run(5)
+		if s := net.Stats(); s.Sent != 2 || s.DeadDest != 2 {
+			t.Errorf("shards=%d: stats = %+v, want 2 sent, 2 dead destinations", shards, s)
+		}
+	}
 }
 
 // TestShardedConservation checks the traffic ledger balances once all
@@ -246,9 +270,8 @@ func TestShardedChurnHammer(t *testing.T) {
 			case 1:
 				add()
 			case 2:
-				// Injected between steps, the message enters its
-				// destination's wheel like any other; its drop draw comes
-				// from the sender's wire stream.
+				// Injected between steps, the message takes the
+				// sequential send path: drop draw, then the queue.
 				net.Send(peer.Addr(step%96), peer.Addr((step*7)%96), 1, probeMsg{hop: 1, tag: int64(step)})
 			case 3:
 				net.Run(now + 2)
@@ -270,29 +293,6 @@ func TestShardedChurnHammer(t *testing.T) {
 	}
 	b := run()
 	sameProbeResult(t, "hammer repeat", a, b)
-}
-
-// TestWireStreamMatchesSplitMix64 pins the sharded engine's drop draws:
-// node addr's wire stream is the SplitMix64 sequence from state
-// splitmix64(seed ^ (addr+1)·0xbf58476d1ce4e5b9), on every shard count.
-func TestWireStreamMatchesSplitMix64(t *testing.T) {
-	for _, seed := range []int64{0, 1, 42} {
-		for _, shards := range []int{2, 3} {
-			n := New(Config{Seed: seed, Shards: shards})
-			for addr := uint64(0); addr < 64; addr++ {
-				n.AddNode()
-				w := n.nodes[addr].wire
-				state := splitmix64(uint64(seed) ^ (addr+1)*0xbf58476d1ce4e5b9)
-				for i := 0; i < 4; i++ {
-					want := splitmix64(state)
-					state += 0x9e3779b97f4a7c15
-					if got := w.Uint64(); got != want {
-						t.Fatalf("seed %d shards %d addr %d draw %d: %#x, want %#x", seed, shards, addr, i, got, want)
-					}
-				}
-			}
-		}
-	}
 }
 
 // splitmix64 is one step of the reference SplitMix64 generator from state

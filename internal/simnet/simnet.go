@@ -12,7 +12,7 @@
 //
 // Determinism: all randomness flows from the Config seed, and the event
 // queue breaks time ties by push order, so a run is a pure function of its
-// configuration.
+// configuration — the same function for every shard count (see shard.go).
 package simnet
 
 import (
@@ -46,20 +46,11 @@ type Config struct {
 	// Drop is the probability that any single message is lost in
 	// transit. The paper's Figure 4 uses 0.2.
 	Drop float64
-	// Shards, when greater than 1, partitions the nodes across that many
-	// parallel execution shards: each shard holds its own calendar wheel,
-	// the shards dispatch each instant's events concurrently and exchange
-	// the events they generated when the instant ends (see shard.go). 0 or
-	// 1 selects the sequential engine, the golden reference. Both engines
-	// run the same dispatch and Send.
-	//
-	// Determinism: a sharded run is a pure function of the configuration.
-	// With Drop == 0 the engine draws no randomness of its own and the
-	// trace is byte-identical to the sequential engine for every shard
-	// count. With Drop > 0 the drop draws come from per-node wire RNGs
-	// instead of the global stream, so runs remain deterministic and
-	// shard-count invariant for every Shards > 1, but diverge from the
-	// sequential (Shards <= 1) trace.
+	// Shards, when greater than 1, splits each instant's dispatch across
+	// that many parallel workers, node addr on worker addr mod Shards; the
+	// events they generate are replayed in the sequential order when the
+	// instant ends (see shard.go). 0 or 1 dispatches on the driving
+	// goroutine. Every value yields the same run, drops included.
 	Shards int
 }
 
@@ -77,7 +68,6 @@ const (
 
 type event struct {
 	time int64
-	seq  uint64
 	kind eventKind
 
 	to   peer.Addr
@@ -104,13 +94,6 @@ type nodeState struct {
 	alive    bool
 	rng      *rand.Rand
 	bindings []binding
-	// shard is the node's home execution shard (sharded mode only): the
-	// shard that dispatches its events and owns its mutable state.
-	shard int32
-	// wire draws the drop decisions for the node's messages on the sharded
-	// engine. Per node — not per shard, not global — so the stream each
-	// node consumes is independent of the shard count.
-	wire id.SplitMix64
 }
 
 // find returns the binding for pid, or nil. The slice is sorted by pid but
@@ -136,16 +119,14 @@ type Stats struct {
 // Network is a deterministic discrete-event simulated network.
 type Network struct {
 	cfg       Config
-	rng       *rand.Rand
+	rng       *rand.Rand // drop draws and per-node seeds
 	now       int64
-	seq       uint64
-	queue     sched.Queue[event] // the sequential engine's wheel
+	queue     sched.Queue[event]
 	nodes     []nodeState
 	stats     Stats
 	linkFault func(from, to peer.Addr) bool
 
-	// shards is nil in sequential mode; in sharded mode each shard's wheel
-	// holds the events addressed to its nodes.
+	// shards is nil unless Config.Shards > 1: the dispatch workers.
 	shards []shardState
 	// parallel is set while shard workers dispatch an instant. It only
 	// changes on the driving goroutine while no worker runs, so Send sees
@@ -169,17 +150,12 @@ func New(cfg Config) *Network {
 func (n *Network) Now() int64 { return n.now }
 
 // Stats returns a snapshot of the traffic counters. In sharded mode the
-// per-shard counters are summed in — integer sums, so the totals are
-// independent of which shard accounted each message.
+// workers' delivery counters are summed in.
 func (n *Network) Stats() Stats {
 	s := n.stats
 	for i := range n.shards {
-		sh := &n.shards[i].stats
-		s.Sent += sh.Sent
-		s.Dropped += sh.Dropped
-		s.Delivered += sh.Delivered
-		s.DeadDest += sh.DeadDest
-		s.WireUnits += sh.WireUnits
+		s.Delivered += n.shards[i].stats.Delivered
+		s.DeadDest += n.shards[i].stats.DeadDest
 	}
 	return s
 }
@@ -187,19 +163,10 @@ func (n *Network) Stats() Stats {
 // AddNode allocates a new live node and returns its address.
 func (n *Network) AddNode() peer.Addr {
 	addr := peer.Addr(len(n.nodes))
-	st := nodeState{
+	n.nodes = append(n.nodes, nodeState{
 		alive: true,
 		rng:   id.NewRand(n.rng.Int63()),
-	}
-	if len(n.shards) > 0 {
-		// The wire stream is a pure function of (seed, addr), so the
-		// stream each node consumes is independent of the shard count.
-		// The home shard is its first output, drawn from a copy.
-		st.wire.Seed(int64(uint64(n.cfg.Seed) ^ (uint64(addr)+1)*0xbf58476d1ce4e5b9))
-		home := st.wire
-		st.shard = int32(home.Uint64() % uint64(len(n.shards)))
-	}
-	n.nodes = append(n.nodes, st)
+	})
 	return addr
 }
 
@@ -245,13 +212,15 @@ func (n *Network) Attach(addr peer.Addr, pid ProtoID, p Protocol, period, startO
 	for i := len(st.bindings) - 1; i > 0 && st.bindings[i].pid < st.bindings[i-1].pid; i-- {
 		st.bindings[i], st.bindings[i-1] = st.bindings[i-1], st.bindings[i]
 	}
-	n.push(nil, event{time: n.now + startOffset, kind: evInit, to: addr, pid: pid})
+	at := n.now + startOffset
+	n.queue.Push(at, event{time: at, kind: evInit, to: addr, pid: pid})
 	return nil
 }
 
 // SetLinkFault installs a per-link fault predicate: messages for which fn
 // returns true are dropped (and counted as drops). Pass nil to clear. Used
-// to model network partitions and asymmetric link failures.
+// to model network partitions and asymmetric link failures. The predicate
+// runs on the goroutine that calls Run, on every engine.
 func (n *Network) SetLinkFault(fn func(from, to peer.Addr) bool) {
 	n.linkFault = fn
 }
@@ -277,63 +246,48 @@ func (n *Network) Partition(groups ...[]peer.Addr) {
 // delivery rule: it is lost to the link-fault predicate or the drop model,
 // or it arrives at the next instant. It is normally called through a
 // Context; called between Run calls, it injects a message from the harness.
-//
-// Drops are drawn from the global stream on the sequential engine and from
-// the sender's wire stream on the sharded one. Inside a sharded step Send
-// also accounts to the sender's shard and buffers the message for the
-// step's merge. The link-fault predicate, if any, must be safe for
-// concurrent calls.
+// Inside a sharded step it only buffers the message; the step's merge
+// routes it in the sequential order.
 func (n *Network) Send(from, to peer.Addr, pid ProtoID, msg Message) {
-	stats := &n.stats
-	var sh *shardState // non-nil: a sharded step is dispatching
+	e := event{time: n.now + 1, kind: evMessage, to: to, pid: pid, from: from, msg: msg}
 	if n.parallel {
-		sh = &n.shards[n.nodes[from].shard]
-		stats = &sh.stats
-	}
-	stats.Sent++
-	if s, ok := msg.(Sizer); ok {
-		stats.WireUnits += int64(s.WireSize())
-	}
-	if n.linkFault != nil && n.linkFault(from, to) {
-		stats.Dropped++
-		recycle(msg)
+		n.home(from).buffer(e)
 		return
 	}
-	if n.cfg.Drop > 0 {
-		var u float64
-		if len(n.shards) > 0 {
-			u = float64(n.nodes[from].wire.Uint64()>>11) / (1 << 53)
-		} else {
-			u = n.rng.Float64()
-		}
-		if u < n.cfg.Drop {
-			stats.Dropped++
-			recycle(msg)
-			return
-		}
+	n.route(e)
+}
+
+// route is the one send path: it accounts the message, applies the link
+// fault and the drop draw, and enqueues the survivor.
+func (n *Network) route(e event) {
+	n.stats.Sent++
+	if s, ok := e.msg.(Sizer); ok {
+		n.stats.WireUnits += int64(s.WireSize())
 	}
-	n.push(sh, event{
-		time: n.now + 1,
-		kind: evMessage,
-		to:   to, pid: pid, from: from, msg: msg,
-	})
+	if n.linkFault != nil && n.linkFault(e.from, e.to) ||
+		n.cfg.Drop > 0 && n.rng.Float64() < n.cfg.Drop {
+		n.stats.Dropped++
+		recycle(e.msg)
+		return
+	}
+	n.queue.Push(e.time, e)
 }
 
 // Run processes events until virtual time reaches until (inclusive) or the
 // queue drains, one step per instant: the clock moves to the earliest
-// pending instant and every event due then is dispatched — in insertion
-// order on the sequential engine, shard by shard in parallel on the sharded
-// one (see shard.go). It returns the number of events processed.
+// pending instant and every event due then is dispatched — in push order
+// on the driving goroutine, or split across the shard workers (see
+// shard.go). It returns the number of events processed.
 func (n *Network) Run(until int64) int {
 	processed := 0
 	for {
-		t, ok := n.earliest()
+		t, ok := n.queue.PeekTime()
 		if !ok || t > until {
 			break
 		}
 		n.now = t
-		if len(n.shards) == 0 {
-			processed += n.dispatchDue(t, nil)
+		if n.shards == nil {
+			processed += n.dispatchDue(t)
 		} else {
 			processed += n.step(t)
 		}
@@ -344,48 +298,27 @@ func (n *Network) Run(until int64) int {
 	return processed
 }
 
-// earliest returns the time of the earliest pending event, if any.
-func (n *Network) earliest() (int64, bool) {
-	if len(n.shards) == 0 {
-		return n.queue.PeekTime()
-	}
-	var t int64
-	found := false
-	for i := range n.shards {
-		if pt, ok := n.shards[i].queue.PeekTime(); ok && (!found || pt < t) {
-			t, found = pt, true
-		}
-	}
-	return t, found
-}
-
-// dispatchDue pops and dispatches every event due at or before t: the
-// sequential engine's whole step (sh == nil: the global wheel and
-// counters), or one shard's share of a sharded step (its own wheel and
-// counters).
-func (n *Network) dispatchDue(t int64, sh *shardState) int {
-	q, stats := &n.queue, &n.stats
-	if sh != nil {
-		q, stats = &sh.queue, &sh.stats
-	}
+// dispatchDue pops and dispatches every event due at t, in push order: the
+// sequential engine's whole step.
+func (n *Network) dispatchDue(t int64) int {
 	count := 0
-	for {
-		if pt, ok := q.PeekTime(); !ok || pt > t {
+	for ; ; count++ {
+		if pt, ok := n.queue.PeekTime(); !ok || pt > t {
 			return count
 		}
-		e, _ := q.Pop()
-		if sh != nil {
-			sh.curSeq = e.seq
-		}
-		n.dispatch(e, stats, sh)
-		count++
+		e, _ := n.queue.Pop()
+		n.dispatch(e, nil)
 	}
 }
 
-// dispatch runs one event with the counters and shard dispatchDue chose.
-// Each event touches only its destination node's state, which that shard
-// owns.
-func (n *Network) dispatch(e event, stats *Stats, sh *shardState) {
+// dispatch runs one event. Each event touches only its destination node's
+// state. sh is the shard worker running it, nil on the sequential engine:
+// it takes the delivery counters and the rescheduled ticks.
+func (n *Network) dispatch(e event, sh *shardState) {
+	stats := &n.stats
+	if sh != nil {
+		stats = &sh.stats
+	}
 	switch e.kind {
 	case evInit:
 		st := &n.nodes[e.to]
@@ -398,7 +331,7 @@ func (n *Network) dispatch(e event, stats *Stats, sh *shardState) {
 		}
 		b.proto.Init(&b.ctx)
 		if b.period > 0 {
-			n.push(sh, event{time: e.time + b.period, kind: evTick, to: e.to, pid: e.pid})
+			n.tick(sh, event{time: e.time + b.period, kind: evTick, to: e.to, pid: e.pid})
 		}
 	case evTick:
 		st := &n.nodes[e.to]
@@ -410,7 +343,7 @@ func (n *Network) dispatch(e event, stats *Stats, sh *shardState) {
 			return
 		}
 		b.proto.Tick(&b.ctx)
-		n.push(sh, event{time: e.time + b.period, kind: evTick, to: e.to, pid: e.pid})
+		n.tick(sh, event{time: e.time + b.period, kind: evTick, to: e.to, pid: e.pid})
 	case evMessage:
 		if !n.valid(e.to) || !n.nodes[e.to].alive {
 			stats.DeadDest++
@@ -429,6 +362,16 @@ func (n *Network) dispatch(e event, stats *Stats, sh *shardState) {
 	}
 }
 
+// tick schedules a binding's next tick, or buffers it for the merge when
+// a shard worker is dispatching.
+func (n *Network) tick(sh *shardState, e event) {
+	if sh != nil {
+		sh.buffer(e)
+		return
+	}
+	n.queue.Push(e.time, e)
+}
+
 // recycle retires a message: pooled messages return their backing storage
 // to the sender's pool (see proto.Recyclable). Called exactly once per
 // message, after delivery or on any drop path; events abandoned in the
@@ -437,26 +380,6 @@ func recycle(m Message) {
 	if r, ok := m.(proto.Recyclable); ok {
 		r.Recycle()
 	}
-}
-
-// push enqueues a generated event. With sh set — a sharded step — it
-// buffers the event for the step's merge, its seq holding the seq of the
-// event being dispatched (the merge key). Otherwise it stamps the next
-// global insertion sequence and enqueues on the sequential wheel or, in
-// sharded mode, on the wheel of the event's home shard.
-func (n *Network) push(sh *shardState, e event) {
-	if sh != nil {
-		e.seq = sh.curSeq
-		sh.gen = append(sh.gen, e)
-		return
-	}
-	e.seq = n.seq
-	n.seq++
-	if len(n.shards) == 0 {
-		n.queue.Push(e.time, e)
-		return
-	}
-	n.shards[n.nodes[e.to].shard].queue.Push(e.time, e)
 }
 
 func (n *Network) valid(addr peer.Addr) bool {
