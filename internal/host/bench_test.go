@@ -41,13 +41,27 @@ func (p *passer) Handle(ctx proto.Context, _ peer.Addr, _ proto.Message) {
 // BenchmarkDeliverHandoff isolates the goroutine engines' per-message
 // hand-off — Runtime.Deliver → host loop → Handle → recycle — over
 // livenet's link, which is that hand-off and nothing else, with no protocol
-// work behind it: a few hosts in a ring pass one baton each
-// around. One op is one message handled, so ns/op is ns/msg; at -cpu 2 the
-// hosts' loops run on both cores, so anything the loops share shows here.
+// work behind it: a few hosts in a ring pass batons around. One op is one
+// message handled, so ns/op is ns/msg; at -cpu 2 the hosts' loops run on
+// both cores, so anything the loops share shows here.
+//
+// ring starts one baton at each host, so no inbox holds more than a few,
+// under a bound its channel covers. burst starts 64 batons at one host, so
+// they travel as a train whose backlog runs past each inbox's 16-slot
+// channel into its spill, and the spill path is timed too; the spills'
+// one-time growth, a few allocations per host, is amortised over b.N.
 func BenchmarkDeliverHandoff(b *testing.B) {
 	const hosts = 4
-	balls := min(hosts, b.N)
-	rt := livenet.New(livenet.Config{Seed: 1, InboxSize: 2 * hosts}).Runtime
+	b.Run("ring", func(b *testing.B) { benchHandoff(b, hosts, hosts, false) })
+	b.Run("burst", func(b *testing.B) { benchHandoff(b, hosts, 64, true) })
+}
+
+// benchHandoff passes batons around a ring of hosts; train starts them
+// all at host 0, and otherwise one at each host. The inbox bound is twice
+// the number of batons, so none can overflow.
+func benchHandoff(b *testing.B, hosts, batons int, train bool) {
+	balls := min(batons, b.N)
+	rt := livenet.New(livenet.Config{Seed: 1, InboxSize: 2 * batons}).Runtime
 	pool := &sync.Pool{}
 	pool.New = func() any { return &baton{pool: pool} }
 	var handled atomic.Int64
@@ -63,10 +77,18 @@ func BenchmarkDeliverHandoff(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rt.Close()
+	start := make([]*baton, balls)
+	for i := range start {
+		start[i] = pool.Get().(*baton)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < balls; i++ {
-		rt.Deliver(peer.Addr(i), peer.Addr(i), 1, pool.Get().(*baton))
+	for i, m := range start {
+		to := peer.Addr(i % hosts)
+		if train {
+			to = 0
+		}
+		rt.Deliver(to, to, 1, m)
 	}
 	select {
 	case <-done:

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/host"
+	"repro/internal/id"
 	"repro/internal/livenet"
 	"repro/internal/peer"
 	"repro/internal/proto"
@@ -816,6 +817,256 @@ func TestHeldArrivalsConservation(t *testing.T) {
 			t.Errorf("Close dropped %d, want the %d held", got, held)
 		}
 		checkConservation(t, st)
+		if d := led.doubles.Load(); d != 0 {
+			t.Errorf("%d double recycles (contract: exactly once)", d)
+		}
+		if issued, retired := led.issued.Load(), led.retired.Load(); retired != issued {
+			t.Errorf("%d of %d messages never retired", issued-retired, issued)
+		}
+	})
+}
+
+// pitcher sends a burst to one host from its next tick for every request
+// (a protocol can only send from its host's goroutine), numbered from zero:
+// core messages carrying the number in Sender.ID, which cross the socket
+// link, or ledger messages when led is set. sent counts the sends that
+// have returned.
+type pitcher struct {
+	to   peer.Addr
+	led  *ledger
+	req  chan int
+	sent atomic.Int64
+}
+
+// seqMsg is a ledger message with its sender's number.
+type seqMsg struct {
+	countMsg
+	seq int64
+}
+
+func (p *pitcher) Init(proto.Context) {}
+func (p *pitcher) Tick(ctx proto.Context) {
+	select {
+	case k := <-p.req:
+		for ; k > 0; k-- {
+			seq := p.sent.Load()
+			var m proto.Message
+			if p.led != nil {
+				p.led.issued.Add(1)
+				m = &seqMsg{countMsg: countMsg{led: p.led}, seq: seq}
+			} else {
+				cm := core.NewMessage()
+				cm.Sender = peer.Descriptor{ID: id.ID(seq), Addr: ctx.Self()}
+				m = cm
+			}
+			ctx.Send(p.to, m)
+			p.sent.Add(1)
+		}
+	default:
+	}
+}
+func (p *pitcher) Handle(proto.Context, peer.Addr, proto.Message) {}
+
+// catcher is a reactive protocol that checks every sender's numbers arrive
+// in order: each message it handles must carry the next number of its
+// sender.
+type catcher struct {
+	mu    sync.Mutex
+	next  map[peer.Addr]int64
+	wrong []string
+}
+
+func (c *catcher) Init(proto.Context) {}
+func (c *catcher) Tick(proto.Context) {}
+func (c *catcher) Handle(_ proto.Context, from peer.Addr, msg proto.Message) {
+	var seq int64
+	switch m := msg.(type) {
+	case *core.Message:
+		seq = int64(m.Sender.ID)
+	case *seqMsg:
+		seq = m.seq
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if want := c.next[from]; seq != want {
+		c.wrong = append(c.wrong, fmt.Sprintf("from %d: got %d, want %d", from, seq, want))
+	}
+	c.next[from] = seq + 1
+}
+
+// checkOrder reports arrivals handled out of their sender's order.
+func (c *catcher) checkOrder(t *testing.T) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.wrong) > 0 {
+		t.Errorf("%d arrivals out of send order, first %s", len(c.wrong), c.wrong[0])
+	}
+}
+
+// mailboxNet builds n hosts with the given inbox bound and starts them:
+// host 0 runs a catcher and every other host a pitcher aimed at it,
+// ticking every millisecond.
+func mailboxNet(t *testing.T, e engine, port, n, bound int, led *ledger) (*host.Runtime, *catcher, []*pitcher) {
+	t.Helper()
+	rt := e.build(t, port, 98, n, bound)
+	hosts := rt.LocalHosts()
+	c := &catcher{next: map[peer.Addr]int64{}}
+	if err := hosts[0].Attach(core.ProtoID, c, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	var ps []*pitcher
+	for _, h := range hosts[1:] {
+		p := &pitcher{to: hosts[0].Addr(), led: led, req: make(chan int, 64)}
+		if err := h.Attach(core.ProtoID, p, time.Millisecond, 0); err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return rt, c, ps
+}
+
+// TestMailboxExactBound fills a paused host's inbox past its 16-slot
+// channel: exactly InboxSize arrivals are kept and the next one is
+// Overflow; once the host is killed, the same flood keeps InboxSize
+// arrivals (drained as Dropped) and the next one is Dropped too.
+func TestMailboxExactBound(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const bound = 40
+		rt, _, ps := mailboxNet(t, e, 19720, 2, bound, nil)
+		b := rt.LocalHosts()[0]
+		if !b.Pause() {
+			t.Fatal("Pause failed")
+		}
+		ps[0].req <- bound + 1
+		await(t, func() bool { return b.Stats().Overflow == 1 }, func() string {
+			return fmt.Sprintf("overflow %d, want 1: %+v", b.Stats().Overflow, rt.Snapshot())
+		})
+		b.Resume()
+		await(t, func() bool { return b.Stats().Delivered == bound }, func() string {
+			return fmt.Sprintf("delivered %d of the %d kept", b.Stats().Delivered, bound)
+		})
+
+		b.Kill()
+		before := rt.Snapshot()
+		ps[0].req <- bound + 1
+		await(t, func() bool { return rt.Snapshot().Dropped == before.Dropped+1 }, func() string {
+			return fmt.Sprintf("the arrival past a dead host's full inbox was not dropped: %+v", rt.Snapshot())
+		})
+		// Give a stray outcome time to show, then drain the full inbox.
+		time.Sleep(10 * time.Millisecond)
+		if err := b.Respawn(); err != nil {
+			t.Fatal(err)
+		}
+		st := rt.Snapshot()
+		if got := st.Dropped - before.Dropped; got != bound+1 {
+			t.Errorf("dead host: %d dropped, want the %d kept plus the one past the bound", got, bound+1)
+		}
+		if st.Overflow != 1 || b.Stats().Overflow != 1 || st.Delivered != bound {
+			t.Errorf("after the dead flood: %+v (host overflow %d), want overflow 1 and %d delivered",
+				st, b.Stats().Overflow, bound)
+		}
+		quiesceAndClose(t, rt)
+	})
+}
+
+// TestMailboxFIFO queues three bursts of 16 from one sender at a paused
+// host, two of them behind its full channel, and checks they are handled
+// in send order after Resume.
+func TestMailboxFIFO(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const bursts, each = 3, 16
+		rt, c, ps := mailboxNet(t, e, 19730, 2, 64, nil)
+		b := rt.LocalHosts()[0]
+		if !b.Pause() {
+			t.Fatal("Pause failed")
+		}
+		for i := 0; i < bursts; i++ {
+			ps[0].req <- each
+		}
+		await(t, func() bool { return ps[0].sent.Load() == bursts*each }, func() string {
+			return fmt.Sprintf("sent %d of %d", ps[0].sent.Load(), bursts*each)
+		})
+		b.Resume()
+		await(t, func() bool { return b.Stats().Delivered == bursts*each }, func() string {
+			return fmt.Sprintf("delivered %d of %d: %+v", b.Stats().Delivered, bursts*each, rt.Snapshot())
+		})
+		c.checkOrder(t)
+		quiesceAndClose(t, rt)
+	})
+}
+
+// TestMailboxKillDropsSpill kills a paused host whose inbox holds 16
+// arrivals in its channel and 32 in its spill: every one is counted
+// Dropped and retired exactly once.
+func TestMailboxKillDropsSpill(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const queued = 48
+		led := &ledger{}
+		rt, _, ps := mailboxNet(t, e, 19740, 2, queued, led)
+		b := rt.LocalHosts()[0]
+		if !b.Pause() {
+			t.Fatal("Pause failed")
+		}
+		ps[0].req <- queued
+		await(t, func() bool { return ps[0].sent.Load() == queued }, func() string {
+			return fmt.Sprintf("sent %d of %d", ps[0].sent.Load(), queued)
+		})
+		b.Kill()
+		st := rt.Snapshot()
+		if st.Dropped != queued || st.Delivered != 0 || st.Overflow != 0 {
+			t.Errorf("Kill of a full inbox: %+v, want all %d dropped", st, queued)
+		}
+		if retired := led.retired.Load(); retired != queued {
+			t.Errorf("%d of %d messages retired by the Kill", retired, queued)
+		}
+		rt.Close()
+		checkConservation(t, rt.Snapshot())
+		if d := led.doubles.Load(); d != 0 {
+			t.Errorf("%d double recycles (contract: exactly once)", d)
+		}
+	})
+}
+
+// TestMailboxBurstHammer has several senders burst far past the 16-slot
+// channel at once, first at a paused host and then while it drains, with
+// an inbox bound no backlog can reach: every message must be delivered —
+// none stranded in the spill — in its sender's order and retired exactly
+// once, and the counters must conserve. Run with -race.
+func TestMailboxBurstHammer(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const senders, rounds, each = 4, 8, 64
+		const total = senders * rounds * each
+		led := &ledger{}
+		rt, c, ps := mailboxNet(t, e, 19750, senders+1, total, led)
+		b := rt.LocalHosts()[0]
+		if !b.Pause() {
+			t.Fatal("Pause failed")
+		}
+		for _, p := range ps {
+			p.req <- each
+		}
+		for _, p := range ps {
+			await(t, func() bool { return p.sent.Load() == each }, func() string { return "first burst not sent" })
+		}
+		b.Resume()
+		for r := 1; r < rounds; r++ {
+			for _, p := range ps {
+				p.req <- each
+			}
+			time.Sleep(time.Millisecond)
+		}
+		await(t, func() bool { return b.Stats().Delivered == total }, func() string {
+			return fmt.Sprintf("delivered %d of %d: %+v", b.Stats().Delivered, total, rt.Snapshot())
+		})
+		c.checkOrder(t)
+		quiesceAndClose(t, rt)
+		if st := rt.Snapshot(); st.Sent != total || st.Overflow != 0 || st.Dropped != 0 {
+			t.Errorf("%+v, want all %d sent and delivered", st, total)
+		}
 		if d := led.doubles.Load(); d != 0 {
 			t.Errorf("%d double recycles (contract: exactly once)", d)
 		}

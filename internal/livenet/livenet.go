@@ -30,8 +30,10 @@ type Config struct {
 	Seed int64
 	// Drop is the per-message loss probability.
 	Drop float64
-	// InboxSize bounds each host's message queue; messages arriving at
-	// a full inbox are dropped, as UDP would. Zero selects 256.
+	// InboxSize bounds each host's message queue exactly; messages
+	// arriving at a full inbox are dropped, as UDP would. Zero selects 256.
+	// It is a bound, not an allocation: an inbox preallocates at most 16
+	// slots and grows past them only while it holds more.
 	InboxSize int
 }
 

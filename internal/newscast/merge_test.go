@@ -384,19 +384,19 @@ func TestMergeAllocs(t *testing.T) {
 		a.Handle(ca, cb.self, cb.msg)
 		cb.msg.(proto.Recyclable).Recycle()
 	}
-	for i := 0; i < 3; i++ { // both buffers of both nodes, and the pooled arenas, reach full size
+	for i := 0; i < 3; i++ { // the pooled merge buffers and message arenas reach full size
 		exchange()
 	}
 
 	sent := a.outgoing(ca.now+1, false)
 	defer sent.Recycle()
 	if avg := testing.AllocsPerRun(100, func() { b.merge(sent.Entries) }); avg != 0 {
-		t.Errorf("merge: %v allocs/op, want 0 (the list is read in place, the next view built in spare)", avg)
+		t.Errorf("merge: %v allocs/op, want 0 (the list is read in place, the next view built in a pooled array)", avg)
 	}
 	shuffled := slices.Clone(sent.Entries)
 	slices.Reverse(shuffled)
 	if avg := testing.AllocsPerRun(100, func() { b.merge(shuffled) }); avg != 0 {
-		t.Errorf("merge of an unsorted list: %v allocs/op, want 0 (the sorted copy lives in scratch)", avg)
+		t.Errorf("merge of an unsorted list: %v allocs/op, want 0 (the sorted copy lives in the pooled buffers)", avg)
 	}
 	if avg := testing.AllocsPerRun(100, exchange); avg != 0 {
 		t.Errorf("Tick + Handle(request) + Handle(answer): %v allocs/op, want 0: "+

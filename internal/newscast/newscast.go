@@ -79,11 +79,17 @@ type Protocol struct {
 	// view is sorted by fresher, holds each ID once, never holds self and
 	// is at most viewSize long. merge is its only writer.
 	view []entry
-
-	// spare is the buffer merge builds the next view in; the two swap on
-	// every merge. scratch holds merge's sorted copy of a received list.
-	spare, scratch []entry
 }
+
+// mergeBuffers is merge's working memory: next is the array it builds the
+// next view in, sorted its sorted copy of a received list. They come from
+// a process-wide pool rather than from each node, so a node keeps one view
+// array and the process keeps about one set of buffers per P.
+type mergeBuffers struct {
+	next, sorted []entry
+}
+
+var mergePool = sync.Pool{New: func() any { return new(mergeBuffers) }}
 
 var _ proto.Protocol = (*Protocol)(nil)
 
@@ -151,15 +157,17 @@ func (p *Protocol) outgoing(now int64, request bool) *Message {
 // the sender's outgoing — its self entry stamped now, then its view — unless
 // a view entry's stamp ties or passes the sender's now. One pass confirms
 // the order and the two-way merge reads the list in place; the first
-// occurrence of an ID in that merge is its freshest. A list in any other order is stable-sorted in a copy first, and
-// repeated IDs and self entries come out the same way. Steady state allocates nothing: the
-// next view is built in spare and the two buffers swap.
+// occurrence of an ID in that merge is its freshest. A list in any other
+// order is stable-sorted in a copy first, and repeated IDs and self entries
+// come out the same way. Steady state allocates nothing: the next view is
+// built in a pooled array, and the old view's array goes back to the pool.
 func (p *Protocol) merge(received []entry) {
+	buf := mergePool.Get().(*mergeBuffers)
 	r := received
 	if !inOrder(r) {
 		// Stable insertion sort of a copy: among equal (ts, ID) pairs the
 		// first received stays first.
-		r = append(p.scratch[:0], received...)
+		r = append(buf.sorted[:0], received...)
 		for i := 1; i < len(r); i++ {
 			e := r[i]
 			j := i
@@ -168,13 +176,13 @@ func (p *Protocol) merge(received []entry) {
 			}
 			r[j] = e
 		}
-		p.scratch = r
+		buf.sorted = r
 	}
 
-	if cap(p.spare) < p.viewSize {
-		p.spare = make([]entry, 0, p.viewSize)
+	if cap(buf.next) < p.viewSize {
+		buf.next = make([]entry, 0, p.viewSize)
 	}
-	out, v := p.spare[:0], p.view
+	out, v := buf.next[:0], p.view
 	// seen has bit idBit(ID) set for every ID in out: a clear bit proves an
 	// ID new without scanning out, so the scan runs only on a repeat or a
 	// filter collision.
@@ -202,7 +210,8 @@ next:
 		seen[b>>6] |= 1 << (b & 63)
 		out = append(out, e)
 	}
-	p.view, p.spare = out, p.view[:0]
+	p.view, buf.next = out, p.view[:0]
+	mergePool.Put(buf)
 }
 
 // inOrder reports whether es is already in the order merge's stable sort

@@ -14,17 +14,16 @@ import (
 // oracle, matching the paper's deployed architecture where the bootstrap
 // layer consumes whatever the gossip layer's view holds.
 //
-// It carries its own deterministically seeded RNG and scratch rather than
-// borrowing the protocol's engine RNG: higher layers sample outside the
-// gossip callbacks, and consuming the protocol's RNG there would perturb
-// the gossip layer's seeded trace. Like a sampling.Stream it is a
+// It carries its own deterministically seeded RNG rather than borrowing
+// the protocol's engine RNG: higher layers sample outside the gossip
+// callbacks, and consuming the protocol's RNG there would perturb the
+// gossip layer's seeded trace. Like a sampling.Stream it is a
 // single-caller handle — both execution engines serialise all of one
 // node's protocol callbacks, which is exactly the safety the view read
 // relies on. AppendSample draws the same sequence as Sample.
 type Sampler struct {
-	p       *Protocol
-	rng     *rand.Rand
-	scratch []int
+	p   *Protocol
+	rng *rand.Rand
 }
 
 var _ sampling.Service = (*Sampler)(nil)
@@ -41,8 +40,8 @@ func (s *Sampler) Sample(n int) []peer.Descriptor {
 }
 
 // AppendSample appends up to n distinct random descriptors from the
-// protocol's current view to dst, allocating nothing beyond what dst (and
-// a once-grown index scratch) needs.
+// protocol's current view to dst, allocating nothing beyond what dst needs
+// while the view holds at most 64 entries.
 func (s *Sampler) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 	view := s.p.view
 	if n > len(view) {
@@ -51,8 +50,13 @@ func (s *Sampler) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 	if n <= 0 {
 		return dst
 	}
-	idx := s.scratch
-	if cap(idx) < len(view) {
+	// The indices live on the stack for any view up to 64 entries (the
+	// default is 30). stack must not flow into anything that outlives the
+	// call, or it escapes to the heap: `go build -gcflags=-m` would read
+	// "moved to heap: stack".
+	var stack [64]int
+	idx := stack[:]
+	if len(view) > len(stack) {
 		idx = make([]int, len(view))
 	}
 	idx = idx[:len(view)]
@@ -66,6 +70,5 @@ func (s *Sampler) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 		idx[i], idx[j] = idx[j], idx[i]
 		dst = append(dst, view[idx[i]].desc)
 	}
-	s.scratch = idx
 	return dst
 }

@@ -75,7 +75,9 @@ type Config struct {
 	// BasePort indexes the localhost topology: process p listens on
 	// BasePort+p.
 	BasePort int
-	// InboxSize bounds each host's message queue (zero selects 256).
+	// InboxSize bounds each host's message queue exactly (zero selects
+	// 256). It is a bound, not an allocation: an inbox preallocates at most
+	// 16 slots and grows past them only while it holds more.
 	InboxSize int
 	// QueueSize bounds, per destination process, the frames Send has
 	// appended that the writer has not yet taken (zero selects 1024); the
