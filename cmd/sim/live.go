@@ -296,6 +296,33 @@ func ask(workers []*workerProc, cmd, reply string, got func(w *workerProc, rest 
 	return nil
 }
 
+// settlePoll is how often settle asks for the campaign's counters.
+const settlePoll = 50 * time.Millisecond
+
+// settle polls the campaign's summed counters until two polls in a row
+// agree and no arrival is held: frames can still be crossing process
+// boundaries when every worker has reported its local drain, and a held
+// arrival is counted Sent with no outcome yet. It gives up after budget,
+// with an error naming what was still unsettled.
+func settle(poll func() (workerStats, error), budget time.Duration) (workerStats, error) {
+	prev, err := poll()
+	if err != nil {
+		return prev, err
+	}
+	for deadline := time.Now().Add(budget); ; {
+		time.Sleep(settlePoll)
+		cur, err := poll()
+		if err != nil || cur == prev && cur.Held == 0 {
+			return cur, err
+		}
+		if time.Now().After(deadline) {
+			return cur, fmt.Errorf("traffic did not settle within %s: %d arrivals held, Sent − outcomes = %d",
+				budget, cur.Held, cur.Sent-cur.Delivered-cur.Dropped-cur.Overflow)
+		}
+		prev = cur
+	}
+}
+
 // runDriver spawns the workers, steps the campaign cycle by cycle,
 // aggregates the partial measurements, drains everyone to quiescence, and
 // verifies the cross-process conservation law ΣSent == ΣDelivered +
@@ -369,10 +396,7 @@ func runDriver(p experiment.LiveParams, seed int64, args []string, wait time.Dur
 	}
 
 	// Quiesce: stop every worker's tick sources, wait for each local
-	// drain, then poll the global sum until it is stable with no arrival
-	// held — frames can still be crossing process boundaries when an
-	// individual worker reports settled, and a held arrival is counted
-	// Sent with no outcome yet.
+	// drain, then settle the global sum.
 	err = ask(workers, "DRAIN", "DRAINED", func(w *workerProc, rest string) error {
 		if ok, _, _ := strings.Cut(rest, " "); ok != "true" {
 			fmt.Fprintf(stderr, "sim sock: worker %d did not settle locally\n", w.proc)
@@ -382,8 +406,7 @@ func runDriver(p experiment.LiveParams, seed int64, args []string, wait time.Dur
 	if err != nil {
 		return err
 	}
-	var sum workerStats
-	for round := 0; round < 50; round++ {
+	sum, err := settle(func() (workerStats, error) {
 		var cur workerStats
 		err := ask(workers, "STATS", "STATS", func(_ *workerProc, rest string) error {
 			var st workerStats
@@ -393,14 +416,10 @@ func runDriver(p experiment.LiveParams, seed int64, args []string, wait time.Dur
 			cur.add(st)
 			return nil
 		})
-		if err != nil {
-			return err
-		}
-		if round > 0 && cur == sum && cur.Held == 0 {
-			break
-		}
-		sum = cur
-		time.Sleep(50 * time.Millisecond)
+		return cur, err
+	}, experiment.DrainBudget)
+	if err != nil {
+		return err
 	}
 	final := sum.Stats
 	for _, w := range workers {

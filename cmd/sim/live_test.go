@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/host"
 	"repro/internal/livenet"
 )
 
@@ -138,5 +139,35 @@ func TestSockKillsWedgedWorker(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("driver still waiting on a wedged worker")
+	}
+}
+
+// TestSockSettle drives the driver's settle loop with fake polls: one
+// campaign settles once its held arrival lands, and one never does and is
+// reported as unsettled, naming what is held and what has no outcome yet.
+func TestSockSettle(t *testing.T) {
+	sent := host.Stats{Sent: 10, Delivered: 7, Dropped: 1}
+	landed := host.Stats{Sent: 10, Delivered: 9, Dropped: 1}
+	polls := 0
+	st, err := settle(func() (workerStats, error) {
+		if polls++; polls < 3 {
+			return workerStats{Stats: sent, Held: 2}, nil
+		}
+		return workerStats{Stats: landed}, nil
+	}, time.Second)
+	if err != nil || st.Stats != landed || polls != 4 {
+		t.Errorf("settling campaign: %+v after %d polls, err %v; want %+v after 4", st, polls, err, landed)
+	}
+
+	polls = 0
+	_, err = settle(func() (workerStats, error) {
+		polls++
+		return workerStats{Stats: sent, Held: 2}, nil
+	}, 100*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "did not settle within 100ms: 2 arrivals held, Sent − outcomes = 2") {
+		t.Errorf("unsettled campaign: err %v, want one naming the held arrivals and the missing outcomes", err)
+	}
+	if polls > 5 {
+		t.Errorf("unsettled campaign polled %d times in a 100ms budget", polls)
 	}
 }

@@ -17,9 +17,8 @@ import (
 	"repro/internal/sampling"
 )
 
-// ProtoID is the simnet protocol identifier conventionally used for the
-// aggregation layer.
-const ProtoID proto.ProtoID = 5
+// ProtoID is the aggregation layer's protocol identifier.
+const ProtoID = proto.AggregateID
 
 // Message is one half of a push-pull exchange.
 type Message struct {

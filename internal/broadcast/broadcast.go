@@ -20,9 +20,8 @@ import (
 	"repro/internal/sampling"
 )
 
-// ProtoID is the simnet protocol identifier conventionally used for the
-// broadcast layer.
-const ProtoID proto.ProtoID = 4
+// ProtoID is the broadcast layer's protocol identifier.
+const ProtoID = proto.BroadcastID
 
 // The fanout (random peers a rumor is pushed to per period while hot) and
 // TTL (periods a rumor stays hot after reception), chosen to cover networks

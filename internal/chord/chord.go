@@ -19,9 +19,8 @@ import (
 	"repro/internal/sampling"
 )
 
-// ProtoID is the simnet protocol identifier conventionally used for the
-// Chord bootstrap layer.
-const ProtoID proto.ProtoID = 3
+// ProtoID is the Chord bootstrap layer's protocol identifier.
+const ProtoID = proto.ChordID
 
 // NumFingers is the finger-table size: one finger per bit of the ID space.
 const NumFingers = id.Bits

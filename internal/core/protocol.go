@@ -14,9 +14,8 @@ import (
 	"repro/internal/sampling"
 )
 
-// ProtoID is the simnet protocol identifier conventionally used for the
-// bootstrapping layer (the sampling layer uses 1).
-const ProtoID proto.ProtoID = 2
+// ProtoID is the bootstrapping layer's protocol identifier.
+const ProtoID = proto.BootstrapID
 
 // Message is one half of a bootstrap gossip exchange (paper Figure 2): a
 // set of node descriptors optimised for the receiver, carrying the sender's

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/livenet"
+	"repro/internal/testenv"
 )
 
 // TestSocketScheduleExpansion pins the properties the multi-process
@@ -173,27 +174,20 @@ func TestSocketShardedPartialSums(t *testing.T) {
 	for _, tr := range trials {
 		tr.eng.rt.StopTicks()
 	}
-	// Global quiescence: poll the summed counters, mirroring the sock
-	// campaign driver's DRAIN barrier.
-	deadline := time.Now().Add(10 * time.Second)
+	// Global quiescence: the summed counters hold still for 100 ms,
+	// mirroring the sock campaign driver's DRAIN barrier.
 	var prev host.Stats
-	stable := 0
-	for time.Now().Before(deadline) && stable < 5 {
-		time.Sleep(20 * time.Millisecond)
+	var since time.Time
+	testenv.Await(t, "the sharded campaign to quiesce", func() bool {
 		var cur host.Stats
 		for _, tr := range trials {
 			cur.Add(tr.Stats())
 		}
-		if cur == prev {
-			stable++
-		} else {
-			stable = 0
+		if cur != prev {
+			prev, since = cur, time.Now()
 		}
-		prev = cur
-	}
-	if stable < 5 {
-		t.Fatalf("sharded campaign did not quiesce: %+v", prev)
-	}
+		return time.Since(since) >= 100*time.Millisecond
+	})
 	if prev.Sent != prev.Delivered+prev.Dropped+prev.Overflow {
 		t.Fatalf("summed counters not conserved: %+v", prev)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/livenet"
 	"repro/internal/peer"
 	"repro/internal/proto"
+	"repro/internal/testenv"
 	"repro/internal/transport"
 )
 
@@ -122,13 +123,7 @@ func quiesceAndClose(t *testing.T, rt *host.Runtime) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !conserved(rt.Snapshot()) {
-		if time.Now().After(deadline) {
-			t.Fatalf("traffic never settled: %+v", rt.Snapshot())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	testenv.Await(t, "traffic to settle", func() bool { return conserved(rt.Snapshot()) })
 	rt.Close()
 	checkConservation(t, rt.Snapshot())
 }
@@ -149,6 +144,7 @@ func TestLifecycleKillRespawnSnapshotRace(t *testing.T) {
 
 		var wg sync.WaitGroup
 		stopCh := make(chan struct{})
+		var churned, sweeps atomic.Int64
 		// Churn goroutines: concurrent Kill/Respawn of overlapping host
 		// sets, including double-kill and respawn-while-respawning paths.
 		for g := 0; g < 3; g++ {
@@ -168,6 +164,7 @@ func TestLifecycleKillRespawnSnapshotRace(t *testing.T) {
 					} else if err := h.Respawn(); err != nil {
 						return // network closing
 					}
+					churned.Add(1)
 				}
 			}(int64(g))
 		}
@@ -203,19 +200,23 @@ func TestLifecycleKillRespawnSnapshotRace(t *testing.T) {
 				}
 				rt.PauseAll()
 				rt.ResumeAll()
+				sweeps.Add(1)
 			}
 		}()
 
-		time.Sleep(150 * time.Millisecond)
+		testenv.Await(t, "the pause sweeps and 2000 Kill/Respawn calls", func() bool {
+			return sweeps.Load() == 20 && churned.Load() >= 2000
+		})
 		close(stopCh)
 		wg.Wait()
 		quiesceAndClose(t, rt)
 	})
 }
 
-// TestLifecycleSendToDeadHost checks that messages addressed to a killed
-// host are accounted for and that the host handles traffic again after
-// Respawn with its state intact.
+// TestLifecycleSendToDeadHost checks that a killed host handles nothing,
+// that messages addressed to it are accounted for, that a second Kill is a
+// no-op, and that the host handles traffic again after Respawn with its
+// state intact.
 func TestLifecycleSendToDeadHost(t *testing.T) {
 	onEngines(t, func(t *testing.T, e engine) {
 		rt := e.build(t, 19610, 41, 2, 0)
@@ -230,24 +231,22 @@ func TestLifecycleSendToDeadHost(t *testing.T) {
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
 		}
-		await(t, func() bool { return b.Stats().Delivered > 0 }, func() string {
-			return "host b handled nothing before the kill"
-		})
+		testenv.Await(t, "a delivery at host b", func() bool { return b.Stats().Delivered > 0 })
 		b.Kill()
 		if !b.Stopped() {
 			t.Fatal("killed host not Stopped")
 		}
-		b.Kill() // idempotent
-		// A dead host's inbox keeps filling; once it is full, each arrival
-		// counts as dropped.
-		await(t, func() bool { return rt.Snapshot().Dropped > 0 }, func() string {
-			return "no drop while host b was dead"
-		})
-
+		b.Kill() // a no-op: Respawn below still makes only the second incarnation
 		// Reading pb is safe: Kill waited for the host goroutine.
 		handledWhileDead := pb.handled
 		if handledWhileDead == 0 {
 			t.Error("no traffic handled before the kill")
+		}
+		// A dead host's inbox keeps filling; once it is full, each arrival
+		// counts as dropped.
+		testenv.Await(t, "a drop while host b is dead", func() bool { return rt.Snapshot().Dropped > 0 })
+		if pb.handled != handledWhileDead {
+			t.Errorf("dead host b handled %d messages", pb.handled-handledWhileDead)
 		}
 		deliveredWhileDead := b.Stats().Delivered
 		if err := b.Respawn(); err != nil {
@@ -256,9 +255,7 @@ func TestLifecycleSendToDeadHost(t *testing.T) {
 		if b.Stopped() {
 			t.Error("respawned host still Stopped")
 		}
-		await(t, func() bool { return b.Stats().Delivered > deliveredWhileDead }, func() string {
-			return "respawned host b handled nothing"
-		})
+		testenv.Await(t, "a delivery at the respawned host b", func() bool { return b.Stats().Delivered > deliveredWhileDead })
 		quiesceAndClose(t, rt)
 		if pb.handled <= handledWhileDead {
 			t.Error("respawned host handled no new messages")
@@ -309,7 +306,7 @@ func TestLifecycleCloseWhilePaused(t *testing.T) {
 	onEngines(t, func(t *testing.T, e engine) {
 		rt := e.build(t, 19690, 95, 8, 0)
 		hosts := attachEcho(t, rt, time.Millisecond)
-		base := settledGoroutines()
+		base := settledGoroutines(t)
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -412,24 +409,10 @@ func attachWitnesses(t *testing.T, h *host.Host, log *[]callback, period time.Du
 	}
 }
 
-// await polls until ok reports true; past its bound it fails the test
-// with what was still missing.
-func await(t *testing.T, ok func() bool, missing func() string) {
-	t.Helper()
-	const bound = 10 * time.Second
-	for deadline := time.Now().Add(bound); !ok(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("within %v: %s", bound, missing())
-		}
-	}
-}
-
 // awaitTicks waits until h has run at least want ticks in all.
 func awaitTicks(t *testing.T, h *host.Host, want int64) {
 	t.Helper()
-	await(t, func() bool { return h.Stats().Ticks >= want }, func() string {
-		return fmt.Sprintf("host %d ran %d ticks, want %d", h.Addr(), h.Stats().Ticks, want)
-	})
+	testenv.Await(t, fmt.Sprintf("tick %d of host %d", want, h.Addr()), func() bool { return h.Stats().Ticks >= want })
 }
 
 // TestLifecycleParkedHostOwesOneTick parks a host through five of its
@@ -452,7 +435,7 @@ func TestLifecycleParkedHostOwesOneTick(t *testing.T) {
 			t.Fatal("Pause failed")
 		}
 		parked := len(log)
-		time.Sleep(5*period + period/2)
+		time.Sleep(5*period + period/2) // a window over which the parked host must stay silent
 		if len(log) != parked {
 			t.Errorf("%d scheduled callbacks ran on a parked host", len(log)-parked)
 		}
@@ -591,10 +574,8 @@ func TestLifecycleStopTicksEndsTheSchedule(t *testing.T) {
 		handled := players[1].handled.Load()
 		rt.ResumeAll()
 
-		time.Sleep(6 * period)
-		await(t, func() bool { return players[1].handled.Load() >= handled+100 }, func() string {
-			return fmt.Sprintf("deliveries stalled after StopTicks: %d handled, want 100", players[1].handled.Load()-handled)
-		})
+		time.Sleep(6 * period) // a window over which no tick may run
+		testenv.Await(t, "100 deliveries after StopTicks", func() bool { return players[1].handled.Load() >= handled+100 })
 		stop.Store(true)
 		rt.PauseAll()
 		for i, h := range hosts {
@@ -624,27 +605,43 @@ func (p flood) Tick(ctx proto.Context) {
 }
 func (p flood) Handle(proto.Context, peer.Addr, proto.Message) {}
 
-// slow takes a millisecond over every message.
-type slow struct{}
+// slow takes a millisecond over every message and records, at each tick,
+// how many it handled since the tick before.
+type slow struct {
+	handled int   // since the last tick
+	between []int // one entry per tick
+}
 
-func (slow) Init(proto.Context)                             {}
-func (slow) Tick(proto.Context)                             {}
-func (slow) Handle(proto.Context, peer.Addr, proto.Message) { time.Sleep(time.Millisecond) }
+func (*slow) Init(proto.Context) {}
+func (p *slow) Tick(proto.Context) {
+	p.between = append(p.between, p.handled)
+	p.handled = 0
+}
+func (p *slow) Handle(proto.Context, peer.Addr, proto.Message) {
+	time.Sleep(time.Millisecond) // the handler's simulated work
+	p.handled++
+}
 
 // TestLifecycleFloodedHostKeepsTicking holds a live host's inbox at its
 // bound — arrivals far outpace its handler, so Overflow keeps counting —
-// and checks that its own ticks still run: the schedule does not queue
-// behind deliveries, so traffic cannot silence a host's gossip.
+// and checks that its own ticks still run, a few deliveries apart: the
+// host takes one arrival per pass, so a tick that comes due waits for no
+// backlog, and traffic cannot silence a host's gossip. Counted, not timed:
+// a delivery takes at least a millisecond, so at most period/1ms of them
+// fit before a tick is due, and from then on each pass takes the tick or
+// an arrival at random; a run of 27 arrivals in a row has odds of 2^-27.
 func TestLifecycleFloodedHostKeepsTicking(t *testing.T) {
 	onEngines(t, func(t *testing.T, e engine) {
 		const (
-			period  = 5 * time.Millisecond
-			periods = 40
+			period = 5 * time.Millisecond
+			ticks  = 20
+			most   = 32 // deliveries between two ticks
 		)
 		rt := e.build(t, 19680, 94, 5, 8)
 		hosts := rt.LocalHosts()
 		victim := hosts[0]
-		if err := victim.Attach(core.ProtoID, slow{}, period, 0); err != nil {
+		p := &slow{}
+		if err := victim.Attach(core.ProtoID, p, period, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i, h := range hosts[1:] {
@@ -656,19 +653,21 @@ func TestLifecycleFloodedHostKeepsTicking(t *testing.T) {
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
 		}
-		await(t, func() bool { return victim.Stats().Overflow > 0 }, func() string {
-			return "the flood never filled the victim's inbox"
-		})
+		testenv.Await(t, "the flood to fill the victim's inbox", func() bool { return victim.Stats().Overflow > 0 })
 		before := victim.Stats()
-		time.Sleep(periods * period)
-		after := victim.Stats()
-		if after.Overflow == before.Overflow {
-			t.Error("the flood let up: no overflow counted during the window")
+		testenv.Await(t, fmt.Sprintf("%d ticks of the flooded host", ticks), func() bool { return victim.Stats().Ticks >= before.Ticks+ticks })
+		if victim.Stats().Overflow == before.Overflow {
+			t.Error("the flood let up: no overflow counted while the host ticked")
 		}
-		if got := after.Ticks - before.Ticks; got < periods/4 {
-			t.Errorf("flooded host ran %d ticks in %d periods (%v), want at least %d: deliveries are starving the schedule",
-				got, periods, periods*period, periods/4)
+		if !victim.Pause() {
+			t.Fatal("Pause failed")
 		}
+		for i, n := range p.between {
+			if n > most {
+				t.Errorf("tick %d waited for %d deliveries, want at most %d: deliveries are starving the schedule", i, n, most)
+			}
+		}
+		victim.Resume()
 		quiesceAndClose(t, rt)
 	})
 }
@@ -703,11 +702,10 @@ func (p signal) Handle(proto.Context, peer.Addr, proto.Message) {
 }
 
 // TestHeldArrivalRearmsTimer pins the wake rule of the held arrivals: a
-// reactive host holding one arrival under a 5 s window sleeps toward that
-// due time, and an arrival due earlier must re-arm its timer, so it is
-// dispatched within tens of milliseconds rather than at the far deadline.
-// The receiver has no tick schedule, so only the held arrivals arm its
-// timer.
+// reactive host holding one arrival under a one-minute window sleeps
+// toward that due time, and an arrival due earlier must re-arm its timer,
+// so it is dispatched long before the far deadline. The receiver has no
+// tick schedule, so only the held arrivals arm its timer.
 func TestHeldArrivalRearmsTimer(t *testing.T) {
 	onEngines(t, func(t *testing.T, e engine) {
 		rt := e.build(t, 19700, 96, 2, 0)
@@ -724,22 +722,14 @@ func TestHeldArrivalRearmsTimer(t *testing.T) {
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
 		}
-		rt.SetLatency(5*time.Second, 5*time.Second)
+		rt.SetLatency(time.Minute, time.Minute)
 		sender.req <- struct{}{}
-		await(t, func() bool { return rt.Held() == 1 }, func() string {
-			return fmt.Sprintf("%d arrivals held, want the far one", rt.Held())
-		})
-		time.Sleep(20 * time.Millisecond) // the receiver now sleeps toward the far due time
+		testenv.Await(t, "the far arrival held", func() bool { return rt.Held() == 1 })
 		rt.SetLatency(30*time.Millisecond, 30*time.Millisecond)
-		start := time.Now()
 		sender.req <- struct{}{}
-		select {
-		case <-got:
-			if waited := time.Since(start); waited > 2*time.Second {
-				t.Fatalf("near arrival took %v; the receiver slept toward the far due time", waited)
-			}
-		case <-time.After(3 * time.Second):
-			t.Fatal("near arrival never dispatched: holding it did not re-arm the timer")
+		testenv.Await(t, "the near arrival dispatched", func() bool { return len(got) == 1 })
+		if h := rt.Held(); h != 1 {
+			t.Errorf("%d arrivals held, want the far one", h)
 		}
 		rt.Close()
 		if h := rt.Held(); h != 0 {
@@ -760,7 +750,7 @@ func TestHeldArrivalsConservation(t *testing.T) {
 		rt := e.build(t, 19710, 97, n, 0)
 		defer rt.Close()
 		rt.SetLatency(time.Minute, 2*time.Minute)
-		led := &ledger{}
+		led := &testenv.Ledger{}
 		hosts := rt.LocalHosts()
 		for _, h := range hosts {
 			if err := h.Attach(9, &sprayer{led: led, addrs: n}, time.Millisecond, 0); err != nil {
@@ -770,9 +760,7 @@ func TestHeldArrivalsConservation(t *testing.T) {
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
 		}
-		await(t, func() bool { return rt.Held() >= 50 }, func() string {
-			return fmt.Sprintf("%d arrivals held, want 50", rt.Held())
-		})
+		testenv.Await(t, "50 held arrivals", func() bool { return rt.Held() >= 50 })
 		hosts[0].Kill()
 		for i := 0; i < 20; i++ {
 			var wg sync.WaitGroup
@@ -785,7 +773,13 @@ func TestHeldArrivalsConservation(t *testing.T) {
 				}
 			}()
 			wg.Wait()
-			time.Sleep(time.Millisecond)
+			// Whichever went last, the next round races over an
+			// incarnation that has run, and so holds arrivals to drain.
+			if err := hosts[1].Respawn(); err != nil {
+				t.Fatal(err)
+			}
+			ticks := hosts[1].Stats().Ticks
+			testenv.Await(t, "a tick of the respawned host", func() bool { return hosts[1].Stats().Ticks > ticks })
 		}
 		// With the ticks stopped and every host revived (a Respawn drains
 		// what reached the inbox while the host was dead), once every
@@ -798,11 +792,9 @@ func TestHeldArrivalsConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		await(t, func() bool {
+		testenv.Await(t, "every message but the held ones to settle", func() bool {
 			st := rt.Snapshot()
 			return st.Sent == st.Delivered+st.Dropped+st.Overflow+rt.Held()
-		}, func() string {
-			return fmt.Sprintf("traffic never settled: %+v, %d held", rt.Snapshot(), rt.Held())
 		})
 		held, before := rt.Held(), rt.Snapshot()
 		if held == 0 {
@@ -817,12 +809,7 @@ func TestHeldArrivalsConservation(t *testing.T) {
 			t.Errorf("Close dropped %d, want the %d held", got, held)
 		}
 		checkConservation(t, st)
-		if d := led.doubles.Load(); d != 0 {
-			t.Errorf("%d double recycles (contract: exactly once)", d)
-		}
-		if issued, retired := led.issued.Load(), led.retired.Load(); retired != issued {
-			t.Errorf("%d of %d messages never retired", issued-retired, issued)
-		}
+		led.Check(t)
 	})
 }
 
@@ -833,14 +820,14 @@ func TestHeldArrivalsConservation(t *testing.T) {
 // have returned.
 type pitcher struct {
 	to   peer.Addr
-	led  *ledger
+	led  *testenv.Ledger
 	req  chan int
 	sent atomic.Int64
 }
 
 // seqMsg is a ledger message with its sender's number.
 type seqMsg struct {
-	countMsg
+	*testenv.Counted
 	seq int64
 }
 
@@ -852,8 +839,7 @@ func (p *pitcher) Tick(ctx proto.Context) {
 			seq := p.sent.Load()
 			var m proto.Message
 			if p.led != nil {
-				p.led.issued.Add(1)
-				m = &seqMsg{countMsg: countMsg{led: p.led}, seq: seq}
+				m = &seqMsg{Counted: p.led.New(), seq: seq}
 			} else {
 				cm := core.NewMessage()
 				cm.Sender = peer.Descriptor{ID: id.ID(seq), Addr: ctx.Self()}
@@ -907,7 +893,7 @@ func (c *catcher) checkOrder(t *testing.T) {
 // mailboxNet builds n hosts with the given inbox bound and starts them:
 // host 0 runs a catcher and every other host a pitcher aimed at it,
 // ticking every millisecond.
-func mailboxNet(t *testing.T, e engine, port, n, bound int, led *ledger) (*host.Runtime, *catcher, []*pitcher) {
+func mailboxNet(t *testing.T, e engine, port, n, bound int, led *testenv.Ledger) (*host.Runtime, *catcher, []*pitcher) {
 	t.Helper()
 	rt := e.build(t, port, 98, n, bound)
 	hosts := rt.LocalHosts()
@@ -942,22 +928,16 @@ func TestMailboxExactBound(t *testing.T) {
 			t.Fatal("Pause failed")
 		}
 		ps[0].req <- bound + 1
-		await(t, func() bool { return b.Stats().Overflow == 1 }, func() string {
-			return fmt.Sprintf("overflow %d, want 1: %+v", b.Stats().Overflow, rt.Snapshot())
-		})
+		testenv.Await(t, "the arrival past the bound to overflow", func() bool { return b.Stats().Overflow == 1 })
 		b.Resume()
-		await(t, func() bool { return b.Stats().Delivered == bound }, func() string {
-			return fmt.Sprintf("delivered %d of the %d kept", b.Stats().Delivered, bound)
-		})
+		testenv.Await(t, "the kept arrivals delivered", func() bool { return b.Stats().Delivered == bound })
 
 		b.Kill()
 		before := rt.Snapshot()
 		ps[0].req <- bound + 1
-		await(t, func() bool { return rt.Snapshot().Dropped == before.Dropped+1 }, func() string {
-			return fmt.Sprintf("the arrival past a dead host's full inbox was not dropped: %+v", rt.Snapshot())
-		})
-		// Give a stray outcome time to show, then drain the full inbox.
-		time.Sleep(10 * time.Millisecond)
+		testenv.Await(t, "the arrival past a dead host's full inbox dropped", func() bool { return rt.Snapshot().Dropped == before.Dropped+1 })
+		time.Sleep(10 * time.Millisecond) // a window over which no stray outcome may show
+		// Drain the full inbox.
 		if err := b.Respawn(); err != nil {
 			t.Fatal(err)
 		}
@@ -987,13 +967,9 @@ func TestMailboxFIFO(t *testing.T) {
 		for i := 0; i < bursts; i++ {
 			ps[0].req <- each
 		}
-		await(t, func() bool { return ps[0].sent.Load() == bursts*each }, func() string {
-			return fmt.Sprintf("sent %d of %d", ps[0].sent.Load(), bursts*each)
-		})
+		testenv.Await(t, "every burst sent", func() bool { return ps[0].sent.Load() == bursts*each })
 		b.Resume()
-		await(t, func() bool { return b.Stats().Delivered == bursts*each }, func() string {
-			return fmt.Sprintf("delivered %d of %d: %+v", b.Stats().Delivered, bursts*each, rt.Snapshot())
-		})
+		testenv.Await(t, "every burst delivered", func() bool { return b.Stats().Delivered == bursts*each })
 		c.checkOrder(t)
 		quiesceAndClose(t, rt)
 	})
@@ -1005,29 +981,25 @@ func TestMailboxFIFO(t *testing.T) {
 func TestMailboxKillDropsSpill(t *testing.T) {
 	onEngines(t, func(t *testing.T, e engine) {
 		const queued = 48
-		led := &ledger{}
+		led := &testenv.Ledger{}
 		rt, _, ps := mailboxNet(t, e, 19740, 2, queued, led)
 		b := rt.LocalHosts()[0]
 		if !b.Pause() {
 			t.Fatal("Pause failed")
 		}
 		ps[0].req <- queued
-		await(t, func() bool { return ps[0].sent.Load() == queued }, func() string {
-			return fmt.Sprintf("sent %d of %d", ps[0].sent.Load(), queued)
-		})
+		testenv.Await(t, "every arrival sent", func() bool { return ps[0].sent.Load() == queued })
 		b.Kill()
 		st := rt.Snapshot()
 		if st.Dropped != queued || st.Delivered != 0 || st.Overflow != 0 {
 			t.Errorf("Kill of a full inbox: %+v, want all %d dropped", st, queued)
 		}
-		if retired := led.retired.Load(); retired != queued {
+		if retired := led.Retired.Load(); retired != queued {
 			t.Errorf("%d of %d messages retired by the Kill", retired, queued)
 		}
 		rt.Close()
 		checkConservation(t, rt.Snapshot())
-		if d := led.doubles.Load(); d != 0 {
-			t.Errorf("%d double recycles (contract: exactly once)", d)
-		}
+		led.Check(t)
 	})
 }
 
@@ -1040,7 +1012,7 @@ func TestMailboxBurstHammer(t *testing.T) {
 	onEngines(t, func(t *testing.T, e engine) {
 		const senders, rounds, each = 4, 8, 64
 		const total = senders * rounds * each
-		led := &ledger{}
+		led := &testenv.Ledger{}
 		rt, c, ps := mailboxNet(t, e, 19750, senders+1, total, led)
 		b := rt.LocalHosts()[0]
 		if !b.Pause() {
@@ -1050,28 +1022,288 @@ func TestMailboxBurstHammer(t *testing.T) {
 			p.req <- each
 		}
 		for _, p := range ps {
-			await(t, func() bool { return p.sent.Load() == each }, func() string { return "first burst not sent" })
+			testenv.Await(t, "the first burst sent", func() bool { return p.sent.Load() == each })
 		}
 		b.Resume()
-		for r := 1; r < rounds; r++ {
+		// Each round goes out once the one before is sent, so rounds keep
+		// arriving while the host drains.
+		for r := 2; r <= rounds; r++ {
 			for _, p := range ps {
 				p.req <- each
 			}
-			time.Sleep(time.Millisecond)
+			for _, p := range ps {
+				testenv.Await(t, fmt.Sprintf("burst %d sent", r), func() bool { return p.sent.Load() == int64(r*each) })
+			}
 		}
-		await(t, func() bool { return b.Stats().Delivered == total }, func() string {
-			return fmt.Sprintf("delivered %d of %d: %+v", b.Stats().Delivered, total, rt.Snapshot())
-		})
+		testenv.Await(t, "every burst delivered", func() bool { return b.Stats().Delivered == total })
 		c.checkOrder(t)
 		quiesceAndClose(t, rt)
 		if st := rt.Snapshot(); st.Sent != total || st.Overflow != 0 || st.Dropped != 0 {
 			t.Errorf("%+v, want all %d sent and delivered", st, total)
 		}
-		if d := led.doubles.Load(); d != 0 {
-			t.Errorf("%d double recycles (contract: exactly once)", d)
+		led.Check(t)
+	})
+}
+
+// awaitSilence is the check of a fault that loses every send: once every
+// message sent before it has met its outcome, each later one is lost at
+// its sender, so ten more sends are dropped and none is delivered.
+func awaitSilence(t *testing.T, rt *host.Runtime, fault string) {
+	t.Helper()
+	var from host.Stats
+	testenv.Await(t, "the sends before "+fault+" to land", func() bool {
+		from = rt.Snapshot()
+		return conserved(from)
+	})
+	testenv.Await(t, "ten sends lost to "+fault, func() bool { return rt.Snapshot().Dropped >= from.Dropped+10 })
+	if got := rt.Snapshot().Delivered - from.Delivered; got != 0 {
+		t.Errorf("%s delivered %d messages", fault, got)
+	}
+}
+
+// TestLifecycleFaultModel flips the fault model while host a sends to host
+// b every millisecond: drop 1 loses every send, a partition between the two
+// hosts does the same, and healing it, with a latency window set, delivers
+// again.
+func TestLifecycleFaultModel(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		rt := e.build(t, 19760, 81, 2, 0)
+		a, b := rt.LocalHosts()[0], rt.LocalHosts()[1]
+		if err := a.Attach(core.ProtoID, &echo{targets: []peer.Addr{b.Addr()}}, time.Millisecond, 0); err != nil {
+			t.Fatal(err)
 		}
-		if issued, retired := led.issued.Load(), led.retired.Load(); retired != issued {
-			t.Errorf("%d of %d messages never retired", issued-retired, issued)
+		if err := b.Attach(core.ProtoID, &echo{}, 0, 0); err != nil {
+			t.Fatal(err)
 		}
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		testenv.Await(t, "a delivery", func() bool { return rt.Snapshot().Delivered > 0 })
+
+		rt.SetDrop(1)
+		awaitSilence(t, rt, "drop 1")
+		rt.SetDrop(0)
+		split := b.Addr()
+		rt.SetPartition(func(from, to peer.Addr) bool { return (from < split) != (to < split) })
+		awaitSilence(t, rt, "the partition")
+
+		healed := rt.Snapshot().Delivered
+		rt.SetPartition(nil)
+		rt.SetLatency(time.Millisecond, 2*time.Millisecond)
+		testenv.Await(t, "a delivery across the healed partition", func() bool { return rt.Snapshot().Delivered > healed })
+		quiesceAndClose(t, rt)
+	})
+}
+
+// TestLifecycleLossPathsRetireOnce sends counting messages through the
+// loss model, a latency window, two-slot inboxes, unknown addresses and a
+// killed host, and closes the runtime while arrivals are still queued and
+// held: the counters keep the law and every message is retired exactly
+// once. The counting messages have no wire encoding, so on the socket link
+// they take its process-local path.
+func TestLifecycleLossPathsRetireOnce(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const n = 12
+		rt := e.build(t, 19770, 2, n, 2)
+		rt.SetDrop(0.2)
+		rt.SetLatency(time.Millisecond, 3*time.Millisecond)
+		led := &testenv.Ledger{}
+		hosts := rt.LocalHosts()
+		for _, h := range hosts {
+			if err := h.Attach(9, &sprayer{led: led, addrs: n}, 2*time.Millisecond, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		testenv.Await(t, "a delivery", func() bool { return rt.Snapshot().Delivered > 0 })
+		dropped := rt.Snapshot().Dropped
+		hosts[0].Kill() // the dead destination, and the drain of its inbox and held arrivals
+		testenv.Await(t, "a drop after the kill", func() bool { return rt.Snapshot().Dropped > dropped })
+		rt.Close()
+
+		st := rt.Snapshot()
+		if st.Delivered == 0 || st.Dropped == 0 {
+			t.Errorf("not every outcome exercised: %+v", st)
+		}
+		if h := rt.Held(); h != 0 {
+			t.Errorf("%d arrivals still held after Close", h)
+		}
+		checkConservation(t, st)
+		led.Check(t)
+	})
+}
+
+// TestLifecycleFaultModelRace mutates the fault model from three
+// goroutines while every host sends: the send path reads the drop
+// probability and the partition predicate, and the arrival path the
+// latency window, without a lock, so under -race this is the proof that
+// hosts and control-plane writers never race — and, since the writers
+// never block the hosts, that no message takes Runtime.mu.
+func TestLifecycleFaultModelRace(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const n = 48
+		rt := e.build(t, 19780, 31, n, 0)
+		attachEcho(t, rt, 2*time.Millisecond)
+		rt.SetLatency(0, 500*time.Microsecond)
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		mutate := func(fn func(i int)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+						fn(i)
+					}
+				}
+			}()
+		}
+		mutate(func(i int) { rt.SetDrop(float64(i%10) / 20) })
+		mutate(func(i int) {
+			min := time.Duration(i%3) * 100 * time.Microsecond
+			rt.SetLatency(min, min*2)
+		})
+		mutate(func(i int) {
+			if i%2 == 0 {
+				split := peer.Addr(i % n)
+				rt.SetPartition(func(from, to peer.Addr) bool { return (from < split) != (to < split) })
+			} else {
+				rt.SetPartition(nil)
+			}
+		})
+		delivered := rt.Snapshot().Delivered
+		testenv.Await(t, "1000 deliveries under the mutating fault model", func() bool { return rt.Snapshot().Delivered >= delivered+1000 })
+		close(stop)
+		wg.Wait()
+		quiesceAndClose(t, rt)
+	})
+}
+
+// flooder sends from its Init callback until stop closes. A protocol can
+// only send from its host's goroutine, so n flooders are n concurrent
+// senders, each on its own host — the send path's concurrency contract.
+type flooder struct {
+	stop <-chan struct{}
+	to   func(self peer.Addr, j int) peer.Addr // target of the j-th send; nil: receive only
+}
+
+func (f *flooder) Init(ctx proto.Context) {
+	for j := 0; f.to != nil; j++ {
+		select {
+		case <-f.stop:
+			return
+		default:
+			ctx.Send(f.to(ctx.Self(), j), core.NewMessage())
+		}
+	}
+}
+func (f *flooder) Tick(proto.Context)                             {}
+func (f *flooder) Handle(proto.Context, peer.Addr, proto.Message) {}
+
+// floodNet builds n hosts: the first n/2 flood, the rest only receive (a
+// flooder never leaves Init, so it would never take from its inbox).
+func floodNet(t *testing.T, e engine, port int, seed int64, n int, stop <-chan struct{}, to func(self peer.Addr, j int) peer.Addr) *host.Runtime {
+	t.Helper()
+	rt := e.build(t, port, seed, n, 0)
+	for i, h := range rt.LocalHosts() {
+		f := &flooder{stop: stop}
+		if i < n/2 {
+			f.to = to
+		}
+		if err := h.Attach(core.ProtoID, f, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rt
+}
+
+// TestHeldArrivalRace hammers the held arrivals: 32 hosts flood 32 others
+// while every receiver holds what it takes from its inbox for a latency
+// drawn from a window a mutator keeps swinging, under -race. Each host's
+// held list is its own goroutine's, and its timer is re-armed for earlier
+// and later arrivals as the window moves; after Close nothing is held and
+// the counters account for every send.
+func TestHeldArrivalRace(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const n = 64
+		stop := make(chan struct{})
+		rt := floodNet(t, e, 19790, 77, n, stop,
+			func(self peer.Addr, j int) peer.Addr { return peer.Addr(n/2 + (int(self)+7*j)%(n/2)) })
+		rt.SetLatency(20*time.Microsecond, 400*time.Microsecond)
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// Swing the window so due times range from tens of microseconds to
+		// tens of milliseconds, and arrivals due earlier than the armed
+		// timer keep re-arming it mid-sleep.
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					min := time.Duration(1+i%5) * 50 * time.Microsecond
+					rt.SetLatency(min, min*time.Duration(1+i%200))
+				}
+			}
+		}()
+		testenv.Await(t, "1000 deliveries of held arrivals", func() bool { return rt.Snapshot().Delivered >= 1000 })
+		close(stop)
+		wg.Wait()
+		rt.Close()
+		if h := rt.Held(); h != 0 {
+			t.Errorf("%d arrivals still held after Close", h)
+		}
+		e.checkBareClose(t, rt.Snapshot())
+	})
+}
+
+// TestHeldCloseRacesDrain closes the runtime while senders still flood and
+// receivers still hold arrivals: Close kills every incarnation, then must
+// wait the flooders out before it drains, so every arrival held at that
+// point is counted dropped exactly once, and Close neither deadlocks nor
+// loses one.
+func TestHeldCloseRacesDrain(t *testing.T) {
+	onEngines(t, func(t *testing.T, e engine) {
+		const n = 32
+		stop := make(chan struct{})
+		rt := floodNet(t, e, 19800, 78, n, stop,
+			func(_ peer.Addr, j int) peer.Addr { return peer.Addr(n/2 + j%(n/2)) })
+		rt.SetLatency(10*time.Microsecond, 200*time.Microsecond)
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		testenv.Await(t, "a held arrival", func() bool { return rt.Held() > 0 })
+		closed := make(chan struct{})
+		go func() {
+			rt.Close()
+			close(closed)
+		}()
+		testenv.Await(t, "Close to kill every host", func() bool {
+			for _, h := range rt.LocalHosts() {
+				if !h.Stopped() {
+					return false
+				}
+			}
+			return true
+		})
+		close(stop) // the flooders, still sending, may leave now
+		testenv.Await(t, "Close to return", func() bool { return isClosed(closed) })
+		if h := rt.Held(); h != 0 {
+			t.Errorf("%d arrivals still held after Close", h)
+		}
+		e.checkBareClose(t, rt.Snapshot())
 	})
 }

@@ -145,11 +145,19 @@ type Runtime struct {
 	held                               atomic.Int64 // arrivals waiting out their latency
 }
 
+// DefaultInboxSize is the inbox bound New gives every host when asked for
+// none: zero or less.
+const DefaultInboxSize = 256
+
 // New returns a runtime over link, ready for AddHost/Attach; call Start to
 // run it. seed drives the per-host RNGs and the sender-side loss model,
 // drop is the initial per-message loss probability, and inboxSize bounds
-// each host's message queue.
+// each host's message queue exactly (DefaultInboxSize if it is zero or
+// less).
 func New(seed int64, drop float64, inboxSize int, link Link) *Runtime {
+	if inboxSize <= 0 {
+		inboxSize = DefaultInboxSize
+	}
 	r := &Runtime{
 		link:      link,
 		inboxSize: inboxSize,

@@ -12,6 +12,7 @@ import (
 	"repro/internal/livenet"
 	"repro/internal/peer"
 	"repro/internal/proto"
+	"repro/internal/testenv"
 )
 
 // fakeLink is an in-memory host.Link that takes every exit the seam
@@ -62,28 +63,10 @@ func (l *fakeLink) Close() {
 	}
 }
 
-// ledger issues counting messages and audits their retirement.
-type ledger struct {
-	issued, retired, doubles atomic.Int64
-}
-
-type countMsg struct {
-	led      *ledger
-	recycles atomic.Int32
-}
-
-func (m *countMsg) Recycle() {
-	if m.recycles.Add(1) > 1 {
-		m.led.doubles.Add(1)
-		return
-	}
-	m.led.retired.Add(1)
-}
-
 // sprayer sends a burst of counting messages per tick, walking the
 // address space: owned hosts, the remote address, and one past the end.
 type sprayer struct {
-	led   *ledger
+	led   *testenv.Ledger
 	addrs int
 	next  int
 }
@@ -91,8 +74,7 @@ type sprayer struct {
 func (s *sprayer) Init(proto.Context) {}
 func (s *sprayer) Tick(ctx proto.Context) {
 	for i := 0; i < 8; i++ {
-		s.led.issued.Add(1)
-		ctx.Send(peer.Addr(s.next%(s.addrs+1)), &countMsg{led: s.led})
+		ctx.Send(peer.Addr(s.next%(s.addrs+1)), s.led.New())
 		s.next++
 	}
 }
@@ -110,7 +92,7 @@ func TestRuntimeConservationAndExactlyOnceRecycle(t *testing.T) {
 	link := &fakeLink{}
 	rt := host.New(11, 0.1, 2, link)
 	link.rt = rt
-	led := &ledger{}
+	led := &testenv.Ledger{}
 	for i := 0; i < n; i++ {
 		h := rt.AddHost()
 		pid := proto.ProtoID(9)
@@ -127,16 +109,12 @@ func TestRuntimeConservationAndExactlyOnceRecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := rt.LocalHosts()
-	await(t, func() bool { return rt.Snapshot().Delivered > 0 }, func() string {
-		return fmt.Sprintf("no message delivered: %+v", rt.Snapshot())
-	})
+	testenv.Await(t, "a delivery", func() bool { return rt.Snapshot().Delivered > 0 })
 	if !hosts[1].Pause() { // inbox fills under a live host: Overflow
 		t.Fatal("Pause failed")
 	}
 	hosts[2].Kill() // inbox fills under a dead host: Dropped, then drained
-	await(t, func() bool { return hosts[1].Stats().Overflow > 0 }, func() string {
-		return "paused host's inbox never overflowed"
-	})
+	testenv.Await(t, "the paused host's inbox to overflow", func() bool { return hosts[1].Stats().Overflow > 0 })
 	hosts[2].Kill()
 	if err := hosts[2].Respawn(); err != nil {
 		t.Fatal(err)
@@ -144,9 +122,7 @@ func TestRuntimeConservationAndExactlyOnceRecycle(t *testing.T) {
 	handled, ticks := hosts[1].Stats().Delivered, hosts[2].Stats().Ticks
 	hosts[1].Resume()
 	awaitTicks(t, hosts[2], ticks+2)
-	await(t, func() bool { return hosts[1].Stats().Delivered > handled }, func() string {
-		return "resumed host handled nothing"
-	})
+	testenv.Await(t, "a delivery at the resumed host", func() bool { return hosts[1].Stats().Delivered > handled })
 	rt.Close()
 	rt.Close()
 
@@ -154,24 +130,17 @@ func TestRuntimeConservationAndExactlyOnceRecycle(t *testing.T) {
 		t.Errorf("link started %d times and closed %d times, want 1 and 1", s, c)
 	}
 	st := rt.Snapshot()
-	if st.Sent != led.issued.Load() {
-		t.Errorf("Sent = %d, protocols issued %d", st.Sent, led.issued.Load())
+	if st.Sent != led.Issued.Load() {
+		t.Errorf("Sent = %d, protocols issued %d", st.Sent, led.Issued.Load())
 	}
 	if st.Delivered == 0 || st.Dropped == 0 || st.Overflow == 0 {
 		t.Errorf("not every outcome exercised: %+v", st)
 	}
-	if st.Sent != st.Delivered+st.Dropped+st.Overflow {
-		t.Errorf("conservation violated at Close: %+v", st)
-	}
+	checkConservation(t, st)
 	if hosts[1].Stats().Overflow == 0 {
 		t.Error("paused host's full inbox recorded no overflow")
 	}
-	if d := led.doubles.Load(); d != 0 {
-		t.Errorf("%d double recycles (contract: exactly once)", d)
-	}
-	if issued, retired := led.issued.Load(), led.retired.Load(); retired != issued {
-		t.Errorf("%d of %d messages never retired", issued-retired, issued)
-	}
+	led.Check(t)
 }
 
 // TestRuntimeCloseWithoutStart pins the other half of Link.Close's
@@ -197,16 +166,9 @@ func TestRuntimeCloseWithoutStart(t *testing.T) {
 // goroutine of its own, so the held arrivals wait on the hosts' own timers.
 func TestRuntimeGoroutineBudget(t *testing.T) {
 	const n, k = 40, 7
-	// goroutines waits for the process to hold exactly want goroutines.
-	goroutines := func(when string, want int) {
-		t.Helper()
-		await(t, func() bool { return runtime.NumGoroutine() == want }, func() string {
-			return fmt.Sprintf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
-		})
-	}
 	rt := livenet.New(livenet.Config{Seed: 13, InboxSize: 4}).Runtime
 	rt.SetLatency(time.Millisecond, 3*time.Millisecond)
-	led := &ledger{}
+	led := &testenv.Ledger{}
 	for i := 0; i < n; i++ {
 		h := rt.AddHost()
 		for pid := proto.ProtoID(8); pid <= 9; pid++ {
@@ -215,15 +177,7 @@ func TestRuntimeGoroutineBudget(t *testing.T) {
 			}
 		}
 	}
-	// The baseline is taken once the count holds still: an earlier test's
-	// runner goroutine may still be on its way out.
-	base, still := runtime.NumGoroutine(), 0
-	for deadline := time.Now().Add(5 * time.Second); still < 20 && time.Now().Before(deadline); still++ {
-		time.Sleep(time.Millisecond)
-		if g := runtime.NumGoroutine(); g != base {
-			base, still = g, 0
-		}
-	}
+	base := settledGoroutines(t)
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,43 +187,44 @@ func TestRuntimeGoroutineBudget(t *testing.T) {
 	for _, h := range hosts {
 		awaitTicks(t, h, 4)
 	}
-	await(t, func() bool { return rt.Held() > 0 }, func() string { return "no arrival held" })
-	goroutines("after Start", base+n)
+	testenv.Await(t, "a held arrival", func() bool { return rt.Held() > 0 })
+	awaitGoroutines(t, "after Start", base+n)
 	for _, h := range hosts[:k] {
 		h.Kill()
 	}
-	goroutines("after Kill", base+n-k)
+	awaitGoroutines(t, "after Kill", base+n-k)
 	for _, h := range hosts[:k] {
 		if err := h.Respawn(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	goroutines("after Respawn", base+n)
+	awaitGoroutines(t, "after Respawn", base+n)
 	rt.Close()
-	goroutines("after Close", base)
+	awaitGoroutines(t, "after Close", base)
 	if h := rt.Held(); h != 0 {
 		t.Errorf("%d arrivals still held after Close", h)
 	}
-	if st := rt.Snapshot(); st.Sent != st.Delivered+st.Dropped+st.Overflow {
-		t.Errorf("conservation violated at Close: %+v", st)
-	}
+	checkConservation(t, rt.Snapshot())
 }
 
-// settledGoroutines returns the process's goroutine count once it holds
-// still: an earlier test's runner goroutine may still be on its way out.
-func settledGoroutines() int {
-	base, still := runtime.NumGoroutine(), 0
-	for deadline := time.Now().Add(5 * time.Second); still < 20 && time.Now().Before(deadline); still++ {
-		time.Sleep(time.Millisecond)
+// settledGoroutines returns the process's goroutine count once it has held
+// still for 20 polls: an earlier test's runner goroutine may still be on
+// its way out.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	base, still := -1, 0
+	testenv.Await(t, "the goroutine count to hold still", func() bool {
 		if g := runtime.NumGoroutine(); g != base {
 			base, still = g, 0
+		} else {
+			still++
 		}
-	}
+		return still >= 20
+	})
 	return base
 }
 
-// awaitClose runs rt.Close and fails the test if it does not return
-// within await's bound.
+// awaitClose runs rt.Close and fails the test if it does not return.
 func awaitClose(t *testing.T, rt *host.Runtime) {
 	t.Helper()
 	closed := make(chan struct{})
@@ -277,22 +232,23 @@ func awaitClose(t *testing.T, rt *host.Runtime) {
 		rt.Close()
 		close(closed)
 	}()
-	await(t, func() bool {
-		select {
-		case <-closed:
-			return true
-		default:
-			return false
-		}
-	}, func() string { return "Close did not return" })
+	testenv.Await(t, "Close to return", func() bool { return isClosed(closed) })
+}
+
+// isClosed reports whether ch is closed, without blocking.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // awaitGoroutines waits for the process to hold exactly want goroutines.
 func awaitGoroutines(t *testing.T, when string, want int) {
 	t.Helper()
-	await(t, func() bool { return runtime.NumGoroutine() == want }, func() string {
-		return fmt.Sprintf("%s: %d goroutines, want %d", when, runtime.NumGoroutine(), want)
-	})
+	testenv.Await(t, fmt.Sprintf("%d goroutines %s", want, when), func() bool { return runtime.NumGoroutine() == want })
 }
 
 // TestRuntimeCloseRacesRespawn runs Close while a goroutine loops
@@ -307,13 +263,13 @@ func TestRuntimeCloseRacesRespawn(t *testing.T) {
 	link := &fakeLink{}
 	rt := host.New(14, 0.1, 2, link)
 	link.rt = rt
-	led := &ledger{}
+	led := &testenv.Ledger{}
 	for i := 0; i < n; i++ {
 		if err := rt.AddHost().Attach(9, &sprayer{led: led, addrs: n}, time.Millisecond, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	base := settledGoroutines()
+	base := settledGoroutines(t)
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -331,9 +287,7 @@ func TestRuntimeCloseRacesRespawn(t *testing.T) {
 			}
 		}
 	}()
-	await(t, func() bool { return h.Stats().Incarnations >= 20 }, func() string {
-		return fmt.Sprintf("churn ran %d incarnations, want 20", h.Stats().Incarnations)
-	})
+	testenv.Await(t, "20 incarnations of the churned host", func() bool { return h.Stats().Incarnations >= 20 })
 	closing.Store(true)
 	awaitClose(t, rt)
 	if err := <-churned; err != nil && err != host.ErrClosed {
@@ -349,16 +303,9 @@ func TestRuntimeCloseRacesRespawn(t *testing.T) {
 		}
 	}
 	st := rt.Snapshot()
-	if st.Sent != led.issued.Load() {
-		t.Errorf("Sent = %d, protocols issued %d", st.Sent, led.issued.Load())
+	if st.Sent != led.Issued.Load() {
+		t.Errorf("Sent = %d, protocols issued %d", st.Sent, led.Issued.Load())
 	}
-	if st.Sent != st.Delivered+st.Dropped+st.Overflow {
-		t.Errorf("conservation violated at Close: %+v", st)
-	}
-	if d := led.doubles.Load(); d != 0 {
-		t.Errorf("%d double recycles (contract: exactly once)", d)
-	}
-	if issued, retired := led.issued.Load(), led.retired.Load(); retired != issued {
-		t.Errorf("%d of %d messages never retired", issued-retired, issued)
-	}
+	checkConservation(t, st)
+	led.Check(t)
 }

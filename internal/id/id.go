@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sort"
 	"strconv"
 )
 
@@ -188,10 +187,4 @@ func Unique(n int, seed int64) []ID {
 		out[i] = g.Next()
 	}
 	return out
-}
-
-// SortAscending sorts ids in increasing numeric order (ring order starting
-// at zero).
-func SortAscending(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -211,17 +211,6 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSortAscending(t *testing.T) {
-	ids := []ID{5, 1, 9, 3}
-	SortAscending(ids)
-	want := []ID{1, 3, 5, 9}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("got %v want %v", ids, want)
-		}
-	}
-}
-
 // TestStatStreamIndependence checks that the per-stream RNGs the sampling
 // oracle derives from one seed do not overlap. Oracle.Stream seeds stream k
 // with seed ^ γ·(k+1), γ the SplitMix64 increment; were that seed used as

@@ -31,9 +31,10 @@ type Config struct {
 	// Drop is the per-message loss probability.
 	Drop float64
 	// InboxSize bounds each host's message queue exactly; messages
-	// arriving at a full inbox are dropped, as UDP would. Zero selects 256.
-	// It is a bound, not an allocation: an inbox preallocates at most 16
-	// slots and grows past them only while it holds more.
+	// arriving at a full inbox are dropped, as UDP would. Zero selects
+	// host.DefaultInboxSize. It is a bound, not an allocation: an inbox
+	// preallocates at most 16 slots and grows past them only while it
+	// holds more.
 	InboxSize int
 }
 
@@ -53,9 +54,6 @@ type Network struct {
 
 // New returns a network ready for AddHost/Attach; call Start to run it.
 func New(cfg Config) *Network {
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 256
-	}
 	l := &link{}
 	l.rt = host.New(cfg.Seed, cfg.Drop, cfg.InboxSize, l)
 	return &Network{Runtime: l.rt}

@@ -135,9 +135,8 @@ func (p *Protocol) Handle(ctx proto.Context, from peer.Addr, msg proto.Message) 
 	p.merge(m.Entries)
 }
 
-// ProtoID is the simnet protocol identifier conventionally used for the
-// sampling layer.
-const ProtoID proto.ProtoID = 1
+// ProtoID is the sampling layer's protocol identifier.
+const ProtoID = proto.NewscastID
 
 // outgoing builds the message to send in a pooled arena: the node's own
 // descriptor stamped with the current time, then the current view.

@@ -313,7 +313,7 @@ func (r *refRing) edgeKeys() []id.ID {
 	for i, d := range r.descs {
 		sorted[i] = d.ID
 	}
-	id.SortAscending(sorted)
+	slices.Sort(sorted)
 	var keys []id.ID
 	for i, v := range sorted {
 		next := sorted[(i+1)%len(sorted)]

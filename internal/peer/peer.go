@@ -141,15 +141,3 @@ func ringLess(pivot id.ID, a, b Descriptor) bool {
 	}
 	return a.ID < b.ID
 }
-
-// Without returns ds with any descriptor matching nodeID removed. The input
-// slice is not modified.
-func Without(ds []Descriptor, nodeID id.ID) []Descriptor {
-	out := make([]Descriptor, 0, len(ds))
-	for _, d := range ds {
-		if d.ID != nodeID {
-			out = append(out, d)
-		}
-	}
-	return out
-}

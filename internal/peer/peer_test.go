@@ -109,14 +109,6 @@ func TestSortByRingDistanceIsSorted(t *testing.T) {
 	}
 }
 
-func TestWithout(t *testing.T) {
-	in := []Descriptor{d(1), d(2), d(3)}
-	out := Without(in, 2)
-	if len(out) != 2 || out[0].ID != 1 || out[1].ID != 3 {
-		t.Errorf("got %v", out)
-	}
-}
-
 func TestDescriptorNil(t *testing.T) {
 	if (Descriptor{ID: 1, Addr: 3}).Nil() {
 		t.Error("real descriptor reported nil")

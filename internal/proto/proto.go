@@ -1,6 +1,7 @@
 // Package proto defines the protocol-engine contract shared by the
 // deterministic discrete-event simulator (package simnet) and the
-// concurrent goroutine runtime (package livenet). Protocol implementations
+// goroutine host runtime (package host), which runs over livenet's
+// in-memory link and over transport's sockets. Protocol implementations
 // — the sampling layer, the bootstrapping service, the Chord baseline,
 // broadcast and aggregation — are written once against these interfaces
 // and run unchanged under either engine.
@@ -42,7 +43,8 @@ type Recyclable interface {
 // the same ProtoID on the destination node.
 type ProtoID uint8
 
-// Conventional protocol identifiers used across this repository.
+// The protocol identifiers of this repository's layers: each layer's
+// package declares its ProtoID as one of these.
 const (
 	// NewscastID is the sampling layer.
 	NewscastID ProtoID = 1
@@ -64,7 +66,7 @@ type Context interface {
 	// Self returns the node's own address.
 	Self() peer.Addr
 	// Now returns the current time in engine time units (virtual ticks
-	// under simnet, milliseconds since start under livenet).
+	// under simnet, milliseconds since start under the host runtime).
 	Now() int64
 	// Rand returns the node's private random source. It must only be
 	// used inside the callback.
@@ -77,8 +79,8 @@ type Context interface {
 
 // Protocol is a passive state machine driven by an engine. All state
 // access is serialised by the engine (single-threaded event loop under
-// simnet, one goroutine per host under livenet), so implementations need
-// no internal locking.
+// simnet, one goroutine per host under the host runtime), so
+// implementations need no internal locking.
 type Protocol interface {
 	// Init is called once when the node starts, before any tick.
 	Init(ctx Context)

@@ -76,8 +76,9 @@ type Config struct {
 	// BasePort+p.
 	BasePort int
 	// InboxSize bounds each host's message queue exactly (zero selects
-	// 256). It is a bound, not an allocation: an inbox preallocates at most
-	// 16 slots and grows past them only while it holds more.
+	// host.DefaultInboxSize). It is a bound, not an allocation: an inbox
+	// preallocates at most 16 slots and grows past them only while it
+	// holds more.
 	InboxSize int
 	// QueueSize bounds, per destination process, the frames Send has
 	// appended that the writer has not yet taken (zero selects 1024); the
@@ -101,9 +102,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.Procs <= 0 {
 		cfg.Procs = 1
-	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 256
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024

@@ -9,6 +9,7 @@ import (
 	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/proto"
+	"repro/internal/testenv"
 )
 
 // pinger is a minimal request/reply gossiper over core.Message: every
@@ -96,34 +97,27 @@ func (c *cluster) start(t *testing.T) {
 }
 
 // settle runs the quiesce protocol across every process and returns the
-// summed stats.
+// summed stats. Quiescence is global: a process is only settled once its
+// peers have stopped producing too, so it waits for the sum to hold still,
+// with no frame waiting for a writer, for a quiet window of 100 ms.
 func (c *cluster) settle(t *testing.T) Stats {
 	t.Helper()
 	for _, n := range c.nets {
 		n.StopTicks()
 	}
-	// Quiescence is global: a process is only settled once its peers have
-	// stopped producing too, so poll the sum.
-	deadline := time.Now().Add(10 * time.Second)
+	const quiet = 100 * time.Millisecond
 	var prev Stats
-	stable := 0
-	for time.Now().Before(deadline) && stable < 5 {
-		time.Sleep(20 * time.Millisecond)
-		cur := c.sum()
-		pending := int64(0)
+	var since time.Time
+	testenv.Await(t, "the cluster to quiesce", func() bool {
+		cur, pending := c.sum(), int64(0)
 		for _, n := range c.nets {
 			pending += n.sock.inflight.Load()
 		}
-		if cur == prev && pending == 0 {
-			stable++
-		} else {
-			stable = 0
+		if cur != prev || pending != 0 {
+			prev, since = cur, time.Now()
 		}
-		prev = cur
-	}
-	if stable < 5 {
-		t.Fatalf("cluster did not quiesce: %+v", prev)
-	}
+		return time.Since(since) >= quiet
+	})
 	return prev
 }
 
@@ -141,18 +135,6 @@ func (c *cluster) close() {
 	}
 }
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 func conserved(t *testing.T, st Stats) {
 	t.Helper()
 	if st.Sent != st.Delivered+st.Dropped+st.Overflow {
@@ -162,27 +144,11 @@ func conserved(t *testing.T, st Stats) {
 	}
 }
 
-func TestTransportDelivery(t *testing.T) {
-	c := newCluster(t, Config{Seed: 1, N: 4, Procs: 1, BasePort: 19310}, 10*time.Millisecond)
-	defer c.close()
-	c.start(t)
-	waitFor(t, 5*time.Second, func() bool {
-		return c.requests.Load() >= 20 && c.replies.Load() >= 20
-	}, "request/reply traffic over loopback TCP")
-	st := c.settle(t)
-	conserved(t, st)
-	if st.Delivered == 0 {
-		t.Fatal("no deliveries counted")
-	}
-	c.close()
-	conserved(t, c.sum())
-}
-
 func TestTransportTwoProcs(t *testing.T) {
 	c := newCluster(t, Config{Seed: 2, N: 8, Procs: 2, BasePort: 19320}, 10*time.Millisecond)
 	defer c.close()
 	c.start(t)
-	waitFor(t, 5*time.Second, func() bool { return c.requests.Load() >= 50 }, "cross-process traffic")
+	testenv.Await(t, "cross-process traffic", func() bool { return c.requests.Load() >= 50 })
 	// Per-process stats must show both sides participating.
 	for p, n := range c.nets {
 		if st := n.Snapshot(); st.Sent == 0 || st.Delivered == 0 {
@@ -201,10 +167,11 @@ func TestTransportConservationUnderStress(t *testing.T) {
 	c := newCluster(t, cfg, 2*time.Millisecond)
 	defer c.close()
 	c.start(t)
-	waitFor(t, 5*time.Second, func() bool { return c.sum().Sent >= 2000 }, "stress traffic")
+	testenv.Await(t, "stress traffic", func() bool { return c.sum().Sent >= 2000 })
 
 	// Kill a host on each process mid-flight, let traffic target it, then
-	// respawn it.
+	// respawn it and let traffic reach it again: 500 sends spread over 15
+	// destinations each time.
 	var victims []*Host
 	for _, n := range c.nets {
 		victims = append(victims, n.LocalHosts()[0])
@@ -212,13 +179,15 @@ func TestTransportConservationUnderStress(t *testing.T) {
 	for _, h := range victims {
 		h.Kill()
 	}
-	time.Sleep(50 * time.Millisecond)
+	sent := c.sum().Sent
+	testenv.Await(t, "500 sends while the victims are dead", func() bool { return c.sum().Sent >= sent+500 })
 	for _, h := range victims {
 		if err := h.Respawn(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(50 * time.Millisecond)
+	sent = c.sum().Sent
+	testenv.Await(t, "500 sends after the respawn", func() bool { return c.sum().Sent >= sent+500 })
 
 	st := c.settle(t)
 	conserved(t, st)
@@ -270,11 +239,9 @@ func TestTransportReconnectBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let proc 0 send into the void: its writer to proc 1 dials, fails,
-	// and backs off with frames queued.
-	time.Sleep(250 * time.Millisecond)
-	if st := n0.Snapshot(); st.Sent == 0 {
-		t.Fatal("proc 0 sent nothing during the down window")
-	}
+	// and backs off while 20 frames queue up (a tick's request goes to
+	// proc 1 with odds 2/3, so that spans several backoff rounds).
+	testenv.Await(t, "20 frames queued for the down process", func() bool { return n0.sock.inflight.Load() >= 20 })
 
 	n1 := mk(1)
 	defer n1.Close()
@@ -282,29 +249,7 @@ func TestTransportReconnectBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := n1.Snapshot().Delivered
-	waitFor(t, 5*time.Second, func() bool { return n1.Snapshot().Delivered > before }, "delivery after reconnect")
-}
-
-func TestTransportPauseResume(t *testing.T) {
-	c := newCluster(t, Config{Seed: 6, N: 4, Procs: 1, BasePort: 19360}, 5*time.Millisecond)
-	defer c.close()
-	c.start(t)
-	waitFor(t, 5*time.Second, func() bool { return c.requests.Load() >= 10 }, "initial traffic")
-
-	for _, n := range c.nets {
-		n.PauseAll()
-	}
-	paused := c.requests.Load() + c.replies.Load()
-	time.Sleep(100 * time.Millisecond)
-	if got := c.requests.Load() + c.replies.Load(); got != paused {
-		t.Fatalf("handlers ran while paused: %d -> %d", paused, got)
-	}
-	for _, n := range c.nets {
-		n.ResumeAll()
-	}
-	waitFor(t, 5*time.Second, func() bool {
-		return c.requests.Load()+c.replies.Load() > paused
-	}, "traffic after resume")
+	testenv.Await(t, "a delivery after reconnect", func() bool { return n1.Snapshot().Delivered > before })
 }
 
 // TestTransportLoopbackShortcut pins the engine contract for payloads the
@@ -343,7 +288,7 @@ func TestTransportLoopbackShortcut(t *testing.T) {
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return recycles.Load() == 1 }, "local non-wire payload retired exactly once")
+	testenv.Await(t, "the local non-wire payload retired", func() bool { return recycles.Load() == 1 })
 	st := n.Snapshot()
 	if st.Sent != 1 || st.Delivered != 1 {
 		t.Fatalf("loopback accounting: %+v", st)

@@ -157,7 +157,7 @@ func TestTransportQueueBoundAndCoalescing(t *testing.T) {
 	cfg := Config{Seed: 11, N: 2, Procs: 2, BasePort: 19200, QueueSize: bound, MaxBackoff: 50 * time.Millisecond}
 	n0 := newShard(t, cfg, map[peer.Addr]proto.Protocol{0: &burst{to: 1, count: bound + extra}})
 	mustStart(t, n0)
-	waitFor(t, 5*time.Second, func() bool { return n0.Snapshot().Sent == bound+extra }, "the burst")
+	testenv.Await(t, "the burst", func() bool { return n0.Snapshot().Sent == bound+extra })
 	if st := n0.Snapshot(); st.Overflow != extra || st.Dropped != 0 {
 		t.Fatalf("peer down, %d sends into a bound of %d: %+v, want exactly %d Overflow", bound+extra, bound, st, extra)
 	}
@@ -169,7 +169,7 @@ func TestTransportQueueBoundAndCoalescing(t *testing.T) {
 	rec := &recorder{}
 	n1 := newShard(t, cfg, map[peer.Addr]proto.Protocol{1: rec})
 	mustStart(t, n1)
-	waitFor(t, 5*time.Second, func() bool { return len(rec.arrivals()) == bound }, "the queued frames")
+	testenv.Await(t, "the queued frames", func() bool { return len(rec.arrivals()) == bound })
 	for i, a := range rec.arrivals() {
 		if a.seq != i {
 			t.Fatalf("arrival %d has seq %d: the frames that fit are the first %d, in order", i, a.seq, bound)
@@ -201,7 +201,7 @@ func TestTransportFIFOAcrossBatches(t *testing.T) {
 	cfg.Proc = 0
 	n0 := newShard(t, cfg, protos)
 	mustStart(t, n0)
-	waitFor(t, 10*time.Second, func() bool { return len(rec.arrivals()) == senders*each }, "every frame")
+	testenv.Await(t, "every frame", func() bool { return len(rec.arrivals()) == senders*each })
 	next := map[peer.Addr]int{}
 	for _, a := range rec.arrivals() {
 		if a.seq != next[a.from] {
@@ -280,7 +280,7 @@ func TestTransportResendAfterCut(t *testing.T) {
 	if first < 1 {
 		t.Errorf("second connection starts at seq %d: the frame read whole from the first was sent again", first)
 	}
-	waitFor(t, 5*time.Second, func() bool { return n0.sock.inflight.Load() == 0 }, "the writer to retire the run")
+	testenv.Await(t, "the writer to retire the run", func() bool { return n0.sock.inflight.Load() == 0 })
 	if fr, wr := n0.WriteStats(); fr != count || wr < 2 {
 		t.Errorf("WriteStats = %d frames in %d writes, want %d frames in at least 2", fr, wr, count)
 	}
@@ -301,7 +301,7 @@ func TestTransportCloseWithFramesPending(t *testing.T) {
 	}
 	n0 := newShard(t, cfg, protos)
 	mustStart(t, n0)
-	waitFor(t, 5*time.Second, func() bool { return n0.Snapshot().Overflow > 0 }, "the pending buffer to fill")
+	testenv.Await(t, "the pending buffer to fill", func() bool { return n0.Snapshot().Overflow > 0 })
 	n0.Close()
 	st := n0.Snapshot()
 	conserved(t, st)
@@ -352,11 +352,11 @@ func TestTransportHostilePeer(t *testing.T) {
 		}
 		c.Close()
 	}
-	waitFor(t, 5*time.Second, func() bool {
+	testenv.Await(t, "conns to empty", func() bool {
 		n.sock.mu.Lock()
 		defer n.sock.mu.Unlock()
 		return len(n.sock.conns) == 0
-	}, "conns to empty")
+	})
 }
 
 // TestReadFramesInPlaceAndOversize feeds the read loop a stream that mixes
@@ -376,7 +376,7 @@ func TestReadFramesInPlaceAndOversize(t *testing.T) {
 	}
 	stream = append(stream, stream[:10]...) // a frame cut after ten bytes
 	n.sock.readFrames(bufio.NewReaderSize(bytes.NewReader(stream), readBufSize))
-	waitFor(t, 5*time.Second, func() bool { return len(rec.arrivals()) == len(sizes) }, "every whole frame")
+	testenv.Await(t, "every whole frame", func() bool { return len(rec.arrivals()) == len(sizes) })
 	for i, a := range rec.arrivals() {
 		if a.seq != i || a.entries != sizes[i] {
 			t.Errorf("arrival %d: seq %d with %d entries, want seq %d with %d", i, a.seq, a.entries, i, sizes[i])
