@@ -1,18 +1,20 @@
 // Package proto_test pins the engine-side half of the proto.Recyclable
-// contract on the deterministic simulator (simnet). The contract — Recycle
+// contract on the deterministic simulator (simnet) and the goroutine
+// runtime (livenet). The contract — Recycle
 // is called exactly once per message, at retirement — is what makes pooled
 // payloads safe; a missed Recycle leaks pool capacity under sustained load,
 // and a double Recycle hands the same backing storage to two concurrent
 // sends. Both failure modes are silent in production, so they are pinned
 // with a counting fake (testenv.Ledger) that detects each directly. The
 // goroutine engines share one host runtime, and internal/host's
-// both-links suite audits it with the same fake on livenet and on
-// loopback sockets.
+// both-links suite also audits it with the same fake on loopback sockets.
 package proto_test
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/livenet"
 	"repro/internal/peer"
 	"repro/internal/proto"
 	"repro/internal/simnet"
@@ -90,6 +92,42 @@ func TestRecyclableExactlyOnceSimnet(t *testing.T) {
 
 	st := net.Stats()
 	if st.Dropped == 0 || st.DeadDest == 0 || st.Delivered == 0 {
+		t.Fatalf("not all retirement paths exercised: %+v", st)
+	}
+	led.Check(t)
+}
+
+// TestRecyclableExactlyOnceLivenet audits the goroutine engine. Close
+// drains held and queued messages into the Dropped bucket, so after it
+// returns every issued message must be retired — including those stranded
+// by the kill, the loss model, the latency window, and the tiny inboxes.
+func TestRecyclableExactlyOnceLivenet(t *testing.T) {
+	const n = 12
+	led := &testenv.Ledger{}
+	net := livenet.New(livenet.Config{Seed: 2, Drop: 0.2, InboxSize: 2})
+	net.SetLatency(time.Millisecond, 3*time.Millisecond)
+	hosts := make([]*livenet.Host, n)
+	addrs := make([]peer.Addr, n)
+	for i := range hosts {
+		hosts[i] = net.AddHost()
+		addrs[i] = hosts[i].Addr()
+	}
+	for _, h := range hosts {
+		if err := h.Attach(proto.BootstrapID, &churner{led: led, peers: addrs}, 2*time.Millisecond, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := net.Start(); err != nil {
+		t.Fatal(err)
+	}
+	testenv.Await(t, "a delivery", func() bool { return net.Snapshot().Delivered > 0 })
+	dropped := net.Snapshot().Dropped
+	hosts[0].Kill() // dead-destination path, plus the victim's inbox drain
+	testenv.Await(t, "a drop after the kill", func() bool { return net.Snapshot().Dropped > dropped })
+	net.Close()
+
+	st := net.Snapshot()
+	if st.Delivered == 0 || st.Dropped == 0 {
 		t.Fatalf("not all retirement paths exercised: %+v", st)
 	}
 	led.Check(t)
