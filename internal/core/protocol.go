@@ -162,16 +162,17 @@ func (n *Node) appendCertificates(dst []id.ID, sc *msgScratch) []id.ID {
 }
 
 // adoptCertificates merges a peer's death certificates: each new one
-// tombstones and removes the named entry locally.
-func (n *Node) adoptCertificates(sender peer.Descriptor, dead []id.ID) {
+// tombstones and removes the named entry locally, and joins f.
+func (n *Node) adoptCertificates(sender peer.Descriptor, dead []id.ID, f *tombFilter) {
 	for _, d := range dead {
 		if d == n.self.ID || d == sender.ID {
 			continue
 		}
-		if n.tombs.Contains(d) {
+		if f.mayHold(d) && n.tombs.Contains(d) {
 			continue
 		}
 		n.tombs.Put(d, n.ticks+tombstoneTTL)
+		f.add(d)
 		n.leaf.Remove(d)
 		n.table.Remove(d)
 	}
@@ -286,15 +287,54 @@ func (n *Node) noteMissedAnswer() {
 	n.pending = peer.None
 }
 
+// tombFilter is a one-hash Bloom filter over the tomb table's IDs, built
+// once per handled message: a clear bit proves an ID untombstoned, so the
+// table is probed only for the few IDs that may be in it. Most probes of a
+// message's entries would miss, and a miss is the dearest probe under
+// linear probing. Deleting a tombstone leaves its bit set, which costs at
+// most a probe.
+type tombFilter [16]uint64
+
+// newTombFilter returns the filter of n's current tombstones.
+func (n *Node) newTombFilter() (f tombFilter) {
+	if n.tombs.Len() > 0 {
+		n.tombs.Iter(func(dead id.ID, _ int64) bool {
+			f.add(dead)
+			return true
+		})
+	}
+	return f
+}
+
+// tombBit hashes an ID to one of the filter's 1024 bits (Fibonacci
+// hashing: the top ten bits of the product, so small sequential IDs
+// spread too).
+func tombBit(i id.ID) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 >> 54 }
+
+func (f *tombFilter) add(i id.ID) {
+	b := tombBit(i)
+	f[b>>6] |= 1 << (b & 63)
+}
+
+// mayHold reports false only for an ID that was never added.
+func (f *tombFilter) mayHold(i id.ID) bool {
+	b := tombBit(i)
+	return f[b>>6]&(1<<(b&63)) != 0
+}
+
 // filterTombstoned drops descriptors currently blacklisted, expiring
-// tombstones lazily. It compacts the received slice in place: the receiver
-// owns it (see Message).
-func (n *Node) filterTombstoned(ds []peer.Descriptor) []peer.Descriptor {
+// tombstones lazily; f must cover the tomb table. It compacts the received
+// slice in place: the receiver owns it (see Message).
+func (n *Node) filterTombstoned(ds []peer.Descriptor, f *tombFilter) []peer.Descriptor {
 	if n.tombs.Len() == 0 {
 		return ds
 	}
 	out := ds[:0]
 	for _, d := range ds {
+		if !f.mayHold(d.ID) {
+			out = append(out, d)
+			continue
+		}
 		expiry, dead := n.tombs.Get(d.ID)
 		if dead && n.ticks >= expiry {
 			n.tombs.Delete(d.ID)
@@ -320,14 +360,17 @@ func (n *Node) Handle(ctx proto.Context, from peer.Addr, msg proto.Message) {
 	}
 	entries := m.Entries
 	if n.cfg.EvictAfterMisses > 0 {
+		f := n.newTombFilter()
 		// Any message from a peer proves it alive.
 		n.misses.Delete(m.Sender.ID)
-		n.tombs.Delete(m.Sender.ID)
+		if f.mayHold(m.Sender.ID) {
+			n.tombs.Delete(m.Sender.ID)
+		}
 		if m.Sender.ID == n.pending.ID {
 			n.answered = true
 		}
-		n.adoptCertificates(m.Sender, m.Dead)
-		entries = n.filterTombstoned(entries)
+		n.adoptCertificates(m.Sender, m.Dead, &f)
+		entries = n.filterTombstoned(entries, &f)
 	}
 	n.updateLeafSet(entries)
 	n.updatePrefixTable(entries)

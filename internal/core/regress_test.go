@@ -56,7 +56,8 @@ func TestFilterTombstonedPreservesSharedSlice(t *testing.T) {
 	n.tombs.Put(2, n.ticks+tombstoneTTL) // ID 2 currently blacklisted
 	received := []peer.Descriptor{{ID: 1, Addr: 1}, {ID: 2, Addr: 2}, {ID: 3, Addr: 3}}
 
-	got := n.filterTombstoned(slices.Clone(received))
+	f := n.newTombFilter()
+	got := n.filterTombstoned(slices.Clone(received), &f)
 	want := []peer.Descriptor{{ID: 1, Addr: 1}, {ID: 3, Addr: 3}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("filtered = %v, want %v", got, want)
@@ -64,14 +65,14 @@ func TestFilterTombstonedPreservesSharedSlice(t *testing.T) {
 
 	// No-removal path may return the input unchanged (and must not copy).
 	clean := []peer.Descriptor{{ID: 5, Addr: 5}}
-	if out := n.filterTombstoned(clean); &out[0] != &clean[0] {
+	if out := n.filterTombstoned(clean, &f); &out[0] != &clean[0] {
 		t.Error("no-removal filter should return the input slice as-is")
 	}
 
 	// An expired tombstone is dropped lazily and its entry passes through.
 	expiry, _ := n.tombs.Get(2)
 	n.ticks = expiry + 1
-	if out := n.filterTombstoned(slices.Clone(received)); !reflect.DeepEqual(out, received) {
+	if out := n.filterTombstoned(slices.Clone(received), &f); !reflect.DeepEqual(out, received) {
 		t.Errorf("expired tombstone still filtered: %v", out)
 	}
 	if n.tombs.Contains(2) {
@@ -80,9 +81,10 @@ func TestFilterTombstonedPreservesSharedSlice(t *testing.T) {
 }
 
 // TestHandleTombstoneForkAllocs checks that handling a message carrying a
-// tombstoned entry allocates nothing: the filter compacts the message's own
-// entries. Every iteration handles a fresh message, its entries rewritten
-// from the original.
+// tombstoned entry and known certificates allocates nothing against a
+// 64-tombstone table: the tomb filter lives on the stack and the filter
+// compacts the message's own entries. Every iteration handles a fresh
+// message, its entries rewritten from the original.
 func TestHandleTombstoneForkAllocs(t *testing.T) {
 	if testenv.Race() {
 		t.Skip("the race detector allocates on its own account")
@@ -94,8 +96,12 @@ func TestHandleTombstoneForkAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.tombs.Put(2, n.ticks+tombstoneTTL)
+	for i := range id.ID(63) {
+		n.tombs.Put(5000+i, n.ticks+tombstoneTTL)
+	}
 	entries := []peer.Descriptor{{ID: 1, Addr: 1}, {ID: 2, Addr: 2}, {ID: 3, Addr: 3}}
-	m := &Message{Sender: peer.Descriptor{ID: 7, Addr: 7}, Entries: make([]peer.Descriptor, len(entries))}
+	m := &Message{Sender: peer.Descriptor{ID: 7, Addr: 7}, Entries: make([]peer.Descriptor, len(entries)),
+		Dead: []id.ID{2, 5000, 5010}}
 	handle := func() {
 		m.Entries = append(m.Entries[:0], entries...)
 		n.Handle(nil, 7, m)
@@ -103,6 +109,9 @@ func TestHandleTombstoneForkAllocs(t *testing.T) {
 	handle() // warm: entries learned
 	if n.Leaf().Contains(2) || !n.Leaf().Contains(3) {
 		t.Fatalf("tombstoned entry not filtered: leaf = %v", n.Leaf().Slice())
+	}
+	if got := n.tombs.Len(); got != 64 {
+		t.Fatalf("%d tombstones, want 64", got)
 	}
 	if avg := testing.AllocsPerRun(200, handle); avg > 0 {
 		t.Errorf("Handle with a tombstoned entry allocates %.1f times per message, want 0", avg)

@@ -154,9 +154,9 @@ func (e *simEngine) killWave() (removed []id.ID) {
 		// A churned node never comes back (unlike a host's Kill/Respawn):
 		// hand its structure blocks to the arena for the replacement wave.
 		victim.boot.Release()
-		e.oracle.Remove(victim.desc.ID)
 		removed[i] = victim.desc.ID
 	}
+	e.oracle.RemoveAll(removed)
 	return removed
 }
 

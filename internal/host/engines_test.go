@@ -3,6 +3,7 @@ package host_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,7 +133,7 @@ func quiesceAndClose(t *testing.T, rt *host.Runtime) {
 // several goroutines at once — random Kill/Respawn, Pause/Resume sweeps,
 // and stats snapshots — while traffic flows. Run with -race; correctness
 // here is "no race, no deadlock, outcomes never exceed sends, counters
-// conserved at quiescence".
+// conserved at quiescence, and messages delivered during the hammer".
 func TestLifecycleKillRespawnSnapshotRace(t *testing.T) {
 	onEngines(t, func(t *testing.T, e engine) {
 		const n = 24
@@ -141,23 +142,22 @@ func TestLifecycleKillRespawnSnapshotRace(t *testing.T) {
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
 		}
+		from := rt.Snapshot()
 
 		var wg sync.WaitGroup
 		stopCh := make(chan struct{})
 		var churned, sweeps atomic.Int64
 		// Churn goroutines: concurrent Kill/Respawn of overlapping host
 		// sets, including double-kill and respawn-while-respawning paths.
+		// Each churner waits for a delivery after each call, so hosts live
+		// long enough to tick and traffic flows through the churn: an
+		// incarnation that ends before its first tick sends nothing.
 		for g := 0; g < 3; g++ {
 			wg.Add(1)
 			go func(seed int64) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed))
 				for {
-					select {
-					case <-stopCh:
-						return
-					default:
-					}
 					h := hosts[rng.Intn(n)]
 					if rng.Intn(2) == 0 {
 						h.Kill()
@@ -165,6 +165,13 @@ func TestLifecycleKillRespawnSnapshotRace(t *testing.T) {
 						return // network closing
 					}
 					churned.Add(1)
+					for d := rt.Snapshot().Delivered; rt.Snapshot().Delivered == d; runtime.Gosched() {
+						select {
+						case <-stopCh:
+							return
+						default:
+						}
+					}
 				}
 			}(int64(g))
 		}
@@ -186,6 +193,7 @@ func TestLifecycleKillRespawnSnapshotRace(t *testing.T) {
 				for _, h := range hosts {
 					_ = h.Stats()
 				}
+				runtime.Gosched() // on one P, a loop that never yields starves the hosts
 			}
 		}()
 		// Pause/Resume sweeps against the churn.
@@ -204,11 +212,14 @@ func TestLifecycleKillRespawnSnapshotRace(t *testing.T) {
 			}
 		}()
 
-		testenv.Await(t, "the pause sweeps and 2000 Kill/Respawn calls", func() bool {
-			return sweeps.Load() == 20 && churned.Load() >= 2000
+		testenv.Await(t, "the pause sweeps, 600 Kill/Respawn calls and 100 deliveries", func() bool {
+			return sweeps.Load() == 20 && churned.Load() >= 600 && rt.Snapshot().Delivered >= from.Delivered+100
 		})
 		close(stopCh)
 		wg.Wait()
+		st := rt.Snapshot()
+		t.Logf("during the hammer: %d Kill/Respawn calls, %d sent, %d delivered, %d dropped",
+			churned.Load(), st.Sent-from.Sent, st.Delivered-from.Delivered, st.Dropped-from.Dropped)
 		quiesceAndClose(t, rt)
 	})
 }
@@ -1236,8 +1247,22 @@ func TestHeldArrivalRace(t *testing.T) {
 	onEngines(t, func(t *testing.T, e engine) {
 		const n = 64
 		stop := make(chan struct{})
-		rt := floodNet(t, e, 19790, 77, n, stop,
-			func(self peer.Addr, j int) peer.Addr { return peer.Addr(n/2 + (int(self)+7*j)%(n/2)) })
+		var rt *host.Runtime
+		// queued counts the sends no receiver has taken from its inbox
+		// yet: neither given an outcome nor held.
+		queued := func() int64 {
+			st := rt.Snapshot()
+			return st.Sent - st.Delivered - st.Dropped - st.Overflow - rt.Held()
+		}
+		rt = floodNet(t, e, 19790, 77, n, stop, func(self peer.Addr, j int) peer.Addr {
+			// Pace the flood: a flooder sends only while fewer than n/2
+			// messages wait ahead of the receivers, so sends end held; an
+			// unpaced flood bounces nearly every send off full inboxes.
+			for queued() >= n/2 && !isClosed(stop) {
+				runtime.Gosched()
+			}
+			return peer.Addr(n/2 + (int(self)+7*j)%(n/2))
+		})
 		rt.SetLatency(20*time.Microsecond, 400*time.Microsecond)
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
@@ -1256,12 +1281,19 @@ func TestHeldArrivalRace(t *testing.T) {
 				default:
 					min := time.Duration(1+i%5) * 50 * time.Microsecond
 					rt.SetLatency(min, min*time.Duration(1+i%200))
+					runtime.Gosched() // on one P, a loop that never yields starves the hosts
 				}
 			}
 		}()
-		testenv.Await(t, "1000 deliveries of held arrivals", func() bool { return rt.Snapshot().Delivered >= 1000 })
+		var maxHeld int64
+		testenv.Await(t, "held arrivals and 2000 deliveries", func() bool {
+			maxHeld = max(maxHeld, rt.Held())
+			return maxHeld > 0 && rt.Snapshot().Delivered >= 2000
+		})
 		close(stop)
 		wg.Wait()
+		st := rt.Snapshot()
+		t.Logf("%d sent, %d delivered, %d overflowed, up to %d held at a poll", st.Sent, st.Delivered, st.Overflow, maxHeld)
 		rt.Close()
 		if h := rt.Held(); h != 0 {
 			t.Errorf("%d arrivals still held after Close", h)

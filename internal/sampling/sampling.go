@@ -7,11 +7,11 @@
 // isolating layers in experiments and tests, over the oracle.
 //
 // The oracle is structured for the concurrent (livenet) engine: the
-// membership lives in an immutable snapshot behind an atomic pointer,
-// mutated copy-on-write by Add/Remove, and each concurrent consumer draws
-// through its own Stream — a private, deterministically seeded RNG plus
-// scratch — so the per-tick sample path never takes a lock and never
-// contends. The Oracle's own Sample/AppendSample methods are the shared
+// membership lives in a snapshot behind an atomic pointer, which Remove
+// replaces and Add extends in place past every reader's length, and each
+// concurrent consumer draws through its own Stream — a private,
+// deterministically seeded RNG plus scratch — so the per-tick sample path
+// never takes a lock and never contends. The Oracle's own Sample/AppendSample methods are the shared
 // default stream, serialised by a mutex for backwards compatibility; the
 // deterministic simulator keeps using them so seeded traces are unchanged.
 package sampling
@@ -21,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/flat"
 	"repro/internal/id"
 	"repro/internal/peer"
 )
@@ -49,21 +50,21 @@ type AppendSampler interface {
 // the paper's operating assumption for the bootstrap experiments ("we are
 // given a network where the sampling service is already functional").
 //
-// The membership is an immutable snapshot behind an atomic pointer:
-// readers (samplers) load it lock-free, writers (Add/Remove) publish a
-// fresh copy under a writer-only mutex. Sample/AppendSample on the Oracle
+// The membership is a snapshot behind an atomic pointer: readers
+// (samplers) load it lock-free, writers (Add/Remove/RemoveAll) change it
+// under a writer-only mutex. Sample/AppendSample on the Oracle
 // itself draw from a shared default RNG stream guarded by a mutex — safe
 // for concurrent use and sequence-identical to the pre-snapshot
 // implementation for a given seed. Concurrent hot paths should draw
 // through per-caller Stream handles instead, which never contend.
 type Oracle struct {
 	seed int64
-	snap atomic.Pointer[[]peer.Descriptor]
+	snap atomic.Pointer[membership]
 
 	// wmu serialises writers only; pos locates members for Remove and
 	// deduplicates Add, and is touched only under wmu.
 	wmu sync.Mutex
-	pos map[id.ID]int
+	pos flat.Table[int]
 
 	// def is the shared default stream behind Sample/AppendSample,
 	// serialised by defMu so the Oracle itself stays safe for concurrent
@@ -79,24 +80,44 @@ var _ Service = (*Oracle)(nil)
 // historical mutexed implementation, so seeded simulator traces are
 // byte-identical.
 func NewOracle(members []peer.Descriptor, seed int64) *Oracle {
-	o := &Oracle{
-		seed: seed,
-		pos:  make(map[id.ID]int, len(members)),
-	}
-	snap := make([]peer.Descriptor, len(members))
+	o := &Oracle{seed: seed}
+	o.pos.Reserve(len(members))
+	snap := make([]peer.Descriptor, len(members), withHeadroom(len(members)))
 	copy(snap, members)
 	for i, m := range snap {
-		o.pos[m.ID] = i
+		o.pos.Put(m.ID, i)
 	}
-	o.snap.Store(&snap)
+	o.publish(snap)
 	o.def = Stream{o: o, rng: rand.New(rand.NewSource(seed))}
 	return o
+}
+
+// membership is one published member array; readers see buf[:n]. Add
+// writes buf[n] and only then raises n, so it writes past the length
+// every reader loaded. Remove and RemoveAll publish a fresh membership, so
+// a reader holding an older one keeps a frozen view.
+type membership struct {
+	buf []peer.Descriptor // its whole capacity
+	n   atomic.Int64
+}
+
+// withHeadroom is the capacity a fresh member array of n gets, so that a
+// churn wave's joins after its removals append in place.
+func withHeadroom(n int) int { return n + n/8 + 8 }
+
+// publish makes ds, within its capacity, the current membership.
+func (o *Oracle) publish(ds []peer.Descriptor) {
+	m := &membership{buf: ds[:cap(ds)]}
+	m.n.Store(int64(len(ds)))
+	o.snap.Store(m)
 }
 
 // members returns the current membership snapshot (never nil to callers;
 // the slice must not be mutated).
 func (o *Oracle) members() []peer.Descriptor {
-	return *o.snap.Load()
+	m := o.snap.Load()
+	n := m.n.Load()
+	return m.buf[:n:n]
 }
 
 // Sample returns up to n distinct uniformly random members, drawn from the
@@ -182,43 +203,65 @@ func (s *Stream) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 	return dst
 }
 
-// Add inserts a member (idempotent by ID), publishing a fresh snapshot.
-// Used by churn models.
+// Add inserts a member (idempotent by ID). It appends in place when the
+// current array has room, and otherwise publishes a fresh array with
+// headroom. Used by churn models.
 func (o *Oracle) Add(d peer.Descriptor) {
 	o.wmu.Lock()
 	defer o.wmu.Unlock()
-	if _, dup := o.pos[d.ID]; dup {
+	if o.pos.Contains(d.ID) {
 		return
 	}
-	cur := o.members()
-	next := make([]peer.Descriptor, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = d
-	o.pos[d.ID] = len(cur)
-	o.snap.Store(&next)
+	cur := o.snap.Load()
+	n := int(cur.n.Load())
+	o.pos.Put(d.ID, n)
+	if n < len(cur.buf) {
+		cur.buf[n] = d
+		cur.n.Store(int64(n + 1))
+		return
+	}
+	next := make([]peer.Descriptor, n+1, withHeadroom(n+1))
+	copy(next, cur.buf[:n])
+	next[n] = d
+	o.publish(next)
 }
 
-// Remove deletes a member by ID, if present, publishing a fresh snapshot.
-// It preserves the historical swap-delete ordering (the last member moves
-// into the hole), so default-stream sequences under a fixed seed are
-// unchanged. Used by churn models.
+// Remove deletes a member by ID, if present; see RemoveAll.
 func (o *Oracle) Remove(nodeID id.ID) {
+	o.RemoveAll([]id.ID{nodeID})
+}
+
+// RemoveAll deletes the members with the given IDs, skipping absent ones,
+// and publishes one fresh snapshot if any was present. Each removal is the
+// historical swap-delete (the last member moves into the hole), applied in
+// the order given, so membership order — and with it default-stream
+// sequences under a fixed seed — equals that of one Remove per ID. Used by
+// churn models.
+func (o *Oracle) RemoveAll(ids []id.ID) {
 	o.wmu.Lock()
 	defer o.wmu.Unlock()
-	i, ok := o.pos[nodeID]
-	if !ok {
-		return
+	var next []peer.Descriptor
+	for _, nodeID := range ids {
+		i, ok := o.pos.Get(nodeID)
+		if !ok {
+			continue
+		}
+		if next == nil {
+			cur := o.members()
+			next = make([]peer.Descriptor, len(cur), withHeadroom(len(cur)))
+			copy(next, cur)
+		}
+		last := len(next) - 1
+		if i < last {
+			next[i] = next[last]
+			o.pos.Put(next[i].ID, i)
+		}
+		next = next[:last]
+		o.pos.Delete(nodeID)
 	}
-	cur := o.members()
-	last := len(cur) - 1
-	next := make([]peer.Descriptor, last)
-	copy(next, cur[:last])
-	if i < last {
-		next[i] = cur[last]
-		o.pos[next[i].ID] = i
+	if next != nil {
+		o.publish(next)
 	}
-	delete(o.pos, nodeID)
-	o.snap.Store(&next)
 }
 
 // Len returns the current membership size, lock-free.

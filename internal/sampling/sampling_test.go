@@ -2,10 +2,13 @@ package sampling
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/id"
 	"repro/internal/peer"
+	"repro/internal/testenv"
 )
 
 func members(n int) []peer.Descriptor {
@@ -88,6 +91,70 @@ func TestOracleAddRemove(t *testing.T) {
 			if d.ID == 3 {
 				t.Fatal("removed member sampled")
 			}
+		}
+	}
+}
+
+// TestOracleRemoveAllOneSnapshot checks that a churn wave's removals cost
+// one member array and its joins none: RemoveAll leaves the membership
+// order of one Remove per ID in one fresh array, Adds then append in place,
+// and a snapshot taken before the Adds does not see them.
+func TestOracleRemoveAllOneSnapshot(t *testing.T) {
+	const n, wave = 4096, 41
+	o, ref := NewOracle(members(n), 1), NewOracle(members(n), 1)
+	// Every 100th member, the last one (no move) and an absent ID.
+	var ids []id.ID
+	for i := 0; i < wave-2; i++ {
+		ids = append(ids, id.ID(1+100*i))
+	}
+	ids = append(ids, id.ID(n), id.ID(n+1))
+	joins := make([]peer.Descriptor, wave)
+	for i := range joins {
+		joins[i] = peer.Descriptor{ID: id.ID(10000 + i), Addr: peer.Addr(10000 + i)}
+	}
+
+	var ms runtime.MemStats
+	allocs := func() (uint64, uint64) {
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs, ms.TotalAlloc
+	}
+	m0, b0 := allocs()
+	o.RemoveAll(ids)
+	m1, b1 := allocs()
+	before := o.members()
+	for _, d := range joins {
+		o.Add(d)
+	}
+	m2, _ := allocs()
+	if !testenv.Race() { // the race detector allocates on its own account
+		// One array with headroom, under two copies of the membership (one
+		// Remove per ID would copy it 41 times).
+		if copies := float64(b1-b0) / float64(n*16); m1-m0 > 2 || copies >= 2 {
+			t.Errorf("RemoveAll of %d allocated %d objects, %.2f member arrays; want one array and its header", wave, m1-m0, copies)
+		}
+		if m2 != m1 {
+			t.Errorf("%d Adds after RemoveAll allocated %d objects, want 0", wave, m2-m1)
+		}
+	}
+
+	for _, d := range ids {
+		ref.Remove(d)
+	}
+	if len(before) != n-(wave-1) || !slices.Equal(before, ref.members()) {
+		t.Fatalf("RemoveAll left %d members, not the order of one Remove per ID (%d)", len(before), ref.Len())
+	}
+	for _, d := range joins {
+		ref.Add(d)
+	}
+	if got := o.members(); !slices.Equal(got, ref.members()) {
+		t.Fatal("Adds after RemoveAll left another membership order than after Removes")
+	}
+	if !slices.Equal(before, ref.members()[:len(before)]) || len(before) != n-(wave-1) {
+		t.Fatal("a snapshot taken before the Adds changed")
+	}
+	for i, d := range o.members() {
+		if j, ok := o.pos.Get(d.ID); !ok || j != i {
+			t.Fatalf("member %s at %d, indexed at %d", d, i, j)
 		}
 	}
 }
