@@ -38,45 +38,49 @@ func (o *options) memstatsLine(out io.Writer, n int, heapBytes uint64) {
 	}
 }
 
+// campaignMemstatsLine prints the memory accounting header of a -trials
+// campaign when -memstats is set: the peak of the heap samples each trial
+// took at its end with its network still live, so the heap above the
+// baseline is attributed over the workers trials that ran at once rather
+// than to whichever a single end-of-campaign snapshot would catch.
+func (o *options) campaignMemstatsLine(out io.Writer, n, workers int, baseline, peak uint64) {
+	if o.memstats {
+		fmt.Fprintf(out, "# memstats n=%d trials=%d workers=%d %s\n",
+			n, o.trials, workers, memstats.CampaignLine(n, workers, baseline, peak))
+	}
+}
+
 // convergence reproduces Figures 3 and 4: per-cycle missing-entry
-// proportions per network size, one raw series per -runs seed, or with
-// -trials the mean/min/max across seeds, which is independent of -workers.
+// proportions per network size. One trial prints its raw series; -trials
+// seeds print one summary line each, then the mean/min/max series across
+// them. Both are independent of -workers.
 func convergence(label string) func(*options, io.Writer) error {
 	return func(o *options, out io.Writer) error {
 		fmt.Fprintf(out, "# experiment=%s sampler=%s drop=%.2f b=%d k=%d c=%d cr=%d\n",
 			label, o.sampler, o.drop, o.cfg.B, o.cfg.K, o.cfg.C, o.cfg.CR)
 		for _, n := range o.sizes {
-			p := o.params(n)
-			if o.trials > 1 {
-				res, err := experiment.RunTrials(p, experiment.Seeds(o.seed, o.trials), o.workers)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "# n=%d trials=%d converged_trials=%d\n", n, o.trials, res.ConvergedTrials())
-				if o.memstats {
-					// Campaign accounting: peak across per-trial samples, with
-					// the above-baseline heap attributed over the res.Workers
-					// trials that were live at once.
-					fmt.Fprintf(out, "# memstats n=%d trials=%d workers=%d %s\n",
-						n, o.trials, res.Workers, memstats.CampaignLine(n, res.Workers, res.HeapBaseline, res.HeapPeak()))
-				}
-				if err := res.WriteCSV(out); err != nil {
+			res, err := experiment.RunTrials(o.params(n), experiment.Seeds(o.seed, o.trials), o.workers)
+			if err != nil {
+				return err
+			}
+			if o.trials == 1 {
+				t := res.Trials[0]
+				fmt.Fprintf(out, "# n=%d run=0 converged_at=%d sent=%d dropped=%d\n",
+					n, t.ConvergedAt, t.Stats.Sent, t.Stats.Dropped)
+				o.memstatsLine(out, n, t.HeapBytes)
+				if err := t.WriteCSV(out); err != nil {
 					return err
 				}
 				continue
 			}
-			for rep, seed := range experiment.Seeds(o.seed, o.runs) {
-				p.Seed = seed
-				res, err := experiment.Run(p)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "# n=%d run=%d converged_at=%d sent=%d dropped=%d\n",
-					n, rep, res.ConvergedAt, res.Stats.Sent, res.Stats.Dropped)
-				o.memstatsLine(out, n, res.HeapBytes)
-				if err := res.WriteCSV(out); err != nil {
-					return err
-				}
+			fmt.Fprintf(out, "# n=%d trials=%d converged_trials=%d\n", n, o.trials, res.ConvergedTrials())
+			for i, t := range res.Trials {
+				fmt.Fprintf(out, "# n=%d trial=%d seed=%d converged_at=%d sent=%d dropped=%d\n",
+					n, i, res.Seeds[i], t.ConvergedAt, t.Stats.Sent, t.Stats.Dropped)
+			}
+			o.campaignMemstatsLine(out, n, res.Workers, res.HeapBaseline, res.HeapPeak())
+			if err := res.WriteCSV(out); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -126,19 +130,17 @@ func runMassJoin(o *options, out io.Writer) error {
 }
 
 // runScaling reproduces the logarithmic-convergence claim: cycles to
-// perfection as a function of N.
+// perfection as a function of N, one row per -trials seed.
 func runScaling(o *options, out io.Writer) error {
 	fmt.Fprintf(out, "# experiment=scaling sampler=%s\n", o.sampler)
 	fmt.Fprintln(out, "n,run,converged_at_cycle,sent_messages")
 	for _, n := range o.sizes {
-		p := o.params(n)
-		for rep, seed := range experiment.Seeds(o.seed, o.runs) {
-			p.Seed = seed
-			res, err := experiment.Run(p)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "%d,%d,%d,%d\n", n, rep, res.ConvergedAt, res.Stats.Sent)
+		res, err := experiment.RunTrials(o.params(n), experiment.Seeds(o.seed, o.trials), o.workers)
+		if err != nil {
+			return err
+		}
+		for i, t := range res.Trials {
+			fmt.Fprintf(out, "%d,%d,%d,%d\n", n, i, t.ConvergedAt, t.Stats.Sent)
 		}
 	}
 	return nil

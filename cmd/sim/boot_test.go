@@ -1,23 +1,54 @@
 package main
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestBootTrialsIndependentOfWorkers is the CLI half of the RunTrials
-// determinism guarantee: the aggregated CSV for -trials T is byte-identical
-// for any -workers value.
+// determinism guarantee: the output of -trials T is byte-identical for any
+// -workers value, aggregated (fig3) or one row per trial (scaling).
 func TestBootTrialsIndependentOfWorkers(t *testing.T) {
-	base := mustRun(t, "fig3", "-n", "128", "-trials", "3", "-workers", "1")
-	if !strings.Contains(base, "trials=3") || !strings.Contains(base, "leaf_missing_mean") {
-		t.Fatalf("missing aggregate output:\n%s", base)
-	}
-	for _, w := range []string{"2", "4"} {
-		if got := mustRun(t, "fig3", "-n", "128", "-trials", "3", "-workers", w); got != base {
-			t.Errorf("workers=%s output differs from workers=1", w)
+	for _, c := range []struct{ campaign, want string }{
+		{"fig3", "leaf_missing_mean"},
+		{"scaling", "\n128,2,"},
+	} {
+		base := mustRun(t, c.campaign, "-n", "128", "-trials", "3", "-workers", "1")
+		if !strings.Contains(base, c.want) {
+			t.Fatalf("%s: output lacks %q:\n%s", c.campaign, c.want, base)
 		}
+		for _, w := range []string{"2", "4"} {
+			if got := mustRun(t, c.campaign, "-n", "128", "-trials", "3", "-workers", w); got != base {
+				t.Errorf("%s: workers=%s output differs from workers=1", c.campaign, w)
+			}
+		}
+	}
+}
+
+// TestBootTrialLinesMatchSingleRuns: each trial line of fig3 -trials
+// reports what fig3 -seed <that trial's seed> reports of its one run.
+func TestBootTrialLinesMatchSingleRuns(t *testing.T) {
+	trials := 0
+	for _, line := range strings.Split(mustRun(t, "fig3", "-n", "128", "-trials", "3"), "\n") {
+		var n, i, at int
+		var seed, sent, dropped int64
+		if _, err := fmt.Sscanf(line, "# n=%d trial=%d seed=%d converged_at=%d sent=%d dropped=%d",
+			&n, &i, &seed, &at, &sent, &dropped); err != nil {
+			continue
+		}
+		if want := 42 + int64(i)*7919; seed != want {
+			t.Errorf("trial %d: seed %d, want %d", i, seed, want)
+		}
+		single := mustRun(t, "fig3", "-n", "128", "-seed", strconv.FormatInt(seed, 10))
+		if want := fmt.Sprintf("# n=128 run=0 converged_at=%d sent=%d dropped=%d\n", at, sent, dropped); !strings.Contains(single, want) {
+			t.Errorf("trial %d: %q, but the seed's one run prints\n%s", i, line, single)
+		}
+		trials++
+	}
+	if trials != 3 {
+		t.Errorf("%d trial lines, want 3", trials)
 	}
 }
 
@@ -87,12 +118,13 @@ func TestBootFig3Drop(t *testing.T) {
 	}
 }
 
-func TestBootScalingSmall(t *testing.T) {
-	out := mustRun(t, "scaling", "-n", "64,128", "-runs", "2")
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	// header comment + csv header + 4 rows
-	if len(lines) != 6 {
-		t.Errorf("scaling output has %d lines, want 6:\n%s", len(lines), out)
+// TestBootScalingGolden pins scaling's rows, one per size and trial: the
+// bytes -runs 2 printed before -trials took its place.
+func TestBootScalingGolden(t *testing.T) {
+	out := mustRun(t, "scaling", "-n", "64,128", "-trials", "2")
+	const want = "7f18d400c8e6b0b6ee60559ff3789fc212c7493f909a83982f1fd4f14cf0aeb1"
+	if got := sha256Of(out); got != want {
+		t.Errorf("output sha256 = %s, want %s\n%s", got, want, out)
 	}
 }
 

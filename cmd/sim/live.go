@@ -16,7 +16,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/host"
 	"repro/internal/livenet"
-	"repro/internal/memstats"
 )
 
 // liveParams is the trial the live and sock campaigns share. A scenario
@@ -60,7 +59,7 @@ func runLive(o *options, out io.Writer) error {
 	elapsed := time.Since(start).Round(time.Millisecond)
 
 	fmt.Fprintf(out, "# livesim n=%d trials=%d workers=%d scenario=%s sampler=%s measure_sample=%d drop=%.2f latency=%s period=%s cycles=%d elapsed=%s\n",
-		p.N, o.trials, o.workers, p.Scenario.Name, p.Sampler, p.MeasureSample, p.Drop, o.latency, res.Params.Period, p.Cycles, elapsed)
+		p.N, o.trials, res.Workers, p.Scenario.Name, p.Sampler, p.MeasureSample, p.Drop, o.latency, res.Params.Period, p.Cycles, elapsed)
 	if sched := res.Trials[0].Schedule; len(sched) > 0 {
 		fmt.Fprintf(out, "# fault plan (trial 0, seed %d):\n", seeds[0])
 		for _, e := range sched {
@@ -74,15 +73,7 @@ func runLive(o *options, out io.Writer) error {
 			f.LeafMissing, f.PrefixMissing,
 			t.Stats.Sent, t.Stats.Delivered, t.Stats.Dropped, t.Stats.Overflow)
 	}
-	if p.MemStats {
-		// Campaign-level accounting: the peak of the heap samples taken at
-		// the end of every trial (hosts still running), so the figure
-		// reflects the res.Workers trials live at once rather than
-		// whichever stragglers a single end-of-campaign snapshot would
-		// catch.
-		fmt.Fprintf(out, "# memstats n=%d trials=%d workers=%d %s\n",
-			p.N, o.trials, res.Workers, memstats.CampaignLine(p.N, res.Workers, res.HeapBaseline, res.HeapPeak()))
-	}
+	o.campaignMemstatsLine(out, p.N, res.Workers, res.HeapBaseline, res.HeapPeak())
 	var total host.Stats
 	for _, t := range res.Trials {
 		total.Add(t.Stats)

@@ -120,6 +120,21 @@ func (w *world) join(i int) error {
 	return w.oracle.Add(w.descs[i].ID)
 }
 
+// removeRandom removes up to kill live nodes, each the first live one at
+// or after a uniform draw, and always leaves two.
+func (w *world) removeRandom(kill int, rng *rand.Rand) error {
+	for k := 0; k < kill && w.nLive > 2; k++ {
+		vi := rng.Intn(len(w.descs))
+		for !w.alive[vi] {
+			vi = (vi + 1) % len(w.descs)
+		}
+		if err := w.remove(vi); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // liveMembers appends the truth.Members of live nodes to dst.
 func (w *world) liveMembers(dst []truth.Member) []truth.Member {
 	for i, m := range w.members {
@@ -141,34 +156,13 @@ func applyScenario(o *options, w *world, cycle int, rng *rand.Rand) error {
 		if cycle == 0 {
 			return nil
 		}
-		kill := int(float64(w.nLive) * o.churn)
-		if kill < 1 {
-			kill = 1
-		}
-		for k := 0; k < kill && w.nLive > 2; k++ {
-			vi := rng.Intn(len(w.descs))
-			for !w.alive[vi] {
-				vi = (vi + 1) % len(w.descs)
-			}
-			if err := w.remove(vi); err != nil {
-				return err
-			}
-		}
+		return w.removeRandom(max(int(float64(w.nLive)*o.churn), 1), rng)
 	case "crash":
 		// One mass failure at mid-run: 10% of the population at once.
 		if cycle != o.cycles/2 {
 			return nil
 		}
-		kill := w.nLive / 10
-		for k := 0; k < kill && w.nLive > 2; k++ {
-			vi := rng.Intn(len(w.descs))
-			for !w.alive[vi] {
-				vi = (vi + 1) % len(w.descs)
-			}
-			if err := w.remove(vi); err != nil {
-				return err
-			}
-		}
+		return w.removeRandom(w.nLive/10, rng)
 	case "flash":
 		// The flash crowd: every standby joins at once at mid-run. Joins
 		// are applied in index order, one Join (adopt + migrate) at a

@@ -11,7 +11,7 @@
 //	sim fig4 -trials 8           # Figure 4: the same under 20% message drop, 8 seeds aggregated
 //	sim churn                    # Section 5 churn: 1% of the nodes replaced per cycle for 20 cycles
 //	sim massjoin                 # the network doubles at cycle 10
-//	sim scaling -runs 3          # cycles to converge against N
+//	sim scaling -trials 3        # cycles to converge against N
 //	sim ablation                 # no prefix feedback, and cr = 0, 10, 100
 //	sim chord                    # the Chord ring + fingers baseline
 //	sim live -scenario partition # the goroutine runtime, -trials seeds aggregated
@@ -21,12 +21,15 @@
 //	sim startspread              # broadcast start-signal skew
 //	sim sizeest                  # gossip network-size estimation
 //
-// There is one flag set: a flag means the same in every campaign, and a
-// campaign ignores the flags it has no use for. The defaults a campaign
-// differs on sit in its row of the campaign table; `sim <campaign> -help`
-// prints the flags with that campaign's defaults. -cpuprofile and
-// -memprofile write pprof profiles of any campaign. A wrong command line
-// exits 2, a failed campaign 1.
+// Each campaign accepts only the flags its run function reads: -n, -seed,
+// -cycles, -cpuprofile and -memprofile, plus those its row of the campaign
+// table names. A flag means the same in every campaign that takes it, and
+// any other flag is an error. The defaults a campaign differs on sit in its
+// row too; `sim <campaign> -help` lists its flags with those defaults.
+// -trials N runs the seeds -seed + i*7919: fig3, fig4 and live print a line
+// per trial and the mean/min/max series, scaling one row per trial.
+// -cpuprofile and -memprofile write pprof profiles of any campaign. A wrong
+// command line exits 2, a failed campaign 1.
 package main
 
 import (
@@ -54,30 +57,39 @@ import (
 type campaign struct {
 	name string
 	// defaults are the flags this campaign sets differently from the
-	// shared defaults. They are parsed before the command line, so -help
-	// shows them. A campaign whose default -n is one size runs one network.
-	defaults string
-	// trials marks the campaigns that aggregate -trials seeds.
-	trials bool
-	run    func(o *options, out io.Writer) error
+	// shared defaults. A campaign whose default -n is one size runs one
+	// network. flags names what run reads besides sharedFlags; the
+	// campaign rejects every other flag.
+	defaults, flags string
+	run             func(o *options, out io.Writer) error
 }
 
-const bootSizes = "-n 1024,4096,16384"
+// The flags every campaign reads, and the groups the rows are built of;
+// gossipFlags is what params and liveParams both read.
+const (
+	sharedFlags = "n seed cycles cpuprofile memprofile"
+	configFlags = "b k c cr"
+	gossipFlags = configFlags + " drop sampler warmup measure-workers measure-sample"
+	simnetFlags = gossipFlags + " paper shards"
+	liveFlags   = gossipFlags + " scenario latency period"
+	trialFlags  = " trials workers"
+	bootSizes   = "-n 1024,4096,16384"
+)
 
 var campaigns = []campaign{
-	{"fig3", bootSizes + " -cycles 40", true, convergence("fig3 (no failures)")},
-	{"fig4", bootSizes + " -cycles 60 -drop 0.2", true, convergence("fig4 (message drop)")},
-	{"churn", bootSizes + " -cycles 50", false, runChurn},
-	{"massjoin", bootSizes, false, runMassJoin},
-	{"scaling", bootSizes, false, runScaling},
-	{"ablation", bootSizes, false, runAblation},
-	{"chord", bootSizes, false, runChord},
-	{"live", "-trials 4 -scenario churn -cycles 30", true, runLive},
-	{"sock", "-scenario churn -cycles 30", false, runSock},
-	{"load", "-cycles 10", false, runLoad},
-	{"selfheal", "-n 2000", false, runSelfHeal},
-	{"startspread", "-n 2000", false, runStartSpread},
-	{"sizeest", "-n 2000", false, runSizeEst},
+	{"fig3", bootSizes + " -cycles 40", simnetFlags + " memstats" + trialFlags, convergence("fig3 (no failures)")},
+	{"fig4", bootSizes + " -cycles 60 -drop 0.2", simnetFlags + " memstats" + trialFlags, convergence("fig4 (message drop)")},
+	{"churn", bootSizes + " -cycles 50", simnetFlags + " memstats", runChurn},
+	{"massjoin", bootSizes, simnetFlags + " memstats", runMassJoin},
+	{"scaling", bootSizes, simnetFlags + trialFlags, runScaling},
+	{"ablation", bootSizes, simnetFlags, runAblation},
+	{"chord", bootSizes, configFlags + " paper drop", runChord},
+	{"live", "-trials 4 -scenario churn -cycles 30", liveFlags + " memstats" + trialFlags, runLive},
+	{"sock", "-scenario churn -cycles 30", liveFlags + " procs base-port worker proc", runSock},
+	{"load", "-cycles 10", configFlags + " measure-workers measure-sample scenario ops clients keys get zipf valsize replicas churn boot", runLoad},
+	{"selfheal", "-n 2000", "fail", runSelfHeal},
+	{"startspread", "-n 2000", "", runStartSpread},
+	{"sizeest", "-n 2000", "", runSizeEst},
 }
 
 func main() {
@@ -91,9 +103,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if err != nil {
-		fmt.Fprintln(stderr, "sim:", err)
 		if c == nil {
+			fmt.Fprintln(stderr, "sim:", err)
 			usage(stderr)
+		} else {
+			fmt.Fprintf(stderr, "sim %s: %v\n", c.name, err)
 		}
 		return 2
 	}
@@ -163,23 +177,23 @@ func usage(w io.Writer) {
 	}
 }
 
-// options holds every flag of every campaign.
+// options holds every flag of every campaign; the fields a campaign does
+// not read keep their defaults.
 type options struct {
 	args []string // the command line, campaign first: sock's workers re-run it
 
-	sizes          sizes
-	cycles         int
-	drop           float64
-	seed           int64
-	sampler        experiment.SamplerKind
-	warmup         int
-	runs, trials   int
-	workers        int
-	measureWorkers int
-	measureSample  int
-	shards         int
-	memstats       bool
-	cfg            core.Config
+	sizes           sizes
+	cycles          int
+	drop            float64
+	seed            int64
+	sampler         experiment.SamplerKind
+	warmup          int
+	trials, workers int
+	measureWorkers  int
+	measureSample   int
+	shards          int
+	memstats        bool
+	cfg             core.Config
 
 	cpuProfile, memProfile string
 
@@ -210,53 +224,57 @@ func parse(args []string, stderr io.Writer) (o *options, c *campaign, err error)
 	}
 	c = &campaigns[i]
 	o = &options{args: args, sizes: sizes{1024}, cfg: core.DefaultConfig()}
+	// all holds every flag once, with the row's defaults parsed into it;
+	// a row that does not parse is a bug, so it panics.
+	all := flag.NewFlagSet("sim "+c.name, flag.PanicOnError)
+	all.Var(&o.sizes, "n", "network size; the simnet campaigns take a comma-separated list")
+	paper := all.Bool("paper", false, "the paper's sizes 2^14,2^16,2^18 (slow, several GB of RAM)")
+	all.IntVar(&o.cycles, "cycles", 60, "cycle budget")
+	all.Float64Var(&o.drop, "drop", 0, "message drop probability (initial, under a live scenario)")
+	all.Int64Var(&o.seed, "seed", 42, "random seed")
+	sampler := all.String("sampler", "oracle", "oracle|newscast sampling layer under the bootstrap nodes")
+	all.IntVar(&o.warmup, "warmup", 10, "newscast warmup cycles before the bootstrap layer starts")
+	all.IntVar(&o.trials, "trials", 1, "independent trials per size, trial i at seed+i*7919")
+	all.IntVar(&o.workers, "workers", 0, "trials run at once (0 = GOMAXPROCS)")
+	all.IntVar(&o.measureWorkers, "measure-workers", 0, "goroutines sharding the per-cycle measurement (0 = GOMAXPROCS; output identical for any value)")
+	all.IntVar(&o.measureSample, "measure-sample", 0, "per-cycle measurement sample size with 95% confidence intervals (0 = exact full measurement)")
+	all.IntVar(&o.shards, "shards", 0, "parallel simnet shards per run (0/1 = sequential engine; with -sampler newscast every value yields the sequential trace, with the oracle sampler every value >1 yields one trace, distinct from the sequential one)")
+	all.BoolVar(&o.memstats, "memstats", false, "print # memstats headers: live heap bytes per node and peak RSS")
+	all.IntVar(&o.cfg.B, "b", o.cfg.B, "bits per digit")
+	all.IntVar(&o.cfg.K, "k", o.cfg.K, "entries per prefix-table slot")
+	all.IntVar(&o.cfg.C, "c", o.cfg.C, "leaf set size")
+	all.IntVar(&o.cfg.CR, "cr", o.cfg.CR, "random samples per message")
+	all.StringVar(&o.scenario, "scenario", "none", "live, sock: none|churn|partition|drop|latency; load: none|churn|crash|partition|flash")
+	all.DurationVar(&o.latency, "latency", 0, "max injected delivery latency, on either link (min is latency/4)")
+	all.DurationVar(&o.period, "period", 0, "wall-clock gossip period (0 scales with -n)")
+	all.IntVar(&o.procs, "procs", 4, "worker processes sharding the hosts")
+	all.IntVar(&o.basePort, "base-port", 18500, "worker p listens on base-port+p")
+	all.BoolVar(&o.worker, "worker", false, "run as a sock worker process (internal)")
+	all.IntVar(&o.proc, "proc", 0, "sock worker shard index (internal)")
+	all.IntVar(&o.ops, "ops", 20000, "operations per cycle")
+	all.IntVar(&o.clients, "clients", 4, "closed-loop load clients")
+	all.IntVar(&o.keys, "keys", 1024, "distinct keys in the working set")
+	all.Float64Var(&o.get, "get", 0.9, "fraction of ops that are gets")
+	all.Float64Var(&o.zipf, "zipf", 0, "Zipf popularity exponent (>1 enables skew; 0 = uniform)")
+	all.IntVar(&o.valSize, "valsize", 64, "value size in bytes")
+	all.IntVar(&o.replicas, "replicas", dht.DefaultReplicas, "replication factor")
+	all.Float64Var(&o.churn, "churn", 0.01, "per-cycle fraction of live nodes removed (load -scenario churn)")
+	all.StringVar(&o.boot, "boot", "perfect", "perfect|simnet: perfect tables, or bootstrap via the gossip protocol")
+	all.Float64Var(&o.fail, "fail", 0.7, "fraction killed by selfheal")
+	all.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the campaign to this file")
+	all.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile to this file when the campaign ends")
+	all.Parse(strings.Fields(c.defaults))
+	oneNetwork := len(o.sizes) == 1
+
+	// The campaign's own set shares the flags it reads. Var records each
+	// value as it stands, so -help shows the row's defaults, and the
+	// flag package rejects every flag the row does not name.
 	fs := flag.NewFlagSet("sim "+c.name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.Var(&o.sizes, "n", "network size; the simnet campaigns take a comma-separated list")
-	paper := fs.Bool("paper", false, "the paper's sizes 2^14,2^16,2^18 (slow, several GB of RAM)")
-	fs.IntVar(&o.cycles, "cycles", 60, "cycle budget")
-	fs.Float64Var(&o.drop, "drop", 0, "message drop probability (initial, under a live scenario)")
-	fs.Int64Var(&o.seed, "seed", 42, "random seed")
-	sampler := fs.String("sampler", "oracle", "oracle|newscast sampling layer under the bootstrap nodes")
-	fs.IntVar(&o.warmup, "warmup", 10, "newscast warmup cycles before the bootstrap layer starts")
-	fs.IntVar(&o.runs, "runs", 1, "independent repetitions per size, printed raw")
-	fs.IntVar(&o.trials, "trials", 1, "independent seeds aggregated per size (mean/min/max series)")
-	fs.IntVar(&o.workers, "workers", 0, "trials run at once (0 = GOMAXPROCS)")
-	fs.IntVar(&o.measureWorkers, "measure-workers", 0, "goroutines sharding the per-cycle measurement (0 = GOMAXPROCS; output identical for any value)")
-	fs.IntVar(&o.measureSample, "measure-sample", 0, "per-cycle measurement sample size with 95% confidence intervals (0 = exact full measurement)")
-	fs.IntVar(&o.shards, "shards", 0, "parallel simnet shards per run (0/1 = sequential engine; with -sampler newscast every value yields the sequential trace, with the oracle sampler every value >1 yields one trace, distinct from the sequential one)")
-	fs.BoolVar(&o.memstats, "memstats", false, "print # memstats headers: live heap bytes per node and peak RSS")
-	fs.IntVar(&o.cfg.B, "b", o.cfg.B, "bits per digit")
-	fs.IntVar(&o.cfg.K, "k", o.cfg.K, "entries per prefix-table slot")
-	fs.IntVar(&o.cfg.C, "c", o.cfg.C, "leaf set size")
-	fs.IntVar(&o.cfg.CR, "cr", o.cfg.CR, "random samples per message")
-	fs.StringVar(&o.scenario, "scenario", "none", "live, sock: none|churn|partition|drop|latency; load: none|churn|crash|partition|flash")
-	fs.DurationVar(&o.latency, "latency", 0, "max injected delivery latency, on either link (min is latency/4)")
-	fs.DurationVar(&o.period, "period", 0, "wall-clock gossip period (0 scales with -n)")
-	fs.IntVar(&o.procs, "procs", 4, "worker processes sharding the hosts")
-	fs.IntVar(&o.basePort, "base-port", 18500, "worker p listens on base-port+p")
-	fs.BoolVar(&o.worker, "worker", false, "run as a sock worker process (internal)")
-	fs.IntVar(&o.proc, "proc", 0, "sock worker shard index (internal)")
-	fs.IntVar(&o.ops, "ops", 20000, "operations per cycle")
-	fs.IntVar(&o.clients, "clients", 4, "closed-loop load clients")
-	fs.IntVar(&o.keys, "keys", 1024, "distinct keys in the working set")
-	fs.Float64Var(&o.get, "get", 0.9, "fraction of ops that are gets")
-	fs.Float64Var(&o.zipf, "zipf", 0, "Zipf popularity exponent (>1 enables skew; 0 = uniform)")
-	fs.IntVar(&o.valSize, "valsize", 64, "value size in bytes")
-	fs.IntVar(&o.replicas, "replicas", dht.DefaultReplicas, "replication factor")
-	fs.Float64Var(&o.churn, "churn", 0.01, "per-cycle fraction of live nodes removed (load -scenario churn)")
-	fs.StringVar(&o.boot, "boot", "perfect", "perfect|simnet: perfect tables, or bootstrap via the gossip protocol")
-	fs.Float64Var(&o.fail, "fail", 0.7, "fraction killed by selfheal")
-	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the campaign to this file")
-	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile to this file when the campaign ends")
-
-	// The row's defaults become the flags' defaults; the command line
-	// then overrides them.
-	if err := fs.Parse(strings.Fields(c.defaults)); err != nil {
-		return nil, c, err
+	for _, name := range strings.Fields(sharedFlags + " " + c.flags) {
+		f := all.Lookup(name)
+		fs.Var(f.Value, f.Name, f.Usage)
 	}
-	fs.Visit(func(f *flag.Flag) { f.DefValue = f.Value.String() })
-	oneNetwork := len(o.sizes) == 1
 	if err := fs.Parse(args[1:]); err != nil {
 		return nil, c, err
 	}
@@ -269,14 +287,8 @@ func parse(args []string, stderr io.Writer) (o *options, c *campaign, err error)
 	switch {
 	case oneNetwork && len(o.sizes) > 1:
 		return nil, c, fmt.Errorf("%s runs one network: -n takes one size, got %v", c.name, o.sizes)
-	case o.runs < 1:
-		return nil, c, fmt.Errorf("-runs must be at least 1, got %d", o.runs)
 	case o.trials < 1:
 		return nil, c, fmt.Errorf("-trials must be at least 1, got %d", o.trials)
-	case o.trials > 1 && !c.trials:
-		return nil, c, fmt.Errorf("-trials aggregation is only supported for fig3, fig4 and live, not %s", c.name)
-	case o.trials > 1 && o.runs > 1:
-		return nil, c, errors.New("-runs and -trials are mutually exclusive (-runs prints raw per-seed series, -trials aggregates them)")
 	case o.workers < 0:
 		return nil, c, fmt.Errorf("-workers must not be negative, got %d", o.workers)
 	}

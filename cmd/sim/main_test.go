@@ -91,9 +91,10 @@ func TestFlags(t *testing.T) {
 		rows []flagRow
 	}{
 		{"boot_parse", []flagRow{
-			{[]string{"fig4", "-n", "64, 128", "-seed", "7", "-runs", "2"}, 0, func(o *options) bool {
-				return slices.Equal(o.sizes, sizes{64, 128}) && o.seed == 7 && o.runs == 2 && o.drop == 0.2 && o.cycles == 60
+			{[]string{"fig4", "-n", "64, 128", "-seed", "7", "-trials", "2"}, 0, func(o *options) bool {
+				return slices.Equal(o.sizes, sizes{64, 128}) && o.seed == 7 && o.trials == 2 && o.drop == 0.2 && o.cycles == 60
 			}},
+			{[]string{"scaling", "-trials", "4", "-workers", "2"}, 0, func(o *options) bool { return o.trials == 4 && o.workers == 2 }},
 			{[]string{"fig3"}, 0, func(o *options) bool {
 				return slices.Equal(o.sizes, sizes{1024, 4096, 16384}) && o.drop == 0 && o.cycles == 40
 			}},
@@ -104,11 +105,10 @@ func TestFlags(t *testing.T) {
 		{"boot_reject", []flagRow{
 			{[]string{"fig3", "-n", "abc"}, 2, nil},
 			{[]string{"fig3", "-sampler", "bogus"}, 2, nil},
-			{[]string{"fig3", "-runs", "0"}, 2, nil},
+			{[]string{"scaling", "-trials", "0"}, 2, nil},
 			{[]string{"fig3", "-trials", "0"}, 2, nil},
 			{[]string{"fig3", "-workers", "-1"}, 2, nil},
-			{[]string{"scaling", "-trials", "4"}, 2, nil},
-			{[]string{"fig3", "-trials", "2", "-runs", "2"}, 2, nil},
+			{[]string{"fig3", "-runs", "2"}, 2, nil},
 			{[]string{"fig3", "-bogus"}, 2, nil},
 			{[]string{"fig3", "-shards", "-1"}, 1, nil},
 		}},
@@ -158,6 +158,64 @@ func TestFlags(t *testing.T) {
 				} else if !c.ok(o) {
 					t.Errorf("%v: parsed %+v", c.args, o)
 				}
+			}
+		})
+	}
+}
+
+// TestFlagsPerCampaign: every campaign's defaults parse in its own flag
+// set, a flag it does not read exits 2 with an error naming the campaign
+// and the flag, and -help lists exactly the flags it reads.
+func TestFlagsPerCampaign(t *testing.T) {
+	unread := map[string][]string{
+		"fig3":        {"-latency", "1s"},
+		"fig4":        {"-keys", "5"},
+		"churn":       {"-trials", "2"},
+		"massjoin":    {"-procs", "2"},
+		"scaling":     {"-memstats"},
+		"ablation":    {"-memstats"},
+		"chord":       {"-sampler", "newscast"},
+		"live":        {"-shards", "2"},
+		"sock":        {"-memstats"},
+		"load":        {"-shards", "2"},
+		"selfheal":    {"-drop", "0.5"},
+		"startspread": {"-fail", "0.5"},
+		"sizeest":     {"-warmup", "5"},
+	}
+	for _, c := range campaigns {
+		t.Run(c.name, func(t *testing.T) {
+			if _, _, err := parse(append([]string{c.name}, strings.Fields(c.defaults)...), io.Discard); err != nil {
+				t.Errorf("the row's defaults %q: %v", c.defaults, err)
+			}
+			bad, ok := unread[c.name]
+			if !ok {
+				t.Fatal("no unread flag to try")
+			}
+			var errs strings.Builder
+			if code := run(append([]string{c.name}, bad...), io.Discard, &errs); code != 2 {
+				t.Errorf("%v: exit %d, want 2", bad, code)
+			}
+			if want := fmt.Sprintf("sim %s: flag provided but not defined: %s", c.name, bad[0]); !strings.Contains(errs.String(), want) {
+				t.Errorf("%v: stderr lacks %q:\n%s", bad, want, errs.String())
+			}
+
+			var help strings.Builder
+			if code := run([]string{c.name, "-help"}, io.Discard, &help); code != 0 {
+				t.Errorf("-help: exit %d, want 0", code)
+			}
+			var listed []string
+			for _, line := range strings.Split(help.String(), "\n") {
+				if rest, ok := strings.CutPrefix(line, "  -"); ok {
+					listed = append(listed, strings.Fields(rest)[0])
+				}
+			}
+			if slices.Contains(listed, bad[0][1:]) {
+				t.Errorf("-help lists %s", bad[0])
+			}
+			want := strings.Fields(sharedFlags + " " + c.flags)
+			slices.Sort(want)
+			if !slices.Equal(listed, want) {
+				t.Errorf("-help lists %v, want %v", listed, want)
 			}
 		})
 	}

@@ -61,9 +61,9 @@ type (
 )
 
 // Seeds returns n deterministic trial seeds derived from base, suitable for
-// RunTrials: base, base+7919, base+2*7919, … — the same seeds cmd/sim's
-// fig3 and fig4 use for -runs repetitions, so a -trials campaign aggregates exactly the
-// per-seed series a -runs campaign prints raw.
+// RunTrials: base, base+7919, base+2*7919, … — the seeds of cmd/sim's
+// -trials, so trial i of a simnet campaign repeats its one run at
+// -seed base+i*7919.
 func Seeds(base int64, n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
