@@ -100,7 +100,8 @@ func (o *options) sockParams() (experiment.LiveParams, error) {
 		// explicitly rather than each process re-deriving it.
 		p.Period = experiment.DefaultLivePeriod(p.N, 1)
 	}
-	return p, nil
+	// The driver checks what its workers would, before it spawns any.
+	return p, p.Validate()
 }
 
 // runSock runs the trial once across worker processes: each owns n/procs

@@ -113,6 +113,22 @@ func TestSockSmoke(t *testing.T) {
 	}
 }
 
+// TestSockValidatesBeforeSpawning: the driver rejects parameters its
+// workers would reject before it starts any of them, so the error is the
+// parameters' and no worker is named.
+func TestSockValidatesBeforeSpawning(t *testing.T) {
+	for _, bad := range [][]string{{"-drop", "1.5"}, {"-c", "3"}, {"-latency", "-1s"}} {
+		var errs strings.Builder
+		args := append([]string{"sock", "-n", "16", "-procs", "2", "-cycles", "2"}, bad...)
+		if code := run(args, io.Discard, &errs); code != 1 {
+			t.Errorf("%v: exit %d, want 1", bad, code)
+		}
+		if msg := errs.String(); strings.Count(msg, "\n") != 1 || strings.Contains(msg, "worker") {
+			t.Errorf("%v: stderr %q, want one line, the parameters' error, naming no worker", bad, msg)
+		}
+	}
+}
+
 // TestSockKillsWedgedWorker: a worker that stops answering must not hang
 // the driver. Both workers answer READY and then nothing; the driver has to
 // give up after its deadline, name the worker and the line it owed, and

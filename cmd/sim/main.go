@@ -74,6 +74,9 @@ const (
 	liveFlags   = gossipFlags + " scenario latency period"
 	trialFlags  = " trials workers"
 	bootSizes   = "-n 1024,4096,16384"
+	// The socket link carries only bootstrap messages, and its shards
+	// measure exactly: sock reads no -sampler, -warmup or -measure-sample.
+	sockFlags = configFlags + " drop measure-workers scenario latency period procs base-port worker proc"
 )
 
 var campaigns = []campaign{
@@ -85,7 +88,7 @@ var campaigns = []campaign{
 	{"ablation", bootSizes, simnetFlags, runAblation},
 	{"chord", bootSizes, configFlags + " paper drop", runChord},
 	{"live", "-trials 4 -scenario churn -cycles 30", liveFlags + " memstats" + trialFlags, runLive},
-	{"sock", "-scenario churn -cycles 30", liveFlags + " procs base-port worker proc", runSock},
+	{"sock", "-scenario churn -cycles 30", sockFlags, runSock},
 	{"load", "-cycles 10", configFlags + " measure-workers measure-sample scenario ops clients keys get zipf valsize replicas churn boot", runLoad},
 	{"selfheal", "-n 2000", "fail", runSelfHeal},
 	{"startspread", "-n 2000", "", runStartSpread},

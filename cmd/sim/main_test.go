@@ -130,6 +130,9 @@ func TestFlags(t *testing.T) {
 			{[]string{"sock", "-scenario", "meteor"}, 1, nil},
 			{[]string{"sock", "-procs", "0"}, 1, nil},
 			{[]string{"sock", "-paper"}, 2, nil},
+			{[]string{"sock", "-sampler", "newscast"}, 2, nil},
+			{[]string{"sock", "-warmup", "2"}, 2, nil},
+			{[]string{"sock", "-procs", "2", "-measure-sample", "8"}, 2, nil},
 		}},
 		{"load", []flagRow{
 			{[]string{"load", "-n", "1"}, 2, nil},

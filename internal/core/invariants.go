@@ -15,9 +15,10 @@ import (
 // (hence duplicate-free); each prefix-table row is strictly ascending by
 // ID in a block of a capacity class, each slot's sub-run lies in the slot
 // Slot dictates, at most k to a slot, its ranks a permutation of 0…fill−1,
-// and nothing is stored past a row's run; and no entry is currently
-// tombstoned. It returns the first violation found, nil when there is
-// none. It is a test and debugging aid: no engine calls it.
+// and nothing is stored past a row's run; and, with the eviction extension
+// on, no entry is currently tombstoned. It returns the first violation
+// found, nil when there is none. It is a test and debugging aid: no engine
+// calls it.
 func (n *Node) CheckInvariants() error {
 	if err := n.leaf.checkInvariants(); err != nil {
 		return fmt.Errorf("node %s: leaf set: %w", n.self.ID, err)
@@ -25,11 +26,9 @@ func (n *Node) CheckInvariants() error {
 	if err := n.table.checkInvariants(); err != nil {
 		return fmt.Errorf("node %s: prefix table: %w", n.self.ID, err)
 	}
-	for _, ds := range [][]peer.Descriptor{n.leaf.succ, n.leaf.pred, n.table.Entries()} {
-		for _, d := range ds {
-			if expiry, ok := n.tombs.Get(d.ID); ok && n.ticks < expiry {
-				return fmt.Errorf("node %s: holds %s, tombstoned until tick %d (now %d)", n.self.ID, d, expiry, n.ticks)
-			}
+	if n.evict != nil {
+		if err := n.checkTombstones(); err != nil {
+			return fmt.Errorf("node %s: %w", n.self.ID, err)
 		}
 	}
 	return nil

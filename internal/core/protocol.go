@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/flat"
 	"repro/internal/id"
 	"repro/internal/peer"
 	"repro/internal/proto"
@@ -73,9 +72,6 @@ func (m *Message) Recycle() {
 // allocates nothing.
 func NewMessage() *Message { return messagePool.Get().(*Message) }
 
-// maxCertificates caps the death certificates attached per message.
-const maxCertificates = 32
-
 // Node is the bootstrap protocol state machine for one participant. It
 // implements proto.Protocol; the same callbacks are driven by the
 // concurrent livenet runtime.
@@ -89,18 +85,9 @@ type Node struct {
 	// exchanges counts completed update rounds, for observability.
 	exchanges int64
 
-	// Failure-detector state (used only when cfg.EvictAfterMisses > 0):
-	// the peer whose answer is outstanding, whether it answered,
-	// consecutive unanswered requests per peer, local tombstones for
-	// evicted peers (expiry tick), and the tick counter. The per-peer
-	// tables are open-addressed (internal/flat) rather than built-in
-	// maps: half the memory at 2^18+ nodes, and their iteration order —
-	// which reaches the wire via death certificates — is deterministic.
-	pending  peer.Descriptor
-	answered bool
-	misses   flat.Table[int]
-	tombs    flat.Table[int64]
-	ticks    int64
+	// evict is the eviction extension's state (evict.go), nil unless
+	// cfg.EvictAfterMisses > 0.
+	evict *evictor
 
 	// released records that the node's arena-backed storage has been
 	// returned; it makes Release idempotent.
@@ -116,67 +103,13 @@ type Node struct {
 // holds an object exclusively for its duration and a handful of objects
 // serve any number of nodes.
 type msgScratch struct {
-	near    []peer.Descriptor // self + leaf set, by ID
-	raw     []peer.Descriptor // the cr samples as drawn
-	sample  []peer.Descriptor // the cr samples, by ID
-	union   []peer.Descriptor // near ∪ sample ∪ table, by ID
-	expired []id.ID
+	near   []peer.Descriptor // self + leaf set, by ID
+	raw    []peer.Descriptor // the cr samples as drawn
+	sample []peer.Descriptor // the cr samples, by ID
+	union  []peer.Descriptor // near ∪ sample ∪ table, by ID
 }
 
 var msgScratchPool = sync.Pool{New: func() any { return new(msgScratch) }}
-
-// tombstoneTTL is how many ticks an evicted peer stays blacklisted. A
-// falsely evicted live peer (consecutive message losses) is relearned
-// through gossip once its tombstone expires.
-const tombstoneTTL = 20
-
-// sweepEvery makes every sweepEvery-th request (in expectation) probe a
-// uniformly random known entry instead of a close ring neighbour, so dead
-// entries outside the gossip working set are eventually detected.
-const sweepEvery = 4
-
-// appendCertificates appends the unexpired tombstoned IDs to dst, capped
-// for transport, in the tomb table's (deterministic) iteration order.
-// Expired tombstones found on the way are collected into scratch and
-// deleted after the scan: deletion backshifts table entries, so deleting
-// mid-iteration would derail the cursor.
-func (n *Node) appendCertificates(dst []id.ID, sc *msgScratch) []id.ID {
-	if n.tombs.Len() == 0 {
-		return dst
-	}
-	added := 0
-	sc.expired = sc.expired[:0]
-	n.tombs.Iter(func(dead id.ID, expiry int64) bool {
-		if n.ticks >= expiry {
-			sc.expired = append(sc.expired, dead)
-			return true
-		}
-		dst = append(dst, dead)
-		added++
-		return added < maxCertificates
-	})
-	for _, dead := range sc.expired {
-		n.tombs.Delete(dead)
-	}
-	return dst
-}
-
-// adoptCertificates merges a peer's death certificates: each new one
-// tombstones and removes the named entry locally, and joins f.
-func (n *Node) adoptCertificates(sender peer.Descriptor, dead []id.ID, f *tombFilter) {
-	for _, d := range dead {
-		if d == n.self.ID || d == sender.ID {
-			continue
-		}
-		if f.mayHold(d) && n.tombs.Contains(d) {
-			continue
-		}
-		n.tombs.Put(d, n.ticks+tombstoneTTL)
-		f.add(d)
-		n.leaf.Remove(d)
-		n.table.Remove(d)
-	}
-}
 
 var _ proto.Protocol = (*Node)(nil)
 
@@ -195,7 +128,9 @@ func NewNode(self peer.Descriptor, cfg Config, sampler sampling.Service) (*Node,
 		sampler: sampler,
 		leaf:    NewLeafSetIn(cfg.Arena, self.ID, cfg.C),
 		table:   NewPrefixTableIn(cfg.Arena, self.ID, cfg.B, cfg.K),
-		pending: peer.None,
+	}
+	if cfg.EvictAfterMisses > 0 {
+		n.evict = &evictor{pending: peer.None}
 	}
 	return n, nil
 }
@@ -224,132 +159,25 @@ func (n *Node) Init(ctx proto.Context) {
 
 // Tick is one iteration of the active thread: select a peer from the closer
 // half of the leaf set, send it an optimised message, and (on arrival of
-// the answer, via Handle) update the leaf set and prefix table.
+// the answer, via Handle) update the leaf set and prefix table. With the
+// eviction extension on, the failure detector chooses the peer.
 func (n *Node) Tick(ctx proto.Context) {
-	n.ticks++
-	n.noteMissedAnswer()
-	q := peer.None
-	if n.cfg.EvictAfterMisses > 0 && ctx.Rand().Intn(sweepEvery) == 0 {
-		q = n.sweepTarget(ctx.Rand())
-	}
-	if q.Nil() {
+	var q peer.Descriptor
+	if n.evict != nil {
+		q = n.nextProbe(ctx.Rand())
+	} else {
 		q = n.selectPeer(ctx.Rand())
 	}
 	if q.Nil() {
 		return
 	}
-	if n.cfg.EvictAfterMisses > 0 {
-		n.pending, n.answered = q, false
-	}
 	ctx.Send(q.Addr, n.createMessage(q, true))
-}
-
-// sweepTarget picks a uniformly random entry from the node's structures —
-// the probe that lets the failure detector reach entries the ring gossip
-// never contacts (far leaf entries and prefix-table slots).
-func (n *Node) sweepTarget(rng *rand.Rand) peer.Descriptor {
-	total := n.leaf.Len() + n.table.Len()
-	if total == 0 {
-		return peer.None
-	}
-	// Index successors, then predecessors, then the table row by row,
-	// without materialising the concatenation.
-	succ, pred := n.leaf.Successors(), n.leaf.Predecessors()
-	switch i := rng.Intn(total); {
-	case i < len(succ):
-		return succ[i]
-	case i < len(succ)+len(pred):
-		return pred[i-len(succ)]
-	default:
-		return n.table.at(i - len(succ) - len(pred))
-	}
-}
-
-// noteMissedAnswer charges the previously contacted peer when its answer
-// never arrived, evicting it after EvictAfterMisses consecutive misses.
-func (n *Node) noteMissedAnswer() {
-	if n.cfg.EvictAfterMisses == 0 || n.pending.Nil() || n.answered {
-		return
-	}
-	m, _ := n.misses.Get(n.pending.ID)
-	m++
-	if m >= n.cfg.EvictAfterMisses {
-		n.leaf.Remove(n.pending.ID)
-		n.table.Remove(n.pending.ID)
-		n.misses.Delete(n.pending.ID)
-		// Blacklist so gossip cannot immediately reintroduce the
-		// entry; the tombstone expires in case this was a false
-		// positive caused by message loss.
-		n.tombs.Put(n.pending.ID, n.ticks+tombstoneTTL)
-	} else {
-		n.misses.Put(n.pending.ID, m)
-	}
-	n.pending = peer.None
-}
-
-// tombFilter is a one-hash Bloom filter over the tomb table's IDs, built
-// once per handled message: a clear bit proves an ID untombstoned, so the
-// table is probed only for the few IDs that may be in it. Most probes of a
-// message's entries would miss, and a miss is the dearest probe under
-// linear probing. Deleting a tombstone leaves its bit set, which costs at
-// most a probe.
-type tombFilter [16]uint64
-
-// newTombFilter returns the filter of n's current tombstones.
-func (n *Node) newTombFilter() (f tombFilter) {
-	if n.tombs.Len() > 0 {
-		n.tombs.Iter(func(dead id.ID, _ int64) bool {
-			f.add(dead)
-			return true
-		})
-	}
-	return f
-}
-
-// tombBit hashes an ID to one of the filter's 1024 bits (Fibonacci
-// hashing: the top ten bits of the product, so small sequential IDs
-// spread too).
-func tombBit(i id.ID) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 >> 54 }
-
-func (f *tombFilter) add(i id.ID) {
-	b := tombBit(i)
-	f[b>>6] |= 1 << (b & 63)
-}
-
-// mayHold reports false only for an ID that was never added.
-func (f *tombFilter) mayHold(i id.ID) bool {
-	b := tombBit(i)
-	return f[b>>6]&(1<<(b&63)) != 0
-}
-
-// filterTombstoned drops descriptors currently blacklisted, expiring
-// tombstones lazily; f must cover the tomb table. It compacts the received
-// slice in place: the receiver owns it (see Message).
-func (n *Node) filterTombstoned(ds []peer.Descriptor, f *tombFilter) []peer.Descriptor {
-	if n.tombs.Len() == 0 {
-		return ds
-	}
-	out := ds[:0]
-	for _, d := range ds {
-		if !f.mayHold(d.ID) {
-			out = append(out, d)
-			continue
-		}
-		expiry, dead := n.tombs.Get(d.ID)
-		if dead && n.ticks >= expiry {
-			n.tombs.Delete(d.ID)
-			dead = false
-		}
-		if !dead {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // Handle implements both the passive thread (answer requests with an
 // equally optimised message) and the tail of the active thread (merge the
-// answer).
+// answer). With the eviction extension on, it merges what screen lets
+// through.
 func (n *Node) Handle(ctx proto.Context, from peer.Addr, msg proto.Message) {
 	m, ok := msg.(*Message)
 	if !ok {
@@ -359,18 +187,8 @@ func (n *Node) Handle(ctx proto.Context, from peer.Addr, msg proto.Message) {
 		ctx.Send(from, n.createMessage(m.Sender, false))
 	}
 	entries := m.Entries
-	if n.cfg.EvictAfterMisses > 0 {
-		f := n.newTombFilter()
-		// Any message from a peer proves it alive.
-		n.misses.Delete(m.Sender.ID)
-		if f.mayHold(m.Sender.ID) {
-			n.tombs.Delete(m.Sender.ID)
-		}
-		if m.Sender.ID == n.pending.ID {
-			n.answered = true
-		}
-		n.adoptCertificates(m.Sender, m.Dead, &f)
-		entries = n.filterTombstoned(entries, &f)
+	if n.evict != nil {
+		entries = n.screen(m)
 	}
 	n.updateLeafSet(entries)
 	n.updatePrefixTable(entries)
@@ -469,8 +287,8 @@ func (n *Node) createMessage(q peer.Descriptor, request bool) *Message {
 	m.Request = request
 	m.Entries = appendOutward(m.Entries[:0], sc.union, q.ID, limit)
 	m.Dead = m.Dead[:0]
-	if n.cfg.EvictAfterMisses > 0 {
-		m.Dead = n.appendCertificates(m.Dead, sc)
+	if n.evict != nil {
+		m.Dead = n.appendCertificates(m.Dead)
 	}
 	msgScratchPool.Put(sc)
 	return m

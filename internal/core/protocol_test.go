@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/id"
 	"repro/internal/peer"
@@ -403,6 +404,36 @@ func TestEvictionToleratesLoss(t *testing.T) {
 	net.Run(cfg.Delta * 100)
 	if !n1.Leaf().Contains(d2.ID) || !n2.Leaf().Contains(d1.ID) {
 		t.Error("live peers evicted each other permanently under loss")
+	}
+}
+
+// TestNodeHoldsOnlyPaperState checks that the eviction extension costs a
+// node that does not use it one pointer: the node stays within the 144-byte
+// size class, its detector state is nil, and it handles messages and
+// passes CheckInvariants without it.
+func TestNodeHoldsOnlyPaperState(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); size > 144 {
+		t.Errorf("Node is %d bytes, want at most 144", size)
+	}
+	cfg := testConfig()
+	n, err := NewNode(peer.Descriptor{ID: 1000}, cfg, sampling.Fixed(descs(999, 1001)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.evict != nil {
+		t.Fatal("a node without eviction carries detector state")
+	}
+	n.Init(nil)
+	n.Handle(nil, 7, &Message{Sender: desc(1002), Entries: descs(998, 1003, 0xF000000000000000)})
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("node without eviction: %v", err)
+	}
+	if !n.Leaf().Contains(1003) || n.Table().Len() != 3 {
+		t.Errorf("leaf set %v, table %v: the message was not merged", n.Leaf().Slice(), n.Table().Entries())
+	}
+	cfg.EvictAfterMisses = 2
+	if n, err := NewNode(peer.Descriptor{ID: 1000}, cfg, sampling.Fixed(nil)); err != nil || n.evict == nil {
+		t.Errorf("a node with eviction has no detector state (err %v)", err)
 	}
 }
 

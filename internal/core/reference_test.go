@@ -399,7 +399,7 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		"stale descriptor past the run": func(n *Node) { n.table.rows[0][:3][2] = desc(0xF000000000000002) },
 		"slot filled past k":            func(n *Node) { n.table.fills(0)[15] = 4 },
 		"fill counts disagree with Len": func(n *Node) { n.table.n-- },
-		"tombstoned entry kept":         func(n *Node) { n.tombs.Put(1002, n.ticks+tombstoneTTL) },
+		"tombstoned entry kept":         func(n *Node) { n.evict.tombs.Put(1002, n.evict.ticks+tombstoneTTL) },
 	} {
 		n := build()
 		corrupt(n)

@@ -53,7 +53,7 @@ func TestFilterTombstonedPreservesSharedSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.tombs.Put(2, n.ticks+tombstoneTTL) // ID 2 currently blacklisted
+	n.evict.tombs.Put(2, n.evict.ticks+tombstoneTTL) // ID 2 currently blacklisted
 	received := []peer.Descriptor{{ID: 1, Addr: 1}, {ID: 2, Addr: 2}, {ID: 3, Addr: 3}}
 
 	f := n.newTombFilter()
@@ -70,12 +70,12 @@ func TestFilterTombstonedPreservesSharedSlice(t *testing.T) {
 	}
 
 	// An expired tombstone is dropped lazily and its entry passes through.
-	expiry, _ := n.tombs.Get(2)
-	n.ticks = expiry + 1
+	expiry, _ := n.evict.tombs.Get(2)
+	n.evict.ticks = expiry + 1
 	if out := n.filterTombstoned(slices.Clone(received), &f); !reflect.DeepEqual(out, received) {
 		t.Errorf("expired tombstone still filtered: %v", out)
 	}
-	if n.tombs.Contains(2) {
+	if n.evict.tombs.Contains(2) {
 		t.Error("expired tombstone not collected")
 	}
 }
@@ -95,9 +95,9 @@ func TestHandleTombstoneForkAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.tombs.Put(2, n.ticks+tombstoneTTL)
+	n.evict.tombs.Put(2, n.evict.ticks+tombstoneTTL)
 	for i := range id.ID(63) {
-		n.tombs.Put(5000+i, n.ticks+tombstoneTTL)
+		n.evict.tombs.Put(5000+i, n.evict.ticks+tombstoneTTL)
 	}
 	entries := []peer.Descriptor{{ID: 1, Addr: 1}, {ID: 2, Addr: 2}, {ID: 3, Addr: 3}}
 	m := &Message{Sender: peer.Descriptor{ID: 7, Addr: 7}, Entries: make([]peer.Descriptor, len(entries)),
@@ -110,7 +110,7 @@ func TestHandleTombstoneForkAllocs(t *testing.T) {
 	if n.Leaf().Contains(2) || !n.Leaf().Contains(3) {
 		t.Fatalf("tombstoned entry not filtered: leaf = %v", n.Leaf().Slice())
 	}
-	if got := n.tombs.Len(); got != 64 {
+	if got := n.evict.tombs.Len(); got != 64 {
 		t.Fatalf("%d tombstones, want 64", got)
 	}
 	if avg := testing.AllocsPerRun(200, handle); avg > 0 {

@@ -14,16 +14,16 @@ import (
 // reply) as they were before the tomb filter: the sender, every
 // certificate and every entry probe the tomb table.
 func handleReference(n *Node, m *Message) {
-	n.misses.Delete(m.Sender.ID)
-	n.tombs.Delete(m.Sender.ID)
-	if m.Sender.ID == n.pending.ID {
-		n.answered = true
+	n.evict.misses.Delete(m.Sender.ID)
+	n.evict.tombs.Delete(m.Sender.ID)
+	if m.Sender.ID == n.evict.pending.ID {
+		n.evict.answered = true
 	}
 	for _, d := range m.Dead {
-		if d == n.self.ID || d == m.Sender.ID || n.tombs.Contains(d) {
+		if d == n.self.ID || d == m.Sender.ID || n.evict.tombs.Contains(d) {
 			continue
 		}
-		n.tombs.Put(d, n.ticks+tombstoneTTL)
+		n.evict.tombs.Put(d, n.evict.ticks+tombstoneTTL)
 		n.leaf.Remove(d)
 		n.table.Remove(d)
 	}
@@ -35,14 +35,14 @@ func handleReference(n *Node, m *Message) {
 
 // filterTombstonedReference is filterTombstoned with a probe per entry.
 func filterTombstonedReference(n *Node, ds []peer.Descriptor) []peer.Descriptor {
-	if n.tombs.Len() == 0 {
+	if n.evict.tombs.Len() == 0 {
 		return ds
 	}
 	out := ds[:0]
 	for _, d := range ds {
-		expiry, dead := n.tombs.Get(d.ID)
-		if dead && n.ticks >= expiry {
-			n.tombs.Delete(d.ID)
+		expiry, dead := n.evict.tombs.Get(d.ID)
+		if dead && n.evict.ticks >= expiry {
+			n.evict.tombs.Delete(d.ID)
 			dead = false
 		}
 		if !dead {
@@ -76,7 +76,7 @@ func tombCase(seed int64) (*Node, *Message) {
 	if err != nil {
 		panic(err)
 	}
-	n.ticks = 100
+	n.evict.ticks = 100
 	var known []peer.Descriptor
 	for range 200 {
 		if d := draw(); d != self.ID {
@@ -88,12 +88,12 @@ func tombCase(seed int64) (*Node, *Message) {
 
 	var tombs []id.ID
 	if rng.Intn(6) > 0 { // else: no tombstones
-		for want := rng.Intn(301); n.tombs.Len() < want; {
+		for want := rng.Intn(301); n.evict.tombs.Len() < want; {
 			d := draw()
-			if d == self.ID || n.tombs.Contains(d) {
+			if d == self.ID || n.evict.tombs.Contains(d) {
 				continue
 			}
-			n.tombs.Put(d, n.ticks-5+rng.Int63n(25)) // expired up to 100
+			n.evict.tombs.Put(d, n.evict.ticks-5+rng.Int63n(25)) // expired up to 100
 			n.leaf.Remove(d)
 			n.table.Remove(d)
 			tombs = append(tombs, d)
@@ -106,7 +106,7 @@ func tombCase(seed int64) (*Node, *Message) {
 		}
 		bit := tombBit(tombs[rng.Intn(len(tombs))])
 		for c := draw(); ; c++ {
-			if tombBit(c) == bit && c != self.ID && !n.tombs.Contains(c) {
+			if tombBit(c) == bit && c != self.ID && !n.evict.tombs.Contains(c) {
 				return c
 			}
 		}
@@ -161,7 +161,7 @@ func tombCase(seed int64) (*Node, *Message) {
 
 // tombsOf lists the tomb table in its Iter order.
 func tombsOf(n *Node) (ids []id.ID, expiries []int64) {
-	n.tombs.Iter(func(d id.ID, expiry int64) bool {
+	n.evict.tombs.Iter(func(d id.ID, expiry int64) bool {
 		ids, expiries = append(ids, d), append(expiries, expiry)
 		return true
 	})
@@ -189,11 +189,11 @@ func TestTombFilterMatchesProbe(t *testing.T) {
 		b, mb := tombCase(seed)
 		f := a.newTombFilter()
 		for _, d := range ma.Entries {
-			if f.mayHold(d.ID) && !a.tombs.Contains(d.ID) {
+			if f.mayHold(d.ID) && !a.evict.tombs.Contains(d.ID) {
 				covered["an entry on a tombstone's bit"] = true
 			}
 		}
-		held := a.tombs.Len()
+		held := a.evict.tombs.Len()
 		got := a.filterTombstoned(slices.Clone(ma.Entries), &f)
 		want := filterTombstonedReference(b, slices.Clone(mb.Entries))
 		if !slices.Equal(got, want) {
@@ -203,16 +203,16 @@ func TestTombFilterMatchesProbe(t *testing.T) {
 			t.Fatalf("trial %d: filterTombstoned leaves another tomb table than the reference", trial)
 		}
 		covered["an entry dropped"] = covered["an entry dropped"] || len(want) < len(mb.Entries)
-		covered["an expired tombstone collected"] = covered["an expired tombstone collected"] || a.tombs.Len() < held
+		covered["an expired tombstone collected"] = covered["an expired tombstone collected"] || a.evict.tombs.Len() < held
 
 		a, ma = tombCase(seed)
 		b, mb = tombCase(seed)
-		covered["no tombstones"] = covered["no tombstones"] || a.tombs.Len() == 0
-		covered["a tombstoned sender"] = covered["a tombstoned sender"] || a.tombs.Contains(ma.Sender.ID)
-		before := a.tombs.Len()
+		covered["no tombstones"] = covered["no tombstones"] || a.evict.tombs.Len() == 0
+		covered["a tombstoned sender"] = covered["a tombstoned sender"] || a.evict.tombs.Contains(ma.Sender.ID)
+		before := a.evict.tombs.Len()
 		a.Handle(nil, ma.Sender.Addr, ma) // not a request: no reply, ctx unused
 		handleReference(b, mb)
-		covered["a certificate adopted"] = covered["a certificate adopted"] || a.tombs.Len() > before
+		covered["a certificate adopted"] = covered["a certificate adopted"] || a.evict.tombs.Len() > before
 		if !sameTombs(a, b) {
 			t.Fatalf("trial %d: Handle leaves another tomb table than the reference", trial)
 		}
@@ -253,7 +253,7 @@ func BenchmarkHandleChurnShape(b *testing.B) {
 	tombs := make([]id.ID, 43)
 	for i := range tombs {
 		tombs[i] = desc().ID
-		n.tombs.Put(tombs[i], n.ticks+tombstoneTTL)
+		n.evict.tombs.Put(tombs[i], n.evict.ticks+tombstoneTTL)
 	}
 	entries := make([]peer.Descriptor, 140)
 	for i := range entries {
@@ -267,7 +267,7 @@ func BenchmarkHandleChurnShape(b *testing.B) {
 		m.Entries = append(m.Entries[:0], entries...)
 		n.Handle(nil, m.Sender.Addr, m)
 		for _, d := range fresh {
-			n.tombs.Delete(d)
+			n.evict.tombs.Delete(d)
 		}
 	}
 	handle() // warm: entries learned

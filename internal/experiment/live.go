@@ -56,8 +56,9 @@ type LiveParams struct {
 	// MeasureSample, when positive and smaller than the live population,
 	// measures a uniform node sample per cycle instead of the whole
 	// network (see Params.MeasureSample) — here it additionally shrinks
-	// the pause-the-world window from O(N) to O(sample). Single-process
-	// only: a sharded campaign sums exact per-process counts.
+	// the pause-the-world window from O(N) to O(sample). RunLive only: a
+	// sharded campaign's shards (OpenLiveShard) report exact counts for
+	// the driver to sum.
 	MeasureSample int
 	// Sampler selects the sampling layer under the bootstrap nodes; the
 	// zero value means oracle. With SamplerOracle every node draws
@@ -253,6 +254,9 @@ type LiveShard struct {
 func OpenLiveShard(p LiveParams, seed int64) (*LiveShard, error) {
 	if p.Sockets == nil {
 		return nil, errors.New("experiment: a live shard needs LiveParams.Sockets")
+	}
+	if p.MeasureSample > 0 {
+		return nil, errors.New("experiment: a live shard measures its members exactly; MeasureSample must be 0")
 	}
 	t, eng, err := newLiveTrial(p, seed)
 	if err != nil {

@@ -56,6 +56,10 @@ func TestLiveParamsValidate(t *testing.T) {
 	if _, err := RunLive(sock, 1); err == nil {
 		t.Error("RunLive accepted one shard of a two-process campaign")
 	}
+	sock.Sockets, sock.MeasureSample = &Sockets{Procs: 1, BasePort: 19000}, 4
+	if _, err := OpenLiveShard(sock, 1); err == nil {
+		t.Error("OpenLiveShard accepted sampled measurement, which a shard never takes")
+	}
 }
 
 func TestLiveRunConvergesFailureFree(t *testing.T) {

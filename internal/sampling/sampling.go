@@ -10,7 +10,7 @@
 // membership lives in a snapshot behind an atomic pointer, which Remove
 // replaces and Add extends in place past every reader's length, and each
 // concurrent consumer draws through its own Stream — a private,
-// deterministically seeded RNG plus scratch — so the per-tick sample path
+// deterministically seeded RNG — so the per-tick sample path
 // never takes a lock and never contends. The Oracle's own Sample/AppendSample methods are the shared
 // default stream, serialised by a mutex for backwards compatibility; the
 // deterministic simulator keeps using them so seeded traces are unchanged.
@@ -127,9 +127,10 @@ func (o *Oracle) Sample(n int) []peer.Descriptor {
 }
 
 // AppendSample appends up to n distinct uniformly random members to dst,
-// drawn from the shared default stream. It allocates nothing beyond what
-// dst needs to grow, and consumes the stream's RNG exactly like Sample, so
-// the two are interchangeable without disturbing a seeded run.
+// drawn from the shared default stream. For n up to 64 it allocates
+// nothing beyond what dst needs to grow. It consumes the stream's RNG
+// exactly like Sample, so the two are interchangeable without disturbing a
+// seeded run.
 func (o *Oracle) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 	o.defMu.Lock()
 	defer o.defMu.Unlock()
@@ -137,7 +138,7 @@ func (o *Oracle) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 }
 
 // Stream returns a sampling handle with its own deterministic RNG stream
-// (an 8-byte id.SplitMix64) and scratch, reading the shared membership
+// (an 8-byte id.SplitMix64), reading the shared membership
 // snapshot lock-free. Streams
 // with the same (oracle seed, key) draw identical sequences over identical
 // membership histories — seed-stable — and distinct keys draw independent
@@ -152,13 +153,12 @@ func (o *Oracle) Stream(key int64) *Stream {
 	return &Stream{o: o, rng: id.NewRand(mixed)}
 }
 
-// Stream is a single-caller view of an Oracle: a private RNG stream plus
-// scratch over the shared lock-free membership snapshot. It implements
+// Stream is a single-caller view of an Oracle: a private RNG stream over
+// the shared lock-free membership snapshot. It implements
 // Service; the sample path takes no lock.
 type Stream struct {
-	o       *Oracle
-	rng     *rand.Rand
-	scratch []int // drawn member indices of the in-progress sample
+	o   *Oracle
+	rng *rand.Rand
 }
 
 var _ Service = (*Stream)(nil)
@@ -169,9 +169,9 @@ func (s *Stream) Sample(n int) []peer.Descriptor {
 }
 
 // AppendSample appends up to n distinct uniformly random members to dst.
-// It allocates nothing beyond what dst needs to grow, and consumes the
-// stream's RNG exactly like Sample, so the two are interchangeable without
-// disturbing a seeded sequence.
+// For n up to 64 it allocates nothing beyond what dst needs to grow. It
+// consumes the stream's RNG exactly like Sample, so the two are
+// interchangeable without disturbing a seeded sequence.
 func (s *Stream) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 	members := s.o.members()
 	if n > len(members) {
@@ -182,8 +182,16 @@ func (s *Stream) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 	}
 	// Rejection sampling with a linear duplicate scan. For the small n
 	// used by the protocols (cr <= 100) relative to membership size,
-	// this is cheaper than a partial Fisher-Yates and allocation-free.
-	drawn := s.scratch[:0]
+	// this is cheaper than a partial Fisher-Yates. The drawn indices live
+	// on the stack for any n up to 64 (the default cr is 30), so a Stream
+	// keeps no scratch. stack must not flow into anything that outlives
+	// the call, or it escapes to the heap: `go build -gcflags=-m` would
+	// read "moved to heap: stack".
+	var stack [64]int
+	drawn := stack[:0]
+	if n > len(stack) {
+		drawn = make([]int, 0, n)
+	}
 	for len(drawn) < n {
 		i := s.rng.Intn(len(members))
 		dup := false
@@ -199,7 +207,6 @@ func (s *Stream) AppendSample(dst []peer.Descriptor, n int) []peer.Descriptor {
 		drawn = append(drawn, i)
 		dst = append(dst, members[i])
 	}
-	s.scratch = drawn
 	return dst
 }
 

@@ -19,19 +19,23 @@ func members(n int) []peer.Descriptor {
 	return out
 }
 
+// TestOracleSampleDistinct draws samples of sizes on either side of the
+// 64 indices AppendSample keeps on the stack.
 func TestOracleSampleDistinct(t *testing.T) {
-	o := NewOracle(members(50), 1)
-	for trial := 0; trial < 100; trial++ {
-		s := o.Sample(10)
-		if len(s) != 10 {
-			t.Fatalf("len = %d, want 10", len(s))
-		}
-		seen := make(map[id.ID]struct{})
-		for _, d := range s {
-			if _, dup := seen[d.ID]; dup {
-				t.Fatalf("duplicate %s in sample", d)
+	o := NewOracle(members(200), 1)
+	for _, n := range []int{10, 64, 65, 150} {
+		for trial := 0; trial < 100; trial++ {
+			s := o.Sample(n)
+			if len(s) != n {
+				t.Fatalf("len = %d, want %d", len(s), n)
 			}
-			seen[d.ID] = struct{}{}
+			seen := make(map[id.ID]struct{})
+			for _, d := range s {
+				if _, dup := seen[d.ID]; dup {
+					t.Fatalf("duplicate %s in a sample of %d", d, n)
+				}
+				seen[d.ID] = struct{}{}
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/id"
 	"repro/internal/peer"
+	"repro/internal/testenv"
 )
 
 // TestStreamMatchesSampleSequence extends the "AppendSample must draw
@@ -27,6 +28,20 @@ func TestStreamMatchesSampleSequence(t *testing.T) {
 				t.Fatalf("round %d pos %d: Sample drew %v, AppendSample drew %v", round, i, sa[i], buf[i])
 			}
 		}
+	}
+}
+
+// TestStreamAppendSampleAllocs checks that a stream draws the protocol's
+// cr = 30 samples into a buffer with room without allocating: the drawn
+// indices live on the stack, and the stream keeps no scratch.
+func TestStreamAppendSampleAllocs(t *testing.T) {
+	if testenv.Race() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	s := NewOracle(members(1000), 3).Stream(1)
+	buf := make([]peer.Descriptor, 0, 30)
+	if avg := testing.AllocsPerRun(100, func() { buf = s.AppendSample(buf[:0], 30) }); avg > 0 {
+		t.Errorf("AppendSample of 30 allocates %.1f times per call, want 0", avg)
 	}
 }
 
